@@ -1,22 +1,19 @@
-//! Experiment E27 — C10k: thread-per-connection vs. the readiness loop.
+//! Experiment E27 — C10k: how many connections one reactor sustains.
 //!
-//! The paper's bottleneck is per-processor *message load*, but the
-//! serving stack used to hit a dumber wall first: a thread per
-//! connection caps realistic fan-in at a few thousand sessions before
-//! scheduler thrash buries the latency tail. This experiment drives the
-//! same open-loop keyless workload — a fixed per-connection rate, so
-//! offered load grows with fan-in — against the threaded combining
-//! server and the single-reactor readiness server, over a connection
-//! grid that ends past 10,000, and records goodput and the latency
-//! tail side by side. "Sustainable" is an SLO verdict: every op acked,
-//! values exactly `0..ops`, p99 under [`E27_SLO_P99_MS`].
+//! The paper's bottleneck is per-processor *message load*, but a serving
+//! stack can hit a dumber wall first: the cost of merely holding
+//! connections. This experiment drives an open-loop keyless workload —
+//! a fixed per-connection rate, so offered load grows with fan-in —
+//! against the combining server over a connection grid that ends past
+//! 10,000, and records goodput and the latency tail. "Sustainable" is
+//! an SLO verdict: every op acked, values exactly `0..ops`, p99 under
+//! [`E27_SLO_P99_MS`].
 //!
 //! Both sides of the socket stay on one thread each: the client is the
-//! multiplexed mux driver (`distctr_server::run_mux`), so the
-//! comparison isolates the *server's* connection-handling strategy.
+//! multiplexed mux driver (`distctr_server::run_mux`).
 //! Above [`E27_SUBPROCESS_CONNS`] connections the server runs in a
-//! child process (`report --e27-serve <style> <n>`) so client and
-//! server fd tables stay under a 20k `RLIMIT_NOFILE` each.
+//! child process (`report --e27-serve <n>`) so client and server fd
+//! tables stay under a 20k `RLIMIT_NOFILE` each.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -45,11 +42,9 @@ pub const E27_OPS_PER_CONN: usize = 12;
 /// process's 20k fd limit.
 pub const E27_SUBPROCESS_CONNS: usize = 5000;
 
-/// One (style, connection level) cell of the C10k grid.
+/// One connection level of the C10k grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsyncRow {
-    /// `"threaded"` (thread per connection) or `"async"` (one reactor).
-    pub style: &'static str,
     /// Connection level attempted (the ramp target).
     pub conns: usize,
     /// Connections the ramp actually established; a saturated server
@@ -88,8 +83,7 @@ impl AsyncRow {
 }
 
 /// The connection grid: smoke stays small and in-process (CI gate),
-/// quick stops where the threaded path first buckles, the full sweep
-/// ends past the C10k mark.
+/// quick stays in-process, the full sweep ends past the C10k mark.
 #[must_use]
 pub fn e27_grid(quick: bool, smoke: bool) -> Vec<usize> {
     if smoke {
@@ -101,8 +95,8 @@ pub fn e27_grid(quick: bool, smoke: bool) -> Vec<usize> {
     }
 }
 
-/// Measures both serving styles at every level of `conns_grid` against
-/// a fresh tree of `n` processors. Each cell drives
+/// Measures every level of `conns_grid` against a fresh tree of `n`
+/// processors. Each cell drives
 /// `conns * E27_OPS_PER_CONN` operations open-loop at
 /// `conns * E27_PER_CONN_RATE` ops/s through the mux driver. A cell
 /// whose ramp or run collapses entirely (server dead, connects refused)
@@ -115,13 +109,7 @@ pub fn e27_grid(quick: bool, smoke: bool) -> Vec<usize> {
 /// child process that cannot spawn.
 #[must_use]
 pub fn e27_measure(n: usize, conns_grid: &[usize]) -> Vec<AsyncRow> {
-    let mut rows = Vec::with_capacity(conns_grid.len() * 2);
-    for &conns in conns_grid {
-        for style in ["threaded", "async"] {
-            rows.push(e27_cell(style, n, conns));
-        }
-    }
-    rows
+    conns_grid.iter().map(|&conns| e27_cell(n, conns)).collect()
 }
 
 /// Ramp window for a connection level: ~2000 connects/second, floor
@@ -130,22 +118,21 @@ fn ramp_for(conns: usize) -> Duration {
     Duration::from_millis((conns as u64 / 2).max(50))
 }
 
-fn e27_cell(style: &'static str, n: usize, conns: usize) -> AsyncRow {
+fn e27_cell(n: usize, conns: usize) -> AsyncRow {
     let ops = conns * E27_OPS_PER_CONN;
     let rate = conns as f64 * E27_PER_CONN_RATE;
-    eprintln!("e27: {style} at {conns} conns ({ops} ops @ {rate:.0}/s)...");
+    eprintln!("e27: {conns} conns ({ops} ops @ {rate:.0}/s)...");
     let cfg = MuxConfig::open(conns, ops, rate).with_ramp(ramp_for(conns));
     let outcome = if conns > E27_SUBPROCESS_CONNS {
-        run_against_child(style, n, &cfg)
+        run_against_child(n, &cfg)
     } else {
-        run_in_process(style, n, &cfg)
+        run_in_process(n, &cfg)
     };
     match outcome {
-        Ok(report) => row_from_report(style, conns, ops, rate, &report),
+        Ok(report) => row_from_report(conns, ops, rate, &report),
         Err(err) => {
-            eprintln!("e27: {style} at {conns} conns collapsed: {err}");
+            eprintln!("e27: {conns} conns collapsed: {err}");
             AsyncRow {
-                style,
                 conns,
                 established: 0,
                 ops: 0,
@@ -161,15 +148,8 @@ fn e27_cell(style: &'static str, n: usize, conns: usize) -> AsyncRow {
     }
 }
 
-fn row_from_report(
-    style: &'static str,
-    conns: usize,
-    ops: usize,
-    rate: f64,
-    report: &LoadReport,
-) -> AsyncRow {
+fn row_from_report(conns: usize, ops: usize, rate: f64, report: &LoadReport) -> AsyncRow {
     AsyncRow {
-        style,
         conns,
         established: report.per_conn.len(),
         ops: report.ops,
@@ -183,13 +163,9 @@ fn row_from_report(
     }
 }
 
-fn run_in_process(style: &str, n: usize, cfg: &MuxConfig) -> Result<LoadReport, String> {
+fn run_in_process(n: usize, cfg: &MuxConfig) -> Result<LoadReport, String> {
     let backend = TreeCounter::new(n).expect("tree backend");
-    let mut server = match style {
-        "threaded" => CounterServer::serve_combining(backend),
-        _ => CounterServer::serve_async_combining(backend),
-    }
-    .expect("serve");
+    let mut server = CounterServer::serve_async_combining(backend).expect("serve");
     let report = run_mux(server.local_addr(), cfg).map_err(|e| e.to_string());
     server.shutdown().expect("shutdown");
     report
@@ -198,11 +174,10 @@ fn run_in_process(style: &str, n: usize, cfg: &MuxConfig) -> Result<LoadReport, 
 /// Spawns the current executable in `--e27-serve` mode, reads the
 /// child's `ADDR <ip:port>` banner, drives the load against it, then
 /// closes the child's stdin (its shutdown signal) and reaps it.
-fn run_against_child(style: &str, n: usize, cfg: &MuxConfig) -> Result<LoadReport, String> {
+fn run_against_child(n: usize, cfg: &MuxConfig) -> Result<LoadReport, String> {
     let exe = std::env::current_exe().expect("current_exe");
     let mut child = Command::new(exe)
         .arg("--e27-serve")
-        .arg(style)
         .arg(n.to_string())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -225,19 +200,14 @@ fn run_against_child(style: &str, n: usize, cfg: &MuxConfig) -> Result<LoadRepor
     report
 }
 
-/// The `--e27-serve <style> <n>` child body: serve on an ephemeral
+/// The `--e27-serve <n>` child body: serve on an ephemeral
 /// loopback port, announce the address on stdout, and run until stdin
 /// reaches EOF (the parent dropping the pipe). Called from the `report`
 /// binary's entry point before normal argument parsing.
-pub fn e27_child_serve(style: &str, n: usize) {
+pub fn e27_child_serve(n: usize) {
     use std::io::{Read, Write};
     let backend = TreeCounter::new(n).expect("tree backend");
-    let mut server = match style {
-        "threaded" => CounterServer::serve_combining(backend),
-        "async" => CounterServer::serve_async_combining(backend),
-        other => panic!("--e27-serve style must be 'threaded' or 'async', got {other:?}"),
-    }
-    .expect("serve");
+    let mut server = CounterServer::serve_async_combining(backend).expect("serve");
     let mut out = std::io::stdout();
     writeln!(out, "ADDR {}", server.local_addr()).expect("announce addr");
     out.flush().expect("flush addr");
@@ -246,10 +216,10 @@ pub fn e27_child_serve(style: &str, n: usize) {
     server.shutdown().expect("shutdown");
 }
 
-/// Largest connection level `style` sustained, 0 if none.
+/// Largest connection level sustained, 0 if none.
 #[must_use]
-pub fn e27_max_sustainable(rows: &[AsyncRow], style: &str) -> usize {
-    rows.iter().filter(|r| r.style == style && r.sustainable()).map(|r| r.conns).max().unwrap_or(0)
+pub fn e27_max_sustainable(rows: &[AsyncRow]) -> usize {
+    rows.iter().filter(|r| r.sustainable()).map(|r| r.conns).max().unwrap_or(0)
 }
 
 /// Renders the E27 table plus the max-sustainable summary.
@@ -258,13 +228,12 @@ pub fn e27_render(n: usize, rows: &[AsyncRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "E27. C10k: open-loop goodput and latency tail against {n} processors,\n\
-         thread-per-connection vs single-reactor readiness serving\n\
+         one reactor thread serving every connection\n\
          (offered rate {} ops/s per connection; SLO: failed == 0, exact, p99 <= {} ms)\n\n",
         E27_PER_CONN_RATE, E27_SLO_P99_MS
     ));
     let mut table = Table::new(vec![
         "conns",
-        "server",
         "opened",
         "offered (ops/s)",
         "goodput (ops/s)",
@@ -277,7 +246,6 @@ pub fn e27_render(n: usize, rows: &[AsyncRow]) -> String {
     for r in rows {
         table.row(vec![
             r.conns.to_string(),
-            r.style.to_string(),
             r.established.to_string(),
             fmt_f64(r.offered_rate),
             fmt_f64(r.goodput),
@@ -290,11 +258,9 @@ pub fn e27_render(n: usize, rows: &[AsyncRow]) -> String {
     }
     out.push_str(&table.render());
     out.push_str(&format!(
-        "\nmax sustainable connections: threaded {}, readiness {} — the reactor's\n\
-         per-connection cost is a slab slot and two buffers, not a stack and a\n\
-         scheduler entry, so the latency tail holds where thread wakeups thrash.\n",
-        e27_max_sustainable(rows, "threaded"),
-        e27_max_sustainable(rows, "async"),
+        "\nmax sustainable connections: {} — a connection costs the reactor a\n\
+         slab slot and two buffers, not a stack and a scheduler entry.\n",
+        e27_max_sustainable(rows),
     ));
     out
 }
@@ -306,24 +272,20 @@ pub fn e27_json(n: usize, rows: &[AsyncRow]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"async-serving\",\n");
+    out.push_str("  \"engine\": \"single reactor\",\n");
     out.push_str("  \"mode\": \"open-loop TCP, mux client driver\",\n");
     out.push_str(&format!("  \"processors\": {n},\n"));
     out.push_str(&format!("  \"per_conn_rate\": {E27_PER_CONN_RATE},\n"));
     out.push_str(&format!("  \"slo_p99_ms\": {E27_SLO_P99_MS},\n"));
-    out.push_str(&format!(
-        "  \"max_sustainable\": {{ \"threaded\": {}, \"async\": {} }},\n",
-        e27_max_sustainable(rows, "threaded"),
-        e27_max_sustainable(rows, "async"),
-    ));
+    out.push_str(&format!("  \"max_sustainable\": {},\n", e27_max_sustainable(rows)));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{ \"conns\": {}, \"server\": \"{}\", \"established\": {}, \
+            "    {{ \"conns\": {}, \"established\": {}, \
              \"offered_ops_per_sec\": {:.1}, \
              \"goodput_ops_per_sec\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \
              \"p999_us\": {}, \"failed\": {}, \"exact\": {}, \"sustainable\": {} }}{}\n",
             r.conns,
-            r.style,
             r.established,
             r.offered_rate,
             r.goodput,
@@ -347,25 +309,21 @@ mod tests {
     #[test]
     fn e27_measures_renders_and_serializes_in_process() {
         let rows = e27_measure(8, &[4]);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert_eq!(r.failed, 0, "{} lost ops at 4 conns: {r:?}", r.style);
-            assert!(r.exact, "{} went inexact at 4 conns: {r:?}", r.style);
-            assert!(r.goodput > 0.0);
-            assert!(r.sustainable(), "{r:?}");
-        }
+        assert_eq!(rows.len(), 1);
+        let r = &rows[0];
+        assert_eq!(r.failed, 0, "lost ops at 4 conns: {r:?}");
+        assert!(r.exact, "went inexact at 4 conns: {r:?}");
+        assert!(r.goodput > 0.0);
+        assert!(r.sustainable(), "{r:?}");
         let report = e27_render(8, &rows);
         assert!(report.contains("sustainable"), "{report}");
-        assert!(report.contains("readiness"), "{report}");
         let json = e27_json(8, &rows);
-        assert!(json.contains("\"server\": \"async\""), "{json}");
-        assert!(json.contains("\"max_sustainable\""), "{json}");
+        assert!(json.contains("\"max_sustainable\": 4"), "{json}");
     }
 
     #[test]
     fn the_slo_verdict_rejects_loss_inexactness_and_tail_blowups() {
         let good = AsyncRow {
-            style: "async",
             conns: 32,
             established: 32,
             ops: 384,
@@ -382,8 +340,8 @@ mod tests {
         assert!(!AsyncRow { failed: 1, ..good.clone() }.sustainable());
         assert!(!AsyncRow { exact: false, ..good.clone() }.sustainable());
         assert!(!AsyncRow { p99_us: 600_000, ..good.clone() }.sustainable());
-        assert_eq!(e27_max_sustainable(std::slice::from_ref(&good), "async"), 32);
-        assert_eq!(e27_max_sustainable(&[good], "threaded"), 0);
+        assert_eq!(e27_max_sustainable(std::slice::from_ref(&good)), 32);
+        assert_eq!(e27_max_sustainable(&[AsyncRow { failed: 1, ..good }]), 0);
     }
 
     #[test]

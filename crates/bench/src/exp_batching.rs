@@ -14,7 +14,7 @@
 use distctr_analysis::{fmt_f64, Table};
 use distctr_core::kmath;
 use distctr_net::ThreadedTreeCounter;
-use distctr_server::{run_load, CounterServer, LoadConfig};
+use distctr_server::{run_load, CounterServer, LoadConfig, ServerConfig};
 
 /// One concurrency level's measurement: the same workload through both
 /// serving paths.
@@ -101,11 +101,9 @@ fn median_by_rate(trials: &mut [(f64, u64)]) -> (f64, u64) {
 
 fn closed_loop_throughput(combining: bool, n: usize, conns: usize, ops: usize) -> (f64, u64) {
     let backend = ThreadedTreeCounter::new(n).expect("threaded tree");
-    let mut server = if combining {
-        CounterServer::serve_combining(backend).expect("serve (combining)")
-    } else {
-        CounterServer::serve(backend).expect("serve (sequential)")
-    };
+    let config = ServerConfig::default();
+    let mut server = CounterServer::serve_async_on_with("127.0.0.1:0", backend, combining, config)
+        .expect("serve");
     let report = run_load(server.local_addr(), &LoadConfig::closed(conns, ops)).expect("load run");
     assert!(
         report.values_are_sequential_from(0),
@@ -165,6 +163,7 @@ pub fn e22_json(n: usize, ops_per_conn: usize, rows: &[BatchingRow]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"batching\",\n");
+    out.push_str("  \"engine\": \"single reactor\",\n");
     out.push_str("  \"backend\": \"threaded\",\n");
     out.push_str("  \"mode\": \"closed-loop TCP\",\n");
     out.push_str(&format!("  \"processors\": {n},\n"));

@@ -109,7 +109,7 @@ pub fn e23_measure(
         .iter()
         .map(|(name, plan)| {
             let backend = ThreadedTreeCounter::new(n).expect("threaded tree");
-            let mut server = CounterServer::serve_combining(backend).expect("serve");
+            let mut server = CounterServer::serve_async_combining(backend).expect("serve");
             let proxy = ChaosProxy::start(server.local_addr(), plan.clone()).expect("proxy");
             let config = LoadConfig::closed(conns, ops).with_client(e23_client());
             let report = run_load(proxy.local_addr(), &config).expect("load run");
@@ -181,6 +181,7 @@ pub fn e23_json(n: usize, conns: usize, ops_per_conn: usize, rows: &[ChaosRow]) 
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"chaos\",\n");
+    out.push_str("  \"engine\": \"single reactor\",\n");
     out.push_str("  \"backend\": \"threaded\",\n");
     out.push_str("  \"mode\": \"closed-loop TCP through fault-injecting proxy\",\n");
     out.push_str(&format!("  \"processors\": {n},\n"));

@@ -94,7 +94,7 @@ pub fn e24_measure(
                 per_message,
                 ..KeyspaceConfig::new(n)
             });
-            let mut server = CounterServer::serve_combining(backend).expect("serve");
+            let mut server = CounterServer::serve_async_combining(backend).expect("serve");
             let config = LoadConfig::closed(conns, ops).with_keys(keys, s, 0xE24);
             let report = run_load(server.local_addr(), &config).expect("load run");
             let stats = server.stats();
@@ -183,6 +183,7 @@ pub fn e24_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"keyspace\",\n");
+    out.push_str("  \"engine\": \"single reactor\",\n");
     out.push_str("  \"backend\": \"keyspace over sim trees\",\n");
     out.push_str("  \"mode\": \"closed-loop keyed TCP, combining server\",\n");
     out.push_str(&format!("  \"processors\": {n},\n"));

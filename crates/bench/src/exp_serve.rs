@@ -29,7 +29,8 @@ pub fn e19_service_loadgen(n: usize, conns: usize, ops: usize) -> String {
         "E19. Service layer: {conns} TCP connections x {ops} total ops against {n} processors\n\n"
     ));
     let mut server =
-        CounterServer::serve(ThreadedTreeCounter::new(n).expect("threaded tree")).expect("serve");
+        CounterServer::serve_async(ThreadedTreeCounter::new(n).expect("threaded tree"))
+            .expect("serve");
     let addr = server.local_addr();
 
     // Closed loop first: the measured service capacity.

@@ -84,7 +84,7 @@ impl ChaosProxy {
             let pumps = Arc::clone(&pumps);
             let stats = Arc::clone(&stats);
             std::thread::Builder::new().name("chaos-accept".into()).spawn(move || {
-                accept_loop(&listener, upstream, &plan, &stop, &pumps, &stats);
+                accept_conns(&listener, upstream, &plan, &stop, &pumps, &stats);
             })?
         };
         Ok(ChaosProxy { addr, stop, accept: Some(accept), pumps, stats })
@@ -132,7 +132,7 @@ impl Drop for ChaosProxy {
     }
 }
 
-fn accept_loop(
+fn accept_conns(
     listener: &TcpListener,
     upstream: SocketAddr,
     plan: &ChaosPlan,
@@ -293,6 +293,10 @@ fn pump(
             Toxic::Slice { max_chunk, gap } => Some((max_chunk, gap)),
             _ => None,
         });
+        // Counted before the write: whoever sees these bytes arrive also
+        // sees them in the stats.
+        let ctr = if is_up { &stats.bytes_up } else { &stats.bytes_down };
+        ctr.fetch_add(chunk.len() as u64, Ordering::Relaxed);
         let mut dst_writer = dst;
         let mut rest: &[u8] = &chunk;
         while !rest.is_empty() {
@@ -309,8 +313,6 @@ fn pump(
             }
         }
         forwarded += chunk.len() as u64;
-        let ctr = if is_up { &stats.bytes_up } else { &stats.bytes_down };
-        ctr.fetch_add(chunk.len() as u64, Ordering::Relaxed);
 
         if cut_after {
             // An abrupt, unannounced cut: both halves die mid-whatever

@@ -16,29 +16,7 @@ use distctr_server::{run_load, ClientConfig, CounterServer, LoadConfig, LoadRepo
 /// dedup path under test here is the session answered-table (no backend
 /// tickets), the harder of the two replay stories.
 fn serve() -> CounterServer<TreeCounter> {
-    CounterServer::serve_combining(TreeCounter::new(8).expect("backend")).expect("serve")
-}
-
-/// The same combining server on the readiness serving core: one
-/// reactor thread, combiner replies routed through the reply channel.
-/// Every toxic the threaded path survives must hold here too.
-fn serve_async() -> CounterServer<TreeCounter> {
     CounterServer::serve_async_combining(TreeCounter::new(8).expect("backend")).expect("serve")
-}
-
-/// [`run_through`] against the readiness server.
-fn run_through_async(
-    plan: ChaosPlan,
-    conns: usize,
-    ops: usize,
-    client: ClientConfig,
-) -> (LoadReport, ChaosProxy) {
-    let mut server = serve_async();
-    let proxy = ChaosProxy::start(server.local_addr(), plan).expect("proxy");
-    let report = run_load(proxy.local_addr(), &LoadConfig::closed(conns, ops).with_client(client))
-        .expect("load");
-    server.shutdown().expect("shutdown");
-    (report, proxy)
 }
 
 /// A client hardened for a hostile network: a snappy reply timeout (so
@@ -120,6 +98,9 @@ fn a_bandwidth_throttle_preserves_exactly_once() {
 
 #[test]
 fn frames_sliced_to_single_bytes_reassemble_exactly_once() {
+    // Frames shredded to 3-byte segments with delays: each one crosses
+    // the reactor as many separate readable events, and the partial
+    // prefixes buffer in the per-connection state machine.
     let plan = ChaosPlan::new(4).slice(3, Duration::from_micros(200));
     let (report, _proxy) = run_through(plan, 2, 24, hardened(Duration::from_secs(5), 8));
     assert_exactly_once(&report, 24);
@@ -138,7 +119,9 @@ fn byte_corruption_is_caught_by_checksums_and_retried_exactly_once() {
 #[test]
 fn connection_resets_force_resume_and_replay_exactly_once() {
     // Cut every connection after 600 forwarded bytes per direction —
-    // a handful of ops per connection life, dozens of cuts per run.
+    // a handful of ops per connection life, dozens of cuts per run. A
+    // combining reply can race the close of the very connection it
+    // belongs to, and the session answer table must cover the replay.
     let plan = ChaosPlan::new(6).reset_after(600);
     let (report, proxy) = run_through(plan, 2, 40, hardened(Duration::from_secs(5), 30));
     assert_exactly_once(&report, 40);
@@ -189,7 +172,7 @@ fn a_promotion_mid_storm_keeps_every_key_exactly_once() {
         ..PromotionPolicy::default()
     };
     let backend = Keyspace::sim(KeyspaceConfig { policy, ..KeyspaceConfig::new(8) });
-    let mut server = CounterServer::serve_combining(backend).expect("serve");
+    let mut server = CounterServer::serve_async_combining(backend).expect("serve");
     let plan = ChaosPlan::new(24).slice(5, Duration::from_micros(100)).reset_after(900);
     let proxy = ChaosProxy::start(server.local_addr(), plan).expect("proxy");
     let cfg = LoadConfig::closed(4, 120)
@@ -209,36 +192,6 @@ fn a_promotion_mid_storm_keeps_every_key_exactly_once() {
     assert!(stats.promotions >= 1, "the storm never tripped a promotion: {stats:?}");
     assert!(proxy.stats().resets >= 1, "the reset toxic never fired");
     assert!(proxy.stats().connections > 4, "no reconnect ever happened");
-}
-
-#[test]
-fn the_async_server_reassembles_sliced_frames_exactly_once() {
-    // Frames shredded to 3-byte segments with delays: each one crosses
-    // the reactor as many separate readable events, and the partial
-    // prefixes buffer in the per-connection state machine.
-    let plan = ChaosPlan::new(31).slice(3, Duration::from_micros(200));
-    let (report, _proxy) = run_through_async(plan, 2, 24, hardened(Duration::from_secs(5), 8));
-    assert_exactly_once(&report, 24);
-}
-
-#[test]
-fn the_async_server_survives_latency_and_jitter_exactly_once() {
-    let plan = ChaosPlan::new(32).latency(Duration::from_millis(2), Duration::from_millis(3));
-    let (report, _proxy) = run_through_async(plan, 2, 30, hardened(Duration::from_secs(5), 4));
-    assert_exactly_once(&report, 30);
-}
-
-#[test]
-fn the_async_server_survives_connection_resets_exactly_once() {
-    // Reset storms hit the async path's hardest corner: a combining
-    // reply can race the close of the very connection it belongs to,
-    // and the session answer table must cover the replay.
-    let plan = ChaosPlan::new(33).reset_after(600);
-    let (report, proxy) = run_through_async(plan, 2, 40, hardened(Duration::from_secs(5), 30));
-    assert_exactly_once(&report, 40);
-    let stats = proxy.stats();
-    assert!(stats.resets >= 1, "the reset toxic never fired");
-    assert!(stats.connections > 2, "no reconnect ever happened");
 }
 
 #[test]

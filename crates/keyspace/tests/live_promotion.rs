@@ -28,7 +28,7 @@ fn keyspace(n: usize, policy: PromotionPolicy) -> Keyspace<distctr_core::TreeCou
 
 #[test]
 fn keyed_sessions_drive_independent_counters_over_tcp() {
-    let mut server = CounterServer::serve(keyspace(27, PromotionPolicy::default())).unwrap();
+    let mut server = CounterServer::serve_async(keyspace(27, PromotionPolicy::default())).unwrap();
     let addr = server.local_addr();
 
     let mut alice = RemoteCounter::connect_keyed(addr, 3).unwrap();
@@ -51,25 +51,8 @@ fn keyed_sessions_drive_independent_counters_over_tcp() {
 }
 
 #[test]
-fn live_promotion_under_concurrent_load_preserves_per_key_sequences() {
-    let mut server = CounterServer::serve_combining(keyspace(27, eager())).unwrap();
-    let cfg = LoadConfig::closed(8, 1200).with_keys(5, 1.3, 0xBEEF);
-    let report = run_load(server.local_addr(), &cfg).unwrap();
-
-    assert_eq!(report.failed, 0, "no operation lost its retry budget");
-    assert!(
-        report.values_are_sequential_per_key(),
-        "every key's acked values are exactly 0..ops_k across promotions"
-    );
-    let stats = server.stats();
-    assert!(stats.promotions >= 1, "the eager policy promoted under load: {stats:?}");
-    assert_eq!(stats.migrations_inflight, 0, "the run drained every pending migration");
-    server.shutdown().unwrap();
-}
-
-#[test]
 fn a_resumed_session_replays_exactly_once_across_a_migration() {
-    let mut server = CounterServer::serve(keyspace(27, eager())).unwrap();
+    let mut server = CounterServer::serve_async(keyspace(27, eager())).unwrap();
     let addr = server.local_addr();
 
     let mut client = RemoteCounter::connect_keyed(addr, 7).unwrap();
@@ -102,7 +85,7 @@ fn a_resumed_session_replays_exactly_once_across_a_migration() {
 #[test]
 fn single_counter_backends_reject_foreign_keys_with_no_such_key() {
     let backend = distctr_core::TreeCounter::new(27).unwrap();
-    let mut server = CounterServer::serve(backend).unwrap();
+    let mut server = CounterServer::serve_async(backend).unwrap();
     let addr = server.local_addr();
 
     let mut client = RemoteCounter::connect(addr).unwrap();
@@ -116,12 +99,10 @@ fn single_counter_backends_reject_foreign_keys_with_no_such_key() {
 }
 
 #[test]
-fn keyed_serving_rides_the_readiness_loop_with_live_promotion() {
-    // The whole keyed story — keyed handshakes, per-request keys,
-    // reads, and eager promotion under concurrent Zipf load — served
-    // by the single-reactor async core instead of a thread per
-    // connection. Per-key exactly-once must hold across promotions
-    // exactly as it does on the threaded path.
+fn live_promotion_under_concurrent_load_preserves_per_key_sequences() {
+    // The whole keyed story on a combining server: keyed handshakes,
+    // per-request keys, reads, and eager promotion under concurrent
+    // Zipf load. Per-key exactly-once must hold across promotions.
     let mut server = CounterServer::serve_async_combining(keyspace(27, eager())).unwrap();
     let addr = server.local_addr();
 
@@ -129,8 +110,8 @@ fn keyed_serving_rides_the_readiness_loop_with_live_promotion() {
     // per-key sequence check sees each mixed key from zero.
     let mut alice = RemoteCounter::connect_keyed(addr, 7).unwrap();
     let mut bob = RemoteCounter::connect_keyed(addr, 8).unwrap();
-    assert_eq!(alice.inc().unwrap(), 0, "key 7 counts alone on the reactor");
-    assert_eq!(bob.inc().unwrap(), 0, "key 8 counts alone on the reactor");
+    assert_eq!(alice.inc().unwrap(), 0, "key 7 counts alone");
+    assert_eq!(bob.inc().unwrap(), 0, "key 8 counts alone");
     assert_eq!(alice.inc_key(8).unwrap(), 1, "cross-session keyed inc lands on key 8");
     assert_eq!(alice.read(8).unwrap(), 2);
     drop(alice);
@@ -141,7 +122,7 @@ fn keyed_serving_rides_the_readiness_loop_with_live_promotion() {
     assert_eq!(report.failed, 0, "no operation lost its retry budget");
     assert!(
         report.values_are_sequential_per_key(),
-        "every key's acked values are exactly 0..ops_k across promotions on the async path"
+        "every key's acked values are exactly 0..ops_k across promotions"
     );
     // The warm-up keys tripped the eager policy too; one more op each
     // settles their pending migrations before the drain check.

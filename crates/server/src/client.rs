@@ -184,7 +184,7 @@ fn busy_hint(e: &ServerError) -> Option<u64> {
 ///
 /// # fn main() -> Result<(), ServerError> {
 /// let backend = ThreadedTreeCounter::new(8).map_err(|e| ServerError::Backend(e.to_string()))?;
-/// let mut server = CounterServer::serve(backend)?;
+/// let mut server = CounterServer::serve_async(backend)?;
 /// let mut counter = RemoteCounter::connect(server.local_addr())?;
 /// assert_eq!(counter.inc()?, 0);
 /// assert_eq!(counter.inc()?, 1);

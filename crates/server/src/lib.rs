@@ -15,18 +15,19 @@
 //! 1. [`wire`] — the sans-io codec: `Hello`/`Inc`/`Stats` requests,
 //!    `HelloOk`/`IncOk`/`StatsOk`/`Err` replies, hardened against
 //!    truncated frames, oversized length prefixes and garbage tags;
-//!    parses from buffers, so both serving engines share it.
-//! 2. [`server`] — the thread-per-connection engine with the **session
-//!    layer**: connections map to sessions, sessions map to
-//!    `ProcessorId`s, and each session carries the dedup state that
-//!    makes reconnect-and-retry exactly-once (riding the threaded
-//!    backend's migrating root reply cache where available).
-//! 3. [`readiness`] — the same server on one reactor thread:
-//!    nonblocking connections as slab-held state machines over
-//!    `distctr-reactor`'s epoll/poll poller, partial-frame buffers,
-//!    writable-interest backpressure, `Busy` shedding on fd
-//!    exhaustion ([`CounterServer::serve_async`]). Sessions,
-//!    combining, drain, and exactly-once carry over unchanged.
+//!    parses from buffers, so the reactor and the blocking client
+//!    share it.
+//! 2. [`server`] — the **session layer** and the serving paths:
+//!    connections map to sessions, sessions map to `ProcessorId`s, and
+//!    each session carries the dedup state that makes
+//!    reconnect-and-retry exactly-once (riding the threaded backend's
+//!    migrating root reply cache where available); the flat combiner,
+//!    admission control, drain and panic containment live here too.
+//! 3. [`readiness`] — the serving engine, one reactor thread
+//!    ([`CounterServer::serve_async`]): nonblocking connections as
+//!    slab-held state machines over `distctr-reactor`'s epoll/poll
+//!    poller, partial-frame buffers, writable-interest backpressure,
+//!    `Busy` shedding on fd exhaustion.
 //! 4. [`client`] — [`RemoteCounter`], with first-class resume/replay.
 //! 5. [`load`] — a closed- and open-loop load generator reporting
 //!    throughput and p50/p99/max client-observed latency.
@@ -40,7 +41,7 @@
 //!
 //! # fn main() -> Result<(), ServerError> {
 //! let backend = ThreadedTreeCounter::new(8).map_err(|e| ServerError::Backend(e.to_string()))?;
-//! let mut server = CounterServer::serve(backend)?;
+//! let mut server = CounterServer::serve_async(backend)?;
 //!
 //! // Real clients over loopback TCP, 2 connections, 16 ops.
 //! let report = distctr_server::run_load(server.local_addr(), &LoadConfig::closed(2, 16))?;

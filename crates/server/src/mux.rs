@@ -480,25 +480,15 @@ mod tests {
     }
 
     #[test]
-    fn mux_drives_a_threaded_server_exactly_once() {
-        let mut server = CounterServer::serve(tree(8)).expect("serve");
-        let cfg = MuxConfig::open(4, 64, 2000.0).with_ramp(Duration::from_millis(10));
-        let report = run_mux(server.local_addr(), &cfg).expect("mux run");
-        assert_eq!(report.failed, 0, "no shed ops at this load");
-        assert!(report.values_are_sequential_from(0), "exactly-once over the mux driver");
-        assert_eq!(report.per_conn.len(), 4);
-        assert!(report.per_conn.iter().all(|c| c.ops > 0), "round-robin reached every conn");
-        server.shutdown().expect("shutdown");
-    }
-
-    #[test]
     fn mux_drives_an_async_combining_server() {
         let mut server = CounterServer::serve_async_combining(tree(8)).expect("serve");
         let cfg = MuxConfig::open(8, 200, 4000.0).with_ramp(Duration::from_millis(20));
         let report = run_mux(server.local_addr(), &cfg).expect("mux run");
-        assert_eq!(report.failed, 0);
-        assert!(report.values_are_sequential_from(0));
+        assert_eq!(report.failed, 0, "no shed ops at this load");
+        assert!(report.values_are_sequential_from(0), "exactly-once over the mux driver");
         assert_eq!(report.ops, 200);
+        assert_eq!(report.per_conn.len(), 8);
+        assert!(report.per_conn.iter().all(|c| c.ops > 0), "round-robin reached every conn");
         server.shutdown().expect("shutdown");
     }
 

@@ -1,44 +1,35 @@
-//! The readiness-based async serving core: one reactor thread, every
-//! connection.
+//! The serving engine: one reactor thread, every connection.
 //!
-//! [`CounterServer::serve_async`] replaces the thread-per-connection
-//! hot path with a single event loop over a
+//! A [`CounterServer`] is a single event loop over a
 //! [`distctr_reactor::Poller`]: the listener, the server's wakeup pipe
 //! and every client socket are level-triggered registrations, and each
 //! connection is a small state machine owning its partial-frame read
-//! buffer and its unsent write queue. Where the threaded server spends
-//! one OS thread (8 KiB+ of stack, a scheduler slot, a 50 ms poll tick)
-//! per connection, the reactor spends one slab slot — which is what
-//! lets one process hold 10,000+ concurrent connections (experiment
-//! E27).
+//! buffer and its unsent write queue. A connection costs one slab slot,
+//! not an OS thread — which is what lets one process hold 10,000+
+//! concurrent connections (experiment E27).
 //!
-//! The protocol logic is deliberately **shared, not reimplemented**:
-//! dispatch calls the same `establish`/`serve_inc`/`serve_batch_inc`
-//! helpers as the threaded path, and flat combining enqueues into the
-//! same combiner queue — so every exactly-once property (session dedup
-//! tables, backend tickets, reconnect-resume-replay) holds by
-//! construction on both paths. The one genuinely new mechanism is
-//! reply routing: the combiner thread must never touch a nonblocking
-//! socket it does not own, so its replies travel over a channel back
-//! to the reactor ([`ReplySink::Queued`]), which queues them behind
-//! the connection's write buffer and flushes on writability.
+//! The protocol logic lives in [`crate::server`]: dispatch calls its
+//! `establish`/`serve_inc`/`serve_batch_inc` helpers, and flat combining
+//! enqueues into its combiner queue. The combiner thread must never
+//! touch a nonblocking socket it does not own, so its replies travel
+//! over a channel back to the reactor, which queues them behind the
+//! connection's write buffer and flushes on writability.
 //!
 //! Backpressure is interest, not blocking: a reply that does not fit
 //! the socket buffer parks in the connection's
 //! [`crate::wire::WriteBuffer`] and arms write interest; a connection
 //! whose unsent queue passes a high-water mark loses read interest
 //! until it drains (a peer that stops reading stops being read from).
-//! Descriptor exhaustion follows the accept loop's discipline: count
-//! it, answer one waiting client `Busy` through the reserve
-//! descriptor, and park the listener for a backoff instead of
-//! hot-looping on `EMFILE`.
+//! Descriptor exhaustion is counted, not fatal: one waiting client is
+//! answered `Busy` through the reserve descriptor, and the listener is
+//! parked for a backoff instead of hot-looping on `EMFILE`.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use distctr_core::{CounterBackend, DEFAULT_KEY};
@@ -46,8 +37,8 @@ use distctr_reactor::{is_fd_exhaustion, FdReserve, Interest, Poller, Waker};
 
 use crate::error::{ErrCode, ServerError};
 use crate::server::{
-    combiner_loop, enqueue_inc, establish, serve_batch_inc, serve_inc, session_processor, snapshot,
-    wire_err_code, ActiveGuard, CounterServer, ReplySink, ServerConfig, Shared,
+    combiner_loop, enqueue_inc, establish, serve_batch_inc, serve_inc, snapshot, wire_err_code,
+    ActiveGuard, CombineState, CounterServer, ServerConfig, Shared,
 };
 use crate::wire::{encode_frame_into, try_decode_frame, WireMsg, WriteBuffer};
 
@@ -72,56 +63,32 @@ const READ_HIGH_WATER: usize = 64 * 1024;
 const READ_BURST: usize = 16 * 1024;
 
 impl<B: CounterBackend + Send + 'static> CounterServer<B> {
-    /// Serves `backend` on an ephemeral loopback port through the
-    /// readiness loop — the async counterpart of
-    /// [`CounterServer::serve`]. Incs are served inline on the reactor
-    /// thread (sequential mode).
+    /// Serves `backend` on an ephemeral loopback port. Incs are served
+    /// inline on the reactor thread (sequential mode).
     ///
     /// # Errors
     ///
-    /// [`ServerError::Io`] if binding, the poller, or spawning fails.
+    /// Same conditions as [`CounterServer::serve_async_on_with`].
     pub fn serve_async(backend: B) -> Result<Self, ServerError> {
         Self::serve_async_on_with("127.0.0.1:0", backend, false, ServerConfig::default())
     }
 
-    /// [`CounterServer::serve_async`] with explicit [`ServerConfig`]
-    /// knobs.
+    /// Serves `backend` on an ephemeral loopback port with the
+    /// flat-combining inc path: the reactor enqueues incs for the
+    /// combiner thread and the combiner's replies flow back through the
+    /// reactor's reply channel (see [`crate::server`] for what combining
+    /// changes).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CounterServer::serve_async`].
-    pub fn serve_async_with(backend: B, config: ServerConfig) -> Result<Self, ServerError> {
-        Self::serve_async_on_with("127.0.0.1:0", backend, false, config)
-    }
-
-    /// The async counterpart of [`CounterServer::serve_combining`]:
-    /// the reactor enqueues incs for the shared combiner thread and
-    /// the combiner's replies flow back through the reactor's reply
-    /// channel.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CounterServer::serve_async`].
+    /// Same conditions as [`CounterServer::serve_async_on_with`].
     pub fn serve_async_combining(backend: B) -> Result<Self, ServerError> {
         Self::serve_async_on_with("127.0.0.1:0", backend, true, ServerConfig::default())
     }
 
-    /// [`CounterServer::serve_async_combining`] with explicit
-    /// [`ServerConfig`] knobs.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CounterServer::serve_async`].
-    pub fn serve_async_combining_with(
-        backend: B,
-        config: ServerConfig,
-    ) -> Result<Self, ServerError> {
-        Self::serve_async_on_with("127.0.0.1:0", backend, true, config)
-    }
-
-    /// Binds `addr` and starts the readiness serving loop, hosting
-    /// `backend`; `combining` selects the inc path exactly as it does
-    /// for [`CounterServer::serve_on_with`].
+    /// Binds `addr` and starts the serving loop, hosting `backend` under
+    /// `config`; `combining` selects the flat-combining inc path over
+    /// the sequential one.
     ///
     /// # Errors
     ///
@@ -136,10 +103,12 @@ impl<B: CounterBackend + Send + 'static> CounterServer<B> {
         let listener = TcpListener::bind(addr).map_err(io)?;
         let addr = listener.local_addr().map_err(io)?;
         listener.set_nonblocking(true).map_err(io)?;
-        let shared = Arc::new(Shared::new(backend, config, combining));
         let stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
         let waker = Arc::new(Waker::new().map_err(io)?);
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let combine = combining.then(|| CombineState::new(reply_tx, Arc::clone(&waker)));
+        let shared = Arc::new(Shared::new(backend, config, combine));
         // Fail construction, not the serving thread, if no poller can
         // be built or a registration is refused.
         let mut poller = Poller::new().map_err(io)?;
@@ -158,7 +127,6 @@ impl<B: CounterBackend + Send + 'static> CounterServer<B> {
             None
         };
         let reactor_handle = {
-            let (reply_tx, reply_rx) = mpsc::channel();
             let mut reactor = Reactor {
                 listener,
                 poller,
@@ -168,7 +136,6 @@ impl<B: CounterBackend + Send + 'static> CounterServer<B> {
                 waker: Arc::clone(&waker),
                 conns: Vec::new(),
                 free: Vec::new(),
-                reply_tx,
                 reply_rx,
                 reserve: FdReserve::new(),
                 paused_until: None,
@@ -185,9 +152,8 @@ impl<B: CounterBackend + Send + 'static> CounterServer<B> {
             stop,
             draining,
             addr,
-            accept: Some(reactor_handle),
+            reactor: Some(reactor_handle),
             combiner,
-            conns: Arc::new(Mutex::new(Vec::new())),
             waker,
         })
     }
@@ -252,8 +218,6 @@ struct Reactor<B: CounterBackend + Send + 'static> {
     conns: Vec<Option<Conn>>,
     /// Free slab slots, reused before the slab grows.
     free: Vec<usize>,
-    /// Cloned into every [`ReplySink::Queued`] the combiner receives.
-    reply_tx: mpsc::Sender<(usize, WireMsg)>,
     /// Combiner replies routed back to their connections' buffers.
     reply_rx: mpsc::Receiver<(usize, WireMsg)>,
     /// Answers `EMFILE` with `Busy` instead of a hung client.
@@ -301,9 +265,9 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
             }
             if self.draining.load(Ordering::SeqCst) && !self.drained_once {
                 self.drained_once = true;
-                // The drain contract mirrors the threaded path: bytes
-                // already received are still read and served; after
-                // that, each connection closes at its frame boundary.
+                // The drain contract: bytes already received are still
+                // read and served; after that, each connection closes
+                // at its frame boundary.
                 for slot in 0..self.conns.len() {
                     self.conn_event(slot, true, false);
                     if let Some(conn) = self.conns[slot].as_mut() {
@@ -440,9 +404,8 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
                     self.serve_frame(slot, conn, msg);
                 }
                 Err(e) => {
-                    // Same taxonomy as the threaded path: count it,
-                    // send the typed code if one maps, drop the
-                    // connection — the stream is desynchronized.
+                    // Count it, send the typed code if one maps, drop
+                    // the connection — the stream is desynchronized.
                     self.shared.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
                     if let Some(code) = wire_err_code(&e) {
                         conn.write.push(&WireMsg::Err { code });
@@ -454,10 +417,15 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
         if parsed > 0 {
             conn.read_buf.drain(..parsed);
         }
+        // EOF in the middle of a frame is a truncated frame, counted
+        // apart from a clean close at a frame boundary.
+        if conn.peer_closed && !conn.closing && !conn.read_buf.is_empty() {
+            self.shared.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
-    /// Serves one decoded frame — the readiness mirror of the threaded
-    /// session loop, against the same shared protocol helpers.
+    /// Serves one decoded frame against the protocol helpers of
+    /// [`crate::server`].
     fn serve_frame(&mut self, slot: usize, conn: &mut Conn, msg: WireMsg) {
         let Some((session_id, session_key)) = conn.session else {
             // Handshake: the first frame must be a Hello (either
@@ -530,9 +498,8 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
     /// Resolves a handshake and queues the `HelloOk` (or the error).
     fn handshake(&mut self, conn: &mut Conn, resume: Option<u64>, key: u64) {
         match establish(&self.shared, resume, key) {
-            Ok((session_id, session_key)) => {
+            Ok((session_id, session_key, processor)) => {
                 conn.session = Some((session_id, session_key));
-                let processor = session_processor(&self.shared, session_id);
                 conn.write.push(&WireMsg::HelloOk { session: session_id, processor });
             }
             Err(code) => {
@@ -566,12 +533,7 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
                     conn.write.push(&busy);
                     return;
                 }
-                let sink = ReplySink::Queued {
-                    token: slot,
-                    replies: self.reply_tx.clone(),
-                    waker: Arc::clone(&self.waker),
-                };
-                enqueue_inc(combine, session_id, key, request_id, initiator, sink, &conn.inflight);
+                enqueue_inc(combine, session_id, key, request_id, initiator, slot, &conn.inflight);
             }
             None => {
                 let reply = serve_inc(&self.shared, session_id, key, request_id, initiator);

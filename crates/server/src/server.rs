@@ -1,16 +1,17 @@
-//! The thread-per-connection TCP server.
+//! Server state and the serving paths: sessions, dedup, the combiner.
 //!
 //! A [`CounterServer`] hosts any [`CounterBackend`] behind the wire
-//! protocol of [`crate::wire`]. Connections are mapped to **sessions**:
-//! the handshake either opens a fresh session (assigned a processor
-//! round-robin, so independent clients spread over the tree's leaves
-//! like the paper's initiators) or resumes an existing one after a
-//! reconnect. A session keeps the dedup state that makes
-//! reconnect-and-retry exactly-once: for backends with a reply cache
-//! (the threaded tree), each request id is pinned to a backend **ticket**
-//! — re-driving the same ticket is answered from the root's migrating
-//! reply cache; for backends without one, the session's own answer table
-//! serves the retry.
+//! protocol of [`crate::wire`]. One reactor thread ([`crate::readiness`])
+//! owns every socket; this module is everything behind it. Connections
+//! are mapped to **sessions**: the handshake either opens a fresh
+//! session (assigned a processor round-robin, so independent clients
+//! spread over the tree's leaves like the paper's initiators) or resumes
+//! an existing one after a reconnect. A session keeps the dedup state
+//! that makes reconnect-and-retry exactly-once: for backends with a
+//! reply cache (the threaded tree), each request id is pinned to a
+//! backend **ticket** — re-driving the same ticket is answered from the
+//! root's migrating reply cache; for backends without one, the session's
+//! own answer table serves the retry.
 //!
 //! Operations are serialized through one mutex around the backend,
 //! matching the paper's sequential-driving model ("enough time elapses
@@ -18,12 +19,13 @@
 //! *server* stays correct and the contention becomes client-observed
 //! queueing latency — which is exactly what the load generator measures.
 //!
-//! A server started with [`CounterServer::serve_combining`] replaces
-//! that hot path with pipelined **flat combining**: connection threads
-//! only *enqueue* their pending incs and return to the socket, and a
+//! A server started with [`CounterServer::serve_async_combining`]
+//! replaces that hot path with pipelined **flat combining**: the reactor
+//! only *enqueues* pending incs and returns to its sockets, and a
 //! dedicated combiner thread drains everything queued into one
-//! [`CounterBackend::inc_batch_ticketed`] traversal per round, writing
-//! each waiter's slice of the granted range straight to its connection.
+//! [`CounterBackend::inc_batch_ticketed`] traversal per round, handing
+//! each waiter's slice of the granted range back to the reactor, which
+//! writes it to the waiter's connection.
 //! Coalesced batches are charged to a rotating origin processor (an
 //! `Inc` naming an explicit initiator still climbs from that leaf), so
 //! new requests accumulate while the previous round's traversal is in
@@ -57,9 +59,7 @@
 //!   poisoning that used to kill every later request is recovered.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
+use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -67,11 +67,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use distctr_core::{CounterBackend, KeyedReply, DEFAULT_KEY};
-use distctr_reactor::{is_fd_exhaustion, FdReserve, Interest, Poller, Waker};
+use distctr_reactor::Waker;
 use distctr_sim::ProcessorId;
 
 use crate::error::{ErrCode, ServerError};
-use crate::wire::{read_frame, write_frame, write_frame_buf, StatsSnapshot, WireError, WireMsg};
+use crate::wire::{StatsSnapshot, WireError, WireMsg};
 
 /// Per-session dedup window: how many recent request ids a session
 /// remembers for exactly-once retries.
@@ -82,18 +82,6 @@ pub const DEDUP_WINDOW: usize = 256;
 /// deadlines); chaos tests and operators override what they need.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// How often a *threaded* connection's blocked read polls the
-    /// shutdown/drain flags (the read timeout on its socket). The
-    /// accept loop and the async serving path are readiness-driven and
-    /// never sleep on this; it only bounds how long an idle threaded
-    /// connection takes to observe shutdown.
-    pub poll: Duration,
-    /// Historical knob, retired: the combiner used to park for this
-    /// long between shutdown-flag checks when idle. It now parks on a
-    /// plain condvar wait (zero idle wakeups) and is woken explicitly
-    /// by enqueues, drain and shutdown; the field remains so existing
-    /// configs keep compiling.
-    pub combine_idle: Duration,
     /// Active-connection cap; connections beyond it are answered
     /// [`WireMsg::Busy`] and closed. `None` admits everything.
     pub max_conns: Option<usize>,
@@ -115,8 +103,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            poll: Duration::from_millis(50),
-            combine_idle: Duration::from_millis(25),
             max_conns: None,
             max_inflight_per_conn: None,
             request_deadline: None,
@@ -168,7 +154,7 @@ pub(crate) struct Inner<B> {
     combine_origin: u64,
 }
 
-/// Lock-free counters, updated by connection threads.
+/// Lock-free counters, updated by the reactor and the combiner.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     pub(crate) connections: AtomicU64,
@@ -181,69 +167,11 @@ pub(crate) struct Counters {
     pub(crate) accept_errors: AtomicU64,
 }
 
-/// The write half of one connection: the stream plus its reusable
-/// encode scratch. Shared between the connection's reader thread
-/// (handshake, stats, explicit-batch and error replies) and the
-/// combiner thread (combined inc replies), each writing whole frames
-/// under the mutex.
-pub(crate) struct ConnWriter {
-    stream: TcpStream,
-    scratch: Vec<u8>,
-}
-
-impl ConnWriter {
-    fn send(&mut self, msg: &WireMsg) -> Result<(), WireError> {
-        write_frame_buf(&mut self.stream, msg, &mut self.scratch)
-    }
-}
-
-/// Where the combiner delivers one waiter's reply. The threaded path
-/// writes whole frames straight to the connection's stream under its
-/// mutex; the readiness path cannot (only the reactor thread touches a
-/// nonblocking socket), so its replies travel over a channel back to
-/// the reactor, which queues them behind the connection's write buffer
-/// and is woken to flush.
-pub(crate) enum ReplySink {
-    /// A thread-per-connection waiter: write the frame directly.
-    Threaded {
-        /// The connection the combiner writes this waiter's reply to.
-        writer: Arc<Mutex<ConnWriter>>,
-    },
-    /// A readiness-loop waiter: hand the frame to the reactor thread.
-    Queued {
-        /// The reactor-side connection token the reply belongs to.
-        token: usize,
-        /// The reactor's reply channel.
-        replies: mpsc::Sender<(usize, WireMsg)>,
-        /// Wakes the reactor out of its poll to flush the reply.
-        waker: Arc<Waker>,
-    },
-}
-
-impl ReplySink {
-    /// Best-effort delivery; a dead connection just drops the frame
-    /// (the client's reconnect-and-retry path recovers the value).
-    fn deliver(&self, msg: &WireMsg) {
-        match self {
-            ReplySink::Threaded { writer } => {
-                if let Ok(mut w) = writer.lock() {
-                    let _ = w.send(msg);
-                }
-            }
-            ReplySink::Queued { token, replies, waker } => {
-                if replies.send((*token, msg.clone())).is_ok() {
-                    waker.wake();
-                }
-            }
-        }
-    }
-}
-
 /// One enqueued increment awaiting a combining round. Validation
 /// (session lookup, initiator bounds, retry dedup) happens in the
 /// round, under the backend lock the combiner holds, so the enqueue
-/// itself touches nothing but the queue mutex — the reader thread goes
-/// straight back to its socket and the connection stays pipelined.
+/// itself touches nothing but the queue mutex — the reactor goes
+/// straight back to its sockets and the connection stays pipelined.
 pub(crate) struct PendingInc {
     session_id: u64,
     /// The counter this inc targets (the session's key, or an explicit
@@ -251,19 +179,42 @@ pub(crate) struct PendingInc {
     key: u64,
     request_id: u64,
     initiator: Option<u64>,
-    /// When the reader enqueued it, for [`ServerConfig::request_deadline`].
+    /// When the reactor enqueued it, for [`ServerConfig::request_deadline`].
     enqueued_at: Instant,
-    /// Where this waiter's reply goes.
-    sink: ReplySink,
+    /// The reactor-side connection token the reply belongs to.
+    token: usize,
     /// The connection's in-flight count, decremented when the reply is
     /// delivered (backs [`ServerConfig::max_inflight_per_conn`]).
     inflight: Arc<AtomicUsize>,
 }
 
-/// Work queue and wakeup for the dedicated combiner thread.
+/// Work queue and wakeup for the dedicated combiner thread, plus the
+/// way back: only the reactor touches a nonblocking socket, so replies
+/// travel over a channel to it, and it is woken to flush them.
 pub(crate) struct CombineState {
     queue: Mutex<Vec<PendingInc>>,
     wake: Condvar,
+    /// The reactor's reply channel, `(connection token, frame)`.
+    replies: mpsc::Sender<(usize, WireMsg)>,
+    /// Wakes the reactor out of its poll to flush a reply.
+    waker: Arc<Waker>,
+}
+
+impl CombineState {
+    pub(crate) fn new(replies: mpsc::Sender<(usize, WireMsg)>, waker: Arc<Waker>) -> Self {
+        CombineState { queue: Mutex::new(Vec::new()), wake: Condvar::new(), replies, waker }
+    }
+
+    /// Hands one waiter's reply to the reactor, wakes it, and releases
+    /// the waiter's in-flight slot. Best-effort: a reply for a
+    /// connection that is gone is dropped there (the client's
+    /// reconnect-and-retry path recovers the value).
+    fn deliver(&self, p: &PendingInc, reply: &WireMsg) {
+        if self.replies.send((p.token, reply.clone())).is_ok() {
+            self.waker.wake();
+        }
+        p.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 pub(crate) struct Shared<B> {
@@ -271,17 +222,16 @@ pub(crate) struct Shared<B> {
     pub(crate) stats: Counters,
     pub(crate) config: ServerConfig,
     /// Active (not yet closed) connections, for admission control
-    /// (shared with each connection thread's exit guard).
+    /// (shared with each connection's drop guard).
     pub(crate) active_conns: Arc<AtomicUsize>,
     /// `Some` iff this server serves incs through flat combining.
     pub(crate) combine: Option<CombineState>,
 }
 
 impl<B> Shared<B> {
-    /// Fresh server state hosting `backend`; `combining` arms the
-    /// combiner queue. Both serving paths (threaded and readiness)
-    /// start from this.
-    pub(crate) fn new(backend: B, config: ServerConfig, combining: bool) -> Shared<B> {
+    /// Fresh server state hosting `backend`; `combine` arms the
+    /// combiner queue.
+    pub(crate) fn new(backend: B, config: ServerConfig, combine: Option<CombineState>) -> Self {
         Shared {
             inner: Mutex::new(Inner {
                 backend,
@@ -292,8 +242,7 @@ impl<B> Shared<B> {
             stats: Counters::default(),
             config,
             active_conns: Arc::new(AtomicUsize::new(0)),
-            combine: combining
-                .then(|| CombineState { queue: Mutex::new(Vec::new()), wake: Condvar::new() }),
+            combine,
         }
     }
 
@@ -310,45 +259,13 @@ impl<B> Shared<B> {
     }
 }
 
-/// Decrements the active-connection count when a connection thread
-/// exits, however it exits.
+/// Decrements the active-connection count when a connection is
+/// dropped, however it ends.
 pub(crate) struct ActiveGuard(pub(crate) Arc<AtomicUsize>);
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// A TCP stream whose reads poll the server's stop flag: a blocked
-/// connection thread observes shutdown as EOF instead of wedging in
-/// `read` forever. During a drain, reads that would block also return
-/// EOF — at a frame boundary that is a clean `Closed`; data already
-/// buffered is still read and served first.
-struct PollRead {
-    inner: TcpStream,
-    stop: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-}
-
-impl Read for PollRead {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return Ok(0);
-            }
-            match self.inner.read(buf) {
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if self.draining.load(Ordering::SeqCst) {
-                        return Ok(0);
-                    }
-                }
-                other => return other,
-            }
-        }
     }
 }
 
@@ -362,7 +279,7 @@ impl Read for PollRead {
 ///
 /// # fn main() -> Result<(), distctr_server::ServerError> {
 /// let backend = TreeCounter::new(8).map_err(|e| distctr_server::ServerError::Backend(e.to_string()))?;
-/// let mut server = CounterServer::serve(backend)?;
+/// let mut server = CounterServer::serve_async(backend)?;
 /// let mut client = RemoteCounter::connect(server.local_addr())?;
 /// assert_eq!(client.inc()?, 0);
 /// assert_eq!(client.inc()?, 1);
@@ -375,141 +292,15 @@ pub struct CounterServer<B: CounterBackend + Send + 'static> {
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) draining: Arc<AtomicBool>,
     pub(crate) addr: SocketAddr,
-    pub(crate) accept: Option<JoinHandle<()>>,
+    pub(crate) reactor: Option<JoinHandle<()>>,
     pub(crate) combiner: Option<JoinHandle<()>>,
-    pub(crate) conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// Wakes the accept/reactor thread out of its readiness wait so
+    /// Wakes the reactor thread out of its readiness wait so
     /// shutdown and drain are observed immediately instead of at the
     /// next connection event.
     pub(crate) waker: Arc<Waker>,
 }
 
 impl<B: CounterBackend + Send + 'static> CounterServer<B> {
-    /// Serves `backend` on an ephemeral loopback port; see
-    /// [`CounterServer::serve_on`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CounterServer::serve_on`].
-    pub fn serve(backend: B) -> Result<Self, ServerError> {
-        Self::serve_on("127.0.0.1:0", backend)
-    }
-
-    /// [`CounterServer::serve`] with explicit [`ServerConfig`] knobs.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CounterServer::serve_on`].
-    pub fn serve_with(backend: B, config: ServerConfig) -> Result<Self, ServerError> {
-        Self::serve_inner("127.0.0.1:0", backend, false, config)
-    }
-
-    /// Serves `backend` on an ephemeral loopback port with the
-    /// flat-combining inc path enabled; see [`CounterServer::serve_on`]
-    /// and the module docs for what combining changes.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CounterServer::serve_on`].
-    pub fn serve_combining(backend: B) -> Result<Self, ServerError> {
-        Self::serve_combining_on("127.0.0.1:0", backend)
-    }
-
-    /// [`CounterServer::serve_combining`] with explicit [`ServerConfig`]
-    /// knobs.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CounterServer::serve_on`].
-    pub fn serve_combining_with(backend: B, config: ServerConfig) -> Result<Self, ServerError> {
-        Self::serve_inner("127.0.0.1:0", backend, true, config)
-    }
-
-    /// Binds `addr` and starts the accept loop, hosting `backend`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Io`] if binding or spawning fails.
-    pub fn serve_on(addr: impl ToSocketAddrs, backend: B) -> Result<Self, ServerError> {
-        Self::serve_inner(addr, backend, false, ServerConfig::default())
-    }
-
-    /// [`CounterServer::serve_on`] with the flat-combining inc path
-    /// enabled.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Io`] if binding or spawning fails.
-    pub fn serve_combining_on(addr: impl ToSocketAddrs, backend: B) -> Result<Self, ServerError> {
-        Self::serve_inner(addr, backend, true, ServerConfig::default())
-    }
-
-    /// [`CounterServer::serve_on`] with explicit [`ServerConfig`] knobs
-    /// and the serving path selected by `combining`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Io`] if binding or spawning fails.
-    pub fn serve_on_with(
-        addr: impl ToSocketAddrs,
-        backend: B,
-        combining: bool,
-        config: ServerConfig,
-    ) -> Result<Self, ServerError> {
-        Self::serve_inner(addr, backend, combining, config)
-    }
-
-    fn serve_inner(
-        addr: impl ToSocketAddrs,
-        backend: B,
-        combining: bool,
-        config: ServerConfig,
-    ) -> Result<Self, ServerError> {
-        let listener = TcpListener::bind(addr).map_err(|e| ServerError::Io(e.to_string()))?;
-        let addr = listener.local_addr().map_err(|e| ServerError::Io(e.to_string()))?;
-        // Nonblocking, so the accept loop doubles as the reap tick and
-        // observes shutdown without a wakeup connection.
-        listener.set_nonblocking(true).map_err(|e| ServerError::Io(e.to_string()))?;
-        let shared = Arc::new(Shared::new(backend, config, combining));
-        let stop = Arc::new(AtomicBool::new(false));
-        let draining = Arc::new(AtomicBool::new(false));
-        let waker = Arc::new(Waker::new().map_err(|e| ServerError::Io(e.to_string()))?);
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let combiner = if combining {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            Some(
-                std::thread::Builder::new()
-                    .name("distctr-combiner".into())
-                    .spawn(move || combiner_loop(&shared, &stop))
-                    .map_err(|e| ServerError::Io(e.to_string()))?,
-            )
-        } else {
-            None
-        };
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            let draining = Arc::clone(&draining);
-            let conns = Arc::clone(&conns);
-            let waker = Arc::clone(&waker);
-            std::thread::Builder::new()
-                .name("distctr-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &stop, &draining, &conns, &waker))
-                .map_err(|e| ServerError::Io(e.to_string()))?
-        };
-        Ok(CounterServer {
-            shared: Some(shared),
-            stop,
-            draining,
-            addr,
-            accept: Some(accept),
-            combiner,
-            conns,
-            waker,
-        })
-    }
-
     /// The bound address (connect [`crate::RemoteCounter`] here).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
@@ -559,20 +350,10 @@ impl<B: CounterBackend + Send + 'static> CounterServer<B> {
             .as_ref()
             .map_or_else(|| ServerConfig::default().drain_grace, |s| s.config.drain_grace);
         let deadline = Instant::now() + grace;
-        // Wait for connections to run dry. Threaded: each connection
-        // thread exits once its socket idles at a frame boundary
-        // (PollRead reports EOF under drain) or after serving its
-        // current request. Readiness: the reactor closes each
-        // connection once its buffered requests are served and its
-        // replies flushed; `active_conns` reaching zero covers both.
-        let all_conns_done = |server: &Self| {
-            let threads_done =
-                server.conns.lock().map_or(true, |c| c.iter().all(JoinHandle::is_finished));
-            let active =
-                server.shared.as_ref().map_or(0, |s| s.active_conns.load(Ordering::SeqCst));
-            threads_done && active == 0
-        };
-        while !all_conns_done(self) && Instant::now() < deadline {
+        // Wait for connections to run dry: the reactor closes each one
+        // once its buffered requests are served and its replies flushed.
+        let active = || self.shared.as_ref().map_or(0, |s| s.active_conns.load(Ordering::SeqCst));
+        while active() != 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         // Let the combiner flush every queued reply before stopping it.
@@ -608,27 +389,20 @@ impl<B: CounterBackend + Send + 'static> CounterServer<B> {
         self.join_all()
     }
 
-    /// Joins the accept loop, the combiner and every connection thread
-    /// (the stop flag must already be set).
+    /// Joins the reactor and the combiner (the stop flag must already
+    /// be set).
     fn join_all(&mut self) -> Result<(), ServerError> {
         let mut panicked = false;
-        // The accept/reactor thread may be parked in a readiness wait
-        // with no timeout; the stop flag alone cannot reach it.
+        // The reactor may be parked in a readiness wait with no
+        // timeout; the stop flag alone cannot reach it.
         self.waker.wake();
-        if let Some(handle) = self.accept.take() {
+        if let Some(handle) = self.reactor.take() {
             panicked |= handle.join().is_err();
         }
         if let Some(handle) = self.combiner.take() {
             if let Some(combine) = self.shared.as_ref().and_then(|s| s.combine.as_ref()) {
                 combine.wake.notify_all();
             }
-            panicked |= handle.join().is_err();
-        }
-        let handles = match self.conns.lock() {
-            Ok(mut conns) => conns.drain(..).collect::<Vec<_>>(),
-            Err(_) => Vec::new(),
-        };
-        for handle in handles {
             panicked |= handle.join().is_err();
         }
         if panicked {
@@ -659,329 +433,20 @@ impl<B: CounterBackend + Send + 'static> Drop for CounterServer<B> {
     }
 }
 
-/// Tokens of the accept loop's two registrations.
-const ACCEPT_TOKEN_LISTENER: usize = 0;
-const ACCEPT_TOKEN_WAKER: usize = 1;
-
-/// The thread-per-connection accept loop, readiness-driven: it parks in
-/// a [`Poller`] wait over the listener and the server's [`Waker`], so a
-/// new connection is accepted the instant it arrives (the historical
-/// version napped [`ServerConfig::poll`] between nonblocking accept
-/// attempts — a 50ms admission-latency floor) and shutdown/drain are
-/// observed via a wakeup instead of the next flag poll.
-fn accept_loop<B: CounterBackend + Send + 'static>(
-    listener: &TcpListener,
-    shared: &Arc<Shared<B>>,
-    stop: &Arc<AtomicBool>,
-    draining: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    waker: &Arc<Waker>,
-) {
-    let mut poller = match Poller::new() {
-        Ok(p) => p,
-        Err(_) => return accept_loop_sleeping(listener, shared, stop, draining, conns),
-    };
-    if poller.register(listener.as_raw_fd(), ACCEPT_TOKEN_LISTENER, Interest::READ).is_err()
-        || poller.register(waker.fd(), ACCEPT_TOKEN_WAKER, Interest::READ).is_err()
-    {
-        return accept_loop_sleeping(listener, shared, stop, draining, conns);
-    }
-    // The reserve descriptor that lets EMFILE be *answered*; see
-    // `FdReserve`. While exhausted, the listener's interest is parked
-    // for a backoff period so the loop does not spin on a condition
-    // only the kernel can clear.
-    let mut reserve = FdReserve::new();
-    let mut paused_until: Option<Instant> = None;
-    let mut events = Vec::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        // While fd-exhausted, sleep out the rest of the backoff (the
-        // waker still interrupts for shutdown); afterwards re-arm.
-        let timeout = paused_until.map(|t| t.saturating_duration_since(Instant::now()));
-        if let Some(until) = paused_until {
-            if Instant::now() >= until
-                && poller
-                    .modify(listener.as_raw_fd(), ACCEPT_TOKEN_LISTENER, Interest::READ)
-                    .is_ok()
-            {
-                paused_until = None;
-            }
-        }
-        if poller.wait(&mut events, timeout).is_err() {
-            break;
-        }
-        waker.drain();
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        // Accept the whole burst the wakeup announced.
-        loop {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    // Admission control: draining servers and servers at
-                    // their connection cap shed with a Busy hint instead
-                    // of accepting work they will not finish.
-                    let at_cap = shared
-                        .config
-                        .max_conns
-                        .is_some_and(|cap| shared.active_conns.load(Ordering::SeqCst) >= cap);
-                    if draining.load(Ordering::SeqCst) || at_cap {
-                        let _ = write_frame(&mut stream, &shared.busy());
-                        continue;
-                    }
-                    shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                    shared.active_conns.fetch_add(1, Ordering::SeqCst);
-                    let guard = ActiveGuard(Arc::clone(&shared.active_conns));
-                    let shared_conn = Arc::clone(shared);
-                    let stop_flag = Arc::clone(stop);
-                    let drain_flag = Arc::clone(draining);
-                    let spawned =
-                        std::thread::Builder::new().name("distctr-conn".into()).spawn(move || {
-                            let _guard = guard;
-                            handle_conn(stream, &shared_conn, &stop_flag, &drain_flag);
-                        });
-                    if let (Ok(handle), Ok(mut conns)) = (spawned, conns.lock()) {
-                        // Reap finished handles while we are here, so an
-                        // active server never accumulates them.
-                        conns.retain(|h| !h.is_finished());
-                        conns.push(handle);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if is_fd_exhaustion(&e) => {
-                    // Out of descriptors: answer what we can through the
-                    // reserve fd, then back off instead of hot-looping
-                    // on an accept that can only fail again.
-                    shared.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    reserve.shed_one(listener, |s| {
-                        let _ = write_frame(s, &shared.busy());
-                    });
-                    if poller
-                        .modify(listener.as_raw_fd(), ACCEPT_TOKEN_LISTENER, Interest::NONE)
-                        .is_ok()
-                    {
-                        paused_until = Some(Instant::now() + shared.config.busy_retry_after);
-                    }
-                    break;
-                }
-                Err(_) => {
-                    // Transient per-connection failure (ECONNABORTED and
-                    // friends): count it and take the next one.
-                    shared.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Fallback accept loop for the (never expected) case where no poller
-/// can be built: the historical nonblocking-accept-then-nap loop.
-fn accept_loop_sleeping<B: CounterBackend + Send + 'static>(
-    listener: &TcpListener,
-    shared: &Arc<Shared<B>>,
-    stop: &Arc<AtomicBool>,
-    draining: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let at_cap = shared
-                    .config
-                    .max_conns
-                    .is_some_and(|cap| shared.active_conns.load(Ordering::SeqCst) >= cap);
-                if draining.load(Ordering::SeqCst) || at_cap {
-                    let _ = write_frame(&mut stream, &shared.busy());
-                    continue;
-                }
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                shared.active_conns.fetch_add(1, Ordering::SeqCst);
-                let guard = ActiveGuard(Arc::clone(&shared.active_conns));
-                let shared_conn = Arc::clone(shared);
-                let stop_flag = Arc::clone(stop);
-                let drain_flag = Arc::clone(draining);
-                let spawned =
-                    std::thread::Builder::new().name("distctr-conn".into()).spawn(move || {
-                        let _guard = guard;
-                        handle_conn(stream, &shared_conn, &stop_flag, &drain_flag);
-                    });
-                if let (Ok(handle), Ok(mut conns)) = (spawned, conns.lock()) {
-                    conns.retain(|h| !h.is_finished());
-                    conns.push(handle);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if let Ok(mut conns) = conns.lock() {
-                    conns.retain(|h| !h.is_finished());
-                }
-                std::thread::sleep(shared.config.poll);
-            }
-            Err(_) => {
-                shared.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(shared.config.poll);
-            }
-        }
-    }
-}
-
-/// Serves one connection to completion. Never panics on client input:
-/// every codec failure becomes a typed `Err` frame (best-effort) and a
-/// closed connection, with the session state kept for a resume.
-fn handle_conn<B: CounterBackend + Send + 'static>(
-    stream: TcpStream,
-    shared: &Arc<Shared<B>>,
-    stop: &Arc<AtomicBool>,
-    draining: &Arc<AtomicBool>,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.poll));
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader =
-        PollRead { inner: read_half, stop: Arc::clone(stop), draining: Arc::clone(draining) };
-    let mut writer = stream;
-
-    // --- handshake: the first frame must be a Hello (either version) --
-    let established = match read_frame(&mut reader) {
-        Ok(WireMsg::Hello { resume }) => establish(shared, resume, DEFAULT_KEY),
-        Ok(WireMsg::HelloKeyed { resume, key }) => establish(shared, resume, key),
-        Ok(_) => {
-            shared.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = write_frame(&mut writer, &WireMsg::Err { code: ErrCode::BadHandshake });
-            return;
-        }
-        Err(e) => {
-            report_wire_error(&mut writer, shared, &e);
-            return;
-        }
-    };
-    let (session_id, session_key) = match established {
-        Ok(pair) => pair,
-        Err(code) => {
-            let _ = write_frame(&mut writer, &WireMsg::Err { code });
-            return;
-        }
-    };
-    let processor = shared.lock_inner().sessions.get(&session_id).map_or(0, |s| s.processor);
-    if write_frame(&mut writer, &WireMsg::HelloOk { session: session_id, processor }).is_err() {
-        return;
-    }
-
-    // --- session loop -------------------------------------------------
-    // The write half moves behind a mutex shared with the combiner
-    // thread, with one scratch buffer per connection: every reply frame
-    // on the hot path is encoded into it and written with a single
-    // syscall, with no per-message allocation.
-    let writer =
-        Arc::new(Mutex::new(ConnWriter { stream: writer, scratch: Vec::with_capacity(64) }));
-    let inflight = Arc::new(AtomicUsize::new(0));
-    loop {
-        // A draining server closes at the next frame boundary; the
-        // request just served (if any) already has its reply written,
-        // and queued combining replies are flushed by the combiner.
-        if draining.load(Ordering::SeqCst) {
-            break;
-        }
-        match read_frame(&mut reader) {
-            // An unkeyed Inc routes to the session's key; KeyInc names
-            // its counter explicitly. Both take the same two serving
-            // paths (combining enqueue vs sequential).
-            Ok(WireMsg::Inc { request_id, initiator }) => {
-                if !route_inc(
-                    shared,
-                    session_id,
-                    session_key,
-                    request_id,
-                    initiator,
-                    &writer,
-                    &inflight,
-                ) {
-                    break;
-                }
-            }
-            Ok(WireMsg::KeyInc { key, request_id, initiator }) => {
-                if !route_inc(shared, session_id, key, request_id, initiator, &writer, &inflight) {
-                    break;
-                }
-            }
-            Ok(WireMsg::BatchInc { request_id, count, initiator }) => {
-                let reply =
-                    serve_batch_inc(shared, session_id, session_key, request_id, count, initiator);
-                if send_reply(&writer, &reply).is_err() {
-                    break;
-                }
-            }
-            Ok(WireMsg::KeyBatchInc { key, request_id, count, initiator }) => {
-                let reply = serve_batch_inc(shared, session_id, key, request_id, count, initiator);
-                if send_reply(&writer, &reply).is_err() {
-                    break;
-                }
-            }
-            Ok(WireMsg::Read { key }) => {
-                let value = shared.lock_inner().backend.read_key(key);
-                let reply = match value {
-                    Some(value) => WireMsg::ReadOk { key, value },
-                    None => WireMsg::Err { code: ErrCode::NoSuchKey },
-                };
-                if send_reply(&writer, &reply).is_err() {
-                    break;
-                }
-            }
-            Ok(WireMsg::Stats) => {
-                let reply = WireMsg::StatsOk(snapshot(shared));
-                if send_reply(&writer, &reply).is_err() {
-                    break;
-                }
-            }
-            Ok(WireMsg::Hello { .. } | WireMsg::HelloKeyed { .. }) => {
-                shared.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = send_reply(&writer, &WireMsg::Err { code: ErrCode::BadHandshake });
-                break;
-            }
-            Ok(
-                WireMsg::HelloOk { .. }
-                | WireMsg::IncOk { .. }
-                | WireMsg::BatchOk { .. }
-                | WireMsg::StatsOk(_)
-                | WireMsg::Busy { .. }
-                | WireMsg::ReadOk { .. }
-                | WireMsg::Err { .. },
-            ) => {
-                shared.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = send_reply(&writer, &WireMsg::Err { code: ErrCode::Malformed });
-                break;
-            }
-            Err(WireError::Closed) => break,
-            Err(e) => {
-                shared.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(code) = wire_err_code(&e) {
-                    let _ = send_reply(&writer, &WireMsg::Err { code });
-                }
-                break;
-            }
-        }
-    }
-}
-
-/// Resolves a handshake into `(session id, session key)`: resume an
-/// existing session (keeping its key and dedup state) or open a fresh
-/// one bound to `key`.
+/// Resolves a handshake into `(session id, session key, processor)`:
+/// resume an existing session (keeping its key and dedup state) or open
+/// a fresh one bound to `key`.
 pub(crate) fn establish<B: CounterBackend + Send + 'static>(
     shared: &Arc<Shared<B>>,
     resume: Option<u64>,
     key: u64,
-) -> Result<(u64, u64), ErrCode> {
+) -> Result<(u64, u64, u64), ErrCode> {
     let mut inner = shared.lock_inner();
     match resume {
         Some(id) => match inner.sessions.get(&id) {
             // The session's original key wins: resuming re-attaches to
             // the same counter the acked operations went to.
-            Some(session) => Ok((id, session.key)),
+            Some(session) => Ok((id, session.key, session.processor)),
             None => Err(ErrCode::UnknownSession),
         },
         None => {
@@ -989,80 +454,23 @@ pub(crate) fn establish<B: CounterBackend + Send + 'static>(
             inner.next_session += 1;
             let processor = id % inner.backend.processors() as u64;
             inner.sessions.insert(id, Session { processor, key, ..Session::default() });
-            Ok((id, key))
+            Ok((id, key, processor))
         }
     }
 }
 
-/// The processor a session's operations are charged to (0 when the
-/// session vanished — the reply is heading into a dead connection
-/// anyway).
-pub(crate) fn session_processor<B: CounterBackend + Send + 'static>(
-    shared: &Arc<Shared<B>>,
-    session_id: u64,
-) -> u64 {
-    shared.lock_inner().sessions.get(&session_id).map_or(0, |s| s.processor)
-}
-
-/// Writes one reply frame under the connection's writer mutex.
-fn send_reply(writer: &Arc<Mutex<ConnWriter>>, msg: &WireMsg) -> Result<(), WireError> {
-    match writer.lock() {
-        Ok(mut w) => w.send(msg),
-        Err(_) => Err(WireError::Io("connection writer poisoned".into())),
-    }
-}
-
-/// Dispatches one inc — unkeyed (carrying its session's key) or an
-/// explicit `KeyInc` — onto the serving path: combining servers enqueue
-/// and return to the socket, sequential servers serve inline. Returns
-/// `false` when the connection must close.
-fn route_inc<B: CounterBackend + Send + 'static>(
-    shared: &Arc<Shared<B>>,
-    session_id: u64,
-    key: u64,
-    request_id: u64,
-    initiator: Option<u64>,
-    writer: &Arc<Mutex<ConnWriter>>,
-    inflight: &Arc<AtomicUsize>,
-) -> bool {
-    match &shared.combine {
-        // Pipelined: enqueue for the combiner and go straight back to
-        // the socket; the combiner writes the reply.
-        Some(combine) => {
-            let over_cap = shared
-                .config
-                .max_inflight_per_conn
-                .is_some_and(|cap| inflight.load(Ordering::SeqCst) >= cap);
-            if over_cap {
-                // Shed instead of queueing without bound; the request
-                // was not applied, so the client's retry of the same id
-                // stays exactly-once.
-                send_reply(writer, &shared.busy()).is_ok()
-            } else {
-                let sink = ReplySink::Threaded { writer: Arc::clone(writer) };
-                enqueue_inc(combine, session_id, key, request_id, initiator, sink, inflight)
-            }
-        }
-        None => {
-            let reply = serve_inc(shared, session_id, key, request_id, initiator);
-            send_reply(writer, &reply).is_ok()
-        }
-    }
-}
-
-/// Enqueues one inc for the combiner thread and returns to the socket
+/// Enqueues one inc for the combiner thread and returns to the sockets
 /// without waiting — a connection can have many incs in flight at once.
-/// Returns `false` only if the queue mutex is poisoned.
 pub(crate) fn enqueue_inc(
     combine: &CombineState,
     session_id: u64,
     key: u64,
     request_id: u64,
     initiator: Option<u64>,
-    sink: ReplySink,
+    token: usize,
     inflight: &Arc<AtomicUsize>,
-) -> bool {
-    let Ok(mut q) = combine.queue.lock() else { return false };
+) {
+    let mut q = combine.queue.lock().unwrap_or_else(PoisonError::into_inner);
     let was_empty = q.is_empty();
     inflight.fetch_add(1, Ordering::SeqCst);
     q.push(PendingInc {
@@ -1071,7 +479,7 @@ pub(crate) fn enqueue_inc(
         request_id,
         initiator,
         enqueued_at: Instant::now(),
-        sink,
+        token,
         inflight: Arc::clone(inflight),
     });
     drop(q);
@@ -1081,7 +489,6 @@ pub(crate) fn enqueue_inc(
     if was_empty {
         combine.wake.notify_one();
     }
-    true
 }
 
 /// The client-visible code for a decode failure, if the transport is
@@ -1094,19 +501,6 @@ pub(crate) fn wire_err_code(e: &WireError) -> Option<ErrCode> {
         WireError::Checksum { .. } => Some(ErrCode::Corrupt),
         // Truncated / Io: the transport is gone; nothing to send on.
         _ => None,
-    }
-}
-
-/// Maps a decode failure to its wire code, counts it, and makes a
-/// best-effort attempt to tell the client before the connection closes.
-fn report_wire_error<B: CounterBackend + Send + 'static>(
-    writer: &mut TcpStream,
-    shared: &Arc<Shared<B>>,
-    e: &WireError,
-) {
-    shared.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-    if let Some(code) = wire_err_code(e) {
-        let _ = write_frame(writer, &WireMsg::Err { code });
     }
 }
 
@@ -1245,9 +639,9 @@ fn serve_keyed<B: CounterBackend + Send + 'static>(
 /// serves rounds until the queue is empty again. Everything that
 /// accumulates while one round's traversals are in flight becomes the
 /// next round's batch — backpressure, not a timer, sets the batch size.
-/// Replies are written straight to each waiter's connection, so the
-/// per-inc hot path costs one enqueue and an amortized share of one
-/// traversal, with no per-reply thread handoff.
+/// Each reply goes to the reactor's channel with a wakeup, so the
+/// per-inc hot path costs one enqueue, one reply handoff and an
+/// amortized share of one traversal.
 pub(crate) fn combiner_loop<B: CounterBackend + Send + 'static>(
     shared: &Arc<Shared<B>>,
     stop: &Arc<AtomicBool>,
@@ -1269,8 +663,7 @@ pub(crate) fn combiner_loop<B: CounterBackend + Send + 'static>(
                 // matters is paired with a notify (enqueue on the
                 // empty -> non-empty edge, drain's flush loop, and
                 // `join_all` after setting `stop`), so an idle combiner
-                // costs zero wakeups — the historical `combine_idle`
-                // tick burned a futex wake every 25ms per idle server.
+                // costs zero wakeups.
                 let Ok(guard) = combine.wake.wait(q) else {
                     return;
                 };
@@ -1278,7 +671,7 @@ pub(crate) fn combiner_loop<B: CounterBackend + Send + 'static>(
             }
         };
         let mut inner = shared.lock_inner();
-        combine_round(shared, &mut inner, drained);
+        combine_round(shared, combine, &mut inner, drained);
     }
 }
 
@@ -1290,6 +683,7 @@ pub(crate) fn combiner_loop<B: CounterBackend + Send + 'static>(
 /// is answered exactly-once without a traversal.
 fn combine_round<B: CounterBackend + Send + 'static>(
     shared: &Arc<Shared<B>>,
+    combine: &CombineState,
     inner: &mut Inner<B>,
     drained: Vec<PendingInc>,
 ) {
@@ -1312,11 +706,9 @@ fn combine_round<B: CounterBackend + Send + 'static>(
     let deliver =
         |dup: &mut HashMap<(u64, u64), Vec<PendingInc>>, p: &PendingInc, reply: WireMsg| {
             for d in dup.remove(&(p.session_id, p.request_id)).unwrap_or_default() {
-                d.sink.deliver(&reply);
-                d.inflight.fetch_sub(1, Ordering::SeqCst);
+                combine.deliver(&d, &reply);
             }
-            p.sink.deliver(&reply);
-            p.inflight.fetch_sub(1, Ordering::SeqCst);
+            combine.deliver(p, &reply);
         };
     // Validate each waiter and split answered retries from fresh work.
     // A batch traversal targets exactly one counter and has exactly one

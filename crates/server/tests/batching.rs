@@ -19,7 +19,7 @@ use distctr_server::{CounterServer, RemoteCounter};
 #[test]
 fn a_batch_inc_grants_a_contiguous_range_exactly_once() {
     let server =
-        CounterServer::serve(ThreadedTreeCounter::new(8).expect("backend")).expect("serve");
+        CounterServer::serve_async(ThreadedTreeCounter::new(8).expect("backend")).expect("serve");
     let mut client = RemoteCounter::connect(server.local_addr()).expect("connect");
 
     assert_eq!(client.inc().expect("inc"), 0);
@@ -41,7 +41,7 @@ fn a_batch_inc_grants_a_contiguous_range_exactly_once() {
 #[test]
 fn a_zero_count_batch_is_rejected() {
     let server =
-        CounterServer::serve(ThreadedTreeCounter::new(8).expect("backend")).expect("serve");
+        CounterServer::serve_async(ThreadedTreeCounter::new(8).expect("backend")).expect("serve");
     let mut client = RemoteCounter::connect(server.local_addr()).expect("connect");
     assert!(client.inc_batch(0).is_err());
 }
@@ -51,8 +51,9 @@ fn combining_hands_out_every_value_exactly_once_under_concurrency() {
     const CONNS: usize = 8;
     const OPS_PER_CONN: usize = 8;
 
-    let server = CounterServer::serve_combining(ThreadedTreeCounter::new(8).expect("backend"))
-        .expect("serve");
+    let server =
+        CounterServer::serve_async_combining(ThreadedTreeCounter::new(8).expect("backend"))
+            .expect("serve");
     let addr = server.local_addr();
     let handles: Vec<_> = (0..CONNS)
         .map(|_| {
@@ -78,8 +79,9 @@ fn combining_hands_out_every_value_exactly_once_under_concurrency() {
 
 #[test]
 fn combining_retries_after_reconnect_stay_exactly_once() {
-    let server = CounterServer::serve_combining(ThreadedTreeCounter::new(8).expect("backend"))
-        .expect("serve");
+    let server =
+        CounterServer::serve_async_combining(ThreadedTreeCounter::new(8).expect("backend"))
+            .expect("serve");
     let mut client = RemoteCounter::connect(server.local_addr()).expect("connect");
     let v0 = client.inc().expect("inc");
     let session = client.session();

@@ -109,8 +109,7 @@ fn fast_retries() -> ClientConfig {
 fn a_panicking_combiner_round_is_contained_and_the_retry_succeeds() {
     let armed = Arc::new(AtomicBool::new(false));
     let backend = PanicOnce { inner: TreeCounter::new(8).expect("sim"), armed: Arc::clone(&armed) };
-    let mut server =
-        CounterServer::serve_combining_with(backend, ServerConfig::default()).expect("serve");
+    let mut server = CounterServer::serve_async_combining(backend).expect("serve");
     let mut client =
         RemoteCounter::connect_with(server.local_addr(), fast_retries()).expect("connect");
 
@@ -135,7 +134,7 @@ fn a_panicking_combiner_round_is_contained_and_the_retry_succeeds() {
 fn a_panicking_sequential_request_is_contained_too() {
     let armed = Arc::new(AtomicBool::new(false));
     let backend = PanicOnce { inner: TreeCounter::new(8).expect("sim"), armed: Arc::clone(&armed) };
-    let mut server = CounterServer::serve(backend).expect("serve");
+    let mut server = CounterServer::serve_async(backend).expect("serve");
     let mut client =
         RemoteCounter::connect_with(server.local_addr(), fast_retries()).expect("connect");
 
@@ -150,7 +149,7 @@ fn a_panicking_sequential_request_is_contained_too() {
 fn a_panic_surfaces_as_a_backend_error_without_retries() {
     let armed = Arc::new(AtomicBool::new(true));
     let backend = PanicOnce { inner: TreeCounter::new(8).expect("sim"), armed: Arc::clone(&armed) };
-    let mut server = CounterServer::serve(backend).expect("serve");
+    let mut server = CounterServer::serve_async(backend).expect("serve");
     let config = ClientConfig { retry: RetryPolicy::none(), ..ClientConfig::default() };
     let mut client = RemoteCounter::connect_with(server.local_addr(), config).expect("connect");
     match client.inc() {
@@ -169,8 +168,13 @@ fn admission_control_sheds_connections_past_the_cap_with_busy() {
         busy_retry_after: Duration::from_millis(5),
         ..ServerConfig::default()
     };
-    let mut server =
-        CounterServer::serve_with(TreeCounter::new(8).expect("sim"), config).expect("serve");
+    let mut server = CounterServer::serve_async_on_with(
+        "127.0.0.1:0",
+        TreeCounter::new(8).expect("sim"),
+        false,
+        config,
+    )
+    .expect("serve");
     let fail_fast = ClientConfig { retry: RetryPolicy::none(), ..ClientConfig::default() };
 
     let first = RemoteCounter::connect(server.local_addr()).expect("first connect");
@@ -181,7 +185,7 @@ fn admission_control_sheds_connections_past_the_cap_with_busy() {
     assert_eq!(server.stats().shed, 1, "the shed connection is counted");
 
     // Freeing the slot re-admits: drop the first client and poll until
-    // its connection thread exits and a new connect succeeds.
+    // the reactor closes its connection and a new connect succeeds.
     drop(first);
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut readmitted = loop {
@@ -207,7 +211,7 @@ fn per_connection_inflight_cap_sheds_with_busy_and_replays_stay_exactly_once() {
         ..ServerConfig::default()
     };
     let mut server =
-        CounterServer::serve_on_with("127.0.0.1:0", backend, true, config).expect("serve");
+        CounterServer::serve_async_on_with("127.0.0.1:0", backend, true, config).expect("serve");
 
     // Raw pipelined connection: fire 6 incs back-to-back while the
     // combiner naps, so the in-flight cap must trip.
@@ -233,6 +237,7 @@ fn per_connection_inflight_cap_sheds_with_busy_and_replays_stay_exactly_once() {
     }
     assert!(shed >= 1, "the in-flight cap never tripped");
     assert!(!acked.is_empty(), "capped pipelining still makes progress");
+    assert_eq!(server.stats().ops, acked.len() as u64, "shed requests consumed nothing");
 
     // Replay every shed id: the shed requests were never applied, so
     // each replay gets a *fresh* value and the union stays duplicate-
@@ -266,8 +271,10 @@ fn per_connection_inflight_cap_sheds_with_busy_and_replays_stay_exactly_once() {
 
 #[test]
 fn drain_never_loses_an_acked_operation() {
-    let mut server = CounterServer::serve_combining_with(
+    let mut server = CounterServer::serve_async_on_with(
+        "127.0.0.1:0",
         TreeCounter::new(8).expect("sim"),
+        true,
         ServerConfig { drain_grace: Duration::from_secs(5), ..ServerConfig::default() },
     )
     .expect("serve");
@@ -319,31 +326,11 @@ fn drain_never_loses_an_acked_operation() {
 }
 
 #[test]
-fn drained_servers_refuse_new_connections_with_busy() {
-    let mut server = CounterServer::serve_with(
-        TreeCounter::new(8).expect("sim"),
-        ServerConfig { busy_retry_after: Duration::from_millis(25), ..ServerConfig::default() },
-    )
-    .expect("serve");
-    let addr = server.local_addr();
-    server.drain().expect("drain");
-    // After the drain completes the listener is gone entirely; during
-    // the drain new connections get Busy. Either way, no new session.
-    match RemoteCounter::connect_with(
-        addr,
-        ClientConfig { retry: RetryPolicy::none(), ..ClientConfig::default() },
-    ) {
-        Err(_) => {}
-        Ok(_) => panic!("a drained server admitted a new session"),
-    }
-}
-
-#[test]
 fn shutdown_of_an_idle_server_is_prompt_without_a_wakeup_connection() {
-    // The nonblocking accept loop observes the stop flag on its own
-    // poll tick — shutdown must not need a throwaway connect to unwedge
-    // a blocking accept, and must come back quickly.
-    let mut server = CounterServer::serve(TreeCounter::new(8).expect("sim")).expect("serve");
+    // The reactor parks in a readiness wait with no timeout; shutdown
+    // reaches it through the waker — it must not need a throwaway
+    // connect, and must come back quickly.
+    let mut server = CounterServer::serve_async(TreeCounter::new(8).expect("sim")).expect("serve");
     let t0 = Instant::now();
     server.shutdown().expect("shutdown");
     assert!(t0.elapsed() < Duration::from_secs(2), "idle shutdown took {:?}", t0.elapsed());

@@ -10,7 +10,7 @@ use distctr_server::{CounterServer, ErrCode, RemoteCounter, ServerError};
 
 #[test]
 fn key_zero_aliases_the_legacy_counter() {
-    let mut server = CounterServer::serve(TreeCounter::new(27).unwrap()).unwrap();
+    let mut server = CounterServer::serve_async(TreeCounter::new(27).unwrap()).unwrap();
     let addr = server.local_addr();
 
     // A keyed handshake for key 0 and a legacy handshake drive the
@@ -32,7 +32,7 @@ fn key_zero_aliases_the_legacy_counter() {
 
 #[test]
 fn foreign_keys_and_reads_are_rejected_not_misrouted() {
-    let mut server = CounterServer::serve(TreeCounter::new(27).unwrap()).unwrap();
+    let mut server = CounterServer::serve_async(TreeCounter::new(27).unwrap()).unwrap();
     let addr = server.local_addr();
 
     let mut client = RemoteCounter::connect(addr).unwrap();
@@ -52,7 +52,7 @@ fn foreign_keys_and_reads_are_rejected_not_misrouted() {
 
 #[test]
 fn a_keyed_handshake_survives_resume_on_its_original_key() {
-    let mut server = CounterServer::serve(TreeCounter::new(27).unwrap()).unwrap();
+    let mut server = CounterServer::serve_async(TreeCounter::new(27).unwrap()).unwrap();
     let addr = server.local_addr();
 
     let mut client = RemoteCounter::connect_keyed(addr, 0).unwrap();

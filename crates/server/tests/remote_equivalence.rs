@@ -41,7 +41,7 @@ fn remote_counter_matches_both_local_backends_at_n_81() {
 
     // (c) The same workload through a real TCP socket: one connection
     // (sequential driving preserved), explicit initiators on the wire.
-    let server = CounterServer::serve(ThreadedTreeCounter::new(N).expect("threaded counter"))
+    let server = CounterServer::serve_async(ThreadedTreeCounter::new(N).expect("threaded counter"))
         .expect("serve");
     let mut remote = RemoteCounter::connect(server.local_addr()).expect("connect");
     assert_eq!(CounterBackend::processors(&remote), N);
@@ -82,7 +82,8 @@ fn hosting_the_simulator_backend_is_equally_transparent() {
     let mut local = TreeCounter::new(N).expect("sim counter");
     let local_values = drive_local(&mut local);
 
-    let server = CounterServer::serve(TreeCounter::new(N).expect("sim counter")).expect("serve");
+    let server =
+        CounterServer::serve_async(TreeCounter::new(N).expect("sim counter")).expect("serve");
     let mut remote = RemoteCounter::connect(server.local_addr()).expect("connect");
     let remote_values: Vec<u64> =
         (0..N).map(|p| remote.inc_as(ProcessorId::new(p)).expect("remote inc")).collect();

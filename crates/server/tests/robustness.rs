@@ -3,7 +3,7 @@
 //! disconnects each produce a *typed* error — and never wedge or crash
 //! the server, which keeps serving subsequent connections exactly-once.
 
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -57,7 +57,7 @@ fn assert_still_serving<B: distctr_core::CounterBackend + Send + 'static>(
 
 #[test]
 fn truncated_frame_is_detected_and_survived() {
-    let mut server = CounterServer::serve(TreeCounter::new(8).expect("sim")).expect("serve");
+    let mut server = CounterServer::serve_async(TreeCounter::new(8).expect("sim")).expect("serve");
     let (mut stream, _) = raw_hello(server.local_addr());
     // A length prefix promising 10 bytes, followed by only 3 — then the
     // connection vanishes mid-frame.
@@ -73,7 +73,7 @@ fn truncated_frame_is_detected_and_survived() {
 
 #[test]
 fn oversized_length_prefix_is_rejected_before_allocation() {
-    let mut server = CounterServer::serve(TreeCounter::new(8).expect("sim")).expect("serve");
+    let mut server = CounterServer::serve_async(TreeCounter::new(8).expect("sim")).expect("serve");
     let (mut stream, _) = raw_hello(server.local_addr());
     // Claim a frame far beyond MAX_FRAME; the server must answer with a
     // typed error without ever trying to buffer it.
@@ -91,7 +91,7 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 
 #[test]
 fn garbage_tag_and_malformed_payload_get_typed_errors() {
-    let mut server = CounterServer::serve(TreeCounter::new(8).expect("sim")).expect("serve");
+    let mut server = CounterServer::serve_async(TreeCounter::new(8).expect("sim")).expect("serve");
 
     // Unknown tag 0x7f in an otherwise well-formed frame (honest
     // length prefix and checksum, so the tag is what gets flagged).
@@ -101,6 +101,10 @@ fn garbage_tag_and_malformed_payload_get_typed_errors() {
         WireMsg::Err { code } => assert_eq!(code, ErrCode::UnknownTag),
         other => panic!("expected Err {{ UnknownTag }}, got {other:?}"),
     }
+    // The connection is closed right after the error frame.
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("eof");
+    assert!(rest.is_empty());
     drop(stream);
 
     // A valid Inc tag with a short body (framed honestly, so the
@@ -130,7 +134,7 @@ fn garbage_tag_and_malformed_payload_get_typed_errors() {
 
 #[test]
 fn hello_must_come_first() {
-    let server = CounterServer::serve(TreeCounter::new(8).expect("sim")).expect("serve");
+    let server = CounterServer::serve_async(TreeCounter::new(8).expect("sim")).expect("serve");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
     write_frame(&mut stream, &WireMsg::Inc { request_id: 0, initiator: None }).expect("inc");
@@ -138,12 +142,13 @@ fn hello_must_come_first() {
         WireMsg::Err { code } => assert_eq!(code, ErrCode::BadHandshake),
         other => panic!("expected Err {{ BadHandshake }}, got {other:?}"),
     }
+    assert_eq!(server.stats().ops, 0, "nothing was counted");
     assert_still_serving(&server, 0);
 }
 
 #[test]
 fn resuming_an_unknown_session_is_refused() {
-    let server = CounterServer::serve(TreeCounter::new(8).expect("sim")).expect("serve");
+    let server = CounterServer::serve_async(TreeCounter::new(8).expect("sim")).expect("serve");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
     write_frame(&mut stream, &WireMsg::Hello { resume: Some(0xdead_beef) }).expect("hello");
@@ -156,7 +161,7 @@ fn resuming_an_unknown_session_is_refused() {
 
 #[test]
 fn out_of_range_initiator_is_refused_without_counting() {
-    let mut server = CounterServer::serve(TreeCounter::new(8).expect("sim")).expect("serve");
+    let mut server = CounterServer::serve_async(TreeCounter::new(8).expect("sim")).expect("serve");
     let mut client = RemoteCounter::connect(server.local_addr()).expect("connect");
     let err = client.inc_as(distctr_sim::ProcessorId::new(8)).expect_err("out of range");
     match err {
@@ -176,7 +181,7 @@ fn out_of_range_initiator_is_refused_without_counting() {
 #[test]
 fn mid_op_disconnect_then_replay_is_exactly_once_on_threads() {
     let mut server =
-        CounterServer::serve(ThreadedTreeCounter::new(8).expect("threads")).expect("serve");
+        CounterServer::serve_async(ThreadedTreeCounter::new(8).expect("threads")).expect("serve");
     exercise_replay(&server);
     // Whichever delivery was the retry (ours or the dead connection's
     // still-buffered one), it was answered from dedup state.
@@ -189,7 +194,7 @@ fn mid_op_disconnect_then_replay_is_exactly_once_on_threads() {
 /// same exactly-once guarantee.
 #[test]
 fn mid_op_disconnect_then_replay_is_exactly_once_on_sim() {
-    let mut server = CounterServer::serve(TreeCounter::new(8).expect("sim")).expect("serve");
+    let mut server = CounterServer::serve_async(TreeCounter::new(8).expect("sim")).expect("serve");
     exercise_replay(&server);
     await_stat(&server, "dedup", |s| s.stats().deduped, 1);
     server.shutdown().expect("shutdown");
@@ -216,6 +221,9 @@ fn exercise_replay<B: distctr_core::CounterBackend + Send + 'static>(server: &Co
     let mut replayer = RemoteCounter::resume(addr, session).expect("resume");
     let v1 = replayer.inc_with_id(1, None).expect("replayed inc");
     assert_eq!(v1, 1, "replay returned the original value, not a second increment");
+    // A replay of a request whose reply *was* delivered is answered the
+    // same way.
+    assert_eq!(replayer.inc_with_id(0, None).expect("replay of an acked inc"), 0);
     // The next fresh operation proves nothing was double-counted.
     assert_eq!(replayer.inc().expect("fresh inc"), 2);
 }

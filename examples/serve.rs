@@ -1,5 +1,6 @@
-//! The counter as a network service: a [`CounterServer`] hosts the
-//! real-threads retirement tree on a loopback port, real TCP clients
+//! The counter as a network service: a [`CounterServer`] — one reactor
+//! thread for every connection — hosts the real-threads retirement tree
+//! on a loopback port, real TCP clients
 //! drive it concurrently through the load generator, and a
 //! [`RemoteCounter`] — a counter whose "network" is a socket — reads the
 //! server's statistics over the same wire protocol.
@@ -11,7 +12,7 @@ use distctr::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 81usize; // k = 3 -> 81 worker threads behind the socket
     println!("serving a {n}-processor ThreadedTreeCounter on loopback...");
-    let mut server = CounterServer::serve(ThreadedTreeCounter::new(n)?)?;
+    let mut server = CounterServer::serve_async(ThreadedTreeCounter::new(n)?)?;
     let addr = server.local_addr();
     println!("listening on {addr}");
 

@@ -11,16 +11,16 @@
 //! cargo run --release --bin loadgen -- --n 81 --conns 16 --ops 2000
 //! cargo run --release --bin loadgen -- --n 81 --conns 8 --ops 2000 --open 4000
 //! cargo run --release --bin loadgen -- --n 8 --conns 32 --ops 3200 --combine
-//! cargo run --release --bin loadgen -- --n 8 --reactor --mux --conns 5000 \
+//! cargo run --release --bin loadgen -- --n 8 --backend sim --mux --conns 5000 \
 //!     --ops 50000 --open 20000 --ramp 2500 --combine
 //! ```
 //!
-//! `--reactor` serves the hosted backend through the readiness-based
-//! async core (one reactor thread for every connection) instead of a
-//! thread per connection. `--mux` drives the load through the
-//! multiplexed open-loop client (one thread, one poller, per-connection
-//! buffers reused across operations) — the C10k shape on both sides of
-//! the socket; `--ramp MS` spreads the connection storm over a window.
+//! The hosted server is one reactor thread for every connection (plus
+//! the combiner thread with `--combine`). `--mux` drives the load
+//! through the multiplexed open-loop client (one thread, one poller,
+//! per-connection buffers reused across operations) — the C10k shape on
+//! both sides of the socket; `--ramp MS` spreads the connection storm
+//! over a window.
 
 #![forbid(unsafe_code)]
 
@@ -59,8 +59,6 @@ struct Args {
     keys: usize,
     /// Zipf skew exponent for the key mix.
     zipf: f64,
-    /// Serve the hosted backend through the readiness (async) core.
-    reactor: bool,
     /// Drive with the multiplexed one-thread client instead of a
     /// thread per connection. Requires `--open` (the mux driver is
     /// open-loop only) and is incompatible with `--keys`.
@@ -70,7 +68,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: loadgen [--n N] [--conns C] [--ops OPS] [--open RATE] \
-                     [--addr HOST:PORT] [--cache CAP] [--combine] [--reactor] \
+                     [--addr HOST:PORT] [--cache CAP] [--combine] \
                      [--mux] [--ramp MS] \
                      [--backend net|sim|shm-tree|shm-network|shm-central] [--sim] \
                      [--keys N] [--zipf S]";
@@ -91,7 +89,6 @@ fn parse_args() -> Result<Args, String> {
         combine: false,
         keys: 0,
         zipf: 1.2,
-        reactor: false,
         mux: false,
         ramp_ms: None,
     };
@@ -119,7 +116,6 @@ fn parse_args() -> Result<Args, String> {
             // Back-compat alias for `--backend sim`.
             "--sim" => args.backend = "sim".to_string(),
             "--combine" => args.combine = true,
-            "--reactor" => args.reactor = true,
             "--mux" => args.mux = true,
             "--ramp" => {
                 args.ramp_ms = Some(value("--ramp")?.parse().map_err(|e| format!("--ramp: {e}"))?);
@@ -250,9 +246,6 @@ fn banner(args: &Args, backend_name: &str, addr: SocketAddr) {
     if args.combine {
         mode.push_str(", combining");
     }
-    if args.reactor {
-        mode.push_str(", reactor-served");
-    }
     if args.mux {
         mode.push_str(", mux-driven");
     }
@@ -274,11 +267,10 @@ fn hosted_run<B>(
 where
     B: distctr::core::CounterBackend + Send + 'static,
 {
-    let mut server = match (args.reactor, args.combine) {
-        (true, true) => CounterServer::serve_async_combining(backend)?,
-        (true, false) => CounterServer::serve_async(backend)?,
-        (false, true) => CounterServer::serve_combining(backend)?,
-        (false, false) => CounterServer::serve(backend)?,
+    let mut server = if args.combine {
+        CounterServer::serve_async_combining(backend)?
+    } else {
+        CounterServer::serve_async(backend)?
     };
     banner(args, backend_name, server.local_addr());
 

@@ -5,9 +5,15 @@
 //! `CounterBackend` trait. Tree and central are linearizable, so the
 //! values observed across connections must be exactly `0..ops`; the
 //! counting network is quiescently consistent, so the check is the
-//! gap-free multiset (the same split E26 gates on).
+//! gap-free multiset (the same split E26 gates on). The tree case is the
+//! path that ships — reactor, combiner, shm tree at n = 81 — driven
+//! with pipelined connections.
 
-use distctr::server::{run_load, CounterServer, LoadConfig};
+use std::io::Write as _;
+use std::net::TcpStream;
+
+use distctr::server::wire::{encode_frame_into, read_frame, write_frame};
+use distctr::server::{run_load, CounterServer, LoadConfig, WireMsg};
 use distctr::shm::{AtomicBitonicCounter, CentralCounter, ShmTreeCounter};
 
 const CONNS: usize = 4;
@@ -21,12 +27,40 @@ fn sorted_values(report: &distctr::server::LoadReport) -> Vec<u64> {
 
 #[test]
 fn shm_tree_serves_sequential_values_over_tcp() {
-    let backend = ShmTreeCounter::new(8).expect("arena");
-    let mut server = CounterServer::serve(backend).expect("serve");
-    let report = run_load(server.local_addr(), &LoadConfig::closed(CONNS, OPS)).expect("load");
-    assert!(report.values_are_sequential_from(0), "tree over TCP is exact");
+    let backend = ShmTreeCounter::new(81).expect("arena");
+    let mut server = CounterServer::serve_async_combining(backend).expect("serve");
+    let mut conns: Vec<TcpStream> = (0..CONNS)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            write_frame(&mut stream, &WireMsg::Hello { resume: None }).expect("hello");
+            assert!(matches!(read_frame(&mut stream), Ok(WireMsg::HelloOk { .. })));
+            stream
+        })
+        .collect();
+    // Every connection's whole share goes out in one write, so each has
+    // OPS / CONNS incs in flight and the combiner sees wide rounds.
+    let per_conn = (OPS / CONNS) as u64;
+    let mut burst = Vec::new();
+    for request_id in 0..per_conn {
+        encode_frame_into(&WireMsg::Inc { request_id, initiator: None }, &mut burst);
+    }
+    for stream in &mut conns {
+        stream.write_all(&burst).expect("burst");
+    }
+    let mut values = Vec::with_capacity(OPS);
+    for stream in &mut conns {
+        for _ in 0..per_conn {
+            match read_frame(stream).expect("reply") {
+                WireMsg::IncOk { value, .. } => values.push(value),
+                other => panic!("expected IncOk, got {other:?}"),
+            }
+        }
+    }
+    values.sort_unstable();
+    assert_eq!(values, (0..OPS as u64).collect::<Vec<_>>(), "tree over TCP is exact");
     let stats = server.stats();
     assert_eq!(stats.ops, OPS as u64);
+    assert!(stats.combined_traversals < OPS as u64, "pipelined incs were combined");
     assert!(stats.bottleneck > 0, "arena load accounting flows through server stats");
     server.shutdown().expect("shutdown");
 }
@@ -34,7 +68,7 @@ fn shm_tree_serves_sequential_values_over_tcp() {
 #[test]
 fn shm_central_serves_sequential_values_over_tcp() {
     let backend = CentralCounter::new(4);
-    let mut server = CounterServer::serve(backend).expect("serve");
+    let mut server = CounterServer::serve_async(backend).expect("serve");
     let report = run_load(server.local_addr(), &LoadConfig::closed(CONNS, OPS)).expect("load");
     assert!(report.values_are_sequential_from(0), "one fetch_add cell over TCP is exact");
     server.shutdown().expect("shutdown");
@@ -43,11 +77,11 @@ fn shm_central_serves_sequential_values_over_tcp() {
 #[test]
 fn shm_network_serves_a_gap_free_multiset_over_tcp() {
     let backend = AtomicBitonicCounter::new(4);
-    let mut server = CounterServer::serve(backend).expect("serve");
+    let mut server = CounterServer::serve_async(backend).expect("serve");
     let report = run_load(server.local_addr(), &LoadConfig::closed(CONNS, OPS)).expect("load");
-    // The server serializes ops per accept loop anyway, but the promise
-    // we hold the network to is the quiescent one: every value exactly
-    // once.
+    // The server serializes ops behind one mutex anyway, but the
+    // promise we hold the network to is the quiescent one: every value
+    // exactly once.
     assert_eq!(sorted_values(&report), (0..OPS as u64).collect::<Vec<_>>());
     server.shutdown().expect("shutdown");
 }
