@@ -23,6 +23,9 @@ use distctr_analysis::{fmt_f64, Table};
 use distctr_core::TreeCounter;
 use distctr_server::{run_mux, CounterServer, LoadReport, MuxConfig};
 
+use crate::json;
+use crate::table::{verdict, Outcome, Size};
+
 /// The latency SLO: a connection level is sustainable only if p99 stays
 /// under this many milliseconds.
 pub const E27_SLO_P99_MS: f64 = 250.0;
@@ -85,13 +88,11 @@ impl AsyncRow {
 /// The connection grid: smoke stays small and in-process (CI gate),
 /// quick stays in-process, the full sweep ends past the C10k mark.
 #[must_use]
-pub fn e27_grid(quick: bool, smoke: bool) -> Vec<usize> {
-    if smoke {
-        vec![32, 256]
-    } else if quick {
-        vec![32, 1000, 4000]
-    } else {
-        vec![32, 1000, 4000, 10000]
+pub fn e27_grid(size: Size) -> Vec<usize> {
+    match size {
+        Size::Smoke => vec![32, 256],
+        Size::Quick => vec![32, 1000, 4000],
+        Size::Full => vec![32, 1000, 4000, 10000],
     }
 }
 
@@ -266,40 +267,55 @@ pub fn e27_render(n: usize, rows: &[AsyncRow]) -> String {
 }
 
 /// Serializes the measurement as the checked-in `BENCH_async.json`
-/// artifact (hand-rolled JSON; the harness has no serde dependency).
+/// artifact.
 #[must_use]
 pub fn e27_json(n: usize, rows: &[AsyncRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"async-serving\",\n");
-    out.push_str("  \"engine\": \"single reactor\",\n");
-    out.push_str("  \"mode\": \"open-loop TCP, mux client driver\",\n");
-    out.push_str(&format!("  \"processors\": {n},\n"));
-    out.push_str(&format!("  \"per_conn_rate\": {E27_PER_CONN_RATE},\n"));
-    out.push_str(&format!("  \"slo_p99_ms\": {E27_SLO_P99_MS},\n"));
-    out.push_str(&format!("  \"max_sustainable\": {},\n", e27_max_sustainable(rows)));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"conns\": {}, \"established\": {}, \
-             \"offered_ops_per_sec\": {:.1}, \
-             \"goodput_ops_per_sec\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"p999_us\": {}, \"failed\": {}, \"exact\": {}, \"sustainable\": {} }}{}\n",
-            r.conns,
-            r.established,
-            r.offered_rate,
-            r.goodput,
-            r.p50_us,
-            r.p99_us,
-            r.p999_us,
-            r.failed,
-            r.exact,
-            r.sustainable(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let params = [
+        json::s("experiment", "async-serving"),
+        json::s("engine", "single reactor"),
+        json::s("mode", "open-loop TCP, mux client driver"),
+        json::v("processors", n),
+        json::v("per_conn_rate", E27_PER_CONN_RATE),
+        json::v("slo_p99_ms", E27_SLO_P99_MS),
+        json::v("max_sustainable", e27_max_sustainable(rows)),
+    ];
+    json::document(&params, rows, |r| {
+        vec![
+            json::v("conns", r.conns),
+            json::v("established", r.established),
+            json::f("offered_ops_per_sec", r.offered_rate, 1),
+            json::f("goodput_ops_per_sec", r.goodput, 1),
+            json::v("p50_us", r.p50_us),
+            json::v("p99_us", r.p99_us),
+            json::v("p999_us", r.p999_us),
+            json::v("failed", r.failed),
+            json::v("exact", r.exact),
+            json::v("sustainable", r.sustainable()),
+        ]
+    })
+}
+
+/// The C10k gate: the server holds its SLO at every measured fan-in.
+fn e27_gate(rows: &[AsyncRow]) -> Result<(), String> {
+    verdict(rows.iter().filter(|r| !r.sustainable()).map(|r| {
+        format!(
+            "connection-scaling regression: the server missed its SLO at {} connections \
+             (established {}, failed {}, exact {}, p99 {} us)",
+            r.conns, r.established, r.failed, r.exact, r.p99_us
+        )
+    }))
+}
+
+/// The E27 table row.
+#[must_use]
+pub fn e27(size: Size) -> Outcome {
+    let n = 8;
+    let rows = e27_measure(n, &e27_grid(size));
+    Outcome {
+        text: e27_render(n, &rows),
+        bench_file: Some(("BENCH_async.json", e27_json(n, &rows))),
+        gate: e27_gate(&rows),
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -317,8 +333,6 @@ mod tests {
         assert!(r.sustainable(), "{r:?}");
         let report = e27_render(8, &rows);
         assert!(report.contains("sustainable"), "{report}");
-        let json = e27_json(8, &rows);
-        assert!(json.contains("\"max_sustainable\": 4"), "{json}");
     }
 
     #[test]
@@ -346,8 +360,8 @@ mod tests {
 
     #[test]
     fn the_grid_scales_with_mode_and_full_reaches_c10k() {
-        assert_eq!(e27_grid(false, true), vec![32, 256]);
-        assert!(e27_grid(true, false).iter().all(|&c| c <= E27_SUBPROCESS_CONNS));
-        assert!(e27_grid(false, false).iter().any(|&c| c >= 10_000));
+        assert_eq!(e27_grid(Size::Smoke), vec![32, 256]);
+        assert!(e27_grid(Size::Quick).iter().all(|&c| c <= E27_SUBPROCESS_CONNS));
+        assert!(e27_grid(Size::Full).iter().any(|&c| c >= 10_000));
     }
 }

@@ -16,6 +16,9 @@ use distctr_core::kmath;
 use distctr_net::ThreadedTreeCounter;
 use distctr_server::{run_load, CounterServer, LoadConfig, ServerConfig};
 
+use crate::json;
+use crate::table::{Outcome, Size};
+
 /// One concurrency level's measurement: the same workload through both
 /// serving paths.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,35 +160,61 @@ pub fn e22_render(n: usize, k: u32, rows: &[BatchingRow]) -> String {
 }
 
 /// Serializes the measurement as the checked-in `BENCH_batching.json`
-/// artifact (hand-rolled JSON; the harness has no serde dependency).
+/// artifact.
 #[must_use]
 pub fn e22_json(n: usize, ops_per_conn: usize, rows: &[BatchingRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"batching\",\n");
-    out.push_str("  \"engine\": \"single reactor\",\n");
-    out.push_str("  \"backend\": \"threaded\",\n");
-    out.push_str("  \"mode\": \"closed-loop TCP\",\n");
-    out.push_str(&format!("  \"processors\": {n},\n"));
-    out.push_str(&format!("  \"ops_per_conn\": {ops_per_conn},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"conns\": {}, \"ops\": {}, \"sequential_incs_per_sec\": {:.1}, \
-             \"combined_incs_per_sec\": {:.1}, \"speedup\": {:.2}, \
-             \"combined_traversals\": {}, \"mean_batch\": {:.1} }}{}\n",
-            r.conns,
-            r.ops,
-            r.sequential_ops_per_sec,
-            r.combined_ops_per_sec,
-            r.speedup(),
-            r.combined_traversals,
-            r.mean_batch(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let params = [
+        json::s("experiment", "batching"),
+        json::s("engine", "single reactor"),
+        json::s("backend", "threaded"),
+        json::s("mode", "closed-loop TCP"),
+        json::v("processors", n),
+        json::v("ops_per_conn", ops_per_conn),
+    ];
+    json::document(&params, rows, |r| {
+        vec![
+            json::v("conns", r.conns),
+            json::v("ops", r.ops),
+            json::f("sequential_incs_per_sec", r.sequential_ops_per_sec, 1),
+            json::f("combined_incs_per_sec", r.combined_ops_per_sec, 1),
+            json::f("speedup", r.speedup(), 2),
+            json::v("combined_traversals", r.combined_traversals),
+            json::f("mean_batch", r.mean_batch(), 1),
+        ]
+    })
+}
+
+/// The regression gate: at the highest measured concurrency the
+/// combining path must not be slower than the sequential one.
+fn e22_gate(rows: &[BatchingRow]) -> Result<(), String> {
+    let Some(top) = rows.iter().max_by_key(|r| r.conns) else { return Ok(()) };
+    if top.speedup() >= 1.0 {
+        return Ok(());
     }
-    out.push_str("  ]\n}\n");
-    out
+    Err(format!(
+        "regression: combining throughput ({:.1} incs/s) fell below the sequential path \
+         ({:.1} incs/s) at {} connections",
+        top.combined_ops_per_sec, top.sequential_ops_per_sec, top.conns
+    ))
+}
+
+/// The E22 table row: smoke keeps the full concurrency grid (the gate
+/// is defined at 32 connections) but shrinks the per-connection work
+/// and the trial count.
+#[must_use]
+pub fn e22(size: Size) -> Outcome {
+    let (ops_per_conn, trials) = match size {
+        Size::Smoke => (10, 1),
+        Size::Quick => (25, 2),
+        Size::Full => (200, 5),
+    };
+    let (n, k) = (81, 3);
+    let rows = e22_measure(n, &[1, 8, 32], ops_per_conn, trials);
+    Outcome {
+        text: e22_render(n, k, &rows),
+        bench_file: Some(("BENCH_batching.json", e22_json(n, ops_per_conn, &rows))),
+        gate: e22_gate(&rows),
+    }
 }
 
 #[cfg(test)]
@@ -201,9 +230,6 @@ mod tests {
         let report = e22_render(8, 2, &rows);
         assert!(report.contains("speedup"), "{report}");
         assert!(report.contains("flat combining"), "{report}");
-        let json = e22_json(8, 8, &rows);
-        assert!(json.contains("\"conns\": 4"), "{json}");
-        assert!(json.contains("\"combined_incs_per_sec\""), "{json}");
     }
 
     #[test]
@@ -217,5 +243,19 @@ mod tests {
         };
         assert!((r.speedup() - 0.0).abs() < f64::EPSILON);
         assert!((r.mean_batch() - 0.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn the_gate_reads_the_widest_row() {
+        let row = |conns, seq, comb| BatchingRow {
+            conns,
+            ops: 100,
+            sequential_ops_per_sec: seq,
+            combined_ops_per_sec: comb,
+            combined_traversals: 10,
+        };
+        assert_eq!(e22_gate(&[row(1, 10.0, 5.0), row(32, 10.0, 10.0)]), Ok(()));
+        let lost = e22_gate(&[row(1, 10.0, 50.0), row(32, 10.0, 9.0)]).expect_err("combining lost");
+        assert!(lost.contains("at 32 connections"), "{lost}");
     }
 }

@@ -20,6 +20,9 @@ use distctr_chaos::{ChaosPlan, ChaosProxy};
 use distctr_net::ThreadedTreeCounter;
 use distctr_server::{run_load, ClientConfig, CounterServer, LoadConfig, RetryPolicy};
 
+use crate::json;
+use crate::table::{verdict, Outcome, Size};
+
 /// One chaos scenario's measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosRow {
@@ -175,41 +178,64 @@ pub fn e23_render(n: usize, rows: &[ChaosRow]) -> String {
 }
 
 /// Serializes the measurement as the checked-in `BENCH_chaos.json`
-/// artifact (hand-rolled JSON; the harness has no serde dependency).
+/// artifact.
 #[must_use]
 pub fn e23_json(n: usize, conns: usize, ops_per_conn: usize, rows: &[ChaosRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"chaos\",\n");
-    out.push_str("  \"engine\": \"single reactor\",\n");
-    out.push_str("  \"backend\": \"threaded\",\n");
-    out.push_str("  \"mode\": \"closed-loop TCP through fault-injecting proxy\",\n");
-    out.push_str(&format!("  \"processors\": {n},\n"));
-    out.push_str(&format!("  \"conns\": {conns},\n"));
-    out.push_str(&format!("  \"ops_per_conn\": {ops_per_conn},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"scenario\": \"{}\", \"ops\": {}, \"failed\": {}, \
-             \"goodput_incs_per_sec\": {:.1}, \"p99_us\": {}, \"availability\": {:.4}, \
-             \"exact\": {}, \"proxy_conns\": {}, \"resets\": {}, \"blackholed\": {}, \
-             \"corrupted_bytes\": {} }}{}\n",
-            r.scenario,
-            r.ops,
-            r.failed,
-            r.goodput,
-            r.p99_us,
-            r.availability,
-            r.exact,
-            r.proxy_conns,
-            r.resets,
-            r.blackholed,
-            r.corrupted_bytes,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let params = [
+        json::s("experiment", "chaos"),
+        json::s("engine", "single reactor"),
+        json::s("backend", "threaded"),
+        json::s("mode", "closed-loop TCP through fault-injecting proxy"),
+        json::v("processors", n),
+        json::v("conns", conns),
+        json::v("ops_per_conn", ops_per_conn),
+    ];
+    json::document(&params, rows, |r| {
+        vec![
+            json::s("scenario", &r.scenario),
+            json::v("ops", r.ops),
+            json::v("failed", r.failed),
+            json::f("goodput_incs_per_sec", r.goodput, 1),
+            json::v("p99_us", r.p99_us),
+            json::f("availability", r.availability, 4),
+            json::v("exact", r.exact),
+            json::v("proxy_conns", r.proxy_conns),
+            json::v("resets", r.resets),
+            json::v("blackholed", r.blackholed),
+            json::v("corrupted_bytes", r.corrupted_bytes),
+        ]
+    })
+}
+
+/// The robustness gate: every scenario stays exactly-once and fully
+/// available.
+fn e23_gate(rows: &[ChaosRow]) -> Result<(), String> {
+    let lost = rows.iter().filter(|r| !r.exact || (r.availability - 1.0).abs() >= f64::EPSILON);
+    verdict(lost.map(|r| {
+        format!(
+            "robustness regression: scenario '{}' lost exactness or availability \
+             ({} of {} ops failed, exact: {})",
+            r.scenario, r.failed, r.ops, r.exact
+        )
+    }))
+}
+
+/// The E23 table row. A robustness check, not a perf one: smoke shrinks
+/// the per-connection work, not the toxic grid.
+#[must_use]
+pub fn e23(size: Size) -> Outcome {
+    let (conns, ops_per_conn) = match size {
+        Size::Smoke => (2, 8),
+        Size::Quick => (4, 25),
+        Size::Full => (8, 100),
+    };
+    let n = 8;
+    let rows = e23_measure(n, conns, ops_per_conn, &e23_scenarios());
+    Outcome {
+        text: e23_render(n, &rows),
+        bench_file: Some(("BENCH_chaos.json", e23_json(n, conns, ops_per_conn, &rows))),
+        gate: e23_gate(&rows),
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -236,9 +262,6 @@ mod tests {
         let report = e23_render(8, &rows);
         assert!(report.contains("goodput"), "{report}");
         assert!(report.contains("baseline"), "{report}");
-        let json = e23_json(8, 2, 6, &rows);
-        assert!(json.contains("\"experiment\": \"chaos\""), "{json}");
-        assert!(json.contains("\"availability\": 1.0000"), "{json}");
     }
 
     #[test]

@@ -28,6 +28,9 @@ use distctr_analysis::{fmt_f64, Table};
 use distctr_keyspace::{Keyspace, KeyspaceConfig, PromotionPolicy};
 use distctr_server::{run_load, CounterServer, LoadConfig};
 
+use crate::json;
+use crate::table::{verdict, Outcome, Size};
+
 /// One placement policy's measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyspaceRow {
@@ -169,7 +172,7 @@ pub fn e24_render(
 }
 
 /// Serializes the measurement as the checked-in `BENCH_keyspace.json`
-/// artifact (hand-rolled JSON; the harness has no serde dependency).
+/// artifact.
 #[must_use]
 pub fn e24_json(
     n: usize,
@@ -180,39 +183,91 @@ pub fn e24_json(
     per_message: Duration,
     rows: &[KeyspaceRow],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"keyspace\",\n");
-    out.push_str("  \"engine\": \"single reactor\",\n");
-    out.push_str("  \"backend\": \"keyspace over sim trees\",\n");
-    out.push_str("  \"mode\": \"closed-loop keyed TCP, combining server\",\n");
-    out.push_str(&format!("  \"processors\": {n},\n"));
-    out.push_str(&format!("  \"keys\": {keys},\n"));
-    out.push_str(&format!("  \"zipf_s\": {s},\n"));
-    out.push_str(&format!("  \"conns\": {conns},\n"));
-    out.push_str(&format!("  \"ops_per_conn\": {ops_per_conn},\n"));
-    out.push_str(&format!("  \"per_message_us\": {},\n", per_message.as_micros()));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"policy\": \"{}\", \"ops\": {}, \"failed\": {}, \
-             \"goodput_incs_per_sec\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"exact\": {}, \"keys_hosted\": {}, \"promotions\": {}, \"demotions\": {} }}{}\n",
-            r.policy,
-            r.ops,
-            r.failed,
-            r.goodput,
-            r.p50_us,
-            r.p99_us,
-            r.exact,
-            r.keys_hosted,
-            r.promotions,
-            r.demotions,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let params = [
+        json::s("experiment", "keyspace"),
+        json::s("engine", "single reactor"),
+        json::s("backend", "keyspace over sim trees"),
+        json::s("mode", "closed-loop keyed TCP, combining server"),
+        json::v("processors", n),
+        json::v("keys", keys),
+        json::v("zipf_s", s),
+        json::v("conns", conns),
+        json::v("ops_per_conn", ops_per_conn),
+        json::v("per_message_us", per_message.as_micros()),
+    ];
+    json::document(&params, rows, |r| {
+        vec![
+            json::s("policy", &r.policy),
+            json::v("ops", r.ops),
+            json::v("failed", r.failed),
+            json::f("goodput_incs_per_sec", r.goodput, 1),
+            json::v("p50_us", r.p50_us),
+            json::v("p99_us", r.p99_us),
+            json::v("exact", r.exact),
+            json::v("keys_hosted", r.keys_hosted),
+            json::v("promotions", r.promotions),
+            json::v("demotions", r.demotions),
+        ]
+    })
+}
+
+/// The placement gate: every policy keeps every key exactly
+/// sequential, the adaptive policy promotes at least one hot key, and
+/// its goodput is at least `tolerance` times the best static
+/// placement's.
+fn e24_gate(rows: &[KeyspaceRow], tolerance: f64) -> Result<(), String> {
+    let mut failed: Vec<String> = rows
+        .iter()
+        .filter(|r| !r.exact)
+        .map(|r| {
+            format!(
+                "correctness regression: policy '{}' lost per-key exactness ({} of {} ops failed)",
+                r.policy, r.failed, r.ops
+            )
+        })
+        .collect();
+    let best_static =
+        rows.iter().filter(|r| r.policy != "adaptive").map(|r| r.goodput).fold(0.0, f64::max);
+    match rows.iter().find(|r| r.policy == "adaptive") {
+        None => failed.push("no adaptive row was measured".into()),
+        Some(adaptive) => {
+            if adaptive.promotions == 0 {
+                failed.push(format!("the adaptive policy never promoted a hot key: {adaptive:?}"));
+            }
+            if adaptive.goodput < best_static * tolerance {
+                failed.push(format!(
+                    "regression: adaptive goodput ({:.1} incs/s) fell below the best static \
+                     placement ({best_static:.1} incs/s, tolerance {tolerance})",
+                    adaptive.goodput
+                ));
+            }
+        }
     }
-    out.push_str("  ]\n}\n");
-    out
+    verdict(failed)
+}
+
+/// The E24 table row: a Zipf-skewed keyed load with a real per-message
+/// price. Smoke shrinks the load, keeps the cost model, and allows a
+/// small tolerance (short runs are noisy); the other sizes are strict.
+#[must_use]
+pub fn e24(size: Size) -> Outcome {
+    let (conns, ops_per_conn) = match size {
+        Size::Smoke => (16, 25),
+        Size::Quick => (16, 40),
+        Size::Full => (32, 60),
+    };
+    let tolerance = if size == Size::Smoke { 0.95 } else { 1.0 };
+    let (n, keys, s) = (81, 12, 1.6);
+    let per_message = e24_per_message();
+    let rows = e24_measure(n, keys, s, conns, ops_per_conn, per_message, &e24_scenarios());
+    Outcome {
+        text: e24_render(n, keys, s, per_message, &rows),
+        bench_file: Some((
+            "BENCH_keyspace.json",
+            e24_json(n, keys, s, conns, ops_per_conn, per_message, &rows),
+        )),
+        gate: e24_gate(&rows, tolerance),
+    }
 }
 
 #[cfg(test)]
@@ -238,9 +293,6 @@ mod tests {
         let report = e24_render(8, 3, 1.2, Duration::ZERO, &rows);
         assert!(report.contains("goodput"), "{report}");
         assert!(report.contains("adaptive"), "{report}");
-        let json = e24_json(8, 3, 1.2, 2, 20, Duration::ZERO, &rows);
-        assert!(json.contains("\"experiment\": \"keyspace\""), "{json}");
-        assert!(json.contains("\"policy\": \"adaptive\""), "{json}");
     }
 
     #[test]

@@ -31,6 +31,9 @@ use distctr_core::kmath;
 use distctr_core::TreeCounter;
 use distctr_sim::{Counter, ProcessorId, TraceMode};
 
+use crate::json;
+use crate::table::{verdict, Outcome, Size};
+
 /// One tree size's measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleRow {
@@ -60,13 +63,11 @@ pub struct ScaleRow {
 /// `5^6 = 15,625`, and the full sweep runs to `7^8 = 5,764,801` —
 /// the paper's curve past a million processors.
 #[must_use]
-pub fn e25_sizes(quick: bool, smoke: bool) -> Vec<usize> {
-    let orders: &[u32] = if smoke {
-        &[3, 4]
-    } else if quick {
-        &[3, 4, 5]
-    } else {
-        &[3, 4, 5, 6, 7]
+pub fn e25_sizes(size: Size) -> Vec<usize> {
+    let orders: &[u32] = match size {
+        Size::Smoke => &[3, 4],
+        Size::Quick => &[3, 4, 5],
+        Size::Full => &[3, 4, 5, 6, 7],
     };
     orders
         .iter()
@@ -193,35 +194,59 @@ pub fn e25_render(rows: &[ScaleRow]) -> String {
     out
 }
 
-/// Serializes the sweep as the checked-in `BENCH_scale.json` artifact
-/// (hand-rolled JSON; the harness has no serde dependency).
+/// Serializes the sweep as the checked-in `BENCH_scale.json` artifact.
 #[must_use]
 pub fn e25_json(rows: &[ScaleRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"scale\",\n");
-    out.push_str("  \"backend\": \"arena sim core\",\n");
-    out.push_str("  \"mode\": \"one inc per processor, id order, TraceMode::Off\",\n");
-    out.push_str("  \"envelope\": \"20k (core bottleneck test constant)\",\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"k\": {}, \"processors\": {}, \"max_load\": {}, \"predicted\": {}, \
-             \"total_messages\": {}, \"events_per_sec\": {:.1}, \"elapsed_secs\": {:.3}, \
-             \"peak_rss_mib\": {} }}{}\n",
-            r.k,
-            r.processors,
-            r.max_load,
-            r.predicted,
-            r.total_messages,
-            r.events_per_sec,
-            r.elapsed_secs,
-            r.peak_rss_mib,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let params = [
+        json::s("experiment", "scale"),
+        json::s("backend", "arena sim core"),
+        json::s("mode", "one inc per processor, id order, TraceMode::Off"),
+        json::s("envelope", "20k (core bottleneck test constant)"),
+    ];
+    json::document(&params, rows, |r| {
+        vec![
+            json::v("k", r.k),
+            json::v("processors", r.processors),
+            json::v("max_load", r.max_load),
+            json::v("predicted", r.predicted),
+            json::v("total_messages", r.total_messages),
+            json::f("events_per_sec", r.events_per_sec, 1),
+            json::f("elapsed_secs", r.elapsed_secs, 3),
+            json::v("peak_rss_mib", r.peak_rss_mib),
+        ]
+    })
+}
+
+/// The scale gate: the measured bottleneck stays within twice the
+/// `O(k)` envelope at every size, and a full sweep crosses 1M
+/// processors.
+fn e25_gate(rows: &[ScaleRow], size: Size) -> Result<(), String> {
+    let mut failed: Vec<String> = rows
+        .iter()
+        .filter(|r| r.max_load > 2 * r.predicted)
+        .map(|r| {
+            format!(
+                "scale regression: n={} bottleneck {} exceeds twice the O(k) envelope {}",
+                r.processors, r.max_load, r.predicted
+            )
+        })
+        .collect();
+    if size == Size::Full && !rows.iter().any(|r| r.processors >= 1_000_000) {
+        failed.push("the full sweep must include a size past 1M processors".into());
     }
-    out.push_str("  ]\n}\n");
-    out
+    verdict(failed)
+}
+
+/// The E25 table row: the paper's curve on the arena core. The full
+/// sweep is what the checked-in `BENCH_scale.json` records.
+#[must_use]
+pub fn e25(size: Size) -> Outcome {
+    let rows = e25_measure(&e25_sizes(size));
+    Outcome {
+        text: e25_render(&rows),
+        bench_file: Some(("BENCH_scale.json", e25_json(&rows))),
+        gate: e25_gate(&rows, size),
+    }
 }
 
 #[cfg(test)]
@@ -230,11 +255,11 @@ mod tests {
 
     #[test]
     fn e25_sizes_are_exact_tree_sizes_and_the_full_sweep_passes_a_million() {
-        let smoke = e25_sizes(false, true);
+        let smoke = e25_sizes(Size::Smoke);
         assert_eq!(smoke, vec![81, 1024]);
-        let quick = e25_sizes(true, false);
+        let quick = e25_sizes(Size::Quick);
         assert_eq!(quick, vec![81, 1024, 15_625]);
-        let full = e25_sizes(false, false);
+        let full = e25_sizes(Size::Full);
         assert_eq!(full, vec![81, 1024, 15_625, 279_936, 5_764_801]);
         assert!(full.iter().any(|&n| n >= 1_000_000), "the full sweep crosses 1M");
         for &n in &full {
@@ -251,20 +276,13 @@ mod tests {
         let r = &rows[0];
         assert_eq!((r.k, r.processors), (3, 81));
         assert!(r.max_load > 0, "the canonical workload moves messages");
-        assert!(
-            r.max_load <= 2 * r.predicted,
-            "bottleneck {} above twice the envelope {}",
-            r.max_load,
-            r.predicted
-        );
+        assert_eq!(e25_gate(&rows, Size::Smoke), Ok(()));
+        assert!(e25_gate(&rows, Size::Full).is_err(), "81 processors is no full sweep");
         assert!(r.total_messages > 81, "more than one message per inc");
         assert!(r.events_per_sec > 0.0);
         let report = e25_render(&rows);
         assert!(report.contains("max load"), "{report}");
         assert!(report.contains("O(k) envelope"), "{report}");
-        let json = e25_json(&rows);
-        assert!(json.contains("\"experiment\": \"scale\""), "{json}");
-        assert!(json.contains("\"processors\": 81"), "{json}");
     }
 
     #[test]

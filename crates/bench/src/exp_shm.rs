@@ -25,29 +25,28 @@
 use distctr_analysis::{fmt_f64, Table};
 use distctr_shm::{run_cell, BackendKind, BakeoffRow};
 
+use crate::json;
+use crate::table::{verdict, Outcome, Size};
+
 /// Thread counts swept per backend. Smoke stops at 8 (seconds, the CI
 /// gate — still ≥ 4 counts per backend); quick adds 16; the full sweep
 /// runs to 64.
 #[must_use]
-pub fn e26_threads(quick: bool, smoke: bool) -> Vec<usize> {
-    if smoke {
-        vec![1, 2, 4, 8]
-    } else if quick {
-        vec![1, 2, 4, 8, 16]
-    } else {
-        vec![1, 2, 4, 8, 16, 32, 64]
+pub fn e26_threads(size: Size) -> Vec<usize> {
+    match size {
+        Size::Smoke => vec![1, 2, 4, 8],
+        Size::Quick => vec![1, 2, 4, 8, 16],
+        Size::Full => vec![1, 2, 4, 8, 16, 32, 64],
     }
 }
 
 /// Operations each thread performs in one cell.
 #[must_use]
-pub fn e26_ops_per_thread(quick: bool, smoke: bool) -> u64 {
-    if smoke {
-        100
-    } else if quick {
-        500
-    } else {
-        1000
+pub fn e26_ops_per_thread(size: Size) -> u64 {
+    match size {
+        Size::Smoke => 100,
+        Size::Quick => 500,
+        Size::Full => 1000,
     }
 }
 
@@ -135,41 +134,45 @@ pub fn e26_render(rows: &[BakeoffRow]) -> String {
     out
 }
 
-/// Serializes the grid as the checked-in `BENCH_shm.json` artifact
-/// (hand-rolled JSON; the harness has no serde dependency).
+/// Serializes the grid as the checked-in `BENCH_shm.json` artifact.
 #[must_use]
 pub fn e26_json(rows: &[BakeoffRow]) -> String {
     let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"shm-bakeoff\",\n");
-    out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str(
-        "  \"verdicts\": \"gap_free gated for all backends; linearizable gated for all \
-         but shm-network (quiescently consistent)\",\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"backend\": \"{}\", \"threads\": {}, \"ops\": {}, \
-             \"incs_per_sec\": {:.1}, \"p99_us\": {:.1}, \"fairness\": {:.3}, \
-             \"gap_free\": {}, \"linearizable\": {}, \"lin_violations\": {}, \
-             \"bottleneck\": {} }}{}\n",
-            r.backend,
-            r.threads,
-            r.ops,
-            r.incs_per_sec,
-            r.p99_us,
-            r.fairness,
-            r.gap_free,
-            r.linearizable,
-            r.lin_violations,
-            r.bottleneck,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let params = [
+        json::s("experiment", "shm-bakeoff"),
+        json::v("host_cores", cores),
+        json::s(
+            "verdicts",
+            "gap_free gated for all backends; linearizable gated for all \
+             but shm-network (quiescently consistent)",
+        ),
+    ];
+    json::document(&params, rows, |r| {
+        vec![
+            json::s("backend", r.backend),
+            json::v("threads", r.threads),
+            json::v("ops", r.ops),
+            json::f("incs_per_sec", r.incs_per_sec, 1),
+            json::f("p99_us", r.p99_us, 1),
+            json::f("fairness", r.fairness, 3),
+            json::v("gap_free", r.gap_free),
+            json::v("linearizable", r.linearizable),
+            json::v("lin_violations", r.lin_violations),
+            json::v("bottleneck", r.bottleneck),
+        ]
+    })
+}
+
+/// The E26 table row: throughput is machine-relative, but every cell's
+/// correctness verdict is absolute and gated.
+#[must_use]
+pub fn e26(size: Size) -> Outcome {
+    let rows = e26_measure(&e26_threads(size), e26_ops_per_thread(size));
+    Outcome {
+        text: e26_render(&rows),
+        bench_file: Some(("BENCH_shm.json", e26_json(&rows))),
+        gate: verdict(e26_gate_violations(&rows)),
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -178,10 +181,10 @@ mod tests {
 
     #[test]
     fn thread_sweeps_have_at_least_four_counts_everywhere() {
-        assert_eq!(e26_threads(false, true), vec![1, 2, 4, 8]);
-        assert_eq!(e26_threads(true, false), vec![1, 2, 4, 8, 16]);
-        assert_eq!(e26_threads(false, false), vec![1, 2, 4, 8, 16, 32, 64]);
-        assert!(e26_ops_per_thread(false, true) < e26_ops_per_thread(false, false));
+        assert_eq!(e26_threads(Size::Smoke), vec![1, 2, 4, 8]);
+        assert_eq!(e26_threads(Size::Quick), vec![1, 2, 4, 8, 16]);
+        assert_eq!(e26_threads(Size::Full), vec![1, 2, 4, 8, 16, 32, 64]);
+        assert!(e26_ops_per_thread(Size::Smoke) < e26_ops_per_thread(Size::Full));
     }
 
     #[test]
@@ -192,9 +195,6 @@ mod tests {
         let report = e26_render(&rows);
         assert!(report.contains("shm-tree"), "{report}");
         assert!(report.contains("QC only"), "{report}");
-        let json = e26_json(&rows);
-        assert!(json.contains("\"experiment\": \"shm-bakeoff\""), "{json}");
-        assert!(json.contains("\"backend\": \"shm-network\""), "{json}");
     }
 
     #[test]

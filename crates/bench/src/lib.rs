@@ -1,15 +1,19 @@
 //! # distctr-bench
 //!
-//! The experiment harness: every figure and theorem/lemma of the paper
-//! regenerated as a text report (the paper has no numeric tables; its
-//! "evaluation" is theorems, which the experiments make falsifiable).
+//! The experiments, as data: every figure and theorem/lemma of the
+//! paper regenerated as a text report (the paper has no numeric tables;
+//! its "evaluation" is theorems, which the experiments make
+//! falsifiable), plus the gated serving experiments E22–E27.
 //!
-//! * `report` binary — `cargo run -p distctr-bench --bin report [--all | e1 e2 ...]`
-//!   regenerates the experiment tables recorded in `EXPERIMENTS.md`.
-//! * Criterion benches (`benches/`) — wall-clock cost of operations,
-//!   sequences, adversaries and quorum machinery.
+//! * [`EXPERIMENTS`] — the table, one row per experiment id.
+//! * `report` binary — `cargo run -p distctr-bench --bin report [e1 e2 ...]`
+//!   runs rows of it and regenerates what `EXPERIMENTS.md` records.
 //!
-//! The experiment index (E1-E10, F1-F4) is documented in `DESIGN.md`.
+//! A number from this crate is a message count or a gate verdict.
+//! Anything timed comes from `distbench` (`benchmark/` at the repo
+//! root), the one harness with repeated trials and a recorded host.
+//!
+//! The experiment index is documented in `DESIGN.md` §6.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,5 +36,8 @@ pub mod exp_scale;
 pub mod exp_serve;
 pub mod exp_shm;
 pub mod figures;
+pub mod json;
+pub mod table;
 
 pub use algos::{run_canonical, run_shuffled_dyn, Algo, RunSummary, REPORT_SEED};
+pub use table::{Experiment, Outcome, Size, EXPERIMENTS};

@@ -1,27 +1,19 @@
-//! Report determinism: every experiment function is a pure function of
-//! its seed — two invocations in the same process produce byte-identical
-//! output. This is what makes EXPERIMENTS.md reproducible.
+//! Report determinism: every row of the experiment table marked
+//! `repeats` is a pure function of its seed — two runs in the same
+//! process produce byte-identical text. This is what makes
+//! EXPERIMENTS.md reproducible, and what lets CI run those rows as a
+//! check instead of a measurement.
 
-use distctr_bench::{exp_ablation, exp_bottleneck, exp_bound, exp_hotspot, exp_lemmas};
+use distctr_bench::{exp_bottleneck, table, Size, EXPERIMENTS};
 
 #[test]
 fn experiment_tables_are_deterministic() {
-    assert_eq!(
-        exp_bottleneck::e2_bottleneck_vs_n(&[8, 81]),
-        exp_bottleneck::e2_bottleneck_vs_n(&[8, 81]),
-        "E2"
-    );
-    assert_eq!(exp_bottleneck::e2_csv(&[8, 81]), exp_bottleneck::e2_csv(&[8, 81]), "E2 CSV");
-    assert_eq!(
-        exp_lemmas::e3_retirements_per_level(&[2, 3]),
-        exp_lemmas::e3_retirements_per_level(&[2, 3]),
-        "E3"
-    );
-    assert_eq!(
-        exp_bound::e1_adversarial_lower_bound(8, None),
-        exp_bound::e1_adversarial_lower_bound(8, None),
-        "E1"
-    );
-    assert_eq!(exp_hotspot::e10_quorums(), exp_hotspot::e10_quorums(), "E10");
-    assert_eq!(exp_ablation::e12_skewed_workloads(2), exp_ablation::e12_skewed_workloads(2), "E12");
+    for row in EXPERIMENTS.iter().filter(|e| e.repeats) {
+        let (first, second) = ((row.run)(Size::Quick), (row.run)(Size::Quick));
+        assert_eq!(first, second, "{} differs between two runs", row.id);
+        assert!(!first.text.is_empty(), "{} printed nothing", row.id);
+        assert!(first.bench_file.is_none() && first.gate.is_ok(), "{} is ungated", row.id);
+    }
+    let sizes = table::e2_sizes(Size::Quick);
+    assert_eq!(exp_bottleneck::e2_csv(sizes), exp_bottleneck::e2_csv(sizes), "E2 CSV");
 }

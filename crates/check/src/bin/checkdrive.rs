@@ -1,27 +1,18 @@
 //! `checkdrive` — the CI entry point of the model checker.
 //!
-//! Default mode runs a bounded sweep of checker cells (n ∈ {2, 4, 8},
+//! Runs a bounded sweep of checker cells (n ∈ {2, 4, 8},
 //! fault-free and crash-budget-1) under a shared transition budget and
 //! exits nonzero with a minimized, replayable counterexample if any
-//! invariant is violated. `--compare` runs the E21 experiment instead:
-//! the checker and the old whole-protocol DFS (`distctr_sim::explore`)
-//! on the identical scenario and wall-clock budget, reporting distinct
-//! quiescent states reached by each.
+//! invariant is violated.
 //!
 //! ```text
-//! checkdrive [--budget 200k] [--depth 4096] [--compare]
+//! checkdrive [--budget 200k] [--depth 4096]
 //! ```
 
-use std::cell::RefCell;
-use std::collections::HashSet;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use distctr_check::{combined_fingerprint, Budget, CheckConfig, CheckOutcome, Checker};
-use distctr_core::{
-    CounterMsg, CounterObject, Msg, NodeEngine, RetirementPolicy, Topology, TreeProtocol,
-};
-use distctr_sim::{explore, Injection, OpId, ProcessorId};
+use distctr_check::{Budget, CheckConfig, CheckOutcome, Checker};
 
 fn parse_budget(s: &str) -> Result<u64, String> {
     let (digits, mult) = match s.trim().to_ascii_lowercase() {
@@ -38,11 +29,10 @@ fn parse_budget(s: &str) -> Result<u64, String> {
 struct Args {
     budget: u64,
     depth: usize,
-    compare: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { budget: 200_000, depth: 4_096, compare: false };
+    let mut args = Args { budget: 200_000, depth: 4_096 };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -54,9 +44,8 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--depth needs a value")?;
                 args.depth = v.parse().map_err(|e| format!("bad depth {v:?}: {e}"))?;
             }
-            "--compare" => args.compare = true,
             "--help" | "-h" => {
-                println!("usage: checkdrive [--budget 200k] [--depth N] [--compare]");
+                println!("usage: checkdrive [--budget 200k] [--depth N]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument {other:?}")),
@@ -152,105 +141,6 @@ fn run_sweep(args: &Args) -> ExitCode {
     }
 }
 
-// --- E21 comparison: checker vs the old whole-protocol DFS ------------
-
-type Proto = TreeProtocol<CounterObject>;
-
-fn fresh_proto(k: u32) -> Proto {
-    let topo = Topology::new(k).expect("supported order");
-    TreeProtocol::new(topo, RetirementPolicy::PaperDefault, CounterObject::new())
-}
-
-fn inc_injection(proto: &Proto, initiator: usize, op: usize) -> Injection<CounterMsg> {
-    let origin = ProcessorId::new(initiator);
-    let leaf_parent = proto.topology().leaf_parent(initiator as u64);
-    Injection {
-        op: OpId::new(op),
-        from: origin,
-        to: proto.worker_of(leaf_parent),
-        msg: Msg::Apply { node: leaf_parent, origin, op_seq: op as u64, req: () },
-    }
-}
-
-fn proto_fingerprint(proto: &Proto, n: usize) -> u64 {
-    let fps: Vec<u64> =
-        (0..n).map(|p| NodeEngine::fingerprint(proto.engine_of(ProcessorId::new(p)))).collect();
-    let crashed = vec![false; n];
-    combined_fingerprint(&fps, &crashed)
-}
-
-fn run_compare(args: &Args) -> ExitCode {
-    // The E21 scenario: the (n = 4, 2-op) configuration for both
-    // explorers. The checker additionally branches a crash of any
-    // processor at every point (up to two per trace) with watchdog
-    // recovery — coverage the whole-protocol DFS structurally cannot
-    // reach (it has no crash transitions), which is where the distinct
-    // quiescent-state gap comes from.
-    let workload = [0usize, 4];
-    let cfg = CheckConfig::new(4)
-        .sequential_ops(&workload)
-        .fault_tolerant()
-        .explore_crashes(&[0, 1, 2, 3, 4, 5, 6, 7], 2);
-
-    let started = Instant::now();
-    let outcome = Checker::new(cfg)
-        .budget(Budget { max_transitions: args.budget, max_depth: args.depth, wall_clock: None })
-        .run();
-    let checker_wall = started.elapsed().max(Duration::from_millis(1));
-    let s = &outcome.stats;
-    println!(
-        "checker:     transitions={} leaves={} distinct_quiescent={} sleep_skips={}{} in {:?}",
-        s.transitions,
-        s.quiescent_leaves,
-        s.distinct_quiescent,
-        s.sleep_skips,
-        if s.truncated { " truncated" } else { "" },
-        checker_wall,
-    );
-    if !outcome.holds() {
-        let v = outcome.violation.as_ref().expect("violation present");
-        eprintln!("unexpected violation in comparison config: {}: {}", v.invariant, v.detail);
-        return ExitCode::FAILURE;
-    }
-
-    // The old DFS on the same workload, cut off at the checker's wall
-    // clock. It explores the two ops concurrently (it has no sequential
-    // injection either) and fault-free. Its invariant closure records
-    // distinct protocol states; an `Err` return aborts the search,
-    // which is how the wall-clock cutoff is realized (the
-    // pseudo-violation is discarded).
-    let proto = fresh_proto(2);
-    let n = usize::try_from(proto.topology().processors()).expect("n fits usize");
-    let injections: Vec<Injection<CounterMsg>> = workload
-        .iter()
-        .enumerate()
-        .map(|(i, &initiator)| inc_injection(&proto, initiator, i))
-        .collect();
-    let distinct: RefCell<HashSet<u64>> = RefCell::new(HashSet::new());
-    let sim_started = Instant::now();
-    let sim_outcome = explore(&proto, &injections, u64::MAX, &|p: &Proto| {
-        distinct.borrow_mut().insert(proto_fingerprint(p, n));
-        if sim_started.elapsed() >= checker_wall {
-            Err("wall clock".into())
-        } else {
-            Ok(())
-        }
-    });
-    let sim_wall = sim_started.elapsed();
-    let timed_out = sim_outcome.violation.as_deref() == Some("wall clock");
-    let sim_distinct = distinct.borrow().len() as u64;
-    println!(
-        "sim explore: schedules={} distinct_quiescent={}{} in {:?}",
-        sim_outcome.schedules,
-        sim_distinct,
-        if timed_out { " (wall-clock cutoff)" } else { " (exhausted)" },
-        sim_wall,
-    );
-    let factor = s.distinct_quiescent as f64 / sim_distinct.max(1) as f64;
-    println!("reduction: checker covered {factor:.1}x the distinct quiescent states");
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -259,9 +149,5 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.compare {
-        run_compare(&args)
-    } else {
-        run_sweep(&args)
-    }
+    run_sweep(&args)
 }

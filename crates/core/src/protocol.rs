@@ -220,13 +220,6 @@ impl<O: RootObject> TreeProtocol<O> {
         crate::engine::expected_shares(&self.topo, node)
     }
 
-    /// The response waiting for the current operation's initiator, if
-    /// delivered (read-only; used by the schedule explorer's invariants).
-    #[must_use]
-    pub fn peek_response(&self) -> Option<&O::Response> {
-        self.pending_response.as_ref()
-    }
-
     /// Realizes one batch of engine effects on the simulator.
     fn apply_effects(&mut self, out: &mut Outbox<'_, Msg<O>>, fx: Effects<O>) {
         for effect in fx {

@@ -2,43 +2,24 @@
 //! on *every* delivery order the asynchronous model admits, not just the
 //! sampled policies.
 //!
-//! The heavy lifting lives in `distctr-check`, the engine-level model
-//! checker: it drives `NodeEngine`s directly, prunes commuting
-//! deliveries with sleep sets, and evaluates the full invariant set
-//! (values, loads, retirement integrity, hot-spot geometry, pairwise
-//! linearizability) at every quiescent state. The old whole-protocol
-//! DFS in `distctr_sim::explore` is kept as a thin adapter for
-//! `Protocol` implementors and is exercised here once, on the scenario
-//! where exactness is cheap.
+//! The explorer is `distctr-check`, the engine-level model checker: it
+//! drives `NodeEngine`s directly, prunes commuting deliveries with
+//! sleep sets, and evaluates the full invariant set (values, loads,
+//! retirement integrity, hot-spot geometry, pairwise linearizability)
+//! at every quiescent state.
 
 use distctr_check::{replay, Budget, CheckConfig, Checker, Schedule};
-use distctr_core::{CounterObject, Msg, RetirementPolicy, Topology, TreeProtocol};
-use distctr_sim::{explore, Injection, OpId, ProcessorId};
 
-type Proto = TreeProtocol<CounterObject>;
-
-/// The sim explorer survives as the thin adapter for whole-`Protocol`
-/// checking: a single inc admits exactly one schedule, verified here.
+/// A single inc is a chain — each delivery enables exactly the next —
+/// so it admits exactly one schedule, and that schedule returns 0.
 #[test]
 fn every_schedule_of_a_single_inc_is_correct() {
-    let topo = Topology::new(2).expect("topology");
-    let proto = TreeProtocol::new(topo, RetirementPolicy::PaperDefault, CounterObject::new());
-    let origin = ProcessorId::new(5);
-    let leaf_parent = proto.topology().leaf_parent(5);
-    let injection = Injection {
-        op: OpId::new(0),
-        from: origin,
-        to: proto.worker_of(leaf_parent),
-        msg: Msg::Apply { node: leaf_parent, origin, op_seq: 0, req: () },
-    };
-    let outcome = explore(&proto, &[injection], 10_000, &|p: &Proto| match p.peek_response() {
-        Some(&0) => Ok(()),
-        other => Err(format!("expected value 0, got {other:?}")),
-    });
-    assert!(outcome.holds(), "{outcome:?}");
-    assert!(!outcome.truncated);
-    // The inc path is a chain: one schedule only.
-    assert_eq!(outcome.schedules, 1);
+    let cfg = CheckConfig::new(8).sequential_ops(&[5]);
+    let outcome = Checker::new(cfg.clone()).run();
+    assert!(outcome.holds(), "violation: {:?}", outcome.violation);
+    assert!(!outcome.stats.truncated);
+    assert_eq!(outcome.stats.quiescent_leaves, 1, "the inc path is a chain: one schedule only");
+    assert_eq!(replay(&cfg, &Schedule::default()).values, vec![Some(0)]);
 }
 
 #[test]

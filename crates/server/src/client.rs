@@ -492,19 +492,7 @@ impl RemoteCounter {
         request_id: u64,
         initiator: Option<u64>,
     ) -> Result<u64, ServerError> {
-        self.next_request = self.next_request.max(request_id + 1);
-        self.with_retry(|c| c.raw_inc(request_id, initiator))
-    }
-
-    fn raw_inc(&mut self, request_id: u64, initiator: Option<u64>) -> Result<u64, ServerError> {
-        self.send(&WireMsg::Inc { request_id, initiator })?;
-        match self.receive()? {
-            WireMsg::IncOk { request_id: rid, value } if rid == request_id => Ok(value),
-            WireMsg::IncOk { request_id: rid, .. } => Err(ServerError::Protocol(format!(
-                "IncOk for request {rid} while {request_id} was in flight"
-            ))),
-            other => Err(unexpected(&other)),
-        }
+        self.op(request_id, &WireMsg::Inc { request_id, initiator })
     }
 
     /// Executes a batch of `count` incs as one request and one backend
@@ -533,24 +521,7 @@ impl RemoteCounter {
         count: u64,
         initiator: Option<u64>,
     ) -> Result<u64, ServerError> {
-        self.next_request = self.next_request.max(request_id + 1);
-        self.with_retry(|c| c.raw_inc_batch(request_id, count, initiator))
-    }
-
-    fn raw_inc_batch(
-        &mut self,
-        request_id: u64,
-        count: u64,
-        initiator: Option<u64>,
-    ) -> Result<u64, ServerError> {
-        self.send(&WireMsg::BatchInc { request_id, count, initiator })?;
-        match self.receive()? {
-            WireMsg::BatchOk { request_id: rid, first, .. } if rid == request_id => Ok(first),
-            WireMsg::BatchOk { request_id: rid, .. } => Err(ServerError::Protocol(format!(
-                "BatchOk for request {rid} while {request_id} was in flight"
-            ))),
-            other => Err(unexpected(&other)),
-        }
+        self.op(request_id, &WireMsg::BatchInc { request_id, count, initiator })
     }
 
     /// The key this session was opened against, if the keyed handshake
@@ -586,24 +557,7 @@ impl RemoteCounter {
         request_id: u64,
         initiator: Option<u64>,
     ) -> Result<u64, ServerError> {
-        self.next_request = self.next_request.max(request_id + 1);
-        self.with_retry(|c| c.raw_inc_key(key, request_id, initiator))
-    }
-
-    fn raw_inc_key(
-        &mut self,
-        key: u64,
-        request_id: u64,
-        initiator: Option<u64>,
-    ) -> Result<u64, ServerError> {
-        self.send(&WireMsg::KeyInc { key, request_id, initiator })?;
-        match self.receive()? {
-            WireMsg::IncOk { request_id: rid, value } if rid == request_id => Ok(value),
-            WireMsg::IncOk { request_id: rid, .. } => Err(ServerError::Protocol(format!(
-                "IncOk for request {rid} while {request_id} was in flight"
-            ))),
-            other => Err(unexpected(&other)),
-        }
+        self.op(request_id, &WireMsg::KeyInc { key, request_id, initiator })
     }
 
     /// Executes a batch of `count` incs against counter `key` as one
@@ -630,25 +584,33 @@ impl RemoteCounter {
         count: u64,
         initiator: Option<u64>,
     ) -> Result<u64, ServerError> {
-        self.next_request = self.next_request.max(request_id + 1);
-        self.with_retry(|c| c.raw_inc_batch_key(key, request_id, count, initiator))
+        self.op(request_id, &WireMsg::KeyBatchInc { key, request_id, count, initiator })
     }
 
-    fn raw_inc_batch_key(
-        &mut self,
-        key: u64,
-        request_id: u64,
-        count: u64,
-        initiator: Option<u64>,
-    ) -> Result<u64, ServerError> {
-        self.send(&WireMsg::KeyBatchInc { key, request_id, count, initiator })?;
-        match self.receive()? {
-            WireMsg::BatchOk { request_id: rid, first, .. } if rid == request_id => Ok(first),
-            WireMsg::BatchOk { request_id: rid, .. } => Err(ServerError::Protocol(format!(
-                "BatchOk for request {rid} while {request_id} was in flight"
-            ))),
-            other => Err(unexpected(&other)),
+    /// Runs `request` under the retry policy as request `request_id`.
+    fn op(&mut self, request_id: u64, request: &WireMsg) -> Result<u64, ServerError> {
+        self.next_request = self.next_request.max(request_id + 1);
+        self.with_retry(|c| c.raw_op(request, request_id))
+    }
+
+    /// Sends one `Inc`/`BatchInc`/`KeyInc`/`KeyBatchInc` request and
+    /// returns the value (or the first value of the range) its reply
+    /// grants: `IncOk` for a unit request, `BatchOk` for a batch, each
+    /// echoing `request_id`.
+    fn raw_op(&mut self, request: &WireMsg, request_id: u64) -> Result<u64, ServerError> {
+        let batch = matches!(request, WireMsg::BatchInc { .. } | WireMsg::KeyBatchInc { .. });
+        self.send(request)?;
+        let (rid, first) = match self.receive()? {
+            WireMsg::IncOk { request_id, value } if !batch => (request_id, value),
+            WireMsg::BatchOk { request_id, first, .. } if batch => (request_id, first),
+            other => return Err(unexpected(&other)),
+        };
+        if rid != request_id {
+            return Err(ServerError::Protocol(format!(
+                "reply for request {rid} while {request_id} was in flight"
+            )));
         }
+        Ok(first)
     }
 
     /// Reads counter `key`'s current value without incrementing,

@@ -9,7 +9,7 @@
 //! concurrent connections (experiment E27).
 //!
 //! The protocol logic lives in [`crate::server`]: dispatch calls its
-//! `establish`/`serve_inc`/`serve_batch_inc` helpers, and flat combining
+//! `establish`/`serve_op` helpers, and flat combining
 //! enqueues into its combiner queue. The combiner thread must never
 //! touch a nonblocking socket it does not own, so its replies travel
 //! over a channel back to the reactor, which queues them behind the
@@ -37,8 +37,8 @@ use distctr_reactor::{is_fd_exhaustion, FdReserve, Interest, Poller, Waker};
 
 use crate::error::{ErrCode, ServerError};
 use crate::server::{
-    combiner_loop, enqueue_inc, establish, serve_batch_inc, serve_inc, snapshot, wire_err_code,
-    ActiveGuard, CombineState, CounterServer, ServerConfig, Shared,
+    combiner_loop, enqueue_inc, establish, serve_op, snapshot, wire_err_code, ActiveGuard,
+    CombineState, CounterServer, ServerConfig, Shared,
 };
 use crate::wire::{encode_frame_into, try_decode_frame, WireMsg, WriteBuffer};
 
@@ -449,19 +449,14 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
                 self.inc(slot, conn, session_id, key, request_id, initiator);
             }
             WireMsg::BatchInc { request_id, count, initiator } => {
-                let reply = serve_batch_inc(
-                    &self.shared,
-                    session_id,
-                    session_key,
-                    request_id,
-                    count,
-                    initiator,
-                );
+                let count = Some(count);
+                let reply =
+                    serve_op(&self.shared, session_id, session_key, request_id, initiator, count);
                 conn.write.push(&reply);
             }
             WireMsg::KeyBatchInc { key, request_id, count, initiator } => {
                 let reply =
-                    serve_batch_inc(&self.shared, session_id, key, request_id, count, initiator);
+                    serve_op(&self.shared, session_id, key, request_id, initiator, Some(count));
                 conn.write.push(&reply);
             }
             WireMsg::Read { key } => {
@@ -536,7 +531,7 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
                 enqueue_inc(combine, session_id, key, request_id, initiator, slot, &conn.inflight);
             }
             None => {
-                let reply = serve_inc(&self.shared, session_id, key, request_id, initiator);
+                let reply = serve_op(&self.shared, session_id, key, request_id, initiator, None);
                 conn.write.push(&reply);
             }
         }

@@ -52,6 +52,7 @@
 //!   lets every in-flight request finish and flushes its reply, then
 //!   closes. An acked operation is never lost; a never-received one was
 //!   never acked, so the client's replay on another server stays sound.
+//!   Connections still busy after [`DRAIN_GRACE`] are cut.
 //! * **panic containment** — a panicking backend call (combining round
 //!   or sequential) is caught, counted in
 //!   [`crate::StatsSnapshot::panics_contained`], and turned into
@@ -77,9 +78,13 @@ use crate::wire::{StatsSnapshot, WireError, WireMsg};
 /// remembers for exactly-once retries.
 pub const DEDUP_WINDOW: usize = 256;
 
+/// How long [`CounterServer::drain`] waits for connections to go idle
+/// before falling back to a hard stop.
+pub const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
 /// Tunable knobs of a [`CounterServer`]. [`ServerConfig::default`]
-/// reproduces the historical behavior exactly (no admission limits, no
-/// deadlines); chaos tests and operators override what they need.
+/// admits everything and sets no deadline; chaos tests and operators
+/// set the limits they need.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Active-connection cap; connections beyond it are answered
@@ -95,9 +100,6 @@ pub struct ServerConfig {
     /// The backoff hint carried by every [`WireMsg::Busy`] this server
     /// sends.
     pub busy_retry_after: Duration,
-    /// How long [`CounterServer::drain`] waits for connections to go
-    /// idle before falling back to a hard stop.
-    pub drain_grace: Duration,
 }
 
 impl Default for ServerConfig {
@@ -107,7 +109,6 @@ impl Default for ServerConfig {
             max_inflight_per_conn: None,
             request_deadline: None,
             busy_retry_after: Duration::from_millis(50),
-            drain_grace: Duration::from_secs(5),
         }
     }
 }
@@ -333,8 +334,8 @@ impl<B: CounterBackend + Send + 'static> CounterServer<B> {
     /// the request it is serving, flushes all queued combining replies,
     /// then closes and joins every thread. In-flight requests get their
     /// reply or a clean close — an acked operation is never lost.
-    /// Connections still busy after [`ServerConfig::drain_grace`] are
-    /// cut by a hard stop.
+    /// Connections still busy after [`DRAIN_GRACE`] are cut by a hard
+    /// stop.
     ///
     /// # Errors
     ///
@@ -345,11 +346,7 @@ impl<B: CounterBackend + Send + 'static> CounterServer<B> {
         }
         self.draining.store(true, Ordering::SeqCst);
         self.waker.wake();
-        let grace = self
-            .shared
-            .as_ref()
-            .map_or_else(|| ServerConfig::default().drain_grace, |s| s.config.drain_grace);
-        let deadline = Instant::now() + grace;
+        let deadline = Instant::now() + DRAIN_GRACE;
         // Wait for connections to run dry: the reactor closes each one
         // once its buffered requests are served and its replies flushed.
         let active = || self.shared.as_ref().map_or(0, |s| s.active_conns.load(Ordering::SeqCst));
@@ -519,18 +516,30 @@ fn contained<T>(stats: &Counters, f: impl FnOnce() -> Result<T, ()>) -> Result<T
     }
 }
 
-/// One increment, with exactly-once retry semantics. See the module doc
-/// for the two dedup paths (backend tickets vs the session answer
-/// table). A non-default `key` takes the keyed backend path instead:
-/// the backend routes the key and keeps its own migrating reply cache,
-/// with the session answer table in front as the first dedup line.
-pub(crate) fn serve_inc<B: CounterBackend + Send + 'static>(
+/// One `Inc` (`count: None`) or one explicit `BatchInc` (`Some(m)`: a
+/// single traversal granting the contiguous range `[first, first + m)`;
+/// a retry must repeat the same `m`, which the reply echoes), with
+/// exactly-once retry semantics. See the module doc for the two dedup
+/// paths (backend tickets vs the session answer table). A non-default
+/// `key` takes the keyed backend path instead: the backend routes the
+/// key and keeps its own migrating reply cache, with the session answer
+/// table in front as the first dedup line.
+pub(crate) fn serve_op<B: CounterBackend + Send + 'static>(
     shared: &Arc<Shared<B>>,
     session_id: u64,
     key: u64,
     request_id: u64,
     initiator: Option<u64>,
+    count: Option<u64>,
 ) -> WireMsg {
+    if count == Some(0) {
+        return WireMsg::Err { code: ErrCode::Malformed };
+    }
+    let granted = count.unwrap_or(1);
+    let ok = |first| match count {
+        None => WireMsg::IncOk { request_id, value: first },
+        Some(count) => WireMsg::BatchOk { request_id, first, count },
+    };
     let mut guard = shared.lock_inner();
     let inner = &mut *guard;
     let Some(session) = inner.sessions.get_mut(&session_id) else {
@@ -545,13 +554,13 @@ pub(crate) fn serve_inc<B: CounterBackend + Send + 'static>(
 
     // Retry of a request a non-ticketed backend already answered: the
     // session's own table is the reply cache.
-    if let Some(&value) = session.answered.get(&request_id) {
+    if let Some(&first) = session.answered.get(&request_id) {
         shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
-        return WireMsg::IncOk { request_id, value };
+        return ok(first);
     }
     if key != DEFAULT_KEY {
-        return match serve_keyed(shared, inner, session_id, key, p, request_id, 1) {
-            Ok(value) => WireMsg::IncOk { request_id, value },
+        return match serve_keyed(shared, inner, session_id, key, p, request_id, granted) {
+            Ok(first) => ok(first),
             Err(code) => WireMsg::Err { code },
         };
     }
@@ -571,26 +580,30 @@ pub(crate) fn serve_inc<B: CounterBackend + Send + 'static>(
             Err(code) => return WireMsg::Err { code },
         },
     };
+    // A unit inc and a batch of one are different backend operations (a
+    // tree sends `Apply` for one, `BatchApply` for the other).
     let result = contained(&shared.stats, || {
-        match ticket {
-            Some(t) => backend.inc_ticketed(p, t),
-            None => backend.inc(p),
+        match (ticket, count) {
+            (Some(t), None) => backend.inc_ticketed(p, t),
+            (None, None) => backend.inc(p),
+            (Some(t), Some(m)) => backend.inc_batch_ticketed(p, t, m),
+            (None, Some(m)) => backend.inc_batch(p, m),
         }
         .map_err(|_| ())
     });
     match result {
-        Ok(value) => {
-            session.ops += 1;
+        Ok(first) => {
+            session.ops += granted;
             if is_retry {
                 shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
             } else {
-                shared.stats.ops.fetch_add(1, Ordering::Relaxed);
+                shared.stats.ops.fetch_add(granted, Ordering::Relaxed);
                 if ticket.is_none() {
-                    session.answered.insert(request_id, value);
+                    session.answered.insert(request_id, first);
                     session.remember(request_id);
                 }
             }
-            WireMsg::IncOk { request_id, value }
+            ok(first)
         }
         // The ticket (if any) stays pinned to the request id, so the
         // client's retry converges on exactly-once.
@@ -598,8 +611,8 @@ pub(crate) fn serve_inc<B: CounterBackend + Send + 'static>(
     }
 }
 
-/// The keyed serving path shared by [`serve_inc`] and
-/// [`serve_batch_inc`]: drives the backend's keyed batch op under a
+/// The keyed serving path of [`serve_op`]: drives the backend's keyed
+/// batch op under a
 /// `(session, request)` dedup token — the backend's keyed reply cache
 /// is what survives a key migrating between placements — and mirrors
 /// the grant into the session answer table so later retries are
@@ -803,82 +816,6 @@ fn combine_round<B: CounterBackend + Send + 'static>(
                 }
             }
         }
-    }
-}
-
-/// One explicit `BatchInc`: a single traversal granting the contiguous
-/// range `[first, first + count)`, with the same two exactly-once paths
-/// as [`serve_inc`] — a backend ticket pinned to the request id where
-/// available, the session answer table otherwise. Retries must repeat
-/// the same `count`; the reply echoes it.
-pub(crate) fn serve_batch_inc<B: CounterBackend + Send + 'static>(
-    shared: &Arc<Shared<B>>,
-    session_id: u64,
-    key: u64,
-    request_id: u64,
-    count: u64,
-    initiator: Option<u64>,
-) -> WireMsg {
-    if count == 0 {
-        return WireMsg::Err { code: ErrCode::Malformed };
-    }
-    let mut guard = shared.lock_inner();
-    let inner = &mut *guard;
-    let Some(session) = inner.sessions.get_mut(&session_id) else {
-        return WireMsg::Err { code: ErrCode::UnknownSession };
-    };
-    let charged = match initiator {
-        Some(i) if i < inner.backend.processors() as u64 => i,
-        Some(_) => return WireMsg::Err { code: ErrCode::BadInitiator },
-        None => session.processor,
-    };
-    let p = ProcessorId::new(charged as usize);
-
-    if let Some(&first) = session.answered.get(&request_id) {
-        shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
-        return WireMsg::BatchOk { request_id, first, count };
-    }
-    if key != DEFAULT_KEY {
-        return match serve_keyed(shared, inner, session_id, key, p, request_id, count) {
-            Ok(first) => WireMsg::BatchOk { request_id, first, count },
-            Err(code) => WireMsg::Err { code },
-        };
-    }
-    let backend = &mut inner.backend;
-    let (ticket, is_retry) = match session.tickets.get(&request_id) {
-        Some(&t) => (Some(t), true),
-        None => match contained(&shared.stats, || Ok(backend.reserve())) {
-            Ok(Some(t)) => {
-                session.tickets.insert(request_id, t);
-                session.remember(request_id);
-                (Some(t), false)
-            }
-            Ok(None) => (None, false),
-            Err(code) => return WireMsg::Err { code },
-        },
-    };
-    let result = contained(&shared.stats, || {
-        match ticket {
-            Some(t) => backend.inc_batch_ticketed(p, t, count),
-            None => backend.inc_batch(p, count),
-        }
-        .map_err(|_| ())
-    });
-    match result {
-        Ok(first) => {
-            session.ops += count;
-            if is_retry {
-                shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.stats.ops.fetch_add(count, Ordering::Relaxed);
-                if ticket.is_none() {
-                    session.answered.insert(request_id, first);
-                    session.remember(request_id);
-                }
-            }
-            WireMsg::BatchOk { request_id, first, count }
-        }
-        Err(code) => WireMsg::Err { code },
     }
 }
 

@@ -271,13 +271,8 @@ fn per_connection_inflight_cap_sheds_with_busy_and_replays_stay_exactly_once() {
 
 #[test]
 fn drain_never_loses_an_acked_operation() {
-    let mut server = CounterServer::serve_async_on_with(
-        "127.0.0.1:0",
-        TreeCounter::new(8).expect("sim"),
-        true,
-        ServerConfig { drain_grace: Duration::from_secs(5), ..ServerConfig::default() },
-    )
-    .expect("serve");
+    let mut server =
+        CounterServer::serve_async_combining(TreeCounter::new(8).expect("sim")).expect("serve");
     let addr = server.local_addr();
 
     // A background client hammers incs until the drain cuts it off;

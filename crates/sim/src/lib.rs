@@ -60,7 +60,6 @@ pub mod counter;
 pub mod dag;
 pub mod drivers;
 pub mod error;
-pub mod explore;
 pub mod fault;
 pub mod id;
 pub mod linearize;
@@ -77,7 +76,6 @@ pub use counter::{CompletedOp, ConcurrentCounter, Counter, IncResult, Overlapped
 pub use dag::{ArcId, CommDag, DagNodeId};
 pub use drivers::{ConcurrentDriver, SequenceOutcome, SequentialDriver};
 pub use error::SimError;
-pub use explore::{explore, ExploreOutcome, Injection};
 pub use fault::{CrashPoint, FaultEvent, FaultPlan, FaultStats};
 pub use id::{OpId, ProcessorId};
 pub use linearize::{counter_history_linearizable, LinearizabilityVerdict, OpRecord};

@@ -84,16 +84,6 @@ impl<'a, M> Outbox<'a, M> {
     pub fn pending(&self) -> usize {
         self.sends.len()
     }
-
-    /// Constructor for the schedule explorer (crate-internal).
-    pub(crate) fn for_explorer(
-        me: ProcessorId,
-        op: OpId,
-        now: SimTime,
-        sends: &'a mut Vec<(ProcessorId, M)>,
-    ) -> Outbox<'a, M> {
-        Outbox { me, op, now, sends }
-    }
 }
 
 /// Statistics of one call to [`Network::run_to_quiescence`].

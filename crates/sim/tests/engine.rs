@@ -3,8 +3,7 @@
 //! trace, load and timing accounting checked end to end.
 
 use distctr_sim::{
-    explore, DeliveryPolicy, Injection, Network, OpId, Outbox, ProcessorId, Protocol, SimTime,
-    TraceMode, Workload,
+    DeliveryPolicy, Network, OpId, Outbox, ProcessorId, Protocol, SimTime, TraceMode, Workload,
 };
 
 /// A scatter-gather protocol: the coordinator fans a request out to every
@@ -104,28 +103,6 @@ fn timing_is_policy_dependent_but_counts_are_not() {
     }
     assert_eq!(end_times[0], SimTime::from_ticks(4), "fifo: 4 synchronous rounds");
     assert!(end_times[1] > end_times[0], "random delays stretch wall time");
-}
-
-#[test]
-fn exploration_agrees_with_the_queue_based_engine() {
-    // Every delivery order of the scatter-gather must complete with the
-    // same ack count — cross-validating the explorer against the engine.
-    let proto = scatter_gather(4);
-    let injection = Injection {
-        op: OpId::new(0),
-        from: ProcessorId::new(0),
-        to: ProcessorId::new(0),
-        msg: SgMsg::Start { coordinator: 0 },
-    };
-    let outcome = explore(&proto, &[injection], 50_000, &|p: &ScatterGather| {
-        if p.done.len() == 1 && p.acks == 3 {
-            Ok(())
-        } else {
-            Err(format!("incomplete: acks {} done {:?}", p.acks, p.done))
-        }
-    });
-    assert!(outcome.holds(), "{outcome:?}");
-    assert!(outcome.schedules > 1, "fan-out admits many orders: {}", outcome.schedules);
 }
 
 #[test]

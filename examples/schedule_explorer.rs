@@ -1,59 +1,14 @@
 //! Model-checking the counter: exhaustively explore every delivery
-//! order the asynchronous network admits — first with the thin
-//! whole-protocol DFS adapter (`distctr::sim::explore`), then with the
-//! engine-level model checker (`distctr::check`), which adds sleep-set
-//! partial-order reduction, crash injection at branch points, and
-//! minimized replayable counterexamples.
+//! order the asynchronous network admits with the engine-level model
+//! checker (`distctr::check`) — sleep-set partial-order reduction,
+//! crash injection at branch points, and minimized replayable
+//! counterexamples.
 //!
 //! Run with: `cargo run --release --example schedule_explorer`
 
 use distctr::check::{Budget, CheckConfig, Checker, Mutation};
-use distctr::core::{CounterObject, Msg, RetirementPolicy, Topology, TreeProtocol};
-use distctr::sim::{explore, Injection, OpId, ProcessorId};
 
-type Proto = TreeProtocol<CounterObject>;
-
-fn sim_adapter_demo() {
-    let topo = Topology::new(2).expect("k = 2 tree");
-    let mut proto = TreeProtocol::new(topo, RetirementPolicy::PaperDefault, CounterObject::new());
-
-    println!("-- thin adapter: whole-protocol DFS, one op at a time --\n");
-    for i in 0..8usize {
-        let origin = ProcessorId::new(i);
-        let leaf_parent = proto.topology().leaf_parent(i as u64);
-        let injection = Injection {
-            op: OpId::new(i),
-            from: origin,
-            to: proto.worker_of(leaf_parent),
-            msg: Msg::Apply { node: leaf_parent, origin, op_seq: i as u64, req: () },
-        };
-        let expected = i as u64;
-        let outcome =
-            explore(&proto, std::slice::from_ref(&injection), 100_000, &|p: &Proto| match p
-                .peek_response()
-            {
-                Some(&v) if v == expected => Ok(()),
-                other => Err(format!("op {i}: expected {expected}, got {other:?}")),
-            });
-        println!(
-            "op {i} (P{i}): {} delivery schedule(s) explored{}, all returned value {expected}",
-            outcome.schedules,
-            if outcome.truncated { " (budget-truncated)" } else { "" },
-        );
-        assert!(outcome.holds(), "{:?}", outcome.violation);
-
-        // Advance the mainline along one schedule for the next op.
-        let next = std::cell::RefCell::new(None);
-        explore(&proto, std::slice::from_ref(&injection), 1, &|p: &Proto| {
-            *next.borrow_mut() = Some(p.clone());
-            Ok(())
-        });
-        proto = next.into_inner().expect("one schedule");
-    }
-    println!();
-}
-
-fn checker_demo() {
+fn main() {
     println!("-- engine-level checker: DPOR + crashes + counterexamples --\n");
 
     // Cross-op concurrency across the root's retirement window, every
@@ -99,11 +54,7 @@ fn checker_demo() {
     println!("  violated:  {} ({})", v.invariant, v.detail);
     println!("  schedule:  {} choices", v.schedule.choices.len());
     println!("  minimized: {} choices: \"{}\"", v.minimized.choices.len(), v.minimized.serialize());
-}
 
-fn main() {
-    sim_adapter_demo();
-    checker_demo();
     println!("\nvalue returned is independent of message delivery order — on every");
     println!("schedule the asynchronous model admits, with or without a crash.");
 }
