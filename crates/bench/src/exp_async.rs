@@ -9,19 +9,18 @@
 //! an SLO verdict: every op acked, values exactly `0..ops`, p99 under
 //! [`E27_SLO_P99_MS`].
 //!
-//! Both sides of the socket stay on one thread each: the client is the
-//! multiplexed mux driver (`distctr_server::run_mux`).
+//! Both sides of the socket stay on one thread each: the client is
+//! `distctr_server::run_load`'s open-loop driver.
 //! Above [`E27_SUBPROCESS_CONNS`] connections the server runs in a
 //! child process (`report --e27-serve <n>`) so client and server fd
 //! tables stay under a 20k `RLIMIT_NOFILE` each.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
-use std::time::Duration;
 
 use distctr_analysis::{fmt_f64, Table};
 use distctr_core::TreeCounter;
-use distctr_server::{run_mux, CounterServer, LoadReport, MuxConfig};
+use distctr_server::{run_load, CounterServer, LoadConfig, LoadReport};
 
 use crate::json;
 use crate::table::{verdict, Outcome, Size};
@@ -99,7 +98,7 @@ pub fn e27_grid(size: Size) -> Vec<usize> {
 /// Measures every level of `conns_grid` against a fresh tree of `n`
 /// processors. Each cell drives
 /// `conns * E27_OPS_PER_CONN` operations open-loop at
-/// `conns * E27_PER_CONN_RATE` ops/s through the mux driver. A cell
+/// `conns * E27_PER_CONN_RATE` ops/s through the open-loop driver. A cell
 /// whose ramp or run collapses entirely (server dead, connects refused)
 /// becomes a row with zero goodput and every op failed rather than a
 /// panic — an unsustainable level is a result, not an error.
@@ -113,17 +112,11 @@ pub fn e27_measure(n: usize, conns_grid: &[usize]) -> Vec<AsyncRow> {
     conns_grid.iter().map(|&conns| e27_cell(n, conns)).collect()
 }
 
-/// Ramp window for a connection level: ~2000 connects/second, floor
-/// 50 ms.
-fn ramp_for(conns: usize) -> Duration {
-    Duration::from_millis((conns as u64 / 2).max(50))
-}
-
 fn e27_cell(n: usize, conns: usize) -> AsyncRow {
     let ops = conns * E27_OPS_PER_CONN;
     let rate = conns as f64 * E27_PER_CONN_RATE;
     eprintln!("e27: {conns} conns ({ops} ops @ {rate:.0}/s)...");
-    let cfg = MuxConfig::open(conns, ops, rate).with_ramp(ramp_for(conns));
+    let cfg = LoadConfig::open(conns, ops, rate);
     let outcome = if conns > E27_SUBPROCESS_CONNS {
         run_against_child(n, &cfg)
     } else {
@@ -164,10 +157,10 @@ fn row_from_report(conns: usize, ops: usize, rate: f64, report: &LoadReport) -> 
     }
 }
 
-fn run_in_process(n: usize, cfg: &MuxConfig) -> Result<LoadReport, String> {
+fn run_in_process(n: usize, cfg: &LoadConfig) -> Result<LoadReport, String> {
     let backend = TreeCounter::new(n).expect("tree backend");
     let mut server = CounterServer::serve_async_combining(backend).expect("serve");
-    let report = run_mux(server.local_addr(), cfg).map_err(|e| e.to_string());
+    let report = run_load(server.local_addr(), cfg).map_err(|e| e.to_string());
     server.shutdown().expect("shutdown");
     report
 }
@@ -175,7 +168,7 @@ fn run_in_process(n: usize, cfg: &MuxConfig) -> Result<LoadReport, String> {
 /// Spawns the current executable in `--e27-serve` mode, reads the
 /// child's `ADDR <ip:port>` banner, drives the load against it, then
 /// closes the child's stdin (its shutdown signal) and reaps it.
-fn run_against_child(n: usize, cfg: &MuxConfig) -> Result<LoadReport, String> {
+fn run_against_child(n: usize, cfg: &LoadConfig) -> Result<LoadReport, String> {
     let exe = std::env::current_exe().expect("current_exe");
     let mut child = Command::new(exe)
         .arg("--e27-serve")
@@ -192,7 +185,7 @@ fn run_against_child(n: usize, cfg: &MuxConfig) -> Result<LoadReport, String> {
         .strip_prefix("ADDR ")
         .and_then(|a| a.parse().ok())
         .unwrap_or_else(|| panic!("bad child banner: {banner:?}"));
-    let report = run_mux(addr, cfg).map_err(|e| e.to_string());
+    let report = run_load(addr, cfg).map_err(|e| e.to_string());
     drop(child.stdin.take());
     let status = child.wait().expect("reap child");
     if !status.success() {

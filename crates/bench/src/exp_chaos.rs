@@ -1,8 +1,8 @@
 //! Experiment E23 — serving under chaos: goodput, tail latency and
 //! availability through a fault-injecting proxy.
 //!
-//! The exactness experiments (E19, E22) measure the serving stack over
-//! a clean loopback. E23 measures it over a *hostile* one: the same
+//! The exactness experiment (E22) measures the serving stack over a
+//! clean loopback. E23 measures it over a *hostile* one: the same
 //! closed-loop TCP workload runs through a `distctr-chaos` proxy, one
 //! scenario per toxic — added latency, bandwidth throttling, byte-level
 //! frame slicing, CRC-detectable corruption, abrupt connection resets

@@ -22,7 +22,6 @@ pub mod algos;
 pub mod exp_ablation;
 pub mod exp_arrow;
 pub mod exp_async;
-pub mod exp_backend;
 pub mod exp_batching;
 pub mod exp_bottleneck;
 pub mod exp_bound;
@@ -33,7 +32,6 @@ pub mod exp_keyspace;
 pub mod exp_lemmas;
 pub mod exp_linearizable;
 pub mod exp_scale;
-pub mod exp_serve;
 pub mod exp_shm;
 pub mod figures;
 pub mod json;

@@ -6,14 +6,16 @@
 //! takes. Rows marked [`Experiment::repeats`] are pure functions of
 //! [`crate::REPORT_SEED`]: the paper's message counts, lemma audits and
 //! figures, byte-identical on every run — `tests/determinism.rs` runs
-//! each of them twice. The rest put real threads or a real serving path
-//! under load and report what it did; the six of those that CI runs
-//! return a `BENCH_*.json` artifact and an [`Outcome::gate`] verdict.
+//! each of them twice. The other six put a real serving path or real
+//! threads under load; CI runs each at its smoke size, and each returns
+//! a `BENCH_*.json` artifact and an [`Outcome::gate`] verdict. A row is
+//! one or the other: `report` prints no number that is neither a count
+//! that repeats nor gated.
 
 use crate::{
-    exp_ablation, exp_arrow, exp_async, exp_backend, exp_batching, exp_bottleneck, exp_bound,
-    exp_chaos, exp_concurrent, exp_hotspot, exp_keyspace, exp_lemmas, exp_linearizable, exp_scale,
-    exp_serve, exp_shm, figures,
+    exp_ablation, exp_arrow, exp_async, exp_batching, exp_bottleneck, exp_bound, exp_chaos,
+    exp_concurrent, exp_hotspot, exp_keyspace, exp_lemmas, exp_linearizable, exp_scale, exp_shm,
+    figures,
 };
 
 /// How much work a run does.
@@ -126,13 +128,8 @@ const fn paper(id: &'static str, run: fn(Size) -> Outcome) -> Experiment {
     Experiment { id, alias: None, repeats: true, smoke: false, run }
 }
 
-/// A row that measures a live backend or server: real threads, real
-/// sockets, wall-clock numbers.
-const fn live(id: &'static str, run: fn(Size) -> Outcome) -> Experiment {
-    Experiment { id, alias: None, repeats: false, smoke: false, run }
-}
-
-/// A live row CI gates on, with its `exp_*` module name as alias.
+/// A row that puts real threads or sockets under load and that CI gates
+/// on, with its `exp_*` module name as alias.
 const fn gated(id: &'static str, alias: &'static str, run: fn(Size) -> Outcome) -> Experiment {
     Experiment { id, alias: Some(alias), repeats: false, smoke: true, run }
 }
@@ -172,16 +169,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     paper("e13", |s| Outcome::text(exp_ablation::e13_generalized_structures(s.of(3, 4)))),
     paper("e14", |_| Outcome::text(exp_linearizable::e14_linearizability())),
     paper("e15", |s| Outcome::text(exp_ablation::e15_multi_round(s.of(3, 4), 4))),
-    live("e16", |s| Outcome::text(exp_backend::e16_backend_agreement(s.of(8, 81)))),
     paper("e17", |s| Outcome::text(exp_arrow::e17_arrow_topologies(s.of(32, 128)))),
-    live("e19", |s| {
-        let (n, ops) = s.of((8, 400), (81, 2000));
-        Outcome::text(exp_serve::e19_service_loadgen(n, 16, ops))
-    }),
-    live("e20", |s| {
-        let (n, rounds) = s.of((8, 3), (81, 7));
-        Outcome::text(exp_backend::e20_engine_throughput(n, rounds))
-    }),
     gated("e22", "exp_batching", exp_batching::e22),
     gated("e23", "exp_chaos", exp_chaos::e23),
     gated("e24", "exp_keyspace", exp_keyspace::e24),
@@ -209,7 +197,10 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), total, "an id or alias names two rows");
         assert_eq!(find("exp_scale").map(|e| e.id), Some("e25"));
-        assert!(find("e18").is_none() && find("e21").is_none(), "documented elsewhere, not rows");
+        for record in ["e16", "e18", "e19", "e20", "e21"] {
+            assert!(find(record).is_none(), "{record} is a record in EXPERIMENTS.md, not a row");
+        }
+        assert!(EXPERIMENTS.iter().all(|e| e.repeats != e.smoke), "a count that repeats or a gate");
 
         let ids = |keep: fn(&Experiment) -> bool| -> String {
             let ids: Vec<&str> = EXPERIMENTS.iter().filter(|e| keep(e)).map(|e| e.id).collect();

@@ -9,7 +9,7 @@
 //! [`RemoteCounter`] is a native client implementing the same backend
 //! interface — a counter whose "network" is a socket.
 //!
-//! Six layers, all on `std::net` (no registry dependencies, preserving
+//! Five layers, all on `std::net` (no registry dependencies, preserving
 //! the offline shims-only build):
 //!
 //! 1. [`wire`] — the sans-io codec: `Hello`/`Inc`/`Stats` requests,
@@ -29,11 +29,12 @@
 //!    poller, partial-frame buffers, writable-interest backpressure,
 //!    `Busy` shedding on fd exhaustion.
 //! 4. [`client`] — [`RemoteCounter`], with first-class resume/replay.
-//! 5. [`load`] — a closed- and open-loop load generator reporting
-//!    throughput and p50/p99/max client-observed latency.
-//! 6. [`mux`] — the C10k client side: [`run_mux`] multiplexes
-//!    thousands of open-loop connections from a single thread over the
-//!    same poller, with a paced connect ramp and no per-op allocation.
+//! 5. [`load`] — the load generator, [`run_load`]: closed loops ride
+//!    [`RemoteCounter`] (one thread per connection), open loops ride
+//!    `mux`, the C10k client side — thousands of connections from a
+//!    single thread over the same poller, with a paced connect ramp and
+//!    no per-op allocation; both report throughput and p50/p99/max
+//!    client-observed latency.
 //!
 //! ```
 //! use distctr_net::ThreadedTreeCounter;
@@ -60,7 +61,7 @@
 pub mod client;
 pub mod error;
 pub mod load;
-pub mod mux;
+mod mux;
 pub mod readiness;
 pub mod server;
 pub mod wire;
@@ -68,6 +69,5 @@ pub mod wire;
 pub use client::{ClientConfig, RemoteCounter, RetryPolicy};
 pub use error::{ErrCode, ServerError};
 pub use load::{run_load, ConnReport, KeyLoad, KeyMix, LoadConfig, LoadMode, LoadReport};
-pub use mux::{run_mux, MuxConfig};
 pub use server::{CounterServer, ServerConfig, DEDUP_WINDOW, DRAIN_GRACE};
 pub use wire::{StatsSnapshot, WireError, WireMsg, MAX_FRAME};

@@ -1,14 +1,16 @@
 //! The load-generation harness: N concurrent client connections in
 //! front of one server, with client-observed latency accounting.
 //!
-//! Two driving disciplines:
+//! Two driving disciplines behind one entry point, [`run_load`]:
 //!
 //! * **closed loop** — every connection keeps exactly one operation in
-//!   flight (send, wait, repeat). Throughput is limited by the server's
-//!   serialized backend; latency measures service time plus queueing
-//!   behind the other connections.
+//!   flight (send, wait, repeat) over the shipped, self-healing
+//!   [`RemoteCounter`], one thread per connection. Throughput is
+//!   limited by the server's serialized backend; latency measures
+//!   service time plus queueing behind the other connections.
 //! * **open loop** — operations are injected on a fixed schedule
-//!   regardless of completions, and latency is measured from the
+//!   regardless of completions, every connection on one thread and one
+//!   poller (`mux.rs`), and latency is measured from the
 //!   *scheduled* injection time. Past the saturation rate the queue
 //!   grows without bound and the tail explodes — the classic
 //!   contention-vs-throughput picture (cf. Lenzen–Rybicki's counting
@@ -16,7 +18,7 @@
 //!   the paper's bottleneck.
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use distctr_analysis::{percentile, Histogram, Table};
@@ -26,7 +28,7 @@ use rand::SeedableRng;
 
 use crate::client::{ClientConfig, RemoteCounter};
 use crate::error::ServerError;
-use crate::wire::{read_frame, write_frame, write_frame_buf, WireMsg};
+use crate::mux::run_open;
 
 /// The driving discipline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +36,7 @@ pub enum LoadMode {
     /// One in-flight operation per connection.
     Closed,
     /// Fixed-schedule injection at `rate` operations/second in total
-    /// (split evenly over the connections), latency measured from the
+    /// (round-robin over the connections), latency measured from the
     /// scheduled injection time.
     Open {
         /// Total target rate, operations per second.
@@ -129,15 +131,17 @@ pub struct ConnReport {
 pub struct LoadReport {
     /// Operations completed.
     pub ops: usize,
-    /// Operations that failed for good — the client's whole retry
-    /// budget was spent without an ack (closed loop only; an open-loop
-    /// run aborts on its first failure instead).
+    /// Operations that failed for good: in a closed loop the client's
+    /// whole retry budget was spent without an ack; in an open loop the
+    /// operation was shed (`Busy`), died with its connection, or
+    /// outlived the straggler grace.
     pub failed: usize,
-    /// Wall-clock duration of the whole run.
+    /// Wall-clock duration of the run (an open loop's connection ramp
+    /// is warmup and not counted).
     pub wall: Duration,
     /// The rate the run *asked* for (open-loop injection schedule), in
     /// operations/second; `None` for closed-loop runs, which have no
-    /// schedule. Compare against [`LoadReport::achieved_rate`]: past
+    /// schedule. Compare against [`LoadReport::throughput`]: past
     /// saturation the two diverge and the difference is queueing.
     pub offered_rate: Option<f64>,
     /// All observed latencies in microseconds, ascending.
@@ -146,7 +150,8 @@ pub struct LoadReport {
     /// key counts independently, so values repeat across keys here —
     /// use [`LoadReport::per_key`] for correctness checks there.
     pub values: Vec<u64>,
-    /// Per-connection accounting, by connection index.
+    /// Per-connection accounting, in connection order — one entry per
+    /// connection that completed its handshake.
     pub per_conn: Vec<ConnReport>,
     /// Per-key accounting, ascending by key — empty unless the run had
     /// a [`KeyMix`].
@@ -165,22 +170,15 @@ pub struct KeyLoad {
 }
 
 impl LoadReport {
-    /// Completed operations per second.
+    /// Completed operations per second — what the run actually
+    /// sustained, as opposed to what [`LoadReport::offered_rate`] asked
+    /// for.
     #[must_use]
     pub fn throughput(&self) -> f64 {
         if self.wall.is_zero() {
             return 0.0;
         }
         self.ops as f64 / self.wall.as_secs_f64()
-    }
-
-    /// Completed operations per second — what the run actually
-    /// sustained, as opposed to what [`LoadReport::offered_rate`] asked
-    /// for. Identical to [`LoadReport::throughput`]; the alias makes
-    /// offered-vs-achieved comparisons read naturally.
-    #[must_use]
-    pub fn achieved_rate(&self) -> f64 {
-        self.throughput()
     }
 
     /// The `q`-th latency percentile in microseconds (0–100).
@@ -253,7 +251,7 @@ impl LoadReport {
         t.row(vec!["wall time".into(), format!("{:.3} s", self.wall.as_secs_f64())]);
         if let Some(offered) = self.offered_rate {
             t.row(vec!["offered rate".into(), format!("{offered:.0} ops/s")]);
-            t.row(vec!["achieved rate".into(), format!("{:.0} ops/s", self.achieved_rate())]);
+            t.row(vec!["achieved rate".into(), format!("{:.0} ops/s", self.throughput())]);
         } else {
             t.row(vec!["throughput".into(), format!("{:.0} ops/s", self.throughput())]);
         }
@@ -289,41 +287,87 @@ impl LoadReport {
 ///
 /// # Errors
 ///
-/// Propagates the first connection-level [`ServerError`]; a failed
-/// connection aborts the run.
+/// A closed loop propagates the first failed initial connect; an open
+/// loop fails only if *no* connection survives its ramp. Operations
+/// that fail after that are counted in [`LoadReport::failed`].
 ///
 /// # Panics
 ///
-/// Panics if `cfg.conns` or `cfg.ops` is zero.
+/// Panics if `cfg.conns` or `cfg.ops` is zero, or an open-loop rate is
+/// not positive.
 pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> Result<LoadReport, ServerError> {
     assert!(cfg.conns > 0, "need at least one connection");
     assert!(cfg.ops > 0, "need at least one operation");
+    match cfg.mode {
+        LoadMode::Closed => run_closed(addr, cfg),
+        LoadMode::Open { rate } => run_open(addr, cfg, rate),
+    }
+}
+
+impl LoadReport {
+    /// Sorts what a run acked — `(key, value, latency_us)` triples,
+    /// everything on key 0 in an unkeyed run — into its report.
+    pub(crate) fn assemble(
+        cfg: &LoadConfig,
+        acked: Vec<(u64, u64, u64)>,
+        per_conn: Vec<ConnReport>,
+        failed: usize,
+        wall: Duration,
+    ) -> LoadReport {
+        let mut latencies = Vec::with_capacity(acked.len());
+        let mut values = Vec::with_capacity(acked.len());
+        let mut by_key: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for (key, value, lat_us) in acked {
+            values.push(value);
+            latencies.push(lat_us);
+            if cfg.key_mix.is_some() {
+                by_key.entry(key).or_default().push(value);
+            }
+        }
+        latencies.sort_unstable();
+        values.sort_unstable();
+        let per_key = by_key
+            .into_iter()
+            .map(|(key, mut vals)| {
+                vals.sort_unstable();
+                KeyLoad { key, ops: vals.len(), values: vals }
+            })
+            .collect();
+        let offered_rate = match cfg.mode {
+            LoadMode::Closed => None,
+            LoadMode::Open { rate } => Some(rate),
+        };
+        LoadReport {
+            ops: values.len(),
+            failed,
+            wall,
+            offered_rate,
+            latencies_us: latencies,
+            values,
+            per_conn,
+            per_key,
+        }
+    }
+}
+
+/// The closed loop: one thread and one [`RemoteCounter`] per connection.
+fn run_closed(addr: SocketAddr, cfg: &LoadConfig) -> Result<LoadReport, ServerError> {
     let started = Instant::now();
     let mut handles = Vec::with_capacity(cfg.conns);
     for conn in 0..cfg.conns {
         // Spread the remainder over the first `ops % conns` connections.
         let ops = cfg.ops / cfg.conns + usize::from(conn < cfg.ops % cfg.conns);
-        let mode = cfg.mode;
-        let conns = cfg.conns;
         let client = cfg.client.clone();
         let key_mix = cfg.key_mix.clone();
         handles.push(
             std::thread::Builder::new()
                 .name(format!("loadgen-c{conn}"))
-                .spawn(move || match mode {
-                    LoadMode::Closed => drive_closed(addr, conn, ops, &client, key_mix.as_ref()),
-                    LoadMode::Open { rate } => {
-                        drive_open(addr, conn, ops, rate / conns as f64, key_mix.as_ref())
-                    }
-                })
+                .spawn(move || drive_closed(addr, conn, ops, &client, key_mix.as_ref()))
                 .map_err(|e| ServerError::Io(e.to_string()))?,
         );
     }
-    let mut latencies = Vec::with_capacity(cfg.ops);
-    let mut values = Vec::with_capacity(cfg.ops);
+    let mut acked = Vec::with_capacity(cfg.ops);
     let mut per_conn = Vec::with_capacity(cfg.conns);
-    let mut by_key: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let keyed = cfg.key_mix.is_some();
     let mut failed = 0;
     let mut first_error = None;
     for handle in handles {
@@ -334,13 +378,7 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> Result<LoadReport, Server
                     max_us: conn_result.acked.iter().map(|&(_, _, lat)| lat).max().unwrap_or(0),
                 });
                 failed += conn_result.failed;
-                for (key, value, lat_us) in conn_result.acked {
-                    values.push(value);
-                    latencies.push(lat_us);
-                    if keyed {
-                        by_key.entry(key).or_default().push(value);
-                    }
-                }
+                acked.extend(conn_result.acked);
             }
             Ok(Err(e)) => first_error = first_error.or(Some(e)),
             Err(_) => {
@@ -352,30 +390,7 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> Result<LoadReport, Server
     if let Some(e) = first_error {
         return Err(e);
     }
-    let wall = started.elapsed();
-    latencies.sort_unstable();
-    values.sort_unstable();
-    let per_key = by_key
-        .into_iter()
-        .map(|(key, mut vals)| {
-            vals.sort_unstable();
-            KeyLoad { key, ops: vals.len(), values: vals }
-        })
-        .collect();
-    let offered_rate = match cfg.mode {
-        LoadMode::Closed => None,
-        LoadMode::Open { rate } => Some(rate),
-    };
-    Ok(LoadReport {
-        ops: values.len(),
-        failed,
-        wall,
-        offered_rate,
-        latencies_us: latencies,
-        values,
-        per_conn,
-        per_key,
-    })
+    Ok(LoadReport::assemble(cfg, acked, per_conn, failed, started.elapsed()))
 }
 
 /// One connection's outcome: acked `(key, value, latency_us)` triples
@@ -389,10 +404,10 @@ struct ConnOutcome {
 /// A per-connection key sequence: each connection samples its own
 /// stream from the mix, seeded by connection index so the run is
 /// reproducible without coordination.
-fn key_stream(mix: &KeyMix, conn: usize, ops: usize) -> Vec<u64> {
+pub(crate) fn key_stream(mix: &KeyMix, conn: usize) -> impl Iterator<Item = u64> {
     let sampler = ZipfSampler::new(mix.keys, mix.s);
     let mut rng = StdRng::seed_from_u64(mix.seed.wrapping_add(conn as u64));
-    (0..ops).map(|_| sampler.sample(&mut rng) as u64).collect()
+    std::iter::repeat_with(move || sampler.sample(&mut rng) as u64)
 }
 
 /// One closed-loop connection. Operation failures (retry budget spent)
@@ -407,12 +422,12 @@ fn drive_closed(
     key_mix: Option<&KeyMix>,
 ) -> Result<ConnOutcome, ServerError> {
     let mut client = RemoteCounter::connect_with(addr, config.clone())?;
-    let keys = key_mix.map(|mix| key_stream(mix, conn, ops));
+    let mut keys = key_mix.map(|mix| key_stream(mix, conn));
     let mut out = ConnOutcome { acked: Vec::with_capacity(ops), failed: 0 };
-    for i in 0..ops {
+    for _ in 0..ops {
         let t0 = Instant::now();
-        let (key, result) = match &keys {
-            Some(keys) => (keys[i], client.inc_key(keys[i])),
+        let (key, result) = match keys.as_mut().and_then(Iterator::next) {
+            Some(key) => (key, client.inc_key(key)),
             None => (0, client.inc()),
         };
         match result {
@@ -421,76 +436,6 @@ fn drive_closed(
         }
     }
     Ok(out)
-}
-
-/// One open-loop connection at `rate` operations/second: requests go out
-/// on schedule over a pipelined socket while a reader half collects the
-/// replies; latency is completion minus *scheduled* injection.
-fn drive_open(
-    addr: SocketAddr,
-    conn: usize,
-    ops: usize,
-    rate: f64,
-    key_mix: Option<&KeyMix>,
-) -> Result<ConnOutcome, ServerError> {
-    assert!(rate > 0.0, "open-loop rate must be positive");
-    let keys = key_mix.map(|mix| key_stream(mix, conn, ops));
-    let stream = TcpStream::connect(addr).map_err(|e| ServerError::Io(e.to_string()))?;
-    stream.set_nodelay(true).map_err(|e| ServerError::Io(e.to_string()))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| ServerError::Io(e.to_string()))?;
-    let mut writer = stream.try_clone().map_err(|e| ServerError::Io(e.to_string()))?;
-    write_frame(&mut writer, &WireMsg::Hello { resume: None })?;
-    let mut reader = stream;
-    match read_frame(&mut reader)? {
-        WireMsg::HelloOk { .. } => {}
-        WireMsg::Err { code } => return Err(ServerError::Remote(code)),
-        other => return Err(ServerError::Protocol(format!("unexpected frame {other:?}"))),
-    }
-
-    let interval = Duration::from_secs_f64(1.0 / rate);
-    let start = Instant::now();
-    // The reader indexes acked replies back into the key stream by
-    // request id, so the two halves need no shared mutable state.
-    let reader_keys = keys.clone();
-    let collector = std::thread::Builder::new()
-        .name("loadgen-read".into())
-        .spawn(move || -> Result<Vec<(u64, u64, u64)>, ServerError> {
-            let mut out = Vec::with_capacity(ops);
-            for _ in 0..ops {
-                match read_frame(&mut reader)? {
-                    WireMsg::IncOk { request_id, value } => {
-                        let scheduled = start + interval.mul_f64(request_id as f64);
-                        let lat = Instant::now().saturating_duration_since(scheduled);
-                        let key = reader_keys.as_ref().map_or(0, |keys| keys[request_id as usize]);
-                        out.push((key, value, lat.as_micros() as u64));
-                    }
-                    WireMsg::Err { code } => return Err(ServerError::Remote(code)),
-                    other => {
-                        return Err(ServerError::Protocol(format!("unexpected frame {other:?}")))
-                    }
-                }
-            }
-            Ok(out)
-        })
-        .map_err(|e| ServerError::Io(e.to_string()))?;
-
-    let mut scratch = Vec::with_capacity(64);
-    for i in 0..ops {
-        let due = start + interval.mul_f64(i as f64);
-        if let Some(wait) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
-        }
-        let msg = match &keys {
-            Some(keys) => WireMsg::KeyInc { key: keys[i], request_id: i as u64, initiator: None },
-            None => WireMsg::Inc { request_id: i as u64, initiator: None },
-        };
-        write_frame_buf(&mut writer, &msg, &mut scratch)?;
-    }
-    let acked =
-        collector.join().map_err(|_| ServerError::Io("the reader thread panicked".into()))??;
-    Ok(ConnOutcome { acked, failed: 0 })
 }
 
 #[cfg(test)]
@@ -573,9 +518,8 @@ mod tests {
     #[test]
     fn key_streams_are_reproducible_and_skewed() {
         let mix = KeyMix { keys: 8, s: 1.5, seed: 42 };
-        let a = key_stream(&mix, 0, 500);
-        let b = key_stream(&mix, 0, 500);
-        let c = key_stream(&mix, 1, 500);
+        let take = |conn| key_stream(&mix, conn).take(500).collect::<Vec<u64>>();
+        let (a, b, c) = (take(0), take(0), take(1));
         assert_eq!(a, b, "same conn, same stream");
         assert_ne!(a, c, "different conns sample independently");
         assert!(a.iter().all(|&k| k < 8));
@@ -587,7 +531,7 @@ mod tests {
     fn open_loop_reports_offered_and_achieved_separately() {
         let mut r = report(vec![10, 20], vec![0, 1]);
         r.offered_rate = Some(5000.0);
-        assert!((r.achieved_rate() - 20.0).abs() < 1e-6, "2 ops in 100 ms");
+        assert!((r.throughput() - 20.0).abs() < 1e-6, "2 ops in 100 ms");
         let s = r.render();
         assert!(s.contains("offered rate"));
         assert!(s.contains("achieved rate"));

@@ -1,12 +1,13 @@
-//! The multiplexed load driver: C10k's *client* half.
+//! The open-loop load driver: C10k's *client* half, and what
+//! [`crate::run_load`] runs for [`crate::LoadMode::Open`].
 //!
-//! Driving 10,000 connections through [`crate::run_load`] would cost
-//! 10,000 loadgen threads — at that point the harness, not the server,
-//! is the experiment. [`run_mux`] keeps the open-loop discipline
-//! (operations injected on a fixed schedule, latency measured from the
-//! *scheduled* injection time) but multiplexes every connection over
-//! one thread and one [`distctr_reactor::Poller`], mirroring the
-//! server's readiness loop from the other side of the socket.
+//! A thread per connection would cost 10,000 loadgen threads at C10k —
+//! at that point the harness, not the server, is the experiment. So the
+//! open-loop discipline (operations injected on a fixed schedule,
+//! latency measured from the *scheduled* injection time) multiplexes
+//! every connection over one thread and one
+//! [`distctr_reactor::Poller`], mirroring the server's readiness loop
+//! from the other side of the socket.
 //!
 //! Allocation discipline matters at this scale: each connection owns a
 //! reusable read buffer and a [`crate::wire::WriteBuffer`] whose
@@ -15,14 +16,16 @@
 //! tail measures the server, not the driver's allocator.
 //!
 //! The run has two phases. First a **ramp**: connections are opened on
-//! an even schedule across [`MuxConfig::ramp`] and handshaken
-//! (`Hello`/`HelloOk`), so the server absorbs admission gradually
-//! instead of as one thundering herd. Then **injection**: operations
-//! fire at [`MuxConfig::rate`] total, round-robin over the surviving
-//! connections, and replies are matched back to their scheduled times
-//! by echoed request id. A connection the server sheds (`Busy`) or
-//! fails (`Err`, transport error) stops being scheduled; its
-//! operations count as failed rather than silently vanishing.
+//! an even schedule across a window that grows with their number
+//! ([`ramp_for`]) and handshaken (`Hello`/`HelloOk`), so the server
+//! absorbs admission gradually instead of as one thundering herd. Then
+//! **injection**: operations fire at the configured total rate,
+//! round-robin over the surviving connections (`Inc`, or `KeyInc` from
+//! each connection's own key stream), and replies are matched back to
+//! their scheduled times by echoed request id. A connection the server
+//! sheds (`Busy`) or fails (`Err`, transport error) stops being
+//! scheduled; its operations count as failed rather than silently
+//! vanishing.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -33,51 +36,22 @@ use std::time::{Duration, Instant};
 use distctr_reactor::{Interest, Poller};
 
 use crate::error::ServerError;
-use crate::load::{ConnReport, LoadReport};
+use crate::load::{key_stream, ConnReport, LoadConfig, LoadReport};
 use crate::wire::{try_decode_frame, WireMsg, WriteBuffer};
 
 /// Per-event read budget per connection, so one chatty connection
 /// cannot starve the rest of a wait's batch.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// A multiplexed open-loop run description.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MuxConfig {
-    /// Concurrent client connections.
-    pub conns: usize,
-    /// Total operations across all connections.
-    pub ops: usize,
-    /// Total injection rate, operations per second.
-    pub rate: f64,
-    /// The window across which connections are opened and handshaken
-    /// (evenly spaced). Zero connects as fast as the loop can.
-    pub ramp: Duration,
-    /// How long to wait for straggling replies after the last
-    /// operation is injected before counting them failed.
-    pub grace: Duration,
-}
+/// How long to wait for straggling handshakes after the ramp, and for
+/// straggling replies after the last operation is injected, before
+/// counting them failed.
+const GRACE: Duration = Duration::from_secs(30);
 
-impl MuxConfig {
-    /// A run of `ops` operations at `rate` ops/s over `conns`
-    /// connections, with a ramp that admits roughly 2000
-    /// connections/second and a 30 s straggler grace.
-    #[must_use]
-    pub fn open(conns: usize, ops: usize, rate: f64) -> Self {
-        MuxConfig {
-            conns,
-            ops,
-            rate,
-            ramp: Duration::from_millis(conns as u64 / 2),
-            grace: Duration::from_secs(30),
-        }
-    }
-
-    /// The same run with an explicit ramp window.
-    #[must_use]
-    pub fn with_ramp(mut self, ramp: Duration) -> Self {
-        self.ramp = ramp;
-        self
-    }
+/// The window across which `conns` connections are opened and
+/// handshaken, evenly spaced: ~2000 connects/second, floor 50 ms.
+fn ramp_for(conns: usize) -> Duration {
+    Duration::from_millis((conns as u64 / 2).max(50))
 }
 
 /// Where one multiplexed connection stands.
@@ -103,15 +77,16 @@ struct MuxConn {
     state: MuxState,
     /// The next request id this connection will send.
     next_request: u64,
-    /// In-flight request id -> its *scheduled* injection time.
-    pending: HashMap<u64, Instant>,
+    /// This connection's key sequence in a keyed run.
+    keys: Option<Box<dyn Iterator<Item = u64>>>,
+    /// In-flight request id -> its *scheduled* injection time and the
+    /// key it targets (0 in an unkeyed run).
+    pending: HashMap<u64, (Instant, u64)>,
     /// In-flight ids in schedule order, so an unmatched `Busy` (the
     /// shed frame carries no request id) retires the oldest.
     order: VecDeque<u64>,
-    /// Operations acked on this connection.
-    acked: usize,
-    /// Largest latency observed on this connection, in microseconds.
-    max_us: u64,
+    /// What this connection acked so far.
+    report: ConnReport,
 }
 
 /// The single-threaded driver state.
@@ -120,8 +95,8 @@ struct Mux {
     conns: Vec<MuxConn>,
     /// Read scratch shared across connections.
     scratch: Vec<u8>,
-    latencies: Vec<u64>,
-    values: Vec<u64>,
+    /// Acked `(key, value, latency_us)` triples.
+    acked: Vec<(u64, u64, u64)>,
     failed: usize,
 }
 
@@ -229,7 +204,7 @@ impl Mux {
                 conn.state = MuxState::Running;
             }
             (MuxState::Running, WireMsg::IncOk { request_id, value }) => {
-                let Some(scheduled) = conn.pending.remove(&request_id) else {
+                let Some((scheduled, key)) = conn.pending.remove(&request_id) else {
                     // A reply we never asked for: protocol violation.
                     self.kill(idx);
                     return;
@@ -237,10 +212,9 @@ impl Mux {
                 conn.order.retain(|&id| id != request_id);
                 let lat = Instant::now().saturating_duration_since(scheduled);
                 let lat_us = lat.as_micros() as u64;
-                conn.acked += 1;
-                conn.max_us = conn.max_us.max(lat_us);
-                self.latencies.push(lat_us);
-                self.values.push(value);
+                conn.report.ops += 1;
+                conn.report.max_us = conn.report.max_us.max(lat_us);
+                self.acked.push((key, value, lat_us));
             }
             (MuxState::Running, WireMsg::Busy { .. }) => {
                 // The shed frame names no request id; schedule order is
@@ -259,10 +233,11 @@ impl Mux {
     }
 }
 
-/// Runs `cfg` against the server at `addr`, multiplexing every
-/// connection over one reactor thread, and aggregates the result. The
-/// report's wall clock covers the injection phase (the ramp is warmup,
-/// not measurement).
+/// Runs `cfg` open-loop at `rate` total operations/second against the
+/// server at `addr`, multiplexing every connection over one thread, and
+/// aggregates the result. The report's wall clock covers the injection
+/// phase (the ramp is warmup, not measurement), and its `per_conn`
+/// lists the connections that completed the handshake.
 ///
 /// # Errors
 ///
@@ -272,26 +247,28 @@ impl Mux {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.conns`, `cfg.ops` or `cfg.rate` is not positive.
-pub fn run_mux(addr: SocketAddr, cfg: &MuxConfig) -> Result<LoadReport, ServerError> {
-    assert!(cfg.conns > 0, "need at least one connection");
-    assert!(cfg.ops > 0, "need at least one operation");
-    assert!(cfg.rate > 0.0, "open-loop rate must be positive");
+/// Panics if `rate` is not positive.
+pub(crate) fn run_open(
+    addr: SocketAddr,
+    cfg: &LoadConfig,
+    rate: f64,
+) -> Result<LoadReport, ServerError> {
+    assert!(rate > 0.0, "open-loop rate must be positive");
     let io = |e: std::io::Error| ServerError::Io(e.to_string());
     let mut mux = Mux {
         poller: Poller::new().map_err(io)?,
         conns: Vec::with_capacity(cfg.conns),
         scratch: vec![0u8; READ_CHUNK],
-        latencies: Vec::with_capacity(cfg.ops),
-        values: Vec::with_capacity(cfg.ops),
+        acked: Vec::with_capacity(cfg.ops),
         failed: 0,
     };
     let mut events = Vec::new();
 
     // --- Phase 1: ramp — connect and handshake on an even schedule.
+    let ramp = ramp_for(cfg.conns);
     let ramp_start = Instant::now();
-    let spacing = cfg.ramp.div_f64(cfg.conns as f64);
-    let ramp_deadline = ramp_start + cfg.ramp + cfg.grace;
+    let spacing = ramp.div_f64(cfg.conns as f64);
+    let ramp_deadline = ramp_start + ramp + GRACE;
     let mut opened = 0usize;
     loop {
         while opened < cfg.conns
@@ -308,10 +285,12 @@ pub fn run_mux(addr: SocketAddr, cfg: &MuxConfig) -> Result<LoadReport, ServerEr
                         interest: Interest::READ,
                         state: MuxState::Greeting,
                         next_request: 0,
+                        keys: cfg.key_mix.as_ref().map(|mix| {
+                            Box::new(key_stream(mix, idx)) as Box<dyn Iterator<Item = u64>>
+                        }),
                         pending: HashMap::new(),
                         order: VecDeque::new(),
-                        acked: 0,
-                        max_us: 0,
+                        report: ConnReport { ops: 0, max_us: 0 },
                     };
                     conn.write.push(&WireMsg::Hello { resume: None });
                     if mux.poller.register(conn.stream.as_raw_fd(), idx, Interest::READ).is_ok() {
@@ -368,6 +347,9 @@ pub fn run_mux(addr: SocketAddr, cfg: &MuxConfig) -> Result<LoadReport, ServerEr
             }
         }
     }
+    // A connection the server refused at `Hello` (or that never left
+    // `Greeting`) is not part of the run: it is never scheduled and
+    // never reported.
     let alive: Vec<usize> =
         (0..mux.conns.len()).filter(|&i| mux.conns[i].state == MuxState::Running).collect();
     if alive.is_empty() {
@@ -375,7 +357,7 @@ pub fn run_mux(addr: SocketAddr, cfg: &MuxConfig) -> Result<LoadReport, ServerEr
     }
 
     // --- Phase 2: injection at `rate`, round-robin over survivors.
-    let interval = Duration::from_secs_f64(1.0 / cfg.rate);
+    let interval = Duration::from_secs_f64(1.0 / rate);
     let start = Instant::now();
     let mut injected = 0usize;
     let mut alive_cursor = 0usize;
@@ -399,9 +381,13 @@ pub fn run_mux(addr: SocketAddr, cfg: &MuxConfig) -> Result<LoadReport, ServerEr
                 let conn = &mut mux.conns[idx];
                 let request_id = conn.next_request;
                 conn.next_request += 1;
-                conn.pending.insert(request_id, due);
+                let key = conn.keys.as_mut().and_then(Iterator::next);
+                conn.pending.insert(request_id, (due, key.unwrap_or(0)));
                 conn.order.push_back(request_id);
-                conn.write.push(&WireMsg::Inc { request_id, initiator: None });
+                conn.write.push(&match key {
+                    Some(key) => WireMsg::KeyInc { key, request_id, initiator: None },
+                    None => WireMsg::Inc { request_id, initiator: None },
+                });
                 mux.flush(idx);
                 placed = true;
                 break;
@@ -416,7 +402,7 @@ pub fn run_mux(addr: SocketAddr, cfg: &MuxConfig) -> Result<LoadReport, ServerEr
             break;
         }
         let last_due = start + interval.mul_f64(cfg.ops.saturating_sub(1) as f64);
-        if injected == cfg.ops && Instant::now() >= last_due + cfg.grace {
+        if injected == cfg.ops && Instant::now() >= last_due + GRACE {
             // Stragglers past the grace window: count them failed.
             mux.failed += outstanding;
             break;
@@ -438,30 +424,14 @@ pub fn run_mux(addr: SocketAddr, cfg: &MuxConfig) -> Result<LoadReport, ServerEr
     }
     let wall = start.elapsed();
 
-    let per_conn =
-        mux.conns.iter().map(|c| ConnReport { ops: c.acked, max_us: c.max_us }).collect();
-    mux.latencies.sort_unstable();
-    mux.values.sort_unstable();
-    Ok(LoadReport {
-        ops: mux.values.len(),
-        failed: mux.failed,
-        wall,
-        offered_rate: Some(cfg.rate),
-        latencies_us: mux.latencies,
-        values: mux.values,
-        per_conn,
-        per_key: Vec::new(),
-    })
+    let per_conn = alive.iter().map(|&idx| mux.conns[idx].report.clone()).collect();
+    Ok(LoadReport::assemble(cfg, mux.acked, per_conn, mux.failed, wall))
 }
 
-/// One blocking loopback connect, made nonblocking before it joins the
-/// poll set. Blocking is deliberate: loopback connects complete in
-/// microseconds when the server's accept path keeps up, and a connect
-/// that *does* block measures exactly the admission stall the ramp
-/// exists to observe.
 /// One blocking loopback connect, bounded so a saturated server (SYN
 /// backlog full, kernel retransmitting) stalls the ramp for at most a
-/// second instead of minutes of serialized TCP backoff.
+/// second instead of minutes of serialized TCP backoff; made
+/// nonblocking before it joins the poll set.
 fn connect_one(addr: SocketAddr) -> std::io::Result<TcpStream> {
     let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))?;
     stream.set_nonblocking(true)?;
@@ -472,31 +442,31 @@ fn connect_one(addr: SocketAddr) -> std::io::Result<TcpStream> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::run_load;
     use crate::server::CounterServer;
     use distctr_core::TreeCounter;
 
-    fn tree(n: usize) -> TreeCounter {
-        TreeCounter::new(n).expect("tree")
-    }
-
     #[test]
-    fn mux_drives_an_async_combining_server() {
-        let mut server = CounterServer::serve_async_combining(tree(8)).expect("serve");
-        let cfg = MuxConfig::open(8, 200, 4000.0).with_ramp(Duration::from_millis(20));
-        let report = run_mux(server.local_addr(), &cfg).expect("mux run");
+    fn the_open_loop_drives_an_async_combining_server() {
+        let backend = TreeCounter::new(8).expect("tree");
+        let mut server = CounterServer::serve_async_combining(backend).expect("serve");
+        let report =
+            run_load(server.local_addr(), &LoadConfig::open(8, 200, 4000.0)).expect("open run");
         assert_eq!(report.failed, 0, "no shed ops at this load");
-        assert!(report.values_are_sequential_from(0), "exactly-once over the mux driver");
+        assert!(report.values_are_sequential_from(0), "exactly-once over the open-loop driver");
         assert_eq!(report.ops, 200);
+        assert_eq!(report.offered_rate, Some(4000.0));
         assert_eq!(report.per_conn.len(), 8);
         assert!(report.per_conn.iter().all(|c| c.ops > 0), "round-robin reached every conn");
         server.shutdown().expect("shutdown");
     }
 
     #[test]
-    fn open_config_scales_the_ramp_with_the_connection_count() {
-        let small = MuxConfig::open(100, 10, 1.0);
-        let big = MuxConfig::open(10_000, 10, 1.0);
-        assert!(big.ramp > small.ramp);
-        assert_eq!(big.with_ramp(Duration::ZERO).ramp, Duration::ZERO);
+    fn the_ramp_scales_with_the_connection_count() {
+        let ms = |conns| ramp_for(conns).as_millis();
+        // What E27 passed explicitly before the ramp was derived here.
+        assert_eq!([32, 256, 1000, 4000, 10_000].map(ms), [50, 128, 500, 2000, 5000]);
+        assert_eq!(ms(1), 50, "floor");
+        assert!((1..20_000).all(|c| ms(c) <= ms(c + 1)), "monotone in the connection count");
     }
 }

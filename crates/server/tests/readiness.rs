@@ -1,7 +1,8 @@
 //! The reactor's own mechanics, observed from outside the service
 //! boundary: torn-frame reassembly, many frames behind one readable
 //! event, combining replies routed through the reply channel, drain at
-//! a frame boundary, and hundreds of connections on one thread. (The
+//! a frame boundary, and hundreds of connections on one thread — plus
+//! the open-loop load driver that faces it from one thread. (The
 //! protocol's error and overload behavior is pinned in `robustness.rs`
 //! and `hardening.rs`.)
 
@@ -11,9 +12,7 @@ use std::time::Duration;
 
 use distctr_core::TreeCounter;
 use distctr_server::wire::{encode_frame_into, read_frame, write_frame};
-use distctr_server::{
-    run_load, run_mux, CounterServer, LoadConfig, MuxConfig, RemoteCounter, WireMsg,
-};
+use distctr_server::{run_load, CounterServer, LoadConfig, RemoteCounter, ServerConfig, WireMsg};
 
 fn tree(n: usize) -> TreeCounter {
     TreeCounter::new(n).expect("tree")
@@ -143,19 +142,59 @@ fn stats_and_reads_are_served_inline_by_the_reactor() {
 }
 
 #[test]
-fn the_mux_driver_sustains_hundreds_of_conns_on_one_thread_each_side() {
+fn the_open_loop_driver_sustains_hundreds_of_conns_on_one_thread_each_side() {
     // A smoke-sized C10k shape: 256 concurrent connections, one client
     // thread, one reactor thread. (The full 10k run is experiment E27,
     // which splits client and server across processes to stay inside
     // RLIMIT_NOFILE.)
     let mut server = CounterServer::serve_async_combining(tree(8)).expect("serve");
-    let cfg = MuxConfig::open(256, 2048, 20_000.0).with_ramp(Duration::from_millis(100));
-    let report = run_mux(server.local_addr(), &cfg).expect("mux");
+    let cfg = LoadConfig::open(256, 2048, 20_000.0);
+    let report = run_load(server.local_addr(), &cfg).expect("open loop");
     assert_eq!(report.failed, 0, "no op failed at smoke load");
     assert!(report.values_are_sequential_from(0), "exactly-once at 256 conns");
     assert_eq!(report.per_conn.len(), 256);
     let stats = server.stats();
     assert_eq!(stats.ops, 2048);
     assert_eq!(stats.connections, 256);
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_connection_refused_at_hello_is_not_reported_as_established() {
+    // The server admits 4 and answers the other 4 `Busy` at `Hello`.
+    // The survivors carry every op, so nothing fails — the shortfall
+    // must show in `per_conn`, which is what E27's "opened" column and
+    // its `established == conns` gate read.
+    let config = ServerConfig { max_conns: Some(4), ..ServerConfig::default() };
+    let mut server =
+        CounterServer::serve_async_on_with("127.0.0.1:0", tree(8), true, config).expect("serve");
+    let report = run_load(server.local_addr(), &LoadConfig::open(8, 400, 8000.0)).expect("open");
+    assert_eq!(report.failed, 0);
+    assert!(report.values_are_sequential_from(0));
+    assert_eq!(report.per_conn.len(), 4, "only the admitted connections were established");
+    assert!(report.per_conn.iter().all(|c| c.ops > 0), "and each of them carried ops");
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn closed_then_open_below_and_above_capacity_stay_sequential_on_one_server() {
+    // The three regimes E19 recorded, on one live server so the value
+    // sequence keeps going: the closed loop measures the capacity, the
+    // open loop runs under it (flat latency) and past it (the queue
+    // grows, nothing is lost).
+    let (conns, ops) = (4, 200);
+    let backend = distctr_net::ThreadedTreeCounter::new(8).expect("threaded tree");
+    let mut server = CounterServer::serve_async(backend).expect("serve");
+    let addr = server.local_addr();
+    let closed = run_load(addr, &LoadConfig::closed(conns, ops)).expect("closed loop");
+    assert!(closed.values_are_sequential_from(0), "closed loop");
+    let capacity = closed.throughput().max(500.0);
+    let below = run_load(addr, &LoadConfig::open(conns, ops, capacity * 0.5)).expect("0.5x");
+    assert!(below.values_are_sequential_from(ops as u64), "open loop at 0.5x capacity");
+    let above = run_load(addr, &LoadConfig::open(conns, ops, capacity * 2.0)).expect("2x");
+    assert!(above.values_are_sequential_from(2 * ops as u64), "open loop at 2x capacity");
+    assert_eq!(below.failed + above.failed, 0, "saturation queues, it does not shed");
+    let stats = server.stats();
+    assert_eq!((stats.ops, stats.wire_errors), (3 * ops as u64, 0));
     server.shutdown().expect("shutdown");
 }

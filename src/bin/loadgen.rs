@@ -11,16 +11,17 @@
 //! cargo run --release --bin loadgen -- --n 81 --conns 16 --ops 2000
 //! cargo run --release --bin loadgen -- --n 81 --conns 8 --ops 2000 --open 4000
 //! cargo run --release --bin loadgen -- --n 8 --conns 32 --ops 3200 --combine
-//! cargo run --release --bin loadgen -- --n 8 --backend sim --mux --conns 5000 \
-//!     --ops 50000 --open 20000 --ramp 2500 --combine
+//! cargo run --release --bin loadgen -- --n 8 --backend sim --conns 5000 \
+//!     --ops 50000 --open 20000 --combine
 //! ```
 //!
 //! The hosted server is one reactor thread for every connection (plus
-//! the combiner thread with `--combine`). `--mux` drives the load
-//! through the multiplexed open-loop client (one thread, one poller,
-//! per-connection buffers reused across operations) — the C10k shape on
-//! both sides of the socket; `--ramp MS` spreads the connection storm
-//! over a window.
+//! the combiner thread with `--combine`). A closed loop drives it with
+//! one shipped `RemoteCounter` client per connection; `--open RATE`
+//! drives it through the multiplexed open-loop client (one thread, one
+//! poller, per-connection buffers reused across operations, connections
+//! opened over a paced ramp) — the C10k shape on both sides of the
+//! socket.
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +31,7 @@ use std::process::ExitCode;
 use distctr::analysis::Table;
 use distctr::keyspace::KeyspaceConfig;
 use distctr::net::ThreadedTreeCounter;
-use distctr::server::{run_load, run_mux, CounterServer, LoadConfig, LoadReport, MuxConfig};
+use distctr::server::{run_load, CounterServer, LoadConfig};
 
 struct Args {
     /// Processors in the hosted tree (ignored with `--addr`).
@@ -59,18 +60,11 @@ struct Args {
     keys: usize,
     /// Zipf skew exponent for the key mix.
     zipf: f64,
-    /// Drive with the multiplexed one-thread client instead of a
-    /// thread per connection. Requires `--open` (the mux driver is
-    /// open-loop only) and is incompatible with `--keys`.
-    mux: bool,
-    /// Connection ramp window for `--mux`, in milliseconds.
-    ramp_ms: Option<u64>,
 }
 
 const USAGE: &str = "usage: loadgen [--n N] [--conns C] [--ops OPS] [--open RATE] \
                      [--addr HOST:PORT] [--cache CAP] [--combine] \
-                     [--mux] [--ramp MS] \
-                     [--backend net|sim|shm-tree|shm-network|shm-central] [--sim] \
+                     [--backend net|sim|shm-tree|shm-network|shm-central] \
                      [--keys N] [--zipf S]";
 
 /// Seed for the keyed traffic mix — fixed so two invocations with the
@@ -89,8 +83,6 @@ fn parse_args() -> Result<Args, String> {
         combine: false,
         keys: 0,
         zipf: 1.2,
-        mux: false,
-        ramp_ms: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -113,13 +105,7 @@ fn parse_args() -> Result<Args, String> {
                 args.cache = value("--cache")?.parse().map_err(|e| format!("--cache: {e}"))?;
             }
             "--backend" => args.backend = value("--backend")?,
-            // Back-compat alias for `--backend sim`.
-            "--sim" => args.backend = "sim".to_string(),
             "--combine" => args.combine = true,
-            "--mux" => args.mux = true,
-            "--ramp" => {
-                args.ramp_ms = Some(value("--ramp")?.parse().map_err(|e| format!("--ramp: {e}"))?);
-            }
             "--keys" => {
                 args.keys = value("--keys")?.parse().map_err(|e| format!("--keys: {e}"))?;
             }
@@ -135,12 +121,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.conns == 0 || args.ops == 0 {
         return Err("--conns and --ops must be positive".into());
-    }
-    if args.mux && args.open.is_none() {
-        return Err(format!("--mux is open-loop only; give it a rate with --open\n{USAGE}"));
-    }
-    if args.mux && args.keys > 0 {
-        return Err(format!("--mux drives the unkeyed default counter only\n{USAGE}"));
     }
     Ok(args)
 }
@@ -181,7 +161,7 @@ fn run(args: &Args) -> Result<bool, Box<dyn std::error::Error>> {
     // Host a server in-process unless pointed at an external one.
     if let Some(addr) = args.addr {
         banner(args, "external", addr);
-        let report = drive(addr, args, &cfg)?;
+        let report = run_load(addr, &cfg)?;
         println!("\n{}", report.render());
         Ok(true)
     } else if args.keys > 0 {
@@ -219,25 +199,6 @@ fn run(args: &Args) -> Result<bool, Box<dyn std::error::Error>> {
     }
 }
 
-/// Drives the configured load — the thread-per-connection harness, or
-/// the multiplexed one-thread driver under `--mux`.
-fn drive(
-    addr: SocketAddr,
-    args: &Args,
-    cfg: &LoadConfig,
-) -> Result<LoadReport, Box<dyn std::error::Error>> {
-    if args.mux {
-        let rate = args.open.expect("--mux requires --open (validated at parse)");
-        let mut mux = MuxConfig::open(args.conns, args.ops, rate);
-        if let Some(ms) = args.ramp_ms {
-            mux = mux.with_ramp(std::time::Duration::from_millis(ms));
-        }
-        Ok(run_mux(addr, &mux)?)
-    } else {
-        Ok(run_load(addr, cfg)?)
-    }
-}
-
 fn banner(args: &Args, backend_name: &str, addr: SocketAddr) {
     let mut mode = match args.open {
         Some(rate) => format!("open loop @ {rate:.0} ops/s"),
@@ -245,9 +206,6 @@ fn banner(args: &Args, backend_name: &str, addr: SocketAddr) {
     };
     if args.combine {
         mode.push_str(", combining");
-    }
-    if args.mux {
-        mode.push_str(", mux-driven");
     }
     if args.keys > 0 {
         mode.push_str(&format!(", {} keys zipf {:.2}", args.keys, args.zipf));
@@ -274,7 +232,7 @@ where
     };
     banner(args, backend_name, server.local_addr());
 
-    let report = drive(server.local_addr(), args, cfg)?;
+    let report = run_load(server.local_addr(), cfg)?;
     println!("\n{}", report.render());
 
     // Fresh server, so the values must be exactly sequential — per key
