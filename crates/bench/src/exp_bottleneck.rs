@@ -208,8 +208,9 @@ pub fn e8_message_complexity(n: usize) -> String {
         .build()
         .expect("tree");
     crate::algos::run_shuffled_dyn(&mut tree, REPORT_SEED).expect("runs");
-    let mut kinds: Vec<(&str, u64)> =
-        tree.audit().msgs_by_kind().iter().map(|(&k, &v)| (k, v)).collect();
+    // Name order from the audit, stably sorted: equal counts stay in
+    // name order.
+    let mut kinds = tree.audit().msgs_by_kind().to_vec();
     kinds.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
     let mut kind_table = Table::new(vec!["retirement-tree message kind", "count"]);
     for (kind, count) in kinds {

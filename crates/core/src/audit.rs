@@ -14,9 +14,15 @@
 //! * **Leaf Node Work Lemma** — O(1) messages per leaf (verified from the
 //!   global load tracker by the experiments).
 
-use std::collections::HashMap;
-
 use crate::topology::{NodeRef, Topology};
+
+/// What one operation did to one node (flat index `flat`).
+#[derive(Debug, Clone, Copy)]
+struct OpNode {
+    flat: usize,
+    msgs: u64,
+    retirements: u64,
+}
 
 /// Counters and extrema collected while a [`TreeCounter`](crate::TreeCounter)
 /// runs, sufficient to check every lemma of the paper's upper bound.
@@ -32,10 +38,12 @@ pub struct CounterAudit {
     stints_completed: u64,
     max_stint_msgs: u64,
     stint_msgs: Vec<u64>,
-    msgs_by_kind: HashMap<&'static str, u64>,
-    // Per-operation scratch, folded at `end_op`.
-    op_msgs: HashMap<usize, u64>,
-    op_retired: HashMap<usize, u64>,
+    /// Sorted by kind name; ten kinds at most, so recording scans it.
+    msgs_by_kind: Vec<(&'static str, u64)>,
+    /// Per-operation scratch, folded at `end_op`: the nodes this
+    /// operation touched. An operation touches O(k) nodes, so recording
+    /// scans the list instead of hashing into a map.
+    op_nodes: Vec<OpNode>,
     max_nonretiring_msgs_per_op: u64,
     max_retirements_per_node_per_op: u64,
     ops_seen: u64,
@@ -57,9 +65,8 @@ impl CounterAudit {
             stints_completed: 0,
             max_stint_msgs: 0,
             stint_msgs: vec![0; nodes],
-            msgs_by_kind: HashMap::new(),
-            op_msgs: HashMap::new(),
-            op_retired: HashMap::new(),
+            msgs_by_kind: Vec::new(),
+            op_nodes: Vec::new(),
             max_nonretiring_msgs_per_op: 0,
             max_retirements_per_node_per_op: 0,
             ops_seen: 0,
@@ -68,40 +75,54 @@ impl CounterAudit {
 
     /// Marks the start of an inc operation.
     pub fn begin_op(&mut self) {
-        self.op_msgs.clear();
-        self.op_retired.clear();
+        self.op_nodes.clear();
+    }
+
+    /// This operation's entry for the node with flat index `flat`.
+    fn op_node(&mut self, flat: usize) -> &mut OpNode {
+        let at = self.op_nodes.iter().position(|n| n.flat == flat).unwrap_or_else(|| {
+            self.op_nodes.push(OpNode { flat, msgs: 0, retirements: 0 });
+            self.op_nodes.len() - 1
+        });
+        &mut self.op_nodes[at]
     }
 
     /// Folds the finished operation's per-node counts into the extrema.
     pub fn end_op(&mut self) {
         self.ops_seen += 1;
-        for (&node, &msgs) in &self.op_msgs {
-            if !self.op_retired.contains_key(&node) {
-                self.max_nonretiring_msgs_per_op = self.max_nonretiring_msgs_per_op.max(msgs);
+        for n in &self.op_nodes {
+            if n.retirements == 0 {
+                self.max_nonretiring_msgs_per_op = self.max_nonretiring_msgs_per_op.max(n.msgs);
+            } else {
+                self.max_retirements_per_node_per_op =
+                    self.max_retirements_per_node_per_op.max(n.retirements);
             }
-        }
-        for &times in self.op_retired.values() {
-            self.max_retirements_per_node_per_op = self.max_retirements_per_node_per_op.max(times);
         }
     }
 
     /// Records `count` messages sent/received by the node with flat index
     /// `flat` (operational traffic contributing to its age).
     pub fn record_node_msgs(&mut self, flat: usize, count: u64) {
-        *self.op_msgs.entry(flat).or_insert(0) += count;
+        self.op_node(flat).msgs += count;
         self.stint_msgs[flat] += count;
     }
 
     /// Records a message of the given protocol kind.
     pub fn record_kind(&mut self, kind: &'static str) {
-        *self.msgs_by_kind.entry(kind).or_insert(0) += 1;
+        match self.msgs_by_kind.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, count)) => *count += 1,
+            None => {
+                let at = self.msgs_by_kind.partition_point(|(k, _)| *k < kind);
+                self.msgs_by_kind.insert(at, (kind, 1));
+            }
+        }
     }
 
     /// Records a retirement of `node` (flat index `flat`).
     pub fn record_retirement(&mut self, node: NodeRef, flat: usize) {
         self.retirements_by_node[flat] += 1;
         self.retirements_by_level[node.level as usize] += 1;
-        *self.op_retired.entry(flat).or_insert(0) += 1;
+        self.op_node(flat).retirements += 1;
     }
 
     /// Records that `node`'s age crossed the threshold but its pool had no
@@ -248,9 +269,9 @@ impl CounterAudit {
         self.max_retirements_per_node_per_op
     }
 
-    /// Message counts by protocol kind.
+    /// Message counts by protocol kind, in kind-name order.
     #[must_use]
-    pub fn msgs_by_kind(&self) -> &HashMap<&'static str, u64> {
+    pub fn msgs_by_kind(&self) -> &[(&'static str, u64)] {
         &self.msgs_by_kind
     }
 
@@ -412,8 +433,8 @@ mod tests {
         a.record_kind("inc");
         a.record_kind("value");
         a.record_shim_forward();
-        assert_eq!(a.msgs_by_kind().get("inc"), Some(&2));
-        assert_eq!(a.msgs_by_kind().get("value"), Some(&1));
+        a.record_kind("apply");
+        assert_eq!(a.msgs_by_kind(), &[("apply", 1), ("inc", 2), ("value", 1)], "name order");
         assert_eq!(a.shim_forwards(), 1);
     }
 }

@@ -37,6 +37,7 @@
 //! protection at quiescence (the simulator's client watchdog) or by
 //! bounded retry (the threaded driver), and ignore the effects.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use distctr_sim::ProcessorId;
@@ -173,9 +174,9 @@ pub struct Hosted<O: RootObject> {
     pub child_workers: Vec<ProcessorId>,
     /// Hosted object (root only).
     pub object: Option<O>,
-    /// Replies already sent, keyed by op sequence (root only); migrates
-    /// with the object on handoff.
-    pub reply_cache: Vec<(u64, O::Response)>,
+    /// Replies already sent, keyed by op sequence (root only), oldest
+    /// first; migrates with the object on handoff.
+    pub reply_cache: VecDeque<(u64, O::Response)>,
 }
 
 /// An input to the engine.
@@ -442,7 +443,16 @@ impl<T> NodeSlots<T> {
     fn insert(&mut self, key: u32, value: T) {
         match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
             Ok(i) => self.entries[i].1 = value,
-            Err(i) => self.entries.insert(i, (key, value)),
+            Err(i) => {
+                // A first push would reserve four slots, and an engine
+                // keeps its run after retiring from the node: at k = 5
+                // that is 13,700 engines holding three idle slots each,
+                // 40 % of the simulator's resident memory.
+                if self.entries.is_empty() {
+                    self.entries.reserve_exact(1);
+                }
+                self.entries.insert(i, (key, value));
+            }
         }
         self.audit();
     }
@@ -525,7 +535,7 @@ pub fn seed_initial_hosting<O: RootObject>(
                 parent_worker,
                 child_workers,
                 object: (node == NodeRef::ROOT).then(|| object.clone()),
-                reply_cache: Vec::new(),
+                reply_cache: VecDeque::new(),
             },
         );
     }
@@ -659,8 +669,16 @@ impl<O: RootObject> NodeEngine<O> {
     /// The single entry point: consumes one event, returns the effects.
     pub fn on_event(&mut self, event: Event<O>, now: VirtualTime) -> Effects<O> {
         let mut fx = Vec::new();
+        self.on_event_into(event, now, &mut fx);
+        fx
+    }
+
+    /// [`NodeEngine::on_event`] into a caller-owned buffer: the effects
+    /// are appended to `fx`, so a driver that drains one buffer per
+    /// delivery allocates nothing per event.
+    pub fn on_event_into(&mut self, event: Event<O>, now: VirtualTime, fx: &mut Effects<O>) {
         match event {
-            Event::Deliver { msg } => self.on_msg(msg, now, &mut fx),
+            Event::Deliver { msg } => self.on_msg(msg, now, fx),
             Event::Invoke { op_seq, req } => {
                 // Level-k nodes have singleton pools and never move, so
                 // the leaf's entry point into the tree is static.
@@ -688,14 +706,13 @@ impl<O: RootObject> NodeEngine<O> {
             Event::Restore { node, object, reply_cache } => {
                 if let Some(h) = self.hosted.get_mut(self.slot(node)) {
                     h.object = Some(object);
-                    h.reply_cache = reply_cache;
+                    h.reply_cache = reply_cache.into();
                     // The object is back; traffic buffered during the
                     // rebuild can flow now.
-                    self.replay_pending(node, now, &mut fx);
+                    self.replay_pending(node, now, fx);
                 }
             }
         }
-        fx
     }
 
     fn on_msg(&mut self, msg: Msg<O>, now: VirtualTime, fx: &mut Effects<O>) {
@@ -827,9 +844,9 @@ impl<O: RootObject> NodeEngine<O> {
                     None => object.apply(req),
                     Some(count) => object.apply_batch(req, count.max(1)),
                 };
-                h.reply_cache.push((op_seq, resp.clone()));
+                h.reply_cache.push_back((op_seq, resp.clone()));
                 if h.reply_cache.len() > self.config.reply_cache_cap {
-                    h.reply_cache.remove(0);
+                    h.reply_cache.pop_front();
                 }
                 if self.config.persist {
                     fx.push(Effect::Persist {
@@ -991,7 +1008,7 @@ impl<O: RootObject> NodeEngine<O> {
                 // The object (root only) comes back from stable storage:
                 // the driver answers `Recovered` with `Event::Restore`.
                 object: None,
-                reply_cache: Vec::new(),
+                reply_cache: VecDeque::new(),
             },
         );
         self.forwarding.remove(slot);
@@ -1344,7 +1361,7 @@ mod tests {
             parent_worker: Some(p(0)),
             child_workers: vec![p(0), p(2)],
             object: None,
-            reply_cache: Vec::new(),
+            reply_cache: VecDeque::new(),
         };
         let fx = engines[successor.index()].on_event(
             Event::Deliver { msg: Msg::HandoffFinal { transfer: Box::new(transfer) } },
@@ -1405,7 +1422,7 @@ mod tests {
             parent_worker: Some(p(0)),
             child_workers: vec![p(0), p(2)],
             object: None,
-            reply_cache: Vec::new(),
+            reply_cache: VecDeque::new(),
         };
         let fx = engines[successor.index()].on_event(
             Event::Deliver { msg: Msg::HandoffFinal { transfer: Box::new(transfer) } },

@@ -18,6 +18,8 @@
 //! parts). [`Msg::wire_size_bits`] estimates each message's encoded size
 //! so tests can assert the O(log n) claim for small-state objects.
 
+use std::collections::VecDeque;
+
 use distctr_sim::ProcessorId;
 
 use crate::object::{CounterObject, RootObject};
@@ -41,7 +43,7 @@ pub struct NodeTransfer<O: RootObject> {
     /// Recent `(op_seq, response)` pairs already answered by the root,
     /// migrating with the object so retries stay exactly-once across
     /// retirements (root only; empty elsewhere).
-    pub reply_cache: Vec<(u64, O::Response)>,
+    pub reply_cache: VecDeque<(u64, O::Response)>,
 }
 
 /// A message of the tree protocol, generic over the hosted
@@ -243,7 +245,7 @@ mod tests {
             parent_worker: Some(ProcessorId::new(0)),
             child_workers: vec![ProcessorId::new(2), ProcessorId::new(4)],
             object: None,
-            reply_cache: Vec::new(),
+            reply_cache: VecDeque::new(),
         })
     }
 

@@ -73,6 +73,10 @@ pub struct TreeProtocol<O: RootObject = CounterObject> {
     stable_object: O,
     /// Stable-storage shadow of the root's reply history.
     stable_replies: Vec<(u64, O::Response)>,
+    /// The effects of the delivery being handled: filled by
+    /// [`NodeEngine::on_event_into`], drained by `apply_effects`, and
+    /// kept between deliveries so a delivery allocates no buffer.
+    scratch: Effects<O>,
 }
 
 impl<O: RootObject> TreeProtocol<O> {
@@ -120,6 +124,7 @@ impl<O: RootObject> TreeProtocol<O> {
             fault_tolerant: false,
             stable_object: object,
             stable_replies: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -220,9 +225,10 @@ impl<O: RootObject> TreeProtocol<O> {
         crate::engine::expected_shares(&self.topo, node)
     }
 
-    /// Realizes one batch of engine effects on the simulator.
-    fn apply_effects(&mut self, out: &mut Outbox<'_, Msg<O>>, fx: Effects<O>) {
-        for effect in fx {
+    /// Realizes one batch of engine effects on the simulator, leaving
+    /// `fx` empty.
+    fn apply_effects(&mut self, out: &mut Outbox<'_, Msg<O>>, fx: &mut Effects<O>) {
+        for effect in fx.drain(..) {
             match effect {
                 Effect::Send { to, msg } => out.send(to, msg),
                 Effect::Reply { resp, .. } => self.pending_response = Some(resp),
@@ -261,8 +267,8 @@ impl<O: RootObject> TreeProtocol<O> {
                             reply_cache: self.stable_replies.clone(),
                         };
                         let now = VirtualTime(out.now().ticks());
-                        let fx2 = self.engines[worker.index()].on_event(restore, now);
-                        self.apply_effects(out, fx2);
+                        let mut fx2 = self.engines[worker.index()].on_event(restore, now);
+                        self.apply_effects(out, &mut fx2);
                     }
                 }
                 Effect::Persist { object, op_seq, resp, .. } => {
@@ -322,8 +328,10 @@ impl<O: RootObject> Protocol for TreeProtocol<O> {
 
     fn on_deliver(&mut self, out: &mut Outbox<'_, Self::Msg>, _from: ProcessorId, msg: Self::Msg) {
         let now = VirtualTime(out.now().ticks());
-        let fx = self.engines[out.me().index()].on_event(Event::Deliver { msg }, now);
-        self.apply_effects(out, fx);
+        let mut fx = std::mem::take(&mut self.scratch);
+        self.engines[out.me().index()].on_event_into(Event::Deliver { msg }, now, &mut fx);
+        self.apply_effects(out, &mut fx);
+        self.scratch = fx;
     }
 }
 

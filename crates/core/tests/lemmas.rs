@@ -221,3 +221,57 @@ fn messages_stay_logarithmic_in_n() {
         assert!(bits <= budget, "k={k}: {bits} bits within O(log n) budget {budget}");
     }
 }
+
+/// What the audit ledger recorded, in the order the pins below list it.
+type Ledger = (Vec<(&'static str, u64)>, u64, u64, u64, Vec<u64>);
+
+fn ledger(c: &TreeCounter) -> Ledger {
+    let audit = c.audit();
+    (
+        audit.msgs_by_kind().to_vec(),
+        audit.max_nonretiring_msgs_per_op(),
+        audit.max_retirements_per_node_per_op(),
+        audit.max_stint_msgs(),
+        audit.retirements_by_level().to_vec(),
+    )
+}
+
+#[test]
+fn the_audit_ledger_is_pinned_on_three_passes() {
+    // Recorded when the ledger was kept in hash maps: the bookkeeping
+    // may change its storage, never a count.
+    let canonical = |k: u32| {
+        let mut c = TreeCounter::with_order(k).expect("counter");
+        for i in 0..c.processors() {
+            assert_eq!(c.inc(ProcessorId::new(i)).expect("inc").value, i as u64);
+        }
+        c
+    };
+    let kinds = |apply, handoff, handoff_final, new_worker, reply| {
+        vec![
+            ("apply", apply),
+            ("handoff", handoff),
+            ("handoff-final", handoff_final),
+            ("new-worker", new_worker),
+            ("reply", reply),
+        ]
+    };
+    assert_eq!(
+        ledger(&canonical(3)),
+        (kinds(324, 111, 37, 135, 81), 4, 1, 25, vec![13, 15, 9, 0]),
+        "k = 3, id order"
+    );
+    assert_eq!(
+        ledger(&canonical(4)),
+        (kinds(5120, 2416, 604, 2888, 1024), 4, 1, 32, vec![132, 168, 176, 128, 0]),
+        "k = 4, id order"
+    );
+    let mut shuffled = TreeCounter::with_order(4).expect("counter");
+    let out = SequentialDriver::run_shuffled(&mut shuffled, 0xD15C).expect("sequence");
+    assert!(out.values_are_sequential());
+    assert_eq!(
+        ledger(&shuffled),
+        (kinds(5120, 2348, 587, 2801, 1024), 4, 1, 32, vec![134, 165, 160, 128, 0]),
+        "k = 4, shuffled by seed 0xD15C"
+    );
+}

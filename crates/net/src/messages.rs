@@ -103,7 +103,7 @@ mod tests {
             parent_worker: Some(ProcessorId::new(0)),
             child_workers: vec![ProcessorId::new(4), ProcessorId::new(5)],
             object: None,
-            reply_cache: Vec::new(),
+            reply_cache: std::collections::VecDeque::new(),
         };
         let c = t.clone();
         assert_eq!(c.pool_cursor, 3);

@@ -32,7 +32,7 @@ use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
 use distctr_core::engine::{
-    seed_initial_hosting, AuditEvent, Effect, EngineConfig, Event, NodeEngine, PoolPolicy,
+    seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, Event, NodeEngine, PoolPolicy,
     VirtualTime,
 };
 use distctr_core::{kmath, CounterBackend, CounterObject, Msg, Topology};
@@ -48,6 +48,13 @@ use crate::sync::{hint, Arc, AtomicBool, AtomicI64, AtomicU64, Mutex, Ordering};
 /// forever (a fault-free arena never stalls; this bounds CI damage if a
 /// protocol bug ever black-holes a reply).
 const STALL_AFTER: Duration = Duration::from_secs(30);
+
+/// Entries the root keeps in its reply cache. This driver never retries
+/// (deduplication is off), so nothing reads the cache; the cap bounds
+/// what the root carries from handoff to handoff. It is at least 81, so
+/// an n ≤ 81 canonical pass evicts nothing and its final engine state is
+/// the sim's, entry for entry.
+const REPLY_CACHE_CAP: usize = 256;
 
 /// A message to a processor slot: one shared-protocol message, or a
 /// driver-level invoke. Mirrors `distctr-net`'s `NetMsg`, minus the
@@ -145,12 +152,12 @@ impl ShmTreeCounter {
             .map_err(|_| ShmError::Order("n does not fit usize".into()))?;
         // The sim driver's regime: no retries are ever issued (sequential
         // mode waits, concurrent mode never resends), so deduplication
-        // stays off and the reply cache is unbounded — the exact
-        // configuration whose final state the conformance goldens pin.
+        // stays off — the configuration whose final state the conformance
+        // goldens pin.
         let config = EngineConfig {
             threshold: Some(kmath::retirement_threshold(k)),
             pool_policy: PoolPolicy::OneShot,
-            reply_cache_cap: usize::MAX,
+            reply_cache_cap: REPLY_CACHE_CAP,
             dedupe: false,
             persist: false,
         };
@@ -225,10 +232,18 @@ impl ShmTreeCounter {
     }
 
     /// Delivers one envelope to slot `dest`: feed the engine, realize
-    /// the effects. `on_send` observes every destination pushed to, so
+    /// the effects. `fx` is the caller's effect buffer, empty on entry
+    /// and on return, so a pump allocates one per call rather than one
+    /// per envelope. `on_send` observes every destination pushed to, so
     /// the sequential pump can keep its FIFO work-list exact; the
     /// concurrent pump passes a no-op and discovers work by scanning.
-    fn deliver(arena: &Arena, dest: usize, env: Envelope, on_send: &mut dyn FnMut(usize)) {
+    fn deliver(
+        arena: &Arena,
+        dest: usize,
+        env: Envelope,
+        fx: &mut Effects<CounterObject>,
+        on_send: &mut dyn FnMut(usize),
+    ) {
         if env.counts_as_load() {
             arena.slots[dest].received.fetch_add(1, Ordering::Relaxed);
         }
@@ -239,12 +254,12 @@ impl ShmTreeCounter {
                 Event::InvokeBatch { op_seq, count, req: () }
             }
         };
-        let fx = {
+        {
             let mut engine =
                 arena.slots[dest].engine.lock().unwrap_or_else(PoisonError::into_inner);
-            engine.on_event(event, VirtualTime::ZERO)
-        };
-        for effect in fx {
+            engine.on_event_into(event, VirtualTime::ZERO, fx);
+        }
+        for effect in fx.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
                     arena.slots[dest].sent.fetch_add(1, Ordering::Relaxed);
@@ -310,9 +325,10 @@ impl ShmTreeCounter {
         let arena = &self.arena;
         let cell = Self::post(arena, dest, env, op_seq);
         let mut fifo = VecDeque::from([dest]);
+        let mut fx = Vec::new();
         while let Some(d) = fifo.pop_front() {
             let Some(item) = arena.slots[d].mailbox.pop() else { continue };
-            Self::deliver(arena, d, item, &mut |to| fifo.push_back(to));
+            Self::deliver(arena, d, item, &mut fx, &mut |to| fifo.push_back(to));
         }
         if cell.done.load(Ordering::SeqCst) {
             Ok(cell.value.load(Ordering::SeqCst))
@@ -353,7 +369,8 @@ impl ShmTreeCounter {
     /// Drains whatever work slot `i` has queued; returns envelopes
     /// processed (0 if another thread holds the slot's drain right).
     fn drain_slot(arena: &Arena, i: usize) -> usize {
-        arena.slots[i].mailbox.drain(|env| Self::deliver(arena, i, env, &mut |_| {}))
+        let mut fx = Vec::new();
+        arena.slots[i].mailbox.drain(|env| Self::deliver(arena, i, env, &mut fx, &mut |_| {}))
     }
 
     /// One cooperative pump pass over every slot; returns envelopes
@@ -550,6 +567,30 @@ mod tests {
         let b = c.bottleneck();
         assert!(b >= 3, "lower bound k = 3: {b}");
         assert!(b <= 20 * 3, "O(k) bound: {b}");
+    }
+
+    #[test]
+    fn the_root_reply_cache_stays_under_its_cap_over_ten_thousand_ops() {
+        use distctr_core::NodeRef;
+        let mut c = ShmTreeCounter::new(81).expect("arena");
+        let root_cache_len = |c: &ShmTreeCounter| {
+            c.arena
+                .slots
+                .iter()
+                .find_map(|s| {
+                    let engine = s.engine.lock().unwrap_or_else(PoisonError::into_inner);
+                    engine.hosted(NodeRef::ROOT).map(|h| h.reply_cache.len())
+                })
+                .expect("quiescent: some processor works for the root")
+        };
+        let mut fullest = 0;
+        for i in 0..10_000u64 {
+            assert_eq!(c.inc(ProcessorId::new(i as usize % 81)).expect("inc"), i, "sequential");
+            let len = root_cache_len(&c);
+            assert!(len <= REPLY_CACHE_CAP, "op {i}: {len} cached replies");
+            fullest = fullest.max(len);
+        }
+        assert_eq!(fullest, REPLY_CACHE_CAP, "the cap was reached, so eviction ran");
     }
 
     #[test]

@@ -110,6 +110,9 @@ pub struct Network<M> {
     seq: u64,
     message_cap: u64,
     faults: Option<FaultState>,
+    /// The outbox buffer of the delivery being handled, kept between
+    /// deliveries and runs so handling a message allocates nothing.
+    sends: Vec<(ProcessorId, M)>,
 }
 
 /// Dense per-operation trace-source table, keyed by [`OpId::index`].
@@ -202,6 +205,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
             seq: 0,
             message_cap: DEFAULT_MESSAGE_CAP,
             faults: None,
+            sends: Vec::new(),
         })
     }
 
@@ -384,7 +388,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
         deadline: Option<SimTime>,
     ) -> Result<RunStats, SimError> {
         let mut delivered: u64 = 0;
-        let mut sends: Vec<(ProcessorId, M)> = Vec::new();
+        let mut sends = std::mem::take(&mut self.sends);
         let mut recent: VecDeque<String> = VecDeque::new();
         loop {
             self.apply_due_crashes();
@@ -435,7 +439,6 @@ impl<M: Clone + fmt::Debug> Network<M> {
                 env.sent_from_event,
                 self.now,
             );
-            sends.clear();
             let mut outbox = Outbox { me: env.to, op: env.op, now: self.now, sends: &mut sends };
             protocol.on_deliver(&mut outbox, env.from, env.msg);
             for (to, msg) in sends.drain(..) {
@@ -443,6 +446,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
                 self.schedule_send(env.op, env.to, to, msg, event);
             }
         }
+        self.sends = sends;
         Ok(RunStats { delivered, end_time: self.now })
     }
 

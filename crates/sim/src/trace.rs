@@ -10,8 +10,6 @@
 //!   event labelled with its processor, an arc per message;
 //! * the message count of the operation.
 
-use std::collections::{BTreeSet, HashMap};
-
 use crate::dag::CommDag;
 use crate::id::{OpId, ProcessorId};
 use crate::time::SimTime;
@@ -41,7 +39,9 @@ pub enum TraceMode {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ContactSet {
-    members: BTreeSet<ProcessorId>,
+    /// Sorted by id, no duplicates. An operation contacts O(k)
+    /// processors, so a flat run beats a tree of nodes.
+    members: Vec<ProcessorId>,
 }
 
 impl ContactSet {
@@ -53,13 +53,15 @@ impl ContactSet {
 
     /// Adds a processor to the set.
     pub fn insert(&mut self, p: ProcessorId) {
-        self.members.insert(p);
+        if let Err(at) = self.members.binary_search(&p) {
+            self.members.insert(at, p);
+        }
     }
 
     /// Whether `p` communicated during the operation.
     #[must_use]
     pub fn contains(&self, p: ProcessorId) -> bool {
-        self.members.contains(&p)
+        self.members.binary_search(&p).is_ok()
     }
 
     /// Number of distinct processors involved.
@@ -79,13 +81,13 @@ impl ContactSet {
     #[must_use]
     pub fn intersects(&self, other: &ContactSet) -> bool {
         let (small, large) = if self.len() <= other.len() { (self, other) } else { (other, self) };
-        small.members.iter().any(|p| large.members.contains(p))
+        small.members.iter().any(|&p| large.contains(p))
     }
 
     /// The processors in both sets, in id order.
     #[must_use]
     pub fn intersection(&self, other: &ContactSet) -> Vec<ProcessorId> {
-        self.members.intersection(&other.members).copied().collect()
+        self.members.iter().copied().filter(|&p| other.contains(p)).collect()
     }
 
     /// Iterates over members in id order.
@@ -96,13 +98,17 @@ impl ContactSet {
 
 impl FromIterator<ProcessorId> for ContactSet {
     fn from_iter<I: IntoIterator<Item = ProcessorId>>(iter: I) -> Self {
-        ContactSet { members: iter.into_iter().collect() }
+        let mut set = ContactSet::new();
+        set.extend(iter);
+        set
     }
 }
 
 impl Extend<ProcessorId> for ContactSet {
     fn extend<I: IntoIterator<Item = ProcessorId>>(&mut self, iter: I) {
-        self.members.extend(iter);
+        for p in iter {
+            self.insert(p);
+        }
     }
 }
 
@@ -138,6 +144,7 @@ impl OpTrace {
 
 #[derive(Debug, Clone)]
 struct OpBuilder {
+    op: OpId,
     initiator: ProcessorId,
     messages: u64,
     contacts: ContactSet,
@@ -150,14 +157,16 @@ struct OpBuilder {
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     mode: TraceMode,
-    open: HashMap<OpId, OpBuilder>,
+    /// Operations being recorded: one, or a handful under overlapped
+    /// schedules, so lookups scan it.
+    open: Vec<OpBuilder>,
 }
 
 impl TraceRecorder {
     /// Creates a recorder in the given mode.
     #[must_use]
     pub fn new(mode: TraceMode) -> Self {
-        TraceRecorder { mode, open: HashMap::new() }
+        TraceRecorder { mode, open: Vec::new() }
     }
 
     /// The recording mode.
@@ -182,30 +191,37 @@ impl TraceRecorder {
         }
         let mut contacts = ContactSet::new();
         contacts.insert(initiator);
-        self.open.insert(
+        let builder = OpBuilder {
             op,
-            OpBuilder {
-                initiator,
-                messages: 0,
-                contacts,
-                dag,
-                started_at: now,
-                last_event_at: now,
-            },
-        );
+            initiator,
+            messages: 0,
+            contacts,
+            dag,
+            started_at: now,
+            last_event_at: now,
+        };
+        // Beginning an operation again restarts its recording.
+        match self.builder(op) {
+            Some(b) => *b = builder,
+            None => self.open.push(builder),
+        }
         source
     }
 
     /// Whether `op` is currently being recorded.
     #[must_use]
     pub fn is_open(&self, op: OpId) -> bool {
-        self.open.contains_key(&op)
+        self.open.iter().any(|b| b.op == op)
+    }
+
+    fn builder(&mut self, op: OpId) -> Option<&mut OpBuilder> {
+        self.open.iter_mut().find(|b| b.op == op)
     }
 
     /// Records a message of `op` sent by `from`. Returns nothing; the arc
     /// is completed by [`TraceRecorder::record_delivery`].
     pub fn record_send(&mut self, op: OpId, from: ProcessorId) {
-        if let Some(b) = self.open.get_mut(&op) {
+        if let Some(b) = self.builder(op) {
             b.messages += 1;
             b.contacts.insert(from);
         }
@@ -223,7 +239,7 @@ impl TraceRecorder {
         from_event: Option<u32>,
         now: SimTime,
     ) -> Option<u32> {
-        let b = self.open.get_mut(&op)?;
+        let b = self.builder(op)?;
         b.contacts.insert(to);
         b.last_event_at = b.last_event_at.max_with(now);
         let dag = b.dag.as_mut()?;
@@ -237,7 +253,9 @@ impl TraceRecorder {
 
     /// Finishes recording `op` and returns its trace, if it was recorded.
     pub fn finish_op(&mut self, op: OpId) -> Option<OpTrace> {
-        self.open.remove(&op).map(|b| OpTrace {
+        let at = self.open.iter().position(|b| b.op == op)?;
+        let b = self.open.swap_remove(at);
+        Some(OpTrace {
             op,
             initiator: b.initiator,
             messages: b.messages,
@@ -280,6 +298,75 @@ mod tests {
         assert!(!a.intersects(&c));
         assert_eq!(a.intersection(&b), vec![p(5)]);
         assert!(a.intersection(&c).is_empty());
+    }
+
+    #[test]
+    fn contact_set_agrees_with_a_btree_set_on_random_inserts() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0_47AC);
+        for round in 0..200 {
+            // Narrow ranges make duplicates and shared members common.
+            let range = 1 + round % 40;
+            let mut sets = [ContactSet::new(), ContactSet::new()];
+            let mut refs = [BTreeSet::new(), BTreeSet::new()];
+            for _ in 0..rng.gen_range(0..60) {
+                let side = rng.gen_range(0..2);
+                let member = p(rng.gen_range(0..range));
+                sets[side].insert(member);
+                refs[side].insert(member);
+            }
+            for (set, reference) in sets.iter().zip(&refs) {
+                assert_eq!(set.len(), reference.len());
+                assert_eq!(set.is_empty(), reference.is_empty());
+                assert!(set.iter().eq(reference.iter().copied()), "iteration is id-ordered");
+                for i in 0..range {
+                    assert_eq!(set.contains(p(i)), reference.contains(&p(i)));
+                }
+                let collected: ContactSet = reference.iter().rev().copied().collect();
+                assert_eq!(&collected, set, "equality ignores insertion order");
+            }
+            let shared: Vec<ProcessorId> = refs[0].intersection(&refs[1]).copied().collect();
+            assert_eq!(sets[0].intersection(&sets[1]), shared);
+            assert_eq!(sets[1].intersection(&sets[0]), shared);
+            assert_eq!(sets[0].intersects(&sets[1]), !shared.is_empty());
+            assert_eq!(sets[1].intersects(&sets[0]), !shared.is_empty());
+        }
+    }
+
+    #[test]
+    fn two_open_ops_record_apart_and_finish_in_either_order() {
+        let mut r = TraceRecorder::new(TraceMode::Contacts);
+        let (a, b) = (OpId::new(7), OpId::new(8));
+        r.begin_op(a, p(0), SimTime::ZERO);
+        r.begin_op(b, p(5), SimTime::from_ticks(2));
+        assert!(r.is_open(a) && r.is_open(b));
+        r.record_send(a, p(0));
+        r.record_send(b, p(5));
+        r.record_send(b, p(6));
+        r.record_delivery(b, p(5), p(6), None, SimTime::from_ticks(3));
+        r.record_delivery(a, p(0), p(1), None, SimTime::from_ticks(4));
+        // The op opened first finishes first; the other stays open.
+        let ta = r.finish_op(a).expect("a recorded");
+        assert!(!r.is_open(a) && r.is_open(b));
+        assert_eq!(r.finish_op(a), None, "an op finishes once");
+        r.record_delivery(b, p(6), p(7), None, SimTime::from_ticks(9));
+        let tb = r.finish_op(b).expect("b recorded");
+        assert_eq!((ta.op, ta.initiator, ta.messages), (a, p(0), 1));
+        assert_eq!(ta.contacts, [0, 1].into_iter().map(p).collect());
+        assert_eq!((ta.started_at, ta.completed_at), (SimTime::ZERO, SimTime::from_ticks(4)));
+        assert_eq!((tb.op, tb.initiator, tb.messages), (b, p(5), 2));
+        assert_eq!(tb.contacts, [5, 6, 7].into_iter().map(p).collect());
+        assert_eq!(
+            (tb.started_at, tb.completed_at),
+            (SimTime::from_ticks(2), SimTime::from_ticks(9))
+        );
+        // The other order: the op opened last finishes first.
+        r.begin_op(a, p(0), SimTime::ZERO);
+        r.begin_op(b, p(5), SimTime::ZERO);
+        r.record_send(a, p(2));
+        assert_eq!(r.finish_op(b).expect("b recorded").messages, 0);
+        assert_eq!(r.finish_op(a).expect("a recorded").messages, 1);
     }
 
     #[test]

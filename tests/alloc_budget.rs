@@ -1,0 +1,72 @@
+//! Allocation budget of the simulator's delivery loop, as a count that
+//! repeats.
+//!
+//! One k = 4 canonical pass (n = 1024, each processor incs once) under
+//! `TraceMode::Contacts` moves 12,154 messages. With a fresh `Effects`
+//! vector per `on_event` and tree-backed contact sets the pass made
+//! 19,896 heap allocations (1.64 per message); with the engine writing
+//! into the driver's buffer and flat contact sets it makes under half
+//! that. The count depends on nothing but the code, so a regression
+//! shows here exactly, not as a timing.
+//!
+//! This file holds one test on purpose: the counter is process-wide, and
+//! a second test running beside it would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use distctr::prelude::*;
+
+/// The system allocator, counting every `alloc` and `realloc`.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a statistic and publishes
+// no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+#[test]
+fn a_canonical_pass_stays_under_seven_tenths_of_an_allocation_per_message() {
+    let mut tree = TreeCounter::builder(1024)
+        .expect("n = 4^5")
+        .trace(TraceMode::Contacts)
+        .build()
+        .expect("tree");
+    let n = tree.processors();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for i in 0..n {
+        let value = tree.inc(ProcessorId::new(i)).expect("inc").value;
+        assert_eq!(value, i as u64, "values are sequential");
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let messages = tree.loads().total_messages();
+    assert_eq!(messages, 12_154, "the k = 4 canonical pass is the same pass");
+    assert!(
+        allocations * 10 <= messages * 7,
+        "{allocations} allocations for {messages} messages ({:.2} per message); budget 0.7",
+        allocations as f64 / messages as f64
+    );
+    println!("{allocations} allocations / {messages} messages");
+}
