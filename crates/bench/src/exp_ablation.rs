@@ -18,7 +18,7 @@ use distctr_analysis::Table;
 use distctr_core::{
     kmath, DistributedFlipBit, DistributedPriorityQueue, PoolPolicy, RetirementPolicy, TreeCounter,
 };
-use distctr_sim::{Counter, ProcessorId, SequentialDriver, TraceMode};
+use distctr_sim::{ProcessorId, SequentialDriver, TraceMode};
 
 use crate::algos::REPORT_SEED;
 

@@ -5,7 +5,7 @@ use distctr_analysis::{fmt_f64, Table};
 use distctr_baselines::{CentralCounter, CountingNetworkCounter};
 use distctr_bound::{audit_weights, theory, Adversary};
 use distctr_core::TreeCounter;
-use distctr_sim::{Counter, DeliveryPolicy, ProcessorId, SimError, TraceMode};
+use distctr_sim::{DeliveryPolicy, ProcessorId, SimError, TraceMode};
 
 /// E1 — the greedy longest-list adversary vs every cloneable
 /// implementation: the measured bottleneck must dominate both the

@@ -2,7 +2,7 @@
 
 use distctr_analysis::Table;
 use distctr_core::{kmath, TreeCounter};
-use distctr_sim::{Counter, DeliveryPolicy, ProcessorId, SequentialDriver, TraceMode};
+use distctr_sim::{DeliveryPolicy, ProcessorId, SequentialDriver, TraceMode};
 
 use crate::algos::REPORT_SEED;
 

@@ -90,11 +90,11 @@ impl ChaosPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes_per_sec` is zero (use [`ChaosPlan::blackhole`]
-    /// for a total stall).
+    /// Panics if `bytes_per_sec` is zero (use
+    /// [`ChaosPlan::blackhole_after`] for a total stall).
     #[must_use]
     pub fn throttle(self, bytes_per_sec: u64) -> Self {
-        assert!(bytes_per_sec > 0, "a zero-rate throttle is a blackhole; use blackhole()");
+        assert!(bytes_per_sec > 0, "a zero-rate throttle is a blackhole; use blackhole_after()");
         self.toxic(Toxic::Throttle { bytes_per_sec })
     }
 

@@ -7,7 +7,8 @@
 //! same [`CheckConfig`] reconstructs the same trace — and a *subset* of
 //! the choices still replays meaningfully: infeasible choices are
 //! skipped and the tail is drained oldest-message-first, which is what
-//! makes delta-debugging minimization (see [`crate::minimize`]) work.
+//! makes delta-debugging minimization (the checker's
+//! [`Violation::minimized`](crate::Violation::minimized)) work.
 
 use crate::config::CheckConfig;
 use crate::invariants::{default_invariants, Invariant};

@@ -105,7 +105,13 @@ impl<O: RootObject> TreeClientBuilder<O> {
 }
 
 /// A sequentially-dependent object served through the paper's retirement
-/// tree.
+/// tree, starting from the object's [`Default`] state.
+///
+/// The paper's objects are instances of it:
+/// [`TreeCounter`](crate::TreeCounter),
+/// [`DistributedFlipBit`](crate::DistributedFlipBit) and
+/// [`DistributedPriorityQueue`](crate::DistributedPriorityQueue) are type
+/// aliases that add only their object's own operations.
 ///
 /// # Examples
 ///
@@ -115,7 +121,7 @@ impl<O: RootObject> TreeClientBuilder<O> {
 /// use distctr_sim::ProcessorId;
 ///
 /// # fn main() -> Result<(), distctr_core::CoreError> {
-/// let mut bit = TreeClient::new(8, FlipBitObject::new())?;
+/// let mut bit = TreeClient::<FlipBitObject>::new(8)?;
 /// assert!(!bit.invoke(ProcessorId::new(3), ())?.response);
 /// assert!(bit.invoke(ProcessorId::new(5), ())?.response);
 /// # Ok(())
@@ -134,15 +140,27 @@ impl<O: RootObject> TreeClient<O> {
     /// giving up on an operation.
     pub const MAX_RECOVERY_ATTEMPTS: u32 = 25;
 
-    /// Creates a client for at least `n` processors (rounded up to
-    /// `k^(k+1)`), hosting `object`.
+    /// Creates a client for at least `n` processors, rounding `n` up to
+    /// the next value of the form `k^(k+1)` exactly as the paper suggests.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Order`] if `n` is 0 or beyond the largest
     /// supported network.
-    pub fn new(n: usize, object: O) -> Result<Self, CoreError> {
-        Self::builder(n, object)?.build()
+    pub fn new(n: usize) -> Result<Self, CoreError> {
+        Self::builder(n)?.build()
+    }
+
+    /// Creates a client for an exact tree order `k` (n = k^(k+1)).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Order`] if `k` is 0 or above [`MAX_ORDER`].
+    pub fn with_order(k: u32) -> Result<Self, CoreError> {
+        if k == 0 || k > MAX_ORDER {
+            return Err(CoreError::Order(format!("order k={k} outside 1..={MAX_ORDER}")));
+        }
+        Self::new(usize::try_from(leaves_of_order(k)).expect("supported orders fit usize"))
     }
 
     /// Starts a builder for a client of at least `n` processors.
@@ -150,7 +168,7 @@ impl<O: RootObject> TreeClient<O> {
     /// # Errors
     ///
     /// Returns [`CoreError::Order`] if `n` is 0 or too large.
-    pub fn builder(n: usize, object: O) -> Result<TreeClientBuilder<O>, CoreError> {
+    pub fn builder(n: usize) -> Result<TreeClientBuilder<O>, CoreError> {
         if n == 0 {
             return Err(CoreError::Order("n must be at least 1".into()));
         }
@@ -166,7 +184,7 @@ impl<O: RootObject> TreeClient<O> {
             retirement: RetirementPolicy::default(),
             pool: PoolPolicy::default(),
             faults: None,
-            object,
+            object: O::default(),
         })
     }
 
@@ -663,7 +681,7 @@ mod tests {
 
     #[test]
     fn flip_bit_through_the_tree() {
-        let mut bit = TreeClient::new(8, FlipBitObject::new()).expect("client");
+        let mut bit = TreeClient::<FlipBitObject>::new(8).expect("client");
         for i in 0..8usize {
             let r = bit.invoke(ProcessorId::new(i), ()).expect("invoke");
             assert_eq!(r.response, i % 2 == 1, "flips alternate");
@@ -674,7 +692,7 @@ mod tests {
 
     #[test]
     fn priority_queue_through_the_tree() {
-        let mut pq = TreeClient::new(8, PriorityQueueObject::new()).expect("client");
+        let mut pq = TreeClient::<PriorityQueueObject>::new(8).expect("client");
         for (i, key) in [42u64, 7, 19].iter().enumerate() {
             let r = pq.invoke(ProcessorId::new(i), PqRequest::Insert(*key)).expect("insert");
             assert_eq!(r.response, PqResponse::Inserted { len: i as u64 + 1 });
@@ -688,7 +706,7 @@ mod tests {
     fn generic_client_keeps_the_bottleneck_guarantee() {
         // The O(k) bottleneck is object-independent: one op per processor
         // on the flip bit stays within 20k, same as the counter.
-        let mut bit = TreeClient::new(81, FlipBitObject::new()).expect("client");
+        let mut bit = TreeClient::<FlipBitObject>::new(81).expect("client");
         for i in 0..81usize {
             bit.invoke(ProcessorId::new(i), ()).expect("invoke");
         }
@@ -699,8 +717,8 @@ mod tests {
 
     #[test]
     fn construction_validation() {
-        assert!(TreeClient::new(0, FlipBitObject::new()).is_err());
-        let client = TreeClient::new(50, FlipBitObject::new()).expect("rounds up");
+        assert!(TreeClient::<FlipBitObject>::new(0).is_err());
+        let client = TreeClient::<FlipBitObject>::new(50).expect("rounds up");
         assert_eq!(client.processors(), 81);
         assert_eq!(client.order(), 3);
         assert!(client.retirement_enabled());
@@ -708,7 +726,7 @@ mod tests {
 
     #[test]
     fn unknown_initiator_rejected() {
-        let mut bit = TreeClient::new(8, FlipBitObject::new()).expect("client");
+        let mut bit = TreeClient::<FlipBitObject>::new(8).expect("client");
         let err = bit.invoke(ProcessorId::new(99), ()).unwrap_err();
         assert_eq!(err, SimError::UnknownProcessor { index: 99, processors: 8 });
     }

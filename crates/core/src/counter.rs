@@ -1,24 +1,19 @@
 //! The public distributed counter: the paper's matching upper bound.
 //!
-//! A [`TreeCounter`] is the counter instance of the generic
-//! [`TreeClient`] and exposes the paper's
-//! `inc` operation. Every processor's total message load over the
-//! canonical workload (each processor increments exactly once) is O(k),
-//! where `n = k^(k+1)` — the Bottleneck Theorem, which the audits and
+//! [`TreeCounter`] is not a type of its own: it is the generic
+//! [`TreeClient`] hosting a [`CounterObject`], and this module adds only
+//! what is particular to the counter — the paper's `inc` (through the
+//! simulator's [`Counter`] trait), batched and fault-tolerant `inc`s, and
+//! the value. Every processor's total message load over the canonical
+//! workload (each processor increments exactly once) is O(k), where
+//! `n = k^(k+1)` — the Bottleneck Theorem, which the audits and
 //! experiments verify on real runs.
 
-use distctr_sim::{
-    Counter, DeliveryPolicy, FaultEvent, FaultPlan, FaultStats, IncResult, LoadTracker,
-    ProcessorId, SimError, TraceMode,
-};
+use distctr_sim::{Counter, IncResult, LoadTracker, ProcessorId, SimError};
 
-use crate::audit::CounterAudit;
-use crate::client::{TreeClient, TreeClientBuilder};
+use crate::client::{InvokeResult, TreeClient, TreeClientBuilder};
 use crate::error::CoreError;
-use crate::kmath::{leaves_of_order, MAX_ORDER};
 use crate::object::CounterObject;
-use crate::protocol::{PoolPolicy, RetirementPolicy};
-use crate::topology::{NodeRef, Topology};
 
 /// Builder for [`TreeCounter`] with non-default delivery policy, trace
 /// mode or retirement policy.
@@ -39,57 +34,7 @@ use crate::topology::{NodeRef, Topology};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct TreeCounterBuilder {
-    inner: TreeClientBuilder<CounterObject>,
-}
-
-impl TreeCounterBuilder {
-    /// Sets the trace mode (default: [`TraceMode::Contacts`]).
-    #[must_use]
-    pub fn trace(mut self, trace: TraceMode) -> Self {
-        self.inner = self.inner.trace(trace);
-        self
-    }
-
-    /// Sets the delivery policy (default: FIFO).
-    #[must_use]
-    pub fn delivery(mut self, policy: DeliveryPolicy) -> Self {
-        self.inner = self.inner.delivery(policy);
-        self
-    }
-
-    /// Sets the retirement policy (default: the paper's `4k` threshold).
-    #[must_use]
-    pub fn retirement(mut self, retirement: RetirementPolicy) -> Self {
-        self.inner = self.inner.retirement(retirement);
-        self
-    }
-
-    /// Sets the pool policy (default: the paper's one-shot pools).
-    #[must_use]
-    pub fn pool(mut self, pool: PoolPolicy) -> Self {
-        self.inner = self.inner.pool(pool);
-        self
-    }
-
-    /// Injects faults from `plan` and arms crash recovery; drive the
-    /// counter with [`TreeCounter::inc_fault_tolerant`].
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.inner = self.inner.faults(plan);
-        self
-    }
-
-    /// Builds the counter.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] if the topology or network cannot be built.
-    pub fn build(self) -> Result<TreeCounter, CoreError> {
-        Ok(TreeCounter { client: self.inner.build()? })
-    }
-}
+pub type TreeCounterBuilder = TreeClientBuilder<CounterObject>;
 
 /// The retirement-based k-ary communication-tree counter.
 ///
@@ -109,86 +54,23 @@ impl TreeCounterBuilder {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct TreeCounter {
-    client: TreeClient<CounterObject>,
+pub type TreeCounter = TreeClient<CounterObject>;
+
+/// An `inc`'s view of one tree operation: the response is the value.
+fn inc_result(result: InvokeResult<u64>) -> IncResult {
+    IncResult {
+        value: result.response,
+        messages: result.messages,
+        completed_at: result.completed_at,
+        trace: result.trace,
+    }
 }
 
-impl TreeCounter {
-    /// Creates a counter for at least `n` processors, rounding `n` up to
-    /// the next value of the form `k^(k+1)` exactly as the paper suggests.
-    /// [`Counter::processors`] reports the rounded size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Order`] if `n` is 0 or beyond the largest
-    /// supported network.
-    pub fn new(n: usize) -> Result<Self, CoreError> {
-        Self::builder(n)?.build()
-    }
-
-    /// Creates a counter for an exact tree order `k` (n = k^(k+1)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Order`] if `k` is 0 or above [`MAX_ORDER`].
-    pub fn with_order(k: u32) -> Result<Self, CoreError> {
-        if k == 0 || k > MAX_ORDER {
-            return Err(CoreError::Order(format!("order k={k} outside 1..={MAX_ORDER}")));
-        }
-        Self::new(usize::try_from(leaves_of_order(k)).expect("supported orders fit usize"))
-    }
-
-    /// Starts a builder for a counter of at least `n` processors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Order`] if `n` is 0 or too large.
-    pub fn builder(n: usize) -> Result<TreeCounterBuilder, CoreError> {
-        Ok(TreeCounterBuilder { inner: TreeClient::builder(n, CounterObject::new())? })
-    }
-
-    /// The tree order `k`.
-    #[must_use]
-    pub fn order(&self) -> u32 {
-        self.client.order()
-    }
-
-    /// The tree topology.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        self.client.topology()
-    }
-
-    /// The lemma auditor's view of the run so far.
-    #[must_use]
-    pub fn audit(&self) -> &CounterAudit {
-        self.client.audit()
-    }
-
+impl TreeClient<CounterObject> {
     /// The counter's current value (stored at the root).
     #[must_use]
     pub fn value(&self) -> u64 {
-        self.client.object().value()
-    }
-
-    /// The processor currently working for `node`.
-    #[must_use]
-    pub fn worker_of(&self, node: NodeRef) -> ProcessorId {
-        self.client.worker_of(node)
-    }
-
-    /// Number of operations executed.
-    #[must_use]
-    pub fn ops_executed(&self) -> usize {
-        self.client.ops_executed()
-    }
-
-    /// Per-processor engine fingerprints, in processor order (see
-    /// [`TreeClient::engine_fingerprints`]).
-    #[must_use]
-    pub fn engine_fingerprints(&self) -> Vec<u64> {
-        self.client.engine_fingerprints()
+        self.object().value()
     }
 
     /// One `inc` on a faulty network: quiescing without a response
@@ -200,13 +82,7 @@ impl TreeCounter {
     ///
     /// See [`TreeClient::invoke_fault_tolerant`].
     pub fn inc_fault_tolerant(&mut self, initiator: ProcessorId) -> Result<IncResult, CoreError> {
-        let result = self.client.invoke_fault_tolerant(initiator, ())?;
-        Ok(IncResult {
-            value: result.response,
-            messages: result.messages,
-            completed_at: result.completed_at,
-            trace: result.trace,
-        })
+        self.invoke_fault_tolerant(initiator, ()).map(inc_result)
     }
 
     /// A batch of `count` incs sharing one tree traversal
@@ -219,13 +95,7 @@ impl TreeCounter {
     ///
     /// See [`TreeClient::invoke`].
     pub fn inc_batch(&mut self, initiator: ProcessorId, count: u64) -> Result<IncResult, SimError> {
-        let result = self.client.invoke_batch(initiator, count, ())?;
-        Ok(IncResult {
-            value: result.response,
-            messages: result.messages,
-            completed_at: result.completed_at,
-            trace: result.trace,
-        })
+        self.invoke_batch(initiator, count, ()).map(inc_result)
     }
 
     /// [`TreeCounter::inc_batch`] with the recovery watchdog of
@@ -240,54 +110,13 @@ impl TreeCounter {
         initiator: ProcessorId,
         count: u64,
     ) -> Result<IncResult, CoreError> {
-        let result = self.client.invoke_batch_fault_tolerant(initiator, count, ())?;
-        Ok(IncResult {
-            value: result.response,
-            messages: result.messages,
-            completed_at: result.completed_at,
-            trace: result.trace,
-        })
-    }
-
-    /// Crashes processor `p` immediately (test hook) and arms recovery.
-    pub fn crash(&mut self, p: ProcessorId) {
-        self.client.crash(p);
-    }
-
-    /// The fault plan driving the network, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.client.fault_plan()
-    }
-
-    /// Every fault the network injected so far, in order.
-    #[must_use]
-    pub fn fault_log(&self) -> &[FaultEvent] {
-        self.client.fault_log()
-    }
-
-    /// Summary counts of injected faults.
-    #[must_use]
-    pub fn fault_stats(&self) -> FaultStats {
-        self.client.fault_stats()
-    }
-
-    /// Processors currently down.
-    #[must_use]
-    pub fn crashed_processors(&self) -> Vec<ProcessorId> {
-        self.client.crashed_processors()
-    }
-
-    /// Times the recovery watchdog re-ran an operation.
-    #[must_use]
-    pub fn watchdog_retries(&self) -> u64 {
-        self.client.watchdog_retries()
+        self.invoke_batch_fault_tolerant(initiator, count, ()).map(inc_result)
     }
 }
 
-impl Counter for TreeCounter {
+impl Counter for TreeClient<CounterObject> {
     fn name(&self) -> &'static str {
-        if self.client.retirement_enabled() {
+        if self.retirement_enabled() {
             "retirement-tree"
         } else {
             "static-tree"
@@ -295,28 +124,25 @@ impl Counter for TreeCounter {
     }
 
     fn processors(&self) -> usize {
-        self.client.processors()
+        TreeClient::processors(self)
     }
 
     fn inc(&mut self, initiator: ProcessorId) -> Result<IncResult, SimError> {
-        let result = self.client.invoke(initiator, ())?;
-        Ok(IncResult {
-            value: result.response,
-            messages: result.messages,
-            completed_at: result.completed_at,
-            trace: result.trace,
-        })
+        self.invoke(initiator, ()).map(inc_result)
     }
 
     fn loads(&self) -> &LoadTracker {
-        self.client.loads()
+        TreeClient::loads(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distctr_sim::SequentialDriver;
+    use crate::kmath::MAX_ORDER;
+    use crate::protocol::RetirementPolicy;
+    use crate::topology::NodeRef;
+    use distctr_sim::{FaultPlan, SequentialDriver};
 
     #[test]
     fn rounding_rule_matches_paper() {

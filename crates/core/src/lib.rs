@@ -62,6 +62,6 @@ pub use object::{
     CounterObject, FlipBitObject, MaxRegisterObject, PriorityQueueObject, RootObject,
 };
 pub use protocol::{PoolPolicy, RetirementPolicy, TreeProtocol};
-pub use serve::{CounterBackend, KeyedReply, KeyspaceStats, DEFAULT_KEY};
+pub use serve::{CounterBackend, KeyedReply, KeyspaceStats, DEDUP_WINDOW, DEFAULT_KEY};
 pub use structures::{DistributedFlipBit, DistributedPriorityQueue};
 pub use topology::{NodeRef, Topology};

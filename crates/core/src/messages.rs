@@ -1,8 +1,7 @@
 //! Wire messages of the retirement-tree protocol — the **one** message
 //! vocabulary shared by every backend.
 //!
-//! The protocol is generic over the [`RootObject`](crate::object::RootObject)
-//! it transports: [`Msg<O>`] carries requests `O::Request` up the tree
+//! The protocol is generic over the [`RootObject`] it transports: [`Msg<O>`] carries requests `O::Request` up the tree
 //! and responses `O::Response` straight back to initiators. The paper's
 //! counter is the instance `O = CounterObject` ([`CounterMsg`]). The
 //! simulator, the threaded backend and the TCP service all exchange
@@ -66,7 +65,7 @@ pub enum Msg<O: RootObject> {
     /// A *batch* of `count` identical operation requests from `origin`,
     /// climbing the tree as **one** message; addressed to the current
     /// worker of `node`. The root applies the whole batch atomically
-    /// ([`RootObject::apply_batch`](crate::object::RootObject::apply_batch))
+    /// ([`RootObject::apply_batch`])
     /// and answers with a single [`Msg::Reply`] carrying the first
     /// response — for the counter, the start `v` of the contiguous range
     /// `[v, v + count)` the batch owns. Each tree node ages by the same

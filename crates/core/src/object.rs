@@ -20,8 +20,9 @@ use std::fmt;
 /// A sequential object living at the root of the communication tree.
 ///
 /// `apply` must be deterministic: together with the network's ordering it
-/// defines the object's linearization.
-pub trait RootObject: Clone + fmt::Debug {
+/// defines the object's linearization. [`Default`] is the object's initial
+/// state, the one every tree client starts from.
+pub trait RootObject: Clone + Default + fmt::Debug {
     /// Operation request, carried up the tree.
     type Request: Clone + fmt::Debug;
     /// Operation response, sent straight back to the initiator.

@@ -5,8 +5,9 @@
 //! an initiating processor, and report the load-accounting quantities
 //! the bottleneck story is about. Both execution backends implement it —
 //! [`TreeCounter`] (the discrete-event simulator) here, and the
-//! real-threads `ThreadedTreeCounter` in `distctr-net` — so the same
-//! server, tests and experiments run against either.
+//! real-threads `ThreadedTreeCounter` in `distctr-net`, each the counter
+//! alias of its substrate's generic tree client — so the same server,
+//! tests and experiments run against either.
 //!
 //! Exactly-once across retries is part of the interface: a backend that
 //! owns a reply cache (the root's migrating cache in both tree backends)
@@ -25,6 +26,11 @@ use crate::error::CoreError;
 /// is a keyspace of (at least) one, hosting this key, so pre-keyspace
 /// clients and servers interoperate with keyed ones unchanged.
 pub const DEFAULT_KEY: u64 = 0;
+
+/// Dedup window: how many recent request ids (a server session) or
+/// `(session, request)` tokens (a keyspace key) are remembered for
+/// exactly-once retries.
+pub const DEDUP_WINDOW: usize = 256;
 
 /// Outcome of a keyed operation ([`CounterBackend::inc_key`] /
 /// [`CounterBackend::inc_batch_key`]).

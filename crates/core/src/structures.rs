@@ -1,4 +1,5 @@
-//! Domain wrappers for the paper's generalized data structures.
+//! The paper's generalized data structures, as instances of the generic
+//! tree client.
 //!
 //! "Note that the argument in the Hot Spot Lemma can be made for the
 //! family of all distributed data structures in which an operation
@@ -6,16 +7,14 @@
 //! such data structures are a bit that can be accessed and flipped, and
 //! a priority queue."
 //!
-//! Both ride the same retirement tree as the counter and inherit its
-//! O(k) per-processor bottleneck over the canonical workload.
+//! Both are type aliases of [`TreeClient`] that add only their object's
+//! own operations: they ride the same retirement tree as the counter and
+//! inherit its O(k) per-processor bottleneck over the canonical workload.
 
-use distctr_sim::{LoadTracker, ProcessorId, SimError};
+use distctr_sim::{ProcessorId, SimError};
 
-use crate::audit::CounterAudit;
 use crate::client::TreeClient;
-use crate::error::CoreError;
 use crate::object::{FlipBitObject, PqRequest, PqResponse, PriorityQueueObject};
-use crate::topology::Topology;
 
 /// A distributed test-and-flip bit.
 ///
@@ -33,60 +32,23 @@ use crate::topology::Topology;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct DistributedFlipBit {
-    client: TreeClient<FlipBitObject>,
-}
+pub type DistributedFlipBit = TreeClient<FlipBitObject>;
 
-impl DistributedFlipBit {
-    /// Creates a flip bit served by at least `n` processors (rounded up
-    /// to `k^(k+1)`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::TreeCounter::new`].
-    pub fn new(n: usize) -> Result<Self, CoreError> {
-        Ok(DistributedFlipBit { client: TreeClient::new(n, FlipBitObject::new())? })
-    }
-
+impl TreeClient<FlipBitObject> {
     /// Returns the old bit and flips it, as one operation initiated by
     /// `initiator`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::client::TreeClient::invoke`].
+    /// Same conditions as [`TreeClient::invoke`].
     pub fn test_and_flip(&mut self, initiator: ProcessorId) -> Result<bool, SimError> {
-        Ok(self.client.invoke(initiator, ())?.response)
+        Ok(self.invoke(initiator, ())?.response)
     }
 
     /// The current bit.
     #[must_use]
     pub fn bit(&self) -> bool {
-        self.client.object().bit()
-    }
-
-    /// Number of processors.
-    #[must_use]
-    pub fn processors(&self) -> usize {
-        self.client.processors()
-    }
-
-    /// Per-processor message loads.
-    #[must_use]
-    pub fn loads(&self) -> &LoadTracker {
-        self.client.loads()
-    }
-
-    /// The lemma auditor.
-    #[must_use]
-    pub fn audit(&self) -> &CounterAudit {
-        self.client.audit()
-    }
-
-    /// The tree topology.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        self.client.topology()
+        self.object().bit()
     }
 }
 
@@ -108,29 +70,16 @@ impl DistributedFlipBit {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct DistributedPriorityQueue {
-    client: TreeClient<PriorityQueueObject>,
-}
+pub type DistributedPriorityQueue = TreeClient<PriorityQueueObject>;
 
-impl DistributedPriorityQueue {
-    /// Creates a priority queue served by at least `n` processors
-    /// (rounded up to `k^(k+1)`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::TreeCounter::new`].
-    pub fn new(n: usize) -> Result<Self, CoreError> {
-        Ok(DistributedPriorityQueue { client: TreeClient::new(n, PriorityQueueObject::new())? })
-    }
-
+impl TreeClient<PriorityQueueObject> {
     /// Inserts `key`, returning the queue length after the insert.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::client::TreeClient::invoke`].
+    /// Same conditions as [`TreeClient::invoke`].
     pub fn insert(&mut self, initiator: ProcessorId, key: u64) -> Result<u64, SimError> {
-        match self.client.invoke(initiator, PqRequest::Insert(key))?.response {
+        match self.invoke(initiator, PqRequest::Insert(key))?.response {
             PqResponse::Inserted { len } => Ok(len),
             PqResponse::Min(_) => unreachable!("insert answers with Inserted"),
         }
@@ -140,9 +89,9 @@ impl DistributedPriorityQueue {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::client::TreeClient::invoke`].
+    /// Same conditions as [`TreeClient::invoke`].
     pub fn extract_min(&mut self, initiator: ProcessorId) -> Result<Option<u64>, SimError> {
-        match self.client.invoke(initiator, PqRequest::ExtractMin)?.response {
+        match self.invoke(initiator, PqRequest::ExtractMin)?.response {
             PqResponse::Min(min) => Ok(min),
             PqResponse::Inserted { .. } => unreachable!("extract answers with Min"),
         }
@@ -151,31 +100,13 @@ impl DistributedPriorityQueue {
     /// Number of keys currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.client.object().len()
+        self.object().len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.client.object().is_empty()
-    }
-
-    /// Number of processors.
-    #[must_use]
-    pub fn processors(&self) -> usize {
-        self.client.processors()
-    }
-
-    /// Per-processor message loads.
-    #[must_use]
-    pub fn loads(&self) -> &LoadTracker {
-        self.client.loads()
-    }
-
-    /// The lemma auditor.
-    #[must_use]
-    pub fn audit(&self) -> &CounterAudit {
-        self.client.audit()
+        self.object().is_empty()
     }
 }
 

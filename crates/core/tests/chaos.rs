@@ -21,7 +21,7 @@
 //! plans never crash.
 
 use distctr_core::TreeCounter;
-use distctr_sim::{Counter, FaultEvent, FaultPlan, ProcessorId, TraceMode};
+use distctr_sim::{FaultEvent, FaultPlan, ProcessorId, TraceMode};
 
 const N: usize = 81;
 const K: u64 = 3;

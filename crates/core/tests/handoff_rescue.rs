@@ -29,7 +29,7 @@ const VICTIM: usize = 1;
 const INITIATORS: [usize; 7] = [0, 2, 3, 4, 5, 6, 7];
 
 fn client_with_crash_at(tick: u64) -> TreeClient<CounterObject> {
-    TreeClient::builder(8, CounterObject::new())
+    TreeClient::<CounterObject>::builder(8)
         .expect("builder")
         .trace(TraceMode::Off)
         .faults(FaultPlan::new(0).crash(ProcessorId::new(VICTIM), tick))
@@ -40,7 +40,7 @@ fn client_with_crash_at(tick: u64) -> TreeClient<CounterObject> {
 /// Per-operation delivery counts of the fault-free run — the sweep's
 /// coordinate system.
 fn baseline_messages() -> Vec<u64> {
-    let mut baseline = TreeClient::builder(8, CounterObject::new())
+    let mut baseline = TreeClient::<CounterObject>::builder(8)
         .expect("builder")
         .trace(TraceMode::Off)
         .build()

@@ -70,7 +70,7 @@ proptest! {
         max_delay in 1u64..10,
         keys in prop::collection::vec(0u64..100, 1..20),
     ) {
-        let mut client = TreeClient::builder(8, PriorityQueueObject::new())
+        let mut client = TreeClient::<PriorityQueueObject>::builder(8)
             .expect("builder")
             .trace(TraceMode::Off)
             .delivery(DeliveryPolicy::random_delay(seed, max_delay))

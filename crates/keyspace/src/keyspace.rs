@@ -6,14 +6,16 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use distctr_core::kmath::order_for;
-use distctr_core::{CounterBackend, KeyedReply, KeyspaceStats, TreeCounter};
+use distctr_core::{CounterBackend, KeyedReply, KeyspaceStats, TreeCounter, DEDUP_WINDOW};
 use distctr_sim::ProcessorId;
 
-use crate::central::CentralBackend;
 use crate::policy::{PlacementPin, PromotionPolicy};
 use crate::ContentionMonitor;
 
-/// Errors a [`Keyspace`] (or its [`CentralBackend`]) can produce.
+/// Cap on hosted keys; ops on keys beyond it are [`KeyedReply::Unrouted`].
+pub const MAX_KEYS: usize = 1024;
+
+/// Errors a [`Keyspace`] can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KeyspaceError {
     /// The initiating processor is outside the hosted network.
@@ -54,9 +56,6 @@ pub enum MigrationDirection {
 pub struct KeyspaceConfig {
     /// Network size shared by every hosted counter.
     pub processors: usize,
-    /// Cap on hosted keys; ops on keys beyond it are
-    /// [`KeyedReply::Unrouted`].
-    pub max_keys: usize,
     /// The promotion/demotion policy (or a baseline pin).
     pub policy: PromotionPolicy,
     /// Modeled per-message service time, realized as busy-work under
@@ -64,35 +63,41 @@ pub struct KeyspaceConfig {
     /// `count` messages at the center, one tree traversal costs `k+1`.
     /// [`Duration::ZERO`] (the default) disables the model.
     pub per_message: Duration,
-    /// Per-key reply-cache capacity (dedup tokens remembered).
-    pub dedup_window: usize,
 }
 
 impl KeyspaceConfig {
     /// A keyspace over a network of `n` processors with the default
-    /// adaptive policy, no cost model, and a 256-token reply cache.
+    /// adaptive policy and no cost model.
     #[must_use]
     pub fn new(n: usize) -> Self {
         KeyspaceConfig {
             processors: n,
-            max_keys: 1024,
             policy: PromotionPolicy::default(),
             per_message: Duration::ZERO,
-            dedup_window: 256,
         }
     }
 }
 
 /// Where one key currently lives.
 enum Placement<B> {
-    Central(CentralBackend),
+    /// One processor (the center) hands out the entry's `granted` values
+    /// in order. Each value is one message at the center — it cannot
+    /// amortize a batch — so `handled` is its bottleneck: linear in the
+    /// ops, the load the paper's lower bound says a *contended* counter
+    /// cannot escape, and optimal for an uncontended one (the tree pays
+    /// `k+1` messages per cold traversal where the center pays 1).
+    Central {
+        /// Messages handled at the center since this placement began.
+        handled: u64,
+    },
     Tree(B),
 }
 
 /// One hosted counter: its placement plus everything that must survive
 /// a migration — the grant count, the reply cache, and the contention
 /// monitor all live *outside* the placement, so swapping the placement
-/// carries them implicitly.
+/// carries them implicitly. A central placement is nothing but a count
+/// on the entry.
 struct KeyEntry<B> {
     placement: Placement<B>,
     /// Values granted so far; the next grant is exactly this.
@@ -109,20 +114,9 @@ struct KeyEntry<B> {
 }
 
 impl<B> KeyEntry<B> {
-    fn central(n: usize, window: Duration) -> Self {
+    fn new(placement: Placement<B>, window: Duration) -> Self {
         KeyEntry {
-            placement: Placement::Central(CentralBackend::new(n)),
-            granted: 0,
-            pending: None,
-            answers: HashMap::new(),
-            order: VecDeque::new(),
-            monitor: ContentionMonitor::new(window),
-        }
-    }
-
-    fn on_tree(tree: B, window: Duration) -> Self {
-        KeyEntry {
-            placement: Placement::Tree(tree),
+            placement,
             granted: 0,
             pending: None,
             answers: HashMap::new(),
@@ -134,17 +128,17 @@ impl<B> KeyEntry<B> {
 
 /// A sharded multi-counter keyspace.
 ///
-/// Every key starts on a [`CentralBackend`] (one message per op at the
-/// center — optimal while cold). A per-key [`ContentionMonitor`] feeds
+/// Every key starts centralized (one message per op at the center —
+/// optimal while cold). A per-key [`ContentionMonitor`] feeds
 /// the [`PromotionPolicy`]; when a key crosses the thresholds it is
 /// marked for migration and **settled at the start of its next op**:
 /// the serving lock serializes ops per backend, so at that instant the
 /// key has no op in flight — that is the drain barrier. Promotion
 /// builds a fresh retirement tree and warms it to the granted value
-/// with one batch traversal; demotion resumes a centralized backend at
-/// the tree's value. The reply cache and grant count live on the key
-/// entry, outside the placement, so exactly-once retry survives the
-/// swap by construction.
+/// with one batch traversal; demotion drops the tree, and the center
+/// resumes at the granted count. The reply cache and grant count live
+/// on the key entry, outside the placement, so exactly-once retry
+/// survives the swap by construction.
 ///
 /// # Examples
 ///
@@ -238,20 +232,24 @@ impl<B: CounterBackend> Keyspace<B> {
         count: u64,
         token: Option<(u64, u64)>,
     ) -> Result<KeyedReply, KeyspaceError> {
+        // A batch of 0 is a batch of 1, as on every backend: granting
+        // nothing would hand the same value out twice.
+        let count = count.max(1);
         let now_us = self.epoch.elapsed().as_micros() as u64;
         if !self.keys.contains_key(&key) {
-            if self.keys.len() >= self.cfg.max_keys {
+            if self.keys.len() >= MAX_KEYS {
                 return Ok(KeyedReply::Unrouted);
             }
-            let entry = if self.cfg.policy.pin == PlacementPin::Tree {
+            let placement = if self.cfg.policy.pin == PlacementPin::Tree {
                 // Pinned-tree keys are born on the tree: a baseline, not
                 // a migration, so it does not count as a promotion.
-                let tree = (self.make_tree)(self.cfg.processors).map_err(KeyspaceError::Backend)?;
-                KeyEntry::on_tree(tree, self.cfg.policy.window)
+                Placement::Tree(
+                    (self.make_tree)(self.cfg.processors).map_err(KeyspaceError::Backend)?,
+                )
             } else {
-                KeyEntry::central(self.cfg.processors, self.cfg.policy.window)
+                Placement::Central { handled: 0 }
             };
-            self.keys.insert(key, entry);
+            self.keys.insert(key, KeyEntry::new(placement, self.cfg.policy.window));
         }
         let Keyspace { cfg, keys, make_tree, promotions, demotions, tree_order, .. } = self;
         let entry = keys.get_mut(&key).expect("entry ensured above");
@@ -284,10 +282,7 @@ impl<B: CounterBackend> Keyspace<B> {
                     *promotions += 1;
                 }
                 MigrationDirection::Demote => {
-                    entry.placement = Placement::Central(CentralBackend::resuming_at(
-                        cfg.processors,
-                        entry.granted,
-                    ));
+                    entry.placement = Placement::Central { handled: 0 };
                     *demotions += 1;
                 }
             }
@@ -297,10 +292,16 @@ impl<B: CounterBackend> Keyspace<B> {
         // every one of the batch's `count` ops; the tree serves the
         // whole batch in one `k + 1`-message traversal.
         let first = match &mut entry.placement {
-            Placement::Central(central) => {
-                let first = central.inc_batch(initiator, count)?;
+            Placement::Central { handled } => {
+                if initiator.index() >= cfg.processors {
+                    return Err(KeyspaceError::BadInitiator {
+                        initiator: initiator.index(),
+                        n: cfg.processors,
+                    });
+                }
+                *handled += count;
                 spin_for(scaled(cfg.per_message, count));
-                first
+                entry.granted
             }
             Placement::Tree(tree) => {
                 let first = tree
@@ -316,7 +317,7 @@ impl<B: CounterBackend> Keyspace<B> {
         if let Some(tok) = token {
             entry.answers.insert(tok, first);
             entry.order.push_back(tok);
-            while entry.order.len() > cfg.dedup_window {
+            while entry.order.len() > DEDUP_WINDOW {
                 if let Some(evicted) = entry.order.pop_front() {
                     entry.answers.remove(&evicted);
                 }
@@ -395,7 +396,7 @@ impl<B: CounterBackend> CounterBackend for Keyspace<B> {
         self.keys
             .values()
             .map(|entry| match &entry.placement {
-                Placement::Central(central) => central.bottleneck(),
+                Placement::Central { handled } => *handled,
                 Placement::Tree(tree) => tree.bottleneck(),
             })
             .max()
@@ -406,7 +407,7 @@ impl<B: CounterBackend> CounterBackend for Keyspace<B> {
         self.keys
             .values()
             .map(|entry| match &entry.placement {
-                Placement::Central(central) => central.retirements(),
+                Placement::Central { .. } => 0,
                 Placement::Tree(tree) => tree.retirements(),
             })
             .sum()
@@ -507,31 +508,53 @@ mod tests {
 
     #[test]
     fn the_reply_cache_evicts_beyond_its_window() {
-        let mut cfg = KeyspaceConfig::new(8);
-        cfg.dedup_window = 2;
-        let mut ks = Keyspace::sim(cfg);
+        let mut ks = Keyspace::sim(KeyspaceConfig::new(8));
         let p = ProcessorId::new(0);
-        for r in 0..3u64 {
+        let window = DEDUP_WINDOW as u64;
+        for r in 0..=window {
             assert_eq!(ks.inc_key(1, p, Some((9, r))).expect("inc"), KeyedReply::Fresh(r));
         }
         assert_eq!(
             ks.inc_key(1, p, Some((9, 0))).expect("inc"),
-            KeyedReply::Fresh(3),
+            KeyedReply::Fresh(window + 1),
             "token 0 was evicted, so this is a fresh grant"
         );
-        assert_eq!(ks.inc_key(1, p, Some((9, 2))).expect("inc"), KeyedReply::Replay(2));
+        assert_eq!(ks.inc_key(1, p, Some((9, window))).expect("inc"), KeyedReply::Replay(window));
     }
 
     #[test]
     fn the_key_limit_unroutes_new_keys_but_not_existing_ones() {
+        let mut ks = Keyspace::sim(KeyspaceConfig::new(8));
+        let p = ProcessorId::new(0);
+        for key in 0..MAX_KEYS as u64 {
+            assert_eq!(ks.inc_key(key, p, None).expect("inc"), KeyedReply::Fresh(0));
+        }
+        assert_eq!(ks.inc_key(MAX_KEYS as u64, p, None).expect("inc"), KeyedReply::Unrouted);
+        assert_eq!(ks.inc_key(1, p, None).expect("inc"), KeyedReply::Fresh(1));
+        assert_eq!(ks.keyspace_stats().keys_hosted, MAX_KEYS as u64);
+    }
+
+    #[test]
+    fn a_batch_of_zero_grants_one_value_on_both_placements() {
+        for policy in [PromotionPolicy::pinned_central(), PromotionPolicy::pinned_tree()] {
+            let mut ks = Keyspace::sim(KeyspaceConfig { policy, ..KeyspaceConfig::new(8) });
+            let p = ProcessorId::new(0);
+            assert_eq!(ks.inc_batch_key(5, p, 0, None).expect("batch"), KeyedReply::Fresh(0));
+            assert_eq!(ks.inc_key(5, p, None).expect("inc"), KeyedReply::Fresh(1), "no reuse");
+            assert_eq!(ks.read_key(5), Some(2));
+        }
+    }
+
+    #[test]
+    fn the_center_handles_one_message_per_value_and_never_retires() {
         let mut cfg = KeyspaceConfig::new(8);
-        cfg.max_keys = 2;
+        cfg.policy = PromotionPolicy::pinned_central();
         let mut ks = Keyspace::sim(cfg);
         let p = ProcessorId::new(0);
         assert_eq!(ks.inc_key(1, p, None).expect("inc"), KeyedReply::Fresh(0));
-        assert_eq!(ks.inc_key(2, p, None).expect("inc"), KeyedReply::Fresh(0));
-        assert_eq!(ks.inc_key(3, p, None).expect("inc"), KeyedReply::Unrouted);
-        assert_eq!(ks.inc_key(1, p, None).expect("inc"), KeyedReply::Fresh(1));
+        assert_eq!(ks.inc_batch_key(1, p, 5, None).expect("batch"), KeyedReply::Fresh(1));
+        assert_eq!(ks.bottleneck(), 6, "a batch of 5 is 5 messages at the center");
+        assert_eq!(ks.retirements(), 0);
     }
 
     #[test]

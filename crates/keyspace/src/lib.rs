@@ -15,7 +15,7 @@
 //! traversal amortizes the tree to `(k+1)/m` messages per op — below
 //! the center's unavoidable 1 as soon as `m > k+1`. The crossover is a
 //! function of *measured traffic*, not configuration, so each key
-//! starts on a cheap [`CentralBackend`] and a per-key
+//! starts centralized — a count on its key entry — and a per-key
 //! [`ContentionMonitor`] promotes it **live** to a retirement-tree
 //! backend when its windowed inc-rate or combiner batch depth crosses
 //! the [`PromotionPolicy`] thresholds; demotion on cooldown is the
@@ -27,10 +27,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod central;
 mod keyspace;
 mod policy;
 
-pub use central::CentralBackend;
-pub use keyspace::{Keyspace, KeyspaceConfig, KeyspaceError, MigrationDirection};
+pub use keyspace::{Keyspace, KeyspaceConfig, KeyspaceError, MigrationDirection, MAX_KEYS};
 pub use policy::{ContentionMonitor, PlacementPin, PromotionPolicy};

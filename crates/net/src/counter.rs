@@ -1,4 +1,9 @@
-//! The public threaded client and counter.
+//! The public threaded client, and the counter as its type alias.
+//!
+//! [`ThreadedTreeClient`] serves any [`RootObject`];
+//! [`ThreadedTreeCounter`] is the instance hosting a [`CounterObject`],
+//! which adds only the counter's own `inc` family and its
+//! [`CounterBackend`] impl.
 //!
 //! One OS thread per processor, crossbeam channels as the network,
 //! sequential driving per the paper's model: each operation waits for its
@@ -47,7 +52,7 @@ const QUIESCENCE_TIMEOUT: Duration = Duration::from_secs(10);
 /// use distctr_sim::ProcessorId;
 ///
 /// # fn main() -> Result<(), distctr_net::NetError> {
-/// let mut bit = ThreadedTreeClient::new(8, FlipBitObject::new())?;
+/// let mut bit = ThreadedTreeClient::<FlipBitObject>::new(8)?;
 /// assert!(!bit.invoke(ProcessorId::new(3), ())?);
 /// assert!(bit.invoke(ProcessorId::new(5), ())?);
 /// bit.shutdown()?;
@@ -73,16 +78,16 @@ where
     O::Response: Send + 'static,
 {
     /// Spawns one thread per processor for a tree of at least `n`
-    /// processors (rounded up to `k^(k+1)`), hosting `object` at the
-    /// root.
+    /// processors (rounded up to `k^(k+1)`), hosting the object's
+    /// [`Default`] state at the root.
     ///
     /// # Errors
     ///
     /// [`NetError::Order`] for invalid sizes; [`NetError::TooManyThreads`]
     /// beyond [`MAX_THREADED_PROCESSORS`]; [`NetError::Spawn`] if thread
     /// creation fails.
-    pub fn new(n: usize, object: O) -> Result<Self, NetError> {
-        Self::with_reply_cache(n, object, DEFAULT_REPLY_CACHE)
+    pub fn new(n: usize) -> Result<Self, NetError> {
+        Self::with_reply_cache(n, DEFAULT_REPLY_CACHE)
     }
 
     /// Like [`ThreadedTreeClient::new`], but with an explicit root
@@ -95,7 +100,7 @@ where
     ///
     /// Same conditions as [`ThreadedTreeClient::new`], plus
     /// [`NetError::Order`] if `reply_cache_cap` is 0.
-    pub fn with_reply_cache(n: usize, object: O, reply_cache_cap: usize) -> Result<Self, NetError> {
+    pub fn with_reply_cache(n: usize, reply_cache_cap: usize) -> Result<Self, NetError> {
         if reply_cache_cap == 0 {
             return Err(NetError::Order("reply cache needs at least one slot".into()));
         }
@@ -134,7 +139,7 @@ where
         let mut engines: Vec<NodeEngine<O>> = (0..processors)
             .map(|i| NodeEngine::new(ProcessorId::new(i), Arc::clone(&topo), config))
             .collect();
-        seed_initial_hosting(&topo, &mut engines, &object);
+        seed_initial_hosting(&topo, &mut engines, &O::default());
 
         let mut handles = Vec::with_capacity(processors);
         for ((index, rx), engine) in receivers.into_iter().enumerate().zip(engines) {
@@ -542,7 +547,8 @@ impl<O: RootObject> Drop for ThreadedTreeClient<O> {
     }
 }
 
-/// The retirement-tree counter running on real OS threads.
+/// The retirement-tree counter running on real OS threads: the generic
+/// [`ThreadedTreeClient`] hosting a [`CounterObject`].
 ///
 /// # Examples
 ///
@@ -558,50 +564,39 @@ impl<O: RootObject> Drop for ThreadedTreeClient<O> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct ThreadedTreeCounter {
-    client: ThreadedTreeClient<CounterObject>,
-}
+pub type ThreadedTreeCounter = ThreadedTreeClient<CounterObject>;
 
-impl ThreadedTreeCounter {
-    /// Spawns one thread per processor for a tree of at least `n`
-    /// processors (rounded up to `k^(k+1)`).
+impl ThreadedTreeClient<CounterObject> {
+    /// Executes one `inc` initiated by `initiator`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ThreadedTreeClient::new`].
-    pub fn new(n: usize) -> Result<Self, NetError> {
-        Ok(ThreadedTreeCounter { client: ThreadedTreeClient::new(n, CounterObject::new())? })
+    /// Same conditions as [`ThreadedTreeClient::invoke`].
+    pub fn inc(&mut self, initiator: ProcessorId) -> Result<u64, NetError> {
+        self.invoke(initiator, ())
     }
 
-    /// Like [`ThreadedTreeCounter::new`], but with an explicit root
-    /// reply-cache capacity; see
-    /// [`ThreadedTreeClient::with_reply_cache`].
+    /// Executes a batch of `count` incs as one traversal with a fresh
+    /// internal sequence, returning the range start.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ThreadedTreeClient::with_reply_cache`].
-    pub fn with_reply_cache(n: usize, reply_cache_cap: usize) -> Result<Self, NetError> {
-        Ok(ThreadedTreeCounter {
-            client: ThreadedTreeClient::with_reply_cache(n, CounterObject::new(), reply_cache_cap)?,
-        })
+    /// Same conditions as [`ThreadedTreeClient::invoke`].
+    pub fn inc_batch(&mut self, initiator: ProcessorId, count: u64) -> Result<u64, NetError> {
+        let op_seq = self.reserve_op();
+        self.inc_batch_reserved(initiator, op_seq, count)
     }
 
-    /// Reserves the next op sequence for [`ThreadedTreeCounter::inc_reserved`];
-    /// see [`ThreadedTreeClient::reserve_op`].
-    pub fn reserve_op(&mut self) -> u64 {
-        self.client.reserve_op()
-    }
-
-    /// Executes one `inc` under a reserved op sequence. Re-driving the
-    /// same sequence (a retry whose original did land) is answered from
-    /// the root's reply cache without incrementing again.
+    /// Executes one `inc` under a reserved op sequence (see
+    /// [`ThreadedTreeClient::reserve_op`]). Re-driving the same sequence
+    /// (a retry whose original did land) is answered from the root's
+    /// reply cache without incrementing again.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ThreadedTreeClient::invoke`].
     pub fn inc_reserved(&mut self, initiator: ProcessorId, op_seq: u64) -> Result<u64, NetError> {
-        self.client.invoke_reserved(initiator, op_seq, ())
+        self.invoke_reserved(initiator, op_seq, ())
     }
 
     /// Executes a batch of `count` incs as one tree traversal under a
@@ -618,104 +613,7 @@ impl ThreadedTreeCounter {
         op_seq: u64,
         count: u64,
     ) -> Result<u64, NetError> {
-        self.client.invoke_batch_reserved(initiator, op_seq, count, ())
-    }
-
-    /// Executes a batch of `count` incs as one traversal with a fresh
-    /// internal sequence, returning the range start.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThreadedTreeClient::invoke`].
-    pub fn inc_batch(&mut self, initiator: ProcessorId, count: u64) -> Result<u64, NetError> {
-        let op_seq = self.client.reserve_op();
-        self.inc_batch_reserved(initiator, op_seq, count)
-    }
-
-    /// Number of processors (= threads).
-    #[must_use]
-    pub fn processors(&self) -> usize {
-        self.client.processors()
-    }
-
-    /// The tree order `k`.
-    #[must_use]
-    pub fn order(&self) -> u32 {
-        self.client.order()
-    }
-
-    /// Executes one `inc` initiated by `initiator`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThreadedTreeClient::invoke`].
-    pub fn inc(&mut self, initiator: ProcessorId) -> Result<u64, NetError> {
-        self.client.invoke(initiator, ())
-    }
-
-    /// Per-processor message loads (sent + received), snapshot.
-    #[must_use]
-    pub fn loads(&self) -> Vec<u64> {
-        self.client.loads()
-    }
-
-    /// The bottleneck load.
-    #[must_use]
-    pub fn bottleneck(&self) -> u64 {
-        self.client.bottleneck()
-    }
-
-    /// Total retirements across the run.
-    #[must_use]
-    pub fn retirements(&self) -> u64 {
-        self.client.retirements()
-    }
-
-    /// Crashes one worker thread; see
-    /// [`ThreadedTreeClient::crash_worker`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThreadedTreeClient::crash_worker`].
-    pub fn crash_worker(&mut self, p: ProcessorId) -> Result<(), NetError> {
-        self.client.crash_worker(p)
-    }
-
-    /// Processors crashed so far.
-    #[must_use]
-    pub fn crashed_workers(&self) -> Vec<ProcessorId> {
-        self.client.crashed_workers()
-    }
-
-    /// Messages forwarded by the retirement shim.
-    #[must_use]
-    pub fn shim_forwards(&self) -> u64 {
-        self.client.shim_forwards()
-    }
-
-    /// Messages dropped at crashed or vanished destinations.
-    #[must_use]
-    pub fn dead_letters(&self) -> u64 {
-        self.client.dead_letters()
-    }
-
-    /// Snapshots every worker's engine fingerprint; see
-    /// [`ThreadedTreeClient::engine_fingerprints`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThreadedTreeClient::engine_fingerprints`].
-    pub fn engine_fingerprints(&self) -> Result<Vec<u64>, NetError> {
-        self.client.engine_fingerprints()
-    }
-
-    /// Stops every worker thread and joins them.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThreadedTreeClient::shutdown`].
-    pub fn shutdown(&mut self) -> Result<(), NetError> {
-        self.client.shutdown()
+        self.invoke_batch_reserved(initiator, op_seq, count, ())
     }
 }
 
@@ -934,7 +832,7 @@ mod tests {
     #[test]
     fn generic_client_hosts_a_priority_queue_on_threads() {
         use distctr_core::object::{PqRequest, PqResponse, PriorityQueueObject};
-        let mut pq = ThreadedTreeClient::new(8, PriorityQueueObject::new()).expect("threads");
+        let mut pq = ThreadedTreeClient::<PriorityQueueObject>::new(8).expect("threads");
         for (i, key) in [9u64, 2, 7].into_iter().enumerate() {
             let resp = pq.invoke(ProcessorId::new(i), PqRequest::Insert(key)).expect("insert");
             assert_eq!(resp, PqResponse::Inserted { len: i as u64 + 1 });
@@ -950,7 +848,7 @@ mod tests {
     #[test]
     fn generic_client_hosts_a_max_register_on_threads() {
         use distctr_core::MaxRegisterObject;
-        let mut reg = ThreadedTreeClient::new(8, MaxRegisterObject::new()).expect("threads");
+        let mut reg = ThreadedTreeClient::<MaxRegisterObject>::new(8).expect("threads");
         assert_eq!(reg.invoke(ProcessorId::new(0), 5).expect("fetch_max"), 0);
         assert_eq!(reg.invoke(ProcessorId::new(3), 2).expect("fetch_max"), 5);
         assert_eq!(reg.invoke(ProcessorId::new(7), 9).expect("fetch_max"), 5);

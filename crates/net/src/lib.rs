@@ -15,8 +15,8 @@
 //! cross-backend tests assert it produces the same observable behaviour.
 //! Like the simulator, the backend is generic over the hosted
 //! [`distctr_core::RootObject`]: [`ThreadedTreeClient`] serves any
-//! sequentially-dependent object, [`ThreadedTreeCounter`] is its counter
-//! instance.
+//! sequentially-dependent object, and [`ThreadedTreeCounter`] is a type
+//! alias for its counter instance.
 //!
 //! ```
 //! use distctr_net::ThreadedTreeCounter;

@@ -105,7 +105,7 @@ fn stale_sends_to_a_retired_worker_are_forwarded_and_counted() {
     use distctr_core::{CounterObject, NodeRef};
     use distctr_net::ThreadedTreeClient;
 
-    let mut c = ThreadedTreeClient::new(8, CounterObject::new()).expect("client");
+    let mut c = ThreadedTreeClient::<CounterObject>::new(8).expect("client");
     // One full round of ops ages the root by 2 each (it sits on every
     // path), so it has certainly retired from its initial worker.
     for i in 0..8u64 {

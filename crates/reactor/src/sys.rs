@@ -6,8 +6,8 @@
 //! POSIX/Linux ABI (x86_64/aarch64 LP64 layouts).
 //!
 //! Everything unsafe in the workspace's serving stack is confined to
-//! this module; [`crate::poller`] and [`crate::waker`] wrap it in safe
-//! owned types.
+//! this module; [`Poller`](crate::Poller) and [`Waker`](crate::Waker)
+//! wrap it in safe owned types.
 
 #![allow(clippy::missing_safety_doc)]
 

@@ -67,16 +67,13 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+pub use distctr_core::DEDUP_WINDOW;
 use distctr_core::{CounterBackend, KeyedReply, DEFAULT_KEY};
 use distctr_reactor::Waker;
 use distctr_sim::ProcessorId;
 
 use crate::error::{ErrCode, ServerError};
 use crate::wire::{StatsSnapshot, WireError, WireMsg};
-
-/// Per-session dedup window: how many recent request ids a session
-/// remembers for exactly-once retries.
-pub const DEDUP_WINDOW: usize = 256;
 
 /// How long [`CounterServer::drain`] waits for connections to go idle
 /// before falling back to a hard stop.

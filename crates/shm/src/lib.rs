@@ -26,7 +26,7 @@
 //!
 //! Built with `--features loom`, every atomic, mutex, and thread in
 //! this crate resolves to the `loom` model shim instead of `std`
-//! (see [`mod@sync`]), and the `tests/loom.rs` suite exhaustively
+//! (see the private `sync` module), and the `tests/loom.rs` suite exhaustively
 //! explores interleavings of the small cores: balancer traversal,
 //! mailbox handoff, combiner handoff. Normal builds pay nothing.
 

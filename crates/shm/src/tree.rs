@@ -394,7 +394,7 @@ impl ShmTreeCounter {
     /// # Errors
     ///
     /// [`ShmError::UnknownProcessor`] for an out-of-range initiator;
-    /// [`ShmError::Stalled`] after [`STALL_AFTER`] without progress.
+    /// [`ShmError::Stalled`] after 30 s without progress.
     pub fn inc_shared(&self, initiator: ProcessorId) -> Result<u64, ShmError> {
         self.check_initiator(initiator)?;
         let arena = &self.arena;

@@ -1,14 +1,14 @@
 //! Offline stand-in for the `loom` model checker.
 //!
 //! Provides the subset of loom's API that `distctr-shm` uses —
-//! [`model`], [`thread`], [`sync::atomic`], [`sync::Mutex`],
+//! [`model()`], [`thread`], [`sync::atomic`], [`sync::Mutex`],
 //! [`hint::spin_loop`] — implemented as a **bounded-preemption
 //! cooperative scheduler** over real OS threads:
 //!
 //! * Exactly one managed thread runs at a time; every atomic access,
 //!   mutex acquisition, spawn and join is a *scheduling point* where the
 //!   scheduler may hand the token to another runnable thread.
-//! * [`model`] explores the schedule tree depth-first: each execution
+//! * [`model()`] explores the schedule tree depth-first: each execution
 //!   replays a recorded prefix of scheduling choices, takes the first
 //!   untried alternative at the deepest branch, and reruns until the
 //!   tree (bounded by the preemption budget) is exhausted.
@@ -17,7 +17,7 @@
 //!   forced switches (yields, spin hints, contended locks, joins) are
 //!   free, exactly like CHESS-style bounded model checking.
 //! * A panic in any managed thread aborts the execution and is
-//!   re-raised by [`model`] together with the schedule that produced
+//!   re-raised by [`model()`] together with the schedule that produced
 //!   it.
 //!
 //! Caveats vs. the real crate (see also `shims/README.md`):

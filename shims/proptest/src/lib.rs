@@ -2,8 +2,8 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the API subset its property tests use: the [`proptest!`]
-//! macro, [`Strategy`] with `prop_map`/`prop_shuffle`/`boxed`, integer
-//! ranges, [`Just`], [`any`], `prop::collection::vec`, [`prop_oneof!`]
+//! macro, [`Strategy`](strategy::Strategy) with `prop_map`/`prop_shuffle`/`boxed`,
+//! integer ranges, [`Just`](strategy::Just), [`any`](arbitrary::any), `prop::collection::vec`, [`prop_oneof!`]
 //! and the `prop_assert*` macros. Inputs are sampled from a seeded
 //! generator (deterministic per test name), so runs are reproducible.
 //! There is no shrinking: a failing case panics with the case number so
