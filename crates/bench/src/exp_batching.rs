@@ -1,12 +1,12 @@
 //! Experiment E22 — batched increments and the flat-combining hot path.
 //!
 //! The paper's protocol pays one root traversal per inc; batching pays
-//! one traversal per *batch* (`BatchInc(m)` reserves the contiguous
+//! one traversal per *batch* (`KeyBatchInc(m)` reserves the contiguous
 //! range `[v, v + m)` in a single climb), and the server's
 //! flat-combining front-end turns concurrent unit incs into exactly
 //! such batches without any client cooperation. This experiment drives
-//! the same closed-loop TCP workload against the sequential ticketed
-//! serving path and the combining path, over a concurrency grid, and
+//! the same closed-loop TCP workload against the sequential path and
+//! the combining path, over a concurrency grid, and
 //! reports achieved incs/sec side by side — the amortization story
 //! `kmath::amortized_msgs_per_inc` prices analytically, measured
 //! end-to-end through real sockets.
@@ -27,7 +27,7 @@ pub struct BatchingRow {
     pub conns: usize,
     /// Total operations driven per path.
     pub ops: usize,
-    /// Closed-loop throughput of the sequential ticketed path, incs/sec.
+    /// Closed-loop throughput of the sequential path, incs/sec.
     pub sequential_ops_per_sec: f64,
     /// Closed-loop throughput of the flat-combining path, incs/sec.
     pub combined_ops_per_sec: f64,
@@ -124,7 +124,7 @@ pub fn e22_render(n: usize, k: u32, rows: &[BatchingRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "E22. Batching and combining: closed-loop TCP incs/sec against {n} processors,\n\
-         sequential ticketed serving vs flat combining\n\n"
+         the sequential path vs flat combining\n\n"
     ));
     let mut table = Table::new(vec![
         "conns",

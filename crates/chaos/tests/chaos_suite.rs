@@ -13,8 +13,9 @@ use distctr_core::TreeCounter;
 use distctr_server::{run_load, ClientConfig, CounterServer, LoadConfig, LoadReport, RetryPolicy};
 
 /// A combining server over the deterministic in-process tree — the
-/// dedup path under test here is the session answered-table (no backend
-/// tickets), the harder of the two replay stories.
+/// dedup path under test here is the session answer table (the backend
+/// ignores tokens, and combining rounds carry none), the harder of the
+/// two replay stories.
 fn serve() -> CounterServer<TreeCounter> {
     CounterServer::serve_async_combining(TreeCounter::new(8).expect("backend")).expect("serve")
 }

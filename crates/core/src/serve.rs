@@ -9,13 +9,16 @@
 //! alias of its substrate's generic tree client — so the same server,
 //! tests and experiments run against either.
 //!
-//! Exactly-once across retries is part of the interface: a backend that
-//! owns a reply cache (the root's migrating cache in both tree backends)
-//! can hand out **tickets** via [`CounterBackend::reserve`]. Driving
-//! [`CounterBackend::inc_ticketed`] twice with the same ticket applies
-//! the increment once and returns the same value twice — which is what a
-//! server needs when a client reconnects and retries a request whose
-//! reply was lost in flight.
+//! Exactly-once across retries is part of the interface, through one
+//! hook: [`CounterBackend::inc_batch_key`] takes an optional
+//! `(session, request)` **token**. A serving layer passes the same token
+//! every time it drives the same client request — a reconnect-and-retry
+//! whose first reply was lost in flight — and a backend that keeps a
+//! reply cache keyed by it (a keyspace key's migrating cache, the
+//! threaded tree's reserved op sequences) answers the re-drive with
+//! [`KeyedReply::Replay`] instead of incrementing again. A backend
+//! without one ignores the token; the caller's own answer table then
+//! dedups whatever it saw succeed.
 
 use distctr_sim::{Counter, ProcessorId};
 
@@ -28,8 +31,8 @@ use crate::error::CoreError;
 pub const DEFAULT_KEY: u64 = 0;
 
 /// Dedup window: how many recent request ids (a server session) or
-/// `(session, request)` tokens (a keyspace key) are remembered for
-/// exactly-once retries.
+/// `(session, request)` tokens (a keyspace key, the threaded tree) are
+/// remembered for exactly-once retries.
 pub const DEDUP_WINDOW: usize = 256;
 
 /// Outcome of a keyed operation ([`CounterBackend::inc_key`] /
@@ -106,25 +109,6 @@ pub trait CounterBackend {
     /// backends may also time out or lose peers.
     fn inc(&mut self, initiator: ProcessorId) -> Result<u64, Self::Error>;
 
-    /// Reserves a dedup ticket for one client request, if this backend
-    /// supports exactly-once retries. `None` (the default) means the
-    /// caller must deduplicate retries itself.
-    fn reserve(&mut self) -> Option<u64> {
-        None
-    }
-
-    /// Executes one `inc` under a ticket from
-    /// [`CounterBackend::reserve`]: re-driving the same ticket must not
-    /// increment again, and must return the value of the first
-    /// application. The default ignores the ticket and increments.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CounterBackend::inc`].
-    fn inc_ticketed(&mut self, initiator: ProcessorId, _ticket: u64) -> Result<u64, Self::Error> {
-        self.inc(initiator)
-    }
-
     /// Executes a *batch* of `count` incs charged to `initiator` as one
     /// traversal where the backend supports it, returning the **first**
     /// value of the batch's contiguous range `[first, first + count)`.
@@ -132,7 +116,7 @@ pub trait CounterBackend {
     /// The default replays [`CounterBackend::inc`] `count` times —
     /// semantically identical (the values are contiguous because the
     /// backend serializes them) but unamortized. Tree backends override
-    /// it with a single `BatchInc` traversal.
+    /// it with a single `BatchApply` traversal.
     ///
     /// # Errors
     ///
@@ -145,32 +129,8 @@ pub trait CounterBackend {
         Ok(first)
     }
 
-    /// Batch analogue of [`CounterBackend::inc_ticketed`]: re-driving the
-    /// same ticket with the same `count` must not increment again and
-    /// must return the same range start. The default ignores the ticket.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CounterBackend::inc`].
-    fn inc_batch_ticketed(
-        &mut self,
-        initiator: ProcessorId,
-        _ticket: u64,
-        count: u64,
-    ) -> Result<u64, Self::Error> {
-        self.inc_batch(initiator, count)
-    }
-
-    /// Executes one `inc` against counter `key`, optionally under a
-    /// `(session, request)` dedup token: a backend that keeps a keyed
-    /// reply cache answers a replayed token with [`KeyedReply::Replay`]
-    /// instead of incrementing again — and carries that cache across
-    /// backend migrations, so exactly-once survives a key changing
-    /// placement between a request and its retry.
-    ///
-    /// The default routes [`DEFAULT_KEY`] to [`CounterBackend::inc`]
-    /// (ignoring the token; the caller's own answer table must dedup)
-    /// and reports every other key [`KeyedReply::Unrouted`].
+    /// Executes one `inc` against counter `key`: a batch of one through
+    /// [`CounterBackend::inc_batch_key`], token and all.
     ///
     /// # Errors
     ///
@@ -181,17 +141,22 @@ pub trait CounterBackend {
         initiator: ProcessorId,
         token: Option<(u64, u64)>,
     ) -> Result<KeyedReply, Self::Error> {
-        let _ = token;
-        if key == DEFAULT_KEY {
-            self.inc(initiator).map(KeyedReply::Fresh)
-        } else {
-            Ok(KeyedReply::Unrouted)
-        }
+        self.inc_batch_key(key, initiator, 1, token)
     }
 
-    /// Batch analogue of [`CounterBackend::inc_key`]: `count` incs
-    /// against counter `key` as one traversal where supported, granting
-    /// the contiguous range `[first, first + count)`.
+    /// Executes `count` incs against counter `key` as one traversal
+    /// where supported, granting the contiguous range
+    /// `[first, first + count)` — the one call a serving layer makes.
+    /// `token` is the request's `(session, request)` dedup token: a
+    /// backend that keeps a reply cache answers a re-driven token with
+    /// [`KeyedReply::Replay`] instead of incrementing again (a keyspace
+    /// carries that cache across backend migrations, so exactly-once
+    /// survives a key changing placement between a request and its
+    /// retry).
+    ///
+    /// The default routes [`DEFAULT_KEY`] to [`CounterBackend::inc_batch`]
+    /// (ignoring the token; the caller's own answer table must dedup)
+    /// and reports every other key [`KeyedReply::Unrouted`].
     ///
     /// # Errors
     ///
@@ -286,15 +251,6 @@ mod tests {
             "owns [1, 6)"
         );
         assert_eq!(CounterBackend::inc(&mut sim, ProcessorId::new(2)).expect("inc"), 6);
-        assert_eq!(sim.inc_batch_ticketed(ProcessorId::new(3), 9, 2).expect("batch"), 7);
-    }
-
-    #[test]
-    fn default_ticketing_is_a_plain_inc() {
-        let mut sim = TreeCounter::new(8).expect("counter");
-        assert_eq!(sim.reserve(), None);
-        assert_eq!(sim.inc_ticketed(ProcessorId::new(0), 7).expect("inc"), 0);
-        assert_eq!(sim.inc_ticketed(ProcessorId::new(1), 7).expect("inc"), 1);
     }
 
     #[test]

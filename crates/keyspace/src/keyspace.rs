@@ -360,15 +360,6 @@ impl<B: CounterBackend> CounterBackend for Keyspace<B> {
         }
     }
 
-    fn inc_key(
-        &mut self,
-        key: u64,
-        initiator: ProcessorId,
-        token: Option<(u64, u64)>,
-    ) -> Result<KeyedReply, Self::Error> {
-        self.serve(key, initiator, 1, token)
-    }
-
     fn inc_batch_key(
         &mut self,
         key: u64,

@@ -4,7 +4,7 @@
 //! independent counters, addressed by a `u64` key, behind the same
 //! [`CounterBackend`](distctr_core::CounterBackend) interface the TCP
 //! server (`distctr-server`) already serves — so a single listener
-//! hosts the whole namespace with keyed sessions, per-key flat
+//! hosts the whole namespace with keyed requests, per-key flat
 //! combining and exactly-once retries.
 //!
 //! The paper's result is the reason this crate exists: the retirement

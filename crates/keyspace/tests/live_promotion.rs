@@ -1,4 +1,4 @@
-//! The keyspace behind a real TCP server: keyed sessions, live
+//! The keyspace behind a real TCP server: keyed clients, live
 //! promotion under concurrent load, exactly-once across reconnects
 //! that straddle a migration, and the single-counter fallback.
 
@@ -34,7 +34,7 @@ fn keyed_sessions_drive_independent_counters_over_tcp() {
     let mut alice = RemoteCounter::connect_keyed(addr, 3).unwrap();
     let mut bob = RemoteCounter::connect_keyed(addr, 8).unwrap();
     for expect in 0..20u64 {
-        // A keyed session's plain `inc` drives the session's counter.
+        // A keyed client's plain `inc` drives the client's counter.
         assert_eq!(alice.inc().unwrap(), expect, "key 3 counts alone");
         assert_eq!(bob.inc().unwrap(), expect, "key 8 counts alone");
     }
@@ -67,13 +67,13 @@ fn a_resumed_session_replays_exactly_once_across_a_migration() {
     assert_eq!(last, 9);
     drop(client);
 
-    // Reconnect-and-resume keeps the original key (the hello's key is
-    // ignored on resume) and replaying an acked request id answers
-    // from the caches — never a second grant.
+    // A resumed session carries no key (the key travels in each
+    // request), and replaying an acked request id answers from the
+    // caches — never a second grant.
     let mut resumed = RemoteCounter::resume(addr, session).unwrap();
     let replayed = resumed.inc_key_with_id(7, 9, None).unwrap();
     assert_eq!(replayed, 9, "the replay answered the original grant, not a new one");
-    assert_eq!(resumed.inc().unwrap(), 10, "fresh ops continue where the sequence left off");
+    assert_eq!(resumed.inc_key(7).unwrap(), 10, "fresh ops continue where the sequence left off");
     assert_eq!(resumed.read(7).unwrap(), 11);
 
     let stats = server.stats();
@@ -100,7 +100,7 @@ fn single_counter_backends_reject_foreign_keys_with_no_such_key() {
 
 #[test]
 fn live_promotion_under_concurrent_load_preserves_per_key_sequences() {
-    // The whole keyed story on a combining server: keyed handshakes,
+    // The whole keyed story on a combining server: keyed clients,
     // per-request keys, reads, and eager promotion under concurrent
     // Zipf load. Per-key exactly-once must hold across promotions.
     let mut server = CounterServer::serve_async_combining(keyspace(27, eager())).unwrap();

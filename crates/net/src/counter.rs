@@ -3,13 +3,16 @@
 //! [`ThreadedTreeClient`] serves any [`RootObject`];
 //! [`ThreadedTreeCounter`] is the instance hosting a [`CounterObject`],
 //! which adds only the counter's own `inc` family and its
-//! [`CounterBackend`] impl.
+//! [`CounterBackend`] impl — whose `(session, request)` tokens map onto
+//! reserved op sequences, so a serving layer's retry re-drives the same
+//! sequence and the root's reply cache keeps it exactly-once.
 //!
 //! One OS thread per processor, crossbeam channels as the network,
 //! sequential driving per the paper's model: each operation waits for its
 //! response *and* for full quiescence of the retirement cascade ("enough
 //! time elapses between any two inc requests").
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -17,7 +20,10 @@ use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use distctr_core::engine::{seed_initial_hosting, EngineConfig, NodeEngine, PoolPolicy};
-use distctr_core::{kmath, CounterBackend, CounterObject, Msg, NodeRef, RootObject, Topology};
+use distctr_core::{
+    kmath, CounterBackend, CounterObject, KeyedReply, Msg, NodeRef, RootObject, Topology,
+    DEDUP_WINDOW, DEFAULT_KEY,
+};
 use distctr_sim::ProcessorId;
 
 use crate::error::NetError;
@@ -67,6 +73,11 @@ pub struct ThreadedTreeClient<O: RootObject> {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     next_op: u64,
+    /// `(session, request)` token → the op sequence reserved for it, so
+    /// a re-driven token re-sends the same sequence.
+    tokens: HashMap<(u64, u64), u64>,
+    /// Insertion order of `tokens`, for pruning to [`DEDUP_WINDOW`].
+    token_order: VecDeque<(u64, u64)>,
     shut_down: bool,
     crashed: Vec<bool>,
 }
@@ -168,6 +179,8 @@ where
             shared,
             handles,
             next_op: 0,
+            tokens: HashMap::new(),
+            token_order: VecDeque::new(),
             shut_down: false,
             crashed: vec![false; processors],
         })
@@ -206,54 +219,25 @@ where
         req: O::Request,
     ) -> Result<O::Response, NetError> {
         let op_seq = self.reserve_op();
-        self.invoke_reserved(initiator, op_seq, req)
+        self.check_peer(initiator)?;
+        self.drive(initiator, op_seq, |op_seq| NetMsg::StartOp { op_seq, req: req.clone() })
     }
 
-    /// Reserves the next op sequence without driving anything. Combined
-    /// with [`ThreadedTreeClient::invoke_reserved`], this is the
-    /// exactly-once hook for a service boundary: reserve a sequence when
-    /// a client request first arrives, then drive it — possibly more than
-    /// once, across client reconnects — under that same sequence. The
-    /// root's migrating reply cache answers every re-drive with the value
-    /// of the first application.
-    pub fn reserve_op(&mut self) -> u64 {
+    /// Reserves the next op sequence without driving anything.
+    fn reserve_op(&mut self) -> u64 {
         let op_seq = self.next_op;
         self.next_op += 1;
         op_seq
     }
 
-    /// Executes one operation under a caller-reserved op sequence (see
-    /// [`ThreadedTreeClient::reserve_op`]). Re-driving a sequence whose
-    /// original application already reached the root is answered from the
-    /// reply cache instead of applying again.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThreadedTreeClient::invoke`].
-    pub fn invoke_reserved(
-        &mut self,
-        initiator: ProcessorId,
-        op_seq: u64,
-        req: O::Request,
-    ) -> Result<O::Response, NetError> {
-        self.check_peer(initiator)?;
-        self.drive(initiator, op_seq, |op_seq| NetMsg::StartOp { op_seq, req: req.clone() })
-    }
-
-    /// Executes a *batch* of `count` identical operations under a
-    /// caller-reserved op sequence: the batch shares **one** tree
-    /// traversal ([`Msg::BatchApply`]) and the response is the first
-    /// member's — for the counter, the start of the contiguous range
+    /// Executes a *batch* of `count` identical operations under the op
+    /// sequence `op_seq`: the batch shares **one** tree traversal
+    /// ([`Msg::BatchApply`]) and the response is the first member's —
+    /// for the counter, the start of the contiguous range
     /// `[first, first + count)` the batch owns. Re-driving the same
     /// sequence (with the same count) is answered from the root's reply
     /// cache, so the whole range stays exactly-once across retries.
-    ///
-    /// [`Msg::BatchApply`]: distctr_core::Msg::BatchApply
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThreadedTreeClient::invoke`].
-    pub fn invoke_batch_reserved(
+    fn invoke_batch_reserved(
         &mut self,
         initiator: ProcessorId,
         op_seq: u64,
@@ -584,35 +568,6 @@ impl ThreadedTreeClient<CounterObject> {
     /// Same conditions as [`ThreadedTreeClient::invoke`].
     pub fn inc_batch(&mut self, initiator: ProcessorId, count: u64) -> Result<u64, NetError> {
         let op_seq = self.reserve_op();
-        self.inc_batch_reserved(initiator, op_seq, count)
-    }
-
-    /// Executes one `inc` under a reserved op sequence (see
-    /// [`ThreadedTreeClient::reserve_op`]). Re-driving the same sequence
-    /// (a retry whose original did land) is answered from the root's
-    /// reply cache without incrementing again.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThreadedTreeClient::invoke`].
-    pub fn inc_reserved(&mut self, initiator: ProcessorId, op_seq: u64) -> Result<u64, NetError> {
-        self.invoke_reserved(initiator, op_seq, ())
-    }
-
-    /// Executes a batch of `count` incs as one tree traversal under a
-    /// reserved op sequence, returning the start of the batch's range
-    /// `[first, first + count)`; see
-    /// [`ThreadedTreeClient::invoke_batch_reserved`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThreadedTreeClient::invoke`].
-    pub fn inc_batch_reserved(
-        &mut self,
-        initiator: ProcessorId,
-        op_seq: u64,
-        count: u64,
-    ) -> Result<u64, NetError> {
         self.invoke_batch_reserved(initiator, op_seq, count, ())
     }
 }
@@ -628,25 +583,42 @@ impl CounterBackend for ThreadedTreeCounter {
         ThreadedTreeCounter::inc(self, initiator)
     }
 
-    fn reserve(&mut self) -> Option<u64> {
-        Some(self.reserve_op())
-    }
-
-    fn inc_ticketed(&mut self, initiator: ProcessorId, ticket: u64) -> Result<u64, Self::Error> {
-        self.inc_reserved(initiator, ticket)
-    }
-
     fn inc_batch(&mut self, initiator: ProcessorId, count: u64) -> Result<u64, Self::Error> {
         ThreadedTreeCounter::inc_batch(self, initiator, count)
     }
 
-    fn inc_batch_ticketed(
+    /// A token's first sighting reserves an op sequence; re-driving a
+    /// known token re-sends that same sequence — answered
+    /// [`KeyedReply::Replay`], from the root's reply cache if an earlier
+    /// attempt landed — so a retry after a [`NetError::Timeout`] never
+    /// applies twice.
+    fn inc_batch_key(
         &mut self,
+        key: u64,
         initiator: ProcessorId,
-        ticket: u64,
         count: u64,
-    ) -> Result<u64, Self::Error> {
-        self.inc_batch_reserved(initiator, ticket, count)
+        token: Option<(u64, u64)>,
+    ) -> Result<KeyedReply, Self::Error> {
+        if key != DEFAULT_KEY {
+            return Ok(KeyedReply::Unrouted);
+        }
+        let Some(token) = token else {
+            return self.inc_batch(initiator, count).map(KeyedReply::Fresh);
+        };
+        if let Some(&op_seq) = self.tokens.get(&token) {
+            return self
+                .invoke_batch_reserved(initiator, op_seq, count, ())
+                .map(KeyedReply::Replay);
+        }
+        let op_seq = self.reserve_op();
+        self.tokens.insert(token, op_seq);
+        self.token_order.push_back(token);
+        if self.token_order.len() > DEDUP_WINDOW {
+            if let Some(old) = self.token_order.pop_front() {
+                self.tokens.remove(&old);
+            }
+        }
+        self.invoke_batch_reserved(initiator, op_seq, count, ()).map(KeyedReply::Fresh)
     }
 
     fn bottleneck(&self) -> u64 {
@@ -757,35 +729,25 @@ mod tests {
     }
 
     #[test]
-    fn reserved_retry_is_exactly_once() {
-        let mut c = ThreadedTreeCounter::with_reply_cache(8, 64).expect("counter");
-        let seq = c.reserve_op();
-        let first = c.inc_reserved(ProcessorId::new(2), seq).expect("inc");
-        // Unrelated traffic lands in between, then the "retry" re-drives
-        // the same sequence: the reply cache must answer with the
-        // original value and the count must not advance for it.
-        let between = c.inc(ProcessorId::new(5)).expect("inc");
-        let retried = c.inc_reserved(ProcessorId::new(2), seq).expect("retry");
-        assert_eq!(first, 0);
-        assert_eq!(between, 1);
-        assert_eq!(retried, 0, "retry answered from the reply cache");
-        assert_eq!(c.inc(ProcessorId::new(7)).expect("inc"), 2, "nothing double-counted");
-        c.shutdown().expect("shutdown");
-    }
-
-    #[test]
     fn zero_reply_cache_rejected() {
         assert!(matches!(ThreadedTreeCounter::with_reply_cache(8, 0), Err(NetError::Order(_))));
     }
 
     #[test]
-    fn backend_trait_reserves_real_tickets() {
-        use distctr_core::CounterBackend as _;
-        let mut c = ThreadedTreeCounter::new(8).expect("counter");
-        let t = c.reserve().expect("threaded backend hands out tickets");
-        assert_eq!(c.inc_ticketed(ProcessorId::new(0), t).expect("inc"), 0);
-        assert_eq!(c.inc_ticketed(ProcessorId::new(0), t).expect("retry"), 0);
-        assert_eq!(c.inc(ProcessorId::new(1)).expect("inc"), 1);
+    fn a_retried_token_is_exactly_once() {
+        let mut c = ThreadedTreeCounter::with_reply_cache(8, 64).expect("counter");
+        let token = Some((1, 0));
+        let first = c.inc_key(DEFAULT_KEY, ProcessorId::new(2), token).expect("inc");
+        // Unrelated traffic lands in between, then the "retry" re-drives
+        // the same token: the reply cache must answer with the original
+        // value and the count must not advance for it.
+        let between = c.inc(ProcessorId::new(5)).expect("inc");
+        let retried = c.inc_key(DEFAULT_KEY, ProcessorId::new(2), token).expect("retry");
+        assert_eq!(first, KeyedReply::Fresh(0));
+        assert_eq!(between, 1);
+        assert_eq!(retried, KeyedReply::Replay(0), "retry answered from the reply cache");
+        assert_eq!(c.inc(ProcessorId::new(7)).expect("inc"), 2, "nothing double-counted");
+        assert_eq!(c.inc_key(3, ProcessorId::new(0), token).expect("inc"), KeyedReply::Unrouted);
         c.shutdown().expect("shutdown");
     }
 
@@ -806,16 +768,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_retry_under_one_ticket_returns_the_same_range() {
-        use distctr_core::CounterBackend as _;
+    fn batch_retry_under_one_token_returns_the_same_range() {
         let mut c = ThreadedTreeCounter::with_reply_cache(8, 64).expect("counter");
-        let t = c.reserve().expect("ticket");
-        assert_eq!(c.inc_batch_ticketed(ProcessorId::new(0), t, 4).expect("batch"), 0);
+        let token = Some((4, 9));
+        let batch = c.inc_batch_key(DEFAULT_KEY, ProcessorId::new(0), 4, token).expect("batch");
+        assert_eq!(batch, KeyedReply::Fresh(0));
         let between = CounterBackend::inc(&mut c, ProcessorId::new(5)).expect("inc");
         assert_eq!(between, 4, "the batch consumed [0, 4)");
         assert_eq!(
-            c.inc_batch_ticketed(ProcessorId::new(0), t, 4).expect("retry"),
-            0,
+            c.inc_batch_key(DEFAULT_KEY, ProcessorId::new(0), 4, token).expect("retry"),
+            KeyedReply::Replay(0),
             "the retried batch owns the same range"
         );
         assert_eq!(CounterBackend::inc(&mut c, ProcessorId::new(7)).expect("inc"), 5);

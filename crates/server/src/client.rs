@@ -20,7 +20,7 @@
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use distctr_core::CounterBackend;
+use distctr_core::{CounterBackend, DEFAULT_KEY};
 use distctr_sim::ProcessorId;
 
 use crate::error::{ErrCode, ServerError};
@@ -199,8 +199,8 @@ pub struct RemoteCounter {
     session: u64,
     processor: u64,
     processors: u64,
-    /// The counter key this session was opened against (`None` for the
-    /// unkeyed handshake), re-sent on every reconnect handshake.
+    /// The counter key `inc`/`inc_batch` target (`None`: key 0, through
+    /// the short `Inc` form), set by [`RemoteCounter::connect_keyed`].
     key: Option<u64>,
     next_request: u64,
     config: ClientConfig,
@@ -234,32 +234,23 @@ impl RemoteCounter {
         addr: impl ToSocketAddrs,
         config: ClientConfig,
     ) -> Result<Self, ServerError> {
-        Self::handshake_retrying(addr, None, None, config)
+        Self::handshake_retrying(addr, None, config)
     }
 
-    /// Connects with the **keyed** handshake: this session's unkeyed
-    /// operations are routed to counter `key` instead of the default
-    /// key. The server must host a keyed backend for any non-zero key
-    /// (otherwise the first operation reports `NoSuchKey`).
+    /// [`RemoteCounter::connect`], for a client whose [`RemoteCounter::inc`]
+    /// and [`RemoteCounter::inc_batch`] target counter `key`: the client
+    /// remembers the key and sends it on every request (the session
+    /// itself is keyless), so its own reconnects keep it. The server must
+    /// host a keyed backend for any non-zero key (otherwise the first
+    /// operation reports `NoSuchKey`).
     ///
     /// # Errors
     ///
     /// Same conditions as [`RemoteCounter::connect`].
     pub fn connect_keyed(addr: impl ToSocketAddrs, key: u64) -> Result<Self, ServerError> {
-        Self::connect_keyed_with(addr, key, ClientConfig::default())
-    }
-
-    /// [`RemoteCounter::connect_keyed`] with explicit knobs.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RemoteCounter::connect`].
-    pub fn connect_keyed_with(
-        addr: impl ToSocketAddrs,
-        key: u64,
-        config: ClientConfig,
-    ) -> Result<Self, ServerError> {
-        Self::handshake_retrying(addr, None, Some(key), config)
+        let mut counter = Self::connect(addr)?;
+        counter.key = Some(key);
+        Ok(counter)
     }
 
     /// Reconnects to `addr` and resumes session `session` (from
@@ -272,7 +263,7 @@ impl RemoteCounter {
     /// [`ServerError::Remote`] with `UnknownSession` if the server does
     /// not know the session.
     pub fn resume(addr: impl ToSocketAddrs, session: u64) -> Result<Self, ServerError> {
-        Self::handshake_retrying(addr, Some(session), None, ClientConfig::default())
+        Self::handshake_retrying(addr, Some(session), ClientConfig::default())
     }
 
     /// [`RemoteCounter::resume`] with explicit knobs.
@@ -285,7 +276,7 @@ impl RemoteCounter {
         session: u64,
         config: ClientConfig,
     ) -> Result<Self, ServerError> {
-        Self::handshake_retrying(addr, Some(session), None, config)
+        Self::handshake_retrying(addr, Some(session), config)
     }
 
     /// Connect-and-handshake under the retry policy: a server that
@@ -294,13 +285,12 @@ impl RemoteCounter {
     fn handshake_retrying(
         addr: impl ToSocketAddrs,
         resume: Option<u64>,
-        key: Option<u64>,
         config: ClientConfig,
     ) -> Result<Self, ServerError> {
         let mut rng = config.retry.seed;
         let mut attempt = 0u32;
         loop {
-            let e = match Self::handshake(&addr, resume, key, &config) {
+            let e = match Self::handshake(&addr, resume, &config) {
                 Ok(mut counter) => {
                     counter.rng = rng;
                     return Ok(counter);
@@ -326,10 +316,9 @@ impl RemoteCounter {
     fn handshake(
         addr: impl ToSocketAddrs,
         resume: Option<u64>,
-        key: Option<u64>,
         config: &ClientConfig,
     ) -> Result<Self, ServerError> {
-        let (stream, session, processor) = Self::dial(&addr, resume, key, config)?;
+        let (stream, session, processor) = Self::dial(&addr, resume, config)?;
         let addr = stream.peer_addr().map_err(|e| ServerError::Io(e.to_string()))?;
         let mut counter = RemoteCounter {
             stream,
@@ -337,7 +326,7 @@ impl RemoteCounter {
             session,
             processor,
             processors: 0,
-            key,
+            key: None,
             next_request: 0,
             rng: config.retry.seed,
             config: config.clone(),
@@ -353,7 +342,6 @@ impl RemoteCounter {
     fn dial(
         addr: impl ToSocketAddrs,
         resume: Option<u64>,
-        key: Option<u64>,
         config: &ClientConfig,
     ) -> Result<(TcpStream, u64, u64), ServerError> {
         let mut stream = TcpStream::connect(addr).map_err(|e| ServerError::Io(e.to_string()))?;
@@ -361,11 +349,7 @@ impl RemoteCounter {
         stream
             .set_read_timeout(Some(config.reply_timeout))
             .map_err(|e| ServerError::Io(e.to_string()))?;
-        let hello = match key {
-            Some(key) => WireMsg::HelloKeyed { resume, key },
-            None => WireMsg::Hello { resume },
-        };
-        write_frame(&mut stream, &hello)?;
+        write_frame(&mut stream, &WireMsg::Hello { resume })?;
         match read_frame(&mut stream)? {
             WireMsg::HelloOk { session, processor } => Ok((stream, session, processor)),
             WireMsg::Busy { retry_after_ms } => Err(ServerError::Busy { retry_after_ms }),
@@ -377,8 +361,7 @@ impl RemoteCounter {
     /// Re-establishes the connection and resumes this session, keeping
     /// the server-side dedup state the retry loop replays into.
     fn reconnect(&mut self) -> Result<(), ServerError> {
-        let (stream, session, processor) =
-            Self::dial(self.addr, Some(self.session), self.key, &self.config)?;
+        let (stream, session, processor) = Self::dial(self.addr, Some(self.session), &self.config)?;
         self.stream = stream;
         self.session = session;
         self.processor = processor;
@@ -454,7 +437,8 @@ impl RemoteCounter {
         self.next_request
     }
 
-    /// Executes one `inc` charged to the session's processor, retrying
+    /// Executes one `inc` charged to the session's processor, against
+    /// the client's key (see [`RemoteCounter::connect_keyed`]), retrying
     /// per the [`RetryPolicy`].
     ///
     /// # Errors
@@ -492,12 +476,16 @@ impl RemoteCounter {
         request_id: u64,
         initiator: Option<u64>,
     ) -> Result<u64, ServerError> {
-        self.op(request_id, &WireMsg::Inc { request_id, initiator })
+        match self.key {
+            Some(key) => self.inc_key_with_id(key, request_id, initiator),
+            None => self.op(request_id, &WireMsg::Inc { request_id, initiator }),
+        }
     }
 
-    /// Executes a batch of `count` incs as one request and one backend
-    /// traversal, returning the first value of the granted contiguous
-    /// range `[first, first + count)`.
+    /// Executes a batch of `count` incs against the client's key as one
+    /// request and one backend traversal, returning the first value of
+    /// the granted contiguous range `[first, first + count)`. A batch of
+    /// 0 is a batch of 1, as on every backend.
     ///
     /// # Errors
     ///
@@ -521,18 +509,18 @@ impl RemoteCounter {
         count: u64,
         initiator: Option<u64>,
     ) -> Result<u64, ServerError> {
-        self.op(request_id, &WireMsg::BatchInc { request_id, count, initiator })
+        let key = self.key.unwrap_or(DEFAULT_KEY);
+        self.inc_batch_key_with_id(key, request_id, count, initiator)
     }
 
-    /// The key this session was opened against, if the keyed handshake
-    /// was used.
+    /// The key set by [`RemoteCounter::connect_keyed`], if any.
     #[must_use]
     pub fn key(&self) -> Option<u64> {
         self.key
     }
 
     /// Executes one `inc` against counter `key` (regardless of the
-    /// session's own key), retrying per the [`RetryPolicy`].
+    /// client's own key), retrying per the [`RetryPolicy`].
     ///
     /// # Errors
     ///
@@ -584,6 +572,9 @@ impl RemoteCounter {
         count: u64,
         initiator: Option<u64>,
     ) -> Result<u64, ServerError> {
+        // The server rejects a batch of 0 as malformed; granting one
+        // value matches every backend's reading of it.
+        let count = count.max(1);
         self.op(request_id, &WireMsg::KeyBatchInc { key, request_id, count, initiator })
     }
 
@@ -593,12 +584,12 @@ impl RemoteCounter {
         self.with_retry(|c| c.raw_op(request, request_id))
     }
 
-    /// Sends one `Inc`/`BatchInc`/`KeyInc`/`KeyBatchInc` request and
+    /// Sends one `Inc`/`KeyInc`/`KeyBatchInc` request and
     /// returns the value (or the first value of the range) its reply
     /// grants: `IncOk` for a unit request, `BatchOk` for a batch, each
     /// echoing `request_id`.
     fn raw_op(&mut self, request: &WireMsg, request_id: u64) -> Result<u64, ServerError> {
-        let batch = matches!(request, WireMsg::BatchInc { .. } | WireMsg::KeyBatchInc { .. });
+        let batch = matches!(request, WireMsg::KeyBatchInc { .. });
         self.send(request)?;
         let (rid, first) = match self.receive()? {
             WireMsg::IncOk { request_id, value } if !batch => (request_id, value),

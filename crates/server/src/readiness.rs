@@ -169,8 +169,8 @@ struct Conn {
     read_buf: Vec<u8>,
     /// Encoded-but-unsent outbound frames.
     write: WriteBuffer,
-    /// `Some((session id, session key))` once the handshake landed.
-    session: Option<(u64, u64)>,
+    /// `Some(session id)` once the handshake landed.
+    session: Option<u64>,
     /// Queued combining incs whose replies have not been delivered.
     inflight: Arc<AtomicUsize>,
     /// The interest currently registered with the poller.
@@ -427,12 +427,11 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
     /// Serves one decoded frame against the protocol helpers of
     /// [`crate::server`].
     fn serve_frame(&mut self, slot: usize, conn: &mut Conn, msg: WireMsg) {
-        let Some((session_id, session_key)) = conn.session else {
-            // Handshake: the first frame must be a Hello (either
-            // version); anything else is a protocol error.
+        let Some(session_id) = conn.session else {
+            // Handshake: the first frame must be a Hello; anything else
+            // is a protocol error.
             match msg {
-                WireMsg::Hello { resume } => self.handshake(conn, resume, DEFAULT_KEY),
-                WireMsg::HelloKeyed { resume, key } => self.handshake(conn, resume, key),
+                WireMsg::Hello { resume } => self.handshake(conn, resume),
                 _ => {
                     self.shared.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
                     conn.write.push(&WireMsg::Err { code: ErrCode::BadHandshake });
@@ -443,16 +442,10 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
         };
         match msg {
             WireMsg::Inc { request_id, initiator } => {
-                self.inc(slot, conn, session_id, session_key, request_id, initiator);
+                self.inc(slot, conn, session_id, DEFAULT_KEY, request_id, initiator);
             }
             WireMsg::KeyInc { key, request_id, initiator } => {
                 self.inc(slot, conn, session_id, key, request_id, initiator);
-            }
-            WireMsg::BatchInc { request_id, count, initiator } => {
-                let count = Some(count);
-                let reply =
-                    serve_op(&self.shared, session_id, session_key, request_id, initiator, count);
-                conn.write.push(&reply);
             }
             WireMsg::KeyBatchInc { key, request_id, count, initiator } => {
                 let reply =
@@ -471,7 +464,7 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
                 let reply = WireMsg::StatsOk(snapshot(&self.shared));
                 conn.write.push(&reply);
             }
-            WireMsg::Hello { .. } | WireMsg::HelloKeyed { .. } => {
+            WireMsg::Hello { .. } => {
                 self.shared.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
                 conn.write.push(&WireMsg::Err { code: ErrCode::BadHandshake });
                 conn.closing = true;
@@ -491,10 +484,10 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
     }
 
     /// Resolves a handshake and queues the `HelloOk` (or the error).
-    fn handshake(&mut self, conn: &mut Conn, resume: Option<u64>, key: u64) {
-        match establish(&self.shared, resume, key) {
-            Ok((session_id, session_key, processor)) => {
-                conn.session = Some((session_id, session_key));
+    fn handshake(&mut self, conn: &mut Conn, resume: Option<u64>) {
+        match establish(&self.shared, resume) {
+            Ok((session_id, processor)) => {
+                conn.session = Some(session_id);
                 conn.write.push(&WireMsg::HelloOk { session: session_id, processor });
             }
             Err(code) => {

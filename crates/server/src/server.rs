@@ -6,12 +6,15 @@
 //! are mapped to **sessions**: the handshake either opens a fresh
 //! session (assigned a processor round-robin, so independent clients
 //! spread over the tree's leaves like the paper's initiators) or resumes
-//! an existing one after a reconnect. A session keeps the dedup state
-//! that makes reconnect-and-retry exactly-once: for backends with a
-//! reply cache (the threaded tree), each request id is pinned to a
-//! backend **ticket** — re-driving the same ticket is answered from the
-//! root's migrating reply cache; for backends without one, the session's
-//! own answer table serves the retry.
+//! an existing one after a reconnect. Every increment frame names a
+//! counter key — the unkeyed `Inc` is the short form of key 0 — and is
+//! served by one backend call, [`CounterBackend::inc_batch_key`], under
+//! the request's `(session, request)` **token**. A session keeps the
+//! dedup state that makes reconnect-and-retry exactly-once: its answer
+//! table serves a retry of any request it saw succeed, and a retry of
+//! one whose attempt failed re-drives the same token, which a backend
+//! with a reply cache (a keyspace key, the threaded tree's root) answers
+//! without incrementing again.
 //!
 //! Operations are serialized through one mutex around the backend,
 //! matching the paper's sequential-driving model ("enough time elapses
@@ -23,7 +26,7 @@
 //! replaces that hot path with pipelined **flat combining**: the reactor
 //! only *enqueues* pending incs and returns to its sockets, and a
 //! dedicated combiner thread drains everything queued into one
-//! [`CounterBackend::inc_batch_ticketed`] traversal per round, handing
+//! [`CounterBackend::inc_batch_key`] traversal per key per round, handing
 //! each waiter's slice of the granted range back to the reactor, which
 //! writes it to the waiter's connection.
 //! Coalesced batches are charged to a rotating origin processor (an
@@ -68,7 +71,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 pub use distctr_core::DEDUP_WINDOW;
-use distctr_core::{CounterBackend, KeyedReply, DEFAULT_KEY};
+use distctr_core::{CounterBackend, KeyedReply};
 use distctr_reactor::Waker;
 use distctr_sim::ProcessorId;
 
@@ -116,12 +119,7 @@ struct Session {
     /// The processor this session's operations are charged to (unless
     /// an `Inc` names an explicit initiator).
     processor: u64,
-    /// The counter key this session's unkeyed `Inc`/`BatchInc` route to
-    /// ([`DEFAULT_KEY`] for sessions opened with the unkeyed `Hello`).
-    key: u64,
-    /// request id -> backend ticket (ticketed backends).
-    tickets: HashMap<u64, u64>,
-    /// request id -> value already handed out (non-ticketed backends).
+    /// request id -> value (or range start) already handed out.
     answered: HashMap<u64, u64>,
     /// Insertion order of request ids, for pruning to [`DEDUP_WINDOW`].
     seen: VecDeque<u64>,
@@ -134,7 +132,6 @@ impl Session {
         self.seen.push_back(request_id);
         while self.seen.len() > DEDUP_WINDOW {
             if let Some(old) = self.seen.pop_front() {
-                self.tickets.remove(&old);
                 self.answered.remove(&old);
             }
         }
@@ -172,8 +169,8 @@ pub(crate) struct Counters {
 /// straight back to its sockets and the connection stays pipelined.
 pub(crate) struct PendingInc {
     session_id: u64,
-    /// The counter this inc targets (the session's key, or an explicit
-    /// one from `KeyInc`). Combining rounds batch per key.
+    /// The counter this inc targets (0 for `Inc`, explicit for
+    /// `KeyInc`). Combining rounds batch per key.
     key: u64,
     request_id: u64,
     initiator: Option<u64>,
@@ -427,28 +424,24 @@ impl<B: CounterBackend + Send + 'static> Drop for CounterServer<B> {
     }
 }
 
-/// Resolves a handshake into `(session id, session key, processor)`:
-/// resume an existing session (keeping its key and dedup state) or open
-/// a fresh one bound to `key`.
+/// Resolves a handshake into `(session id, processor)`: resume an
+/// existing session (keeping its dedup state) or open a fresh one.
 pub(crate) fn establish<B: CounterBackend + Send + 'static>(
     shared: &Arc<Shared<B>>,
     resume: Option<u64>,
-    key: u64,
-) -> Result<(u64, u64, u64), ErrCode> {
+) -> Result<(u64, u64), ErrCode> {
     let mut inner = shared.lock_inner();
     match resume {
         Some(id) => match inner.sessions.get(&id) {
-            // The session's original key wins: resuming re-attaches to
-            // the same counter the acked operations went to.
-            Some(session) => Ok((id, session.key, session.processor)),
+            Some(session) => Ok((id, session.processor)),
             None => Err(ErrCode::UnknownSession),
         },
         None => {
             let id = inner.next_session;
             inner.next_session += 1;
             let processor = id % inner.backend.processors() as u64;
-            inner.sessions.insert(id, Session { processor, key, ..Session::default() });
-            Ok((id, key, processor))
+            inner.sessions.insert(id, Session { processor, ..Session::default() });
+            Ok((id, processor))
         }
     }
 }
@@ -513,14 +506,13 @@ fn contained<T>(stats: &Counters, f: impl FnOnce() -> Result<T, ()>) -> Result<T
     }
 }
 
-/// One `Inc` (`count: None`) or one explicit `BatchInc` (`Some(m)`: a
-/// single traversal granting the contiguous range `[first, first + m)`;
-/// a retry must repeat the same `m`, which the reply echoes), with
-/// exactly-once retry semantics. See the module doc for the two dedup
-/// paths (backend tickets vs the session answer table). A non-default
-/// `key` takes the keyed backend path instead: the backend routes the
-/// key and keeps its own migrating reply cache, with the session answer
-/// table in front as the first dedup line.
+/// One `Inc`/`KeyInc` (`count: None`) or one explicit `KeyBatchInc`
+/// (`Some(m)`: a single traversal granting the contiguous range
+/// `[first, first + m)`; a retry must repeat the same `m`, which the
+/// reply echoes), with exactly-once retry semantics: the session's
+/// answer table answers a request it saw succeed, and anything else is
+/// one backend call under the request's `(session, request)` token (see
+/// the module doc).
 pub(crate) fn serve_op<B: CounterBackend + Send + 'static>(
     shared: &Arc<Shared<B>>,
     session_id: u64,
@@ -549,100 +541,31 @@ pub(crate) fn serve_op<B: CounterBackend + Send + 'static>(
     };
     let p = ProcessorId::new(charged as usize);
 
-    // Retry of a request a non-ticketed backend already answered: the
-    // session's own table is the reply cache.
     if let Some(&first) = session.answered.get(&request_id) {
         shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
         return ok(first);
     }
-    if key != DEFAULT_KEY {
-        return match serve_keyed(shared, inner, session_id, key, p, request_id, granted) {
-            Ok(first) => ok(first),
-            Err(code) => WireMsg::Err { code },
-        };
-    }
-    // Ticketed path: the first sighting of a request id reserves a
-    // backend ticket; a retry re-drives the *same* ticket, which the
-    // backend's reply cache answers without incrementing again.
-    let backend = &mut inner.backend;
-    let (ticket, is_retry) = match session.tickets.get(&request_id) {
-        Some(&t) => (Some(t), true),
-        None => match contained(&shared.stats, || Ok(backend.reserve())) {
-            Ok(Some(t)) => {
-                session.tickets.insert(request_id, t);
-                session.remember(request_id);
-                (Some(t), false)
-            }
-            Ok(None) => (None, false),
-            Err(code) => return WireMsg::Err { code },
-        },
-    };
-    // A unit inc and a batch of one are different backend operations (a
-    // tree sends `Apply` for one, `BatchApply` for the other).
-    let result = contained(&shared.stats, || {
-        match (ticket, count) {
-            (Some(t), None) => backend.inc_ticketed(p, t),
-            (None, None) => backend.inc(p),
-            (Some(t), Some(m)) => backend.inc_batch_ticketed(p, t, m),
-            (None, Some(m)) => backend.inc_batch(p, m),
-        }
-        .map_err(|_| ())
-    });
-    match result {
-        Ok(first) => {
-            session.ops += granted;
-            if is_retry {
-                shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.stats.ops.fetch_add(granted, Ordering::Relaxed);
-                if ticket.is_none() {
-                    session.answered.insert(request_id, first);
-                    session.remember(request_id);
-                }
-            }
-            ok(first)
-        }
-        // The ticket (if any) stays pinned to the request id, so the
-        // client's retry converges on exactly-once.
-        Err(code) => WireMsg::Err { code },
-    }
-}
-
-/// The keyed serving path of [`serve_op`]: drives the backend's keyed
-/// batch op under a
-/// `(session, request)` dedup token — the backend's keyed reply cache
-/// is what survives a key migrating between placements — and mirrors
-/// the grant into the session answer table so later retries are
-/// answered without touching the backend at all.
-fn serve_keyed<B: CounterBackend + Send + 'static>(
-    shared: &Arc<Shared<B>>,
-    inner: &mut Inner<B>,
-    session_id: u64,
-    key: u64,
-    p: ProcessorId,
-    request_id: u64,
-    count: u64,
-) -> Result<u64, ErrCode> {
     let backend = &mut inner.backend;
     let reply = contained(&shared.stats, || {
-        backend.inc_batch_key(key, p, count, Some((session_id, request_id))).map_err(|_| ())
-    })?;
+        backend.inc_batch_key(key, p, granted, Some((session_id, request_id))).map_err(|_| ())
+    });
+    // A failed attempt records nothing: the client's retry re-drives the
+    // same token, which keeps it exactly-once.
     let (first, fresh) = match reply {
-        KeyedReply::Fresh(first) => (first, true),
-        KeyedReply::Replay(first) => (first, false),
-        KeyedReply::Unrouted => return Err(ErrCode::NoSuchKey),
+        Ok(KeyedReply::Fresh(first)) => (first, true),
+        Ok(KeyedReply::Replay(first)) => (first, false),
+        Ok(KeyedReply::Unrouted) => return WireMsg::Err { code: ErrCode::NoSuchKey },
+        Err(code) => return WireMsg::Err { code },
     };
-    if let Some(session) = inner.sessions.get_mut(&session_id) {
-        session.answered.insert(request_id, first);
-        session.remember(request_id);
-        session.ops += count;
-    }
+    session.answered.insert(request_id, first);
+    session.remember(request_id);
+    session.ops += granted;
     if fresh {
-        shared.stats.ops.fetch_add(count, Ordering::Relaxed);
+        shared.stats.ops.fetch_add(granted, Ordering::Relaxed);
     } else {
         shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
     }
-    Ok(first)
+    ok(first)
 }
 
 /// The dedicated combiner: parks until incs are queued, then drains and
@@ -767,24 +690,13 @@ fn combine_round<B: CounterBackend + Send + 'static>(
         // The whole traversal runs contained: a panicking backend round
         // is caught here, its waiters are told to retry, and the
         // combiner (and the server with it) survives.
+        // A round carries no token: the batch is an aggregate of many
+        // requests, so per-request dedup lives in the session answer
+        // tables (filled below) — a token here could only alias
+        // distinct batches.
         let backend = &mut inner.backend;
         let result = contained(&shared.stats, || {
-            if key == DEFAULT_KEY {
-                // The legacy single-counter path, tickets and all.
-                match backend.reserve() {
-                    Some(t) => backend.inc_batch_ticketed(initiator, t, m),
-                    None => backend.inc_batch(initiator, m),
-                }
-                .map(KeyedReply::Fresh)
-            } else {
-                // Keyed rounds carry no token: the batch is an
-                // aggregate of many requests, so per-request dedup
-                // lives in the session answer tables (filled below) and
-                // the keyspace's own cache — a token here could only
-                // alias distinct batches.
-                backend.inc_batch_key(key, initiator, m, None)
-            }
-            .map_err(|_| ())
+            backend.inc_batch_key(key, initiator, m, None).map_err(|_| ())
         });
         match result {
             Ok(KeyedReply::Fresh(first) | KeyedReply::Replay(first)) => {
@@ -805,8 +717,7 @@ fn combine_round<B: CounterBackend + Send + 'static>(
                 }
             }
             // The batch's composition is not reproducible, so nothing
-            // is pinned: the clients' retries re-enter a later round
-            // (the same guarantee as a non-ticketed sequential inc).
+            // is pinned: the clients' retries re-enter a later round.
             Err(code) => {
                 for p in waiters {
                     deliver(&mut dup, &p, WireMsg::Err { code });

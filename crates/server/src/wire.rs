@@ -30,8 +30,8 @@ pub const MAX_FRAME: u32 = 256;
 const TAG_HELLO: u8 = 0x01;
 const TAG_INC: u8 = 0x02;
 const TAG_STATS: u8 = 0x03;
-const TAG_BATCH_INC: u8 = 0x04;
-const TAG_HELLO_KEYED: u8 = 0x05;
+// 0x04 and 0x05 are retired (an unkeyed batch and a keyed handshake):
+// they decode as unknown tags and must not be reused.
 const TAG_KEY_INC: u8 = 0x06;
 const TAG_KEY_BATCH_INC: u8 = 0x07;
 const TAG_READ: u8 = 0x08;
@@ -116,45 +116,22 @@ pub enum WireMsg {
         /// Session id to resume, if any.
         resume: Option<u64>,
     },
-    /// One increment request. `request_id` is the client's retry key:
-    /// resending the same id after a reconnect must not increment again.
-    /// `initiator` optionally charges the operation to an explicit
-    /// processor; the default is the session's assigned processor.
+    /// One increment request against counter 0 — the short form of
+    /// [`WireMsg::KeyInc`] with `key: 0`. `request_id` is the client's
+    /// retry key: resending the same id after a reconnect must not
+    /// increment again. `initiator` optionally charges the operation to
+    /// an explicit processor; the default is the session's assigned
+    /// processor.
     Inc {
         /// Client-chosen retry/dedup key, unique per session.
         request_id: u64,
         /// Explicit initiating processor, if the client wants one.
         initiator: Option<u64>,
     },
-    /// A batch of `count` increments as one backend traversal. The reply
-    /// ([`WireMsg::BatchOk`]) grants the contiguous range
-    /// `[first, first + count)`. `request_id` deduplicates retries like
-    /// [`WireMsg::Inc`]: resending the same id (with the same count)
-    /// returns the same range without incrementing again.
-    BatchInc {
-        /// Client-chosen retry/dedup key, unique per session.
-        request_id: u64,
-        /// Number of increments requested (must be ≥ 1).
-        count: u64,
-        /// Explicit initiating processor, if the client wants one.
-        initiator: Option<u64>,
-    },
     /// Request a [`WireMsg::StatsOk`] snapshot.
     Stats,
-    /// Versioned client handshake for keyspace-aware clients: like
-    /// [`WireMsg::Hello`] plus the **counter key** this session's
-    /// unkeyed [`WireMsg::Inc`]/[`WireMsg::BatchInc`] operations are
-    /// routed to. Resume keeps the session's dedup state exactly as the
-    /// unkeyed handshake does.
-    HelloKeyed {
-        /// Session id to resume, if any.
-        resume: Option<u64>,
-        /// The counter this session operates on by default.
-        key: u64,
-    },
-    /// One increment against counter `key` — [`WireMsg::Inc`] with an
-    /// explicit key, usable from any session. Replied with
-    /// [`WireMsg::IncOk`].
+    /// One increment against counter `key`, usable from any session.
+    /// Replied with [`WireMsg::IncOk`].
     KeyInc {
         /// The counter to increment.
         key: u64,
@@ -163,8 +140,12 @@ pub enum WireMsg {
         /// Explicit initiating processor, if the client wants one.
         initiator: Option<u64>,
     },
-    /// A batch of `count` increments against counter `key` — the keyed
-    /// [`WireMsg::BatchInc`]. Replied with [`WireMsg::BatchOk`].
+    /// A batch of `count` increments against counter `key` as one
+    /// backend traversal. The reply ([`WireMsg::BatchOk`]) grants the
+    /// contiguous range `[first, first + count)`. `request_id`
+    /// deduplicates retries like [`WireMsg::Inc`]: resending the same id
+    /// (with the same count) returns the same range without
+    /// incrementing again.
     KeyBatchInc {
         /// The counter to increment.
         key: u64,
@@ -194,14 +175,14 @@ pub enum WireMsg {
         /// The processor this session's operations are charged to.
         processor: u64,
     },
-    /// Reply to [`WireMsg::Inc`].
+    /// Reply to [`WireMsg::Inc`] and [`WireMsg::KeyInc`].
     IncOk {
         /// Echo of the request's `request_id`.
         request_id: u64,
         /// The counter value handed out.
         value: u64,
     },
-    /// Reply to [`WireMsg::BatchInc`]: the batch owns every value in
+    /// Reply to [`WireMsg::KeyBatchInc`]: the batch owns every value in
     /// `[first, first + count)`.
     BatchOk {
         /// Echo of the request's `request_id`.
@@ -427,18 +408,7 @@ fn encode_into(msg: &WireMsg, out: &mut Vec<u8>) {
             out.extend_from_slice(&request_id.to_le_bytes());
             push_opt_u64(out, *initiator);
         }
-        WireMsg::BatchInc { request_id, count, initiator } => {
-            out.push(TAG_BATCH_INC);
-            out.extend_from_slice(&request_id.to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
-            push_opt_u64(out, *initiator);
-        }
         WireMsg::Stats => out.push(TAG_STATS),
-        WireMsg::HelloKeyed { resume, key } => {
-            out.push(TAG_HELLO_KEYED);
-            push_opt_u64(out, *resume);
-            out.extend_from_slice(&key.to_le_bytes());
-        }
         WireMsg::KeyInc { key, request_id, initiator } => {
             out.push(TAG_KEY_INC);
             out.extend_from_slice(&key.to_le_bytes());
@@ -533,13 +503,7 @@ pub fn decode(payload: &[u8]) -> Result<WireMsg, WireError> {
     let msg = match tag {
         TAG_HELLO => WireMsg::Hello { resume: cur.opt_u64()? },
         TAG_INC => WireMsg::Inc { request_id: cur.u64()?, initiator: cur.opt_u64()? },
-        TAG_BATCH_INC => WireMsg::BatchInc {
-            request_id: cur.u64()?,
-            count: cur.u64()?,
-            initiator: cur.opt_u64()?,
-        },
         TAG_STATS => WireMsg::Stats,
-        TAG_HELLO_KEYED => WireMsg::HelloKeyed { resume: cur.opt_u64()?, key: cur.u64()? },
         TAG_KEY_INC => {
             WireMsg::KeyInc { key: cur.u64()?, request_id: cur.u64()?, initiator: cur.opt_u64()? }
         }
@@ -791,12 +755,8 @@ mod tests {
         round_trip(WireMsg::Hello { resume: Some(42) });
         round_trip(WireMsg::Inc { request_id: 7, initiator: None });
         round_trip(WireMsg::Inc { request_id: u64::MAX, initiator: Some(80) });
-        round_trip(WireMsg::BatchInc { request_id: 11, count: 64, initiator: None });
-        round_trip(WireMsg::BatchInc { request_id: 12, count: 1, initiator: Some(3) });
         round_trip(WireMsg::BatchOk { request_id: 11, first: 512, count: 64 });
         round_trip(WireMsg::Stats);
-        round_trip(WireMsg::HelloKeyed { resume: None, key: 0 });
-        round_trip(WireMsg::HelloKeyed { resume: Some(42), key: u64::MAX });
         round_trip(WireMsg::KeyInc { key: 7, request_id: 1, initiator: None });
         round_trip(WireMsg::KeyInc { key: u64::MAX, request_id: 2, initiator: Some(80) });
         round_trip(WireMsg::KeyBatchInc { key: 9, request_id: 3, count: 64, initiator: None });
@@ -832,7 +792,7 @@ mod tests {
     fn a_reused_scratch_buffer_produces_identical_frames() {
         let msgs = [
             WireMsg::Inc { request_id: 1, initiator: Some(9) },
-            WireMsg::BatchInc { request_id: 2, count: 32, initiator: None },
+            WireMsg::KeyBatchInc { key: 0, request_id: 2, count: 32, initiator: None },
             WireMsg::StatsOk(StatsSnapshot::default()),
             WireMsg::Hello { resume: None },
         ];
@@ -932,11 +892,6 @@ mod tests {
         payload.extend_from_slice(&[0u8; 4]);
         let mut r = IoCursor::new(frame_raw(&payload));
         assert!(matches!(read_frame(&mut r), Err(WireError::Malformed(_))));
-        // HelloKeyed whose key field is missing entirely after the
-        // resume option — the unkeyed Hello layout sent under the keyed
-        // tag.
-        let mut r = IoCursor::new(frame_raw(&[0x05, 0]));
-        assert!(matches!(read_frame(&mut r), Err(WireError::Malformed(_))));
         // Read with a truncated key.
         let mut payload = vec![0x08u8];
         payload.extend_from_slice(&[0u8; 7]);
@@ -947,6 +902,20 @@ mod tests {
         payload.extend_from_slice(&[0u8; 18]);
         let mut r = IoCursor::new(frame_raw(&payload));
         assert!(matches!(read_frame(&mut r), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn retired_tags_are_unknown() {
+        // The unkeyed batch (0x04) and the keyed handshake (0x05), each
+        // with a body laid out as it used to be.
+        let mut batch = vec![0x04u8];
+        batch.extend_from_slice(&[0u8; 16]);
+        batch.push(0);
+        assert_eq!(decode(&batch), Err(WireError::UnknownTag(0x04)));
+        let mut hello = vec![0x05u8, 0];
+        hello.extend_from_slice(&[0u8; 8]);
+        let mut r = IoCursor::new(frame_raw(&hello));
+        assert_eq!(read_frame(&mut r), Err(WireError::UnknownTag(0x05)));
     }
 
     #[test]

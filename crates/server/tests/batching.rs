@@ -2,7 +2,7 @@
 //!
 //! Three guarantees, observed through real loopback sockets:
 //!
-//! * a `BatchInc` grants a contiguous range in one round-trip, and a
+//! * a `KeyBatchInc` grants a contiguous range in one round-trip, and a
 //!   retry of the same request id returns the *same* range without
 //!   incrementing again (exactly-once for batches);
 //! * the flat-combining inc path stays exact under genuinely
@@ -13,8 +13,11 @@
 
 use std::collections::HashSet;
 
+use distctr_core::CounterBackend;
 use distctr_net::ThreadedTreeCounter;
-use distctr_server::{CounterServer, RemoteCounter};
+use distctr_server::wire::{read_frame, write_frame};
+use distctr_server::{CounterServer, ErrCode, RemoteCounter, WireMsg};
+use distctr_sim::ProcessorId;
 
 #[test]
 fn a_batch_inc_grants_a_contiguous_range_exactly_once() {
@@ -39,11 +42,27 @@ fn a_batch_inc_grants_a_contiguous_range_exactly_once() {
 }
 
 #[test]
-fn a_zero_count_batch_is_rejected() {
+fn a_zero_count_batch_grants_one_value_on_one_connection() {
     let server =
         CounterServer::serve_async(ThreadedTreeCounter::new(8).expect("backend")).expect("serve");
     let mut client = RemoteCounter::connect(server.local_addr()).expect("connect");
-    assert!(client.inc_batch(0).is_err());
+    // A batch of 0 is a batch of 1 on the client, as on every backend —
+    // not a frame the server refuses and the client retries into a
+    // reconnect storm.
+    assert_eq!(client.inc_batch(0).expect("batch of 0"), 0);
+    assert_eq!(client.inc().expect("inc"), 1, "the batch took exactly one value");
+    let p = ProcessorId::new(3);
+    assert_eq!(CounterBackend::inc_batch(&mut client, p, 0).expect("trait batch of 0"), 2);
+    assert_eq!(client.inc_batch_key(0, 0).expect("keyed batch of 0"), 3);
+    assert_eq!(client.stats().expect("stats").connections, 1, "no reconnects");
+
+    // The wire itself still refuses a batch of 0.
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    write_frame(&mut stream, &WireMsg::Hello { resume: None }).expect("hello");
+    assert!(matches!(read_frame(&mut stream), Ok(WireMsg::HelloOk { .. })));
+    let zero = WireMsg::KeyBatchInc { key: 0, request_id: 0, count: 0, initiator: None };
+    write_frame(&mut stream, &zero).expect("batch of 0");
+    assert_eq!(read_frame(&mut stream), Ok(WireMsg::Err { code: ErrCode::Malformed }));
 }
 
 #[test]

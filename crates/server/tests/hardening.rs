@@ -1,14 +1,15 @@
 //! Overload and failure hardening at the server boundary: admission
 //! control sheds with `Busy` instead of queueing without bound, a
 //! panicking backend round is contained (the server keeps serving and
-//! the waiters' retries succeed), and a graceful drain never loses an
-//! acked operation.
+//! the waiters' retries succeed), a retry after a failed attempt is
+//! exactly-once, and a graceful drain never loses an acked operation.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use distctr_core::{CoreError, CounterBackend, TreeCounter};
+use distctr_core::{CoreError, CounterBackend, KeyedReply, TreeCounter};
 use distctr_server::wire::{read_frame, write_frame};
 use distctr_server::{
     ClientConfig, CounterServer, RemoteCounter, RetryPolicy, ServerConfig, ServerError, WireMsg,
@@ -48,6 +49,57 @@ impl CounterBackend for PanicOnce {
     fn inc_batch(&mut self, initiator: ProcessorId, count: u64) -> Result<u64, Self::Error> {
         self.trip();
         CounterBackend::inc_batch(&mut self.inner, initiator, count)
+    }
+
+    fn bottleneck(&self) -> u64 {
+        self.inner.bottleneck()
+    }
+
+    fn retirements(&self) -> u64 {
+        CounterBackend::retirements(&self.inner)
+    }
+}
+
+/// A backend that applies an op, caches its grant under the op's token
+/// (the way a keyspace key does), then reports failure once while
+/// `armed` — an increment that landed although its attempt failed. Only
+/// a retry that re-drives the *same* token is answered from the cache;
+/// any other would increment again.
+struct FailOnceAfterApply {
+    inner: TreeCounter,
+    armed: Arc<AtomicBool>,
+    answers: HashMap<(u64, u64), u64>,
+}
+
+impl CounterBackend for FailOnceAfterApply {
+    type Error = CoreError;
+
+    fn processors(&self) -> usize {
+        CounterBackend::processors(&self.inner)
+    }
+
+    fn inc(&mut self, initiator: ProcessorId) -> Result<u64, Self::Error> {
+        CounterBackend::inc(&mut self.inner, initiator)
+    }
+
+    fn inc_batch_key(
+        &mut self,
+        key: u64,
+        initiator: ProcessorId,
+        count: u64,
+        token: Option<(u64, u64)>,
+    ) -> Result<KeyedReply, Self::Error> {
+        if let Some(&first) = token.and_then(|t| self.answers.get(&t)) {
+            return Ok(KeyedReply::Replay(first));
+        }
+        let reply = self.inner.inc_batch_key(key, initiator, count, None)?;
+        if let (Some(t), KeyedReply::Fresh(first)) = (token, reply) {
+            self.answers.insert(t, first);
+        }
+        if self.armed.swap(false, Ordering::SeqCst) {
+            return Err(CoreError::RecoveryFailed { attempts: 1 });
+        }
+        Ok(reply)
     }
 
     fn bottleneck(&self) -> u64 {
@@ -158,6 +210,29 @@ fn a_panic_surfaces_as_a_backend_error_without_retries() {
     }
     // The session and the server both survived the contained panic.
     assert_eq!(client.inc().expect("inc after the contained panic"), 0);
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_retry_after_a_failed_attempt_re_drives_the_same_token() {
+    let armed = Arc::new(AtomicBool::new(false));
+    let backend = FailOnceAfterApply {
+        inner: TreeCounter::new(8).expect("sim"),
+        armed: Arc::clone(&armed),
+        answers: HashMap::new(),
+    };
+    let mut server = CounterServer::serve_async(backend).expect("serve");
+    let mut client =
+        RemoteCounter::connect_with(server.local_addr(), fast_retries()).expect("connect");
+
+    assert_eq!(client.inc().expect("inc"), 0);
+    armed.store(true, Ordering::SeqCst);
+    // The attempt applies and then fails with `Err { Backend }`; the
+    // server records nothing, and the client's retry carries the same
+    // request id, so the backend sees the same token and replays.
+    assert_eq!(client.inc().expect("inc across the failed attempt"), 1);
+    assert_eq!(client.inc().expect("inc"), 2, "the failed attempt left no gap");
+    assert_eq!(server.stats().deduped, 1, "the retry was a replay");
     server.shutdown().expect("shutdown");
 }
 

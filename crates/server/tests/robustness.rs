@@ -176,8 +176,9 @@ fn out_of_range_initiator_is_refused_without_counting() {
 /// The headline reconnect story, on the threaded backend: a client whose
 /// connection dies *after* sending an `Inc` but *before* reading the
 /// reply resumes its session and replays the same request id — and the
-/// operation counts exactly once, answered through the net backend's
-/// migrating root reply cache.
+/// operation counts exactly once: answered from the session's answer
+/// table, or — if the first attempt failed after landing — by the net
+/// backend's root reply cache under the same token.
 #[test]
 fn mid_op_disconnect_then_replay_is_exactly_once_on_threads() {
     let mut server =
@@ -189,9 +190,9 @@ fn mid_op_disconnect_then_replay_is_exactly_once_on_threads() {
     server.shutdown().expect("shutdown");
 }
 
-/// The same story on the simulator backend, which has no native ticket
-/// reservation: the session layer's answered-table fallback provides the
-/// same exactly-once guarantee.
+/// The same story on the simulator backend, which ignores the token:
+/// the session's answer table alone provides the same exactly-once
+/// guarantee.
 #[test]
 fn mid_op_disconnect_then_replay_is_exactly_once_on_sim() {
     let mut server = CounterServer::serve_async(TreeCounter::new(8).expect("sim")).expect("serve");

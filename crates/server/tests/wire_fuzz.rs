@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 /// named variants, so `Other` draws from the open range — the named
 /// codes are covered explicitly in `known_error_codes_round_trip`.
 fn arbitrary_msg(rng: &mut StdRng) -> WireMsg {
-    match rng.gen_range(0u32..15) {
+    match rng.gen_range(0u32..13) {
         0 => WireMsg::Hello { resume: rng.gen_bool(0.5).then(|| rng.gen()) },
         1 => {
             WireMsg::Inc { request_id: rng.gen(), initiator: rng.gen_bool(0.5).then(|| rng.gen()) }
@@ -44,27 +44,21 @@ fn arbitrary_msg(rng: &mut StdRng) -> WireMsg {
             demotions: rng.gen(),
             migrations_inflight: rng.gen(),
         }),
-        6 => WireMsg::BatchInc {
-            request_id: rng.gen(),
-            count: rng.gen(),
-            initiator: rng.gen_bool(0.5).then(|| rng.gen()),
-        },
-        7 => WireMsg::BatchOk { request_id: rng.gen(), first: rng.gen(), count: rng.gen() },
-        8 => WireMsg::Busy { retry_after_ms: rng.gen() },
-        9 => WireMsg::HelloKeyed { resume: rng.gen_bool(0.5).then(|| rng.gen()), key: rng.gen() },
-        10 => WireMsg::KeyInc {
+        6 => WireMsg::BatchOk { request_id: rng.gen(), first: rng.gen(), count: rng.gen() },
+        7 => WireMsg::Busy { retry_after_ms: rng.gen() },
+        8 => WireMsg::KeyInc {
             key: rng.gen(),
             request_id: rng.gen(),
             initiator: rng.gen_bool(0.5).then(|| rng.gen()),
         },
-        11 => WireMsg::KeyBatchInc {
+        9 => WireMsg::KeyBatchInc {
             key: rng.gen(),
             request_id: rng.gen(),
             count: rng.gen(),
             initiator: rng.gen_bool(0.5).then(|| rng.gen()),
         },
-        12 => WireMsg::Read { key: rng.gen() },
-        13 => WireMsg::ReadOk { key: rng.gen(), value: rng.gen() },
+        10 => WireMsg::Read { key: rng.gen() },
+        11 => WireMsg::ReadOk { key: rng.gen(), value: rng.gen() },
         _ => WireMsg::Err { code: ErrCode::from_u16(rng.gen_range(10u16..=u16::MAX)) },
     }
 }
@@ -203,28 +197,25 @@ fn truncated_payloads_of_every_tag_are_malformed_or_truncated() {
 #[test]
 fn keyed_frames_with_truncated_counter_ids_are_typed_errors() {
     // The counter id is the newest field on the wire. Cut every keyed
-    // frame (the versioned handshake included) at *every* prefix — in
+    // frame at *every* prefix — in
     // particular the prefixes that end mid-way through the 8-byte key —
     // and demand the decoder flag the layout, never misparse a short
     // key as a valid frame for a different counter.
     let mut rng = StdRng::seed_from_u64(0x6b65_7973);
     for _ in 0..400 {
-        let msg = match rng.gen_range(0u32..5) {
-            0 => {
-                WireMsg::HelloKeyed { resume: rng.gen_bool(0.5).then(|| rng.gen()), key: rng.gen() }
-            }
-            1 => WireMsg::KeyInc {
+        let msg = match rng.gen_range(0u32..4) {
+            0 => WireMsg::KeyInc {
                 key: rng.gen(),
                 request_id: rng.gen(),
                 initiator: rng.gen_bool(0.5).then(|| rng.gen()),
             },
-            2 => WireMsg::KeyBatchInc {
+            1 => WireMsg::KeyBatchInc {
                 key: rng.gen(),
                 request_id: rng.gen(),
                 count: rng.gen(),
                 initiator: rng.gen_bool(0.5).then(|| rng.gen()),
             },
-            3 => WireMsg::Read { key: rng.gen() },
+            2 => WireMsg::Read { key: rng.gen() },
             _ => WireMsg::ReadOk { key: rng.gen(), value: rng.gen() },
         };
         let payload = encode(&msg);

@@ -52,7 +52,7 @@ struct Args {
     /// `shm-central`.
     backend: String,
     /// Serve the hosted backend through the flat-combining hot path
-    /// instead of the sequential ticketed one.
+    /// instead of the sequential one.
     combine: bool,
     /// Number of counter keys to spread operations over (0 = unkeyed,
     /// the single default counter). Hosts an adaptive `Keyspace` when
