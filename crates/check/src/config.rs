@@ -60,7 +60,7 @@ pub struct CheckConfig {
     pub workload: Workload,
     /// Batch size per *workload* operation (`op_counts[i]` pairs with
     /// the i-th workload initiator): an op with count `m > 1` is
-    /// injected as one `BatchApply` traversal reserving the contiguous
+    /// injected as one `Apply` traversal reserving the contiguous
     /// range `[v, v + m)`. Missing entries (and an empty vector, the
     /// default) mean unit increments; warm-up ops are always unit.
     pub op_counts: Vec<u64>,

@@ -16,7 +16,6 @@ use std::sync::Arc;
 
 use distctr_core::engine::{
     seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, Event, Hosted, NodeEngine,
-    VirtualTime,
 };
 use distctr_core::protocol::PoolPolicy;
 use distctr_core::{CounterMsg, CounterObject, Msg, NodeRef, Topology};
@@ -478,22 +477,19 @@ impl World {
         }
         let leaf_parent = self.topo.leaf_parent(initiator as u64);
         let entry = self.reachable_worker(leaf_parent);
-        let msg = Self::entry_msg(leaf_parent, initiator, i, self.ops[i].count);
-        self.send(ProcessorId::new(initiator), entry, Some(i), msg);
+        self.send_entry(i, entry);
     }
 
-    /// The entry-point message of op `i`: a unit `Apply`, or a
-    /// `BatchApply` carrying the op's count. A watchdog re-injection
-    /// repeats the *same* op_seq and count, so the root's reply cache
-    /// answers retries with the original range.
-    fn entry_msg(leaf_parent: NodeRef, initiator: usize, i: usize, count: u64) -> CounterMsg {
+    /// Sends op `i` into the tree at `entry`: one `Apply` carrying the
+    /// op's count. A watchdog re-injection repeats the *same* op_seq and
+    /// count, so the root's reply cache answers retries with the
+    /// original range.
+    fn send_entry(&mut self, i: usize, entry: ProcessorId) {
+        let OpState { initiator, count, .. } = self.ops[i];
+        let node = self.topo.leaf_parent(initiator as u64);
         let origin = ProcessorId::new(initiator);
-        let op_seq = i as u64;
-        if count > 1 {
-            Msg::BatchApply { node: leaf_parent, origin, op_seq, count, req: () }
-        } else {
-            Msg::Apply { node: leaf_parent, origin, op_seq, req: () }
-        }
+        let msg = Msg::Apply { node, origin, op_seq: i as u64, count, req: () };
+        self.send(origin, entry, Some(i), msg);
     }
 
     fn deliver_at(&mut self, idx: usize) {
@@ -506,8 +502,8 @@ impl World {
             self.contact[op].insert(m.from.index());
             self.contact[op].insert(m.to.index());
         }
-        let now = VirtualTime(self.now);
-        let fx = self.engines[m.to.index()].on_event(Event::Deliver { msg: m.msg }, now);
+        let mut fx = Vec::new();
+        self.engines[m.to.index()].on_event_into(Event::Deliver { msg: m.msg }, &mut fx);
         self.apply_effects(m.to, m.op, fx);
         self.fire_scripted_crashes();
     }
@@ -595,18 +591,14 @@ impl World {
                             object: self.stable_object.clone(),
                             reply_cache: self.stable_replies.clone(),
                         };
-                        let now = VirtualTime(self.now);
-                        let fx2 = self.engines[worker.index()].on_event(restore, now);
+                        let mut fx2 = Vec::new();
+                        self.engines[worker.index()].on_event_into(restore, &mut fx2);
                         self.apply_effects(worker, op, fx2);
                     }
                 }
                 Effect::Persist { object, op_seq, resp, .. } => {
                     self.stable_object = object;
                     self.stable_replies.push((op_seq, resp));
-                }
-                Effect::SetTimer { .. } | Effect::CancelTimer { .. } => {
-                    // Timer protection is realized by the quiescence
-                    // watchdog, as in the simulator.
                 }
                 Effect::Audit(ev) => match ev {
                     AuditEvent::Retirement { .. } => self.retirements += 1,
@@ -718,8 +710,7 @@ impl World {
             let leaf_parent = self.topo.leaf_parent(initiator as u64);
             let entry = self.reachable_worker(leaf_parent);
             if !self.crashed[entry.index()] {
-                let msg = Self::entry_msg(leaf_parent, initiator, i, self.ops[i].count);
-                self.send(ProcessorId::new(initiator), entry, Some(i), msg);
+                self.send_entry(i, entry);
                 injected = true;
             }
             if self.ops[i].attempts >= 2 {

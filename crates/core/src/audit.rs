@@ -38,7 +38,7 @@ pub struct CounterAudit {
     stints_completed: u64,
     max_stint_msgs: u64,
     stint_msgs: Vec<u64>,
-    /// Sorted by kind name; ten kinds at most, so recording scans it.
+    /// Sorted by kind name; nine kinds at most, so recording scans it.
     msgs_by_kind: Vec<(&'static str, u64)>,
     /// Per-operation scratch, folded at `end_op`: the nodes this
     /// operation touched. An operation touches O(k) nodes, so recording

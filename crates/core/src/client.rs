@@ -261,11 +261,11 @@ impl<O: RootObject> TreeClient<O> {
         initiator: ProcessorId,
         req: O::Request,
     ) -> Result<InvokeResult<O::Response>, SimError> {
-        self.invoke_inner(initiator, None, req)
+        self.invoke_batch(initiator, 1, req)
     }
 
     /// Executes a *batch* of `count` identical operations sharing one
-    /// tree traversal ([`Msg::BatchApply`]): the root applies all of them
+    /// tree traversal (one [`Msg::Apply`]): the root applies all of them
     /// atomically and the response is that of the first member — for the
     /// counter, the start of the batch's contiguous range
     /// `[first, first + count)`. The whole batch is one message of the
@@ -280,15 +280,7 @@ impl<O: RootObject> TreeClient<O> {
         count: u64,
         req: O::Request,
     ) -> Result<InvokeResult<O::Response>, SimError> {
-        self.invoke_inner(initiator, Some(count.max(1)), req)
-    }
-
-    fn invoke_inner(
-        &mut self,
-        initiator: ProcessorId,
-        batch: Option<u64>,
-        req: O::Request,
-    ) -> Result<InvokeResult<O::Response>, SimError> {
+        let count = count.max(1);
         if initiator.index() >= self.net.processors() {
             return Err(SimError::UnknownProcessor {
                 index: initiator.index(),
@@ -300,12 +292,9 @@ impl<O: RootObject> TreeClient<O> {
         self.proto.audit_mut().begin_op();
         let leaf_parent = self.proto.topology().leaf_parent(initiator.index() as u64);
         let worker = self.proto.worker_of(leaf_parent);
-        self.net.inject(
-            op,
-            initiator,
-            worker,
-            Self::entry_msg(leaf_parent, initiator, op.index() as u64, batch, req),
-        );
+        let op_seq = op.index() as u64;
+        let entry = Msg::Apply { node: leaf_parent, origin: initiator, op_seq, count, req };
+        self.net.inject(op, initiator, worker, entry);
         let stats = self.net.run_to_quiescence(&mut self.proto)?;
         self.proto.audit_mut().end_op();
         let trace = self.net.finish_op(op);
@@ -319,20 +308,6 @@ impl<O: RootObject> TreeClient<O> {
             completed_at: stats.end_time,
             trace,
         })
-    }
-
-    /// The message that enters an operation (or a batch) into the tree.
-    fn entry_msg(
-        node: NodeRef,
-        origin: ProcessorId,
-        op_seq: u64,
-        batch: Option<u64>,
-        req: O::Request,
-    ) -> Msg<O> {
-        match batch {
-            None => Msg::Apply { node, origin, op_seq, req },
-            Some(count) => Msg::BatchApply { node, origin, op_seq, count, req },
-        }
     }
 
     /// Whether the client retires workers (false for the static-tree
@@ -412,7 +387,7 @@ impl<O: RootObject> TreeClient<O> {
         initiator: ProcessorId,
         req: O::Request,
     ) -> Result<InvokeResult<O::Response>, CoreError> {
-        self.invoke_fault_tolerant_inner(initiator, None, req)
+        self.invoke_batch_fault_tolerant(initiator, 1, req)
     }
 
     /// Fault-tolerant batch invocation: [`TreeClient::invoke_batch`] with
@@ -430,15 +405,7 @@ impl<O: RootObject> TreeClient<O> {
         count: u64,
         req: O::Request,
     ) -> Result<InvokeResult<O::Response>, CoreError> {
-        self.invoke_fault_tolerant_inner(initiator, Some(count.max(1)), req)
-    }
-
-    fn invoke_fault_tolerant_inner(
-        &mut self,
-        initiator: ProcessorId,
-        batch: Option<u64>,
-        req: O::Request,
-    ) -> Result<InvokeResult<O::Response>, CoreError> {
+        let count = count.max(1);
         if initiator.index() >= self.net.processors() {
             return Err(SimError::UnknownProcessor {
                 index: initiator.index(),
@@ -477,12 +444,10 @@ impl<O: RootObject> TreeClient<O> {
             }
             let entry_worker = self.proto.worker_of(leaf_parent);
             if !self.net.is_crashed(entry_worker) {
-                self.net.inject(
-                    op,
-                    initiator,
-                    entry_worker,
-                    Self::entry_msg(leaf_parent, initiator, op.index() as u64, batch, req.clone()),
-                );
+                let op_seq = op.index() as u64;
+                let req = req.clone();
+                let entry = Msg::Apply { node: leaf_parent, origin: initiator, op_seq, count, req };
+                self.net.inject(op, initiator, entry_worker, entry);
             }
             let stats = self.net.run_to_quiescence(&mut self.proto)?;
             messages += stats.delivered;
@@ -523,8 +488,7 @@ impl<O: RootObject> TreeClient<O> {
     /// still unaccounted for — the successor either died or never got
     /// it), or whose recovery stalled (quiescent while still collecting
     /// shares), inject a [`Msg::RecoverPromote`] self-message at a live
-    /// pool successor. The promote realizes the engine's `SetTimer`
-    /// protection: quiescence with the transfer still open *is* the
+    /// pool successor. Quiescence with the transfer still open *is* the
     /// timeout.
     ///
     /// Nodes with no live successor are fatal only when they sit on the

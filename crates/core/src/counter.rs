@@ -86,7 +86,7 @@ impl TreeClient<CounterObject> {
     }
 
     /// A batch of `count` incs sharing one tree traversal
-    /// ([`Msg::BatchApply`](crate::messages::Msg::BatchApply)): the
+    /// (one [`Msg::Apply`](crate::messages::Msg::Apply)): the
     /// returned value is the start of the contiguous range
     /// `[value, value + count)` the batch owns. One message of protocol
     /// load regardless of `count` — see [`TreeClient::invoke_batch`].

@@ -10,10 +10,12 @@
 //! execution layer is a thin driver that realizes those effects on its
 //! own transport:
 //!
-//! | driver | `Send` | `Reply` | `SetTimer` | `Audit` |
-//! |---|---|---|---|---|
-//! | simulator ([`TreeProtocol`](crate::protocol::TreeProtocol)) | sim network | pending response | client watchdog at quiescence | [`CounterAudit`](crate::audit::CounterAudit) ledger |
-//! | threads (`distctr-net`) | crossbeam channel | results channel | driver retry/backoff | shared atomic counters |
+//! | driver | `Send` | `Reply` | `Audit` |
+//! |---|---|---|---|
+//! | simulator ([`TreeProtocol`](crate::protocol::TreeProtocol)) | sim network | pending response | [`CounterAudit`](crate::audit::CounterAudit) ledger |
+//! | threads (`distctr-net`) | crossbeam channel | results channel | shared atomic counters |
+//! | shared memory (`distctr-shm`) | arena mailbox | op cell | shared atomic counters |
+//! | model checker (`distctr-check`) | in-flight multiset | op state | world counters |
 //!
 //! One engine instance models one *processor* (mirroring the threaded
 //! backend, where all knowledge is local and node state genuinely
@@ -31,11 +33,10 @@
 //! rebuilds the k+2-value state from one [`Msg::RebuildShare`] per
 //! distinct neighbour instead of a handoff from the dead worker.
 //!
-//! Timer effects are advisory: the engine brackets every handoff and
-//! rebuild with [`Effect::SetTimer`]/[`Effect::CancelTimer`] so an async
-//! driver could arm real timeouts; the current drivers realize the same
-//! protection at quiescence (the simulator's client watchdog) or by
-//! bounded retry (the threaded driver), and ignore the effects.
+//! The engine keeps no clock and arms no timers. A lost handoff or
+//! rebuild is noticed outside it — at quiescence by the simulator's and
+//! the checker's watchdog, or by the threaded driver's bounded retry —
+//! and re-enters the engine as an ordinary [`Msg::RecoverPromote`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -47,33 +48,15 @@ use crate::messages::{Msg, NodeTransfer};
 use crate::object::RootObject;
 use crate::topology::{NodeRef, Topology};
 
-/// Monotone protocol time, in driver-defined ticks. The simulator feeds
-/// its `SimTime`; the threaded driver, which has no virtual clock, feeds
-/// [`VirtualTime::ZERO`] (its retry loop plays the watchdog instead).
+/// A protocol timestamp. The engine keeps no clock: this type survives
+/// only as the ignored argument of [`NodeEngine::on_event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct VirtualTime(pub u64);
 
 impl VirtualTime {
     /// Time zero.
     pub const ZERO: VirtualTime = VirtualTime(0);
-
-    /// The raw tick count.
-    #[must_use]
-    pub fn ticks(self) -> u64 {
-        self.0
-    }
 }
-
-impl std::ops::Add<u64> for VirtualTime {
-    type Output = VirtualTime;
-    fn add(self, rhs: u64) -> VirtualTime {
-        VirtualTime(self.0 + rhs)
-    }
-}
-
-/// Ticks after which an unfinished handoff or rebuild should be treated
-/// as lost (the deadline the engine stamps on [`Effect::SetTimer`]).
-pub const WATCHDOG_TICKS: u64 = 16;
 
 /// Retirement behaviour of the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -187,7 +170,8 @@ pub enum Event<O: RootObject> {
         /// The message.
         msg: Msg<O>,
     },
-    /// The local user asks this processor to initiate one operation.
+    /// The local user asks this processor to initiate one operation:
+    /// [`Event::InvokeBatch`] with a count of 1.
     Invoke {
         /// Driver-assigned operation sequence number.
         op_seq: u64,
@@ -195,10 +179,10 @@ pub enum Event<O: RootObject> {
         req: O::Request,
     },
     /// The local user asks this processor to initiate a *batch* of
-    /// `count` identical operations sharing one tree traversal
-    /// ([`Msg::BatchApply`]). The eventual [`Effect::Reply`] carries the
-    /// first response — the start of the batch's contiguous range for
-    /// range-structured objects like the counter.
+    /// `count` identical operations sharing one tree traversal (one
+    /// [`Msg::Apply`] carrying the count). The eventual [`Effect::Reply`]
+    /// carries the first response — the start of the batch's contiguous
+    /// range for range-structured objects like the counter.
     InvokeBatch {
         /// Driver-assigned sequence number for the whole batch. A retry
         /// must repeat both the `op_seq` and the `count`.
@@ -306,20 +290,6 @@ pub enum Effect<O: RootObject> {
         op_seq: u64,
         /// The response.
         resp: O::Response,
-    },
-    /// Arm a watchdog for `node`: if the matching [`Effect::CancelTimer`]
-    /// has not arrived by `deadline`, the in-flight handoff or rebuild
-    /// should be presumed lost and recovery started.
-    SetTimer {
-        /// The node being watched.
-        node: NodeRef,
-        /// When to fire.
-        deadline: VirtualTime,
-    },
-    /// Disarm `node`'s watchdog (the handoff or rebuild completed).
-    CancelTimer {
-        /// The node no longer being watched.
-        node: NodeRef,
     },
     /// This processor retired from `node`; `successor` will take over
     /// once the in-flight handoff installs there.
@@ -667,61 +637,57 @@ impl<O: RootObject> NodeEngine<O> {
     }
 
     /// The single entry point: consumes one event, returns the effects.
-    pub fn on_event(&mut self, event: Event<O>, now: VirtualTime) -> Effects<O> {
+    /// The engine keeps no clock, so `_now` is ignored; it stays only
+    /// because the benchmark harness still passes it.
+    pub fn on_event(&mut self, event: Event<O>, _now: VirtualTime) -> Effects<O> {
         let mut fx = Vec::new();
-        self.on_event_into(event, now, &mut fx);
+        self.on_event_into(event, &mut fx);
         fx
     }
 
     /// [`NodeEngine::on_event`] into a caller-owned buffer: the effects
     /// are appended to `fx`, so a driver that drains one buffer per
     /// delivery allocates nothing per event.
-    pub fn on_event_into(&mut self, event: Event<O>, now: VirtualTime, fx: &mut Effects<O>) {
+    pub fn on_event_into(&mut self, event: Event<O>, fx: &mut Effects<O>) {
         match event {
-            Event::Deliver { msg } => self.on_msg(msg, now, fx),
-            Event::Invoke { op_seq, req } => {
-                // Level-k nodes have singleton pools and never move, so
-                // the leaf's entry point into the tree is static.
-                let leaf_parent = self.topo.leaf_parent(self.me.index() as u64);
-                let worker = self.topo.initial_worker(leaf_parent);
-                fx.push(Effect::Send {
-                    to: worker,
-                    msg: Msg::Apply { node: leaf_parent, origin: self.me, op_seq, req },
-                });
-            }
-            Event::InvokeBatch { op_seq, count, req } => {
-                let leaf_parent = self.topo.leaf_parent(self.me.index() as u64);
-                let worker = self.topo.initial_worker(leaf_parent);
-                fx.push(Effect::Send {
-                    to: worker,
-                    msg: Msg::BatchApply {
-                        node: leaf_parent,
-                        origin: self.me,
-                        op_seq,
-                        count: count.max(1),
-                        req,
-                    },
-                });
-            }
+            Event::Deliver { msg } => self.on_msg(msg, fx),
+            Event::Invoke { op_seq, req } => self.invoke(op_seq, 1, req, fx),
+            Event::InvokeBatch { op_seq, count, req } => self.invoke(op_seq, count, req, fx),
             Event::Restore { node, object, reply_cache } => {
                 if let Some(h) = self.hosted.get_mut(self.slot(node)) {
                     h.object = Some(object);
                     h.reply_cache = reply_cache.into();
                     // The object is back; traffic buffered during the
                     // rebuild can flow now.
-                    self.replay_pending(node, now, fx);
+                    self.replay_pending(node, fx);
                 }
             }
         }
     }
 
-    fn on_msg(&mut self, msg: Msg<O>, now: VirtualTime, fx: &mut Effects<O>) {
+    /// Enters `count` operations (at least one) into the tree as one
+    /// traversal.
+    fn invoke(&self, op_seq: u64, count: u64, req: O::Request, fx: &mut Effects<O>) {
+        // Level-k nodes have singleton pools and never move, so the
+        // leaf's entry point into the tree is static.
+        let leaf_parent = self.topo.leaf_parent(self.me.index() as u64);
+        let worker = self.topo.initial_worker(leaf_parent);
+        fx.push(Effect::Send {
+            to: worker,
+            msg: Msg::Apply {
+                node: leaf_parent,
+                origin: self.me,
+                op_seq,
+                count: count.max(1),
+                req,
+            },
+        });
+    }
+
+    fn on_msg(&mut self, msg: Msg<O>, fx: &mut Effects<O>) {
         match msg {
-            Msg::Apply { node, origin, op_seq, req } => {
-                self.on_apply(node, origin, op_seq, None, req, now, fx);
-            }
-            Msg::BatchApply { node, origin, op_seq, count, req } => {
-                self.on_apply(node, origin, op_seq, Some(count), req, now, fx);
+            Msg::Apply { node, origin, op_seq, count, req } => {
+                self.on_apply(node, origin, op_seq, count, req, fx);
             }
             Msg::Reply { op_seq, resp } => {
                 fx.push(Effect::Audit(AuditEvent::Kind("reply")));
@@ -731,13 +697,13 @@ impl<O: RootObject> NodeEngine<O> {
                 // Unit parts only carry load; the final part installs.
                 fx.push(Effect::Audit(AuditEvent::Kind("handoff")));
             }
-            Msg::HandoffFinal { transfer } => self.on_handoff_final(*transfer, now, fx),
-            m @ Msg::NewWorker { .. } => self.on_new_worker(m, now, fx),
+            Msg::HandoffFinal { transfer } => self.on_handoff_final(*transfer, fx),
+            m @ Msg::NewWorker { .. } => self.on_new_worker(m, fx),
             Msg::NewWorkerLeaf { .. } => {
                 fx.push(Effect::Audit(AuditEvent::Kind("new-worker-leaf")));
             }
             Msg::RecoverPromote { node, neighbours } => {
-                self.on_recover_promote(node, neighbours, now, fx);
+                self.on_recover_promote(node, neighbours, fx);
             }
             Msg::RebuildQuery { node, neighbour, successor } => {
                 fx.push(Effect::Audit(AuditEvent::Kind("rebuild-query")));
@@ -752,7 +718,7 @@ impl<O: RootObject> NodeEngine<O> {
                 });
             }
             Msg::RebuildShare { node, neighbour, worker } => {
-                self.on_rebuild_share(node, neighbour, worker, now, fx);
+                self.on_rebuild_share(node, neighbour, worker, fx);
             }
         }
     }
@@ -778,44 +744,26 @@ impl<O: RootObject> NodeEngine<O> {
         true
     }
 
-    /// Re-wraps an in-flight (batch) apply for `node`, preserving the
-    /// batch count so shimmed/buffered traversals keep their identity.
-    fn wrap_apply(
-        node: NodeRef,
-        origin: ProcessorId,
-        op_seq: u64,
-        batch: Option<u64>,
-        req: O::Request,
-    ) -> Msg<O> {
-        match batch {
-            None => Msg::Apply { node, origin, op_seq, req },
-            Some(count) => Msg::BatchApply { node, origin, op_seq, count, req },
-        }
-    }
-
-    /// Handles a unit (`batch = None`) or batched (`batch = Some(count)`)
-    /// apply. Both are **one message** of the protocol: the node ages by
-    /// the same 2 (receive + forward) regardless of the batch size, which
-    /// is exactly where the amortized O(k / count) per-inc load comes
-    /// from — and why the Hot Spot Lemma's accounting, which counts
-    /// messages, is preserved per *traversal*.
-    #[allow(clippy::too_many_arguments)]
+    /// Handles an apply of `count` operations. It is **one message** of
+    /// the protocol: the node ages by the same 2 (receive + forward)
+    /// whatever the count, which is exactly where the amortized
+    /// O(k / count) per-inc load comes from — and why the Hot Spot
+    /// Lemma's accounting, which counts messages, is preserved per
+    /// *traversal*.
     fn on_apply(
         &mut self,
         node: NodeRef,
         origin: ProcessorId,
         op_seq: u64,
-        batch: Option<u64>,
+        count: u64,
         req: O::Request,
-        now: VirtualTime,
         fx: &mut Effects<O>,
     ) {
-        let rewrapped = Self::wrap_apply(node, origin, op_seq, batch, req.clone());
-        if self.shim_or_buffer(node, rewrapped, fx) {
+        let msg = Msg::Apply { node, origin, op_seq, count, req: req.clone() };
+        if self.shim_or_buffer(node, msg, fx) {
             return;
         }
-        let kind = if batch.is_some() { "batch-apply" } else { "apply" };
-        fx.push(Effect::Audit(AuditEvent::Handled { node, kind, aged: 2 }));
+        fx.push(Effect::Audit(AuditEvent::Handled { node, kind: "apply", aged: 2 }));
         let h = self.hosted.get_mut(self.slot(node)).expect("hosted checked above");
         h.age += 2;
         if node == NodeRef::ROOT {
@@ -840,10 +788,7 @@ impl<O: RootObject> NodeEngine<O> {
                     fx.push(Effect::Audit(AuditEvent::Lost));
                     return;
                 };
-                let resp = match batch {
-                    None => object.apply(req),
-                    Some(count) => object.apply_batch(req, count.max(1)),
-                };
+                let resp = object.apply_batch(req, count);
                 h.reply_cache.push_back((op_seq, resp.clone()));
                 if h.reply_cache.len() > self.config.reply_cache_cap {
                     h.reply_cache.pop_front();
@@ -869,13 +814,13 @@ impl<O: RootObject> NodeEngine<O> {
             };
             fx.push(Effect::Send {
                 to: parent_worker,
-                msg: Self::wrap_apply(parent, origin, op_seq, batch, req),
+                msg: Msg::Apply { node: parent, origin, op_seq, count, req },
             });
         }
-        self.maybe_retire(node, now, fx);
+        self.maybe_retire(node, fx);
     }
 
-    fn on_new_worker(&mut self, msg: Msg<O>, now: VirtualTime, fx: &mut Effects<O>) {
+    fn on_new_worker(&mut self, msg: Msg<O>, fx: &mut Effects<O>) {
         let Msg::NewWorker { node, retired, new_worker } = msg else { unreachable!() };
         if self.shim_or_buffer(node, Msg::NewWorker { node, retired, new_worker }, fx) {
             return;
@@ -890,15 +835,10 @@ impl<O: RootObject> NodeEngine<O> {
                 h.child_workers[idx] = new_worker;
             }
         }
-        self.maybe_retire(node, now, fx);
+        self.maybe_retire(node, fx);
     }
 
-    fn on_handoff_final(
-        &mut self,
-        transfer: NodeTransfer<O>,
-        now: VirtualTime,
-        fx: &mut Effects<O>,
-    ) {
+    fn on_handoff_final(&mut self, transfer: NodeTransfer<O>, fx: &mut Effects<O>) {
         fx.push(Effect::Audit(AuditEvent::Kind("handoff-final")));
         let node = transfer.node;
         let slot = self.slot(node);
@@ -918,19 +858,17 @@ impl<O: RootObject> NodeEngine<O> {
         // recycling epoch).
         self.forwarding.remove(slot);
         fx.push(Effect::Installed { node, worker: self.me, pool_cursor: transfer.pool_cursor });
-        fx.push(Effect::CancelTimer { node });
         // The stint that just ended absorbed the k+1 handoff messages;
         // they seed the new stint's count.
         let setup = u64::from(self.topo.order()) + 1;
         fx.push(Effect::Audit(AuditEvent::StintComplete { node, setup_msgs: setup }));
-        self.replay_pending(node, now, fx);
+        self.replay_pending(node, fx);
     }
 
     fn on_recover_promote(
         &mut self,
         node: NodeRef,
         neighbours: Vec<(NodeRef, ProcessorId)>,
-        now: VirtualTime,
         fx: &mut Effects<O>,
     ) {
         fx.push(Effect::Audit(AuditEvent::Kind("recover-promote")));
@@ -943,7 +881,6 @@ impl<O: RootObject> NodeEngine<O> {
         // path when rebuild traffic is itself lost.
         self.rebuilding.insert(slot, NodeSlots::new());
         fx.push(Effect::RecoveryStarted { node, successor: self.me });
-        fx.push(Effect::SetTimer { node, deadline: now + WATCHDOG_TICKS });
         let queries = neighbours.len() as u64;
         for (neighbour, worker) in neighbours {
             fx.push(Effect::Send {
@@ -960,7 +897,6 @@ impl<O: RootObject> NodeEngine<O> {
         node: NodeRef,
         neighbour: NodeRef,
         worker: ProcessorId,
-        now: VirtualTime,
         fx: &mut Effects<O>,
     ) {
         fx.push(Effect::Audit(AuditEvent::Kind("rebuild-share")));
@@ -1013,7 +949,6 @@ impl<O: RootObject> NodeEngine<O> {
         );
         self.forwarding.remove(slot);
         fx.push(Effect::Recovered { node, worker: self.me, pool_cursor });
-        fx.push(Effect::CancelTimer { node });
         fx.push(Effect::Audit(AuditEvent::Recovery { node }));
         fx.push(Effect::Audit(AuditEvent::StintComplete { node, setup_msgs: u64::from(needed) }));
         // Parent and children learn the new worker id through the normal
@@ -1051,11 +986,11 @@ impl<O: RootObject> NodeEngine<O> {
         // applies before that would lose them, so its pending buffer
         // waits for the restore.
         if node != NodeRef::ROOT {
-            self.replay_pending(node, now, fx);
+            self.replay_pending(node, fx);
         }
     }
 
-    fn maybe_retire(&mut self, node: NodeRef, now: VirtualTime, fx: &mut Effects<O>) {
+    fn maybe_retire(&mut self, node: NodeRef, fx: &mut Effects<O>) {
         let Some(threshold) = self.config.threshold else { return };
         let slot = self.slot(node);
         let Some(h) = self.hosted.get(slot) else { return };
@@ -1079,7 +1014,6 @@ impl<O: RootObject> NodeEngine<O> {
         let h = self.hosted.remove(slot).expect("hosted checked above");
         self.forwarding.insert(slot, successor);
         fx.push(Effect::Retired { node, successor });
-        fx.push(Effect::SetTimer { node, deadline: now + WATCHDOG_TICKS });
 
         // k+1 handoff messages: k unit parts plus the state-bearing
         // final (the paper's "k+3 messages" per retirement are these
@@ -1140,10 +1074,10 @@ impl<O: RootObject> NodeEngine<O> {
         }));
     }
 
-    fn replay_pending(&mut self, node: NodeRef, now: VirtualTime, fx: &mut Effects<O>) {
+    fn replay_pending(&mut self, node: NodeRef, fx: &mut Effects<O>) {
         if let Some(buffered) = self.pending.remove(self.slot(node)) {
             for msg in buffered {
-                self.on_msg(msg, now, fx);
+                self.on_msg(msg, fx);
             }
         }
     }
@@ -1176,6 +1110,15 @@ mod tests {
             .collect()
     }
 
+    fn step(
+        engine: &mut NodeEngine<CounterObject>,
+        event: Event<CounterObject>,
+    ) -> Effects<CounterObject> {
+        let mut fx = Vec::new();
+        engine.on_event_into(event, &mut fx);
+        fx
+    }
+
     /// Runs the fleet like a zero-delay network until no sends remain,
     /// collecting every non-send effect. The engines are a complete
     /// executable protocol on their own — this is the smallest possible
@@ -1186,7 +1129,7 @@ mod tests {
     ) -> Vec<Effect<CounterObject>> {
         let mut observed = Vec::new();
         while let Some((to, msg)) = inbox.pop() {
-            let fx = engines[to.index()].on_event(Event::Deliver { msg }, VirtualTime::ZERO);
+            let fx = step(&mut engines[to.index()], Event::Deliver { msg });
             for e in fx {
                 match e {
                     Effect::Send { to, msg } => inbox.push((to, msg)),
@@ -1212,7 +1155,7 @@ mod tests {
     #[test]
     fn invoke_enters_the_tree_at_the_leaf_parent() {
         let (topo, mut engines) = fleet(2, EngineConfig::paper(2));
-        let fx = engines[5].on_event(Event::Invoke { op_seq: 9, req: () }, VirtualTime::ZERO);
+        let fx = step(&mut engines[5], Event::Invoke { op_seq: 9, req: () });
         let s = sends(&fx);
         assert_eq!(s.len(), 1);
         let leaf_parent = topo.leaf_parent(5);
@@ -1221,9 +1164,29 @@ mod tests {
     }
 
     #[test]
+    fn a_unit_op_is_a_batch_of_one() {
+        let invokes = [
+            Event::Invoke { op_seq: 2, req: () },
+            Event::InvokeBatch { op_seq: 2, count: 1, req: () },
+            Event::InvokeBatch { op_seq: 2, count: 0, req: () },
+        ];
+        let runs: Vec<String> = invokes
+            .into_iter()
+            .map(|invoke| {
+                let (_, mut engines) = fleet(2, EngineConfig::paper(2));
+                let fx = step(&mut engines[5], invoke);
+                let inbox = sends(&fx).into_iter().map(|(to, m)| (to, m.clone())).collect();
+                format!("{fx:?} then {:?}", run_fleet(&mut engines, inbox))
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "a unit op and a batch of one");
+        assert_eq!(runs[0], runs[2], "a unit op and a batch of zero");
+    }
+
+    #[test]
     fn an_operation_climbs_to_the_root_and_replies_to_the_initiator() {
         let (_, mut engines) = fleet(2, EngineConfig::paper(2));
-        let fx = engines[3].on_event(Event::Invoke { op_seq: 0, req: () }, VirtualTime::ZERO);
+        let fx = step(&mut engines[3], Event::Invoke { op_seq: 0, req: () });
         let inbox = sends(&fx).into_iter().map(|(to, m)| (to, m.clone())).collect();
         let observed = run_fleet(&mut engines, inbox);
         let replies: Vec<_> = observed
@@ -1240,17 +1203,17 @@ mod tests {
     fn the_root_applies_each_op_seq_exactly_once_when_deduping() {
         let config = EngineConfig { dedupe: true, ..EngineConfig::paper(2) };
         let (_, mut engines) = fleet(2, config);
-        let apply = Msg::Apply { node: NodeRef::ROOT, origin: p(7), op_seq: 4, req: () };
+        let apply = Msg::Apply { node: NodeRef::ROOT, origin: p(7), op_seq: 4, count: 1, req: () };
         for _ in 0..2 {
-            let fx = engines[0].on_event(Event::Deliver { msg: apply.clone() }, VirtualTime::ZERO);
+            let fx = step(&mut engines[0], Event::Deliver { msg: apply.clone() });
             let s = sends(&fx);
             assert!(
                 matches!(s[0].1, Msg::Reply { op_seq: 4, resp: 0 }),
                 "duplicate answered from the cache, not re-applied"
             );
         }
-        let next = Msg::Apply { node: NodeRef::ROOT, origin: p(7), op_seq: 5, req: () };
-        let fx = engines[0].on_event(Event::Deliver { msg: next }, VirtualTime::ZERO);
+        let next = Msg::Apply { node: NodeRef::ROOT, origin: p(7), op_seq: 5, count: 1, req: () };
+        let fx = step(&mut engines[0], Event::Deliver { msg: next });
         assert!(matches!(sends(&fx)[0].1, Msg::Reply { resp: 1, .. }), "count advanced once");
     }
 
@@ -1259,15 +1222,14 @@ mod tests {
         let (_, mut engines) = fleet(2, EngineConfig::paper(2));
         // Warm the counter to 3 with unit ops, then send a batch of 5.
         for seq in 0..3 {
-            let fx = engines[3].on_event(Event::Invoke { op_seq: seq, req: () }, VirtualTime::ZERO);
+            let fx = step(&mut engines[3], Event::Invoke { op_seq: seq, req: () });
             let inbox = sends(&fx).into_iter().map(|(to, m)| (to, m.clone())).collect();
             run_fleet(&mut engines, inbox);
         }
-        let fx = engines[3]
-            .on_event(Event::InvokeBatch { op_seq: 3, count: 5, req: () }, VirtualTime::ZERO);
+        let fx = step(&mut engines[3], Event::InvokeBatch { op_seq: 3, count: 5, req: () });
         let s = sends(&fx);
         assert!(
-            matches!(s[0].1, Msg::BatchApply { count: 5, op_seq: 3, .. }),
+            matches!(s[0].1, Msg::Apply { count: 5, op_seq: 3, .. }),
             "the batch enters the tree as one message"
         );
         let inbox = s.into_iter().map(|(to, m)| (to, m.clone())).collect();
@@ -1281,7 +1243,7 @@ mod tests {
             .collect();
         assert_eq!(replies, vec![(3, 3)], "the batch owns [3, 8)");
         // The next unit op sees the whole range consumed.
-        let fx = engines[4].on_event(Event::Invoke { op_seq: 4, req: () }, VirtualTime::ZERO);
+        let fx = step(&mut engines[4], Event::Invoke { op_seq: 4, req: () });
         let inbox = sends(&fx).into_iter().map(|(to, m)| (to, m.clone())).collect();
         let observed = run_fleet(&mut engines, inbox);
         assert!(
@@ -1297,8 +1259,8 @@ mod tests {
         let me = topo.initial_worker(node);
         // Threshold is 4k = 8; a batch of 100 is still ONE message and
         // must age the node by exactly 2 — no retirement.
-        let msg = Msg::BatchApply { node, origin: p(0), op_seq: 0, count: 100, req: () };
-        let fx = engines[me.index()].on_event(Event::Deliver { msg }, VirtualTime::ZERO);
+        let msg = Msg::Apply { node, origin: p(0), op_seq: 0, count: 100, req: () };
+        let fx = step(&mut engines[me.index()], Event::Deliver { msg });
         assert!(
             !fx.iter().any(|e| matches!(e, Effect::Retired { .. })),
             "a batch counts once toward the threshold, not once per inc"
@@ -1306,21 +1268,21 @@ mod tests {
         assert_eq!(engines[me.index()].hosted(node).expect("hosted").age, 2);
         assert!(fx.iter().any(|e| matches!(
             e,
-            Effect::Audit(AuditEvent::Handled { kind: "batch-apply", aged: 2, .. })
+            Effect::Audit(AuditEvent::Handled { kind: "apply", aged: 2, .. })
         )));
         // Exactly as many batches as unit applies reach the threshold:
         // three more deliveries retire the node (4 * 2 = 8 = 4k).
         let mut last = Vec::new();
         for seq in 1..4 {
-            let msg = Msg::BatchApply { node, origin: p(0), op_seq: seq, count: 100, req: () };
-            last = engines[me.index()].on_event(Event::Deliver { msg }, VirtualTime::ZERO);
+            let msg = Msg::Apply { node, origin: p(0), op_seq: seq, count: 100, req: () };
+            last = step(&mut engines[me.index()], Event::Deliver { msg });
         }
         assert!(
             last.iter().any(|e| matches!(e, Effect::Retired { node: n, .. } if *n == node)),
             "the fourth traversal (batched or not) retires the node"
         );
         let forwarded =
-            sends(&last).iter().filter(|(_, m)| matches!(m, Msg::BatchApply { .. })).count();
+            sends(&last).iter().filter(|(_, m)| matches!(m, Msg::Apply { count: 100, .. })).count();
         assert_eq!(forwarded, 1, "the batch climbs on as a batch");
     }
 
@@ -1328,18 +1290,17 @@ mod tests {
     fn a_batch_retry_is_answered_from_the_reply_cache_with_the_same_range() {
         let config = EngineConfig { dedupe: true, ..EngineConfig::paper(2) };
         let (_, mut engines) = fleet(2, config);
-        let batch =
-            Msg::BatchApply { node: NodeRef::ROOT, origin: p(7), op_seq: 4, count: 6, req: () };
+        let batch = Msg::Apply { node: NodeRef::ROOT, origin: p(7), op_seq: 4, count: 6, req: () };
         for attempt in 0..2 {
-            let fx = engines[0].on_event(Event::Deliver { msg: batch.clone() }, VirtualTime::ZERO);
+            let fx = step(&mut engines[0], Event::Deliver { msg: batch.clone() });
             let s = sends(&fx);
             assert!(
                 matches!(s[0].1, Msg::Reply { op_seq: 4, resp: 0 }),
                 "attempt {attempt}: the retried batch owns the same range [0, 6)"
             );
         }
-        let next = Msg::Apply { node: NodeRef::ROOT, origin: p(7), op_seq: 5, req: () };
-        let fx = engines[0].on_event(Event::Deliver { msg: next }, VirtualTime::ZERO);
+        let next = Msg::Apply { node: NodeRef::ROOT, origin: p(7), op_seq: 5, count: 1, req: () };
+        let fx = step(&mut engines[0], Event::Deliver { msg: next });
         assert!(
             matches!(sends(&fx)[0].1, Msg::Reply { resp: 6, .. }),
             "the counter advanced by the batch size exactly once"
@@ -1351,9 +1312,8 @@ mod tests {
         let (topo, mut engines) = fleet(2, EngineConfig::paper(2));
         let node = NodeRef { level: 1, index: 0 };
         let successor = ProcessorId::new(topo.pool(node).start as usize + 1);
-        let early = Msg::BatchApply { node, origin: p(0), op_seq: 0, count: 9, req: () };
-        let fx =
-            engines[successor.index()].on_event(Event::Deliver { msg: early }, VirtualTime::ZERO);
+        let early = Msg::Apply { node, origin: p(0), op_seq: 0, count: 9, req: () };
+        let fx = step(&mut engines[successor.index()], Event::Deliver { msg: early });
         assert!(sends(&fx).is_empty(), "buffered until the handoff installs");
         let transfer = NodeTransfer {
             node,
@@ -1363,14 +1323,14 @@ mod tests {
             object: None,
             reply_cache: VecDeque::new(),
         };
-        let fx = engines[successor.index()].on_event(
+        let fx = step(
+            &mut engines[successor.index()],
             Event::Deliver { msg: Msg::HandoffFinal { transfer: Box::new(transfer) } },
-            VirtualTime::ZERO,
         );
         assert!(
             sends(&fx)
                 .iter()
-                .any(|(to, m)| *to == p(0) && matches!(m, Msg::BatchApply { count: 9, .. })),
+                .any(|(to, m)| *to == p(0) && matches!(m, Msg::Apply { count: 9, .. })),
             "the replayed batch still carries count 9"
         );
     }
@@ -1383,8 +1343,8 @@ mod tests {
         // Age the node to the threshold (8 = 4k): four applies.
         let mut fx = Vec::new();
         for seq in 0..4 {
-            let msg = Msg::Apply { node, origin: p(0), op_seq: seq, req: () };
-            fx = engines[me.index()].on_event(Event::Deliver { msg }, VirtualTime(3));
+            let msg = Msg::Apply { node, origin: p(0), op_seq: seq, count: 1, req: () };
+            fx = step(&mut engines[me.index()], Event::Deliver { msg });
         }
         assert!(
             fx.iter().any(|e| matches!(e, Effect::Retired { node: n, .. } if *n == node)),
@@ -1401,7 +1361,6 @@ mod tests {
         let notifications =
             sends(&fx).iter().filter(|(_, m)| matches!(m, Msg::NewWorker { .. })).count();
         assert_eq!(notifications, 3, "parent + 2 children");
-        assert!(fx.iter().any(|e| matches!(e, Effect::SetTimer { .. })), "watchdog armed");
         assert!(!engines[me.index()].hosts(node), "the job left this processor");
     }
 
@@ -1411,9 +1370,8 @@ mod tests {
         let node = NodeRef { level: 1, index: 0 };
         let successor = ProcessorId::new(topo.pool(node).start as usize + 1);
         // An apply reaches the successor before any handoff: buffered.
-        let early = Msg::Apply { node, origin: p(0), op_seq: 0, req: () };
-        let fx =
-            engines[successor.index()].on_event(Event::Deliver { msg: early }, VirtualTime::ZERO);
+        let early = Msg::Apply { node, origin: p(0), op_seq: 0, count: 1, req: () };
+        let fx = step(&mut engines[successor.index()], Event::Deliver { msg: early });
         assert!(sends(&fx).is_empty(), "nothing forwarded yet");
         // The final arrives: install + replay of the buffered apply.
         let transfer = NodeTransfer {
@@ -1424,12 +1382,11 @@ mod tests {
             object: None,
             reply_cache: VecDeque::new(),
         };
-        let fx = engines[successor.index()].on_event(
+        let fx = step(
+            &mut engines[successor.index()],
             Event::Deliver { msg: Msg::HandoffFinal { transfer: Box::new(transfer) } },
-            VirtualTime::ZERO,
         );
         assert!(fx.iter().any(|e| matches!(e, Effect::Installed { .. })));
-        assert!(fx.iter().any(|e| matches!(e, Effect::CancelTimer { .. })));
         assert!(
             sends(&fx).iter().any(|(to, m)| *to == p(0) && matches!(m, Msg::Apply { .. })),
             "the buffered apply climbed on after the install"
@@ -1443,12 +1400,12 @@ mod tests {
         let node = NodeRef { level: 1, index: 0 };
         let me = topo.initial_worker(node);
         for seq in 0..4 {
-            let msg = Msg::Apply { node, origin: p(0), op_seq: seq, req: () };
-            engines[me.index()].on_event(Event::Deliver { msg }, VirtualTime::ZERO);
+            let msg = Msg::Apply { node, origin: p(0), op_seq: seq, count: 1, req: () };
+            step(&mut engines[me.index()], Event::Deliver { msg });
         }
         assert!(!engines[me.index()].hosts(node), "retired above");
-        let stale = Msg::Apply { node, origin: p(0), op_seq: 9, req: () };
-        let fx = engines[me.index()].on_event(Event::Deliver { msg: stale }, VirtualTime::ZERO);
+        let stale = Msg::Apply { node, origin: p(0), op_seq: 9, count: 1, req: () };
+        let fx = step(&mut engines[me.index()], Event::Deliver { msg: stale });
         assert!(fx.iter().any(|e| matches!(e, Effect::Audit(AuditEvent::ShimForward))));
         let s = sends(&fx);
         assert_eq!(s.len(), 1);
@@ -1467,8 +1424,7 @@ mod tests {
                 .chain(children.iter().map(|&c| (c, topo.initial_worker(c))))
                 .collect();
         let promote = Msg::RecoverPromote { node, neighbours: neighbours.clone() };
-        let fx =
-            engines[successor.index()].on_event(Event::Deliver { msg: promote }, VirtualTime::ZERO);
+        let fx = step(&mut engines[successor.index()], Event::Deliver { msg: promote });
         assert!(fx.iter().any(|e| matches!(e, Effect::RecoveryStarted { .. })));
         let queries =
             sends(&fx).iter().filter(|(_, m)| matches!(m, Msg::RebuildQuery { .. })).count();
@@ -1477,8 +1433,8 @@ mod tests {
         let parent_share =
             Msg::RebuildShare { node, neighbour: parent, worker: topo.initial_worker(parent) };
         for _ in 0..3 {
-            let fx = engines[successor.index()]
-                .on_event(Event::Deliver { msg: parent_share.clone() }, VirtualTime::ZERO);
+            let fx =
+                step(&mut engines[successor.index()], Event::Deliver { msg: parent_share.clone() });
             assert!(
                 !fx.iter().any(|e| matches!(e, Effect::Recovered { .. })),
                 "duplicates of one neighbour never complete the rebuild"
@@ -1488,8 +1444,7 @@ mod tests {
         let mut last = Vec::new();
         for &c in &children {
             let share = Msg::RebuildShare { node, neighbour: c, worker: topo.initial_worker(c) };
-            last = engines[successor.index()]
-                .on_event(Event::Deliver { msg: share }, VirtualTime::ZERO);
+            last = step(&mut engines[successor.index()], Event::Deliver { msg: share });
         }
         assert!(
             last.iter().any(|e| matches!(
@@ -1513,19 +1468,17 @@ mod tests {
         let children = topo.inner_children(NodeRef::ROOT).expect("root children");
         let neighbours: Vec<(NodeRef, ProcessorId)> =
             children.iter().map(|&c| (c, topo.initial_worker(c))).collect();
-        engines[successor.index()].on_event(
+        step(
+            &mut engines[successor.index()],
             Event::Deliver { msg: Msg::RecoverPromote { node: NodeRef::ROOT, neighbours } },
-            VirtualTime::ZERO,
         );
         // An apply lands mid-rebuild: buffered.
-        let apply = Msg::Apply { node: NodeRef::ROOT, origin: p(6), op_seq: 3, req: () };
-        let fx =
-            engines[successor.index()].on_event(Event::Deliver { msg: apply }, VirtualTime::ZERO);
+        let apply = Msg::Apply { node: NodeRef::ROOT, origin: p(6), op_seq: 3, count: 1, req: () };
+        let fx = step(&mut engines[successor.index()], Event::Deliver { msg: apply });
         assert!(sends(&fx).is_empty(), "buffered while rebuilding");
         for &c in &children {
             let share = Msg::RebuildShare { node: NodeRef::ROOT, neighbour: c, worker: p(0) };
-            let fx = engines[successor.index()]
-                .on_event(Event::Deliver { msg: share }, VirtualTime::ZERO);
+            let fx = step(&mut engines[successor.index()], Event::Deliver { msg: share });
             // Even once recovered, the buffered apply must wait for the
             // object to come back from stable storage.
             assert!(!sends(&fx).iter().any(|(_, m)| matches!(m, Msg::Reply { .. })));
@@ -1533,9 +1486,9 @@ mod tests {
         let mut restored = CounterObject::new();
         let replies =
             vec![(0, restored.apply(())), (1, restored.apply(())), (2, restored.apply(()))];
-        let fx = engines[successor.index()].on_event(
+        let fx = step(
+            &mut engines[successor.index()],
             Event::Restore { node: NodeRef::ROOT, object: restored, reply_cache: replies },
-            VirtualTime::ZERO,
         );
         let s = sends(&fx);
         assert!(
@@ -1552,8 +1505,8 @@ mod tests {
         let (topo, mut engines) = fleet(2, config);
         let node = topo.leaf_parent(0);
         let me = topo.initial_worker(node);
-        let msg = Msg::Apply { node, origin: p(0), op_seq: 0, req: () };
-        let fx = engines[me.index()].on_event(Event::Deliver { msg }, VirtualTime::ZERO);
+        let msg = Msg::Apply { node, origin: p(0), op_seq: 0, count: 1, req: () };
+        let fx = step(&mut engines[me.index()], Event::Deliver { msg });
         assert!(fx.iter().any(
             |e| matches!(e, Effect::Audit(AuditEvent::PoolExhausted { node: n }) if *n == node)
         ));
@@ -1565,7 +1518,7 @@ mod tests {
     fn stale_promotions_are_ignored_by_the_current_worker() {
         let (_, mut engines) = fleet(2, EngineConfig::paper(2));
         let promote = Msg::RecoverPromote { node: NodeRef::ROOT, neighbours: Vec::new() };
-        let fx = engines[0].on_event(Event::Deliver { msg: promote }, VirtualTime::ZERO);
+        let fx = step(&mut engines[0], Event::Deliver { msg: promote });
         assert!(sends(&fx).is_empty(), "processor 0 still hosts the root: no rebuild");
         assert!(!fx.iter().any(|e| matches!(e, Effect::RecoveryStarted { .. })));
     }
@@ -1575,7 +1528,7 @@ mod tests {
         let (_, mut engines) = fleet(2, EngineConfig::paper(2));
         let node = NodeRef { level: 1, index: 0 };
         let query = Msg::RebuildQuery { node, neighbour: NodeRef::ROOT, successor: p(3) };
-        let fx = engines[0].on_event(Event::Deliver { msg: query }, VirtualTime::ZERO);
+        let fx = step(&mut engines[0], Event::Deliver { msg: query });
         let s = sends(&fx);
         assert_eq!(s.len(), 1);
         assert!(matches!(

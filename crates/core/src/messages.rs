@@ -49,36 +49,23 @@ pub struct NodeTransfer<O: RootObject> {
 /// [`RootObject`].
 #[derive(Debug, Clone)]
 pub enum Msg<O: RootObject> {
-    /// An operation request from `origin`, climbing the tree; addressed
-    /// to the current worker of `node`.
+    /// A traversal of `count` identical operation requests from `origin`,
+    /// climbing the tree as **one** message; addressed to the current
+    /// worker of `node`. A unit operation has `count` 1. The root applies
+    /// all of them atomically ([`RootObject::apply_batch`]) and answers
+    /// with a single [`Msg::Reply`] carrying the first response — for the
+    /// counter, the start `v` of the contiguous range `[v, v + count)`.
+    /// Each tree node ages by the same constant whatever the count: the
+    /// batch costs one traversal, so the per-inc message load is
+    /// amortized to O(k / count).
     Apply {
         /// The tree node this hop targets.
         node: NodeRef,
         /// The processor that initiated the operation (reply address).
         origin: ProcessorId,
         /// Driver-assigned operation sequence number; the root's reply
-        /// cache deduplicates retries by it.
-        op_seq: u64,
-        /// The operation payload.
-        req: O::Request,
-    },
-    /// A *batch* of `count` identical operation requests from `origin`,
-    /// climbing the tree as **one** message; addressed to the current
-    /// worker of `node`. The root applies the whole batch atomically
-    /// ([`RootObject::apply_batch`])
-    /// and answers with a single [`Msg::Reply`] carrying the first
-    /// response — for the counter, the start `v` of the contiguous range
-    /// `[v, v + count)` the batch owns. Each tree node ages by the same
-    /// constant as for a unit `Apply`: the batch costs one traversal, so
-    /// the per-inc message load is amortized to O(k / count).
-    BatchApply {
-        /// The tree node this hop targets.
-        node: NodeRef,
-        /// The processor that initiated the batch (reply address).
-        origin: ProcessorId,
-        /// Driver-assigned sequence number for the whole batch; a retry
-        /// repeats the same `op_seq` *and* the same `count`, so the
-        /// root's reply cache deduplicates batches unchanged.
+        /// cache deduplicates retries by it. A retry repeats the same
+        /// `op_seq` *and* the same `count`.
         op_seq: u64,
         /// Number of operations combined into this traversal (≥ 1).
         count: u64,
@@ -176,7 +163,6 @@ impl<O: RootObject> Msg<O> {
     pub fn kind(&self) -> &'static str {
         match self {
             Msg::Apply { .. } => "apply",
-            Msg::BatchApply { .. } => "batch-apply",
             Msg::Reply { .. } => "reply",
             Msg::HandoffPart { .. } => "handoff",
             Msg::HandoffFinal { .. } => "handoff-final",
@@ -204,11 +190,12 @@ impl<O: RootObject> Msg<O> {
         let tag_bits = 4;
         tag_bits
             + match self {
-                Msg::Apply { .. } => node_bits + 2 * id_bits + req_bits,
-                // The count rides in the op-sequence width: a batch of m
-                // from a driver is bounded by the op space, so it costs
-                // one more id-sized field — still O(log n).
-                Msg::BatchApply { .. } => node_bits + 3 * id_bits + req_bits,
+                // A count above 1 rides in the op-sequence width: a batch
+                // of m from a driver is bounded by the op space, so it
+                // costs one more id-sized field — still O(log n).
+                Msg::Apply { count, .. } => {
+                    node_bits + 2 * id_bits + req_bits + if *count > 1 { id_bits } else { 0 }
+                }
                 Msg::Reply { .. } => id_bits + resp_bits,
                 // Part counters are bounded by MAX_ORDER + 1, so a fixed
                 // byte each suffices regardless of k.
@@ -250,8 +237,7 @@ mod tests {
 
     fn all_variants() -> Vec<CounterMsg> {
         vec![
-            Msg::Apply { node: node(1, 0), origin: ProcessorId::new(0), op_seq: 0, req: () },
-            Msg::BatchApply {
+            Msg::Apply {
                 node: node(1, 0),
                 origin: ProcessorId::new(0),
                 op_seq: 0,
@@ -319,11 +305,24 @@ mod tests {
     #[test]
     fn request_payload_contributes_to_apply_size() {
         // A priority-queue insert carries a 64-bit key.
-        let m: Msg<crate::object::MaxRegisterObject> =
-            Msg::Apply { node: node(1, 0), origin: ProcessorId::new(0), op_seq: 0, req: 9 };
+        let m: Msg<crate::object::MaxRegisterObject> = Msg::Apply {
+            node: node(1, 0),
+            origin: ProcessorId::new(0),
+            op_seq: 0,
+            count: 1,
+            req: 9,
+        };
         let plain = m.wire_size_bits(1024, 4, 0, 11);
         let keyed = m.wire_size_bits(1024, 4, 64, 11);
         assert_eq!(keyed - plain, 64);
+        // n = 1024, k = 4: 11-bit ids, 3 + 11-bit node references, a
+        // 4-bit tag. A unit apply is tag + node + origin + op_seq; the
+        // count costs one more id field only above 1.
+        assert_eq!(plain, 4 + 14 + 2 * 11, "a unit apply carries no count field");
+        let Msg::Apply { node, origin, op_seq, req, .. } = m else { unreachable!() };
+        let batch: Msg<crate::object::MaxRegisterObject> =
+            Msg::Apply { node, origin, op_seq, count: 2, req };
+        assert_eq!(batch.wire_size_bits(1024, 4, 0, 11) - plain, 11, "the count is one id field");
     }
 
     #[test]

@@ -34,12 +34,14 @@ pub trait RootObject: Clone + Default + fmt::Debug {
     /// Applies `count` copies of `req` as one atomic step and produces
     /// the response of the *first* copy.
     ///
-    /// This is the sequential-object side of batched traversals
-    /// ([`Msg::BatchApply`](crate::messages::Msg::BatchApply)): objects
-    /// whose responses form a range under repetition — the counter
-    /// returns its pre-batch value, so the batch owns `[v, v + count)` —
-    /// override this with an O(1) step. The default replays `apply`
-    /// `count` times, which is always semantically correct.
+    /// The root applies every traversal
+    /// ([`Msg::Apply`](crate::messages::Msg::Apply)) through this hook, a
+    /// unit operation as a count of 1, so `apply_batch(req, 1)` must equal
+    /// `apply(req)`. Objects whose responses form a range under
+    /// repetition — the counter returns its pre-batch value, so the batch
+    /// owns `[v, v + count)` — override this with an O(1) step. The
+    /// default replays `apply` `count` times, which is always
+    /// semantically correct.
     fn apply_batch(&mut self, req: Self::Request, count: u64) -> Self::Response {
         let first = self.apply(req.clone());
         for _ in 1..count {

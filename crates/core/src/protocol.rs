@@ -17,10 +17,10 @@
 //!   to find crashed or stuck workers;
 //! * [`Effect::Persist`] maintains the stable-storage shadow of the
 //!   root's object and reply cache, and [`Effect::Recovered`] for the
-//!   root is answered with an [`Event::Restore`] from that shadow;
-//! * [`Effect::SetTimer`]/[`Effect::CancelTimer`] are ignored — the
-//!   simulator realizes watchdog timeouts at quiescence (the client
-//!   promotes successors between rounds), not with a timer wheel.
+//!   root is answered with an [`Event::Restore`] from that shadow.
+//!
+//! The simulator has no timer wheel: watchdog timeouts are realized at
+//! quiescence, where the client promotes successors between rounds.
 //!
 //! ## Stable storage and the registry
 //!
@@ -44,7 +44,7 @@ use distctr_sim::{Outbox, ProcessorId, Protocol};
 
 use crate::audit::CounterAudit;
 use crate::engine::{
-    seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, Event, NodeEngine, VirtualTime,
+    seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, Event, NodeEngine,
 };
 pub use crate::engine::{PoolPolicy, RetirementPolicy};
 use crate::messages::Msg;
@@ -266,18 +266,14 @@ impl<O: RootObject> TreeProtocol<O> {
                             object: self.stable_object.clone(),
                             reply_cache: self.stable_replies.clone(),
                         };
-                        let now = VirtualTime(out.now().ticks());
-                        let mut fx2 = self.engines[worker.index()].on_event(restore, now);
+                        let mut fx2 = Vec::new();
+                        self.engines[worker.index()].on_event_into(restore, &mut fx2);
                         self.apply_effects(out, &mut fx2);
                     }
                 }
                 Effect::Persist { object, op_seq, resp, .. } => {
                     self.stable_object = object;
                     self.stable_replies.push((op_seq, resp));
-                }
-                Effect::SetTimer { .. } | Effect::CancelTimer { .. } => {
-                    // The client watchdog realizes timer protection at
-                    // quiescence; no timer wheel in the simulator.
                 }
                 Effect::Audit(ev) => self.apply_audit(ev),
             }
@@ -327,9 +323,8 @@ impl<O: RootObject> Protocol for TreeProtocol<O> {
     type Msg = Msg<O>;
 
     fn on_deliver(&mut self, out: &mut Outbox<'_, Self::Msg>, _from: ProcessorId, msg: Self::Msg) {
-        let now = VirtualTime(out.now().ticks());
         let mut fx = std::mem::take(&mut self.scratch);
-        self.engines[out.me().index()].on_event_into(Event::Deliver { msg }, now, &mut fx);
+        self.engines[out.me().index()].on_event_into(Event::Deliver { msg }, &mut fx);
         self.apply_effects(out, &mut fx);
         self.scratch = fx;
     }

@@ -116,7 +116,7 @@ pub trait CounterBackend {
     /// The default replays [`CounterBackend::inc`] `count` times —
     /// semantically identical (the values are contiguous because the
     /// backend serializes them) but unamortized. Tree backends override
-    /// it with a single `BatchApply` traversal.
+    /// it with a single `Apply` traversal carrying the count.
     ///
     /// # Errors
     ///

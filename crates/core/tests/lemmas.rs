@@ -214,11 +214,15 @@ fn messages_stay_logarithmic_in_n() {
     for k in [2u32, 4, 6] {
         let n = distctr_core::kmath::leaves_of_order(k);
         let value_bits = 64 - n.leading_zeros() + 1;
-        let msg: CounterMsg =
-            distctr_core::Msg::Apply { node, origin: ProcessorId::new(0), op_seq: 0, req: () };
-        let bits = msg.wire_size_bits(n, k, 0, value_bits);
         let budget = 8 * (64 - n.leading_zeros()) + 16;
-        assert!(bits <= budget, "k={k}: {bits} bits within O(log n) budget {budget}");
+        // A unit op, and a batch as large as the processor count.
+        for count in [1, n] {
+            let origin = ProcessorId::new(0);
+            let msg: CounterMsg =
+                distctr_core::Msg::Apply { node, origin, op_seq: 0, count, req: () };
+            let bits = msg.wire_size_bits(n, k, 0, value_bits);
+            assert!(bits <= budget, "k={k}, count {count}: {bits} bits within O(log n) {budget}");
+        }
     }
 }
 
@@ -240,10 +244,13 @@ fn ledger(c: &TreeCounter) -> Ledger {
 fn the_audit_ledger_is_pinned_on_three_passes() {
     // Recorded when the ledger was kept in hash maps: the bookkeeping
     // may change its storage, never a count.
-    let canonical = |k: u32| {
+    // A unit op is a batch of one, so the pass may run through either.
+    let canonical = |k: u32, batches_of_one: bool| {
         let mut c = TreeCounter::with_order(k).expect("counter");
         for i in 0..c.processors() {
-            assert_eq!(c.inc(ProcessorId::new(i)).expect("inc").value, i as u64);
+            let p = ProcessorId::new(i);
+            let inc = if batches_of_one { c.inc_batch(p, 1) } else { c.inc(p) };
+            assert_eq!(inc.expect("inc").value, i as u64);
         }
         c
     };
@@ -256,13 +263,11 @@ fn the_audit_ledger_is_pinned_on_three_passes() {
             ("reply", reply),
         ]
     };
+    let k3 = (kinds(324, 111, 37, 135, 81), 4, 1, 25, vec![13, 15, 9, 0]);
+    assert_eq!(ledger(&canonical(3, false)), k3, "k = 3, id order");
+    assert_eq!(ledger(&canonical(3, true)), k3, "k = 3, id order, batches of one");
     assert_eq!(
-        ledger(&canonical(3)),
-        (kinds(324, 111, 37, 135, 81), 4, 1, 25, vec![13, 15, 9, 0]),
-        "k = 3, id order"
-    );
-    assert_eq!(
-        ledger(&canonical(4)),
+        ledger(&canonical(4, false)),
         (kinds(5120, 2416, 604, 2888, 1024), 4, 1, 32, vec![132, 168, 176, 128, 0]),
         "k = 4, id order"
     );

@@ -219,8 +219,7 @@ where
         req: O::Request,
     ) -> Result<O::Response, NetError> {
         let op_seq = self.reserve_op();
-        self.check_peer(initiator)?;
-        self.drive(initiator, op_seq, |op_seq| NetMsg::StartOp { op_seq, req: req.clone() })
+        self.invoke_batch_reserved(initiator, op_seq, 1, req)
     }
 
     /// Reserves the next op sequence without driving anything.
@@ -232,7 +231,7 @@ where
 
     /// Executes a *batch* of `count` identical operations under the op
     /// sequence `op_seq`: the batch shares **one** tree traversal
-    /// ([`Msg::BatchApply`]) and the response is the first member's —
+    /// (one [`Msg::Apply`]) and the response is the first member's —
     /// for the counter, the start of the contiguous range
     /// `[first, first + count)` the batch owns. Re-driving the same
     /// sequence (with the same count) is answered from the root's reply
@@ -245,12 +244,7 @@ where
         req: O::Request,
     ) -> Result<O::Response, NetError> {
         self.check_peer(initiator)?;
-        let count = count.max(1);
-        self.drive(initiator, op_seq, |op_seq| NetMsg::StartBatch {
-            op_seq,
-            count,
-            req: req.clone(),
-        })
+        self.drive(initiator, op_seq, |op_seq| NetMsg::Start { op_seq, count, req: req.clone() })
     }
 
     /// Injects an operation addressed to `node` directly at
@@ -276,7 +270,8 @@ where
         self.check_peer(initiator)?;
         let op_seq = self.reserve_op();
         self.drive(entry_worker, op_seq, |op_seq| {
-            NetMsg::Protocol(Msg::Apply { node, origin: initiator, op_seq, req: req.clone() })
+            let req = req.clone();
+            NetMsg::Protocol(Msg::Apply { node, origin: initiator, op_seq, count: 1, req })
         })
     }
 

@@ -19,22 +19,14 @@ pub enum NetMsg<O: RootObject> {
     /// A protocol message of the shared engine (an `Apply` hop, a reply,
     /// handoff traffic, a worker-change notification, recovery traffic).
     Protocol(Msg<O>),
-    /// Driver control: the receiving processor initiates one operation.
-    /// Not counted as network load (it models the local request).
-    StartOp {
+    /// Driver control: the receiving processor initiates `count`
+    /// identical operations sharing one tree traversal (one
+    /// [`Msg::Apply`]; a unit operation has `count` 1). Not counted as
+    /// load (it models the local request).
+    Start {
         /// Driver-assigned operation sequence number.
         op_seq: u64,
-        /// The operation payload.
-        req: O::Request,
-    },
-    /// Driver control: the receiving processor initiates a *batch* of
-    /// `count` identical operations sharing one tree traversal
-    /// ([`Msg::BatchApply`]). Not counted as load (it models the local
-    /// request); the traversal it triggers is one protocol message.
-    StartBatch {
-        /// Driver-assigned sequence number for the whole batch.
-        op_seq: u64,
-        /// Number of operations combined (≥ 1).
+        /// Number of operations combined (0 is read as 1).
         count: u64,
         /// The operation payload, shared by the whole batch.
         req: O::Request,
@@ -79,8 +71,7 @@ mod tests {
 
     #[test]
     fn control_messages_are_not_load() {
-        assert!(!Wire::StartOp { op_seq: 0, req: () }.counts_as_load());
-        assert!(!Wire::StartBatch { op_seq: 0, count: 8, req: () }.counts_as_load());
+        assert!(!Wire::Start { op_seq: 0, count: 8, req: () }.counts_as_load());
         assert!(!Wire::Shutdown.counts_as_load());
         assert!(!Wire::Crash.counts_as_load());
         assert!(Wire::Protocol(Msg::Reply { resp: 0, op_seq: 0 }).counts_as_load());
@@ -88,6 +79,7 @@ mod tests {
             node: NodeRef::ROOT,
             origin: ProcessorId::new(0),
             op_seq: 0,
+            count: 1,
             req: ()
         })
         .counts_as_load());

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam_channel::{Receiver, Sender};
-use distctr_core::engine::{AuditEvent, Effect, Event, NodeEngine, VirtualTime};
+use distctr_core::engine::{AuditEvent, Effect, Event, NodeEngine};
 use distctr_core::{Msg, RootObject, Topology};
 use distctr_sim::ProcessorId;
 
@@ -126,28 +126,15 @@ impl<O: RootObject> Worker<O> {
         if self.crashed {
             // Fail-silent: drain and discard everything except the
             // driver's shutdown (handled by `run`'s break).
-            if matches!(
-                msg,
-                NetMsg::Protocol(Msg::Apply { .. } | Msg::BatchApply { .. } | Msg::Reply { .. })
-            ) {
+            if matches!(msg, NetMsg::Protocol(Msg::Apply { .. } | Msg::Reply { .. })) {
                 self.shared.dead_letters.fetch_add(1, Ordering::Relaxed);
             }
             return;
         }
         match msg {
-            NetMsg::Protocol(m) => {
-                let fx = self.engine.on_event(Event::Deliver { msg: m }, VirtualTime::ZERO);
-                self.apply(fx);
-            }
-            NetMsg::StartOp { op_seq, req } => {
-                let fx = self.engine.on_event(Event::Invoke { op_seq, req }, VirtualTime::ZERO);
-                self.apply(fx);
-            }
-            NetMsg::StartBatch { op_seq, count, req } => {
-                let fx = self
-                    .engine
-                    .on_event(Event::InvokeBatch { op_seq, count, req }, VirtualTime::ZERO);
-                self.apply(fx);
+            NetMsg::Protocol(msg) => self.step(Event::Deliver { msg }),
+            NetMsg::Start { op_seq, count, req } => {
+                self.step(Event::InvokeBatch { op_seq, count, req });
             }
             NetMsg::Crash => {
                 self.crashed = true;
@@ -162,13 +149,15 @@ impl<O: RootObject> Worker<O> {
         }
     }
 
-    /// Realizes the engine's effects on this transport: sends go out on
-    /// the channel mesh, replies to the driver's result channel, and the
-    /// audit events that have a threaded-side counter are tallied. Timer
-    /// effects are advisory here — the driver's bounded retry loop plays
-    /// the watchdog role — and registry/persistence effects have no
-    /// threaded observer, so both are dropped deliberately.
-    fn apply(&mut self, fx: Vec<Effect<O>>) {
+    /// Feeds one event to the engine and realizes its effects on this
+    /// transport: sends go out on the channel mesh, replies to the
+    /// driver's result channel, and the audit events that have a
+    /// threaded-side counter are tallied. Registry and persistence
+    /// effects have no threaded observer, so they are dropped
+    /// deliberately.
+    fn step(&mut self, event: Event<O>) {
+        let mut fx = Vec::new();
+        self.engine.on_event_into(event, &mut fx);
         for effect in fx {
             match effect {
                 Effect::Send { to, msg } => self.send(to, NetMsg::Protocol(msg)),
@@ -188,9 +177,7 @@ impl<O: RootObject> Worker<O> {
                     // operation dies here instead of aborting the run.
                     self.shared.dead_letters.fetch_add(1, Ordering::Relaxed);
                 }
-                Effect::SetTimer { .. }
-                | Effect::CancelTimer { .. }
-                | Effect::Retired { .. }
+                Effect::Retired { .. }
                 | Effect::Installed { .. }
                 | Effect::RecoveryStarted { .. }
                 | Effect::Recovered { .. }

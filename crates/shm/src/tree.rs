@@ -33,7 +33,6 @@ use std::time::{Duration, Instant};
 
 use distctr_core::engine::{
     seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, Event, NodeEngine, PoolPolicy,
-    VirtualTime,
 };
 use distctr_core::{kmath, CounterBackend, CounterObject, Msg, Topology};
 use distctr_sim::ProcessorId;
@@ -64,10 +63,9 @@ enum Envelope {
     /// A protocol message (counts toward the paper's per-processor
     /// message load).
     Protocol(Msg<CounterObject>),
-    /// The slot's processor initiates one operation (not load).
-    Invoke { op_seq: u64 },
-    /// The slot's processor initiates a batch sharing one traversal.
-    InvokeBatch { op_seq: u64, count: u64 },
+    /// The slot's processor initiates `count` incs sharing one
+    /// traversal (not load).
+    Invoke { op_seq: u64, count: u64 },
 }
 
 impl Envelope {
@@ -249,15 +247,12 @@ impl ShmTreeCounter {
         }
         let event = match env {
             Envelope::Protocol(msg) => Event::Deliver { msg },
-            Envelope::Invoke { op_seq } => Event::Invoke { op_seq, req: () },
-            Envelope::InvokeBatch { op_seq, count } => {
-                Event::InvokeBatch { op_seq, count, req: () }
-            }
+            Envelope::Invoke { op_seq, count } => Event::InvokeBatch { op_seq, count, req: () },
         };
         {
             let mut engine =
                 arena.slots[dest].engine.lock().unwrap_or_else(PoisonError::into_inner);
-            engine.on_event_into(event, VirtualTime::ZERO, fx);
+            engine.on_event_into(event, fx);
         }
         for effect in fx.drain(..) {
             match effect {
@@ -295,12 +290,9 @@ impl ShmTreeCounter {
                 Effect::Audit(AuditEvent::Lost) => {
                     arena.dead_letters.fetch_add(1, Ordering::Relaxed);
                 }
-                // Timers are the watchdog's tool; without fault
-                // injection nothing ever fires them. Registry and
-                // persistence effects have no shared-memory observer.
-                Effect::SetTimer { .. }
-                | Effect::CancelTimer { .. }
-                | Effect::Retired { .. }
+                // Registry and persistence effects have no
+                // shared-memory observer.
+                Effect::Retired { .. }
                 | Effect::Installed { .. }
                 | Effect::RecoveryStarted { .. }
                 | Effect::Recovered { .. }
@@ -348,9 +340,7 @@ impl ShmTreeCounter {
     /// [`ShmError::Stalled`] if the reply never materializes (a
     /// protocol bug, never the fault-free path).
     pub fn inc(&mut self, initiator: ProcessorId) -> Result<u64, ShmError> {
-        self.check_initiator(initiator)?;
-        let op_seq = self.arena.next_op.fetch_add(1, Ordering::SeqCst);
-        self.drive_sequential(initiator.index(), Envelope::Invoke { op_seq }, op_seq)
+        self.inc_batch(initiator, 1)
     }
 
     /// Executes a batch of `count` incs as one traversal, returning the
@@ -361,9 +351,8 @@ impl ShmTreeCounter {
     /// Same conditions as [`ShmTreeCounter::inc`].
     pub fn inc_batch(&mut self, initiator: ProcessorId, count: u64) -> Result<u64, ShmError> {
         self.check_initiator(initiator)?;
-        let count = count.max(1);
         let op_seq = self.arena.next_op.fetch_add(1, Ordering::SeqCst);
-        self.drive_sequential(initiator.index(), Envelope::InvokeBatch { op_seq, count }, op_seq)
+        self.drive_sequential(initiator.index(), Envelope::Invoke { op_seq, count }, op_seq)
     }
 
     /// Drains whatever work slot `i` has queued; returns envelopes
@@ -399,7 +388,8 @@ impl ShmTreeCounter {
         self.check_initiator(initiator)?;
         let arena = &self.arena;
         let op_seq = arena.next_op.fetch_add(1, Ordering::SeqCst);
-        let cell = Self::post(arena, initiator.index(), Envelope::Invoke { op_seq }, op_seq);
+        let env = Envelope::Invoke { op_seq, count: 1 };
+        let cell = Self::post(arena, initiator.index(), env, op_seq);
         let mut idle_spins = 0u32;
         let mut idle_since: Option<Instant> = None;
         while !cell.done.load(Ordering::SeqCst) {
