@@ -757,7 +757,7 @@ impl World {
         self.topo
             .parent(node)
             .into_iter()
-            .chain(self.topo.inner_children(node).unwrap_or_default())
+            .chain(self.topo.inner_children(node).into_iter().flatten())
             .map(|neighbour| (neighbour, self.reachable_worker(neighbour)))
             .collect()
     }

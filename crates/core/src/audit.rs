@@ -191,13 +191,16 @@ impl CounterAudit {
     }
 
     /// Largest per-node retirement count on `level`, given the topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is beyond the tree's inner levels `0..=k`.
     #[must_use]
     pub fn max_retirements_on_level(&self, topo: &Topology, level: u32) -> u64 {
-        topo.nodes()
-            .filter(|n| n.level == level)
-            .map(|n| self.retirements_by_node[topo.flat_index(n)])
-            .max()
-            .unwrap_or(0)
+        // A level's nodes are one run of flat indices.
+        let first = topo.flat_index(NodeRef { level, index: 0 });
+        let width = usize::try_from(topo.nodes_on_level(level)).expect("level width fits usize");
+        self.retirements_by_node[first..first + width].iter().copied().max().unwrap_or(0)
     }
 
     /// Pool-exhaustion events per level (all zero in a correct run).

@@ -565,7 +565,7 @@ impl<O: RootObject> TreeClient<O> {
         let topo = self.proto.topology();
         topo.parent(node)
             .into_iter()
-            .chain(topo.inner_children(node).unwrap_or_default())
+            .chain(topo.inner_children(node).into_iter().flatten())
             .map(|neighbour| (neighbour, self.reachable_worker(neighbour)))
             .collect()
     }

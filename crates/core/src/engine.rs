@@ -495,7 +495,7 @@ pub fn seed_initial_hosting<O: RootObject>(
         let parent_worker = topo.parent(node).map(|p| topo.initial_worker(p));
         let child_workers = topo
             .inner_children(node)
-            .map(|children| children.iter().map(|&c| topo.initial_worker(c)).collect())
+            .map(|children| children.map(|c| topo.initial_worker(c)).collect())
             .unwrap_or_default();
         engines[worker.index()].install(
             node,
@@ -698,7 +698,9 @@ impl<O: RootObject> NodeEngine<O> {
                 fx.push(Effect::Audit(AuditEvent::Kind("handoff")));
             }
             Msg::HandoffFinal { transfer } => self.on_handoff_final(*transfer, fx),
-            m @ Msg::NewWorker { .. } => self.on_new_worker(m, fx),
+            Msg::NewWorker { node, retired, new_worker } => {
+                self.on_new_worker(node, retired, new_worker, fx);
+            }
             Msg::NewWorkerLeaf { .. } => {
                 fx.push(Effect::Audit(AuditEvent::Kind("new-worker-leaf")));
             }
@@ -723,14 +725,9 @@ impl<O: RootObject> NodeEngine<O> {
         }
     }
 
-    /// Shims or buffers a message for a node this processor no longer
-    /// (or does not yet) work for. Returns `true` if the message was
-    /// consumed.
-    fn shim_or_buffer(&mut self, node: NodeRef, msg: Msg<O>, fx: &mut Effects<O>) -> bool {
-        let slot = self.slot(node);
-        if self.hosted.contains(slot) {
-            return false;
-        }
+    /// Shims or buffers a message for the node in `slot`, which this
+    /// processor no longer (or does not yet) works for.
+    fn shim_or_buffer(&mut self, slot: u32, msg: Msg<O>, fx: &mut Effects<O>) {
         if let Some(&successor) = self.forwarding.get(slot) {
             // Shim: forward to the successor we handed the node to
             // (counts as one extra message, the paper's handshake
@@ -741,7 +738,6 @@ impl<O: RootObject> NodeEngine<O> {
             // The handoff has not reached us yet; deliver when it does.
             self.pending.get_or_default(slot).push(msg);
         }
-        true
     }
 
     /// Handles an apply of `count` operations. It is **one message** of
@@ -759,12 +755,12 @@ impl<O: RootObject> NodeEngine<O> {
         req: O::Request,
         fx: &mut Effects<O>,
     ) {
-        let msg = Msg::Apply { node, origin, op_seq, count, req: req.clone() };
-        if self.shim_or_buffer(node, msg, fx) {
+        let slot = self.slot(node);
+        let Some(h) = self.hosted.get_mut(slot) else {
+            self.shim_or_buffer(slot, Msg::Apply { node, origin, op_seq, count, req }, fx);
             return;
-        }
+        };
         fx.push(Effect::Audit(AuditEvent::Handled { node, kind: "apply", aged: 2 }));
-        let h = self.hosted.get_mut(self.slot(node)).expect("hosted checked above");
         h.age += 2;
         if node == NodeRef::ROOT {
             // Deduplicate by operation: a retried (or network-duplicated)
@@ -817,25 +813,31 @@ impl<O: RootObject> NodeEngine<O> {
                 msg: Msg::Apply { node: parent, origin, op_seq, count, req },
             });
         }
-        self.maybe_retire(node, fx);
+        self.maybe_retire(node, slot, fx);
     }
 
-    fn on_new_worker(&mut self, msg: Msg<O>, fx: &mut Effects<O>) {
-        let Msg::NewWorker { node, retired, new_worker } = msg else { unreachable!() };
-        if self.shim_or_buffer(node, Msg::NewWorker { node, retired, new_worker }, fx) {
+    fn on_new_worker(
+        &mut self,
+        node: NodeRef,
+        retired: NodeRef,
+        new_worker: ProcessorId,
+        fx: &mut Effects<O>,
+    ) {
+        let slot = self.slot(node);
+        let Some(h) = self.hosted.get_mut(slot) else {
+            self.shim_or_buffer(slot, Msg::NewWorker { node, retired, new_worker }, fx);
             return;
-        }
+        };
         fx.push(Effect::Audit(AuditEvent::Handled { node, kind: "new-worker", aged: 1 }));
-        let h = self.hosted.get_mut(self.slot(node)).expect("hosted checked above");
         h.age += 1;
         if self.topo.parent(node) == Some(retired) {
             h.parent_worker = Some(new_worker);
-        } else if let Some(children) = self.topo.inner_children(node) {
-            if let Some(idx) = children.iter().position(|&c| c == retired) {
+        } else if let Some(mut children) = self.topo.inner_children(node) {
+            if let Some(idx) = children.position(|c| c == retired) {
                 h.child_workers[idx] = new_worker;
             }
         }
-        self.maybe_retire(node, fx);
+        self.maybe_retire(node, slot, fx);
     }
 
     fn on_handoff_final(&mut self, transfer: NodeTransfer<O>, fx: &mut Effects<O>) {
@@ -929,8 +931,7 @@ impl<O: RootObject> NodeEngine<O> {
             .inner_children(node)
             .map(|children| {
                 children
-                    .iter()
-                    .map(|&c| *collected.get(self.slot(c)).expect("child share collected"))
+                    .map(|c| *collected.get(self.slot(c)).expect("child share collected"))
                     .collect()
             })
             .unwrap_or_default();
@@ -963,7 +964,7 @@ impl<O: RootObject> NodeEngine<O> {
         }
         match self.topo.inner_children(node) {
             Some(children) => {
-                for (idx, child) in children.into_iter().enumerate() {
+                for (idx, child) in children.enumerate() {
                     fx.push(Effect::Send {
                         to: child_workers[idx],
                         msg: Msg::NewWorker { node: child, retired: node, new_worker: self.me },
@@ -990,9 +991,10 @@ impl<O: RootObject> NodeEngine<O> {
         }
     }
 
-    fn maybe_retire(&mut self, node: NodeRef, fx: &mut Effects<O>) {
+    /// Retires this processor from `node` (whose arena key is `slot`) if
+    /// its age reached the threshold.
+    fn maybe_retire(&mut self, node: NodeRef, slot: u32, fx: &mut Effects<O>) {
         let Some(threshold) = self.config.threshold else { return };
-        let slot = self.slot(node);
         let Some(h) = self.hosted.get(slot) else { return };
         if h.age < threshold {
             return;
@@ -1047,7 +1049,7 @@ impl<O: RootObject> NodeEngine<O> {
         }
         match self.topo.inner_children(node) {
             Some(children) => {
-                for (idx, child) in children.into_iter().enumerate() {
+                for (idx, child) in children.enumerate() {
                     fx.push(Effect::Send {
                         to: h.child_workers[idx],
                         msg: Msg::NewWorker { node: child, retired: node, new_worker: successor },
@@ -1418,7 +1420,8 @@ mod tests {
         let node = NodeRef { level: 1, index: 0 };
         let successor = ProcessorId::new(topo.pool(node).start as usize + 1);
         let parent = topo.parent(node).expect("level 1 has a parent");
-        let children = topo.inner_children(node).expect("level 1 has inner children");
+        let children: Vec<NodeRef> =
+            topo.inner_children(node).expect("level 1 has inner children").collect();
         let neighbours: Vec<(NodeRef, ProcessorId)> =
             std::iter::once((parent, topo.initial_worker(parent)))
                 .chain(children.iter().map(|&c| (c, topo.initial_worker(c))))
@@ -1465,7 +1468,8 @@ mod tests {
     fn a_recovered_root_waits_for_restore_before_serving_buffered_applies() {
         let (topo, mut engines) = fleet(2, EngineConfig::paper(2));
         let successor = p(1);
-        let children = topo.inner_children(NodeRef::ROOT).expect("root children");
+        let children: Vec<NodeRef> =
+            topo.inner_children(NodeRef::ROOT).expect("root children").collect();
         let neighbours: Vec<(NodeRef, ProcessorId)> =
             children.iter().map(|&c| (c, topo.initial_worker(c))).collect();
         step(

@@ -125,14 +125,15 @@ impl Topology {
     #[must_use]
     pub fn flat_index(&self, node: NodeRef) -> usize {
         assert!(node.level <= self.k, "level {} beyond {}", node.level, self.k);
+        let level = node.level as usize;
+        // The level's width `k^level`, read off the offsets.
         assert!(
-            node.index < self.nodes_on_level(node.level),
+            node.index < self.offsets[level + 1] - self.offsets[level],
             "index {} beyond level {} width",
             node.index,
             node.level
         );
-        usize::try_from(self.offsets[node.level as usize] + node.index)
-            .expect("inner node count fits usize")
+        usize::try_from(self.offsets[level] + node.index).expect("inner node count fits usize")
     }
 
     /// Inverse of [`Topology::flat_index`].
@@ -159,28 +160,30 @@ impl Topology {
             .then(|| NodeRef { level: node.level - 1, index: node.index / self.k as u64 })
     }
 
-    /// The inner-node children of `node`: `k` nodes on the next level, or
-    /// `None` if `node` is on level `k` (its children are leaves).
+    /// The inner-node children of `node`, in index order: `k` nodes on the
+    /// next level, or `None` if `node` is on level `k` (its children are
+    /// leaves).
     #[must_use]
-    pub fn inner_children(&self, node: NodeRef) -> Option<Vec<NodeRef>> {
-        (node.level < self.k).then(|| {
-            (0..self.k as u64)
-                .map(|c| NodeRef { level: node.level + 1, index: node.index * self.k as u64 + c })
-                .collect()
+    pub fn inner_children(&self, node: NodeRef) -> Option<impl ExactSizeIterator<Item = NodeRef>> {
+        let k = self.k;
+        (node.level < k).then(move || {
+            (0..k).map(move |c| NodeRef {
+                level: node.level + 1,
+                index: node.index * u64::from(k) + u64::from(c),
+            })
         })
     }
 
-    /// The leaf children of a level-`k` node, as processor ids.
+    /// The leaf children of a level-`k` node, as processor ids in index
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if `node` is not on level `k`.
-    #[must_use]
-    pub fn leaf_children(&self, node: NodeRef) -> Vec<ProcessorId> {
+    pub fn leaf_children(&self, node: NodeRef) -> impl ExactSizeIterator<Item = ProcessorId> {
         assert_eq!(node.level, self.k, "only level-k nodes have leaf children");
-        (0..self.k as u64)
-            .map(|c| ProcessorId::new((node.index * self.k as u64 + c) as usize))
-            .collect()
+        let k = self.k;
+        (0..k).map(move |c| ProcessorId::new((node.index * u64::from(k) + u64::from(c)) as usize))
     }
 
     /// The level-`k` node above leaf (processor) `leaf`.
@@ -316,7 +319,9 @@ mod tests {
         for node in t.nodes() {
             if let Some(children) = t.inner_children(node) {
                 assert_eq!(children.len(), 3);
-                for c in children {
+                for (i, c) in children.enumerate() {
+                    let nth = NodeRef { level: node.level + 1, index: node.index * 3 + i as u64 };
+                    assert_eq!(c, nth, "children come in index order");
                     assert_eq!(t.parent(c), Some(node));
                 }
             } else {
@@ -332,8 +337,9 @@ mod tests {
         for leaf in 0..t.processors() {
             let parent = t.leaf_parent(leaf);
             assert_eq!(parent.level, 3);
-            let kids = t.leaf_children(parent);
-            assert!(kids.contains(&ProcessorId::new(leaf as usize)));
+            let mut kids = t.leaf_children(parent);
+            assert_eq!(kids.len(), 3);
+            assert!(kids.any(|p| p == ProcessorId::new(leaf as usize)));
         }
     }
 

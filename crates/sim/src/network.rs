@@ -105,7 +105,6 @@ pub struct Network<M> {
     policy: DeliveryPolicy,
     loads: LoadTracker,
     recorder: TraceRecorder,
-    op_sources: OpSourceTable,
     now: SimTime,
     seq: u64,
     message_cap: u64,
@@ -113,62 +112,6 @@ pub struct Network<M> {
     /// The outbox buffer of the delivery being handled, kept between
     /// deliveries and runs so handling a message allocates nothing.
     sends: Vec<(ProcessorId, M)>,
-}
-
-/// Dense per-operation trace-source table, keyed by [`OpId::index`].
-///
-/// Op ids are sequential driver counters, so a flat `Vec` replaces the
-/// former `HashMap<OpId, Option<u32>>`: one byte per op ever injected,
-/// no hashing on the hot path, and the slot distinguishes "never
-/// injected" from "injected without a trace source" exactly as map
-/// absence vs `None` did.
-#[derive(Debug, Clone, Default)]
-struct OpSourceTable {
-    slots: Vec<OpSlot>,
-}
-
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum OpSlot {
-    /// The op was never injected (former map absence).
-    #[default]
-    Unseen,
-    /// Injected; tracing recorded no source event (former `None` value).
-    NoSource,
-    /// Injected with the trace node id of the source event.
-    Source(u32),
-}
-
-impl OpSourceTable {
-    /// Whether `op` was injected already (former `contains_key`).
-    fn seen(&self, op: OpId) -> bool {
-        self.slots.get(op.index()).is_some_and(|s| *s != OpSlot::Unseen)
-    }
-
-    /// Records the source event of `op`'s injection.
-    fn set(&mut self, op: OpId, source: Option<u32>) {
-        if self.slots.len() <= op.index() {
-            self.slots.resize(op.index() + 1, OpSlot::Unseen);
-        }
-        self.slots[op.index()] = match source {
-            None => OpSlot::NoSource,
-            Some(id) => OpSlot::Source(id),
-        };
-    }
-
-    /// The source event of `op`, if one was recorded.
-    fn get(&self, op: OpId) -> Option<u32> {
-        match self.slots.get(op.index()) {
-            Some(OpSlot::Source(id)) => Some(*id),
-            _ => None,
-        }
-    }
-
-    /// Forgets `op` (former `remove`); its slot is reusable.
-    fn clear(&mut self, op: OpId) {
-        if let Some(slot) = self.slots.get_mut(op.index()) {
-            *slot = OpSlot::Unseen;
-        }
-    }
 }
 
 impl<M: Clone + fmt::Debug> Network<M> {
@@ -200,7 +143,6 @@ impl<M: Clone + fmt::Debug> Network<M> {
             policy,
             loads: LoadTracker::new(processors),
             recorder: TraceRecorder::new(trace),
-            op_sources: OpSourceTable::default(),
             now: SimTime::ZERO,
             seq: 0,
             message_cap: DEFAULT_MESSAGE_CAP,
@@ -333,16 +275,12 @@ impl<M: Clone + fmt::Debug> Network<M> {
     pub fn inject(&mut self, op: OpId, from: ProcessorId, to: ProcessorId, msg: M) {
         self.check_processor(from);
         self.check_processor(to);
-        // With tracing off there are no trace events and no per-op
-        // bookkeeping: the hot injection path allocates nothing.
-        let source = if self.recorder.mode() == TraceMode::Off {
-            None
+        // The recorder's open op holds its trace source; with tracing off
+        // it opens nothing, so the injection path allocates nothing.
+        let source = if self.recorder.is_open(op) {
+            self.recorder.source(op)
         } else {
-            if !self.recorder.is_open(op) && !self.op_sources.seen(op) {
-                let source = self.recorder.begin_op(op, from, self.now);
-                self.op_sources.set(op, source);
-            }
-            self.op_sources.get(op)
+            self.recorder.begin_op(op, from, self.now)
         };
         self.schedule_send(op, from, to, msg, source);
     }
@@ -464,7 +402,6 @@ impl<M: Clone + fmt::Debug> Network<M> {
     /// Ends trace recording for `op`, returning what was recorded (always
     /// `None` under [`TraceMode::Off`]).
     pub fn finish_op(&mut self, op: OpId) -> Option<OpTrace> {
-        self.op_sources.clear(op);
         self.recorder.finish_op(op)
     }
 
@@ -653,6 +590,34 @@ mod tests {
         assert!(!ta.contacts.contains(p(3)));
         assert!(tb.contacts.contains(p(3)) && tb.contacts.contains(p(4)));
         assert!(!tb.contacts.contains(p(0)));
+    }
+
+    #[test]
+    fn finished_ops_leave_no_per_op_state_behind() {
+        let mut net = Network::new(3, TraceMode::Contacts).expect("net");
+        for i in 0..10_000 {
+            let op = OpId::new(i);
+            net.inject(op, p(i % 3), p((i + 1) % 3), 1);
+            net.run_to_quiescence(&mut Ring { n: 3 }).expect("quiesce");
+            assert_eq!(net.finish_op(op).expect("trace").contacts.len(), 3);
+        }
+        assert_eq!(net.recorder.open_ops(), 0, "no op is held once finished");
+    }
+
+    #[test]
+    fn reinjecting_an_open_op_keeps_its_trace_source() {
+        let mut net = Network::new(4, TraceMode::Full).expect("net");
+        let op = OpId::new(0);
+        net.inject(op, p(0), p(1), 0);
+        net.run_to_quiescence(&mut Ring { n: 4 }).expect("quiesce");
+        // A retry injected while the op is still open joins its trace.
+        net.inject(op, p(2), p(3), 0);
+        net.run_to_quiescence(&mut Ring { n: 4 }).expect("quiesce");
+        let trace = net.finish_op(op).expect("trace");
+        assert_eq!((trace.initiator, trace.messages), (p(0), 2));
+        let dag = trace.dag.expect("full trace");
+        assert_eq!(dag.sources().len(), 1, "both sends hang off the one initiation event");
+        assert_eq!(dag.arc_count(), 2);
     }
 
     #[test]

@@ -2,21 +2,30 @@
 //!
 //! Messages wait here between being sent and being delivered, ordered by
 //! their `DeliveryRank` (arrival time, then
-//! a policy-chosen tiebreak). The queue is a min-heap; `pop` yields the
-//! next message the network should deliver.
+//! a policy-chosen tiebreak). `pop` yields the next message the network
+//! should deliver.
 //!
 //! ## Storage layout
 //!
-//! The heap orders bare `(rank, slot)` pairs while the envelopes live in
-//! a slot arena beside it. Cancelling a message (a crash purging its
-//! victim's inbox) *tombstones* its slot — the heap entry stays behind
-//! and is discarded lazily when it surfaces — instead of rebuilding the
-//! whole heap per cancellation. `settle` keeps the head live after every
-//! mutation, so `peek_rank` stays a borrow and the delivery loop never
-//! observes a tombstone.
+//! Bare `(rank, slot)` entries are ordered in two parts: a *run* of
+//! entries pushed in ascending rank order, and a min-heap for the rest.
+//! A push whose rank is after the run's last entry appends to the run;
+//! any other push goes to the heap; `pop` takes the smaller of the two
+//! heads. Every policy's tiebreak derives from the global send sequence,
+//! so no two ranks are equal and the split cannot change the delivery
+//! order. Under unit-delay FIFO every send ranks after everything in
+//! flight, so the heap stays empty and a delivery costs a deque pop
+//! instead of a heap sift.
+//!
+//! The envelopes live in a slot arena beside both parts. Cancelling a
+//! message (a crash purging its victim's inbox) *tombstones* its slot —
+//! the entry stays behind and is discarded lazily when it surfaces —
+//! instead of rebuilding the heap per cancellation. `settle` keeps both
+//! heads live after every mutation, so `peek_rank` stays a borrow and
+//! the delivery loop never observes a tombstone.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::id::{OpId, ProcessorId};
 use crate::policy::DeliveryRank;
@@ -67,10 +76,13 @@ impl Ord for Entry {
 /// report queue depth.
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue<M> {
+    /// Entries in strictly ascending rank order.
+    run: VecDeque<Entry>,
+    /// Entries that ranked before the run's last entry when pushed.
     heap: BinaryHeap<Entry>,
-    /// Slot arena: `None` marks a tombstone whose heap entry has not
-    /// surfaced yet. A slot is recycled only after its heap entry is
-    /// discarded, so a stale entry can never resolve to a new message.
+    /// Slot arena: `None` marks a tombstone whose entry has not surfaced
+    /// yet. A slot is recycled only after its entry is discarded, so a
+    /// stale entry can never resolve to a new message.
     slots: Vec<Option<Envelope<M>>>,
     free: Vec<u32>,
     live: usize,
@@ -80,7 +92,13 @@ impl<M> EventQueue<M> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), slots: Vec::new(), free: Vec::new(), live: 0 }
+        EventQueue {
+            run: VecDeque::new(),
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
     }
 
     /// Number of messages currently in flight.
@@ -107,13 +125,27 @@ impl<M> EventQueue<M> {
                 slot
             }
         };
-        self.heap.push(Entry { rank, slot });
+        let entry = Entry { rank, slot };
+        if self.run.back().is_none_or(|last| last.rank < rank) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
         self.live += 1;
     }
 
+    /// Whether the next message is at the run's head rather than the
+    /// heap's.
+    fn run_leads(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(run), Some(heap)) => run.rank < heap.rank,
+            (run, _) => run.is_some(),
+        }
+    }
+
     pub(crate) fn pop(&mut self) -> Option<(DeliveryRank, Envelope<M>)> {
-        // `settle` keeps the head live, so one pop suffices.
-        let entry = self.heap.pop()?;
+        // `settle` keeps both heads live, so one pop suffices.
+        let entry = if self.run_leads() { self.run.pop_front() } else { self.heap.pop() }?;
         let envelope = self.slots[entry.slot as usize].take().expect("head entry is live");
         self.free.push(entry.slot);
         self.live -= 1;
@@ -123,29 +155,36 @@ impl<M> EventQueue<M> {
 
     /// Rank of the next message to be delivered, if any.
     pub(crate) fn peek_rank(&self) -> Option<DeliveryRank> {
-        self.heap.peek().map(|e| e.rank)
+        if self.run_leads() { self.run.front() } else { self.heap.peek() }.map(|e| e.rank)
     }
 
-    /// Discards tombstoned entries at the heap head so the next
+    /// Discards tombstoned entries at both heads so the next
     /// `peek_rank`/`pop` sees a live message (or an empty queue).
     fn settle(&mut self) {
+        while let Some(head) = self.run.front() {
+            if self.slots[head.slot as usize].is_some() {
+                break;
+            }
+            self.free.push(head.slot);
+            self.run.pop_front();
+        }
         while let Some(head) = self.heap.peek() {
             if self.slots[head.slot as usize].is_some() {
                 break;
             }
-            let entry = self.heap.pop().expect("peeked above");
-            self.free.push(entry.slot);
+            self.free.push(head.slot);
+            self.heap.pop();
         }
     }
 
     /// Removes every message addressed to `to`, returning them in
     /// delivery order. Used when `to` crashes: its inbox becomes dead
     /// letters. The matching envelopes are tombstoned in place — their
-    /// heap entries are skipped lazily on pop — so a cancellation costs
-    /// one scan, not a heap rebuild.
+    /// entries are skipped lazily on pop — so a cancellation costs one
+    /// scan, not a heap rebuild.
     pub(crate) fn drain_for(&mut self, to: ProcessorId) -> Vec<(DeliveryRank, Envelope<M>)> {
         let mut purged: Vec<(DeliveryRank, Envelope<M>)> = Vec::new();
-        for entry in &self.heap {
+        for entry in self.run.iter().chain(self.heap.iter()) {
             let slot = &mut self.slots[entry.slot as usize];
             if slot.as_ref().is_some_and(|e| e.to == to) {
                 purged.push((entry.rank, slot.take().expect("matched above")));
@@ -164,8 +203,9 @@ impl<M> EventQueue<M> {
         M: std::fmt::Debug,
     {
         let mut entries: Vec<(DeliveryRank, &Envelope<M>)> = self
-            .heap
+            .run
             .iter()
+            .chain(self.heap.iter())
             .filter_map(|e| self.slots[e.slot as usize].as_ref().map(|env| (e.rank, env)))
             .collect();
         entries.sort_by_key(|(rank, _)| *rank);
@@ -295,6 +335,86 @@ mod tests {
         assert_eq!(heads.len(), 2);
         assert!(heads[0].contains("t1") && heads[0].contains("P0 -> P1"), "{heads:?}");
         assert!(heads[1].contains("t4"), "{heads:?}");
+    }
+
+    /// Seeded random `push`/`pop`/`drain_for` sequences against a sorted
+    /// `Vec`, with ranks drawn the way the network draws them: from each
+    /// policy's `schedule`, at the clock of the last delivery, with one
+    /// send sequence number per push.
+    #[test]
+    fn the_split_queue_matches_a_sorted_reference_under_every_policy() {
+        use crate::policy::DeliveryPolicy;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let policies: [fn(u64) -> DeliveryPolicy; 5] = [
+            |_| DeliveryPolicy::Fifo,
+            |_| DeliveryPolicy::Lifo,
+            |seed| DeliveryPolicy::random_delay(seed, 8),
+            |seed| DeliveryPolicy::scripted((0..600).map(move |i| 1 + (i * 7 + seed) % 13)),
+            |seed| DeliveryPolicy::channel_fifo(seed, 8),
+        ];
+        for (which, make) in policies.iter().enumerate() {
+            let fifo = which == 0;
+            let mut heap_used = false;
+            for seed in 0..4u64 {
+                let mut policy = make(seed);
+                let mut rng = StdRng::seed_from_u64(seed * 5 + which as u64);
+                let mut q: EventQueue<u8> = EventQueue::new();
+                // (rank, tag, recipient), sorted by rank.
+                let mut reference: Vec<(DeliveryRank, u8, usize)> = Vec::new();
+                let (mut now, mut seq) = (SimTime::ZERO, 0u64);
+                for _ in 0..1500 {
+                    match rng.gen_range(0..20) {
+                        0..=10 => {
+                            let (from, to) = (rng.gen_range(0..4usize), rng.gen_range(0..4usize));
+                            let rank = policy.schedule(now, seq, from as u32, to as u32);
+                            let tag = seq as u8;
+                            seq += 1;
+                            let mut e = env(tag);
+                            (e.from, e.to) = (ProcessorId::new(from), ProcessorId::new(to));
+                            q.push(rank, e);
+                            let at = reference.partition_point(|(r, _, _)| *r < rank);
+                            reference.insert(at, (rank, tag, to));
+                        }
+                        11..=18 => {
+                            let got = q.pop().map(|(rank, e)| (rank, e.msg));
+                            let want = (!reference.is_empty()).then(|| reference.remove(0));
+                            assert_eq!(got, want.map(|(rank, tag, _)| (rank, tag)));
+                            if let Some((rank, _)) = got {
+                                now = now.max_with(rank.at);
+                            }
+                        }
+                        _ => {
+                            let to = rng.gen_range(0..4usize);
+                            let got: Vec<(DeliveryRank, u8)> = q
+                                .drain_for(ProcessorId::new(to))
+                                .into_iter()
+                                .map(|(rank, e)| (rank, e.msg))
+                                .collect();
+                            let want: Vec<(DeliveryRank, u8)> = reference
+                                .iter()
+                                .filter(|e| e.2 == to)
+                                .map(|&(rank, tag, _)| (rank, tag))
+                                .collect();
+                            reference.retain(|e| e.2 != to);
+                            assert_eq!(got, want, "purged in delivery order");
+                        }
+                    }
+                    assert_eq!(q.len(), reference.len());
+                    assert_eq!(q.peek_rank(), reference.first().map(|e| e.0));
+                    heap_used |= !q.heap.is_empty();
+                    if fifo {
+                        assert!(q.heap.is_empty(), "every FIFO send lands in the run");
+                    }
+                }
+                for (rank, tag, _) in reference.drain(..) {
+                    assert_eq!(q.pop().map(|(rank, e)| (rank, e.msg)), Some((rank, tag)));
+                }
+                assert!(q.is_empty());
+            }
+            assert_eq!(heap_used, !fifo, "policy {which}: the heap holds what the run cannot");
+        }
     }
 
     #[test]

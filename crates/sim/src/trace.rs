@@ -147,8 +147,12 @@ struct OpBuilder {
     op: OpId,
     initiator: ProcessorId,
     messages: u64,
-    contacts: ContactSet,
+    /// Every sender and recipient so far, unsorted and with repeats;
+    /// [`TraceRecorder::finish_op`] turns it into the contact set.
+    contacts: Vec<ProcessorId>,
     dag: Option<CommDag>,
+    /// DAG node id of the initiation event, under [`TraceMode::Full`].
+    source: Option<u32>,
     started_at: SimTime,
     last_event_at: SimTime,
 }
@@ -160,13 +164,16 @@ pub struct TraceRecorder {
     /// Operations being recorded: one, or a handful under overlapped
     /// schedules, so lookups scan it.
     open: Vec<OpBuilder>,
+    /// The contact buffer of the last finished op, emptied, for the next
+    /// op to fill.
+    spare: Vec<ProcessorId>,
 }
 
 impl TraceRecorder {
     /// Creates a recorder in the given mode.
     #[must_use]
     pub fn new(mode: TraceMode) -> Self {
-        TraceRecorder { mode, open: Vec::new() }
+        TraceRecorder { mode, open: Vec::new(), spare: Vec::new() }
     }
 
     /// The recording mode.
@@ -189,14 +196,15 @@ impl TraceRecorder {
             source = Some(d.add_node(initiator));
             dag = Some(d);
         }
-        let mut contacts = ContactSet::new();
-        contacts.insert(initiator);
+        let mut contacts = std::mem::take(&mut self.spare);
+        contacts.push(initiator);
         let builder = OpBuilder {
             op,
             initiator,
             messages: 0,
             contacts,
             dag,
+            source,
             started_at: now,
             last_event_at: now,
         };
@@ -214,6 +222,19 @@ impl TraceRecorder {
         self.open.iter().any(|b| b.op == op)
     }
 
+    /// The DAG node id of `op`'s initiation event, while `op` is being
+    /// recorded under [`TraceMode::Full`].
+    #[must_use]
+    pub fn source(&self, op: OpId) -> Option<u32> {
+        self.open.iter().find(|b| b.op == op).and_then(|b| b.source)
+    }
+
+    /// Number of operations being recorded.
+    #[cfg(test)]
+    pub(crate) fn open_ops(&self) -> usize {
+        self.open.len()
+    }
+
     fn builder(&mut self, op: OpId) -> Option<&mut OpBuilder> {
         self.open.iter_mut().find(|b| b.op == op)
     }
@@ -223,7 +244,7 @@ impl TraceRecorder {
     pub fn record_send(&mut self, op: OpId, from: ProcessorId) {
         if let Some(b) = self.builder(op) {
             b.messages += 1;
-            b.contacts.insert(from);
+            b.contacts.push(from);
         }
     }
 
@@ -240,7 +261,7 @@ impl TraceRecorder {
         now: SimTime,
     ) -> Option<u32> {
         let b = self.builder(op)?;
-        b.contacts.insert(to);
+        b.contacts.push(to);
         b.last_event_at = b.last_event_at.max_with(now);
         let dag = b.dag.as_mut()?;
         // A message whose send event is unknown (sent before tracing began
@@ -254,12 +275,18 @@ impl TraceRecorder {
     /// Finishes recording `op` and returns its trace, if it was recorded.
     pub fn finish_op(&mut self, op: OpId) -> Option<OpTrace> {
         let at = self.open.iter().position(|b| b.op == op)?;
-        let b = self.open.swap_remove(at);
+        let mut b = self.open.swap_remove(at);
+        b.contacts.sort_unstable();
+        b.contacts.dedup();
+        // An exact-size copy; the buffer is kept for the next op.
+        let contacts = ContactSet { members: b.contacts.to_vec() };
+        b.contacts.clear();
+        self.spare = b.contacts;
         Some(OpTrace {
             op,
             initiator: b.initiator,
             messages: b.messages,
-            contacts: b.contacts,
+            contacts,
             dag: b.dag,
             started_at: b.started_at,
             completed_at: b.last_event_at,
