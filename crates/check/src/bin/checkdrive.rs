@@ -12,7 +12,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use distctr_check::{Budget, CheckConfig, CheckOutcome, Checker};
+use distctr_check::{sweep_cells, Budget, CheckConfig, CheckOutcome, Checker};
 
 fn parse_budget(s: &str) -> Result<u64, String> {
     let (digits, mult) = match s.trim().to_ascii_lowercase() {
@@ -54,44 +54,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One sweep cell: a named configuration the CI run must hold on.
-struct Cell {
-    name: &'static str,
-    cfg: CheckConfig,
-}
-
-fn sweep_cells() -> Vec<Cell> {
-    vec![
-        Cell {
-            // n = 2 rounds up to the k = 2 tree; two concurrent ops on
-            // the same leaf parent maximally contend for one entry node.
-            name: "n=2 fault-free (2 ops, shared leaf parent)",
-            cfg: CheckConfig::new(2).concurrent_ops(&[0, 1]),
-        },
-        Cell {
-            // n = 4: warmed tree, two ops on distinct leaf parents.
-            name: "n=4 fault-free (warmup 2, 2 ops, distinct entries)",
-            cfg: CheckConfig::new(4).warmup(&[0, 2]).concurrent_ops(&[1, 6]),
-        },
-        Cell {
-            // n = 8: deeper warm-up so the explored ops straddle the
-            // root's retirement cascade.
-            name: "n=8 fault-free (warmup 3, cascade window)",
-            cfg: CheckConfig::new(8).warmup(&[0, 2, 4]).concurrent_ops(&[1, 6]),
-        },
-        Cell {
-            // n = 8, crash budget 1: the checker may crash the root's
-            // initial worker at any branch point; the watchdog must
-            // still complete the sequential workload correctly.
-            name: "n=8 crash-budget-1 (sequential, watchdog recovery)",
-            cfg: CheckConfig::new(8)
-                .sequential_ops(&[0, 4])
-                .fault_tolerant()
-                .explore_crashes(&[0], 1),
-        },
-    ]
-}
-
 fn report_violation(cell: &str, cfg: &CheckConfig, outcome: &CheckOutcome) {
     let v = outcome.violation.as_ref().expect("caller checked");
     eprintln!("FAIL [{cell}]: invariant `{}` violated", v.invariant);
@@ -111,15 +73,15 @@ fn run_sweep(args: &Args) -> ExitCode {
         args.budget
     );
     let mut failed = false;
-    for cell in &cells {
+    for (name, cfg) in &cells {
         let started = Instant::now();
-        let outcome = Checker::new(cell.cfg.clone())
+        let outcome = Checker::new(cfg.clone())
             .budget(Budget { max_transitions: per_cell, max_depth: args.depth, wall_clock: None })
             .run();
         let s = &outcome.stats;
         println!(
             "  [{}] transitions={} leaves={} distinct={} sleep_skips={} depth={}{} ({:?})",
-            cell.name,
+            name,
             s.transitions,
             s.quiescent_leaves,
             s.distinct_quiescent,
@@ -129,7 +91,7 @@ fn run_sweep(args: &Args) -> ExitCode {
             started.elapsed(),
         );
         if !outcome.holds() {
-            report_violation(cell.name, &cell.cfg, &outcome);
+            report_violation(name, cfg, &outcome);
             failed = true;
         }
     }

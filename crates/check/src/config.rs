@@ -267,3 +267,33 @@ impl CheckConfig {
         self
     }
 }
+
+/// The checker's standing sweep: four named cells (n ∈ {2, 4, 8},
+/// fault-free and crash-budget-1) that `checkdrive` runs under a shared
+/// transition budget and `tests/checker_sweep.rs` pins.
+#[must_use]
+pub fn sweep_cells() -> Vec<(&'static str, CheckConfig)> {
+    vec![
+        // n = 2 rounds up to the k = 2 tree; two concurrent ops on the
+        // same leaf parent maximally contend for one entry node.
+        ("n=2 fault-free (2 ops, shared leaf parent)", CheckConfig::new(2).concurrent_ops(&[0, 1])),
+        // n = 4: warmed tree, two ops on distinct leaf parents.
+        (
+            "n=4 fault-free (warmup 2, 2 ops, distinct entries)",
+            CheckConfig::new(4).warmup(&[0, 2]).concurrent_ops(&[1, 6]),
+        ),
+        // n = 8: deeper warm-up so the explored ops straddle the root's
+        // retirement cascade.
+        (
+            "n=8 fault-free (warmup 3, cascade window)",
+            CheckConfig::new(8).warmup(&[0, 2, 4]).concurrent_ops(&[1, 6]),
+        ),
+        // n = 8, crash budget 1: the checker may crash the root's initial
+        // worker at any branch point; the watchdog must still complete
+        // the sequential workload correctly.
+        (
+            "n=8 crash-budget-1 (sequential, watchdog recovery)",
+            CheckConfig::new(8).sequential_ops(&[0, 4]).fault_tolerant().explore_crashes(&[0], 1),
+        ),
+    ]
+}

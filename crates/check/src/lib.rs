@@ -40,7 +40,7 @@ pub mod schedule;
 pub mod world;
 
 pub use checker::{Budget, CheckOutcome, CheckStats, Checker, Violation};
-pub use config::{CheckConfig, Mutation, Workload};
+pub use config::{sweep_cells, CheckConfig, Mutation, Workload};
 pub use history::{
     check_fetch_inc_history, HistoryEvent, HistoryRecorder, HistoryVerdict, ThreadHistory,
 };

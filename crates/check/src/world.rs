@@ -8,8 +8,11 @@
 //! need (values, loads, retirements, contact sets, per-node hosting) is
 //! tracked as the effects stream by. Fault semantics mirror the other
 //! drivers exactly: a crash purges the victim's inbox (dead letters),
-//! drops its future traffic, and resets its engine to factory state;
-//! the client watchdog is realized at quiescence, like the simulator's.
+//! drops its future traffic, and resets its engine to factory state.
+//! The registry, the stable storage and the client watchdog's repair
+//! plan are the simulator's own: the world owns one
+//! [`Directory`], feeds it the recovery effects, and at quiescence
+//! injects what its plan yields.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -17,7 +20,7 @@ use std::sync::Arc;
 use distctr_core::engine::{
     seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, Event, Hosted, NodeEngine,
 };
-use distctr_core::protocol::PoolPolicy;
+use distctr_core::node::{Directory, Repair};
 use distctr_core::{CounterMsg, CounterObject, Msg, NodeRef, Topology};
 use distctr_sim::ProcessorId;
 
@@ -65,15 +68,11 @@ pub struct OpState {
     pub abandoned: bool,
 }
 
-/// Registry mirror of one inner node (the watchdog's view; a plain
-/// record of the `Installed`/`Retired`/`Recover*` effects).
-#[derive(Debug, Clone)]
-struct Mirror {
-    worker: ProcessorId,
-    pool_cursor: u64,
-    handing_off: bool,
-    pending_worker: Option<ProcessorId>,
-    recovering: bool,
+impl OpState {
+    /// Injected, not answered, and not given up on.
+    fn is_open(&self) -> bool {
+        self.injected && self.completed_step.is_none() && !self.abandoned
+    }
 }
 
 /// What a quiescent state turned out to be.
@@ -102,7 +101,7 @@ pub struct World {
     crashed: Vec<bool>,
     crash_budget_left: u32,
     scripted_fired: Vec<bool>,
-    registry: Vec<Mirror>,
+    directory: Directory<CounterObject>,
     next_op: usize,
     ops: Vec<OpState>,
     watchdog_rounds: u32,
@@ -111,8 +110,6 @@ pub struct World {
     retire_events: Vec<(usize, u64)>,
     installs: Vec<(usize, u64)>,
     root_holders: BTreeSet<usize>,
-    stable_object: CounterObject,
-    stable_replies: Vec<(u64, u64)>,
     retirements: u64,
     shim_forwards: u64,
     recovery_msgs: u64,
@@ -139,16 +136,7 @@ impl World {
             .collect();
         let object = CounterObject::new();
         seed_initial_hosting(&topo, &mut engines, &object);
-        let registry = topo
-            .nodes()
-            .map(|node| Mirror {
-                worker: topo.initial_worker(node),
-                pool_cursor: 0,
-                handing_off: false,
-                pending_worker: None,
-                recovering: false,
-            })
-            .collect();
+        let directory = Directory::new(Arc::clone(&topo), &engine_cfg, object);
         let warm = cfg.warmup_ops.len();
         let all_initiators: Vec<usize> =
             cfg.warmup_ops.iter().chain(cfg.workload.initiators()).copied().collect();
@@ -191,7 +179,7 @@ impl World {
             crashed: vec![false; n],
             crash_budget_left: cfg.crash_budget,
             scripted_fired: vec![false; cfg.scripted_crashes.len()],
-            registry,
+            directory,
             next_op: 0,
             ops,
             watchdog_rounds: 0,
@@ -200,8 +188,6 @@ impl World {
             retire_events: Vec::new(),
             installs: Vec::new(),
             root_holders: BTreeSet::from([root0]),
-            stable_object: object,
-            stable_replies: Vec::new(),
             retirements: 0,
             shim_forwards: 0,
             recovery_msgs: 0,
@@ -300,9 +286,7 @@ impl World {
     /// or terminal.
     pub(crate) fn on_quiescence(&mut self) -> Quiescence {
         debug_assert!(self.is_quiescent());
-        let unresolved =
-            self.ops.iter().any(|o| o.injected && o.completed_step.is_none() && !o.abandoned);
-        if unresolved {
+        if self.ops.iter().any(OpState::is_open) {
             if self.cfg.watchdog && self.watchdog_rounds < MAX_WATCHDOG_ROUNDS {
                 self.watchdog_rounds += 1;
                 if self.watchdog_round() {
@@ -475,8 +459,7 @@ impl World {
             self.ops[i].abandoned = true;
             return;
         }
-        let leaf_parent = self.topo.leaf_parent(initiator as u64);
-        let entry = self.reachable_worker(leaf_parent);
+        let entry = self.directory.reachable_worker(self.topo.leaf_parent(initiator as u64));
         self.send_entry(i, entry);
     }
 
@@ -542,64 +525,6 @@ impl World {
                         o.value = Some(resp);
                     }
                 }
-                Effect::Retired { node, successor } => {
-                    let flat = self.topo.flat_index(node);
-                    let st = &mut self.registry[flat];
-                    self.retire_events.push((flat, st.pool_cursor));
-                    st.pool_cursor += 1;
-                    st.handing_off = true;
-                    st.pending_worker = Some(successor);
-                }
-                Effect::Installed { node, worker, pool_cursor } => {
-                    let flat = self.topo.flat_index(node);
-                    self.installs.push((flat, pool_cursor));
-                    if node == NodeRef::ROOT {
-                        self.root_holders.insert(worker.index());
-                    }
-                    let st = &mut self.registry[flat];
-                    st.worker = worker;
-                    st.pending_worker = None;
-                    st.handing_off = false;
-                    st.pool_cursor = pool_cursor;
-                }
-                Effect::RecoveryStarted { node, successor } => {
-                    let flat = self.topo.flat_index(node);
-                    let st = &mut self.registry[flat];
-                    st.handing_off = false;
-                    st.recovering = true;
-                    st.pending_worker = Some(successor);
-                }
-                Effect::Recovered { node, worker, pool_cursor } => {
-                    let flat = self.topo.flat_index(node);
-                    if node == NodeRef::ROOT {
-                        self.root_holders.insert(worker.index());
-                    }
-                    {
-                        let st = &mut self.registry[flat];
-                        st.worker = worker;
-                        st.pending_worker = None;
-                        st.handing_off = false;
-                        st.recovering = false;
-                        st.pool_cursor = pool_cursor;
-                    }
-                    self.recoveries += 1;
-                    if node == NodeRef::ROOT && self.engine_cfg.persist {
-                        // Stable storage restores the root object at the
-                        // new worker, as in the simulator driver.
-                        let restore = Event::Restore {
-                            node,
-                            object: self.stable_object.clone(),
-                            reply_cache: self.stable_replies.clone(),
-                        };
-                        let mut fx2 = Vec::new();
-                        self.engines[worker.index()].on_event_into(restore, &mut fx2);
-                        self.apply_effects(worker, op, fx2);
-                    }
-                }
-                Effect::Persist { object, op_seq, resp, .. } => {
-                    self.stable_object = object;
-                    self.stable_replies.push((op_seq, resp));
-                }
                 Effect::Audit(ev) => match ev {
                     AuditEvent::Retirement { .. } => self.retirements += 1,
                     AuditEvent::ShimForward => self.shim_forwards += 1,
@@ -607,10 +532,41 @@ impl World {
                     AuditEvent::Lost => self.lost += 1,
                     _ => {}
                 },
+                effect => {
+                    self.record(&effect);
+                    // Stable storage restores a recovered root's object
+                    // at the new worker, as in the simulator driver.
+                    if let Some((worker, restore)) = self.directory.observe(effect) {
+                        let mut fx2 = Vec::new();
+                        self.engines[worker.index()].on_event_into(restore, &mut fx2);
+                        self.apply_effects(worker, op, fx2);
+                    }
+                }
             }
         }
         for (node, hosted) in resurrections {
             self.engines[at.index()].install(node, hosted);
+        }
+    }
+
+    /// The checker's own observers of the recovery effects, recorded
+    /// before the directory sees them.
+    fn record(&mut self, effect: &Effect<CounterObject>) {
+        match *effect {
+            Effect::Retired { node, .. } => {
+                let flat = self.topo.flat_index(node);
+                self.retire_events.push((flat, self.directory.node(flat).pool_cursor));
+            }
+            Effect::Installed { node, pool_cursor, .. } => {
+                self.installs.push((self.topo.flat_index(node), pool_cursor));
+            }
+            Effect::Recovered { .. } => self.recoveries += 1,
+            _ => {}
+        }
+        if let Effect::Installed { node: NodeRef::ROOT, worker, .. }
+        | Effect::Recovered { node: NodeRef::ROOT, worker, .. } = *effect
+        {
+            self.root_holders.insert(worker.index());
         }
     }
 
@@ -648,148 +604,54 @@ impl World {
         }
     }
 
-    // --- watchdog (mirrors TreeClient) -----------------------------------
+    // --- watchdog --------------------------------------------------------
 
-    /// One repair pass at quiescence, mirroring the sim client's
-    /// watchdog: promote a live pool successor for every node whose
-    /// worker is dead or whose handoff/recovery stalled, re-send every
-    /// incomplete operation, and from the second attempt on re-advertise
-    /// path routing. Returns whether anything was injected.
+    /// One repair pass at quiescence, as the sim client's watchdog: inject
+    /// the directory's repair plan (a stranded node abandons every open
+    /// operation whose path crosses it), re-send every incomplete
+    /// operation, and from the second attempt on re-advertise its path
+    /// routing. Returns whether anything was injected.
     fn watchdog_round(&mut self) -> bool {
         let mut injected = false;
-        let node_count = usize::try_from(self.topo.inner_node_count()).expect("fits usize");
-        for flat in 0..node_count {
-            let node = self.topo.node_at(flat);
-            let (worker, handing_off, recovering) = {
-                let st = &self.registry[flat];
-                (st.worker, st.handing_off, st.recovering)
-            };
-            let worker_dead = self.crashed[worker.index()];
-            if !worker_dead && !handing_off && !recovering {
-                continue;
-            }
-            let Some(successor) = self.live_successor(node, flat) else {
-                if worker_dead {
-                    let path_hits: Vec<usize> = (0..self.ops.len())
-                        .filter(|&i| {
-                            let o = &self.ops[i];
-                            o.injected
-                                && o.completed_step.is_none()
-                                && !o.abandoned
-                                && self.op_path(o.initiator).contains(&flat)
-                        })
-                        .collect();
-                    for i in path_hits {
-                        self.ops[i].abandoned = true;
+        for repair in self.directory.repair_plan(|p| self.crashed[p.index()]) {
+            match repair {
+                Repair::Promote { at, promote } | Repair::Rescue { at, promote } => {
+                    let first_open = self.ops.iter().position(OpState::is_open);
+                    self.send(at, at, first_open, promote);
+                    injected = true;
+                }
+                Repair::Stranded { node, .. } => {
+                    for o in &mut self.ops {
+                        let initiator = ProcessorId::new(o.initiator);
+                        if o.is_open() && self.directory.op_path(initiator).contains(&node) {
+                            o.abandoned = true;
+                        }
                     }
                 }
-                continue;
-            };
-            let neighbours = self.neighbour_workers(node);
-            let first_open = (0..self.ops.len()).find(|&i| {
-                let o = &self.ops[i];
-                o.injected && o.completed_step.is_none() && !o.abandoned
-            });
-            // A self-message modelling the successor's local timeout.
-            self.send(successor, successor, first_open, Msg::RecoverPromote { node, neighbours });
-            injected = true;
+            }
         }
         for i in 0..self.ops.len() {
-            let (initiator, open) = {
-                let o = &self.ops[i];
-                (o.initiator, o.injected && o.completed_step.is_none() && !o.abandoned)
-            };
-            if !open {
+            if !self.ops[i].is_open() {
                 continue;
             }
-            if self.crashed[initiator] {
+            let initiator = ProcessorId::new(self.ops[i].initiator);
+            if self.crashed[initiator.index()] {
                 self.ops[i].abandoned = true;
                 continue;
             }
             self.ops[i].attempts += 1;
-            let leaf_parent = self.topo.leaf_parent(initiator as u64);
-            let entry = self.reachable_worker(leaf_parent);
+            let path = self.directory.op_path(initiator);
+            let entry = self.directory.reachable_worker(path[0]);
             if !self.crashed[entry.index()] {
                 self.send_entry(i, entry);
                 injected = true;
             }
             if self.ops[i].attempts >= 2 {
-                injected |= self.refresh_path_routing(i);
-            }
-        }
-        injected
-    }
-
-    /// Flat indices of the inner nodes op traffic from `initiator`
-    /// climbs, leaf-parent to root.
-    fn op_path(&self, initiator: usize) -> Vec<usize> {
-        let mut path = Vec::new();
-        let mut cur = Some(self.topo.leaf_parent(initiator as u64));
-        while let Some(node) = cur {
-            path.push(self.topo.flat_index(node));
-            cur = self.topo.parent(node);
-        }
-        path
-    }
-
-    fn live_successor(&self, node: NodeRef, flat: usize) -> Option<ProcessorId> {
-        let st = &self.registry[flat];
-        if st.recovering || st.handing_off {
-            if let Some(p) = st.pending_worker {
-                if !self.crashed[p.index()] {
-                    return Some(p);
+                for (at, msg) in self.directory.path_refresh(&path, |p| self.crashed[p.index()]) {
+                    self.send(at, at, Some(i), msg);
+                    injected = true;
                 }
             }
-        }
-        let pool = self.topo.pool(node);
-        let size = pool.end - pool.start;
-        let candidates: Vec<u64> = match self.engine_cfg.pool_policy {
-            PoolPolicy::OneShot => (st.pool_cursor + 1..size).collect(),
-            PoolPolicy::Recycling => (1..size).map(|step| (st.pool_cursor + step) % size).collect(),
-        };
-        candidates
-            .into_iter()
-            .map(|i| ProcessorId::new((pool.start + i) as usize))
-            .find(|&p| !self.crashed[p.index()])
-    }
-
-    fn neighbour_workers(&self, node: NodeRef) -> Vec<(NodeRef, ProcessorId)> {
-        self.topo
-            .parent(node)
-            .into_iter()
-            .chain(self.topo.inner_children(node).into_iter().flatten())
-            .map(|neighbour| (neighbour, self.reachable_worker(neighbour)))
-            .collect()
-    }
-
-    fn reachable_worker(&self, node: NodeRef) -> ProcessorId {
-        let st = &self.registry[self.topo.flat_index(node)];
-        if st.recovering {
-            st.pending_worker.unwrap_or(st.worker)
-        } else {
-            st.worker
-        }
-    }
-
-    /// Re-advertise each path node's parent worker to the engine below
-    /// it (heals stale routing left by lost `NewWorker`s).
-    fn refresh_path_routing(&mut self, i: usize) -> bool {
-        let mut injected = false;
-        for flat in self.op_path(self.ops[i].initiator) {
-            let node = self.topo.node_at(flat);
-            let Some(parent) = self.topo.parent(node) else { continue };
-            let worker = self.reachable_worker(node);
-            if self.crashed[worker.index()] {
-                continue; // the promote pass owns the dead-worker case
-            }
-            let new_worker = self.reachable_worker(parent);
-            self.send(
-                worker,
-                worker,
-                Some(i),
-                Msg::NewWorker { node, retired: parent, new_worker },
-            );
-            injected = true;
         }
         injected
     }

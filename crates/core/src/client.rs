@@ -10,6 +10,7 @@ use crate::audit::CounterAudit;
 use crate::error::CoreError;
 use crate::kmath::{exact_order, leaves_of_order, order_for, MAX_ORDER};
 use crate::messages::Msg;
+use crate::node::Repair;
 use crate::object::RootObject;
 use crate::protocol::{PoolPolicy, RetirementPolicy, TreeProtocol};
 use crate::topology::{NodeRef, Topology};
@@ -417,8 +418,8 @@ impl<O: RootObject> TreeClient<O> {
         let op = OpId::new(self.next_op);
         self.next_op += 1;
         self.proto.audit_mut().begin_op();
-        let leaf_parent = self.proto.topology().leaf_parent(initiator.index() as u64);
-        let path = self.op_path(leaf_parent);
+        let path = self.proto.directory().op_path(initiator);
+        let leaf_parent = path[0];
         let mut messages = 0u64;
         let mut attempts = 0u32;
         let (response, completed_at) = loop {
@@ -435,12 +436,26 @@ impl<O: RootObject> TreeClient<O> {
                     "initiator {initiator} has crashed and cannot receive a response"
                 )));
             }
-            // Promote successors for crashed/stuck workers before
-            // (re-)sending the operation into the tree.
-            if let Err(e) = self.promote_successors(op, &path) {
-                self.proto.audit_mut().end_op();
-                self.net.finish_op(op);
-                return Err(e);
+            // Inject the directory's repair plan for crashed or stuck
+            // workers before (re-)sending the operation into the tree. A
+            // stranded node is fatal only on the operation's path, after
+            // the promotes planned before it went out; off-path ones are
+            // left to their own operations to report.
+            for repair in self.proto.directory().repair_plan(|p| self.net.is_crashed(p)) {
+                match repair {
+                    Repair::Promote { at, promote } | Repair::Rescue { at, promote } => {
+                        self.net.inject(op, at, at, promote);
+                    }
+                    Repair::Stranded { node, worker } if path.contains(&node) => {
+                        self.proto.audit_mut().end_op();
+                        self.net.finish_op(op);
+                        return Err(CoreError::Unrecoverable(format!(
+                            "node ({}, {}) lost worker {worker} and its pool has no live successor",
+                            node.level, node.index
+                        )));
+                    }
+                    Repair::Stranded { .. } => {}
+                }
             }
             let entry_worker = self.proto.worker_of(leaf_parent);
             if !self.net.is_crashed(entry_worker) {
@@ -463,178 +478,16 @@ impl<O: RootObject> TreeClient<O> {
             // to a dead processor forever). Re-advertise the registry's
             // worker of every path node to the engine below it.
             if attempts >= 2 {
-                self.refresh_path_routing(op, &path);
+                let refresh =
+                    self.proto.directory().path_refresh(&path, |p| self.net.is_crashed(p));
+                for (at, msg) in refresh {
+                    self.net.inject(op, at, at, msg);
+                }
             }
         };
         self.proto.audit_mut().end_op();
         let trace = self.net.finish_op(op);
         Ok(InvokeResult { response, messages, completed_at, trace })
-    }
-
-    /// Flat indices of the inner nodes the op climbs, leaf-parent to root.
-    fn op_path(&self, leaf_parent: NodeRef) -> Vec<usize> {
-        let topo = self.proto.topology();
-        let mut path = Vec::new();
-        let mut cur = Some(leaf_parent);
-        while let Some(node) = cur {
-            path.push(topo.flat_index(node));
-            cur = topo.parent(node);
-        }
-        path
-    }
-
-    /// One watchdog repair pass: for every node whose worker is down,
-    /// whose handoff stalled (quiescent while the state-bearing final is
-    /// still unaccounted for — the successor either died or never got
-    /// it), or whose recovery stalled (quiescent while still collecting
-    /// shares), inject a [`Msg::RecoverPromote`] self-message at a live
-    /// pool successor. Quiescence with the transfer still open *is* the
-    /// timeout.
-    ///
-    /// Nodes with no live successor are fatal only when they sit on the
-    /// operation's `path`; off-path stranded nodes are left alone (their
-    /// own operations will report the error).
-    fn promote_successors(&mut self, op: OpId, path: &[usize]) -> Result<(), CoreError> {
-        let node_count =
-            usize::try_from(self.proto.topology().inner_node_count()).expect("nodes fit usize");
-        // Root first: a crashed parent must be repaired for its child's
-        // rebuild queries to be answerable, and flat order is level-major.
-        for flat in 0..node_count {
-            let node = self.proto.topology().node_at(flat);
-            let st = self.proto.node_state(flat);
-            let worker_dead = self.net.is_crashed(st.worker);
-            // A handoff still open at quiescence lost its final part
-            // (with the migrating state aboard) to a drop or a crash:
-            // rebuild from the neighbours exactly as after a crash.
-            let stalled_handoff = st.handing_off;
-            let stalled_recovery = st.recovering;
-            if !worker_dead && !stalled_handoff && !stalled_recovery {
-                continue;
-            }
-            let Some(successor) = self.live_successor(node, flat) else {
-                // Fatal only if the op needs this node and its worker is
-                // actually gone.
-                if worker_dead {
-                    if path.contains(&flat) {
-                        return Err(CoreError::Unrecoverable(format!(
-                            "node ({}, {}) lost worker {} and its pool has no live successor",
-                            node.level, node.index, st.worker
-                        )));
-                    }
-                    continue;
-                }
-                if stalled_handoff {
-                    // The pool is drained but the *retiring* worker is
-                    // still alive: the state-bearing final went to a
-                    // corpse, and the old worker no longer serves the
-                    // node — it shim-forwards every request at the dead
-                    // successor. Promote the old worker itself: it is a
-                    // pool member, no longer hosts the node, and the
-                    // rebuild clears its own stale forwarding entry.
-                    let old_worker = st.worker;
-                    let neighbours = self.neighbour_workers(node);
-                    self.net.inject(
-                        op,
-                        old_worker,
-                        old_worker,
-                        Msg::RecoverPromote { node, neighbours },
-                    );
-                }
-                continue;
-            };
-            // The promote carries the watchdog's registry view of the
-            // node's neighbourhood: the successor's own routing view died
-            // with the old worker, so the promote must tell it where to
-            // send its rebuild queries.
-            let neighbours = self.neighbour_workers(node);
-            // The promote models the successor's own watchdog timeout: a
-            // self-message, charged to the successor.
-            self.net.inject(op, successor, successor, Msg::RecoverPromote { node, neighbours });
-        }
-        Ok(())
-    }
-
-    /// The node's inner neighbours (parent plus inner children) with the
-    /// worker each is currently reachable at: its registry worker, or —
-    /// when the neighbour is itself mid-recovery (pools overlap along
-    /// root paths, so one crash can take out a whole ancestor chain) —
-    /// the successor being promoted for it. Any pool member can answer a
-    /// rebuild query, since a share's content is the neighbour's own
-    /// identity.
-    fn neighbour_workers(&self, node: NodeRef) -> Vec<(NodeRef, ProcessorId)> {
-        let topo = self.proto.topology();
-        topo.parent(node)
-            .into_iter()
-            .chain(topo.inner_children(node).into_iter().flatten())
-            .map(|neighbour| (neighbour, self.reachable_worker(neighbour)))
-            .collect()
-    }
-
-    /// The processor `node` is currently reachable at: its registry
-    /// worker, or — mid-recovery — the successor being promoted for it.
-    fn reachable_worker(&self, node: NodeRef) -> ProcessorId {
-        let st = self.proto.node_state(self.proto.topology().flat_index(node));
-        if st.recovering {
-            st.pending_worker.unwrap_or(st.worker)
-        } else {
-            st.worker
-        }
-    }
-
-    /// Repairs stale engine routing along the operation's path: for each
-    /// path node with a parent, inject a [`Msg::NewWorker`] self-message
-    /// at the node's worker re-announcing the parent's current worker.
-    /// Engines route with strictly local knowledge, so a `NewWorker`
-    /// notification lost to a drop or a crash leaves the engine below
-    /// forwarding to a dead processor indefinitely; the registry (which
-    /// the driver keeps current from the engines' install/recover
-    /// effects) is the directory that re-seeds that knowledge. Costs at
-    /// most `k + 1` self-messages per invocation, charged like any other
-    /// protocol traffic.
-    fn refresh_path_routing(&mut self, op: OpId, path: &[usize]) {
-        for &flat in path {
-            let node = self.proto.topology().node_at(flat);
-            let Some(parent) = self.proto.topology().parent(node) else { continue };
-            let worker = self.reachable_worker(node);
-            if self.net.is_crashed(worker) {
-                continue; // promote_successors owns the dead-worker case
-            }
-            let new_worker = self.reachable_worker(parent);
-            self.net.inject(
-                op,
-                worker,
-                worker,
-                Msg::NewWorker { node, retired: parent, new_worker },
-            );
-        }
-    }
-
-    /// The next live processor of `node`'s pool, if one is left. A
-    /// recovery or handoff already in flight keeps its successor (the
-    /// promote is a restart or rescue, not a new promotion).
-    fn live_successor(&self, node: NodeRef, flat: usize) -> Option<ProcessorId> {
-        let st = self.proto.node_state(flat);
-        if st.recovering || st.handing_off {
-            if let Some(p) = st.pending_worker {
-                if !self.net.is_crashed(p) {
-                    return Some(p);
-                }
-            }
-        }
-        let pool = self.proto.topology().pool(node);
-        let size = pool.end - pool.start;
-        let candidates: Vec<u64> = match self.proto.pool_policy() {
-            // One-shot pools never reuse an id: only indices past the
-            // cursor are eligible.
-            PoolPolicy::OneShot => (st.pool_cursor + 1..size).collect(),
-            // Recycling pools wrap; every index but the current one is
-            // eligible.
-            PoolPolicy::Recycling => (1..size).map(|step| (st.pool_cursor + step) % size).collect(),
-        };
-        candidates
-            .into_iter()
-            .map(|i| ProcessorId::new((pool.start + i) as usize))
-            .find(|&p| !self.net.is_crashed(p))
     }
 }
 

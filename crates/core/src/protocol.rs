@@ -11,32 +11,26 @@
 //!   the load tracker like any send);
 //! * [`Effect::Reply`] parks the response for the client to collect at
 //!   quiescence;
-//! * [`Effect::Audit`] entries feed the [`CounterAudit`] lemma ledger
-//!   and keep the *registry* — a global `NodeState` view of every
-//!   node's current worker — in sync, which the client's watchdog reads
-//!   to find crashed or stuck workers;
-//! * [`Effect::Persist`] maintains the stable-storage shadow of the
-//!   root's object and reply cache, and [`Effect::Recovered`] for the
-//!   root is answered with an [`Event::Restore`] from that shadow.
+//! * [`Effect::Audit`] entries feed the [`CounterAudit`] lemma ledger;
+//! * the install/retire/recover and [`Effect::Persist`] effects go to
+//!   the fleet's recovery [`Directory`] — the registry of every node's
+//!   current worker and the stable-storage shadow of the root's object
+//!   and reply cache — and a root recovery is answered with the
+//!   [`Event::Restore`] the directory yields.
 //!
 //! The simulator has no timer wheel: watchdog timeouts are realized at
-//! quiescence, where the client promotes successors between rounds.
+//! quiescence, where the client injects the directory's repair plan
+//! between rounds.
 //!
-//! ## Stable storage and the registry
+//! ## Stable storage
 //!
 //! Two explicit stable-storage assumptions make root crashes
 //! recoverable: the hosted object's state and the per-operation reply
-//! cache survive a crash of the root's worker. The shadow kept here
-//! (updated on every [`Effect::Persist`]) models exactly that. The
-//! reply cache, with deduplication enabled in fault-tolerant mode,
-//! makes retried operations exactly-once: a re-sent `Apply` for an
-//! operation the root already executed returns the cached response
-//! instead of applying twice.
-//!
-//! The registry is *observer* state: the engines never read it. It
-//! mirrors what each engine announces through install/retire/recover
-//! effects, so the watchdog (and tests) can ask "who works for this
-//! node now?" without reaching into per-processor state.
+//! cache survive a crash of the root's worker; the directory's shadow
+//! models exactly that. The reply cache, with deduplication enabled in
+//! fault-tolerant mode, makes retried operations exactly-once: a re-sent
+//! `Apply` for an operation the root already executed returns the cached
+//! response instead of applying twice.
 
 use std::sync::Arc;
 
@@ -48,31 +42,25 @@ use crate::engine::{
 };
 pub use crate::engine::{PoolPolicy, RetirementPolicy};
 use crate::messages::Msg;
-use crate::node::NodeState;
+use crate::node::Directory;
 use crate::object::{CounterObject, RootObject};
 use crate::topology::{NodeRef, Topology};
 
 /// The simulator driver: a fleet of per-processor engines plus the
-/// simulator-only facilities (registry, audit ledger, stable-storage
-/// shadow, pending response).
+/// simulator-only facilities (recovery directory, audit ledger, pending
+/// response).
 #[derive(Debug, Clone)]
 pub struct TreeProtocol<O: RootObject = CounterObject> {
     topo: Arc<Topology>,
     engines: Vec<NodeEngine<O>>,
-    /// Global registry of each node's current worker (observer state for
-    /// the client watchdog; engines never read it).
-    nodes: Vec<NodeState>,
+    /// Registry and stable storage (observer state for the client
+    /// watchdog; engines never read it).
+    directory: Directory<O>,
     threshold: Option<u64>,
-    pool_policy: PoolPolicy,
     pending_response: Option<O::Response>,
     audit: CounterAudit,
     /// Whether crash-recovery machinery (root reply dedupe) is armed.
     fault_tolerant: bool,
-    /// Stable-storage shadow of the root object (updated on every
-    /// persist effect; survives any crash by construction).
-    stable_object: O,
-    /// Stable-storage shadow of the root's reply history.
-    stable_replies: Vec<(u64, O::Response)>,
     /// The effects of the delivery being handled: filled by
     /// [`NodeEngine::on_event_into`], drained by `apply_effects`, and
     /// kept between deliveries so a delivery allocates no buffer.
@@ -110,28 +98,16 @@ impl<O: RootObject> TreeProtocol<O> {
             .map(|i| NodeEngine::new(ProcessorId::new(i), Arc::clone(&topo), config))
             .collect();
         seed_initial_hosting(&topo, &mut engines, &object);
-        let nodes: Vec<NodeState> =
-            topo.nodes().map(|n| NodeState::new(topo.initial_worker(n))).collect();
-        let audit = CounterAudit::new(&topo);
         TreeProtocol {
+            directory: Directory::new(Arc::clone(&topo), &config, object),
+            audit: CounterAudit::new(&topo),
             topo,
             engines,
-            nodes,
             threshold,
-            pool_policy,
             pending_response: None,
-            audit,
             fault_tolerant: false,
-            stable_object: object,
-            stable_replies: Vec::new(),
             scratch: Vec::new(),
         }
-    }
-
-    /// The pool policy in force.
-    #[must_use]
-    pub fn pool_policy(&self) -> PoolPolicy {
-        self.pool_policy
     }
 
     /// The tree topology.
@@ -155,19 +131,20 @@ impl<O: RootObject> TreeProtocol<O> {
     /// which tracks every fresh application at the root).
     #[must_use]
     pub fn object(&self) -> &O {
-        &self.stable_object
+        self.directory.object()
     }
 
     /// Current worker of `node`.
     #[must_use]
     pub fn worker_of(&self, node: NodeRef) -> ProcessorId {
-        self.nodes[self.topo.flat_index(node)].worker
+        self.directory.node(self.topo.flat_index(node)).worker
     }
 
-    /// Age of `node` in its current stint.
+    /// The fleet's recovery directory (registry, stable storage and the
+    /// watchdog's repair plan).
     #[must_use]
-    pub fn age_of(&self, node: NodeRef) -> u64 {
-        self.nodes[self.topo.flat_index(node)].age
+    pub fn directory(&self) -> &Directory<O> {
+        &self.directory
     }
 
     /// The retirement age threshold in force, if any.
@@ -194,13 +171,6 @@ impl<O: RootObject> TreeProtocol<O> {
         for engine in &mut self.engines {
             engine.set_dedupe(enabled);
         }
-    }
-
-    /// State of the node with flat index `flat` (used by the client's
-    /// watchdog to find crashed or stuck workers).
-    #[must_use]
-    pub fn node_state(&self, flat: usize) -> &NodeState {
-        &self.nodes[flat]
     }
 
     /// The engine of processor `p` (read-only; tests and invariants).
@@ -232,62 +202,28 @@ impl<O: RootObject> TreeProtocol<O> {
             match effect {
                 Effect::Send { to, msg } => out.send(to, msg),
                 Effect::Reply { resp, .. } => self.pending_response = Some(resp),
-                Effect::Retired { node, successor } => {
-                    let flat = self.topo.flat_index(node);
-                    self.nodes[flat].begin_retirement(successor);
-                }
-                Effect::Installed { node, worker, pool_cursor } => {
-                    let flat = self.topo.flat_index(node);
-                    let st = &mut self.nodes[flat];
-                    st.worker = worker;
-                    st.pending_worker = None;
-                    st.handing_off = false;
-                    st.pool_cursor = pool_cursor;
-                }
-                Effect::RecoveryStarted { node, successor } => {
-                    let flat = self.topo.flat_index(node);
-                    self.nodes[flat].begin_recovery(successor);
-                }
-                Effect::Recovered { node, worker, pool_cursor } => {
-                    let flat = self.topo.flat_index(node);
-                    let st = &mut self.nodes[flat];
-                    st.worker = worker;
-                    st.pending_worker = None;
-                    st.handing_off = false;
-                    st.recovering = false;
-                    st.age = 0;
-                    st.pool_cursor = pool_cursor;
-                    if node == NodeRef::ROOT {
-                        // Stable storage restores the object (and the
-                        // reply history for exactly-once) at the new
-                        // worker before any further delivery.
-                        let restore = Event::Restore {
-                            node,
-                            object: self.stable_object.clone(),
-                            reply_cache: self.stable_replies.clone(),
-                        };
+                Effect::Audit(ev) => self.apply_audit(ev),
+                effect => {
+                    // Stable storage restores a recovered root's object
+                    // (and reply history) at the new worker before any
+                    // further delivery.
+                    if let Some((worker, restore)) = self.directory.observe(effect) {
                         let mut fx2 = Vec::new();
                         self.engines[worker.index()].on_event_into(restore, &mut fx2);
                         self.apply_effects(out, &mut fx2);
                     }
                 }
-                Effect::Persist { object, op_seq, resp, .. } => {
-                    self.stable_object = object;
-                    self.stable_replies.push((op_seq, resp));
-                }
-                Effect::Audit(ev) => self.apply_audit(ev),
             }
         }
     }
 
-    /// Maps one audit event onto the ledger and the registry.
+    /// Maps one audit event onto the ledger.
     fn apply_audit(&mut self, ev: AuditEvent) {
         match ev {
             AuditEvent::Handled { node, kind, aged } => {
                 let flat = self.topo.flat_index(node);
                 self.audit.record_kind(kind);
                 self.audit.record_node_msgs(flat, aged);
-                self.nodes[flat].grow_older(aged);
             }
             AuditEvent::Kind(kind) => self.audit.record_kind(kind),
             AuditEvent::Traffic { node, msgs } => {
@@ -299,11 +235,7 @@ impl<O: RootObject> TreeProtocol<O> {
                 let flat = self.topo.flat_index(node);
                 self.audit.record_retirement(node, flat);
             }
-            AuditEvent::PoolExhausted { node } => {
-                let flat = self.topo.flat_index(node);
-                self.audit.record_pool_exhausted(node);
-                self.nodes[flat].age = 0;
-            }
+            AuditEvent::PoolExhausted { node } => self.audit.record_pool_exhausted(node),
             AuditEvent::StintComplete { node, setup_msgs } => {
                 let flat = self.topo.flat_index(node);
                 self.audit.record_stint_complete(flat, setup_msgs);
@@ -352,7 +284,6 @@ mod tests {
         assert_eq!(proto.threshold(), Some(12));
         for node in topo.nodes() {
             assert_eq!(proto.worker_of(node), topo.initial_worker(node));
-            assert_eq!(proto.age_of(node), 0);
             // The engine fleet agrees with the registry.
             assert!(proto.engine_of(topo.initial_worker(node)).hosts(node));
         }
