@@ -25,7 +25,7 @@ impl Invariant for BottleneckAtLeast {
         if !world.ops().iter().all(|o| o.value.is_some()) {
             return Ok(()); // the theorem talks about completed workloads
         }
-        let max = world.loads().iter().max().copied().unwrap_or(0);
+        let max = world.loads().max_load();
         if max < self.k {
             return Err(format!(
                 "all {} ops completed but the bottleneck load is {max} < k = {}",

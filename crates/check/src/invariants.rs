@@ -133,9 +133,9 @@ impl Invariant for LoadBound {
     fn check(&self, world: &World) -> Result<(), String> {
         let k = u64::from(world.topology().order());
         let limit = 20 * k + world.fault_slack() + self.extra;
-        match world.loads().iter().enumerate().max_by_key(|(_, &l)| l) {
-            Some((p, &max)) if max > limit => {
-                Err(format!("processor {p} handled {max} messages, bound is {limit}"))
+        match world.loads().bottleneck() {
+            Some((p, max)) if max > limit => {
+                Err(format!("processor {} handled {max} messages, bound is {limit}", p.index()))
             }
             _ => Ok(()),
         }

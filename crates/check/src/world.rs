@@ -1,28 +1,26 @@
-//! The checker's world: a fleet of [`NodeEngine`]s plus the in-flight
+//! The checker's world: the simulator's fleet driver over an in-flight
 //! message multiset, driven one delivery (or crash) at a time.
 //!
-//! The world is the *driver* seen by the engines — the same role the
-//! simulator's `TreeProtocol` and the threaded backend's worker loop
-//! play — but written for exhaustive exploration: it is cheap to clone,
-//! every transition is explicit, and every observable the invariants
-//! need (values, loads, retirements, contact sets, per-node hosting) is
-//! tracked as the effects stream by. Fault semantics mirror the other
-//! drivers exactly: a crash purges the victim's inbox (dead letters),
-//! drops its future traffic, and resets its engine to factory state.
-//! The registry, the stable storage and the client watchdog's repair
-//! plan are the simulator's own: the world owns one
-//! [`Directory`], feeds it the recovery effects, and at quiescence
-//! injects what its plan yields.
+//! The world owns a [`TreeProtocol`] — the engines, the recovery
+//! directory and the [`CounterAudit`] ledger the simulator drives — and
+//! every delivery runs the fleet's one effect loop. What the world adds is
+//! its transport, written for exhaustive exploration: the in-flight
+//! multiset, whose every transition is explicit and which is cheap to
+//! clone, plus the loads and op states its sends and replies charge.
+//! Fault semantics mirror the other drivers exactly: a crash purges the
+//! victim's inbox (dead letters), drops its future traffic, and resets
+//! its engine to factory state. At quiescence the world injects what the
+//! directory's repair plan yields, as the sim client's watchdog does.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use distctr_core::engine::{
-    seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, Event, Hosted, NodeEngine,
-};
-use distctr_core::node::{Directory, Repair};
+use distctr_core::audit::CounterAudit;
+use distctr_core::engine::{Event, Hosted};
+use distctr_core::node::Repair;
+use distctr_core::protocol::{Transport, TreeProtocol};
 use distctr_core::{CounterMsg, CounterObject, Msg, NodeRef, Topology};
-use distctr_sim::ProcessorId;
+use distctr_sim::{LoadTracker, ProcessorId};
 
 use crate::config::{CheckConfig, Mutation, Workload};
 use crate::schedule::TransKey;
@@ -86,36 +84,98 @@ pub enum Quiescence {
     Final,
 }
 
-/// The explorable state: engines + in-flight messages + fault state +
+/// The checker's transport: the in-flight multiset, plus what the effect
+/// loop's sends and replies change — loads, dead letters, op states.
+#[derive(Debug, Clone)]
+struct Wire {
+    msgs: Vec<InFlight>,
+    next_seq: u64,
+    /// Transitions so far: the step an op starts or completes at.
+    now: u64,
+    crashed: Vec<bool>,
+    loads: LoadTracker,
+    dead_letters: u64,
+    ops: Vec<OpState>,
+    /// The op that the sends being realized are attributed to.
+    op: Option<usize>,
+    /// Seeded bug [`Mutation::ResurrectRetired`] is armed.
+    resurrect: bool,
+    /// The handoff finals sent by the delivery being realized, as
+    /// `(sender, node, state to resurrect under the seeded bug)`.
+    finals: Vec<(ProcessorId, NodeRef, Option<Hosted<CounterObject>>)>,
+}
+
+impl Wire {
+    /// Sends `msg` attributed to `op`.
+    fn post(&mut self, from: ProcessorId, to: ProcessorId, op: Option<usize>, msg: CounterMsg) {
+        self.op = op;
+        self.send(from, to, msg);
+    }
+
+    /// Sends op `i` into the tree at `entry`: one `Apply` carrying the
+    /// op's count. A watchdog re-injection repeats the *same* op_seq and
+    /// count, so the root's reply cache answers retries with the
+    /// original range.
+    fn send_entry(&mut self, topo: &Topology, i: usize, entry: ProcessorId) {
+        let OpState { initiator, count, .. } = self.ops[i];
+        let node = topo.leaf_parent(initiator as u64);
+        let origin = ProcessorId::new(initiator);
+        let msg = Msg::Apply { node, origin, op_seq: i as u64, count, req: () };
+        self.post(origin, entry, Some(i), msg);
+    }
+}
+
+impl Transport<CounterObject> for Wire {
+    /// Charged to the sender before the dead-letter check: a send to a
+    /// crashed processor still costs its sender.
+    fn send(&mut self, from: ProcessorId, to: ProcessorId, msg: CounterMsg) {
+        self.loads.record_send(from);
+        if let Msg::HandoffFinal { transfer } = &msg {
+            // The seeded bug keeps the node at the retiring worker,
+            // rebuilt from the state the handoff carries.
+            let zombie = self.resurrect.then(|| Hosted {
+                age: 0,
+                pool_cursor: transfer.pool_cursor.saturating_sub(1),
+                parent_worker: transfer.parent_worker,
+                child_workers: transfer.child_workers.clone(),
+                object: transfer.object.clone(),
+                reply_cache: transfer.reply_cache.clone(),
+            });
+            self.finals.push((from, transfer.node, zombie));
+        }
+        if self.crashed[to.index()] {
+            self.dead_letters += 1;
+            return;
+        }
+        self.msgs.push(InFlight { seq: self.next_seq, from, to, op: self.op, msg });
+        self.next_seq += 1;
+    }
+
+    fn complete(&mut self, op_seq: u64, resp: u64) {
+        let o = &mut self.ops[usize::try_from(op_seq).expect("op fits usize")];
+        if o.completed_step.is_none() {
+            o.completed_step = Some(self.now);
+            o.value = Some(resp);
+        }
+    }
+}
+
+/// The explorable state: the fleet, its transport, fault state and
 /// observables. Cloned at every branch point.
 #[derive(Debug, Clone)]
 pub struct World {
     cfg: Arc<CheckConfig>,
-    topo: Arc<Topology>,
-    engine_cfg: EngineConfig,
-    engines: Vec<NodeEngine<CounterObject>>,
-    in_flight: Vec<InFlight>,
-    next_seq: u64,
-    now: u64,
+    fleet: TreeProtocol<CounterObject>,
+    wire: Wire,
     deliveries: u64,
-    crashed: Vec<bool>,
     crash_budget_left: u32,
     scripted_fired: Vec<bool>,
-    directory: Directory<CounterObject>,
     next_op: usize,
-    ops: Vec<OpState>,
     watchdog_rounds: u32,
-    loads: Vec<u64>,
     contact: Vec<BTreeSet<usize>>,
     retire_events: Vec<(usize, u64)>,
     installs: Vec<(usize, u64)>,
     root_holders: BTreeSet<usize>,
-    retirements: u64,
-    shim_forwards: u64,
-    recovery_msgs: u64,
-    recoveries: u64,
-    dead_letters: u64,
-    lost: u64,
 }
 
 impl World {
@@ -130,13 +190,6 @@ impl World {
     pub fn new(cfg: &CheckConfig) -> Self {
         let topo = Arc::new(Topology::new(cfg.order()).expect("supported order"));
         let n = usize::try_from(topo.processors()).expect("n fits usize");
-        let engine_cfg = cfg.engine_config();
-        let mut engines: Vec<NodeEngine<CounterObject>> = (0..n)
-            .map(|p| NodeEngine::new(ProcessorId::new(p), Arc::clone(&topo), engine_cfg))
-            .collect();
-        let object = CounterObject::new();
-        seed_initial_hosting(&topo, &mut engines, &object);
-        let directory = Directory::new(Arc::clone(&topo), &engine_cfg, object);
         let warm = cfg.warmup_ops.len();
         let all_initiators: Vec<usize> =
             cfg.warmup_ops.iter().chain(cfg.workload.initiators()).copied().collect();
@@ -169,31 +222,28 @@ impl World {
         let root0 = topo.initial_worker(NodeRef::ROOT).index();
         let mut world = World {
             cfg: Arc::new(cfg.clone()),
-            topo,
-            engine_cfg,
-            engines,
-            in_flight: Vec::new(),
-            next_seq: 0,
-            now: 0,
+            fleet: TreeProtocol::new(topo, cfg.engine_config(), CounterObject::new()),
+            wire: Wire {
+                msgs: Vec::new(),
+                next_seq: 0,
+                now: 0,
+                crashed: vec![false; n],
+                loads: LoadTracker::new(n),
+                dead_letters: 0,
+                ops,
+                op: None,
+                resurrect: cfg.mutation == Some(Mutation::ResurrectRetired),
+                finals: Vec::new(),
+            },
             deliveries: 0,
-            crashed: vec![false; n],
             crash_budget_left: cfg.crash_budget,
             scripted_fired: vec![false; cfg.scripted_crashes.len()],
-            directory,
             next_op: 0,
-            ops,
             watchdog_rounds: 0,
-            loads: vec![0; n],
             contact: vec![BTreeSet::new(); all_initiators.len()],
             retire_events: Vec::new(),
             installs: Vec::new(),
             root_holders: BTreeSet::from([root0]),
-            retirements: 0,
-            shim_forwards: 0,
-            recovery_msgs: 0,
-            recoveries: 0,
-            dead_letters: 0,
-            lost: 0,
         };
         world.fire_scripted_crashes(); // plans with after_deliveries = 0
                                        // Warm-up: deterministic sequential FIFO rounds, no branching.
@@ -204,10 +254,10 @@ impl World {
             }
         }
         if matches!(world.cfg.workload, Workload::Concurrent(_)) {
-            for i in warm..world.ops.len() {
+            for i in warm..world.wire.ops.len() {
                 world.inject_op(i);
             }
-        } else if warm < world.ops.len() {
+        } else if warm < world.wire.ops.len() {
             world.inject_op(warm);
         }
         world
@@ -218,7 +268,7 @@ impl World {
     /// Nothing in flight?
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.in_flight.is_empty()
+        self.wire.msgs.is_empty()
     }
 
     /// The transitions available from this state, in deterministic
@@ -231,7 +281,8 @@ impl World {
     /// recovery permutations.
     pub(crate) fn enabled(&self) -> Vec<TransKey> {
         let mut v: Vec<TransKey> = self
-            .in_flight
+            .wire
+            .msgs
             .iter()
             .map(|m| TransKey::Deliver { seq: m.seq, to: m.to.index() })
             .collect();
@@ -240,7 +291,7 @@ impl World {
                 self.cfg
                     .crash_candidates
                     .iter()
-                    .filter(|&&p| !self.crashed[p])
+                    .filter(|&&p| !self.wire.crashed[p])
                     .map(|&p| TransKey::Crash { p }),
             );
         }
@@ -252,14 +303,14 @@ impl World {
     pub(crate) fn execute(&mut self, key: TransKey) -> bool {
         match key {
             TransKey::Deliver { seq, .. } => {
-                let Some(idx) = self.in_flight.iter().position(|m| m.seq == seq) else {
+                let Some(idx) = self.wire.msgs.iter().position(|m| m.seq == seq) else {
                     return false;
                 };
                 self.deliver_at(idx);
                 true
             }
             TransKey::Crash { p } => {
-                if self.crashed[p] {
+                if self.wire.crashed[p] {
                     return false;
                 }
                 self.crash_budget_left = self.crash_budget_left.saturating_sub(1);
@@ -273,7 +324,8 @@ impl World {
     /// for replay tails).
     pub(crate) fn deliver_oldest(&mut self) {
         let idx = self
-            .in_flight
+            .wire
+            .msgs
             .iter()
             .enumerate()
             .min_by_key(|(_, m)| m.seq)
@@ -286,7 +338,7 @@ impl World {
     /// or terminal.
     pub(crate) fn on_quiescence(&mut self) -> Quiescence {
         debug_assert!(self.is_quiescent());
-        if self.ops.iter().any(OpState::is_open) {
+        if self.wire.ops.iter().any(OpState::is_open) {
             if self.cfg.watchdog && self.watchdog_rounds < MAX_WATCHDOG_ROUNDS {
                 self.watchdog_rounds += 1;
                 if self.watchdog_round() {
@@ -295,7 +347,7 @@ impl World {
             }
             return Quiescence::Final;
         }
-        while self.next_op < self.ops.len() {
+        while self.next_op < self.wire.ops.len() {
             let i = self.next_op;
             self.inject_op(i);
             if !self.is_quiescent() {
@@ -306,18 +358,18 @@ impl World {
     }
 
     /// A deterministic fingerprint of the protocol state: every engine's
-    /// [`NodeEngine::fingerprint`] plus the crash pattern. Comparable
-    /// across drivers via [`combined_fingerprint`].
+    /// [`NodeEngine::fingerprint`](distctr_core::NodeEngine::fingerprint)
+    /// plus the crash pattern. Comparable across drivers via
+    /// [`combined_fingerprint`].
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let fps: Vec<u64> = self.engine_fingerprints();
-        combined_fingerprint(&fps, &self.crashed)
+        combined_fingerprint(&self.engine_fingerprints(), &self.wire.crashed)
     }
 
     /// Per-processor engine fingerprints.
     #[must_use]
     pub fn engine_fingerprints(&self) -> Vec<u64> {
-        self.engines.iter().map(NodeEngine::fingerprint).collect()
+        self.fleet.engine_fingerprints()
     }
 
     /// The whole-system fingerprint: [`World::fingerprint`] (engines +
@@ -329,7 +381,7 @@ impl World {
     #[must_use]
     pub fn full_fingerprint(&self) -> u64 {
         let mut h = self.fingerprint();
-        for o in &self.ops {
+        for o in &self.wire.ops {
             let v = o.value.map_or(0, |v| v + 2) + u64::from(o.injected);
             for word in [v, u64::from(o.attempts), u64::from(o.abandoned)] {
                 h ^= word.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -350,25 +402,31 @@ impl World {
     /// The tree topology.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        self.fleet.topology()
     }
 
     /// Per-op states, in workload order.
     #[must_use]
     pub fn ops(&self) -> &[OpState] {
-        &self.ops
+        &self.wire.ops
     }
 
     /// Per-processor message loads (sends + receives).
     #[must_use]
-    pub fn loads(&self) -> &[u64] {
-        &self.loads
+    pub fn loads(&self) -> &LoadTracker {
+        &self.wire.loads
+    }
+
+    /// The fleet's audit ledger.
+    #[must_use]
+    pub fn audit(&self) -> &CounterAudit {
+        self.fleet.audit()
     }
 
     /// Crash flags per processor.
     #[must_use]
     pub fn crashed(&self) -> &[bool] {
-        &self.crashed
+        &self.wire.crashed
     }
 
     /// Contact set of op `i`: processors that sent or received any of
@@ -378,15 +436,14 @@ impl World {
         &self.contact[i]
     }
 
-    /// Every `Retired` effect seen, as `(flat node index, pool cursor of
-    /// the retiring stint)`.
+    /// Every retirement, as `(flat node index, pool cursor of the
+    /// retiring stint)`.
     #[must_use]
     pub fn retire_events(&self) -> &[(usize, u64)] {
         &self.retire_events
     }
 
-    /// Every `Installed` effect seen, as `(flat node index, pool
-    /// cursor)`.
+    /// Every handoff installed, as `(flat node index, pool cursor)`.
     #[must_use]
     pub fn installs(&self) -> &[(usize, u64)] {
         &self.installs
@@ -403,40 +460,34 @@ impl World {
     /// Live engines currently hosting `node`.
     #[must_use]
     pub fn hosts_of(&self, node: NodeRef) -> Vec<usize> {
-        self.engines
-            .iter()
-            .enumerate()
-            .filter(|(p, e)| !self.crashed[*p] && e.hosts(node))
-            .map(|(p, _)| p)
+        (0..self.wire.crashed.len())
+            .filter(|&p| {
+                !self.wire.crashed[p] && self.fleet.engine_of(ProcessorId::new(p)).hosts(node)
+            })
             .collect()
     }
 
     /// Recovery slack terms of the fault-aware load bound, mirroring the
-    /// chaos grid's accounting: audited recovery messages, completed
-    /// recoveries, and watchdog re-injections.
+    /// chaos grid's accounting: the audit's recovery slack plus the
+    /// watchdog's re-injections.
     #[must_use]
     pub fn fault_slack(&self) -> u64 {
-        let k = u64::from(self.topo.order());
-        let retries: u64 = self.ops.iter().map(|o| u64::from(o.attempts.saturating_sub(1))).sum();
-        self.recovery_msgs + self.recoveries * (k + 1) + retries * 2 * (k + 2)
+        let k = u64::from(self.topology().order());
+        let retries: u64 =
+            self.wire.ops.iter().map(|o| u64::from(o.attempts.saturating_sub(1))).sum();
+        self.audit().fault_slack() + retries * 2 * (k + 2)
     }
 
     /// Ordinary retirements so far (audit events).
     #[must_use]
     pub fn retirements(&self) -> u64 {
-        self.retirements
-    }
-
-    /// Messages dropped for lost state or routing (audit events).
-    #[must_use]
-    pub fn lost(&self) -> u64 {
-        self.lost
+        self.audit().tally().retirements
     }
 
     /// Messages addressed to crashed processors.
     #[must_use]
     pub fn dead_letters(&self) -> u64 {
-        self.dead_letters
+        self.wire.dead_letters
     }
 
     /// Network-wide deliveries so far.
@@ -450,148 +501,64 @@ impl World {
     fn inject_op(&mut self, i: usize) {
         debug_assert_eq!(i, self.next_op);
         self.next_op += 1;
-        let op = &mut self.ops[i];
+        let op = &mut self.wire.ops[i];
         op.injected = true;
-        op.started_step = Some(self.now);
+        op.started_step = Some(self.wire.now);
         op.attempts = 1;
         let initiator = op.initiator;
-        if self.crashed[initiator] {
-            self.ops[i].abandoned = true;
+        if self.wire.crashed[initiator] {
+            self.wire.ops[i].abandoned = true;
             return;
         }
-        let entry = self.directory.reachable_worker(self.topo.leaf_parent(initiator as u64));
-        self.send_entry(i, entry);
-    }
-
-    /// Sends op `i` into the tree at `entry`: one `Apply` carrying the
-    /// op's count. A watchdog re-injection repeats the *same* op_seq and
-    /// count, so the root's reply cache answers retries with the
-    /// original range.
-    fn send_entry(&mut self, i: usize, entry: ProcessorId) {
-        let OpState { initiator, count, .. } = self.ops[i];
-        let node = self.topo.leaf_parent(initiator as u64);
-        let origin = ProcessorId::new(initiator);
-        let msg = Msg::Apply { node, origin, op_seq: i as u64, count, req: () };
-        self.send(origin, entry, Some(i), msg);
+        let topo = self.fleet.topology();
+        let entry = self.fleet.directory().reachable_worker(topo.leaf_parent(initiator as u64));
+        self.wire.send_entry(topo, i, entry);
     }
 
     fn deliver_at(&mut self, idx: usize) {
-        let m = self.in_flight.remove(idx);
-        debug_assert!(!self.crashed[m.to.index()], "no deliveries to crashed processors");
-        self.now += 1;
+        let m = self.wire.msgs.remove(idx);
+        debug_assert!(!self.wire.crashed[m.to.index()], "no deliveries to crashed processors");
+        self.wire.now += 1;
         self.deliveries += 1;
-        self.loads[m.to.index()] += 1;
+        self.wire.loads.record_receive(m.to);
         if let Some(op) = m.op {
             self.contact[op].insert(m.from.index());
             self.contact[op].insert(m.to.index());
         }
-        let mut fx = Vec::new();
-        self.engines[m.to.index()].on_event_into(Event::Deliver { msg: m.msg }, &mut fx);
-        self.apply_effects(m.to, m.op, fx);
+        // A delivered final always installs its node.
+        if let Msg::HandoffFinal { transfer } = &m.msg {
+            self.installs.push((self.topology().flat_index(transfer.node), transfer.pool_cursor));
+        }
+        self.wire.op = m.op;
+        self.fleet.deliver(m.to, Event::Deliver { msg: m.msg }, &mut self.wire);
+        // Each final sent went with one retirement, whose stint's pool
+        // cursor the directory has just advanced past; a node retires
+        // at most once per delivery, and nothing else in it moves that
+        // cursor after the retirement.
+        for (from, node, zombie) in std::mem::take(&mut self.wire.finals) {
+            let flat = self.topology().flat_index(node);
+            let cursor = self.fleet.directory().node(flat).pool_cursor;
+            self.retire_events.push((flat, cursor.checked_sub(1).expect("retirement advanced it")));
+            if let Some(hosted) = zombie {
+                self.fleet.engine_mut(from).install(node, hosted);
+            }
+        }
+        self.root_holders.insert(self.fleet.worker_of(NodeRef::ROOT).index());
         self.fire_scripted_crashes();
     }
 
-    fn apply_effects(&mut self, at: ProcessorId, op: Option<usize>, fx: Effects<CounterObject>) {
-        // Seeded-bug hook: a `Retired` effect resurrects the node at the
-        // retiring worker, rebuilt from the state the handoff carries.
-        let resurrections: Vec<(NodeRef, Hosted<CounterObject>)> =
-            if self.cfg.mutation == Some(Mutation::ResurrectRetired) {
-                fx.iter()
-                    .filter_map(|e| match e {
-                        Effect::Send { msg: Msg::HandoffFinal { transfer }, .. } => Some((
-                            transfer.node,
-                            Hosted {
-                                age: 0,
-                                pool_cursor: transfer.pool_cursor.saturating_sub(1),
-                                parent_worker: transfer.parent_worker,
-                                child_workers: transfer.child_workers.clone(),
-                                object: transfer.object.clone(),
-                                reply_cache: transfer.reply_cache.clone(),
-                            },
-                        )),
-                        _ => None,
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-        for effect in fx {
-            match effect {
-                Effect::Send { to, msg } => self.send(at, to, op, msg),
-                Effect::Reply { op_seq, resp } => {
-                    let o = &mut self.ops[usize::try_from(op_seq).expect("op fits usize")];
-                    if o.completed_step.is_none() {
-                        o.completed_step = Some(self.now);
-                        o.value = Some(resp);
-                    }
-                }
-                Effect::Audit(ev) => match ev {
-                    AuditEvent::Retirement { .. } => self.retirements += 1,
-                    AuditEvent::ShimForward => self.shim_forwards += 1,
-                    AuditEvent::RecoveryMsgs { count } => self.recovery_msgs += count,
-                    AuditEvent::Lost => self.lost += 1,
-                    _ => {}
-                },
-                effect => {
-                    self.record(&effect);
-                    // Stable storage restores a recovered root's object
-                    // at the new worker, as in the simulator driver.
-                    if let Some((worker, restore)) = self.directory.observe(effect) {
-                        let mut fx2 = Vec::new();
-                        self.engines[worker.index()].on_event_into(restore, &mut fx2);
-                        self.apply_effects(worker, op, fx2);
-                    }
-                }
-            }
-        }
-        for (node, hosted) in resurrections {
-            self.engines[at.index()].install(node, hosted);
-        }
-    }
-
-    /// The checker's own observers of the recovery effects, recorded
-    /// before the directory sees them.
-    fn record(&mut self, effect: &Effect<CounterObject>) {
-        match *effect {
-            Effect::Retired { node, .. } => {
-                let flat = self.topo.flat_index(node);
-                self.retire_events.push((flat, self.directory.node(flat).pool_cursor));
-            }
-            Effect::Installed { node, pool_cursor, .. } => {
-                self.installs.push((self.topo.flat_index(node), pool_cursor));
-            }
-            Effect::Recovered { .. } => self.recoveries += 1,
-            _ => {}
-        }
-        if let Effect::Installed { node: NodeRef::ROOT, worker, .. }
-        | Effect::Recovered { node: NodeRef::ROOT, worker, .. } = *effect
-        {
-            self.root_holders.insert(worker.index());
-        }
-    }
-
-    fn send(&mut self, from: ProcessorId, to: ProcessorId, op: Option<usize>, msg: CounterMsg) {
-        self.loads[from.index()] += 1;
-        if self.crashed[to.index()] {
-            self.dead_letters += 1;
-            return;
-        }
-        self.in_flight.push(InFlight { seq: self.next_seq, from, to, op, msg });
-        self.next_seq += 1;
-    }
-
     pub(crate) fn crash(&mut self, p: usize) {
-        if self.crashed[p] {
+        let wire = &mut self.wire;
+        if wire.crashed[p] {
             return;
         }
-        self.crashed[p] = true;
-        let before = self.in_flight.len();
-        self.in_flight.retain(|m| m.to.index() != p);
-        self.dead_letters += (before - self.in_flight.len()) as u64;
+        wire.crashed[p] = true;
+        let before = wire.msgs.len();
+        wire.msgs.retain(|m| m.to.index() != p);
+        wire.dead_letters += (before - wire.msgs.len()) as u64;
         // Fail-silent, no stable state: the engine restarts blank, like
         // the threaded backend's crashed worker.
-        self.engines[p] =
-            NodeEngine::new(ProcessorId::new(p), Arc::clone(&self.topo), self.engine_cfg);
+        self.fleet.engine_mut(ProcessorId::new(p)).reset();
     }
 
     fn fire_scripted_crashes(&mut self) {
@@ -613,42 +580,44 @@ impl World {
     /// routing. Returns whether anything was injected.
     fn watchdog_round(&mut self) -> bool {
         let mut injected = false;
-        for repair in self.directory.repair_plan(|p| self.crashed[p.index()]) {
+        let (topo, directory, wire) =
+            (self.fleet.topology(), self.fleet.directory(), &mut self.wire);
+        for repair in directory.repair_plan(|p| wire.crashed[p.index()]) {
             match repair {
                 Repair::Promote { at, promote } | Repair::Rescue { at, promote } => {
-                    let first_open = self.ops.iter().position(OpState::is_open);
-                    self.send(at, at, first_open, promote);
+                    let first_open = wire.ops.iter().position(OpState::is_open);
+                    wire.post(at, at, first_open, promote);
                     injected = true;
                 }
                 Repair::Stranded { node, .. } => {
-                    for o in &mut self.ops {
+                    for o in &mut wire.ops {
                         let initiator = ProcessorId::new(o.initiator);
-                        if o.is_open() && self.directory.op_path(initiator).contains(&node) {
+                        if o.is_open() && directory.op_path(initiator).contains(&node) {
                             o.abandoned = true;
                         }
                     }
                 }
             }
         }
-        for i in 0..self.ops.len() {
-            if !self.ops[i].is_open() {
+        for i in 0..wire.ops.len() {
+            if !wire.ops[i].is_open() {
                 continue;
             }
-            let initiator = ProcessorId::new(self.ops[i].initiator);
-            if self.crashed[initiator.index()] {
-                self.ops[i].abandoned = true;
+            let initiator = ProcessorId::new(wire.ops[i].initiator);
+            if wire.crashed[initiator.index()] {
+                wire.ops[i].abandoned = true;
                 continue;
             }
-            self.ops[i].attempts += 1;
-            let path = self.directory.op_path(initiator);
-            let entry = self.directory.reachable_worker(path[0]);
-            if !self.crashed[entry.index()] {
-                self.send_entry(i, entry);
+            wire.ops[i].attempts += 1;
+            let path = directory.op_path(initiator);
+            let entry = directory.reachable_worker(path[0]);
+            if !wire.crashed[entry.index()] {
+                wire.send_entry(topo, i, entry);
                 injected = true;
             }
-            if self.ops[i].attempts >= 2 {
-                for (at, msg) in self.directory.path_refresh(&path, |p| self.crashed[p.index()]) {
-                    self.send(at, at, Some(i), msg);
+            if wire.ops[i].attempts >= 2 {
+                for (at, msg) in directory.path_refresh(&path, |p| wire.crashed[p.index()]) {
+                    wire.post(at, at, Some(i), msg);
                     injected = true;
                 }
             }
@@ -673,4 +642,53 @@ pub fn combined_fingerprint(engine_fps: &[u64], crashed: &[bool]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::sweep_cells;
+
+    /// The ledger of each sweep cell driven FIFO to its final state — and
+    /// of the crash cell with processor 0 crashing after four deliveries —
+    /// as `[max load, load sum, retirements, shim forwards, recovery
+    /// messages, recoveries, lost, dead letters, fault slack]`.
+    const FIFO_LEDGERS: [[u64; 9]; 5] = [
+        [10, 16, 0, 0, 0, 0, 0, 0, 0],
+        [22, 42, 1, 0, 0, 0, 0, 0, 0],
+        [24, 52, 1, 1, 0, 0, 0, 0, 0],
+        [8, 16, 0, 0, 0, 0, 0, 0, 0],
+        [40, 100, 1, 1, 38, 2, 0, 4, 60],
+    ];
+
+    #[test]
+    fn a_fifo_run_of_each_sweep_cell_repeats_its_ledger() {
+        let mut cells = sweep_cells();
+        let crash_cell = cells[3].1.clone().scripted_crash(0, 4);
+        cells.push(("n=8 crash after 4 deliveries", crash_cell));
+        for ((name, cfg), want) in cells.into_iter().zip(FIFO_LEDGERS) {
+            let mut w = World::new(&cfg);
+            loop {
+                while !w.is_quiescent() {
+                    w.deliver_oldest();
+                }
+                if w.on_quiescence() == Quiescence::Final {
+                    break;
+                }
+            }
+            let (loads, audit) = (w.loads(), w.audit());
+            let got = [
+                loads.max_load(),
+                loads.to_vec().iter().sum(),
+                w.retirements(),
+                audit.shim_forwards(),
+                audit.recovery_msgs(),
+                audit.recoveries(),
+                audit.tally().lost,
+                w.dead_letters(),
+                w.fault_slack(),
+            ];
+            assert_eq!(got, want, "{name}");
+        }
+    }
 }

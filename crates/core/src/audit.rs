@@ -14,6 +14,9 @@
 //! * **Leaf Node Work Lemma** — O(1) messages per leaf (verified from the
 //!   global load tracker by the experiments).
 
+use std::sync::Arc;
+
+use crate::engine::AuditEvent;
 use crate::topology::{NodeRef, Topology};
 
 /// What one operation did to one node (flat index `flat`).
@@ -24,15 +27,42 @@ struct OpNode {
     retirements: u64,
 }
 
+/// The counts of the audit stream that every driver keeps: ordinary
+/// retirements, shim forwards and lost messages. [`CounterAudit`] keeps
+/// one for a whole fleet; a driver that sees one processor at a time (a
+/// shared-memory slot, a worker thread) keeps one per processor, and its
+/// readers sum them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Ordinary retirements begun.
+    pub retirements: u64,
+    /// Messages a retired worker's shim forwarded to its successor.
+    pub shim_forwards: u64,
+    /// Messages dropped for lost routing or object state.
+    pub lost: u64,
+}
+
+impl Tally {
+    /// Counts `ev` if it is one of the tallied kinds.
+    pub fn count(&mut self, ev: &AuditEvent) {
+        match ev {
+            AuditEvent::Retirement { .. } => self.retirements += 1,
+            AuditEvent::ShimForward => self.shim_forwards += 1,
+            AuditEvent::Lost => self.lost += 1,
+            _ => {}
+        }
+    }
+}
+
 /// Counters and extrema collected while a [`TreeCounter`](crate::TreeCounter)
 /// runs, sufficient to check every lemma of the paper's upper bound.
 #[derive(Debug, Clone)]
 pub struct CounterAudit {
-    k: u32,
+    topo: Arc<Topology>,
+    tally: Tally,
     retirements_by_node: Vec<u64>,
     retirements_by_level: Vec<u64>,
     pool_exhausted_by_level: Vec<u64>,
-    shim_forwards: u64,
     recoveries_by_level: Vec<u64>,
     recovery_msgs: u64,
     stints_completed: u64,
@@ -54,13 +84,14 @@ impl CounterAudit {
     #[must_use]
     pub fn new(topo: &Topology) -> Self {
         let nodes = usize::try_from(topo.inner_node_count()).expect("node count fits usize");
+        let levels = topo.order() as usize + 1;
         CounterAudit {
-            k: topo.order(),
+            topo: Arc::new(topo.clone()),
+            tally: Tally::default(),
             retirements_by_node: vec![0; nodes],
-            retirements_by_level: vec![0; topo.order() as usize + 1],
-            pool_exhausted_by_level: vec![0; topo.order() as usize + 1],
-            shim_forwards: 0,
-            recoveries_by_level: vec![0; topo.order() as usize + 1],
+            retirements_by_level: vec![0; levels],
+            pool_exhausted_by_level: vec![0; levels],
+            recoveries_by_level: vec![0; levels],
             recovery_msgs: 0,
             stints_completed: 0,
             max_stint_msgs: 0,
@@ -100,15 +131,55 @@ impl CounterAudit {
         }
     }
 
-    /// Records `count` messages sent/received by the node with flat index
-    /// `flat` (operational traffic contributing to its age).
-    pub fn record_node_msgs(&mut self, flat: usize, count: u64) {
+    /// Records one audit event the engines emitted.
+    pub fn record(&mut self, ev: AuditEvent) {
+        self.tally.count(&ev);
+        match ev {
+            AuditEvent::Handled { node, kind, aged } => {
+                self.record_kind(kind);
+                self.record_node_msgs(node, aged);
+            }
+            AuditEvent::Kind(kind) => self.record_kind(kind),
+            AuditEvent::Traffic { node, msgs } => self.record_node_msgs(node, msgs),
+            AuditEvent::Retirement { node } => {
+                let flat = self.topo.flat_index(node);
+                self.retirements_by_node[flat] += 1;
+                self.retirements_by_level[node.level as usize] += 1;
+                self.op_node(flat).retirements += 1;
+            }
+            // Expected never under the paper's dimensioning; counted per
+            // level so tests can assert that.
+            AuditEvent::PoolExhausted { node } => {
+                self.pool_exhausted_by_level[node.level as usize] += 1;
+            }
+            // The predecessor's stint ended: fold its count into the
+            // maximum. The successor's setup messages (k+1 handoff parts,
+            // or the rebuild shares) belong to the new stint, so the
+            // Inner Node Work Lemma audit sees the full O(k) per stint.
+            AuditEvent::StintComplete { node, setup_msgs } => {
+                let flat = self.topo.flat_index(node);
+                self.max_stint_msgs = self.max_stint_msgs.max(self.stint_msgs[flat]);
+                self.stint_msgs[flat] = setup_msgs;
+                self.stints_completed += 1;
+            }
+            AuditEvent::Recovery { node } => self.recoveries_by_level[node.level as usize] += 1,
+            // Recovery messages do not age nodes; they are the explicit
+            // slack term of the fault-aware load bound (see
+            // [`CounterAudit::fault_slack`]).
+            AuditEvent::RecoveryMsgs { count } => self.recovery_msgs += count,
+            AuditEvent::ShimForward | AuditEvent::Lost => {}
+        }
+    }
+
+    /// Charges `count` operational messages (which age the node) to
+    /// `node`'s current stint and to this operation.
+    fn record_node_msgs(&mut self, node: NodeRef, count: u64) {
+        let flat = self.topo.flat_index(node);
         self.op_node(flat).msgs += count;
         self.stint_msgs[flat] += count;
     }
 
-    /// Records a message of the given protocol kind.
-    pub fn record_kind(&mut self, kind: &'static str) {
+    fn record_kind(&mut self, kind: &'static str) {
         match self.msgs_by_kind.iter_mut().find(|(k, _)| *k == kind) {
             Some((_, count)) => *count += 1,
             None => {
@@ -118,58 +189,12 @@ impl CounterAudit {
         }
     }
 
-    /// Records a retirement of `node` (flat index `flat`).
-    pub fn record_retirement(&mut self, node: NodeRef, flat: usize) {
-        self.retirements_by_node[flat] += 1;
-        self.retirements_by_level[node.level as usize] += 1;
-        self.op_node(flat).retirements += 1;
-    }
-
-    /// Records that `node`'s age crossed the threshold but its pool had no
-    /// replacement left (expected to never happen under the paper's
-    /// dimensioning; counted per level so tests can assert that).
-    pub fn record_pool_exhausted(&mut self, node: NodeRef) {
-        self.pool_exhausted_by_level[node.level as usize] += 1;
-    }
-
-    /// Records a handoff completion: the stint of the predecessor worker
-    /// ended. Folds its message count into the stint maximum.
-    pub fn record_stint_complete(&mut self, flat: usize, handoff_parts: u64) {
-        // The successor's k+1 received handoff parts belong to the new
-        // stint's setup cost; charge them so the Inner Node Work Lemma
-        // audit sees the full O(k) per stint.
-        let msgs = self.stint_msgs[flat];
-        self.max_stint_msgs = self.max_stint_msgs.max(msgs);
-        self.stint_msgs[flat] = handoff_parts;
-        self.stints_completed += 1;
-    }
-
-    /// Records a shim forward (message that reached a retired worker and
-    /// was forwarded to the successor — the paper's "handshake" traffic).
-    pub fn record_shim_forward(&mut self) {
-        self.shim_forwards += 1;
-    }
-
-    /// Records a completed crash recovery of `node`: its pool successor
-    /// finished rebuilding the state the dead worker never handed off.
-    pub fn record_recovery(&mut self, node: NodeRef) {
-        self.recoveries_by_level[node.level as usize] += 1;
-    }
-
-    /// Records `count` recovery protocol messages (promote / rebuild-query
-    /// / rebuild-share traffic). Recovery messages do not age nodes —
-    /// they are accounted here instead, as the explicit slack term of the
-    /// fault-aware load bound (see [`CounterAudit::fault_slack`]).
-    pub fn record_recovery_msgs(&mut self, count: u64) {
-        self.recovery_msgs += count;
-    }
-
     // --- lemma views -----------------------------------------------------
 
     /// Tree order `k`.
     #[must_use]
     pub fn order(&self) -> u32 {
-        self.k
+        self.topo.order()
     }
 
     /// Operations audited so far.
@@ -212,7 +237,14 @@ impl CounterAudit {
     /// Total shim forwards.
     #[must_use]
     pub fn shim_forwards(&self) -> u64 {
-        self.shim_forwards
+        self.tally.shim_forwards
+    }
+
+    /// The fleet-wide counts of retirements, shim forwards and lost
+    /// messages.
+    #[must_use]
+    pub fn tally(&self) -> Tally {
+        self.tally
     }
 
     /// Completed crash recoveries per level, root first.
@@ -244,7 +276,7 @@ impl CounterAudit {
     /// and watchdog retries — from the fault log; see `tests/chaos.rs`.
     #[must_use]
     pub fn fault_slack(&self) -> u64 {
-        self.recovery_msgs + self.recoveries() * (u64::from(self.k) + 1)
+        self.recovery_msgs + self.recoveries() * (u64::from(self.order()) + 1)
     }
 
     /// Completed worker stints.
@@ -318,6 +350,15 @@ mod tests {
         Topology::new(2).expect("k=2")
     }
 
+    /// `msgs` aging messages charged to the node with flat index `flat`.
+    fn traffic(t: &Topology, flat: usize, msgs: u64) -> AuditEvent {
+        AuditEvent::Traffic { node: t.node_at(flat), msgs }
+    }
+
+    fn retirement(node: NodeRef) -> AuditEvent {
+        AuditEvent::Retirement { node }
+    }
+
     #[test]
     fn fresh_audit_passes_all_lemmas() {
         let t = topo();
@@ -335,14 +376,14 @@ mod tests {
         let t = topo();
         let mut a = CounterAudit::new(&t);
         a.begin_op();
-        a.record_node_msgs(0, 3);
-        a.record_node_msgs(1, 5); // node 1 retires, so excluded
-        a.record_retirement(t.node_at(1), 1);
+        a.record(traffic(&t, 0, 3));
+        a.record(traffic(&t, 1, 5)); // node 1 retires, so excluded
+        a.record(retirement(t.node_at(1)));
         a.end_op();
         assert_eq!(a.max_nonretiring_msgs_per_op(), 3);
         assert!(a.grow_old_lemma_holds());
         a.begin_op();
-        a.record_node_msgs(2, 6);
+        a.record(traffic(&t, 2, 6));
         a.end_op();
         assert_eq!(a.max_nonretiring_msgs_per_op(), 6);
         assert!(!a.grow_old_lemma_holds());
@@ -353,12 +394,12 @@ mod tests {
         let t = topo();
         let mut a = CounterAudit::new(&t);
         a.begin_op();
-        a.record_retirement(t.node_at(0), 0);
+        a.record(retirement(t.node_at(0)));
         a.end_op();
         assert!(a.retirement_lemma_holds());
         a.begin_op();
-        a.record_retirement(t.node_at(0), 0);
-        a.record_retirement(t.node_at(0), 0);
+        a.record(retirement(t.node_at(0)));
+        a.record(retirement(t.node_at(0)));
         a.end_op();
         assert!(!a.retirement_lemma_holds());
         assert_eq!(a.retirements_of(0), 3);
@@ -370,8 +411,8 @@ mod tests {
         let t = topo();
         let mut a = CounterAudit::new(&t);
         a.begin_op();
-        a.record_node_msgs(0, 9);
-        a.record_stint_complete(0, 3);
+        a.record(traffic(&t, 0, 9));
+        a.record(AuditEvent::StintComplete { node: t.node_at(0), setup_msgs: 3 });
         a.end_op();
         assert_eq!(a.max_stint_msgs(), 9);
         assert_eq!(a.stints_completed(), 1);
@@ -379,8 +420,8 @@ mod tests {
         assert!(!a.stint_work_within(8));
         // New stint starts charged with its handoff parts.
         a.begin_op();
-        a.record_node_msgs(0, 1);
-        a.record_stint_complete(0, 3);
+        a.record(traffic(&t, 0, 1));
+        a.record(AuditEvent::StintComplete { node: t.node_at(0), setup_msgs: 3 });
         a.end_op();
         assert_eq!(a.max_stint_msgs(), 9);
     }
@@ -390,7 +431,7 @@ mod tests {
         let t = topo();
         let mut a = CounterAudit::new(&t);
         assert!(a.retirement_counts_within_pools(&t));
-        a.record_pool_exhausted(NodeRef { level: 2, index: 0 });
+        a.record(AuditEvent::PoolExhausted { node: NodeRef { level: 2, index: 0 } });
         assert!(!a.retirement_counts_within_pools(&t));
         assert_eq!(a.pool_exhausted_by_level(), &[0, 0, 1]);
     }
@@ -400,9 +441,8 @@ mod tests {
         let t = topo();
         let mut a = CounterAudit::new(&t);
         let level1 = NodeRef { level: 1, index: 1 };
-        let flat = t.flat_index(level1);
         a.begin_op();
-        a.record_retirement(level1, flat);
+        a.record(retirement(level1));
         a.end_op();
         assert_eq!(a.max_retirements_on_level(&t, 1), 1);
         assert_eq!(a.max_retirements_on_level(&t, 0), 0);
@@ -416,8 +456,8 @@ mod tests {
         let mut a = CounterAudit::new(&t);
         assert_eq!(a.recoveries(), 0);
         assert_eq!(a.fault_slack(), 0);
-        a.record_recovery_msgs(4); // promote + query + 2 shares
-        a.record_recovery(t.node_at(1));
+        a.record(AuditEvent::RecoveryMsgs { count: 4 }); // promote + query + 2 shares
+        a.record(AuditEvent::Recovery { node: t.node_at(1) });
         assert_eq!(a.recoveries(), 1);
         assert_eq!(a.recoveries_by_level(), &[0, 1, 0]);
         assert_eq!(a.recovery_msgs(), 4);
@@ -432,12 +472,14 @@ mod tests {
     fn kind_and_shim_counters() {
         let t = topo();
         let mut a = CounterAudit::new(&t);
-        a.record_kind("inc");
-        a.record_kind("inc");
-        a.record_kind("value");
-        a.record_shim_forward();
-        a.record_kind("apply");
+        a.record(AuditEvent::Kind("inc"));
+        a.record(AuditEvent::Kind("inc"));
+        a.record(AuditEvent::Kind("value"));
+        a.record(AuditEvent::ShimForward);
+        a.record(AuditEvent::Lost);
+        a.record(AuditEvent::Kind("apply"));
         assert_eq!(a.msgs_by_kind(), &[("apply", 1), ("inc", 2), ("value", 1)], "name order");
         assert_eq!(a.shim_forwards(), 1);
+        assert_eq!(a.tally(), Tally { retirements: 0, shim_forwards: 1, lost: 1 });
     }
 }

@@ -1,12 +1,15 @@
 //! The generic tree-object client: any [`RootObject`] served through the
 //! retirement tree with the paper's O(k) bottleneck guarantee.
 
+use std::sync::Arc;
+
 use distctr_sim::{
     DeliveryPolicy, FaultEvent, FaultPlan, FaultStats, LoadTracker, Network, OpId, ProcessorId,
     SimError, SimTime, TraceMode,
 };
 
 use crate::audit::CounterAudit;
+use crate::engine::EngineConfig;
 use crate::error::CoreError;
 use crate::kmath::{exact_order, leaves_of_order, order_for, MAX_ORDER};
 use crate::messages::Msg;
@@ -93,14 +96,20 @@ impl<O: RootObject> TreeClientBuilder<O> {
         let n = usize::try_from(topo.processors()).map_err(|_| {
             CoreError::Order(format!("n = {} does not fit usize", topo.processors()))
         })?;
-        let fault_tolerant = self.faults.is_some();
+        let config = EngineConfig {
+            threshold: self.retirement.threshold(self.k),
+            pool_policy: self.pool,
+            // The simulator's stable storage is unbounded; the cache only
+            // grows in fault-tolerant mode (dedupe off ⇒ handled fresh).
+            reply_cache_cap: usize::MAX,
+            dedupe: self.faults.is_some(),
+            persist: true,
+        };
         let net = match self.faults {
             Some(plan) => Network::with_faults(n, self.trace, self.policy, plan)?,
             None => Network::with_policy(n, self.trace, self.policy)?,
         };
-        let mut proto =
-            TreeProtocol::with_pool_policy(topo, self.retirement, self.pool, self.object);
-        proto.set_fault_tolerant(fault_tolerant);
+        let proto = TreeProtocol::new(Arc::new(topo), config, self.object);
         Ok(TreeClient { net, proto, next_op: 0, watchdog_retries: 0 })
     }
 }
@@ -315,7 +324,7 @@ impl<O: RootObject> TreeClient<O> {
     /// ablation).
     #[must_use]
     pub fn retirement_enabled(&self) -> bool {
-        self.proto.threshold().is_some()
+        self.proto.config().threshold.is_some()
     }
 
     // --- fault tolerance -------------------------------------------------

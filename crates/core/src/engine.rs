@@ -6,16 +6,18 @@
 //! value return, retirement handoff, pool-successor promotion, and crash
 //! recovery — is made in exactly one place: [`NodeEngine::on_event`].
 //! The engine never touches a channel, a clock or a counter directly;
-//! it consumes [`Event`]s and returns pure [`Effect`]s, and each
-//! execution layer is a thin driver that realizes those effects on its
-//! own transport:
+//! it consumes [`Event`]s and returns pure [`Effect`]s. Every driver
+//! realizes them through one loop,
+//! [`realize`](crate::protocol::realize), and supplies only its
+//! transport (where `Send` and `Reply` go) and ledger (where `Audit`
+//! and the registry effects go):
 //!
-//! | driver | `Send` | `Reply` | `Audit` |
-//! |---|---|---|---|
-//! | simulator ([`TreeProtocol`](crate::protocol::TreeProtocol)) | sim network | pending response | [`CounterAudit`](crate::audit::CounterAudit) ledger |
-//! | threads (`distctr-net`) | crossbeam channel | results channel | shared atomic counters |
-//! | shared memory (`distctr-shm`) | arena mailbox | op cell | shared atomic counters |
-//! | model checker (`distctr-check`) | in-flight multiset | op state | world counters |
+//! | driver | transport | ledger |
+//! |---|---|---|
+//! | simulator | sim network; pending response | [`TreeProtocol`](crate::protocol::TreeProtocol) |
+//! | model checker (`distctr-check`) | in-flight multiset; op state | [`TreeProtocol`](crate::protocol::TreeProtocol) |
+//! | shared memory (`distctr-shm`) | arena mailbox; op cell | per-slot [`Tally`](crate::audit::Tally) |
+//! | threads (`distctr-net`) | crossbeam channel; results channel | per-worker [`Tally`](crate::audit::Tally) |
 //!
 //! One engine instance models one *processor* (mirroring the threaded
 //! backend, where all knowledge is local and node state genuinely
@@ -598,6 +600,12 @@ impl<O: RootObject> NodeEngine<O> {
     /// installs go through [`Msg::HandoffFinal`]).
     pub fn install(&mut self, node: NodeRef, hosted: Hosted<O>) {
         self.hosted.insert(self.slot(node), hosted);
+    }
+
+    /// Forgets all hosted, forwarding, buffered and rebuild state, as a
+    /// fail-silent crash with no stable storage does.
+    pub fn reset(&mut self) {
+        *self = NodeEngine::new(self.me, Arc::clone(&self.topo), self.config);
     }
 
     /// A deterministic structural fingerprint of this engine's protocol

@@ -1,22 +1,23 @@
-//! The simulator driver of the protocol engine.
+//! The fleet driver and the one effect loop.
 //!
-//! All protocol decisions live in [`crate::engine::NodeEngine`]; this
-//! module adapts a fleet of per-processor engines (one per simulated
-//! processor) to the discrete-event [`Network`](distctr_sim::Network):
-//! each delivered message becomes an [`Event::Deliver`] for the
-//! receiving processor's engine, and the resulting [`Effect`]s are
-//! realized on simulator facilities:
+//! All protocol decisions live in [`NodeEngine`]; a driver feeds its
+//! engines events and realizes the [`Effect`]s they return. [`realize`]
+//! is that realization, written once for every driver. Sends and
+//! completed operations leave through the driver's [`Transport`]; audit
+//! events and the registry's recovery effects go to its [`Ledger`]:
 //!
-//! * [`Effect::Send`] goes back out through the [`Outbox`] (charged to
-//!   the load tracker like any send);
-//! * [`Effect::Reply`] parks the response for the client to collect at
-//!   quiescence;
-//! * [`Effect::Audit`] entries feed the [`CounterAudit`] lemma ledger;
-//! * the install/retire/recover and [`Effect::Persist`] effects go to
-//!   the fleet's recovery [`Directory`] — the registry of every node's
-//!   current worker and the stable-storage shadow of the root's object
-//!   and reply cache — and a root recovery is answered with the
-//!   [`Event::Restore`] the directory yields.
+//! | driver | transport | ledger |
+//! |---|---|---|
+//! | simulator | the network's `Outbox`; the response parked for the client | [`TreeProtocol`] |
+//! | model checker (`distctr-check`) | the in-flight multiset; the op's state | [`TreeProtocol`] |
+//! | shared memory (`distctr-shm`) | arena mailboxes; op cells | the slot's [`Tally`] |
+//! | threads (`distctr-net`) | channels; the results channel | the worker's [`Tally`] |
+//!
+//! [`TreeProtocol`] is the fleet: one engine per processor, the recovery
+//! [`Directory`] — the registry of every node's current worker and the
+//! stable-storage shadow of the root's object and reply cache — and the
+//! [`CounterAudit`] lemma ledger. A driver with one processor at a time
+//! keeps only a [`Tally`] and ignores the recovery effects.
 //!
 //! The simulator has no timer wheel: watchdog timeouts are realized at
 //! quiescence, where the client injects the directory's repair plan
@@ -27,16 +28,17 @@
 //! Two explicit stable-storage assumptions make root crashes
 //! recoverable: the hosted object's state and the per-operation reply
 //! cache survive a crash of the root's worker; the directory's shadow
-//! models exactly that. The reply cache, with deduplication enabled in
-//! fault-tolerant mode, makes retried operations exactly-once: a re-sent
-//! `Apply` for an operation the root already executed returns the cached
-//! response instead of applying twice.
+//! models exactly that, and a root recovery is answered with the
+//! [`Event::Restore`] it yields. The reply cache, with deduplication
+//! enabled in fault-tolerant mode, makes retried operations exactly-once:
+//! a re-sent `Apply` for an operation the root already executed returns
+//! the cached response instead of applying twice.
 
 use std::sync::Arc;
 
 use distctr_sim::{Outbox, ProcessorId, Protocol};
 
-use crate::audit::CounterAudit;
+use crate::audit::{CounterAudit, Tally};
 use crate::engine::{
     seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, Event, NodeEngine,
 };
@@ -46,66 +48,91 @@ use crate::node::Directory;
 use crate::object::{CounterObject, RootObject};
 use crate::topology::{NodeRef, Topology};
 
-/// The simulator driver: a fleet of per-processor engines plus the
-/// simulator-only facilities (recovery directory, audit ledger, pending
-/// response).
+/// Where a driver's effects leave the engines.
+pub trait Transport<O: RootObject> {
+    /// Processor `from` sends `msg` to `to`.
+    fn send(&mut self, from: ProcessorId, to: ProcessorId, msg: Msg<O>);
+    /// Operation `op_seq` got its response at its initiator.
+    fn complete(&mut self, op_seq: u64, resp: O::Response);
+}
+
+/// Where the effect loop records what is not traffic: audit events, and
+/// the recovery effects of a fleet's registry.
+pub trait Ledger<O: RootObject> {
+    /// Records one audit event.
+    fn record(&mut self, ev: AuditEvent);
+    /// Folds one registry or persistence effect; a driver without a
+    /// registry ignores them.
+    fn observe<T: Transport<O>>(&mut self, _effect: Effect<O>, _net: &mut T) {}
+}
+
+impl<O: RootObject> Ledger<O> for Tally {
+    fn record(&mut self, ev: AuditEvent) {
+        self.count(&ev);
+    }
+}
+
+/// The one effect loop: realizes `fx`, the effects processor `at`'s
+/// engine just emitted, leaving it empty.
+pub fn realize<O: RootObject, T: Transport<O>, L: Ledger<O>>(
+    at: ProcessorId,
+    fx: &mut Effects<O>,
+    net: &mut T,
+    ledger: &mut L,
+) {
+    for effect in fx.drain(..) {
+        match effect {
+            Effect::Send { to, msg } => net.send(at, to, msg),
+            Effect::Reply { op_seq, resp } => net.complete(op_seq, resp),
+            Effect::Audit(ev) => ledger.record(ev),
+            effect => ledger.observe(effect, net),
+        }
+    }
+}
+
+/// One engine per processor of `topo`, in processor order, seeded with
+/// the initial hosting and `object` at the root.
+#[must_use]
+pub fn seeded_engines<O: RootObject>(
+    topo: &Arc<Topology>,
+    config: EngineConfig,
+    object: &O,
+) -> Vec<NodeEngine<O>> {
+    let mut engines: Vec<NodeEngine<O>> = (0..topo.processors() as usize)
+        .map(|i| NodeEngine::new(ProcessorId::new(i), Arc::clone(topo), config))
+        .collect();
+    seed_initial_hosting(topo, &mut engines, object);
+    engines
+}
+
+/// The fleet driver: one engine per processor, the recovery directory
+/// and the audit ledger, plus the response the simulator parks for its
+/// client.
 #[derive(Debug, Clone)]
 pub struct TreeProtocol<O: RootObject = CounterObject> {
     topo: Arc<Topology>,
     engines: Vec<NodeEngine<O>>,
-    /// Registry and stable storage (observer state for the client
-    /// watchdog; engines never read it).
+    /// Registry and stable storage (observer state for the watchdog;
+    /// engines never read it).
     directory: Directory<O>,
-    threshold: Option<u64>,
-    pending_response: Option<O::Response>,
     audit: CounterAudit,
-    /// Whether crash-recovery machinery (root reply dedupe) is armed.
-    fault_tolerant: bool,
+    pending_response: Option<O::Response>,
     /// The effects of the delivery being handled: filled by
-    /// [`NodeEngine::on_event_into`], drained by `apply_effects`, and
-    /// kept between deliveries so a delivery allocates no buffer.
+    /// [`NodeEngine::on_event_into`], drained by [`realize`], and kept
+    /// between deliveries so a delivery allocates no buffer.
     scratch: Effects<O>,
 }
 
 impl<O: RootObject> TreeProtocol<O> {
-    /// Builds the initial protocol state for `topo`, hosting `object` at
-    /// the root.
+    /// The fleet of `topo` under `config`, hosting `object` at the root.
     #[must_use]
-    pub fn new(topo: Topology, retirement: RetirementPolicy, object: O) -> Self {
-        Self::with_pool_policy(topo, retirement, PoolPolicy::OneShot, object)
-    }
-
-    /// Builds the protocol with an explicit pool policy.
-    #[must_use]
-    pub fn with_pool_policy(
-        topo: Topology,
-        retirement: RetirementPolicy,
-        pool_policy: PoolPolicy,
-        object: O,
-    ) -> Self {
-        let topo = Arc::new(topo);
-        let threshold = retirement.threshold(topo.order());
-        let config = EngineConfig {
-            threshold,
-            pool_policy,
-            // The simulator's stable storage is unbounded; the cache only
-            // grows in fault-tolerant mode (dedupe off ⇒ handled fresh).
-            reply_cache_cap: usize::MAX,
-            dedupe: false,
-            persist: true,
-        };
-        let mut engines: Vec<NodeEngine<O>> = (0..topo.processors() as usize)
-            .map(|i| NodeEngine::new(ProcessorId::new(i), Arc::clone(&topo), config))
-            .collect();
-        seed_initial_hosting(&topo, &mut engines, &object);
+    pub fn new(topo: Arc<Topology>, config: EngineConfig, object: O) -> Self {
         TreeProtocol {
+            engines: seeded_engines(&topo, config, &object),
             directory: Directory::new(Arc::clone(&topo), &config, object),
             audit: CounterAudit::new(&topo),
             topo,
-            engines,
-            threshold,
             pending_response: None,
-            fault_tolerant: false,
             scratch: Vec::new(),
         }
     }
@@ -147,10 +174,10 @@ impl<O: RootObject> TreeProtocol<O> {
         &self.directory
     }
 
-    /// The retirement age threshold in force, if any.
+    /// The engines' configuration (every engine shares it).
     #[must_use]
-    pub fn threshold(&self) -> Option<u64> {
-        self.threshold
+    pub fn config(&self) -> EngineConfig {
+        self.engines[0].config()
     }
 
     /// Takes the response delivered to the current operation's initiator.
@@ -158,16 +185,9 @@ impl<O: RootObject> TreeProtocol<O> {
         self.pending_response.take()
     }
 
-    /// Whether crash-recovery machinery is armed.
-    #[must_use]
-    pub fn fault_tolerant(&self) -> bool {
-        self.fault_tolerant
-    }
-
     /// Arms the crash-recovery machinery: the root caches one response
     /// per operation so watchdog retries are exactly-once.
     pub fn set_fault_tolerant(&mut self, enabled: bool) {
-        self.fault_tolerant = enabled;
         for engine in &mut self.engines {
             engine.set_dedupe(enabled);
         }
@@ -177,6 +197,12 @@ impl<O: RootObject> TreeProtocol<O> {
     #[must_use]
     pub fn engine_of(&self, p: ProcessorId) -> &NodeEngine<O> {
         &self.engines[p.index()]
+    }
+
+    /// The engine of processor `p`, for a driver that crashes it or
+    /// seeds a bug into it.
+    pub fn engine_mut(&mut self, p: ProcessorId) -> &mut NodeEngine<O> {
+        &mut self.engines[p.index()]
     }
 
     /// Per-processor engine fingerprints, in processor order — the same
@@ -189,65 +215,45 @@ impl<O: RootObject> TreeProtocol<O> {
         self.engines.iter().map(NodeEngine::fingerprint).collect()
     }
 
-    /// How many rebuild shares a recovery of `node` must collect.
-    #[must_use]
-    pub fn expected_shares(&self, node: NodeRef) -> u32 {
-        crate::engine::expected_shares(&self.topo, node)
+    /// Feeds `event` to processor `at`'s engine and realizes the effects
+    /// through `net`.
+    pub fn deliver<T: Transport<O>>(&mut self, at: ProcessorId, event: Event<O>, net: &mut T) {
+        let mut fx = std::mem::take(&mut self.scratch);
+        self.engines[at.index()].on_event_into(event, &mut fx);
+        realize(at, &mut fx, net, self);
+        self.scratch = fx;
+    }
+}
+
+impl<O: RootObject> Ledger<O> for TreeProtocol<O> {
+    fn record(&mut self, ev: AuditEvent) {
+        self.audit.record(ev);
     }
 
-    /// Realizes one batch of engine effects on the simulator, leaving
-    /// `fx` empty.
-    fn apply_effects(&mut self, out: &mut Outbox<'_, Msg<O>>, fx: &mut Effects<O>) {
-        for effect in fx.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => out.send(to, msg),
-                Effect::Reply { resp, .. } => self.pending_response = Some(resp),
-                Effect::Audit(ev) => self.apply_audit(ev),
-                effect => {
-                    // Stable storage restores a recovered root's object
-                    // (and reply history) at the new worker before any
-                    // further delivery.
-                    if let Some((worker, restore)) = self.directory.observe(effect) {
-                        let mut fx2 = Vec::new();
-                        self.engines[worker.index()].on_event_into(restore, &mut fx2);
-                        self.apply_effects(out, &mut fx2);
-                    }
-                }
-            }
+    fn observe<T: Transport<O>>(&mut self, effect: Effect<O>, net: &mut T) {
+        // Stable storage restores a recovered root's object (and reply
+        // history) at the new worker before any further delivery.
+        if let Some((worker, restore)) = self.directory.observe(effect) {
+            self.deliver(worker, restore, net);
         }
     }
+}
 
-    /// Maps one audit event onto the ledger.
-    fn apply_audit(&mut self, ev: AuditEvent) {
-        match ev {
-            AuditEvent::Handled { node, kind, aged } => {
-                let flat = self.topo.flat_index(node);
-                self.audit.record_kind(kind);
-                self.audit.record_node_msgs(flat, aged);
-            }
-            AuditEvent::Kind(kind) => self.audit.record_kind(kind),
-            AuditEvent::Traffic { node, msgs } => {
-                let flat = self.topo.flat_index(node);
-                self.audit.record_node_msgs(flat, msgs);
-            }
-            AuditEvent::ShimForward => self.audit.record_shim_forward(),
-            AuditEvent::Retirement { node } => {
-                let flat = self.topo.flat_index(node);
-                self.audit.record_retirement(node, flat);
-            }
-            AuditEvent::PoolExhausted { node } => self.audit.record_pool_exhausted(node),
-            AuditEvent::StintComplete { node, setup_msgs } => {
-                let flat = self.topo.flat_index(node);
-                self.audit.record_stint_complete(flat, setup_msgs);
-            }
-            AuditEvent::Recovery { node } => self.audit.record_recovery(node),
-            AuditEvent::RecoveryMsgs { count } => self.audit.record_recovery_msgs(count),
-            AuditEvent::Lost => {
-                // An operation died inside the protocol (object state
-                // missing after an unrecovered crash). The watchdog's
-                // retry loop notices the missing response.
-            }
-        }
+/// The simulator's transport: the network's outbox, which charges each
+/// send to the delivering processor, and the response it parks for the
+/// client.
+struct Sim<'a, 'n, O: RootObject> {
+    out: &'a mut Outbox<'n, Msg<O>>,
+    response: Option<O::Response>,
+}
+
+impl<O: RootObject> Transport<O> for Sim<'_, '_, O> {
+    fn send(&mut self, _from: ProcessorId, to: ProcessorId, msg: Msg<O>) {
+        self.out.send(to, msg);
+    }
+
+    fn complete(&mut self, _op_seq: u64, resp: O::Response) {
+        self.response = Some(resp);
     }
 }
 
@@ -255,16 +261,24 @@ impl<O: RootObject> Protocol for TreeProtocol<O> {
     type Msg = Msg<O>;
 
     fn on_deliver(&mut self, out: &mut Outbox<'_, Self::Msg>, _from: ProcessorId, msg: Self::Msg) {
-        let mut fx = std::mem::take(&mut self.scratch);
-        self.engines[out.me().index()].on_event_into(Event::Deliver { msg }, &mut fx);
-        self.apply_effects(out, &mut fx);
-        self.scratch = fx;
+        let at = out.me();
+        let mut sim = Sim { out, response: None };
+        self.deliver(at, Event::Deliver { msg }, &mut sim);
+        if let Some(resp) = sim.response {
+            self.pending_response = Some(resp);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fleet<O: RootObject>(k: u32, retirement: RetirementPolicy, object: O) -> TreeProtocol<O> {
+        let topo = Arc::new(Topology::new(k).expect("order"));
+        let config = EngineConfig { threshold: retirement.threshold(k), ..EngineConfig::paper(k) };
+        TreeProtocol::new(topo, config, object)
+    }
 
     #[test]
     fn retirement_policy_thresholds() {
@@ -277,11 +291,10 @@ mod tests {
 
     #[test]
     fn fresh_protocol_has_initial_workers_and_zero_value() {
-        let topo = Topology::new(3).expect("k=3");
-        let proto: TreeProtocol =
-            TreeProtocol::new(topo.clone(), RetirementPolicy::PaperDefault, CounterObject::new());
+        let proto = fleet(3, RetirementPolicy::PaperDefault, CounterObject::new());
+        let topo = proto.topology().clone();
         assert_eq!(proto.object().value(), 0);
-        assert_eq!(proto.threshold(), Some(12));
+        assert_eq!(proto.config().threshold, Some(12));
         for node in topo.nodes() {
             assert_eq!(proto.worker_of(node), topo.initial_worker(node));
             // The engine fleet agrees with the registry.
@@ -291,28 +304,22 @@ mod tests {
 
     #[test]
     fn never_policy_disables_threshold() {
-        let topo = Topology::new(2).expect("k=2");
-        let proto: TreeProtocol =
-            TreeProtocol::new(topo, RetirementPolicy::Never, CounterObject::new());
-        assert_eq!(proto.threshold(), None);
+        let proto = fleet(2, RetirementPolicy::Never, CounterObject::new());
+        assert_eq!(proto.config().threshold, None);
     }
 
     #[test]
     fn protocol_hosts_arbitrary_objects() {
         use crate::object::FlipBitObject;
-        let topo = Topology::new(2).expect("k=2");
-        let proto = TreeProtocol::new(topo, RetirementPolicy::PaperDefault, FlipBitObject::new());
+        let proto = fleet(2, RetirementPolicy::PaperDefault, FlipBitObject::new());
         assert!(!proto.object().bit());
     }
 
     #[test]
     fn fault_tolerance_toggle_reaches_every_engine() {
-        let topo = Topology::new(2).expect("k=2");
-        let mut proto: TreeProtocol =
-            TreeProtocol::new(topo, RetirementPolicy::PaperDefault, CounterObject::new());
-        assert!(!proto.fault_tolerant());
+        let mut proto = fleet(2, RetirementPolicy::PaperDefault, CounterObject::new());
+        assert!(!proto.config().dedupe);
         proto.set_fault_tolerant(true);
-        assert!(proto.fault_tolerant());
         assert!(proto.engine_of(ProcessorId::new(3)).config().dedupe);
         proto.set_fault_tolerant(false);
         assert!(!proto.engine_of(ProcessorId::new(0)).config().dedupe);

@@ -19,7 +19,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use distctr_core::engine::{seed_initial_hosting, EngineConfig, NodeEngine, PoolPolicy};
+use distctr_core::engine::{EngineConfig, PoolPolicy};
+use distctr_core::protocol::seeded_engines;
 use distctr_core::{
     kmath, CounterBackend, CounterObject, KeyedReply, Msg, NodeRef, RootObject, Topology,
     DEDUP_WINDOW, DEFAULT_KEY,
@@ -147,17 +148,13 @@ where
             dedupe: true,
             persist: false,
         };
-        let mut engines: Vec<NodeEngine<O>> = (0..processors)
-            .map(|i| NodeEngine::new(ProcessorId::new(i), Arc::clone(&topo), config))
-            .collect();
-        seed_initial_hosting(&topo, &mut engines, &O::default());
+        let engines = seeded_engines(&topo, config, &O::default());
 
         let mut handles = Vec::with_capacity(processors);
         for ((index, rx), engine) in receivers.into_iter().enumerate().zip(engines) {
             let me = ProcessorId::new(index);
             let worker = Worker {
                 me,
-                topo: Arc::clone(&topo),
                 rx,
                 peers: Arc::clone(&peers),
                 shared: Arc::clone(&shared),
@@ -429,21 +426,21 @@ where
     /// Total retirements across the run.
     #[must_use]
     pub fn retirements(&self) -> u64 {
-        self.shared.retirements.load(Ordering::Relaxed)
+        self.shared.total(|t| t.retirements)
     }
 
     /// Messages that arrived at a retired worker and were forwarded to
     /// its pool successor by the retirement shim.
     #[must_use]
     pub fn shim_forwards(&self) -> u64 {
-        self.shared.shim_forwards.load(Ordering::Relaxed)
+        self.shared.total(|t| t.shim_forwards)
     }
 
-    /// Messages dropped because their destination thread was gone or a
-    /// crashed processor discarded them.
+    /// Messages dropped because their destination thread was gone, a
+    /// crashed processor discarded them, or their state was lost.
     #[must_use]
     pub fn dead_letters(&self) -> u64 {
-        self.shared.dead_letters.load(Ordering::Relaxed)
+        self.shared.dead_letters.load(Ordering::Relaxed) + self.shared.total(|t| t.lost)
     }
 
     /// Snapshots every worker's engine fingerprint, in processor order.

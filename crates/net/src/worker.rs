@@ -4,17 +4,20 @@
 //! nothing about the protocol: it owns a [`NodeEngine`] — the same
 //! sans-io state machine the simulator drives — and merely shuttles
 //! events in and effects out. Receive a message, feed it to the engine,
-//! realize the returned effects on the channel mesh (sends, driver
-//! replies, audit counters). All protocol knowledge is local to the
+//! realize the returned effects through the one effect loop, whose
+//! transport here is the channel mesh (sends, driver replies) and whose
+//! ledger is the worker's own [`Tally`]. All protocol knowledge is local to the
 //! engine; node state genuinely migrates between threads inside handoff
 //! messages — there is no shared map of "who serves what" anywhere.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crossbeam_channel::{Receiver, Sender};
-use distctr_core::engine::{AuditEvent, Effect, Event, NodeEngine};
-use distctr_core::{Msg, RootObject, Topology};
+use distctr_core::audit::Tally;
+use distctr_core::engine::{Event, NodeEngine};
+use distctr_core::protocol::{realize, Transport};
+use distctr_core::{Msg, RootObject};
 use distctr_sim::ProcessorId;
 
 use crate::messages::NetMsg;
@@ -26,21 +29,20 @@ use crate::messages::NetMsg;
 /// `ThreadedTreeClient::with_reply_cache`.
 pub const DEFAULT_REPLY_CACHE: usize = 8;
 
-/// Shared accounting: per-processor sent/received counters and the
-/// global in-flight message count used for quiescence detection.
+/// Shared accounting: per-processor sent/received counters and audit
+/// tallies, and the global in-flight message count used for quiescence
+/// detection.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) sent: Vec<AtomicU64>,
     pub(crate) received: Vec<AtomicU64>,
     pub(crate) in_flight: AtomicI64,
-    pub(crate) retirements: AtomicU64,
-    /// Messages that arrived at a retired worker and were forwarded to
-    /// the pool successor by the retirement shim.
-    pub(crate) shim_forwards: AtomicU64,
+    /// Each worker's audit tally, locked once per step by its worker and
+    /// summed by readers.
+    pub(crate) tallies: Vec<Mutex<Tally>>,
     /// Messages abandoned because the destination thread was gone
-    /// (crashed or already shut down) or their state was lost — the
-    /// graceful replacement for the old `expect()` abort on a closed
-    /// channel.
+    /// (crashed or already shut down) — the graceful replacement for the
+    /// old `expect()` abort on a closed channel.
     pub(crate) dead_letters: AtomicU64,
 }
 
@@ -50,16 +52,19 @@ impl Shared {
             sent: (0..n).map(|_| AtomicU64::new(0)).collect(),
             received: (0..n).map(|_| AtomicU64::new(0)).collect(),
             in_flight: AtomicI64::new(0),
-            retirements: AtomicU64::new(0),
-            shim_forwards: AtomicU64::new(0),
+            tallies: (0..n).map(|_| Mutex::new(Tally::default())).collect(),
             dead_letters: AtomicU64::new(0),
         }
+    }
+
+    /// `field` of the workers' tallies, summed.
+    pub(crate) fn total(&self, field: impl Fn(&Tally) -> u64) -> u64 {
+        self.tallies.iter().map(|t| field(&t.lock().unwrap_or_else(PoisonError::into_inner))).sum()
     }
 }
 
 pub(crate) struct Worker<O: RootObject> {
     pub(crate) me: ProcessorId,
-    pub(crate) topo: Arc<Topology>,
     pub(crate) rx: Receiver<NetMsg<O>>,
     pub(crate) peers: Arc<Vec<Sender<NetMsg<O>>>>,
     pub(crate) shared: Arc<Shared>,
@@ -140,8 +145,7 @@ impl<O: RootObject> Worker<O> {
                 self.crashed = true;
                 // All hosted node state dies with the processor: a fresh
                 // engine has no hosting, forwarding, or pending buffers.
-                self.engine =
-                    NodeEngine::new(self.me, Arc::clone(&self.topo), self.engine.config());
+                self.engine.reset();
             }
             // Handled before the crashed guard above.
             NetMsg::Fingerprint { .. } => unreachable!("fingerprints answered eagerly"),
@@ -149,41 +153,26 @@ impl<O: RootObject> Worker<O> {
         }
     }
 
-    /// Feeds one event to the engine and realizes its effects on this
-    /// transport: sends go out on the channel mesh, replies to the
-    /// driver's result channel, and the audit events that have a
-    /// threaded-side counter are tallied. Registry and persistence
-    /// effects have no threaded observer, so they are dropped
-    /// deliberately.
+    /// Feeds one event to the engine and realizes its effects through
+    /// the one effect loop: sends go out on the channel mesh, replies to
+    /// the driver's result channel, audit events to this worker's tally.
     fn step(&mut self, event: Event<O>) {
         let mut fx = Vec::new();
         self.engine.on_event_into(event, &mut fx);
-        for effect in fx {
-            match effect {
-                Effect::Send { to, msg } => self.send(to, NetMsg::Protocol(msg)),
-                Effect::Reply { op_seq, resp } => {
-                    // The driver hung up (shutdown race): drop, don't
-                    // abort.
-                    let _ = self.results.send((op_seq, resp));
-                }
-                Effect::Audit(AuditEvent::ShimForward) => {
-                    self.shared.shim_forwards.fetch_add(1, Ordering::Relaxed);
-                }
-                Effect::Audit(AuditEvent::Retirement { .. }) => {
-                    self.shared.retirements.fetch_add(1, Ordering::Relaxed);
-                }
-                Effect::Audit(AuditEvent::Lost) => {
-                    // State was lost (crash without recovery): the
-                    // operation dies here instead of aborting the run.
-                    self.shared.dead_letters.fetch_add(1, Ordering::Relaxed);
-                }
-                Effect::Retired { .. }
-                | Effect::Installed { .. }
-                | Effect::RecoveryStarted { .. }
-                | Effect::Recovered { .. }
-                | Effect::Persist { .. }
-                | Effect::Audit(_) => {}
-            }
-        }
+        let mut tally =
+            self.shared.tallies[self.me.index()].lock().unwrap_or_else(PoisonError::into_inner);
+        realize(self.me, &mut fx, &mut &*self, &mut *tally);
+    }
+}
+
+/// The channel mesh as the effect loop's transport.
+impl<O: RootObject> Transport<O> for &Worker<O> {
+    fn send(&mut self, _from: ProcessorId, to: ProcessorId, msg: Msg<O>) {
+        Worker::send(self, to, NetMsg::Protocol(msg));
+    }
+
+    fn complete(&mut self, op_seq: u64, resp: O::Response) {
+        // The driver hung up (shutdown race): drop, don't abort.
+        let _ = self.results.send((op_seq, resp));
     }
 }

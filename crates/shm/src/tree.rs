@@ -31,15 +31,14 @@ use std::collections::VecDeque;
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
-use distctr_core::engine::{
-    seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, Event, NodeEngine, PoolPolicy,
-};
+use distctr_core::audit::Tally;
+use distctr_core::engine::{Effects, EngineConfig, Event, NodeEngine, PoolPolicy};
+use distctr_core::protocol::{realize, seeded_engines, Transport};
 use distctr_core::{kmath, CounterBackend, CounterObject, Msg, Topology};
 use distctr_sim::ProcessorId;
 
 use crate::error::ShmError;
 use crate::mailbox::Mailbox;
-use crate::pad::CachePadded;
 use crate::sync::{hint, Arc, AtomicBool, AtomicI64, AtomicU64, Mutex, Ordering};
 
 /// How long a concurrent operation may go without observing any arena
@@ -68,12 +67,6 @@ enum Envelope {
     Invoke { op_seq: u64, count: u64 },
 }
 
-impl Envelope {
-    fn counts_as_load(&self) -> bool {
-        matches!(self, Envelope::Protocol(_))
-    }
-}
-
 /// Where a caller waits for its reply: written once by whichever thread
 /// drains the replying engine, read by the operation's initiator.
 #[derive(Debug)]
@@ -88,15 +81,27 @@ impl OpCell {
     }
 }
 
-/// One processor slot: the protocol brain and its inbox.
+/// One processor slot: the protocol brain and its tallies behind one
+/// lock, and its inbox.
 #[derive(Debug)]
 struct Slot {
-    engine: Mutex<NodeEngine<CounterObject>>,
+    processor: Mutex<Processor>,
     mailbox: Mailbox<Envelope>,
-    /// Protocol messages sent / received by this slot, padded so the
-    /// bake-off's load accounting does not itself create false sharing.
-    sent: CachePadded<AtomicU64>,
-    received: CachePadded<AtomicU64>,
+}
+
+/// What a slot's lock guards: the engine, and the tallies its deliveries
+/// keep while their effects are realized. Only the holder of the slot's
+/// drain right delivers to it, so the lock is never contended by
+/// delivery; readers take each slot's lock in turn and sum.
+#[derive(Debug)]
+struct Processor {
+    engine: NodeEngine<CounterObject>,
+    /// Protocol messages sent and received (the paper's load).
+    sent: u64,
+    received: u64,
+    /// Replies nobody was waiting for (an abandoned stalled op).
+    unclaimed: u64,
+    tally: Tally,
 }
 
 #[derive(Debug)]
@@ -108,9 +113,43 @@ struct Arena {
     in_flight: AtomicI64,
     next_op: AtomicU64,
     pending: Mutex<HashMap<u64, Arc<OpCell>>>,
-    retirements: AtomicU64,
-    shim_forwards: AtomicU64,
-    dead_letters: AtomicU64,
+}
+
+/// The arena's transport: mailbox pushes charged to the delivering
+/// slot, and op cells for completed operations. `on_send` observes every
+/// destination pushed to, so the sequential pump can keep its FIFO
+/// work-list exact; the concurrent pump passes a no-op and discovers
+/// work by scanning.
+struct Mailboxes<'a, F> {
+    arena: &'a Arena,
+    sent: &'a mut u64,
+    unclaimed: &'a mut u64,
+    on_send: F,
+}
+
+impl<F: FnMut(usize)> Transport<CounterObject> for Mailboxes<'_, F> {
+    fn send(&mut self, _from: ProcessorId, to: ProcessorId, msg: Msg<CounterObject>) {
+        *self.sent += 1;
+        self.arena.in_flight.fetch_add(1, Ordering::SeqCst);
+        self.arena.slots[to.index()].mailbox.push(Envelope::Protocol(msg));
+        (self.on_send)(to.index());
+    }
+
+    fn complete(&mut self, op_seq: u64, resp: u64) {
+        // Lock order: the delivering slot, then `pending`; nothing takes
+        // them the other way.
+        let cell =
+            self.arena.pending.lock().unwrap_or_else(PoisonError::into_inner).remove(&op_seq);
+        match cell {
+            Some(cell) => {
+                cell.value.store(resp, Ordering::SeqCst);
+                cell.done.store(true, Ordering::SeqCst);
+            }
+            // A reply nobody is waiting for (an abandoned stalled op):
+            // account it rather than lose it silently.
+            None => *self.unclaimed += 1,
+        }
+    }
 }
 
 /// The retirement-tree counter on a shared-memory arena.
@@ -146,7 +185,7 @@ impl ShmTreeCounter {
         }
         let k = kmath::order_for(n as u64);
         let topo = Arc::new(Topology::new(k).map_err(ShmError::Order)?);
-        let processors = usize::try_from(topo.processors())
+        usize::try_from(topo.processors())
             .map_err(|_| ShmError::Order("n does not fit usize".into()))?;
         // The sim driver's regime: no retries are ever issued (sequential
         // mode waits, concurrent mode never resends), so deduplication
@@ -159,17 +198,17 @@ impl ShmTreeCounter {
             dedupe: false,
             persist: false,
         };
-        let mut engines: Vec<NodeEngine<CounterObject>> = (0..processors)
-            .map(|i| NodeEngine::new(ProcessorId::new(i), Arc::clone(&topo), config))
-            .collect();
-        seed_initial_hosting(&topo, &mut engines, &CounterObject::new());
-        let slots = engines
+        let slots = seeded_engines(&topo, config, &CounterObject::new())
             .into_iter()
             .map(|engine| Slot {
-                engine: Mutex::new(engine),
+                processor: Mutex::new(Processor {
+                    engine,
+                    sent: 0,
+                    received: 0,
+                    unclaimed: 0,
+                    tally: Tally::default(),
+                }),
                 mailbox: Mailbox::new(),
-                sent: CachePadded::new(AtomicU64::new(0)),
-                received: CachePadded::new(AtomicU64::new(0)),
             })
             .collect();
         Ok(ShmTreeCounter {
@@ -179,9 +218,6 @@ impl ShmTreeCounter {
                 in_flight: AtomicI64::new(0),
                 next_op: AtomicU64::new(0),
                 pending: Mutex::new(HashMap::new()),
-                retirements: AtomicU64::new(0),
-                shim_forwards: AtomicU64::new(0),
-                dead_letters: AtomicU64::new(0),
             }),
         })
     }
@@ -229,77 +265,32 @@ impl ShmTreeCounter {
         cell
     }
 
-    /// Delivers one envelope to slot `dest`: feed the engine, realize
-    /// the effects. `fx` is the caller's effect buffer, empty on entry
+    /// Delivers one envelope to slot `dest`: feeds the engine and
+    /// realizes the effects through the one effect loop, all under the
+    /// slot's lock. `fx` is the caller's effect buffer, empty on entry
     /// and on return, so a pump allocates one per call rather than one
-    /// per envelope. `on_send` observes every destination pushed to, so
-    /// the sequential pump can keep its FIFO work-list exact; the
-    /// concurrent pump passes a no-op and discovers work by scanning.
+    /// per envelope.
     fn deliver(
         arena: &Arena,
         dest: usize,
         env: Envelope,
         fx: &mut Effects<CounterObject>,
-        on_send: &mut dyn FnMut(usize),
+        on_send: impl FnMut(usize),
     ) {
-        if env.counts_as_load() {
-            arena.slots[dest].received.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut processor =
+            arena.slots[dest].processor.lock().unwrap_or_else(PoisonError::into_inner);
+        let Processor { engine, sent, received, unclaimed, tally } = &mut *processor;
         let event = match env {
-            Envelope::Protocol(msg) => Event::Deliver { msg },
+            Envelope::Protocol(msg) => {
+                *received += 1;
+                Event::Deliver { msg }
+            }
             Envelope::Invoke { op_seq, count } => Event::InvokeBatch { op_seq, count, req: () },
         };
-        {
-            let mut engine =
-                arena.slots[dest].engine.lock().unwrap_or_else(PoisonError::into_inner);
-            engine.on_event_into(event, fx);
-        }
-        for effect in fx.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    arena.slots[dest].sent.fetch_add(1, Ordering::Relaxed);
-                    arena.in_flight.fetch_add(1, Ordering::SeqCst);
-                    arena.slots[to.index()].mailbox.push(Envelope::Protocol(msg));
-                    on_send(to.index());
-                }
-                Effect::Reply { op_seq, resp } => {
-                    let cell = arena
-                        .pending
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .remove(&op_seq);
-                    match cell {
-                        Some(cell) => {
-                            cell.value.store(resp, Ordering::SeqCst);
-                            cell.done.store(true, Ordering::SeqCst);
-                        }
-                        // A reply nobody is waiting for (an abandoned
-                        // stalled op): account it rather than lose it
-                        // silently.
-                        None => {
-                            arena.dead_letters.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                Effect::Audit(AuditEvent::ShimForward) => {
-                    arena.shim_forwards.fetch_add(1, Ordering::Relaxed);
-                }
-                Effect::Audit(AuditEvent::Retirement { .. }) => {
-                    arena.retirements.fetch_add(1, Ordering::Relaxed);
-                }
-                Effect::Audit(AuditEvent::Lost) => {
-                    arena.dead_letters.fetch_add(1, Ordering::Relaxed);
-                }
-                // Registry and persistence effects have no
-                // shared-memory observer.
-                Effect::Retired { .. }
-                | Effect::Installed { .. }
-                | Effect::RecoveryStarted { .. }
-                | Effect::Recovered { .. }
-                | Effect::Persist { .. }
-                | Effect::Audit(_) => {}
-            }
-        }
+        engine.on_event_into(event, fx);
+        let mut net = Mailboxes { arena, sent, unclaimed, on_send };
+        realize(ProcessorId::new(dest), fx, &mut net, tally);
+        drop(processor);
         arena.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -320,7 +311,7 @@ impl ShmTreeCounter {
         let mut fx = Vec::new();
         while let Some(d) = fifo.pop_front() {
             let Some(item) = arena.slots[d].mailbox.pop() else { continue };
-            Self::deliver(arena, d, item, &mut fx, &mut |to| fifo.push_back(to));
+            Self::deliver(arena, d, item, &mut fx, |to| fifo.push_back(to));
         }
         if cell.done.load(Ordering::SeqCst) {
             Ok(cell.value.load(Ordering::SeqCst))
@@ -359,7 +350,7 @@ impl ShmTreeCounter {
     /// processed (0 if another thread holds the slot's drain right).
     fn drain_slot(arena: &Arena, i: usize) -> usize {
         let mut fx = Vec::new();
-        arena.slots[i].mailbox.drain(|env| Self::deliver(arena, i, env, &mut fx, &mut |_| {}))
+        arena.slots[i].mailbox.drain(|env| Self::deliver(arena, i, env, &mut fx, |_| {}))
     }
 
     /// One cooperative pump pass over every slot; returns envelopes
@@ -431,14 +422,15 @@ impl ShmTreeCounter {
         }
     }
 
+    /// Every slot's processor, locked in turn.
+    fn locked(&self) -> impl Iterator<Item = impl std::ops::Deref<Target = Processor> + '_> {
+        self.arena.slots.iter().map(|s| s.processor.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
     /// Per-processor message loads (sent + received), snapshot.
     #[must_use]
     pub fn loads(&self) -> Vec<u64> {
-        self.arena
-            .slots
-            .iter()
-            .map(|s| s.sent.load(Ordering::Relaxed) + s.received.load(Ordering::Relaxed))
-            .collect()
+        self.locked().map(|p| p.sent + p.received).collect()
     }
 
     /// The bottleneck load `m_b = max_p m_p` so far.
@@ -450,19 +442,19 @@ impl ShmTreeCounter {
     /// Total worker retirements so far.
     #[must_use]
     pub fn retirements(&self) -> u64 {
-        self.arena.retirements.load(Ordering::Relaxed)
+        self.locked().map(|p| p.tally.retirements).sum()
     }
 
     /// Messages forwarded by a retired worker's shim.
     #[must_use]
     pub fn shim_forwards(&self) -> u64 {
-        self.arena.shim_forwards.load(Ordering::Relaxed)
+        self.locked().map(|p| p.tally.shim_forwards).sum()
     }
 
     /// Replies nobody was waiting for plus engine-reported losses.
     #[must_use]
     pub fn dead_letters(&self) -> u64 {
-        self.arena.dead_letters.load(Ordering::Relaxed)
+        self.locked().map(|p| p.unclaimed + p.tally.lost).sum()
     }
 
     /// Snapshots every slot's engine fingerprint, in processor order.
@@ -471,11 +463,7 @@ impl ShmTreeCounter {
     /// engines directly instead of round-tripping fingerprint messages.
     #[must_use]
     pub fn engine_fingerprints(&self) -> Vec<u64> {
-        self.arena
-            .slots
-            .iter()
-            .map(|s| s.engine.lock().unwrap_or_else(PoisonError::into_inner).fingerprint())
-            .collect()
+        self.locked().map(|p| p.engine.fingerprint()).collect()
     }
 }
 
@@ -568,8 +556,8 @@ mod tests {
                 .slots
                 .iter()
                 .find_map(|s| {
-                    let engine = s.engine.lock().unwrap_or_else(PoisonError::into_inner);
-                    engine.hosted(NodeRef::ROOT).map(|h| h.reply_cache.len())
+                    let processor = s.processor.lock().unwrap_or_else(PoisonError::into_inner);
+                    processor.engine.hosted(NodeRef::ROOT).map(|h| h.reply_cache.len())
                 })
                 .expect("quiescent: some processor works for the root")
         };

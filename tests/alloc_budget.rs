@@ -7,9 +7,10 @@
 //! 19,896 heap allocations (1.64 per message); with the engine writing
 //! into the driver's buffer and flat contact sets it made 5,955 (0.49).
 //! With the queue's FIFO run, contact sets built once per op and child
-//! walks that do not allocate it makes 3,413 (0.28). The count depends
-//! on nothing but the code, so a regression shows here exactly, not as
-//! a timing.
+//! walks that do not allocate it makes 3,413 (0.28). The budget is that
+//! count plus about a quarter: 0.35 per message. The count depends on
+//! nothing but the code, so a regression shows here exactly, not as a
+//! timing.
 //!
 //! This file holds one test on purpose: the counter is process-wide, and
 //! a second test running beside it would be counted too.
@@ -50,7 +51,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 #[test]
-fn a_canonical_pass_stays_under_seven_tenths_of_an_allocation_per_message() {
+fn a_canonical_pass_stays_under_seven_twentieths_of_an_allocation_per_message() {
     let mut tree = TreeCounter::builder(1024)
         .expect("n = 4^5")
         .trace(TraceMode::Contacts)
@@ -66,8 +67,8 @@ fn a_canonical_pass_stays_under_seven_tenths_of_an_allocation_per_message() {
     let messages = tree.loads().total_messages();
     assert_eq!(messages, 12_154, "the k = 4 canonical pass is the same pass");
     assert!(
-        allocations * 10 <= messages * 7,
-        "{allocations} allocations for {messages} messages ({:.2} per message); budget 0.7",
+        allocations * 20 <= messages * 7,
+        "{allocations} allocations for {messages} messages ({:.2} per message); budget 0.35",
         allocations as f64 / messages as f64
     );
     println!("{allocations} allocations / {messages} messages");

@@ -18,6 +18,11 @@
 //!   must leave the engines exactly where the simulator's unit-delay
 //!   network does. It has no crash injection, so only the fault-free
 //!   family applies to it.
+//!
+//! The fault-free test also pins the ledger: the arena's per-processor
+//! loads, retirements and shim forwards equal the simulator's, at every
+//! size of the golden table and at n = 1024, since one effect loop
+//! realizes both drivers' effects.
 
 use distctr::check::combined_fingerprint;
 use distctr::core::{NodeRef, PoolPolicy, TreeCounter};
@@ -62,15 +67,48 @@ fn assert_golden(driver: &str, golden: &[(usize, u64)], fingerprint: impl Fn(usi
     }
 }
 
+/// The fault-free workload run to completion on the simulator.
+fn fault_free_sim(n: usize) -> TreeCounter {
+    let mut c = TreeCounter::new(n).expect("counter");
+    for (p, count) in fault_free_ops(n, c.processors()) {
+        if count == 1 { c.inc(p) } else { c.inc_batch(p, count) }.expect("inc");
+    }
+    c
+}
+
+/// The fault-free workload run to completion on the shared-memory arena.
+fn fault_free_shm(n: usize) -> ShmTreeCounter {
+    let mut c = ShmTreeCounter::new(n).expect("arena");
+    for (p, count) in fault_free_ops(n, c.processors()) {
+        if count == 1 { c.inc(p) } else { c.inc_batch(p, count) }.expect("inc");
+    }
+    c
+}
+
+/// `(n, max load, retirements, shim forwards)` of the fault-free
+/// workload, which the simulator and the arena must both report.
+const FAULT_FREE_LEDGER: [(usize, u64, u64, u64); 5] =
+    [(2, 10, 0, 0), (4, 33, 2, 2), (8, 33, 4, 4), (81, 52, 37, 6), (1024, 68, 604, 102)];
+
 #[test]
 fn fault_free_fingerprints_match_the_pre_refactor_backend() {
     assert_golden("simulator fault-free", &FAULT_FREE_GOLDEN, |n| {
-        let mut c = TreeCounter::new(n).expect("counter");
-        for (p, count) in fault_free_ops(n, c.processors()) {
-            if count == 1 { c.inc(p) } else { c.inc_batch(p, count) }.expect("inc");
-        }
-        folded(&c.engine_fingerprints(), &[])
+        folded(&fault_free_sim(n).engine_fingerprints(), &[])
     });
+    // The served driver's ledger is the simulator's, processor for
+    // processor: the same effect loop realizes both.
+    for (n, max_load, retirements, shim_forwards) in FAULT_FREE_LEDGER {
+        let (sim, shm) = (fault_free_sim(n), fault_free_shm(n));
+        let sim_retirements: u64 = sim.audit().retirements_by_level().iter().sum();
+        assert_eq!(shm.loads(), sim.loads().to_vec(), "n={n}: per-processor loads");
+        assert_eq!(shm.retirements(), sim_retirements, "n={n}: retirements");
+        assert_eq!(shm.shim_forwards(), sim.audit().shim_forwards(), "n={n}: shim forwards");
+        assert_eq!(
+            (sim.loads().max_load(), sim_retirements, sim.audit().shim_forwards()),
+            (max_load, retirements, shim_forwards),
+            "n={n}: the recorded ledger"
+        );
+    }
 }
 
 /// The crash-plan workload: `n` fault-tolerant unit incs; halfway, the
@@ -102,10 +140,6 @@ fn crash_plan_fingerprints_match_the_pre_refactor_backend() {
 #[test]
 fn shm_driver_fingerprints_match_the_simulator_goldens() {
     assert_golden("shm fault-free", &FAULT_FREE_GOLDEN, |n| {
-        let mut c = ShmTreeCounter::new(n).expect("arena");
-        for (p, count) in fault_free_ops(n, c.processors()) {
-            if count == 1 { c.inc(p) } else { c.inc_batch(p, count) }.expect("inc");
-        }
-        folded(&c.engine_fingerprints(), &[])
+        folded(&fault_free_shm(n).engine_fingerprints(), &[])
     });
 }
