@@ -99,8 +99,10 @@ impl<O: RootObject> TreeClientBuilder<O> {
         let config = EngineConfig {
             threshold: self.retirement.threshold(self.k),
             pool_policy: self.pool,
-            // The simulator's stable storage is unbounded; the cache only
-            // grows in fault-tolerant mode (dedupe off ⇒ handled fresh).
+            // The simulator's stable storage is unbounded: the root's reply
+            // cache and the directory's stable replies keep one entry per
+            // root response, with or without faults (dedupe only decides
+            // whether a retry is answered from them).
             reply_cache_cap: usize::MAX,
             dedupe: self.faults.is_some(),
             persist: true,

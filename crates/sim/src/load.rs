@@ -40,6 +40,10 @@ impl std::fmt::Display for LoadSummary {
 
 /// Running sent/received counters for every processor in a network.
 ///
+/// A processor's two counters sit side by side, so the receive charged at
+/// a delivery and the sends charged while handling it touch one cache
+/// line.
+///
 /// # Examples
 ///
 /// ```
@@ -53,21 +57,24 @@ impl std::fmt::Display for LoadSummary {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadTracker {
-    sent: Vec<u64>,
-    received: Vec<u64>,
+    /// `[sent, received]` per processor.
+    counts: Vec<[u64; 2]>,
 }
+
+const SENT: usize = 0;
+const RECEIVED: usize = 1;
 
 impl LoadTracker {
     /// Creates a tracker for `processors` processors, all loads zero.
     #[must_use]
     pub fn new(processors: usize) -> Self {
-        LoadTracker { sent: vec![0; processors], received: vec![0; processors] }
+        LoadTracker { counts: vec![[0; 2]; processors] }
     }
 
     /// Number of processors tracked.
     #[must_use]
     pub fn processors(&self) -> usize {
-        self.sent.len()
+        self.counts.len()
     }
 
     /// Records one message sent by `p`.
@@ -76,7 +83,7 @@ impl LoadTracker {
     ///
     /// Panics if `p` is out of range.
     pub fn record_send(&mut self, p: ProcessorId) {
-        self.sent[p.index()] += 1;
+        self.counts[p.index()][SENT] += 1;
     }
 
     /// Records one message received by `p`.
@@ -85,19 +92,19 @@ impl LoadTracker {
     ///
     /// Panics if `p` is out of range.
     pub fn record_receive(&mut self, p: ProcessorId) {
-        self.received[p.index()] += 1;
+        self.counts[p.index()][RECEIVED] += 1;
     }
 
     /// Messages sent by `p` so far.
     #[must_use]
     pub fn sent_by(&self, p: ProcessorId) -> u64 {
-        self.sent[p.index()]
+        self.counts[p.index()][SENT]
     }
 
     /// Messages received by `p` so far.
     #[must_use]
     pub fn received_by(&self, p: ProcessorId) -> u64 {
-        self.received[p.index()]
+        self.counts[p.index()][RECEIVED]
     }
 
     /// The paper's message load `m_p = sent + received`.
@@ -137,7 +144,7 @@ impl LoadTracker {
     /// (sends are counted; each send is eventually received).
     #[must_use]
     pub fn total_messages(&self) -> u64 {
-        self.sent.iter().sum()
+        self.counts.iter().map(|c| c[SENT]).sum()
     }
 
     /// Average load `2 * total / n`: each message contributes to two
@@ -209,8 +216,7 @@ impl LoadTracker {
 
     /// Resets every counter to zero, keeping the processor count.
     pub fn reset(&mut self) {
-        self.sent.iter_mut().for_each(|c| *c = 0);
-        self.received.iter_mut().for_each(|c| *c = 0);
+        self.counts.fill([0; 2]);
     }
 
     /// Element-wise difference `self - earlier`, used to isolate the load
@@ -227,15 +233,14 @@ impl LoadTracker {
             earlier.processors(),
             "snapshots must cover the same network"
         );
-        let diff = |a: &[u64], b: &[u64]| {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| x.checked_sub(*y).expect("snapshot is not earlier"))
-                .collect()
-        };
+        let diff = |x: u64, y: u64| x.checked_sub(y).expect("snapshot is not earlier");
         LoadTracker {
-            sent: diff(&self.sent, &earlier.sent),
-            received: diff(&self.received, &earlier.received),
+            counts: self
+                .counts
+                .iter()
+                .zip(&earlier.counts)
+                .map(|(&[s, r], &[s0, r0])| [diff(s, s0), diff(r, r0)])
+                .collect(),
         }
     }
 }

@@ -44,16 +44,20 @@ pub trait Protocol {
     fn on_deliver(&mut self, out: &mut Outbox<'_, Self::Msg>, from: ProcessorId, msg: Self::Msg);
 }
 
-/// Collects the messages a processor emits while handling one delivery.
-#[derive(Debug)]
+/// The sending side of one delivery: each message the handling processor
+/// emits goes straight to the network's event queue, charged to the
+/// sender at once.
 pub struct Outbox<'a, M> {
     me: ProcessorId,
     op: OpId,
-    now: SimTime,
-    sends: &'a mut Vec<(ProcessorId, M)>,
+    /// The delivery's DAG event, which every send of the handler leaves
+    /// from (under [`TraceMode::Full`]).
+    event: Option<u32>,
+    sent: usize,
+    net: &'a mut Network<M>,
 }
 
-impl<'a, M> Outbox<'a, M> {
+impl<M: Clone + fmt::Debug> Outbox<'_, M> {
     /// The processor currently handling a delivery.
     #[must_use]
     pub fn me(&self) -> ProcessorId {
@@ -70,19 +74,36 @@ impl<'a, M> Outbox<'a, M> {
     /// timer logic stamp deadlines relative to this).
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.net.now
     }
 
     /// Sends `msg` from [`Outbox::me`] to `to`. Delivery time is chosen by
     /// the network's policy; the send is charged to `me` immediately.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is outside the network.
     pub fn send(&mut self, to: ProcessorId, msg: M) {
-        self.sends.push((to, msg));
+        self.net.check_processor(to);
+        self.net.schedule_send(self.op, self.me, to, msg, self.event);
+        self.sent += 1;
     }
 
-    /// Number of messages queued in this outbox so far.
+    /// Number of messages sent while handling this delivery so far.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.sends.len()
+        self.sent
+    }
+}
+
+impl<M> fmt::Debug for Outbox<'_, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Outbox")
+            .field("me", &self.me)
+            .field("op", &self.op)
+            .field("now", &self.net.now)
+            .field("sent", &self.sent)
+            .finish_non_exhaustive()
     }
 }
 
@@ -109,9 +130,6 @@ pub struct Network<M> {
     seq: u64,
     message_cap: u64,
     faults: Option<FaultState>,
-    /// The outbox buffer of the delivery being handled, kept between
-    /// deliveries and runs so handling a message allocates nothing.
-    sends: Vec<(ProcessorId, M)>,
 }
 
 impl<M: Clone + fmt::Debug> Network<M> {
@@ -147,7 +165,6 @@ impl<M: Clone + fmt::Debug> Network<M> {
             seq: 0,
             message_cap: DEFAULT_MESSAGE_CAP,
             faults: None,
-            sends: Vec::new(),
         })
     }
 
@@ -278,6 +295,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
         // The recorder's open op holds its trace source; with tracing off
         // it opens nothing, so the injection path allocates nothing.
         let source = if self.recorder.is_open(op) {
+            self.recorder.record_contact(op, from);
             self.recorder.source(op)
         } else {
             self.recorder.begin_op(op, from, self.now)
@@ -326,7 +344,6 @@ impl<M: Clone + fmt::Debug> Network<M> {
         deadline: Option<SimTime>,
     ) -> Result<RunStats, SimError> {
         let mut delivered: u64 = 0;
-        let mut sends = std::mem::take(&mut self.sends);
         let mut recent: VecDeque<String> = VecDeque::new();
         loop {
             self.apply_due_crashes();
@@ -377,14 +394,9 @@ impl<M: Clone + fmt::Debug> Network<M> {
                 env.sent_from_event,
                 self.now,
             );
-            let mut outbox = Outbox { me: env.to, op: env.op, now: self.now, sends: &mut sends };
+            let mut outbox = Outbox { me: env.to, op: env.op, event, sent: 0, net: self };
             protocol.on_deliver(&mut outbox, env.from, env.msg);
-            for (to, msg) in sends.drain(..) {
-                self.check_processor(to);
-                self.schedule_send(env.op, env.to, to, msg, event);
-            }
         }
-        self.sends = sends;
         Ok(RunStats { delivered, end_time: self.now })
     }
 
@@ -414,7 +426,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
         sent_from_event: Option<u32>,
     ) {
         self.loads.record_send(from);
-        self.recorder.record_send(op, from);
+        self.recorder.record_send(op);
         if let Some(faults) = &mut self.faults {
             // Fault decisions happen at send time: the sender has paid
             // for the send either way.
@@ -494,6 +506,79 @@ mod tests {
         let dag = trace.dag.expect("full trace");
         assert_eq!(dag.arc_count(), 7);
         assert_eq!(dag.sources().len(), 1);
+    }
+
+    /// Processor 1 answers the injected message (payload 0) with three
+    /// sends, to 2, 3 and 0 in that order; processor 2 forwards its one
+    /// to 3. Every delivery is logged as `(from, to, payload)`.
+    #[derive(Default)]
+    struct Fanout {
+        delivered: Vec<(usize, usize, u32)>,
+        /// `Outbox::pending` before and after each send of the fan-out.
+        pending: Vec<usize>,
+    }
+    impl Protocol for Fanout {
+        type Msg = u32;
+        fn on_deliver(&mut self, out: &mut Outbox<'_, u32>, from: ProcessorId, msg: u32) {
+            self.delivered.push((from.index(), out.me().index(), msg));
+            match msg {
+                0 => {
+                    self.pending.push(out.pending());
+                    for (to, payload) in [(2, 10), (3, 11), (0, 12)] {
+                        out.send(p(to), payload);
+                        self.pending.push(out.pending());
+                    }
+                }
+                10 => out.send(p(3), 20),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn sends_of_one_delivery_are_scheduled_in_send_order() {
+        let cases = [
+            (DeliveryPolicy::Fifo, [(0, 1, 0), (1, 2, 10), (1, 3, 11), (1, 0, 12), (2, 3, 20)], 3),
+            (DeliveryPolicy::Lifo, [(0, 1, 0), (1, 0, 12), (1, 3, 11), (1, 2, 10), (2, 3, 20)], 3),
+            // The fan-out's first send (the script's second delay) stalls
+            // until t = 6, so the other two overtake it.
+            (
+                DeliveryPolicy::scripted([1, 5, 1, 1]),
+                [(0, 1, 0), (1, 3, 11), (1, 0, 12), (1, 2, 10), (2, 3, 20)],
+                7,
+            ),
+        ];
+        for (policy, expected, end) in cases {
+            let label = format!("{policy:?}");
+            let mut net = Network::with_policy(4, TraceMode::Full, policy).expect("net");
+            let mut fanout = Fanout::default();
+            net.inject(OpId::new(0), p(0), p(1), 0);
+            let stats = net.run_to_quiescence(&mut fanout).expect("quiesce");
+            assert_eq!(fanout.delivered, expected, "{label}");
+            assert_eq!(fanout.pending, [0, 1, 2, 3], "{label}");
+            assert_eq!(stats, RunStats { delivered: 5, end_time: SimTime::from_ticks(end) });
+            assert_eq!(net.loads().to_vec(), [2, 4, 2, 2], "{label}");
+            let trace = net.finish_op(OpId::new(0)).expect("trace");
+            assert_eq!((trace.messages, trace.contacts.len()), (5, 4), "{label}");
+            assert_eq!(trace.dag.expect("full trace").arc_count(), 5, "{label}");
+        }
+    }
+
+    #[test]
+    fn an_injection_into_an_open_op_adds_its_sender_to_the_contacts() {
+        for mode in [TraceMode::Contacts, TraceMode::Full] {
+            let mut net = Network::new(6, mode).expect("net");
+            let op = OpId::new(3);
+            // A chain 0 -> 1 -> 2 -> 3.
+            net.inject(op, p(0), p(1), 2);
+            net.run_to_quiescence(&mut Ring { n: 6 }).expect("quiesce");
+            // A retry from processor 5, which the op has not contacted.
+            net.inject(op, p(5), p(4), 0);
+            net.run_to_quiescence(&mut Ring { n: 6 }).expect("quiesce");
+            let trace = net.finish_op(op).expect("trace");
+            assert_eq!(trace.messages, 4, "{mode:?}");
+            assert_eq!(trace.contacts, (0..6).map(p).collect(), "{mode:?}");
+        }
     }
 
     #[test]

@@ -147,7 +147,8 @@ struct OpBuilder {
     op: OpId,
     initiator: ProcessorId,
     messages: u64,
-    /// Every sender and recipient so far, unsorted and with repeats;
+    /// The initiator, every recipient and every sender that injected
+    /// into the open op so far, unsorted and with repeats;
     /// [`TraceRecorder::finish_op`] turns it into the contact set.
     contacts: Vec<ProcessorId>,
     dag: Option<CommDag>,
@@ -239,12 +240,24 @@ impl TraceRecorder {
         self.open.iter_mut().find(|b| b.op == op)
     }
 
-    /// Records a message of `op` sent by `from`. Returns nothing; the arc
-    /// is completed by [`TraceRecorder::record_delivery`].
-    pub fn record_send(&mut self, op: OpId, from: ProcessorId) {
+    /// Records a message of `op`. Returns nothing; the arc is completed
+    /// by [`TraceRecorder::record_delivery`].
+    ///
+    /// The sender is not added to the contacts: a message sent while a
+    /// delivery is handled leaves the processor that delivery has just
+    /// recorded, and an injected one leaves the op's initiator or a
+    /// processor recorded through [`TraceRecorder::record_contact`].
+    pub fn record_send(&mut self, op: OpId) {
         if let Some(b) = self.builder(op) {
             b.messages += 1;
-            b.contacts.push(from);
+        }
+    }
+
+    /// Adds `p` to the contacts of `op`, if `op` is being recorded: the
+    /// sender of a message injected into an op already open.
+    pub fn record_contact(&mut self, op: OpId, p: ProcessorId) {
+        if let Some(b) = self.builder(op) {
+            b.contacts.push(p);
         }
     }
 
@@ -368,9 +381,9 @@ mod tests {
         r.begin_op(a, p(0), SimTime::ZERO);
         r.begin_op(b, p(5), SimTime::from_ticks(2));
         assert!(r.is_open(a) && r.is_open(b));
-        r.record_send(a, p(0));
-        r.record_send(b, p(5));
-        r.record_send(b, p(6));
+        r.record_send(a);
+        r.record_send(b);
+        r.record_send(b);
         r.record_delivery(b, p(5), p(6), None, SimTime::from_ticks(3));
         r.record_delivery(a, p(0), p(1), None, SimTime::from_ticks(4));
         // The op opened first finishes first; the other stays open.
@@ -391,7 +404,7 @@ mod tests {
         // The other order: the op opened last finishes first.
         r.begin_op(a, p(0), SimTime::ZERO);
         r.begin_op(b, p(5), SimTime::ZERO);
-        r.record_send(a, p(2));
+        r.record_send(a);
         assert_eq!(r.finish_op(b).expect("b recorded").messages, 0);
         assert_eq!(r.finish_op(a).expect("a recorded").messages, 1);
     }
@@ -400,7 +413,7 @@ mod tests {
     fn recorder_off_records_nothing() {
         let mut r = TraceRecorder::new(TraceMode::Off);
         assert_eq!(r.begin_op(OpId::new(0), p(0), SimTime::ZERO), None);
-        r.record_send(OpId::new(0), p(0));
+        r.record_send(OpId::new(0));
         assert_eq!(r.finish_op(OpId::new(0)), None);
     }
 
@@ -409,7 +422,7 @@ mod tests {
         let mut r = TraceRecorder::new(TraceMode::Contacts);
         let op = OpId::new(1);
         assert_eq!(r.begin_op(op, p(0), SimTime::ZERO), None, "no DAG source in contacts mode");
-        r.record_send(op, p(0));
+        r.record_send(op);
         r.record_delivery(op, p(0), p(1), None, SimTime::from_ticks(4));
         let t = r.finish_op(op).expect("trace recorded");
         assert_eq!(t.messages, 1);
@@ -424,10 +437,10 @@ mod tests {
         let mut r = TraceRecorder::new(TraceMode::Full);
         let op = OpId::new(2);
         let src = r.begin_op(op, p(0), SimTime::ZERO).expect("source node");
-        r.record_send(op, p(0));
+        r.record_send(op);
         let e1 =
             r.record_delivery(op, p(0), p(1), Some(src), SimTime::from_ticks(1)).expect("event");
-        r.record_send(op, p(1));
+        r.record_send(op);
         let _e2 =
             r.record_delivery(op, p(1), p(2), Some(e1), SimTime::from_ticks(2)).expect("event");
         let t = r.finish_op(op).expect("trace");
@@ -442,7 +455,7 @@ mod tests {
         let mut r = TraceRecorder::new(TraceMode::Full);
         let op = OpId::new(3);
         r.begin_op(op, p(0), SimTime::ZERO);
-        r.record_send(op, p(5));
+        r.record_send(op);
         r.record_delivery(op, p(5), p(6), None, SimTime::from_ticks(3));
         let t = r.finish_op(op).expect("trace");
         let dag = t.dag.expect("dag");
@@ -454,7 +467,8 @@ mod tests {
     #[test]
     fn unknown_op_is_ignored() {
         let mut r = TraceRecorder::new(TraceMode::Full);
-        r.record_send(OpId::new(9), p(0));
+        r.record_send(OpId::new(9));
+        r.record_contact(OpId::new(9), p(2));
         assert_eq!(r.record_delivery(OpId::new(9), p(0), p(1), None, SimTime::ZERO), None);
         assert!(!r.is_open(OpId::new(9)));
     }
