@@ -9,7 +9,7 @@ use distctr_sim::{
 };
 
 use crate::audit::CounterAudit;
-use crate::engine::EngineConfig;
+use crate::engine::{EngineConfig, REPLY_CACHE_CAP};
 use crate::error::CoreError;
 use crate::kmath::{exact_order, leaves_of_order, order_for, MAX_ORDER};
 use crate::messages::Msg;
@@ -99,11 +99,13 @@ impl<O: RootObject> TreeClientBuilder<O> {
         let config = EngineConfig {
             threshold: self.retirement.threshold(self.k),
             pool_policy: self.pool,
-            // The simulator's stable storage is unbounded: the root's reply
-            // cache and the directory's stable replies keep one entry per
-            // root response, with or without faults (dedupe only decides
-            // whether a retry is answered from them).
-            reply_cache_cap: usize::MAX,
+            // The root's reply cache and the directory's stable copy of it
+            // keep the last `REPLY_CACHE_CAP` root responses, with or
+            // without faults (dedupe only decides whether a retry is
+            // answered from them). The client runs one operation at a
+            // time and retries only that one, so the newest entry is the
+            // only one a retry can ask for.
+            reply_cache_cap: REPLY_CACHE_CAP,
             dedupe: self.faults.is_some(),
             persist: true,
         };
@@ -506,6 +508,55 @@ impl<O: RootObject> TreeClient<O> {
 mod tests {
     use super::*;
     use crate::object::{FlipBitObject, PqRequest, PqResponse, PriorityQueueObject};
+    use crate::TreeCounter;
+
+    #[test]
+    fn retries_stay_exactly_once_past_the_reply_cache_cap() {
+        const OPS: u64 = 600;
+        // Recycling pools keep the root recoverable past the canonical
+        // 81 ops.
+        let plan = FaultPlan::new(38).drop_prob(0.02).dup_prob(0.05);
+        let mut c = TreeCounter::builder(81)
+            .expect("builder")
+            .pool(PoolPolicy::Recycling)
+            .faults(plan)
+            .build()
+            .expect("counter");
+        let mut values = Vec::new();
+        let mut cache_checks = 0;
+        for i in 0..OPS {
+            if i == OPS / 2 {
+                let victim = c.worker_of(NodeRef::ROOT);
+                c.crash(victim);
+            }
+            // A crashed processor cannot initiate; its neighbour does.
+            let mut initiator = ProcessorId::new(i as usize % 81);
+            if c.is_crashed(initiator) {
+                initiator = ProcessorId::new((initiator.index() + 1) % 81);
+            }
+            values.push(c.inc_fault_tolerant(initiator).expect("inc").value);
+            // Both copies hold exactly the newest replies, up to the cap;
+            // op `s` got value `s`. Right after the crash this is what
+            // the restore carried, plus the op that ran on it.
+            let newest: Vec<(u64, u64)> =
+                ((i + 1).saturating_sub(REPLY_CACHE_CAP as u64)..=i).map(|s| (s, s)).collect();
+            let stable: Vec<(u64, u64)> = c.proto.directory().stable_replies().copied().collect();
+            assert_eq!(stable, newest, "op {i}: stable storage");
+            // Between a dropped handoff and the watchdog's repair nobody
+            // hosts the root; the registry names the worker it last saw.
+            let root = c.proto.engine_of(c.worker_of(NodeRef::ROOT)).hosted(NodeRef::ROOT);
+            if let Some(root) = root.filter(|_| !c.is_crashed(c.worker_of(NodeRef::ROOT))) {
+                let cache: Vec<(u64, u64)> = root.reply_cache.iter().copied().collect();
+                assert_eq!(cache, newest, "op {i}: the root's reply cache");
+                cache_checks += 1;
+            }
+        }
+        assert_eq!(values, (0..OPS).collect::<Vec<_>>(), "exactly once, gap-free");
+        let faults = c.fault_stats();
+        assert!(faults.drops > 0 && faults.dups > 0, "the plan injected faults: {faults:?}");
+        assert!(c.watchdog_retries() > 0, "lost ops were retried");
+        assert!(cache_checks > OPS * 9 / 10, "the root was hosted after most ops: {cache_checks}");
+    }
 
     #[test]
     fn flip_bit_through_the_tree() {

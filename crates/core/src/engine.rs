@@ -106,6 +106,13 @@ pub enum PoolPolicy {
     Recycling,
 }
 
+/// Entries the root's reply cache keeps (oldest evicted first), and with
+/// it the directory's stable copy of the cache. A driver retries only
+/// the operations it has open, so the cache needs to reach back no
+/// further than that. At least 81, so an n ≤ 81 canonical pass evicts
+/// nothing.
+pub const REPLY_CACHE_CAP: usize = 256;
+
 /// Static per-run parameters of a [`NodeEngine`]. The two drivers differ
 /// only here — protocol transitions are identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,13 +138,14 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// The paper's configuration for an order-`k` tree: retire at `4k`,
-    /// one-shot pools, no dedupe, no stable storage.
+    /// one-shot pools, a reply cache of [`REPLY_CACHE_CAP`], no dedupe,
+    /// no stable storage.
     #[must_use]
     pub fn paper(k: u32) -> Self {
         EngineConfig {
             threshold: Some(kmath::retirement_threshold(k)),
             pool_policy: PoolPolicy::OneShot,
-            reply_cache_cap: usize::MAX,
+            reply_cache_cap: REPLY_CACHE_CAP,
             dedupe: false,
             persist: false,
         }
@@ -415,29 +423,37 @@ impl<T> NodeSlots<T> {
     fn insert(&mut self, key: u32, value: T) {
         match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
             Ok(i) => self.entries[i].1 = value,
-            Err(i) => {
-                // A first push would reserve four slots, and an engine
-                // keeps its run after retiring from the node: at k = 5
-                // that is 13,700 engines holding three idle slots each,
-                // 40 % of the simulator's resident memory.
-                if self.entries.is_empty() {
-                    self.entries.reserve_exact(1);
-                }
-                self.entries.insert(i, (key, value));
-            }
+            Err(i) => self.insert_at(i, key, value),
         }
+    }
+
+    /// Inserts a new key at its sorted position `i`. A first push would
+    /// reserve four slots, and most engines host one node at a time: at
+    /// k = 5 that is 13,700 engines holding three idle slots each, 40 %
+    /// of the simulator's resident memory.
+    fn insert_at(&mut self, i: usize, key: u32, value: T) {
+        if self.entries.is_empty() {
+            self.entries.reserve_exact(1);
+        }
+        self.entries.insert(i, (key, value));
         self.audit();
     }
 
+    /// Removes `key`. The run that becomes empty frees its buffer: a
+    /// processor that retired from its only node keeps nothing of it (at
+    /// k = 5, 881 KiB of one-slot `hosted` runs after a canonical pass).
     fn remove(&mut self, key: u32) -> Option<T> {
-        match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => {
-                let (_, value) = self.entries.remove(i);
-                self.audit();
-                Some(value)
-            }
-            Err(_) => None,
+        let i = self.entries.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        let (_, value) = self.entries.remove(i);
+        if self.entries.is_empty() {
+            self.entries = Vec::new();
         }
+        self.audit();
+        Some(value)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
     /// The slot for `key`, inserting `T::default()` if absent (the
@@ -449,8 +465,7 @@ impl<T> NodeSlots<T> {
         let i = match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
             Ok(i) => i,
             Err(i) => {
-                self.entries.insert(i, (key, T::default()));
-                self.audit();
+                self.insert_at(i, key, T::default());
                 i
             }
         };
@@ -513,6 +528,18 @@ pub fn seed_initial_hosting<O: RootObject>(
     }
 }
 
+/// The engine's tables for nodes in transit to this processor. Both are
+/// empty in all but a handful of engines at any moment, so they live
+/// behind one box that exists only while one of them holds an entry.
+#[derive(Debug, Clone)]
+struct Transit<O: RootObject> {
+    /// Messages for nodes whose handoff has not arrived here yet.
+    pending: NodeSlots<Vec<Msg<O>>>,
+    /// In-flight rebuilds: per node, the distinct neighbours that
+    /// answered so far with the worker each reported.
+    rebuilding: NodeSlots<NodeSlots<ProcessorId>>,
+}
+
 /// The per-processor protocol state machine. See the module docs.
 #[derive(Debug, Clone)]
 pub struct NodeEngine<O: RootObject> {
@@ -524,11 +551,9 @@ pub struct NodeEngine<O: RootObject> {
     /// Nodes this processor retired from, with the successor to forward
     /// to (the shim).
     forwarding: NodeSlots<ProcessorId>,
-    /// Messages for nodes whose handoff has not arrived here yet.
-    pending: NodeSlots<Vec<Msg<O>>>,
-    /// In-flight rebuilds: per node, the distinct neighbours that
-    /// answered so far with the worker each reported.
-    rebuilding: NodeSlots<NodeSlots<ProcessorId>>,
+    /// Buffered messages and in-flight rebuilds; `None` while both are
+    /// empty.
+    transit: Option<Box<Transit<O>>>,
 }
 
 impl<O: RootObject> NodeEngine<O> {
@@ -542,8 +567,21 @@ impl<O: RootObject> NodeEngine<O> {
             config,
             hosted: NodeSlots::new(),
             forwarding: NodeSlots::new(),
-            pending: NodeSlots::new(),
-            rebuilding: NodeSlots::new(),
+            transit: None,
+        }
+    }
+
+    /// The transit tables, allocated on first use.
+    fn transit_mut(&mut self) -> &mut Transit<O> {
+        self.transit.get_or_insert_with(|| {
+            Box::new(Transit { pending: NodeSlots::new(), rebuilding: NodeSlots::new() })
+        })
+    }
+
+    /// Frees the transit tables once both are empty again.
+    fn settle_transit(&mut self) {
+        if self.transit.as_ref().is_some_and(|t| t.pending.is_empty() && t.rebuilding.is_empty()) {
+            self.transit = None;
         }
     }
 
@@ -628,11 +666,15 @@ impl<O: RootObject> NodeEngine<O> {
             self.hosted.iter().map(|(s, h)| (self.node_of(s), h)).collect();
         let forwarding: BTreeMap<NodeRef, &ProcessorId> =
             self.forwarding.iter().map(|(s, w)| (self.node_of(s), w)).collect();
-        let pending: BTreeMap<NodeRef, &Vec<Msg<O>>> =
-            self.pending.iter().map(|(s, msgs)| (self.node_of(s), msgs)).collect();
-        let rebuilding: BTreeMap<NodeRef, BTreeMap<NodeRef, &ProcessorId>> = self
-            .rebuilding
+        let transit = self.transit.as_deref();
+        let pending: BTreeMap<NodeRef, &Vec<Msg<O>>> = transit
             .iter()
+            .flat_map(|t| t.pending.iter())
+            .map(|(s, msgs)| (self.node_of(s), msgs))
+            .collect();
+        let rebuilding: BTreeMap<NodeRef, BTreeMap<NodeRef, &ProcessorId>> = transit
+            .iter()
+            .flat_map(|t| t.rebuilding.iter())
             .map(|(s, shares)| {
                 (self.node_of(s), shares.iter().map(|(s2, w)| (self.node_of(s2), w)).collect())
             })
@@ -701,8 +743,15 @@ impl<O: RootObject> NodeEngine<O> {
                 fx.push(Effect::Audit(AuditEvent::Kind("reply")));
                 fx.push(Effect::Reply { op_seq, resp });
             }
-            Msg::HandoffPart { .. } => {
+            Msg::HandoffPart { node, .. } => {
                 // Unit parts only carry load; the final part installs.
+                // A part also names this processor the node's successor,
+                // so a shim entry left from an earlier stint (recycling
+                // pools) is stale: it points back into the pool, and with
+                // the final lost in transit the node's traffic would
+                // circle between the two forever. From here on that
+                // traffic waits in the pending buffer.
+                self.forwarding.remove(self.slot(node));
                 fx.push(Effect::Audit(AuditEvent::Kind("handoff")));
             }
             Msg::HandoffFinal { transfer } => self.on_handoff_final(*transfer, fx),
@@ -744,7 +793,7 @@ impl<O: RootObject> NodeEngine<O> {
             fx.push(Effect::Send { to: successor, msg });
         } else {
             // The handoff has not reached us yet; deliver when it does.
-            self.pending.get_or_default(slot).push(msg);
+            self.transit_mut().pending.get_or_default(slot).push(msg);
         }
     }
 
@@ -889,7 +938,7 @@ impl<O: RootObject> NodeEngine<O> {
         }
         // (Re-)start the collection: a repeated promotion is the retry
         // path when rebuild traffic is itself lost.
-        self.rebuilding.insert(slot, NodeSlots::new());
+        self.transit_mut().rebuilding.insert(slot, NodeSlots::new());
         fx.push(Effect::RecoveryStarted { node, successor: self.me });
         let queries = neighbours.len() as u64;
         for (neighbour, worker) in neighbours {
@@ -916,7 +965,8 @@ impl<O: RootObject> NodeEngine<O> {
         // Every *distinct* neighbour must answer (a duplicated share
         // must not complete the rebuild with a neighbour missing).
         let needed = expected_shares(&self.topo, node);
-        let Some(collected) = self.rebuilding.get_mut(slot) else {
+        let Some(transit) = self.transit.as_deref_mut() else { return };
+        let Some(collected) = transit.rebuilding.get_mut(slot) else {
             // Late or duplicated share, no rebuild in flight: ignore.
             return;
         };
@@ -924,7 +974,8 @@ impl<O: RootObject> NodeEngine<O> {
         if (collected.len() as u32) < needed {
             return;
         }
-        let collected = self.rebuilding.remove(slot).expect("present above");
+        let collected = transit.rebuilding.remove(slot).expect("present above");
+        self.settle_transit();
         // Align the pool cursor with the promoted worker so a later
         // ordinary retirement continues from the right place.
         let pool = self.topo.pool(node);
@@ -1085,10 +1136,14 @@ impl<O: RootObject> NodeEngine<O> {
     }
 
     fn replay_pending(&mut self, node: NodeRef, fx: &mut Effects<O>) {
-        if let Some(buffered) = self.pending.remove(self.slot(node)) {
-            for msg in buffered {
-                self.on_msg(msg, fx);
-            }
+        let slot = self.slot(node);
+        let Some(buffered) = self.transit.as_deref_mut().and_then(|t| t.pending.remove(slot))
+        else {
+            return;
+        };
+        self.settle_transit();
+        for msg in buffered {
+            self.on_msg(msg, fx);
         }
     }
 }
@@ -1420,6 +1475,13 @@ mod tests {
         let s = sends(&fx);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].0.index() as u64, topo.pool(node).start + 1, "forwarded to successor");
+        // A recycling pool hands the node back: from its first part on,
+        // the shim entry is stale, and traffic waits for the final.
+        let part = Msg::HandoffPart { node, part: 0, total: 3 };
+        step(&mut engines[me.index()], Event::Deliver { msg: part });
+        let early = Msg::Apply { node, origin: p(0), op_seq: 10, count: 1, req: () };
+        let fx = step(&mut engines[me.index()], Event::Deliver { msg: early });
+        assert!(sends(&fx).is_empty(), "buffered, not sent back around the pool");
     }
 
     #[test]
@@ -1547,6 +1609,58 @@ mod tests {
             s[0].1,
             Msg::RebuildShare { node: n, neighbour, worker } if *n == node && *neighbour == NodeRef::ROOT && *worker == p(0)
         ));
+    }
+
+    #[test]
+    fn an_engine_without_transit_state_fits_in_112_bytes() {
+        // Four words of identity and configuration, two slot runs and the
+        // transit box: the size of every idle processor of a simulated
+        // fleet.
+        assert!(std::mem::size_of::<NodeEngine<CounterObject>>() <= 112);
+        let (_, engines) = fleet(2, EngineConfig::paper(2));
+        assert!(engines.iter().all(|e| e.transit.is_none()), "seeding buffers nothing");
+    }
+
+    #[test]
+    fn the_transit_box_is_freed_once_its_tables_drain() {
+        let (topo, mut engines) = fleet(2, EngineConfig::paper(2));
+        let node = NodeRef { level: 1, index: 0 };
+        let successor = topo.pool(node).start as usize + 1;
+        let early = Msg::Apply { node, origin: p(0), op_seq: 0, count: 1, req: () };
+        step(&mut engines[successor], Event::Deliver { msg: early });
+        assert!(engines[successor].transit.is_some(), "the early apply is buffered");
+        let transfer = NodeTransfer {
+            node,
+            pool_cursor: 1,
+            parent_worker: Some(p(0)),
+            child_workers: vec![p(0), p(2)],
+            object: None,
+            reply_cache: VecDeque::new(),
+        };
+        let handoff = Msg::HandoffFinal { transfer: Box::new(transfer) };
+        step(&mut engines[successor], Event::Deliver { msg: handoff });
+        assert!(engines[successor].transit.is_none(), "the replay emptied the buffer");
+    }
+
+    #[test]
+    fn a_run_frees_its_buffer_with_its_last_entry_and_regrows_by_one() {
+        let mut slots = NodeSlots::new();
+        for key in [7, 3, 5] {
+            slots.insert(key, u64::from(key));
+        }
+        assert_eq!(slots.iter().map(|(k, _)| k).collect::<Vec<_>>(), [3, 5, 7]);
+        assert_eq!(slots.remove(5), Some(5));
+        assert_eq!(slots.remove(5), None, "already gone");
+        assert_eq!(slots.remove(3), Some(3));
+        assert!(slots.entries.capacity() > 0, "one entry left");
+        assert_eq!(slots.remove(7), Some(7));
+        assert_eq!(slots.entries.capacity(), 0, "the empty run holds no buffer");
+        *slots.get_or_default(4) += 1;
+        assert_eq!(slots.entries.capacity(), 1, "a first insert reserves one slot");
+        slots.insert(2, 9);
+        slots.insert(6, 8);
+        assert_eq!(slots.iter().collect::<Vec<_>>(), [(2, &9), (4, &1), (6, &8)]);
+        slots.audit();
     }
 
     #[test]

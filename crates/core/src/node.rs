@@ -18,6 +18,7 @@
 //! compute the client watchdog's repairs from that view and the caller's
 //! crash flags, and the driver only injects them.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use distctr_sim::ProcessorId;
@@ -106,8 +107,11 @@ pub struct Directory<O: RootObject> {
     /// Stable-storage shadow of the root object (updated on every
     /// persist effect; survives any crash by construction).
     stable_object: O,
-    /// Stable-storage shadow of the root's reply history.
-    stable_replies: Vec<(u64, O::Response)>,
+    /// Stable-storage shadow of the root's reply cache: its last
+    /// `reply_cache_cap` entries, oldest first.
+    stable_replies: VecDeque<(u64, O::Response)>,
+    /// The engines' reply-cache cap, which the shadow keeps too.
+    reply_cache_cap: usize,
 }
 
 impl<O: RootObject> Directory<O> {
@@ -122,7 +126,8 @@ impl<O: RootObject> Directory<O> {
             pool_policy: config.pool_policy,
             persist: config.persist,
             stable_object: object,
-            stable_replies: Vec::new(),
+            stable_replies: VecDeque::new(),
+            reply_cache_cap: config.reply_cache_cap,
         }
     }
 
@@ -136,6 +141,12 @@ impl<O: RootObject> Directory<O> {
     #[must_use]
     pub(crate) fn object(&self) -> &O {
         &self.stable_object
+    }
+
+    /// The root's replies as stable storage last saw them, oldest first.
+    #[cfg(test)]
+    pub(crate) fn stable_replies(&self) -> impl Iterator<Item = &(u64, O::Response)> {
+        self.stable_replies.iter()
     }
 
     /// Folds one engine effect into the registry and the stable-storage
@@ -168,13 +179,16 @@ impl<O: RootObject> Directory<O> {
                 *self.state_mut(node) = NodeState { pool_cursor, ..NodeState::new(worker) };
                 if node == NodeRef::ROOT && self.persist {
                     let object = self.stable_object.clone();
-                    let reply_cache = self.stable_replies.clone();
+                    let reply_cache = self.stable_replies.iter().cloned().collect();
                     return Some((worker, Event::Restore { node, object, reply_cache }));
                 }
             }
             Effect::Persist { object, op_seq, resp, .. } => {
                 self.stable_object = object;
-                self.stable_replies.push((op_seq, resp));
+                self.stable_replies.push_back((op_seq, resp));
+                if self.stable_replies.len() > self.reply_cache_cap {
+                    self.stable_replies.pop_front();
+                }
             }
             Effect::Send { .. } | Effect::Reply { .. } | Effect::Audit(_) => {}
         }
@@ -464,6 +478,31 @@ mod tests {
                 None => assert!(!persist),
                 Some(other) => panic!("not a restore: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_root_restore_carries_the_newest_replies_up_to_the_cap() {
+        let topo = Arc::new(Topology::new(2).expect("k=2"));
+        let config = EngineConfig { persist: true, ..EngineConfig::paper(2) };
+        let cap = config.reply_cache_cap as u64;
+        let mut dir = Directory::new(Arc::clone(&topo), &config, CounterObject::new());
+        let mut object = CounterObject::new();
+        for op_seq in 0..cap + 50 {
+            let resp = object.apply(());
+            let persist =
+                Effect::Persist { node: NodeRef::ROOT, object: object.clone(), op_seq, resp };
+            assert!(dir.observe(persist).is_none());
+            assert!(dir.stable_replies.len() as u64 <= cap, "op {op_seq}: within the cap");
+        }
+        let recovered = Effect::Recovered { node: NodeRef::ROOT, worker: p(1), pool_cursor: 1 };
+        match dir.observe(recovered) {
+            Some((_, Event::Restore { object, reply_cache, .. })) => {
+                assert_eq!(object.value(), cap + 50);
+                let newest: Vec<(u64, u64)> = (50..cap + 50).map(|s| (s, s)).collect();
+                assert_eq!(reply_cache, newest, "the last `cap` replies, oldest first");
+            }
+            other => panic!("not a restore: {other:?}"),
         }
     }
 }

@@ -32,7 +32,7 @@ use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
 use distctr_core::audit::Tally;
-use distctr_core::engine::{Effects, EngineConfig, Event, NodeEngine, PoolPolicy};
+use distctr_core::engine::{Effects, EngineConfig, Event, NodeEngine, PoolPolicy, REPLY_CACHE_CAP};
 use distctr_core::protocol::{realize, seeded_engines, Transport};
 use distctr_core::{kmath, CounterBackend, CounterObject, Msg, Topology};
 use distctr_sim::ProcessorId;
@@ -46,13 +46,6 @@ use crate::sync::{hint, Arc, AtomicBool, AtomicI64, AtomicU64, Mutex, Ordering};
 /// forever (a fault-free arena never stalls; this bounds CI damage if a
 /// protocol bug ever black-holes a reply).
 const STALL_AFTER: Duration = Duration::from_secs(30);
-
-/// Entries the root keeps in its reply cache. This driver never retries
-/// (deduplication is off), so nothing reads the cache; the cap bounds
-/// what the root carries from handoff to handoff. It is at least 81, so
-/// an n ≤ 81 canonical pass evicts nothing and its final engine state is
-/// the sim's, entry for entry.
-const REPLY_CACHE_CAP: usize = 256;
 
 /// A message to a processor slot: one shared-protocol message, or a
 /// driver-level invoke. Mirrors `distctr-net`'s `NetMsg`, minus the
@@ -190,7 +183,8 @@ impl ShmTreeCounter {
         // The sim driver's regime: no retries are ever issued (sequential
         // mode waits, concurrent mode never resends), so deduplication
         // stays off — the configuration whose final state the conformance
-        // goldens pin.
+        // goldens pin. Nothing reads the reply cache; its cap bounds what
+        // the root carries from handoff to handoff, and is the sim's.
         let config = EngineConfig {
             threshold: Some(kmath::retirement_threshold(k)),
             pool_policy: PoolPolicy::OneShot,

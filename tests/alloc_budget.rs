@@ -7,9 +7,12 @@
 //! 19,896 heap allocations (1.64 per message); with the engine writing
 //! into the driver's buffer and flat contact sets it made 5,955 (0.49).
 //! With the queue's FIFO run, contact sets built once per op and child
-//! walks that do not allocate it made 3,413 (0.28), and with sends
-//! scheduled straight from the outbox it makes 3,409 (0.28). The budget
-//! is 0.35 per message, about a quarter above that count. The count depends on
+//! walks that do not allocate it made 3,413 (0.28), with sends
+//! scheduled straight from the outbox 3,409 (0.28), and with emptied
+//! tables freeing their buffers it makes 3,487 (0.29): a processor that
+//! buffers traffic or serves a node again after its tables drained
+//! allocates them anew. The budget is 0.35
+//! per message, about a fifth above that count. The count depends on
 //! nothing but the code, so a regression shows here exactly, not as a
 //! timing.
 //!
