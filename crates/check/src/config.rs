@@ -221,14 +221,9 @@ impl CheckConfig {
                 PoolPolicy::OneShot => "PoolPolicy::OneShot",
                 PoolPolicy::Recycling => "PoolPolicy::Recycling",
             };
-            let cap = if e.reply_cache_cap == usize::MAX {
-                "usize::MAX".to_string()
-            } else {
-                e.reply_cache_cap.to_string()
-            };
             code.push_str(&format!(
                 ".engine(EngineConfig {{ threshold: {:?}, pool_policy: {pool}, \
-                 reply_cache_cap: {cap}, dedupe: {}, persist: {} }})",
+                 dedupe: {}, persist: {} }})",
                 e.threshold, e.dedupe, e.persist
             ));
         }

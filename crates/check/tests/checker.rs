@@ -18,7 +18,6 @@ fn eager_retirement() -> EngineConfig {
     EngineConfig {
         threshold: Some(2),
         pool_policy: PoolPolicy::OneShot,
-        reply_cache_cap: usize::MAX,
         dedupe: false,
         persist: false,
     }

@@ -9,7 +9,7 @@ use distctr_sim::{
 };
 
 use crate::audit::CounterAudit;
-use crate::engine::{EngineConfig, REPLY_CACHE_CAP};
+use crate::engine::EngineConfig;
 use crate::error::CoreError;
 use crate::kmath::{exact_order, leaves_of_order, order_for, MAX_ORDER};
 use crate::messages::Msg;
@@ -105,7 +105,6 @@ impl<O: RootObject> TreeClientBuilder<O> {
             // answered from them). The client runs one operation at a
             // time and retries only that one, so the newest entry is the
             // only one a retry can ask for.
-            reply_cache_cap: REPLY_CACHE_CAP,
             dedupe: self.faults.is_some(),
             persist: true,
         };
@@ -508,10 +507,10 @@ impl<O: RootObject> TreeClient<O> {
 mod tests {
     use super::*;
     use crate::object::{FlipBitObject, PqRequest, PqResponse, PriorityQueueObject};
-    use crate::TreeCounter;
+    use crate::{TreeCounter, REPLY_CACHE_CAP};
 
     #[test]
-    fn retries_stay_exactly_once_past_the_reply_cache_cap() {
+    fn retries_stay_exactly_once_as_the_reply_cache_evicts() {
         const OPS: u64 = 600;
         // Recycling pools keep the root recoverable past the canonical
         // 81 ops.

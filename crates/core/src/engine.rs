@@ -48,6 +48,7 @@ use distctr_sim::ProcessorId;
 use crate::kmath;
 use crate::messages::{Msg, NodeTransfer};
 use crate::object::RootObject;
+use crate::serve::push_capped;
 use crate::topology::{NodeRef, Topology};
 
 /// A protocol timestamp. The engine keeps no clock: this type survives
@@ -106,13 +107,6 @@ pub enum PoolPolicy {
     Recycling,
 }
 
-/// Entries the root's reply cache keeps (oldest evicted first), and with
-/// it the directory's stable copy of the cache. A driver retries only
-/// the operations it has open, so the cache needs to reach back no
-/// further than that. At least 81, so an n ≤ 81 canonical pass evicts
-/// nothing.
-pub const REPLY_CACHE_CAP: usize = 256;
-
 /// Static per-run parameters of a [`NodeEngine`]. The two drivers differ
 /// only here — protocol transitions are identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,8 +116,6 @@ pub struct EngineConfig {
     pub threshold: Option<u64>,
     /// How replacement pools are consumed.
     pub pool_policy: PoolPolicy,
-    /// Root reply-cache capacity (oldest entries evicted beyond it).
-    pub reply_cache_cap: usize,
     /// Whether the root answers duplicate `op_seq`s from the reply cache
     /// (exactly-once retries). The threaded driver always dedupes; the
     /// simulator arms this with its fault-tolerant mode so fault-free
@@ -138,14 +130,12 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// The paper's configuration for an order-`k` tree: retire at `4k`,
-    /// one-shot pools, a reply cache of [`REPLY_CACHE_CAP`], no dedupe,
-    /// no stable storage.
+    /// one-shot pools, no dedupe, no stable storage.
     #[must_use]
     pub fn paper(k: u32) -> Self {
         EngineConfig {
             threshold: Some(kmath::retirement_threshold(k)),
             pool_policy: PoolPolicy::OneShot,
-            reply_cache_cap: REPLY_CACHE_CAP,
             dedupe: false,
             persist: false,
         }
@@ -842,10 +832,7 @@ impl<O: RootObject> NodeEngine<O> {
                     return;
                 };
                 let resp = object.apply_batch(req, count);
-                h.reply_cache.push_back((op_seq, resp.clone()));
-                if h.reply_cache.len() > self.config.reply_cache_cap {
-                    h.reply_cache.pop_front();
-                }
+                push_capped(&mut h.reply_cache, (op_seq, resp.clone()));
                 if self.config.persist {
                     fx.push(Effect::Persist {
                         node,

@@ -62,6 +62,8 @@ pub use object::{
     CounterObject, FlipBitObject, MaxRegisterObject, PriorityQueueObject, RootObject,
 };
 pub use protocol::{PoolPolicy, RetirementPolicy, TreeProtocol};
-pub use serve::{CounterBackend, KeyedReply, KeyspaceStats, DEDUP_WINDOW, DEFAULT_KEY};
+pub use serve::{
+    CounterBackend, KeyedReply, KeyspaceStats, ReplyWindow, DEFAULT_KEY, REPLY_CACHE_CAP,
+};
 pub use structures::{DistributedFlipBit, DistributedPriorityQueue};
 pub use topology::{NodeRef, Topology};

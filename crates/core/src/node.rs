@@ -26,6 +26,7 @@ use distctr_sim::ProcessorId;
 use crate::engine::{Effect, EngineConfig, Event, PoolPolicy};
 use crate::messages::Msg;
 use crate::object::RootObject;
+use crate::serve::push_capped;
 use crate::topology::{NodeRef, Topology};
 
 /// Registry record of one inner tree node.
@@ -108,10 +109,8 @@ pub struct Directory<O: RootObject> {
     /// persist effect; survives any crash by construction).
     stable_object: O,
     /// Stable-storage shadow of the root's reply cache: its last
-    /// `reply_cache_cap` entries, oldest first.
+    /// [`REPLY_CACHE_CAP`](crate::REPLY_CACHE_CAP) entries, oldest first.
     stable_replies: VecDeque<(u64, O::Response)>,
-    /// The engines' reply-cache cap, which the shadow keeps too.
-    reply_cache_cap: usize,
 }
 
 impl<O: RootObject> Directory<O> {
@@ -127,7 +126,6 @@ impl<O: RootObject> Directory<O> {
             persist: config.persist,
             stable_object: object,
             stable_replies: VecDeque::new(),
-            reply_cache_cap: config.reply_cache_cap,
         }
     }
 
@@ -185,10 +183,7 @@ impl<O: RootObject> Directory<O> {
             }
             Effect::Persist { object, op_seq, resp, .. } => {
                 self.stable_object = object;
-                self.stable_replies.push_back((op_seq, resp));
-                if self.stable_replies.len() > self.reply_cache_cap {
-                    self.stable_replies.pop_front();
-                }
+                push_capped(&mut self.stable_replies, (op_seq, resp));
             }
             Effect::Send { .. } | Effect::Reply { .. } | Effect::Audit(_) => {}
         }
@@ -485,7 +480,7 @@ mod tests {
     fn a_root_restore_carries_the_newest_replies_up_to_the_cap() {
         let topo = Arc::new(Topology::new(2).expect("k=2"));
         let config = EngineConfig { persist: true, ..EngineConfig::paper(2) };
-        let cap = config.reply_cache_cap as u64;
+        let cap = crate::REPLY_CACHE_CAP as u64;
         let mut dir = Directory::new(Arc::clone(&topo), &config, CounterObject::new());
         let mut object = CounterObject::new();
         for op_seq in 0..cap + 50 {

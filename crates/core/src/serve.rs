@@ -19,6 +19,15 @@
 //! [`KeyedReply::Replay`] instead of incrementing again. A backend
 //! without one ignores the token; the caller's own answer table then
 //! dedups whatever it saw succeed.
+//!
+//! Every one of those tables — a session's answers, a keyspace key's
+//! tokens, the threaded tree's tokens, the root's reply cache and its
+//! stable copy — keeps the newest [`REPLY_CACHE_CAP`] entries: the
+//! keyed ones in a [`ReplyWindow`], the root's in a plain queue of
+//! `(op_seq, response)` pairs capped the same way.
+
+use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 
 use distctr_sim::{Counter, ProcessorId};
 
@@ -30,10 +39,50 @@ use crate::error::CoreError;
 /// clients and servers interoperate with keyed ones unchanged.
 pub const DEFAULT_KEY: u64 = 0;
 
-/// Dedup window: how many recent request ids (a server session) or
-/// `(session, request)` tokens (a keyspace key, the threaded tree) are
-/// remembered for exactly-once retries.
-pub const DEDUP_WINDOW: usize = 256;
+/// Entries every exactly-once table keeps, oldest evicted first. A
+/// retry is answered from its table only while fewer than this many
+/// newer entries arrived since. At least 81, so an n ≤ 81 canonical
+/// pass evicts nothing from the root's reply cache.
+pub const REPLY_CACHE_CAP: usize = 256;
+
+/// Appends `entry` to `queue`, and pops and returns the oldest entry
+/// once the queue holds more than [`REPLY_CACHE_CAP`].
+pub(crate) fn push_capped<T>(queue: &mut VecDeque<T>, entry: T) -> Option<T> {
+    queue.push_back(entry);
+    if queue.len() > REPLY_CACHE_CAP {
+        queue.pop_front()
+    } else {
+        None
+    }
+}
+
+/// A bounded answer table: `key → value` for the newest
+/// [`REPLY_CACHE_CAP`] keys inserted.
+#[derive(Debug, Default)]
+pub struct ReplyWindow<K> {
+    answers: HashMap<K, u64>,
+    /// Insertion order of `answers`, oldest first.
+    order: VecDeque<K>,
+}
+
+impl<K: Copy + Eq + Hash> ReplyWindow<K> {
+    /// The value recorded for `key`, if it is still in the window.
+    #[must_use]
+    pub fn get(&self, key: &K) -> Option<u64> {
+        self.answers.get(key).copied()
+    }
+
+    /// Records `key → value` as the newest entry, evicting the oldest
+    /// past the cap. Re-inserting a key moves it to the newest end.
+    pub fn insert(&mut self, key: K, value: u64) {
+        if self.answers.insert(key, value).is_some() {
+            self.order.retain(|k| *k != key);
+        }
+        if let Some(evicted) = push_capped(&mut self.order, key) {
+            self.answers.remove(&evicted);
+        }
+    }
+}
 
 /// Outcome of a keyed operation ([`CounterBackend::inc_key`] /
 /// [`CounterBackend::inc_batch_key`]).
@@ -251,6 +300,25 @@ mod tests {
             "owns [1, 6)"
         );
         assert_eq!(CounterBackend::inc(&mut sim, ProcessorId::new(2)).expect("inc"), 6);
+    }
+
+    #[test]
+    fn a_reply_window_evicts_the_oldest_past_the_cap_and_not_on_a_hit() {
+        let cap = REPLY_CACHE_CAP as u64;
+        let mut window = ReplyWindow::default();
+        for key in 0..cap {
+            window.insert(key, key + 100);
+        }
+        for key in 0..cap {
+            assert_eq!(window.get(&key), Some(key + 100), "a hit evicts nothing");
+        }
+        window.insert(cap, cap + 100);
+        assert_eq!(window.get(&0), None, "the oldest went past the cap");
+        assert!((1..=cap).all(|key| window.get(&key) == Some(key + 100)));
+        window.insert(1, 7);
+        window.insert(cap + 1, 0);
+        assert_eq!(window.get(&1), Some(7), "a re-insert is the newest entry");
+        assert_eq!(window.get(&2), None);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The keyed namespace router: many counters behind one backend, each
 //! placed adaptively and migrated live between placements.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use distctr_core::kmath::order_for;
-use distctr_core::{CounterBackend, KeyedReply, KeyspaceStats, TreeCounter, DEDUP_WINDOW};
+use distctr_core::{CounterBackend, KeyedReply, KeyspaceStats, ReplyWindow, TreeCounter};
 use distctr_sim::ProcessorId;
 
 use crate::policy::{PlacementPin, PromotionPolicy};
@@ -107,9 +107,7 @@ struct KeyEntry<B> {
     /// lock guarantees no op is in flight at that point).
     pending: Option<MigrationDirection>,
     /// `(session, request)` → first granted value, for exactly-once.
-    answers: HashMap<(u64, u64), u64>,
-    /// Insertion order of `answers`, for window eviction.
-    order: VecDeque<(u64, u64)>,
+    answers: ReplyWindow<(u64, u64)>,
     monitor: ContentionMonitor,
 }
 
@@ -119,8 +117,7 @@ impl<B> KeyEntry<B> {
             placement,
             granted: 0,
             pending: None,
-            answers: HashMap::new(),
-            order: VecDeque::new(),
+            answers: ReplyWindow::default(),
             monitor: ContentionMonitor::new(window),
         }
     }
@@ -258,7 +255,7 @@ impl<B: CounterBackend> Keyspace<B> {
         // without touching the placement at all — which is also why the
         // cache can never be stranded by a migration.
         if let Some(tok) = token {
-            if let Some(&first) = entry.answers.get(&tok) {
+            if let Some(first) = entry.answers.get(&tok) {
                 return Ok(KeyedReply::Replay(first));
             }
         }
@@ -316,12 +313,6 @@ impl<B: CounterBackend> Keyspace<B> {
 
         if let Some(tok) = token {
             entry.answers.insert(tok, first);
-            entry.order.push_back(tok);
-            while entry.order.len() > DEDUP_WINDOW {
-                if let Some(evicted) = entry.order.pop_front() {
-                    entry.answers.remove(&evicted);
-                }
-            }
         }
 
         entry.monitor.record(now_us, count);
@@ -426,7 +417,7 @@ fn spin_for(d: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distctr_core::DEFAULT_KEY;
+    use distctr_core::{DEFAULT_KEY, REPLY_CACHE_CAP};
 
     /// Instant promote on any touch, instant demote on the next: runs
     /// the whole migration cycle deterministically in three ops.
@@ -501,7 +492,7 @@ mod tests {
     fn the_reply_cache_evicts_beyond_its_window() {
         let mut ks = Keyspace::sim(KeyspaceConfig::new(8));
         let p = ProcessorId::new(0);
-        let window = DEDUP_WINDOW as u64;
+        let window = REPLY_CACHE_CAP as u64;
         for r in 0..=window {
             assert_eq!(ks.inc_key(1, p, Some((9, r))).expect("inc"), KeyedReply::Fresh(r));
         }

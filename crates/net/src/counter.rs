@@ -12,24 +12,23 @@
 //! response *and* for full quiescence of the retirement cascade ("enough
 //! time elapses between any two inc requests").
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use distctr_core::engine::{EngineConfig, PoolPolicy};
+use distctr_core::engine::EngineConfig;
 use distctr_core::protocol::seeded_engines;
 use distctr_core::{
-    kmath, CounterBackend, CounterObject, KeyedReply, Msg, NodeRef, RootObject, Topology,
-    DEDUP_WINDOW, DEFAULT_KEY,
+    kmath, CounterBackend, CounterObject, KeyedReply, Msg, NodeRef, ReplyWindow, RootObject,
+    Topology, DEFAULT_KEY, REPLY_CACHE_CAP,
 };
 use distctr_sim::ProcessorId;
 
 use crate::error::NetError;
 use crate::messages::NetMsg;
-use crate::worker::{Shared, Worker, DEFAULT_REPLY_CACHE};
+use crate::worker::{Shared, Worker};
 
 /// Hard cap on spawned threads: one per processor.
 pub const MAX_THREADED_PROCESSORS: usize = 4096;
@@ -76,9 +75,7 @@ pub struct ThreadedTreeClient<O: RootObject> {
     next_op: u64,
     /// `(session, request)` token → the op sequence reserved for it, so
     /// a re-driven token re-sends the same sequence.
-    tokens: HashMap<(u64, u64), u64>,
-    /// Insertion order of `tokens`, for pruning to [`DEDUP_WINDOW`].
-    token_order: VecDeque<(u64, u64)>,
+    tokens: ReplyWindow<(u64, u64)>,
     shut_down: bool,
     crashed: Vec<bool>,
 }
@@ -99,23 +96,6 @@ where
     /// beyond [`MAX_THREADED_PROCESSORS`]; [`NetError::Spawn`] if thread
     /// creation fails.
     pub fn new(n: usize) -> Result<Self, NetError> {
-        Self::with_reply_cache(n, DEFAULT_REPLY_CACHE)
-    }
-
-    /// Like [`ThreadedTreeClient::new`], but with an explicit root
-    /// reply-cache capacity. The cache deduplicates retries by op
-    /// sequence; a service boundary multiplexing many client sessions
-    /// needs a window at least as large as the number of operations that
-    /// may land between a lost reply and its retry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThreadedTreeClient::new`], plus
-    /// [`NetError::Order`] if `reply_cache_cap` is 0.
-    pub fn with_reply_cache(n: usize, reply_cache_cap: usize) -> Result<Self, NetError> {
-        if reply_cache_cap == 0 {
-            return Err(NetError::Order("reply cache needs at least one slot".into()));
-        }
         if n == 0 {
             return Err(NetError::Order("n must be at least 1".into()));
         }
@@ -141,13 +121,7 @@ where
         // One shared-protocol engine per thread, seeded with the initial
         // hosting and neighbour routing straight from the topology. The
         // driver's bounded retry makes deduplication mandatory here.
-        let config = EngineConfig {
-            threshold: Some(kmath::retirement_threshold(k)),
-            pool_policy: PoolPolicy::OneShot,
-            reply_cache_cap,
-            dedupe: true,
-            persist: false,
-        };
+        let config = EngineConfig { dedupe: true, ..EngineConfig::paper(k) };
         let engines = seeded_engines(&topo, config, &O::default());
 
         let mut handles = Vec::with_capacity(processors);
@@ -176,8 +150,7 @@ where
             shared,
             handles,
             next_op: 0,
-            tokens: HashMap::new(),
-            token_order: VecDeque::new(),
+            tokens: ReplyWindow::default(),
             shut_down: false,
             crashed: vec![false; processors],
         })
@@ -583,7 +556,9 @@ impl CounterBackend for ThreadedTreeCounter {
     /// known token re-sends that same sequence — answered
     /// [`KeyedReply::Replay`], from the root's reply cache if an earlier
     /// attempt landed — so a retry after a [`NetError::Timeout`] never
-    /// applies twice.
+    /// applies twice. The root caches the last [`REPLY_CACHE_CAP`]
+    /// sequences, so a token whose sequence is further back than that is
+    /// a fresh grant under a new sequence.
     fn inc_batch_key(
         &mut self,
         key: u64,
@@ -597,19 +572,15 @@ impl CounterBackend for ThreadedTreeCounter {
         let Some(token) = token else {
             return self.inc_batch(initiator, count).map(KeyedReply::Fresh);
         };
-        if let Some(&op_seq) = self.tokens.get(&token) {
-            return self
-                .invoke_batch_reserved(initiator, op_seq, count, ())
-                .map(KeyedReply::Replay);
+        if let Some(op_seq) = self.tokens.get(&token) {
+            if self.next_op - op_seq <= REPLY_CACHE_CAP as u64 {
+                return self
+                    .invoke_batch_reserved(initiator, op_seq, count, ())
+                    .map(KeyedReply::Replay);
+            }
         }
         let op_seq = self.reserve_op();
         self.tokens.insert(token, op_seq);
-        self.token_order.push_back(token);
-        if self.token_order.len() > DEDUP_WINDOW {
-            if let Some(old) = self.token_order.pop_front() {
-                self.tokens.remove(&old);
-            }
-        }
         self.invoke_batch_reserved(initiator, op_seq, count, ()).map(KeyedReply::Fresh)
     }
 
@@ -721,13 +692,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_reply_cache_rejected() {
-        assert!(matches!(ThreadedTreeCounter::with_reply_cache(8, 0), Err(NetError::Order(_))));
-    }
-
-    #[test]
     fn a_retried_token_is_exactly_once() {
-        let mut c = ThreadedTreeCounter::with_reply_cache(8, 64).expect("counter");
+        let mut c = ThreadedTreeCounter::new(8).expect("counter");
         let token = Some((1, 0));
         let first = c.inc_key(DEFAULT_KEY, ProcessorId::new(2), token).expect("inc");
         // Unrelated traffic lands in between, then the "retry" re-drives
@@ -744,8 +710,47 @@ mod tests {
     }
 
     #[test]
+    fn a_token_retried_inside_the_window_is_exactly_once() {
+        let mut c = ThreadedTreeCounter::new(8).expect("counter");
+        let token = Some((1, 0));
+        assert_eq!(c.inc_key(DEFAULT_KEY, ProcessorId::new(2), token), Ok(KeyedReply::Fresh(0)));
+        for i in 1..=9 {
+            assert_eq!(c.inc(ProcessorId::new(i % 8)).expect("inc"), i as u64);
+        }
+        assert_eq!(
+            c.inc_key(DEFAULT_KEY, ProcessorId::new(2), token).expect("retry"),
+            KeyedReply::Replay(0),
+            "the root still caches the token's sequence"
+        );
+        assert_eq!(c.inc(ProcessorId::new(7)).expect("inc"), 10, "nothing double-counted");
+        c.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn a_token_older_than_the_window_is_a_fresh_grant() {
+        let cap = REPLY_CACHE_CAP as u64;
+        let mut c = ThreadedTreeCounter::new(8).expect("counter");
+        let token = Some((1, 0));
+        assert_eq!(c.inc_key(DEFAULT_KEY, ProcessorId::new(2), token), Ok(KeyedReply::Fresh(0)));
+        for i in 1..=cap {
+            assert_eq!(c.inc(ProcessorId::new(i as usize % 8)).expect("inc"), i);
+        }
+        assert_eq!(
+            c.inc_key(DEFAULT_KEY, ProcessorId::new(2), token).expect("retry"),
+            KeyedReply::Fresh(cap + 1),
+            "the root evicted the token's sequence"
+        );
+        assert_eq!(
+            c.inc_key(DEFAULT_KEY, ProcessorId::new(2), token).expect("retry"),
+            KeyedReply::Replay(cap + 1),
+            "the token now names the fresh grant"
+        );
+        c.shutdown().expect("shutdown");
+    }
+
+    #[test]
     fn batches_share_one_traversal_and_partition_the_range() {
-        let mut c = ThreadedTreeCounter::with_reply_cache(8, 64).expect("counter");
+        let mut c = ThreadedTreeCounter::new(8).expect("counter");
         assert_eq!(c.inc(ProcessorId::new(0)).expect("inc"), 0);
         let loads_before = c.loads();
         let first = c.inc_batch(ProcessorId::new(1), 10).expect("batch");
@@ -761,7 +766,7 @@ mod tests {
 
     #[test]
     fn batch_retry_under_one_token_returns_the_same_range() {
-        let mut c = ThreadedTreeCounter::with_reply_cache(8, 64).expect("counter");
+        let mut c = ThreadedTreeCounter::new(8).expect("counter");
         let token = Some((4, 9));
         let batch = c.inc_batch_key(DEFAULT_KEY, ProcessorId::new(0), 4, token).expect("batch");
         assert_eq!(batch, KeyedReply::Fresh(0));

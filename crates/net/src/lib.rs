@@ -44,4 +44,3 @@ pub(crate) mod worker;
 pub use counter::{ThreadedTreeClient, ThreadedTreeCounter, MAX_THREADED_PROCESSORS};
 pub use error::NetError;
 pub use messages::{NetMsg, NodeTransfer};
-pub use worker::DEFAULT_REPLY_CACHE;

@@ -22,13 +22,6 @@ use distctr_sim::ProcessorId;
 
 use crate::messages::NetMsg;
 
-/// Default number of recent root replies kept for driver-retry
-/// deduplication. Sequential driving means only the newest entries can
-/// ever be retried, so a small window suffices; a service boundary
-/// multiplexing many client sessions raises it via
-/// `ThreadedTreeClient::with_reply_cache`.
-pub const DEFAULT_REPLY_CACHE: usize = 8;
-
 /// Shared accounting: per-processor sent/received counters and audit
 /// tallies, and the global in-flight message count used for quiescence
 /// detection.

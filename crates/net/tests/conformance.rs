@@ -9,9 +9,9 @@
 //! Any future edit that forks the two code paths again fails here first.
 
 use distctr_check::{combined_fingerprint, Budget, CheckConfig, Checker};
-use distctr_core::engine::{EngineConfig, PoolPolicy};
-use distctr_core::{kmath, Topology, TreeCounter};
-use distctr_net::{ThreadedTreeCounter, DEFAULT_REPLY_CACHE};
+use distctr_core::engine::EngineConfig;
+use distctr_core::{Topology, TreeCounter};
+use distctr_net::ThreadedTreeCounter;
 use distctr_sim::{Counter, FaultPlan, ProcessorId, TraceMode};
 
 /// Observables of one full round through one backend.
@@ -179,13 +179,7 @@ fn both_drivers_grant_identical_batch_ranges_under_a_crash_plan() {
 /// checker: the driver always dedupes retries through a bounded reply
 /// cache and has no stable storage.
 fn threaded_parity_engine(k: u32) -> EngineConfig {
-    EngineConfig {
-        threshold: Some(kmath::retirement_threshold(k)),
-        pool_policy: PoolPolicy::OneShot,
-        reply_cache_cap: DEFAULT_REPLY_CACHE,
-        dedupe: true,
-        persist: false,
-    }
+    EngineConfig { dedupe: true, ..EngineConfig::paper(k) }
 }
 
 #[test]

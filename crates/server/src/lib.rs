@@ -69,5 +69,5 @@ pub mod wire;
 pub use client::{ClientConfig, RemoteCounter, RetryPolicy};
 pub use error::{ErrCode, ServerError};
 pub use load::{run_load, ConnReport, KeyLoad, KeyMix, LoadConfig, LoadMode, LoadReport};
-pub use server::{CounterServer, ServerConfig, DEDUP_WINDOW, DRAIN_GRACE};
+pub use server::{CounterServer, ServerConfig, DRAIN_GRACE};
 pub use wire::{StatsSnapshot, WireError, WireMsg, MAX_FRAME};

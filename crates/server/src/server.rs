@@ -48,9 +48,6 @@
 //!   [`WireMsg::Busy`] with a retry-after hint instead of queueing
 //!   without bound. Nothing shed is applied, so a retry of the same
 //!   request id stays exactly-once.
-//! * **per-request deadlines** — a queued inc older than
-//!   [`ServerConfig::request_deadline`] is shed rather than served into
-//!   a reply the client has long stopped waiting for.
 //! * **graceful drain** — [`CounterServer::drain`] stops admitting,
 //!   lets every in-flight request finish and flushes its reply, then
 //!   closes. An acked operation is never lost; a never-received one was
@@ -62,7 +59,7 @@
 //!   `Err { Backend }` replies that make the clients retry; the mutex
 //!   poisoning that used to kill every later request is recovered.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -70,8 +67,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-pub use distctr_core::DEDUP_WINDOW;
-use distctr_core::{CounterBackend, KeyedReply};
+use distctr_core::{CounterBackend, KeyedReply, ReplyWindow};
 use distctr_reactor::Waker;
 use distctr_sim::ProcessorId;
 
@@ -83,8 +79,8 @@ use crate::wire::{StatsSnapshot, WireError, WireMsg};
 pub const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Tunable knobs of a [`CounterServer`]. [`ServerConfig::default`]
-/// admits everything and sets no deadline; chaos tests and operators
-/// set the limits they need.
+/// admits everything; chaos tests and operators set the limits they
+/// need.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Active-connection cap; connections beyond it are answered
@@ -94,9 +90,6 @@ pub struct ServerConfig {
     /// before further ones are shed with [`WireMsg::Busy`]. `None`
     /// queues without bound.
     pub max_inflight_per_conn: Option<usize>,
-    /// Combining mode: a queued inc older than this is shed with
-    /// [`WireMsg::Busy`] instead of served. `None` disables deadlines.
-    pub request_deadline: Option<Duration>,
     /// The backoff hint carried by every [`WireMsg::Busy`] this server
     /// sends.
     pub busy_retry_after: Duration,
@@ -107,7 +100,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_conns: None,
             max_inflight_per_conn: None,
-            request_deadline: None,
             busy_retry_after: Duration::from_millis(50),
         }
     }
@@ -120,22 +112,9 @@ struct Session {
     /// an `Inc` names an explicit initiator).
     processor: u64,
     /// request id -> value (or range start) already handed out.
-    answered: HashMap<u64, u64>,
-    /// Insertion order of request ids, for pruning to [`DEDUP_WINDOW`].
-    seen: VecDeque<u64>,
+    answered: ReplyWindow<u64>,
     /// Operations this session completed.
     ops: u64,
-}
-
-impl Session {
-    fn remember(&mut self, request_id: u64) {
-        self.seen.push_back(request_id);
-        while self.seen.len() > DEDUP_WINDOW {
-            if let Some(old) = self.seen.pop_front() {
-                self.answered.remove(&old);
-            }
-        }
-    }
 }
 
 /// Mutex-guarded server state: the backend plus the session table.
@@ -174,8 +153,6 @@ pub(crate) struct PendingInc {
     key: u64,
     request_id: u64,
     initiator: Option<u64>,
-    /// When the reactor enqueued it, for [`ServerConfig::request_deadline`].
-    enqueued_at: Instant,
     /// The reactor-side connection token the reply belongs to.
     token: usize,
     /// The connection's in-flight count, decremented when the reply is
@@ -465,7 +442,6 @@ pub(crate) fn enqueue_inc(
         key,
         request_id,
         initiator,
-        enqueued_at: Instant::now(),
         token,
         inflight: Arc::clone(inflight),
     });
@@ -541,7 +517,7 @@ pub(crate) fn serve_op<B: CounterBackend + Send + 'static>(
     };
     let p = ProcessorId::new(charged as usize);
 
-    if let Some(&first) = session.answered.get(&request_id) {
+    if let Some(first) = session.answered.get(&request_id) {
         shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
         return ok(first);
     }
@@ -558,7 +534,6 @@ pub(crate) fn serve_op<B: CounterBackend + Send + 'static>(
         Err(code) => return WireMsg::Err { code },
     };
     session.answered.insert(request_id, first);
-    session.remember(request_id);
     session.ops += granted;
     if fresh {
         shared.stats.ops.fetch_add(granted, Ordering::Relaxed);
@@ -664,16 +639,9 @@ fn combine_round<B: CounterBackend + Send + 'static>(
             }
             None => {}
         }
-        if let Some(&value) = session.answered.get(&p.request_id) {
+        if let Some(value) = session.answered.get(&p.request_id) {
             shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
             deliver(&mut dup, &p, WireMsg::IncOk { request_id: p.request_id, value });
-            continue;
-        }
-        // A waiter past its deadline is shed, not served: the client
-        // stopped waiting long ago, and serving it would consume a
-        // value whose ack nobody collects.
-        if shared.config.request_deadline.is_some_and(|d| p.enqueued_at.elapsed() > d) {
-            deliver(&mut dup, &p, shared.busy());
             continue;
         }
         fresh.entry((p.key, p.initiator)).or_default().push(p);
@@ -704,7 +672,6 @@ fn combine_round<B: CounterBackend + Send + 'static>(
                     let value = first + i as u64;
                     if let Some(session) = inner.sessions.get_mut(&p.session_id) {
                         session.answered.insert(p.request_id, value);
-                        session.remember(p.request_id);
                         session.ops += 1;
                     }
                     shared.stats.ops.fetch_add(1, Ordering::Relaxed);

@@ -32,7 +32,7 @@ use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
 use distctr_core::audit::Tally;
-use distctr_core::engine::{Effects, EngineConfig, Event, NodeEngine, PoolPolicy, REPLY_CACHE_CAP};
+use distctr_core::engine::{Effects, EngineConfig, Event, NodeEngine};
 use distctr_core::protocol::{realize, seeded_engines, Transport};
 use distctr_core::{kmath, CounterBackend, CounterObject, Msg, Topology};
 use distctr_sim::ProcessorId;
@@ -183,15 +183,9 @@ impl ShmTreeCounter {
         // The sim driver's regime: no retries are ever issued (sequential
         // mode waits, concurrent mode never resends), so deduplication
         // stays off — the configuration whose final state the conformance
-        // goldens pin. Nothing reads the reply cache; its cap bounds what
-        // the root carries from handoff to handoff, and is the sim's.
-        let config = EngineConfig {
-            threshold: Some(kmath::retirement_threshold(k)),
-            pool_policy: PoolPolicy::OneShot,
-            reply_cache_cap: REPLY_CACHE_CAP,
-            dedupe: false,
-            persist: false,
-        };
+        // goldens pin. Nothing reads the reply cache; `REPLY_CACHE_CAP`
+        // bounds what the root carries from handoff to handoff.
+        let config = EngineConfig::paper(k);
         let slots = seeded_engines(&topo, config, &CounterObject::new())
             .into_iter()
             .map(|engine| Slot {
@@ -543,7 +537,7 @@ mod tests {
 
     #[test]
     fn the_root_reply_cache_stays_under_its_cap_over_ten_thousand_ops() {
-        use distctr_core::NodeRef;
+        use distctr_core::{NodeRef, REPLY_CACHE_CAP};
         let mut c = ShmTreeCounter::new(81).expect("arena");
         let root_cache_len = |c: &ShmTreeCounter| {
             c.arena

@@ -43,7 +43,6 @@ fn main() {
         .engine(distctr::core::engine::EngineConfig {
             threshold: Some(2),
             pool_policy: distctr::core::protocol::PoolPolicy::OneShot,
-            reply_cache_cap: usize::MAX,
             dedupe: false,
             persist: false,
         })

@@ -44,8 +44,6 @@ struct Args {
     open: Option<f64>,
     /// Drive an external server instead of hosting one in-process.
     addr: Option<SocketAddr>,
-    /// Root reply-cache capacity for the hosted backend.
-    cache: usize,
     /// Backend for the hosted server: `net` (real-threads tree,
     /// default), `sim` (discrete-event simulator tree), or one of the
     /// shared-memory structures `shm-tree` / `shm-network` /
@@ -63,7 +61,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: loadgen [--n N] [--conns C] [--ops OPS] [--open RATE] \
-                     [--addr HOST:PORT] [--cache CAP] [--combine] \
+                     [--addr HOST:PORT] [--combine] \
                      [--backend net|sim|shm-tree|shm-network|shm-central] \
                      [--keys N] [--zipf S]";
 
@@ -78,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
         ops: 2000,
         open: None,
         addr: None,
-        cache: distctr::net::DEFAULT_REPLY_CACHE,
         backend: "net".to_string(),
         combine: false,
         keys: 0,
@@ -100,9 +97,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--addr" => {
                 args.addr = Some(value("--addr")?.parse().map_err(|e| format!("--addr: {e}"))?);
-            }
-            "--cache" => {
-                args.cache = value("--cache")?.parse().map_err(|e| format!("--cache: {e}"))?;
             }
             "--backend" => args.backend = value("--backend")?,
             "--combine" => args.combine = true,
@@ -172,7 +166,7 @@ fn run(args: &Args) -> Result<bool, Box<dyn std::error::Error>> {
     } else {
         match args.backend.as_str() {
             "net" => {
-                let backend = ThreadedTreeCounter::with_reply_cache(args.n, args.cache)?;
+                let backend = ThreadedTreeCounter::new(args.n)?;
                 hosted_run(backend, args, &cfg, "ThreadedTreeCounter")
             }
             "sim" => {

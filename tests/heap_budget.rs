@@ -3,7 +3,7 @@
 //! In the paper a processor holds the k+2 values of the nodes it works
 //! for and little else. One k = 4 canonical pass (n = 1024, each
 //! processor incs once) under `TraceMode::Contacts` leaves the tree with
-//! 201 live heap bytes per processor: engines sized without their
+//! 193 live heap bytes per processor: engines sized without their
 //! transit tables, runs freed when a processor retires from its only
 //! node, and a root reply cache capped at `REPLY_CACHE_CAP` entries.
 //! Before those three it held 312. The budget is 240, about a fifth above
