@@ -20,10 +20,9 @@
 use rand::Rng;
 use rand::SeedableRng;
 
-use distctr_sim::{
-    Counter, DeliveryPolicy, IncResult, LoadTracker, Network, OpId, Outbox, ProcessorId, Protocol,
-    SimError, TraceMode,
-};
+use distctr_sim::{DeliveryPolicy, Network, Outbox, ProcessorId, Protocol, SimError, TraceMode};
+
+use crate::driver::{CounterProtocol, Delivered, Entry, SimCounter};
 
 /// The fixed spanning tree the arrows live on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,13 +89,14 @@ enum Arrow {
     Toward(ProcessorId),
 }
 
+/// The Arrow counter's protocol: every processor's arrow and the token.
 #[derive(Debug, Clone)]
-struct ArrowState {
+pub struct ArrowState {
     arrows: Vec<Arrow>,
     /// The token: its holder's pending value (exactly one `Some` at
     /// quiescence).
     token: Vec<Option<u64>>,
-    delivered: Vec<(OpId, ProcessorId, u64)>,
+    delivered: Vec<Delivered>,
     /// Longest find path seen (diagnostics).
     longest_path: u64,
     current_path: u64,
@@ -130,9 +130,34 @@ impl Protocol for ArrowState {
                 let me = out.me().index();
                 self.arrows[me] = Arrow::Holder;
                 self.token[me] = Some(value + 1);
-                self.delivered.push((out.op(), out.me(), value));
+                self.delivered.push((Some(out.op()), out.me(), value));
             }
         }
+    }
+}
+
+impl CounterProtocol for ArrowState {
+    const NAME: &'static str = "arrow-token";
+
+    fn enter(&mut self, initiator: ProcessorId) -> Entry<ArrowMsg> {
+        let me = initiator.index();
+        match self.arrows[me] {
+            Arrow::Holder => {
+                // Local hit: the token is already here; no messages at all.
+                let value = self.token[me].expect("holder has the token");
+                self.token[me] = Some(value + 1);
+                Entry::Local(value)
+            }
+            Arrow::Toward(next) => {
+                // Reverse the initiator's own arrow and launch the find.
+                self.arrows[me] = Arrow::Holder;
+                Entry::Send(next, ArrowMsg::Find { origin: initiator })
+            }
+        }
+    }
+
+    fn delivered(&mut self) -> &mut Vec<Delivered> {
+        &mut self.delivered
     }
 }
 
@@ -153,12 +178,7 @@ impl Protocol for ArrowState {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct ArrowCounter {
-    net: Network<ArrowMsg>,
-    state: ArrowState,
-    next_op: usize,
-}
+pub type ArrowCounter = SimCounter<ArrowState>;
 
 impl ArrowCounter {
     /// Creates an Arrow counter over `n` processors; processor 0 holds
@@ -213,17 +233,9 @@ impl ArrowCounter {
             .collect();
         let mut token = vec![None; n];
         token[0] = Some(0);
-        Ok(ArrowCounter {
-            net,
-            state: ArrowState {
-                arrows,
-                token,
-                delivered: Vec::new(),
-                longest_path: 0,
-                current_path: 0,
-            },
-            next_op: 0,
-        })
+        let state =
+            ArrowState { arrows, token, delivered: Vec::new(), longest_path: 0, current_path: 0 };
+        Ok(SimCounter::from_parts(net, state))
     }
 
     /// The processor currently holding the token.
@@ -245,52 +257,11 @@ impl ArrowCounter {
     }
 }
 
-impl Counter for ArrowCounter {
-    fn name(&self) -> &'static str {
-        "arrow-token"
-    }
-
-    fn processors(&self) -> usize {
-        self.net.processors()
-    }
-
-    fn inc(&mut self, initiator: ProcessorId) -> Result<IncResult, SimError> {
-        if initiator.index() >= self.net.processors() {
-            return Err(SimError::UnknownProcessor {
-                index: initiator.index(),
-                processors: self.net.processors(),
-            });
-        }
-        let me = initiator.index();
-        if self.state.arrows[me] == Arrow::Holder {
-            // Local hit: the token is already here; no messages at all.
-            let value = self.state.token[me].take().expect("holder has the token");
-            self.state.token[me] = Some(value + 1);
-            self.next_op += 1;
-            return Ok(IncResult { value, messages: 0, completed_at: self.net.now(), trace: None });
-        }
-        let op = OpId::new(self.next_op);
-        self.next_op += 1;
-        self.state.delivered.clear();
-        // Reverse the initiator's own arrow and launch the find.
-        let Arrow::Toward(next) = self.state.arrows[me] else { unreachable!("checked above") };
-        self.state.arrows[me] = Arrow::Holder;
-        self.net.inject(op, initiator, next, ArrowMsg::Find { origin: initiator });
-        let stats = self.net.run_to_quiescence(&mut self.state)?;
-        let trace = self.net.finish_op(op);
-        let (_, _, value) = self.state.delivered.pop().expect("token must reach the initiator");
-        Ok(IncResult { value, messages: stats.delivered, completed_at: stats.end_time, trace })
-    }
-
-    fn loads(&self) -> &LoadTracker {
-        self.net.loads()
-    }
-}
-
 /// Internal invariant check used by tests: every arrow chain leads to the
 /// holder (no cycles, no dead ends).
 #[cfg(test)]
 fn arrows_converge(counter: &ArrowCounter) -> bool {
+    use distctr_sim::Counter;
     let n = counter.processors();
     let holder = counter.holder();
     for start in 0..n {
@@ -318,7 +289,7 @@ fn arrows_converge(counter: &ArrowCounter) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distctr_sim::SequentialDriver;
+    use distctr_sim::{Counter, SequentialDriver};
 
     #[test]
     fn sequential_correctness_and_token_migration() {

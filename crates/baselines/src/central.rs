@@ -10,9 +10,10 @@
 //! coordinator's load is 2n over the canonical workload — the Θ(n)
 //! bottleneck the paper's tree reduces to O(k).
 
-use distctr_sim::{
-    CompletedOp, ConcurrentCounter, Counter, DeliveryPolicy, IncResult, LoadTracker, Network, OpId,
-    Outbox, OverlappedCounter, ProcessorId, Protocol, SimError, SimTime, TraceMode,
+use distctr_sim::{DeliveryPolicy, Network, Outbox, ProcessorId, Protocol, SimError, TraceMode};
+
+use crate::driver::{
+    ConcurrentProtocol, CounterProtocol, Delivered, Entry, OverlappedProtocol, SimCounter,
 };
 
 /// Protocol messages of the centralized counter.
@@ -30,11 +31,12 @@ pub enum CentralMsg {
     },
 }
 
+/// The centralized counter's protocol: the coordinator and its value.
 #[derive(Debug, Clone)]
-struct CentralState {
+pub struct CentralState {
     coordinator: ProcessorId,
     value: u64,
-    delivered: Vec<(OpId, ProcessorId, u64)>,
+    delivered: Vec<Delivered>,
 }
 
 impl Protocol for CentralState {
@@ -54,11 +56,27 @@ impl Protocol for CentralState {
                 out.send(origin, CentralMsg::Value { value });
             }
             CentralMsg::Value { value } => {
-                self.delivered.push((out.op(), out.me(), value));
+                self.delivered.push((Some(out.op()), out.me(), value));
             }
         }
     }
 }
+
+impl CounterProtocol for CentralState {
+    const NAME: &'static str = "central";
+
+    fn enter(&mut self, initiator: ProcessorId) -> Entry<CentralMsg> {
+        Entry::Send(self.coordinator, CentralMsg::Request { origin: initiator })
+    }
+
+    fn delivered(&mut self) -> &mut Vec<Delivered> {
+        &mut self.delivered
+    }
+}
+
+impl ConcurrentProtocol for CentralState {}
+
+impl OverlappedProtocol for CentralState {}
 
 /// A counter whose value lives at a single coordinator processor.
 ///
@@ -77,13 +95,7 @@ impl Protocol for CentralState {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct CentralCounter {
-    net: Network<CentralMsg>,
-    state: CentralState,
-    next_op: usize,
-    overlapped: Vec<(OpId, ProcessorId)>,
-}
+pub type CentralCounter = SimCounter<CentralState>;
 
 impl CentralCounter {
     /// Creates a centralized counter on `n` processors with processor 0 as
@@ -108,16 +120,9 @@ impl CentralCounter {
         policy: DeliveryPolicy,
     ) -> Result<Self, SimError> {
         let net = Network::with_policy(n, trace, policy)?;
-        Ok(CentralCounter {
-            net,
-            state: CentralState {
-                coordinator: ProcessorId::new(0),
-                value: 0,
-                delivered: Vec::new(),
-            },
-            next_op: 0,
-            overlapped: Vec::new(),
-        })
+        let state =
+            CentralState { coordinator: ProcessorId::new(0), value: 0, delivered: Vec::new() };
+        Ok(SimCounter::from_parts(net, state))
     }
 
     /// The coordinator processor.
@@ -133,125 +138,10 @@ impl CentralCounter {
     }
 }
 
-impl Counter for CentralCounter {
-    fn name(&self) -> &'static str {
-        "central"
-    }
-
-    fn processors(&self) -> usize {
-        self.net.processors()
-    }
-
-    fn inc(&mut self, initiator: ProcessorId) -> Result<IncResult, SimError> {
-        if initiator.index() >= self.net.processors() {
-            return Err(SimError::UnknownProcessor {
-                index: initiator.index(),
-                processors: self.net.processors(),
-            });
-        }
-        let op = OpId::new(self.next_op);
-        self.next_op += 1;
-        self.state.delivered.clear();
-        self.net.inject(
-            op,
-            initiator,
-            self.state.coordinator,
-            CentralMsg::Request { origin: initiator },
-        );
-        let stats = self.net.run_to_quiescence(&mut self.state)?;
-        let trace = self.net.finish_op(op);
-        let (_, _, value) =
-            self.state.delivered.pop().expect("coordinator must answer before quiescence");
-        Ok(IncResult { value, messages: stats.delivered, completed_at: stats.end_time, trace })
-    }
-
-    fn loads(&self) -> &LoadTracker {
-        self.net.loads()
-    }
-}
-
-impl ConcurrentCounter for CentralCounter {
-    fn inc_batch(&mut self, initiators: &[ProcessorId]) -> Result<Vec<u64>, SimError> {
-        for &p in initiators {
-            if p.index() >= self.net.processors() {
-                return Err(SimError::UnknownProcessor {
-                    index: p.index(),
-                    processors: self.net.processors(),
-                });
-            }
-        }
-        self.state.delivered.clear();
-        let base = self.next_op;
-        for (i, &p) in initiators.iter().enumerate() {
-            let op = OpId::new(base + i);
-            self.net.inject(op, p, self.state.coordinator, CentralMsg::Request { origin: p });
-        }
-        self.next_op += initiators.len();
-        self.net.run_to_quiescence(&mut self.state)?;
-        for (i, &p) in initiators.iter().enumerate() {
-            self.net.finish_op(OpId::new(base + i));
-            let _ = p;
-        }
-        // Map replies back to initiation order by op id.
-        let delivered = std::mem::take(&mut self.state.delivered);
-        let by_op: std::collections::HashMap<OpId, u64> =
-            delivered.into_iter().map(|(op, _, v)| (op, v)).collect();
-        Ok((0..initiators.len()).map(|i| by_op[&OpId::new(base + i)]).collect())
-    }
-}
-
-impl OverlappedCounter for CentralCounter {
-    fn start_inc(&mut self, initiator: ProcessorId) -> Result<OpId, SimError> {
-        if initiator.index() >= self.net.processors() {
-            return Err(SimError::UnknownProcessor {
-                index: initiator.index(),
-                processors: self.net.processors(),
-            });
-        }
-        let op = OpId::new(self.next_op);
-        self.next_op += 1;
-        self.overlapped.push((op, initiator));
-        self.net.inject(
-            op,
-            initiator,
-            self.state.coordinator,
-            CentralMsg::Request { origin: initiator },
-        );
-        Ok(op)
-    }
-
-    fn advance_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
-        self.net.run_until(&mut self.state, deadline)?;
-        Ok(())
-    }
-
-    fn finish_all(&mut self) -> Result<Vec<CompletedOp>, SimError> {
-        self.net.run_to_quiescence(&mut self.state)?;
-        let delivered = std::mem::take(&mut self.state.delivered);
-        let by_op: std::collections::HashMap<OpId, u64> =
-            delivered.into_iter().map(|(op, _, v)| (op, v)).collect();
-        let mut completed = Vec::new();
-        for (op, initiator) in std::mem::take(&mut self.overlapped) {
-            let trace = self
-                .net
-                .finish_op(op)
-                .expect("overlapped execution requires per-op tracing (TraceMode::Contacts)");
-            completed.push(CompletedOp {
-                op,
-                initiator,
-                value: by_op[&op],
-                started_at: trace.started_at,
-                completed_at: trace.completed_at,
-            });
-        }
-        Ok(completed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distctr_sim::{ConcurrentDriver, SequentialDriver};
+    use distctr_sim::{ConcurrentCounter, ConcurrentDriver, Counter, SequentialDriver};
 
     #[test]
     fn sequential_correctness_and_message_optimality() {

@@ -19,11 +19,9 @@
 
 use std::collections::HashMap;
 
-use distctr_sim::{
-    ConcurrentCounter, Counter, DeliveryPolicy, IncResult, LoadTracker, Network, OpId, Outbox,
-    ProcessorId, Protocol, SimError, TraceMode,
-};
+use distctr_sim::{DeliveryPolicy, Network, Outbox, ProcessorId, Protocol, SimError, TraceMode};
 
+use crate::driver::{ConcurrentProtocol, CounterProtocol, Delivered, Entry, SimCounter};
 use crate::hosting::Hosting;
 
 /// Where a granted value range must be delivered.
@@ -80,8 +78,10 @@ struct Window {
     parts: Vec<(Reply, u32)>,
 }
 
+/// The combining tree's protocol: open windows, pending requests and the
+/// root's value.
 #[derive(Debug, Clone)]
-struct CombiningState {
+pub struct CombiningState {
     /// Number of heap leaves (power of two, >= n).
     m: usize,
     hosting: Hosting,
@@ -91,7 +91,7 @@ struct CombiningState {
     pending: HashMap<u64, Vec<(Reply, u32)>>,
     next_token: u64,
     value: u64,
-    delivered: Vec<(OpId, ProcessorId, u64)>,
+    delivered: Vec<Delivered>,
     /// Statistics: how many upward requests carried count > 1.
     combined_sends: u64,
     upward_sends: u64,
@@ -189,11 +189,30 @@ impl Protocol for CombiningState {
                 self.distribute(out, parts, base);
             }
             CombiningMsg::Value { value } => {
-                self.delivered.push((out.op(), out.me(), value));
+                // It may ride a partner's envelope: its op is unknown.
+                self.delivered.push((None, out.me(), value));
             }
         }
     }
 }
+
+impl CounterProtocol for CombiningState {
+    const NAME: &'static str = "combining-tree";
+
+    fn enter(&mut self, initiator: ProcessorId) -> Entry<CombiningMsg> {
+        let parent = (self.m as u32 + initiator.index() as u32) / 2;
+        Entry::Send(
+            self.host(parent),
+            CombiningMsg::Join { node: parent, reply: Reply::Leaf(initiator), count: 1 },
+        )
+    }
+
+    fn delivered(&mut self) -> &mut Vec<Delivered> {
+        &mut self.delivered
+    }
+}
+
+impl ConcurrentProtocol for CombiningState {}
 
 /// A combining-tree distributed counter.
 ///
@@ -214,12 +233,7 @@ impl Protocol for CombiningState {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct CombiningTreeCounter {
-    net: Network<CombiningMsg>,
-    state: CombiningState,
-    next_op: usize,
-}
+pub type CombiningTreeCounter = SimCounter<CombiningState>;
 
 impl CombiningTreeCounter {
     /// Creates a combining tree over `n` processors (heap width rounded up
@@ -243,11 +257,8 @@ impl CombiningTreeCounter {
         trace: TraceMode,
         policy: DeliveryPolicy,
     ) -> Result<Self, SimError> {
-        if n == 0 {
-            return Err(SimError::EmptyNetwork);
-        }
-        let m = n.next_power_of_two().max(2);
         let net = Network::with_policy(n, trace, policy)?;
+        let m = n.next_power_of_two().max(2);
         let state = CombiningState {
             m,
             hosting: Hosting::new(m - 1, n),
@@ -259,7 +270,7 @@ impl CombiningTreeCounter {
             combined_sends: 0,
             upward_sends: 0,
         };
-        Ok(CombiningTreeCounter { net, state, next_op: 0 })
+        Ok(SimCounter::from_parts(net, state))
     }
 
     /// The counter's current value.
@@ -278,90 +289,12 @@ impl CombiningTreeCounter {
             self.state.combined_sends as f64 / self.state.upward_sends as f64
         }
     }
-
-    fn leaf_entry(&self, p: ProcessorId) -> (ProcessorId, CombiningMsg) {
-        let heap_leaf = self.state.m as u32 + p.index() as u32;
-        let parent = heap_leaf / 2;
-        (
-            self.state.host(parent),
-            CombiningMsg::Join { node: parent, reply: Reply::Leaf(p), count: 1 },
-        )
-    }
-
-    fn check(&self, p: ProcessorId) -> Result<(), SimError> {
-        if p.index() >= self.net.processors() {
-            return Err(SimError::UnknownProcessor {
-                index: p.index(),
-                processors: self.net.processors(),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Counter for CombiningTreeCounter {
-    fn name(&self) -> &'static str {
-        "combining-tree"
-    }
-
-    fn processors(&self) -> usize {
-        self.net.processors()
-    }
-
-    fn inc(&mut self, initiator: ProcessorId) -> Result<IncResult, SimError> {
-        self.check(initiator)?;
-        let op = OpId::new(self.next_op);
-        self.next_op += 1;
-        self.state.delivered.clear();
-        let (to, msg) = self.leaf_entry(initiator);
-        self.net.inject(op, initiator, to, msg);
-        let stats = self.net.run_to_quiescence(&mut self.state)?;
-        let trace = self.net.finish_op(op);
-        let (_, _, value) =
-            self.state.delivered.pop().expect("initiator must receive a value before quiescence");
-        Ok(IncResult { value, messages: stats.delivered, completed_at: stats.end_time, trace })
-    }
-
-    fn loads(&self) -> &LoadTracker {
-        self.net.loads()
-    }
-}
-
-impl ConcurrentCounter for CombiningTreeCounter {
-    fn inc_batch(&mut self, initiators: &[ProcessorId]) -> Result<Vec<u64>, SimError> {
-        for &p in initiators {
-            self.check(p)?;
-        }
-        self.state.delivered.clear();
-        let base = self.next_op;
-        for (i, &p) in initiators.iter().enumerate() {
-            let (to, msg) = self.leaf_entry(p);
-            self.net.inject(OpId::new(base + i), p, to, msg);
-        }
-        self.next_op += initiators.len();
-        self.net.run_to_quiescence(&mut self.state)?;
-        for i in 0..initiators.len() {
-            self.net.finish_op(OpId::new(base + i));
-        }
-        // Combined/diffracted operations share envelopes, so a value's op
-        // id may be a partner's; match replies by initiator instead.
-        let mut delivered = std::mem::take(&mut self.state.delivered);
-        let mut out = Vec::with_capacity(initiators.len());
-        for &p in initiators {
-            let pos = delivered
-                .iter()
-                .position(|&(_, to, _)| to == p)
-                .expect("every initiator must receive a value");
-            out.push(delivered.swap_remove(pos).2);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distctr_sim::{ConcurrentDriver, SequentialDriver};
+    use distctr_sim::{ConcurrentCounter, ConcurrentDriver, Counter, SequentialDriver};
 
     #[test]
     fn sequential_correctness() {

@@ -11,12 +11,12 @@
 //! (gap-free after quiescence) but not linearizable; under the paper's
 //! sequential model they count exactly.
 
-use distctr_sim::{
-    CompletedOp, ConcurrentCounter, Counter, DeliveryPolicy, IncResult, LoadTracker, Network, OpId,
-    Outbox, OverlappedCounter, ProcessorId, Protocol, SimError, SimTime, TraceMode,
-};
+use distctr_sim::{DeliveryPolicy, Network, Outbox, ProcessorId, Protocol, SimError, TraceMode};
 
 use crate::bitonic::BitonicNetwork;
+use crate::driver::{
+    ConcurrentProtocol, CounterProtocol, Delivered, Entry, OverlappedProtocol, SimCounter,
+};
 use crate::hosting::Hosting;
 
 /// Messages of the counting-network protocol.
@@ -44,14 +44,15 @@ pub enum CountingMsg {
     },
 }
 
+/// The counting network's protocol: balancer toggles and exit counters.
 #[derive(Debug, Clone)]
-struct CountingState {
+pub struct CountingState {
     network: BitonicNetwork,
     hosting: Hosting,
     toggles: Vec<bool>,
     /// Tokens seen per exit wire (indexed by wire).
     visits: Vec<u64>,
-    delivered: Vec<(OpId, ProcessorId, u64)>,
+    delivered: Vec<Delivered>,
 }
 
 impl CountingState {
@@ -107,11 +108,37 @@ impl Protocol for CountingState {
                 out.send(origin, CountingMsg::Value { value });
             }
             CountingMsg::Value { value } => {
-                self.delivered.push((out.op(), out.me(), value));
+                self.delivered.push((Some(out.op()), out.me(), value));
             }
         }
     }
 }
+
+impl CounterProtocol for CountingState {
+    const NAME: &'static str = "counting-network";
+
+    fn enter(&mut self, initiator: ProcessorId) -> Entry<CountingMsg> {
+        let wire = initiator.index() % self.network.width();
+        match self.network.entry(wire) {
+            Some(b) => Entry::Send(
+                self.balancer_host(b),
+                CountingMsg::Token { balancer: b, origin: initiator },
+            ),
+            None => Entry::Send(
+                self.exit_host(wire as u32),
+                CountingMsg::ExitToken { wire: wire as u32, origin: initiator },
+            ),
+        }
+    }
+
+    fn delivered(&mut self) -> &mut Vec<Delivered> {
+        &mut self.delivered
+    }
+}
+
+impl ConcurrentProtocol for CountingState {}
+
+impl OverlappedProtocol for CountingState {}
 
 /// A distributed counter backed by a bitonic counting network.
 ///
@@ -128,13 +155,7 @@ impl Protocol for CountingState {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct CountingNetworkCounter {
-    net: Network<CountingMsg>,
-    state: CountingState,
-    next_op: usize,
-    overlapped: Vec<(OpId, ProcessorId)>,
-}
+pub type CountingNetworkCounter = SimCounter<CountingState>;
 
 impl CountingNetworkCounter {
     /// Creates a counter on `n` processors over a `Bitonic[width]`
@@ -172,12 +193,8 @@ impl CountingNetworkCounter {
         let hosting = Hosting::new(network.balancer_count() + width, n);
         let toggles = vec![false; network.balancer_count()];
         let visits = vec![0; width];
-        Ok(CountingNetworkCounter {
-            net,
-            state: CountingState { network, hosting, toggles, visits, delivered: Vec::new() },
-            next_op: 0,
-            overlapped: Vec::new(),
-        })
+        let state = CountingState { network, hosting, toggles, visits, delivered: Vec::new() };
+        Ok(SimCounter::from_parts(net, state))
     }
 
     /// The network width `w`.
@@ -196,124 +213,13 @@ impl CountingNetworkCounter {
         }
         by_rank
     }
-
-    fn entry(&self, p: ProcessorId) -> (ProcessorId, CountingMsg) {
-        let wire = p.index() % self.width();
-        match self.state.network.entry(wire) {
-            Some(b) => (self.state.balancer_host(b), CountingMsg::Token { balancer: b, origin: p }),
-            None => (
-                self.state.exit_host(wire as u32),
-                CountingMsg::ExitToken { wire: wire as u32, origin: p },
-            ),
-        }
-    }
-
-    fn check(&self, p: ProcessorId) -> Result<(), SimError> {
-        if p.index() >= self.net.processors() {
-            return Err(SimError::UnknownProcessor {
-                index: p.index(),
-                processors: self.net.processors(),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Counter for CountingNetworkCounter {
-    fn name(&self) -> &'static str {
-        "counting-network"
-    }
-
-    fn processors(&self) -> usize {
-        self.net.processors()
-    }
-
-    fn inc(&mut self, initiator: ProcessorId) -> Result<IncResult, SimError> {
-        self.check(initiator)?;
-        let op = OpId::new(self.next_op);
-        self.next_op += 1;
-        self.state.delivered.clear();
-        let (to, msg) = self.entry(initiator);
-        self.net.inject(op, initiator, to, msg);
-        let stats = self.net.run_to_quiescence(&mut self.state)?;
-        let trace = self.net.finish_op(op);
-        let (_, _, value) =
-            self.state.delivered.pop().expect("token must exit and deliver a value");
-        Ok(IncResult { value, messages: stats.delivered, completed_at: stats.end_time, trace })
-    }
-
-    fn loads(&self) -> &LoadTracker {
-        self.net.loads()
-    }
-}
-
-impl ConcurrentCounter for CountingNetworkCounter {
-    fn inc_batch(&mut self, initiators: &[ProcessorId]) -> Result<Vec<u64>, SimError> {
-        for &p in initiators {
-            self.check(p)?;
-        }
-        self.state.delivered.clear();
-        let base = self.next_op;
-        for (i, &p) in initiators.iter().enumerate() {
-            let (to, msg) = self.entry(p);
-            self.net.inject(OpId::new(base + i), p, to, msg);
-        }
-        self.next_op += initiators.len();
-        self.net.run_to_quiescence(&mut self.state)?;
-        for i in 0..initiators.len() {
-            self.net.finish_op(OpId::new(base + i));
-        }
-        let delivered = std::mem::take(&mut self.state.delivered);
-        let by_op: std::collections::HashMap<OpId, u64> =
-            delivered.into_iter().map(|(op, _, v)| (op, v)).collect();
-        Ok((0..initiators.len()).map(|i| by_op[&OpId::new(base + i)]).collect())
-    }
-}
-
-impl OverlappedCounter for CountingNetworkCounter {
-    fn start_inc(&mut self, initiator: ProcessorId) -> Result<OpId, SimError> {
-        self.check(initiator)?;
-        let op = OpId::new(self.next_op);
-        self.next_op += 1;
-        self.overlapped.push((op, initiator));
-        let (to, msg) = self.entry(initiator);
-        self.net.inject(op, initiator, to, msg);
-        Ok(op)
-    }
-
-    fn advance_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
-        self.net.run_until(&mut self.state, deadline)?;
-        Ok(())
-    }
-
-    fn finish_all(&mut self) -> Result<Vec<CompletedOp>, SimError> {
-        self.net.run_to_quiescence(&mut self.state)?;
-        let delivered = std::mem::take(&mut self.state.delivered);
-        let by_op: std::collections::HashMap<OpId, u64> =
-            delivered.into_iter().map(|(op, _, v)| (op, v)).collect();
-        let mut completed = Vec::new();
-        for (op, initiator) in std::mem::take(&mut self.overlapped) {
-            let trace = self
-                .net
-                .finish_op(op)
-                .expect("overlapped execution requires per-op tracing (TraceMode::Contacts)");
-            completed.push(CompletedOp {
-                op,
-                initiator,
-                value: by_op[&op],
-                started_at: trace.started_at,
-                completed_at: trace.completed_at,
-            });
-        }
-        Ok(completed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bitonic::has_step_property;
-    use distctr_sim::{ConcurrentDriver, SequentialDriver};
+    use distctr_sim::{ConcurrentCounter, ConcurrentDriver, Counter, SequentialDriver};
 
     #[test]
     fn sequential_correctness_any_width() {

@@ -14,11 +14,9 @@
 
 use std::collections::HashMap;
 
-use distctr_sim::{
-    ConcurrentCounter, Counter, DeliveryPolicy, IncResult, LoadTracker, Network, OpId, Outbox,
-    ProcessorId, Protocol, SimError, TraceMode,
-};
+use distctr_sim::{DeliveryPolicy, Network, Outbox, ProcessorId, Protocol, SimError, TraceMode};
 
+use crate::driver::{ConcurrentProtocol, CounterProtocol, Delivered, Entry, SimCounter};
 use crate::hosting::Hosting;
 
 /// Messages of the diffracting-tree protocol.
@@ -58,15 +56,16 @@ struct Parked {
     origin: ProcessorId,
 }
 
+/// The diffracting tree's protocol: toggles, prisms and exit counters.
 #[derive(Debug, Clone)]
-struct DiffractingState {
+pub struct DiffractingState {
     depth: u32,
     hosting: Hosting,
     toggles: Vec<bool>,
     prisms: HashMap<u32, Parked>,
     visits: Vec<u64>,
     next_marker: u64,
-    delivered: Vec<(OpId, ProcessorId, u64)>,
+    delivered: Vec<Delivered>,
     diffractions: u64,
     toggle_passes: u64,
 }
@@ -155,11 +154,33 @@ impl Protocol for DiffractingState {
                 out.send(origin, DiffractingMsg::Value { value });
             }
             DiffractingMsg::Value { value } => {
-                self.delivered.push((out.op(), out.me(), value));
+                // It may ride a partner's envelope: its op is unknown.
+                self.delivered.push((None, out.me(), value));
             }
         }
     }
 }
+
+impl CounterProtocol for DiffractingState {
+    const NAME: &'static str = "diffracting-tree";
+
+    fn enter(&mut self, initiator: ProcessorId) -> Entry<DiffractingMsg> {
+        if self.depth == 0 {
+            Entry::Send(
+                self.host_of_exit(0),
+                DiffractingMsg::ExitToken { exit: 0, origin: initiator },
+            )
+        } else {
+            Entry::Send(self.host_of_node(1), DiffractingMsg::Token { node: 1, origin: initiator })
+        }
+    }
+
+    fn delivered(&mut self) -> &mut Vec<Delivered> {
+        &mut self.delivered
+    }
+}
+
+impl ConcurrentProtocol for DiffractingState {}
 
 /// A distributed counter backed by a diffracting tree of depth `d`
 /// (2^d exit counters).
@@ -177,12 +198,7 @@ impl Protocol for DiffractingState {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct DiffractingTreeCounter {
-    net: Network<DiffractingMsg>,
-    state: DiffractingState,
-    next_op: usize,
-}
+pub type DiffractingTreeCounter = SimCounter<DiffractingState>;
 
 impl DiffractingTreeCounter {
     /// Creates a diffracting tree of depth `depth` over `n` processors
@@ -221,7 +237,7 @@ impl DiffractingTreeCounter {
             diffractions: 0,
             toggle_passes: 0,
         };
-        Ok(DiffractingTreeCounter { net, state, next_op: 0 })
+        Ok(SimCounter::from_parts(net, state))
     }
 
     /// Number of exit counters (2^depth).
@@ -247,89 +263,12 @@ impl DiffractingTreeCounter {
     pub fn exit_counts(&self) -> &[u64] {
         &self.state.visits
     }
-
-    fn entry(&self, p: ProcessorId) -> (ProcessorId, DiffractingMsg) {
-        if self.state.depth == 0 {
-            (self.state.host_of_exit(0), DiffractingMsg::ExitToken { exit: 0, origin: p })
-        } else {
-            (self.state.host_of_node(1), DiffractingMsg::Token { node: 1, origin: p })
-        }
-    }
-
-    fn check(&self, p: ProcessorId) -> Result<(), SimError> {
-        if p.index() >= self.net.processors() {
-            return Err(SimError::UnknownProcessor {
-                index: p.index(),
-                processors: self.net.processors(),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Counter for DiffractingTreeCounter {
-    fn name(&self) -> &'static str {
-        "diffracting-tree"
-    }
-
-    fn processors(&self) -> usize {
-        self.net.processors()
-    }
-
-    fn inc(&mut self, initiator: ProcessorId) -> Result<IncResult, SimError> {
-        self.check(initiator)?;
-        let op = OpId::new(self.next_op);
-        self.next_op += 1;
-        self.state.delivered.clear();
-        let (to, msg) = self.entry(initiator);
-        self.net.inject(op, initiator, to, msg);
-        let stats = self.net.run_to_quiescence(&mut self.state)?;
-        let trace = self.net.finish_op(op);
-        let (_, _, value) =
-            self.state.delivered.pop().expect("token must exit and deliver a value");
-        Ok(IncResult { value, messages: stats.delivered, completed_at: stats.end_time, trace })
-    }
-
-    fn loads(&self) -> &LoadTracker {
-        self.net.loads()
-    }
-}
-
-impl ConcurrentCounter for DiffractingTreeCounter {
-    fn inc_batch(&mut self, initiators: &[ProcessorId]) -> Result<Vec<u64>, SimError> {
-        for &p in initiators {
-            self.check(p)?;
-        }
-        self.state.delivered.clear();
-        let base = self.next_op;
-        for (i, &p) in initiators.iter().enumerate() {
-            let (to, msg) = self.entry(p);
-            self.net.inject(OpId::new(base + i), p, to, msg);
-        }
-        self.next_op += initiators.len();
-        self.net.run_to_quiescence(&mut self.state)?;
-        for i in 0..initiators.len() {
-            self.net.finish_op(OpId::new(base + i));
-        }
-        // Combined/diffracted operations share envelopes, so a value's op
-        // id may be a partner's; match replies by initiator instead.
-        let mut delivered = std::mem::take(&mut self.state.delivered);
-        let mut out = Vec::with_capacity(initiators.len());
-        for &p in initiators {
-            let pos = delivered
-                .iter()
-                .position(|&(_, to, _)| to == p)
-                .expect("every initiator must receive a value");
-            out.push(delivered.swap_remove(pos).2);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distctr_sim::{ConcurrentDriver, SequentialDriver};
+    use distctr_sim::{ConcurrentCounter, ConcurrentDriver, Counter, SequentialDriver};
 
     #[test]
     fn sequential_correctness_across_depths() {

@@ -6,8 +6,6 @@
 //!
 //! * [`CentralCounter`] — the message-optimal single-coordinator counter
 //!   from the paper's introduction; bottleneck Θ(n).
-//! * [`StaticTreeCounter`] — the paper's tree with retirement disabled
-//!   (ablation); bottleneck Θ(n) at the root.
 //! * [`CombiningTreeCounter`] — software combining tree (Yew-Tzeng-Lawrie
 //!   / Goodman-Vernon-Woest); combines only under concurrency.
 //! * [`CountingNetworkCounter`] — bitonic counting network
@@ -17,10 +15,14 @@
 //! * [`ArrowCounter`] — the opposite philosophy: a mobile token carrying
 //!   the value over a spanning tree with Arrow path reversal.
 //!
-//! All implement [`distctr_sim::Counter`] (sequential paper model) and
-//! [`distctr_sim::ConcurrentCounter`] where concurrency is meaningful, so
-//! the experiments and the lower-bound adversary run identically against
-//! each.
+//! Each is a protocol (`CentralState`, …) driven by the one
+//! [`SimCounter`] (see [`driver`]), so all implement
+//! [`distctr_sim::Counter`] (sequential paper model), and
+//! [`distctr_sim::ConcurrentCounter`] where concurrency is meaningful; the
+//! experiments and the lower-bound adversary run identically against
+//! each. The static-tree ablation — the paper's tree with retirement
+//! disabled — is `distctr_core::TreeCounter` built with
+//! `RetirementPolicy::Never`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,8 +33,8 @@ pub mod central;
 pub mod combining;
 pub mod counting;
 pub mod diffracting;
+pub mod driver;
 pub mod hosting;
-pub mod static_tree;
 
 pub use arrow::{ArrowCounter, ArrowMsg, SpanningTree};
 pub use bitonic::{has_step_property, Balancer, BitonicNetwork};
@@ -40,5 +42,5 @@ pub use central::{CentralCounter, CentralMsg};
 pub use combining::{CombiningMsg, CombiningTreeCounter};
 pub use counting::{CountingMsg, CountingNetworkCounter};
 pub use diffracting::{DiffractingMsg, DiffractingTreeCounter};
+pub use driver::SimCounter;
 pub use hosting::Hosting;
-pub use static_tree::StaticTreeCounter;

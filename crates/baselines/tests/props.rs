@@ -1,10 +1,12 @@
 //! Property-based tests over the baseline substrates.
 
 use distctr_baselines::{
-    has_step_property, BitonicNetwork, CombiningTreeCounter, CountingNetworkCounter,
-    DiffractingTreeCounter, Hosting,
+    has_step_property, BitonicNetwork, CentralCounter, CombiningTreeCounter,
+    CountingNetworkCounter, DiffractingTreeCounter, Hosting,
 };
-use distctr_sim::{ConcurrentDriver, Counter, DeliveryPolicy, ProcessorId, TraceMode};
+use distctr_sim::{
+    ConcurrentCounter, ConcurrentDriver, Counter, DeliveryPolicy, ProcessorId, TraceMode,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -177,4 +179,72 @@ proptest! {
         let mean = logical / processors;
         prop_assert!(h.max_colocation() <= mean + 1);
     }
+}
+
+/// Batches whose initiators repeat: a processor with two `inc`s in one
+/// batch receives two replies, and which reply answers which `inc` is the
+/// one decision the simulated drivers make beyond the protocols.
+const REPEATED_INITIATOR_BATCHES: [&[usize]; 4] = [
+    &[3, 3, 5, 3],
+    &[0, 7, 0, 7, 0, 7],
+    &[2, 2, 2, 2, 6, 6, 1, 2],
+    &[5, 1, 4, 1, 5, 1, 4, 5, 1, 4],
+];
+
+fn repeated_initiator_values(counter: &mut dyn ConcurrentCounter) -> Vec<Vec<u64>> {
+    REPEATED_INITIATOR_BATCHES
+        .iter()
+        .map(|batch| {
+            let batch: Vec<_> = batch.iter().map(|&p| ProcessorId::new(p)).collect();
+            counter.inc_batch(&batch).expect("batch")
+        })
+        .collect()
+}
+
+/// What the four concurrent baselines on 8 processors (counting width 4,
+/// diffracting depth 2) hand [`REPEATED_INITIATOR_BATCHES`], one line per
+/// policy of [`DeliveryPolicy::test_suite`] and counter.
+const REPEATED_INITIATOR_VALUES: &str = "\
+fifo central: [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9], [10, 11, 12, 13, 14, 15, 16, 17], [18, 19, 20, 21, 22, 23, 24, 25, 26, 27]]
+fifo combining-tree: [[0, 3, 2, 1], [4, 9, 8, 7, 5, 6], [10, 17, 11, 12, 15, 14, 16, 13], [18, 22, 27, 25, 20, 24, 19, 26, 23, 21]]
+fifo counting-network: [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9], [10, 11, 12, 13, 14, 15, 16, 17], [18, 19, 20, 21, 22, 23, 24, 25, 26, 27]]
+fifo diffracting-tree: [[0, 3, 2, 1], [4, 9, 8, 7, 6, 5], [12, 15, 10, 13, 17, 16, 14, 11], [20, 21, 27, 26, 23, 25, 22, 24, 19, 18]]
+random central: [[3, 0, 1, 2], [9, 7, 4, 5, 6, 8], [14, 10, 12, 13, 15, 16, 17, 11], [25, 19, 20, 24, 22, 26, 21, 23, 27, 18]]
+random combining-tree: [[0, 3, 2, 1], [9, 4, 6, 8, 5, 7], [12, 17, 13, 14, 10, 11, 16, 15], [21, 22, 27, 25, 18, 23, 26, 20, 24, 19]]
+random counting-network: [[3, 1, 0, 2], [8, 6, 4, 7, 9, 5], [11, 15, 14, 13, 16, 17, 10, 12], [18, 27, 19, 21, 24, 25, 20, 26, 22, 23]]
+random diffracting-tree: [[0, 3, 1, 2], [7, 4, 9, 6, 5, 8], [10, 17, 14, 15, 16, 11, 12, 13], [20, 26, 25, 19, 21, 23, 24, 18, 27, 22]]
+lifo central: [[3, 2, 1, 0], [9, 8, 7, 6, 5, 4], [17, 16, 15, 14, 13, 12, 11, 10], [27, 26, 25, 24, 23, 22, 21, 20, 19, 18]]
+lifo combining-tree: [[1, 3, 2, 0], [5, 7, 9, 6, 4, 8], [15, 11, 10, 12, 16, 17, 14, 13], [23, 19, 26, 20, 25, 21, 22, 27, 18, 24]]
+lifo counting-network: [[1, 0, 3, 2], [5, 4, 7, 6, 9, 8], [11, 10, 13, 12, 15, 14, 17, 16], [19, 18, 21, 20, 23, 22, 25, 24, 27, 26]]
+lifo diffracting-tree: [[1, 2, 3, 0], [5, 4, 9, 6, 7, 8], [17, 10, 15, 16, 12, 13, 11, 14], [25, 27, 26, 24, 18, 20, 19, 21, 22, 23]]
+channel-fifo central: [[0, 2, 1, 3], [4, 7, 5, 8, 6, 9], [10, 12, 13, 14, 15, 16, 11, 17], [18, 22, 19, 25, 20, 26, 23, 21, 27, 24]]
+channel-fifo combining-tree: [[0, 1, 3, 2], [4, 6, 9, 8, 5, 7], [12, 16, 15, 14, 11, 10, 17, 13], [20, 18, 21, 24, 23, 19, 26, 22, 25, 27]]
+channel-fifo counting-network: [[1, 2, 0, 3], [5, 4, 6, 7, 9, 8], [13, 14, 15, 17, 10, 12, 11, 16], [24, 21, 19, 20, 25, 22, 18, 27, 23, 26]]
+channel-fifo diffracting-tree: [[0, 2, 1, 3], [6, 7, 4, 9, 8, 5], [13, 16, 10, 11, 14, 15, 12, 17], [18, 24, 26, 23, 20, 25, 27, 19, 22, 21]]
+";
+
+#[test]
+fn repeated_initiators_receive_the_pinned_values_under_every_policy() {
+    let mut lines = Vec::new();
+    for policy in DeliveryPolicy::test_suite() {
+        let counters: [Box<dyn ConcurrentCounter>; 4] = [
+            Box::new(CentralCounter::with_policy(8, TraceMode::Off, policy.clone()).expect("c")),
+            Box::new(
+                CombiningTreeCounter::with_policy(8, TraceMode::Off, policy.clone()).expect("c"),
+            ),
+            Box::new(
+                CountingNetworkCounter::with_policy(8, 4, TraceMode::Off, policy.clone())
+                    .expect("c"),
+            ),
+            Box::new(
+                DiffractingTreeCounter::with_policy(8, 2, TraceMode::Off, policy.clone())
+                    .expect("c"),
+            ),
+        ];
+        for mut c in counters {
+            let values = repeated_initiator_values(c.as_mut());
+            lines.push(format!("{} {}: {values:?}\n", policy.name(), c.name()));
+        }
+    }
+    assert_eq!(lines.concat(), REPEATED_INITIATOR_VALUES);
 }

@@ -3,9 +3,9 @@
 
 use distctr_baselines::{
     ArrowCounter, CentralCounter, CombiningTreeCounter, CountingNetworkCounter,
-    DiffractingTreeCounter, StaticTreeCounter,
+    DiffractingTreeCounter,
 };
-use distctr_core::TreeCounter;
+use distctr_core::{RetirementPolicy, TreeCounter};
 use distctr_sim::{ConcurrentCounter, Counter, DeliveryPolicy, ProcessorId, SimError, TraceMode};
 
 /// The algorithms under study.
@@ -76,35 +76,9 @@ impl Algo {
         trace: TraceMode,
         policy: DeliveryPolicy,
     ) -> Result<Box<dyn Counter>, String> {
-        Ok(match self {
-            Algo::RetirementTree => Box::new(
-                TreeCounter::builder(n)
-                    .map_err(|e| e.to_string())?
-                    .trace(trace)
-                    .delivery(policy)
-                    .build()
-                    .map_err(|e| e.to_string())?,
-            ),
-            Algo::StaticTree => Box::new(
-                StaticTreeCounter::with_policy(n, trace, policy).map_err(|e| e.to_string())?,
-            ),
-            Algo::Central => {
-                Box::new(CentralCounter::with_policy(n, trace, policy).map_err(|e| e.to_string())?)
-            }
-            Algo::Combining => Box::new(
-                CombiningTreeCounter::with_policy(n, trace, policy).map_err(|e| e.to_string())?,
-            ),
-            Algo::CountingNetwork { width } => Box::new(
-                CountingNetworkCounter::with_policy(n, *width, trace, policy)
-                    .map_err(|e| e.to_string())?,
-            ),
-            Algo::Diffracting { depth } => Box::new(
-                DiffractingTreeCounter::with_policy(n, *depth, trace, policy)
-                    .map_err(|e| e.to_string())?,
-            ),
-            Algo::Arrow => {
-                Box::new(ArrowCounter::with_policy(n, trace, policy).map_err(|e| e.to_string())?)
-            }
+        Ok(match self.construct(n, trace, policy).map_err(|e| e.to_string())? {
+            Built::Sequential(counter) => counter,
+            Built::Concurrent(counter) => counter,
         })
     }
 
@@ -121,26 +95,56 @@ impl Algo {
         trace: TraceMode,
         policy: DeliveryPolicy,
     ) -> Result<Box<dyn ConcurrentCounter>, String> {
-        Ok(match self {
-            Algo::Central => {
-                Box::new(CentralCounter::with_policy(n, trace, policy).map_err(|e| e.to_string())?)
+        match self.construct(n, trace, policy).map_err(|e| e.to_string())? {
+            Built::Concurrent(counter) => Ok(counter),
+            Built::Sequential(_) => {
+                Err(format!("{} follows the paper's sequential model only", self.name()))
             }
-            Algo::Combining => Box::new(
-                CombiningTreeCounter::with_policy(n, trace, policy).map_err(|e| e.to_string())?,
-            ),
-            Algo::CountingNetwork { width } => Box::new(
-                CountingNetworkCounter::with_policy(n, *width, trace, policy)
-                    .map_err(|e| e.to_string())?,
-            ),
-            Algo::Diffracting { depth } => Box::new(
-                DiffractingTreeCounter::with_policy(n, *depth, trace, policy)
-                    .map_err(|e| e.to_string())?,
-            ),
-            Algo::RetirementTree | Algo::StaticTree | Algo::Arrow => {
-                return Err(format!("{} follows the paper's sequential model only", self.name()))
+        }
+    }
+
+    /// The one constructor dispatch behind [`Algo::build`] and
+    /// [`Algo::build_concurrent`].
+    fn construct(
+        &self,
+        n: usize,
+        trace: TraceMode,
+        policy: DeliveryPolicy,
+    ) -> Result<Built, Box<dyn std::error::Error>> {
+        Ok(match *self {
+            Algo::RetirementTree | Algo::StaticTree => {
+                let retirement = match self {
+                    Algo::StaticTree => RetirementPolicy::Never,
+                    _ => RetirementPolicy::PaperDefault,
+                };
+                let builder = TreeCounter::builder(n)?.trace(trace).delivery(policy);
+                Built::Sequential(Box::new(builder.retirement(retirement).build()?))
+            }
+            Algo::Central => {
+                Built::Concurrent(Box::new(CentralCounter::with_policy(n, trace, policy)?))
+            }
+            Algo::Combining => {
+                Built::Concurrent(Box::new(CombiningTreeCounter::with_policy(n, trace, policy)?))
+            }
+            Algo::CountingNetwork { width } => Built::Concurrent(Box::new(
+                CountingNetworkCounter::with_policy(n, width, trace, policy)?,
+            )),
+            Algo::Diffracting { depth } => Built::Concurrent(Box::new(
+                DiffractingTreeCounter::with_policy(n, depth, trace, policy)?,
+            )),
+            Algo::Arrow => {
+                Built::Sequential(Box::new(ArrowCounter::with_policy(n, trace, policy)?))
             }
         })
     }
+}
+
+/// A counter as [`Algo::construct`] built it: batching or not.
+enum Built {
+    /// Follows the paper's sequential model only.
+    Sequential(Box<dyn Counter>),
+    /// Also runs batches of concurrent `inc`s.
+    Concurrent(Box<dyn ConcurrentCounter>),
 }
 
 /// Result of one sequential canonical run.

@@ -4,7 +4,7 @@
 use distctr_analysis::{fmt_f64, Table};
 use distctr_baselines::{CentralCounter, CountingNetworkCounter};
 use distctr_bound::{audit_weights, theory, Adversary};
-use distctr_core::TreeCounter;
+use distctr_core::{RetirementPolicy, TreeCounter};
 use distctr_sim::{DeliveryPolicy, ProcessorId, SimError, TraceMode};
 
 /// E1 — the greedy longest-list adversary vs every cloneable
@@ -62,7 +62,11 @@ pub fn e1_adversarial_lower_bound(n: usize, sample: Option<usize>) -> String {
         run("retirement-tree", adversary.run(&mut c));
     }
     {
-        let mut c = distctr_baselines::StaticTreeCounter::new(n).expect("static tree builds");
+        let mut c = TreeCounter::builder(n)
+            .expect("builder")
+            .retirement(RetirementPolicy::Never)
+            .build()
+            .expect("static tree builds");
         run("static-tree", adversary.run(&mut c));
     }
     {

@@ -3,10 +3,9 @@
 
 use distctr_baselines::{
     CentralCounter, CombiningTreeCounter, CountingNetworkCounter, DiffractingTreeCounter,
-    StaticTreeCounter,
 };
 use distctr_bound::{audit_weights, Adversary};
-use distctr_core::TreeCounter;
+use distctr_core::{RetirementPolicy, TreeCounter};
 use distctr_sim::{Counter, ProcessorId, TraceMode};
 
 fn assert_theorem<C: Counter + Clone>(mut counter: C) {
@@ -24,7 +23,13 @@ fn assert_theorem<C: Counter + Clone>(mut counter: C) {
 #[test]
 fn lower_bound_holds_for_every_implementation_n8() {
     assert_theorem(TreeCounter::new(8).expect("tree"));
-    assert_theorem(StaticTreeCounter::new(8).expect("static"));
+    assert_theorem(
+        TreeCounter::builder(8)
+            .expect("builder")
+            .retirement(RetirementPolicy::Never)
+            .build()
+            .expect("static"),
+    );
     assert_theorem(CentralCounter::new(8).expect("central"));
     assert_theorem(CombiningTreeCounter::new(8).expect("combining"));
     assert_theorem(CountingNetworkCounter::new(8, 4).expect("counting"));

@@ -264,6 +264,42 @@ mod tests {
         assert_eq!(s.audit().stints_completed(), 0, "no retirement ever");
     }
 
+    /// The paper's tree with retirement disabled: the static-tree ablation.
+    fn static_tree(n: usize) -> TreeCounter {
+        TreeCounter::builder(n)
+            .expect("builder")
+            .retirement(RetirementPolicy::Never)
+            .build()
+            .expect("static")
+    }
+
+    #[test]
+    fn static_tree_counts_in_order_with_a_theta_n_root_at_n81() {
+        let mut c = static_tree(81);
+        let out = SequentialDriver::run_identity(&mut c).expect("sequence");
+        assert!(out.values_are_sequential());
+        // Root worker: 1 receive + 1 send per op = 2n, plus its own leaf
+        // and level-1 duties.
+        let n = c.processors() as u64;
+        assert!(c.loads().max_load() >= 2 * n, "static root is a Θ(n) hot spot");
+        assert_eq!(c.audit().stints_completed(), 0);
+    }
+
+    #[test]
+    fn static_tree_op_costs_the_tree_height_plus_one_reply() {
+        let mut c = static_tree(81);
+        let r = c.inc(ProcessorId::new(40)).expect("inc");
+        // Climb k+1 hops (leaf -> level k ... -> root) + 1 value reply.
+        assert_eq!(r.messages, (u64::from(c.order()) + 1) + 1);
+    }
+
+    #[test]
+    fn static_tree_exposes_its_topology() {
+        let c = static_tree(8);
+        assert_eq!(c.order(), 2);
+        assert_eq!(c.topology().processors(), 8);
+    }
+
     #[test]
     fn crash_recovery_promotes_the_pool_successor() {
         let mut c = TreeCounter::with_order(3).expect("k=3");

@@ -24,12 +24,14 @@ pub enum SimError {
     /// satisfy the paper's "each processor increments exactly once"
     /// requirement.
     NotAPermutation,
-    /// The run exceeded the configured safety cap on delivered messages,
-    /// which almost always indicates a protocol that fails to quiesce.
-    /// Carries enough diagnostics to see *what* was ping-ponging when
-    /// the cap was hit.
+    /// The run hit a safety cap — on messages delivered, or on messages
+    /// queued at once — which almost always indicates a protocol that
+    /// fails to quiesce. Carries enough diagnostics to see *what* was
+    /// ping-ponging when the cap was hit.
     Livelock {
-        /// The cap that was hit.
+        /// The cap that was hit: the configured cap on deliveries per run
+        /// call, or, when `queue_depth` reached it, the network's bound on
+        /// queued messages (64 per processor plus 2^16).
         cap: u64,
         /// Messages delivered by this run call before giving up.
         delivered: u64,
@@ -56,7 +58,7 @@ impl fmt::Display for SimError {
             SimError::Livelock { cap, delivered, queue_depth, recent_deliveries, next_pending } => {
                 write!(
                     f,
-                    "delivered-message cap of {cap} exceeded after {delivered} deliveries \
+                    "livelock cap of {cap} reached after {delivered} deliveries \
                      with {queue_depth} still queued; protocol may not quiesce"
                 )?;
                 if !recent_deliveries.is_empty() {

@@ -23,6 +23,15 @@ use crate::trace::{OpTrace, TraceMode, TraceRecorder};
 /// hitting it means the protocol almost certainly livelocks.
 pub const DEFAULT_MESSAGE_CAP: u64 = 1 << 30;
 
+/// The bound on messages queued at once in a network of `processors`: a
+/// run whose queue reaches it stops with [`SimError::Livelock`]. The
+/// delivery cap bounds time, not memory — a message that circles while
+/// the fault plan duplicates it grows the queue geometrically long before
+/// that cap.
+const fn queue_bound(processors: usize) -> usize {
+    64 * processors + (1 << 16)
+}
+
 /// How many trailing deliveries and pending heads a
 /// [`SimError::Livelock`] report captures.
 const LIVELOCK_RECENT: usize = 4;
@@ -310,7 +319,8 @@ impl<M: Clone + fmt::Debug> Network<M> {
     ///
     /// Returns [`SimError::Livelock`] (with delivery and queue
     /// diagnostics) if more than the configured cap of messages is
-    /// delivered in this single call.
+    /// delivered in this single call, or once 64 messages per processor
+    /// plus 2^16 are queued at once.
     pub fn run_to_quiescence<P: Protocol<Msg = M>>(
         &mut self,
         protocol: &mut P,
@@ -327,7 +337,8 @@ impl<M: Clone + fmt::Debug> Network<M> {
     ///
     /// Returns [`SimError::Livelock`] (with delivery and queue
     /// diagnostics) if more than the configured cap of messages is
-    /// delivered in this single call.
+    /// delivered in this single call, or once 64 messages per processor
+    /// plus 2^16 are queued at once.
     pub fn run_until<P: Protocol<Msg = M>>(
         &mut self,
         protocol: &mut P,
@@ -343,6 +354,7 @@ impl<M: Clone + fmt::Debug> Network<M> {
         protocol: &mut P,
         deadline: Option<SimTime>,
     ) -> Result<RunStats, SimError> {
+        let queue_cap = queue_bound(self.processors);
         let mut delivered: u64 = 0;
         let mut recent: VecDeque<String> = VecDeque::new();
         loop {
@@ -352,11 +364,12 @@ impl<M: Clone + fmt::Debug> Network<M> {
                 Some(rank) if deadline.is_some_and(|d| rank.at > d) => break,
                 Some(_) => {}
             }
-            if delivered >= self.message_cap {
+            let queued = self.queue.len();
+            if delivered >= self.message_cap || queued >= queue_cap {
                 return Err(SimError::Livelock {
-                    cap: self.message_cap,
+                    cap: if queued >= queue_cap { queue_cap as u64 } else { self.message_cap },
                     delivered,
-                    queue_depth: self.queue.len(),
+                    queue_depth: queued,
                     recent_deliveries: recent.into_iter().collect(),
                     next_pending: self.queue.head_summaries(LIVELOCK_RECENT),
                 });
@@ -621,6 +634,32 @@ mod tests {
                     recent_deliveries.iter().all(|s| s.contains("op0")),
                     "summaries name the op: {recent_deliveries:?}"
                 );
+            }
+            other => panic!("expected livelock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_queue_that_outgrows_its_bound_is_a_livelock() {
+        /// Every delivery sends two messages: the queue grows by one per
+        /// delivery and the run never quiesces.
+        struct Doubling;
+        impl Protocol for Doubling {
+            type Msg = ();
+            fn on_deliver(&mut self, out: &mut Outbox<'_, ()>, from: ProcessorId, (): ()) {
+                out.send(from, ());
+                out.send(from, ());
+            }
+        }
+        let mut net = Network::new(2, TraceMode::Off).expect("net");
+        net.inject(OpId::new(0), p(0), p(1), ());
+        let err = net.run_to_quiescence(&mut Doubling).unwrap_err();
+        let bound = 64 * 2 + (1 << 16);
+        match err {
+            SimError::Livelock { cap, delivered, queue_depth, .. } => {
+                assert_eq!(queue_depth, bound);
+                assert_eq!(cap, bound as u64);
+                assert_eq!(delivered, bound as u64 - 1, "one more queued per delivery");
             }
             other => panic!("expected livelock, got {other:?}"),
         }

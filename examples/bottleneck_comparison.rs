@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let width = ((n as f64).sqrt() as usize).next_power_of_two();
         let rows = vec![
             run(CentralCounter::new(n)?, 7)?,
-            run(StaticTreeCounter::new(n)?, 7)?,
+            run(TreeCounter::builder(n)?.retirement(RetirementPolicy::Never).build()?, 7)?,
             run(CombiningTreeCounter::new(n)?, 7)?,
             run(CountingNetworkCounter::new(n, width)?, 7)?,
             run(DiffractingTreeCounter::new(n, width.trailing_zeros())?, 7)?,

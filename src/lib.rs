@@ -63,7 +63,6 @@ pub use distctr_sim as sim;
 pub mod prelude {
     pub use distctr_baselines::{
         CentralCounter, CombiningTreeCounter, CountingNetworkCounter, DiffractingTreeCounter,
-        StaticTreeCounter,
     };
     pub use distctr_bound::{audit_weights, Adversary};
     // `CounterBackend` is deliberately NOT here: its `inc` would collide

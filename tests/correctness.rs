@@ -16,7 +16,15 @@ fn all_counters(n: usize, trace: TraceMode, policy: DeliveryPolicy) -> Vec<Box<d
                 .build()
                 .expect("tree"),
         ),
-        Box::new(StaticTreeCounter::with_policy(n, trace, policy.clone()).expect("static")),
+        Box::new(
+            TreeCounter::builder(n)
+                .expect("builder")
+                .trace(trace)
+                .delivery(policy.clone())
+                .retirement(RetirementPolicy::Never)
+                .build()
+                .expect("static"),
+        ),
         Box::new(CentralCounter::with_policy(n, trace, policy.clone()).expect("central")),
         Box::new(CombiningTreeCounter::with_policy(n, trace, policy.clone()).expect("combining")),
         Box::new(

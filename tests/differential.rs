@@ -20,7 +20,13 @@ fn all_counters(n: usize, policy: DeliveryPolicy) -> Vec<Box<dyn Counter>> {
                 .expect("tree"),
         ),
         Box::new(
-            StaticTreeCounter::with_policy(n, TraceMode::Off, policy.clone()).expect("static"),
+            TreeCounter::builder(n)
+                .expect("builder")
+                .trace(TraceMode::Off)
+                .delivery(policy.clone())
+                .retirement(RetirementPolicy::Never)
+                .build()
+                .expect("static"),
         ),
         Box::new(CentralCounter::with_policy(n, TraceMode::Off, policy.clone()).expect("central")),
         Box::new(

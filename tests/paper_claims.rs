@@ -4,6 +4,15 @@
 use distctr::bound::theory;
 use distctr::prelude::*;
 
+/// The paper's tree with retirement disabled (the ablation).
+fn static_tree(n: usize) -> TreeCounter {
+    TreeCounter::builder(n)
+        .expect("builder")
+        .retirement(RetirementPolicy::Never)
+        .build()
+        .expect("static")
+}
+
 #[test]
 fn theorem_sandwich_tree_counter_between_k_and_20k() {
     for k in 2..=4u32 {
@@ -43,7 +52,7 @@ fn retirement_beats_every_theta_n_baseline_at_scale() {
             c.loads().max_load()
         }),
         ("static-tree", {
-            let mut c = StaticTreeCounter::new(n).expect("static");
+            let mut c = static_tree(n);
             SequentialDriver::run_shuffled(&mut c, 1).expect("runs");
             c.loads().max_load()
         }),
@@ -75,7 +84,7 @@ fn retirement_is_the_load_spreading_mechanism() {
         c.loads().max_load()
     };
     let without = {
-        let mut c = StaticTreeCounter::new(n).expect("static");
+        let mut c = static_tree(n);
         SequentialDriver::run_identity(&mut c).expect("runs");
         c.loads().max_load()
     };
