@@ -138,8 +138,7 @@ impl Transport<CounterObject> for Wire {
                 pool_cursor: transfer.pool_cursor.saturating_sub(1),
                 parent_worker: transfer.parent_worker,
                 child_workers: transfer.child_workers.clone(),
-                object: transfer.object.clone(),
-                reply_cache: transfer.reply_cache.clone(),
+                root: transfer.root.clone(),
             });
             self.finals.push((from, transfer.node, zombie));
         }

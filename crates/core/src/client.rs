@@ -508,6 +508,7 @@ mod tests {
     use super::*;
     use crate::object::{FlipBitObject, PqRequest, PqResponse, PriorityQueueObject};
     use crate::{TreeCounter, REPLY_CACHE_CAP};
+    use distctr_sim::Counter;
 
     #[test]
     fn retries_stay_exactly_once_as_the_reply_cache_evicts() {
@@ -545,7 +546,8 @@ mod tests {
             // hosts the root; the registry names the worker it last saw.
             let root = c.proto.engine_of(c.worker_of(NodeRef::ROOT)).hosted(NodeRef::ROOT);
             if let Some(root) = root.filter(|_| !c.is_crashed(c.worker_of(NodeRef::ROOT))) {
-                let cache: Vec<(u64, u64)> = root.reply_cache.iter().copied().collect();
+                let state = root.root.as_deref().expect("a hosted root holds the root state");
+                let cache: Vec<(u64, u64)> = state.reply_cache.iter().copied().collect();
                 assert_eq!(cache, newest, "op {i}: the root's reply cache");
                 cache_checks += 1;
             }
@@ -555,6 +557,56 @@ mod tests {
         assert!(faults.drops > 0 && faults.dups > 0, "the plan injected faults: {faults:?}");
         assert!(c.watchdog_retries() > 0, "lost ops were retried");
         assert!(cache_checks > OPS * 9 / 10, "the root was hosted after most ops: {cache_checks}");
+    }
+
+    /// Asserts that exactly one live processor holds the object and reply
+    /// cache, and that it is the root's current worker. A crashed
+    /// processor's memory is out of reach, so it is not counted.
+    fn assert_root_state_lives_at_the_root(c: &TreeCounter) {
+        let topo = c.topology();
+        let holders: Vec<(ProcessorId, NodeRef, usize)> = (0..topo.processors() as usize)
+            .map(ProcessorId::new)
+            .filter(|&p| !c.is_crashed(p))
+            .flat_map(|p| {
+                let engine = c.proto.engine_of(p);
+                topo.nodes().filter_map(move |node| {
+                    let root = engine.hosted(node)?.root.as_deref()?;
+                    Some((p, node, root.reply_cache.len()))
+                })
+            })
+            .collect();
+        let [(worker, node, cached)] = holders[..] else {
+            panic!("one hosted node carries the root state: {holders:?}");
+        };
+        assert_eq!((worker, node), (c.worker_of(NodeRef::ROOT), NodeRef::ROOT));
+        assert!(cached <= REPLY_CACHE_CAP, "{cached} cached replies");
+    }
+
+    #[test]
+    fn only_the_roots_worker_holds_the_root_state_through_handoffs_and_a_rebuild() {
+        let mut c = TreeCounter::with_order(3).expect("k = 3");
+        for i in 0..81 {
+            c.inc(ProcessorId::new(i)).expect("inc");
+        }
+        assert!(c.audit().retirements_by_level()[0] > 0, "the root retired");
+        assert_root_state_lives_at_the_root(&c);
+
+        // The root's first worker crashes mid-stint, after the first op:
+        // its pool successor rebuilds the root and stable storage
+        // restores the object.
+        let root_worker = c.topology().initial_worker(NodeRef::ROOT);
+        let plan = FaultPlan::new(41).crash(root_worker, 10);
+        let mut c = TreeCounter::builder(81).expect("builder").faults(plan).build().expect("tree");
+        for i in 0..81 {
+            let initiator = ProcessorId::new(i);
+            if !c.is_crashed(initiator) {
+                c.inc_fault_tolerant(initiator).expect("inc");
+            }
+        }
+        assert!(c.is_crashed(root_worker), "the plan crashed the root's worker");
+        assert_eq!(c.audit().recoveries_by_level()[0], 1, "the root was rebuilt once");
+        assert!(c.audit().retirements_by_level()[0] > 0, "and retired after its rebuild");
+        assert_root_state_lives_at_the_root(&c);
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //! and re-enters the engine as an ordinary [`Msg::RecoverPromote`].
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 use distctr_sim::ProcessorId;
@@ -142,10 +143,11 @@ impl EngineConfig {
     }
 }
 
-/// The k+2 values of one hosted node (plus the object at the root): the
-/// paper's "id that tells which processor currently works for the node,
-/// the identifiers of its k children and its parent, and … its age".
-#[derive(Debug, Clone)]
+/// The k+2 values of one hosted node: the paper's "id that tells which
+/// processor currently works for the node, the identifiers of its k
+/// children and its parent, and … its age". Only the root's worker also
+/// holds the object, in [`Hosted::root`].
+#[derive(Clone)]
 pub struct Hosted<O: RootObject> {
     /// Messages sent or received by the node in the current stint.
     pub age: u64,
@@ -154,12 +156,52 @@ pub struct Hosted<O: RootObject> {
     /// Current worker of the parent node (None at the root).
     pub parent_worker: Option<ProcessorId>,
     /// Inner-node children's workers (empty on level k).
-    pub child_workers: Vec<ProcessorId>,
-    /// Hosted object (root only).
-    pub object: Option<O>,
-    /// Replies already sent, keyed by op sequence (root only), oldest
-    /// first; migrates with the object on handoff.
+    pub child_workers: Box<[ProcessorId]>,
+    /// The object and its reply cache: `Some` at the root only, and
+    /// `None` there too between a rebuild and its [`Event::Restore`].
+    pub root: Option<Box<RootState<O>>>,
+}
+
+/// What the root's worker holds beyond the k+2 values: the hosted object
+/// and the replies it already sent. It migrates with the root on handoff.
+#[derive(Debug, Clone)]
+pub struct RootState<O: RootObject> {
+    /// The hosted object.
+    pub object: O,
+    /// Replies already sent, keyed by op sequence, oldest first, at most
+    /// [`REPLY_CACHE_CAP`](crate::REPLY_CACHE_CAP) of them.
     pub reply_cache: VecDeque<(u64, O::Response)>,
+}
+
+/// A root state's two fields in the `Debug` text of [`Hosted`] and
+/// [`NodeTransfer`], as they read when every node carried both: `object:
+/// None, reply_cache: []` away from the root. Engine fingerprints hash
+/// that text, so they stay the same.
+pub(crate) fn debug_root_fields<O: RootObject>(
+    s: &mut fmt::DebugStruct<'_, '_>,
+    root: Option<&RootState<O>>,
+) {
+    /// The reply cache's list, empty without a root state.
+    struct Replies<'a, R>(Option<&'a VecDeque<(u64, R)>>);
+    impl<R: fmt::Debug> fmt::Debug for Replies<'_, R> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.debug_list().entries(self.0.into_iter().flatten()).finish()
+        }
+    }
+    s.field("object", &root.map(|r| &r.object))
+        .field("reply_cache", &Replies(root.map(|r| &r.reply_cache)));
+}
+
+impl<O: RootObject> fmt::Debug for Hosted<O> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = f.debug_struct("Hosted");
+        s.field("age", &self.age)
+            .field("pool_cursor", &self.pool_cursor)
+            .field("parent_worker", &self.parent_worker)
+            .field("child_workers", &self.child_workers);
+        debug_root_fields(&mut s, self.root.as_deref());
+        s.finish()
+    }
 }
 
 /// An input to the engine.
@@ -368,19 +410,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// One engine hosts O(1) nodes out of a tree that can have millions, so
 /// the former per-engine `HashMap<NodeRef, T>`s are replaced by one
-/// short sorted run of `(flat, T)` pairs: three words when empty (a
-/// `HashMap` is six, plus its heap block once touched), binary-searched
-/// lookups with no hashing, and iteration already in `NodeRef` order —
-/// which is exactly the flat-index order, so fingerprints can rebuild
-/// the canonical sorted rendering for free.
+/// short sorted run of `(flat, T)` pairs: a boxed slice of exactly its
+/// entries, two words and no heap block when empty (a `HashMap` is six
+/// words, plus its heap block once touched), binary-searched lookups
+/// with no hashing, and iteration already in `NodeRef` order — which is
+/// exactly the flat-index order, so fingerprints can rebuild the
+/// canonical sorted rendering for free.
 #[derive(Debug, Clone)]
 struct NodeSlots<T> {
-    entries: Vec<(u32, T)>,
+    entries: Box<[(u32, T)]>,
 }
 
 impl<T> NodeSlots<T> {
     fn new() -> Self {
-        NodeSlots { entries: Vec::new() }
+        NodeSlots { entries: Box::default() }
     }
 
     /// Sortedness invariant, checked in debug builds and — so release
@@ -395,49 +438,51 @@ impl<T> NodeSlots<T> {
         );
     }
 
+    fn search(&self, key: u32) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
     fn contains(&self, key: u32) -> bool {
-        self.entries.binary_search_by_key(&key, |&(k, _)| k).is_ok()
+        self.search(key).is_ok()
     }
 
     fn get(&self, key: u32) -> Option<&T> {
-        self.entries.binary_search_by_key(&key, |&(k, _)| k).ok().map(|i| &self.entries[i].1)
+        self.search(key).ok().map(|i| &self.entries[i].1)
     }
 
     fn get_mut(&mut self, key: u32) -> Option<&mut T> {
-        match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => Some(&mut self.entries[i].1),
-            Err(_) => None,
-        }
+        let i = self.search(key).ok()?;
+        Some(&mut self.entries[i].1)
     }
 
     fn insert(&mut self, key: u32, value: T) {
-        match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
+        match self.search(key) {
             Ok(i) => self.entries[i].1 = value,
             Err(i) => self.insert_at(i, key, value),
         }
     }
 
-    /// Inserts a new key at its sorted position `i`. A first push would
-    /// reserve four slots, and most engines host one node at a time: at
-    /// k = 5 that is 13,700 engines holding three idle slots each, 40 %
-    /// of the simulator's resident memory.
+    /// Inserts a new key at its sorted position `i`, growing the run by
+    /// exactly one slot. Most engines host one node at a time: at k = 5 a
+    /// `Vec`'s first push would leave 13,700 engines holding three idle
+    /// slots each, 40 % of the simulator's resident memory.
     fn insert_at(&mut self, i: usize, key: u32, value: T) {
-        if self.entries.is_empty() {
-            self.entries.reserve_exact(1);
-        }
-        self.entries.insert(i, (key, value));
+        let mut entries = std::mem::take(&mut self.entries).into_vec();
+        entries.reserve_exact(1);
+        entries.insert(i, (key, value));
+        self.entries = entries.into_boxed_slice();
         self.audit();
     }
 
-    /// Removes `key`. The run that becomes empty frees its buffer: a
-    /// processor that retired from its only node keeps nothing of it (at
-    /// k = 5, 881 KiB of one-slot `hosted` runs after a canonical pass).
+    /// Removes `key`, shrinking the run to its remaining entries. The run
+    /// that becomes empty frees its buffer: a processor that retired from
+    /// its only node keeps nothing of it (at k = 5, 881 KiB of one-slot
+    /// `hosted` runs after a canonical pass).
     fn remove(&mut self, key: u32) -> Option<T> {
-        let i = self.entries.binary_search_by_key(&key, |&(k, _)| k).ok()?;
-        let (_, value) = self.entries.remove(i);
-        if self.entries.is_empty() {
-            self.entries = Vec::new();
-        }
+        let i = self.search(key).ok()?;
+        let mut entries = std::mem::take(&mut self.entries).into_vec();
+        let (_, value) = entries.remove(i);
+        self.entries = entries.into_boxed_slice();
         self.audit();
         Some(value)
     }
@@ -452,7 +497,7 @@ impl<T> NodeSlots<T> {
     where
         T: Default,
     {
-        let i = match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
+        let i = match self.search(key) {
             Ok(i) => i,
             Err(i) => {
                 self.insert_at(i, key, T::default());
@@ -469,6 +514,61 @@ impl<T> NodeSlots<T> {
     /// Slots in ascending key (= `NodeRef`) order.
     fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         self.entries.iter().map(|(k, v)| (*k, v))
+    }
+}
+
+/// The shim table: the successor each node this processor retired from
+/// was handed to. A processor that retires at all mostly retires from
+/// one node (7,470 of 8,642 in a k = 5 canonical pass, the rest from
+/// two), so a lone entry lives inline, where a one-slot run would be an
+/// 8-byte heap block; the enum takes the run's 16 bytes.
+#[derive(Debug, Clone)]
+enum Shims {
+    /// One shim entry.
+    One(u32, ProcessorId),
+    /// No entry (an empty run), or more than one.
+    Run(NodeSlots<ProcessorId>),
+}
+
+impl Shims {
+    fn get(&self, key: u32) -> Option<ProcessorId> {
+        match self {
+            Shims::One(k, successor) => (*k == key).then_some(*successor),
+            Shims::Run(run) => run.get(key).copied(),
+        }
+    }
+
+    fn insert(&mut self, key: u32, successor: ProcessorId) {
+        match self {
+            Shims::Run(run) if run.is_empty() => *self = Shims::One(key, successor),
+            Shims::Run(run) => run.insert(key, successor),
+            Shims::One(k, old) if *k == key => *old = successor,
+            Shims::One(k, old) => {
+                let mut run = NodeSlots::new();
+                run.insert(*k, *old);
+                run.insert(key, successor);
+                *self = Shims::Run(run);
+            }
+        }
+    }
+
+    fn remove(&mut self, key: u32) {
+        match self {
+            Shims::One(k, _) if *k == key => *self = Shims::Run(NodeSlots::new()),
+            Shims::One(..) => {}
+            Shims::Run(run) => {
+                run.remove(key);
+            }
+        }
+    }
+
+    /// Entries in ascending key (= `NodeRef`) order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &ProcessorId)> {
+        let (one, run) = match self {
+            Shims::One(k, successor) => (Some((*k, successor)), None),
+            Shims::Run(run) => (None, Some(run)),
+        };
+        one.into_iter().chain(run.into_iter().flat_map(NodeSlots::iter))
     }
 }
 
@@ -504,17 +604,10 @@ pub fn seed_initial_hosting<O: RootObject>(
             .inner_children(node)
             .map(|children| children.map(|c| topo.initial_worker(c)).collect())
             .unwrap_or_default();
-        engines[worker.index()].install(
-            node,
-            Hosted {
-                age: 0,
-                pool_cursor: 0,
-                parent_worker,
-                child_workers,
-                object: (node == NodeRef::ROOT).then(|| object.clone()),
-                reply_cache: VecDeque::new(),
-            },
-        );
+        let root = (node == NodeRef::ROOT)
+            .then(|| Box::new(RootState { object: object.clone(), reply_cache: VecDeque::new() }));
+        engines[worker.index()]
+            .install(node, Hosted { age: 0, pool_cursor: 0, parent_worker, child_workers, root });
     }
 }
 
@@ -530,17 +623,29 @@ struct Transit<O: RootObject> {
     rebuilding: NodeSlots<NodeSlots<ProcessorId>>,
 }
 
+/// [`EngineConfig`]'s flags as bits of [`NodeEngine`]'s `flags` byte.
+const HAS_THRESHOLD: u8 = 1;
+const RECYCLING: u8 = 1 << 1;
+const DEDUPE: u8 = 1 << 2;
+const PERSIST: u8 = 1 << 3;
+
 /// The per-processor protocol state machine. See the module docs.
 #[derive(Debug, Clone)]
 pub struct NodeEngine<O: RootObject> {
     me: ProcessorId,
+    /// The packed [`EngineConfig`]: its four flags (the threshold's
+    /// presence among them) in the padding beside `me`, and the threshold
+    /// itself below. Every engine of a fleet holds the same copy, so it
+    /// is kept at 9 bytes rather than the public struct's 24.
+    flags: u8,
     topo: Arc<Topology>,
-    config: EngineConfig,
+    /// The retirement threshold; meaningless without `HAS_THRESHOLD`.
+    threshold: u64,
     /// Nodes this processor currently works for.
     hosted: NodeSlots<Hosted<O>>,
     /// Nodes this processor retired from, with the successor to forward
     /// to (the shim).
-    forwarding: NodeSlots<ProcessorId>,
+    forwarding: Shims,
     /// Buffered messages and in-flight rebuilds; `None` while both are
     /// empty.
     transit: Option<Box<Transit<O>>>,
@@ -551,12 +656,18 @@ impl<O: RootObject> NodeEngine<O> {
     /// [`seed_initial_hosting`]).
     #[must_use]
     pub fn new(me: ProcessorId, topo: Arc<Topology>, config: EngineConfig) -> Self {
+        let EngineConfig { threshold, pool_policy, dedupe, persist } = config;
+        let flags = (u8::from(threshold.is_some()) * HAS_THRESHOLD)
+            | (u8::from(pool_policy == PoolPolicy::Recycling) * RECYCLING)
+            | (u8::from(dedupe) * DEDUPE)
+            | (u8::from(persist) * PERSIST);
         NodeEngine {
             me,
+            flags,
             topo,
-            config,
+            threshold: threshold.unwrap_or(0),
             hosted: NodeSlots::new(),
-            forwarding: NodeSlots::new(),
+            forwarding: Shims::Run(NodeSlots::new()),
             transit: None,
         }
     }
@@ -600,16 +711,34 @@ impl<O: RootObject> NodeEngine<O> {
         self.me
     }
 
+    /// Whether `bit` of the packed configuration is set.
+    fn flag(&self, bit: u8) -> bool {
+        self.flags & bit != 0
+    }
+
     /// The engine's static configuration.
     #[must_use]
     pub fn config(&self) -> EngineConfig {
-        self.config
+        EngineConfig {
+            threshold: self.flag(HAS_THRESHOLD).then_some(self.threshold),
+            pool_policy: if self.flag(RECYCLING) {
+                PoolPolicy::Recycling
+            } else {
+                PoolPolicy::OneShot
+            },
+            dedupe: self.flag(DEDUPE),
+            persist: self.flag(PERSIST),
+        }
     }
 
     /// Arms or disarms reply-cache deduplication at runtime (the
     /// simulator toggles it with its fault-tolerant mode).
     pub fn set_dedupe(&mut self, enabled: bool) {
-        self.config.dedupe = enabled;
+        if enabled {
+            self.flags |= DEDUPE;
+        } else {
+            self.flags &= !DEDUPE;
+        }
     }
 
     /// Whether this processor currently works for `node`.
@@ -633,7 +762,7 @@ impl<O: RootObject> NodeEngine<O> {
     /// Forgets all hosted, forwarding, buffered and rebuild state, as a
     /// fail-silent crash with no stable storage does.
     pub fn reset(&mut self) {
-        *self = NodeEngine::new(self.me, Arc::clone(&self.topo), self.config);
+        *self = NodeEngine::new(self.me, Arc::clone(&self.topo), self.config());
     }
 
     /// A deterministic structural fingerprint of this engine's protocol
@@ -695,8 +824,7 @@ impl<O: RootObject> NodeEngine<O> {
             Event::InvokeBatch { op_seq, count, req } => self.invoke(op_seq, count, req, fx),
             Event::Restore { node, object, reply_cache } => {
                 if let Some(h) = self.hosted.get_mut(self.slot(node)) {
-                    h.object = Some(object);
-                    h.reply_cache = reply_cache.into();
+                    h.root = Some(Box::new(RootState { object, reply_cache: reply_cache.into() }));
                     // The object is back; traffic buffered during the
                     // rebuild can flow now.
                     self.replay_pending(node, fx);
@@ -775,7 +903,7 @@ impl<O: RootObject> NodeEngine<O> {
     /// Shims or buffers a message for the node in `slot`, which this
     /// processor no longer (or does not yet) works for.
     fn shim_or_buffer(&mut self, slot: u32, msg: Msg<O>, fx: &mut Effects<O>) {
-        if let Some(&successor) = self.forwarding.get(slot) {
+        if let Some(successor) = self.forwarding.get(slot) {
             // Shim: forward to the successor we handed the node to
             // (counts as one extra message, the paper's handshake
             // argument).
@@ -816,27 +944,25 @@ impl<O: RootObject> NodeEngine<O> {
             // repeats the same op_seq *and* count, so the cached first
             // response denotes the identical range — batches are
             // exactly-once through the same cache.
-            let cached = self
-                .config
-                .dedupe
-                .then(|| h.reply_cache.iter().find(|(seq, _)| *seq == op_seq))
+            let Some(root) = h.root.as_deref_mut() else {
+                // State was lost (crash without recovery): the operation
+                // dies here instead of aborting the run.
+                fx.push(Effect::Audit(AuditEvent::Lost));
+                return;
+            };
+            let cached = (self.flags & DEDUPE != 0)
+                .then(|| root.reply_cache.iter().find(|(seq, _)| *seq == op_seq))
                 .flatten()
                 .map(|(_, resp)| resp.clone());
             let resp = if let Some(resp) = cached {
                 resp
             } else {
-                let Some(object) = h.object.as_mut() else {
-                    // State was lost (crash without recovery): the
-                    // operation dies here instead of aborting the run.
-                    fx.push(Effect::Audit(AuditEvent::Lost));
-                    return;
-                };
-                let resp = object.apply_batch(req, count);
-                push_capped(&mut h.reply_cache, (op_seq, resp.clone()));
-                if self.config.persist {
+                let resp = root.object.apply_batch(req, count);
+                push_capped(&mut root.reply_cache, (op_seq, resp.clone()));
+                if self.flags & PERSIST != 0 {
                     fx.push(Effect::Persist {
                         node,
-                        object: object.clone(),
+                        object: root.object.clone(),
                         op_seq,
                         resp: resp.clone(),
                     });
@@ -895,8 +1021,7 @@ impl<O: RootObject> NodeEngine<O> {
                 pool_cursor: transfer.pool_cursor,
                 parent_worker: transfer.parent_worker,
                 child_workers: transfer.child_workers,
-                object: transfer.object,
-                reply_cache: transfer.reply_cache,
+                root: transfer.root,
             },
         );
         // We are the current worker now; drop any stale forwarding entry
@@ -972,7 +1097,7 @@ impl<O: RootObject> NodeEngine<O> {
         let parent = self.topo.parent(node);
         let parent_worker =
             parent.map(|p| *collected.get(self.slot(p)).expect("parent share collected"));
-        let child_workers: Vec<ProcessorId> = self
+        let child_workers: Box<[ProcessorId]> = self
             .topo
             .inner_children(node)
             .map(|children| {
@@ -990,8 +1115,7 @@ impl<O: RootObject> NodeEngine<O> {
                 child_workers: child_workers.clone(),
                 // The object (root only) comes back from stable storage:
                 // the driver answers `Recovered` with `Event::Restore`.
-                object: None,
-                reply_cache: VecDeque::new(),
+                root: None,
             },
         );
         self.forwarding.remove(slot);
@@ -1040,14 +1164,16 @@ impl<O: RootObject> NodeEngine<O> {
     /// Retires this processor from `node` (whose arena key is `slot`) if
     /// its age reached the threshold.
     fn maybe_retire(&mut self, node: NodeRef, slot: u32, fx: &mut Effects<O>) {
-        let Some(threshold) = self.config.threshold else { return };
+        if !self.flag(HAS_THRESHOLD) {
+            return;
+        }
         let Some(h) = self.hosted.get(slot) else { return };
-        if h.age < threshold {
+        if h.age < self.threshold {
             return;
         }
         let pool = self.topo.pool(node);
         let size = pool.end - pool.start;
-        let recycle = self.config.pool_policy == PoolPolicy::Recycling;
+        let recycle = self.flag(RECYCLING);
         let Some(next_index) = kmath::next_pool_index(h.pool_cursor, size, recycle) else {
             // No successor available (a drained one-shot pool, or a
             // singleton): the node soldiers on with a reset age. Under
@@ -1078,8 +1204,7 @@ impl<O: RootObject> NodeEngine<O> {
                     pool_cursor: next_index,
                     parent_worker: h.parent_worker,
                     child_workers: h.child_workers.clone(),
-                    object: h.object,
-                    reply_cache: h.reply_cache,
+                    root: h.root,
                 }),
             },
         });
@@ -1200,7 +1325,7 @@ mod tests {
             assert!(engines[w.index()].hosts(node), "{node} at its initial worker");
         }
         let root = engines[0].hosted(NodeRef::ROOT).expect("root hosted at 0");
-        assert!(root.object.is_some(), "object lives at the root");
+        assert!(root.root.is_some(), "object lives at the root");
         assert_eq!(root.child_workers.len(), 2);
     }
 
@@ -1371,9 +1496,8 @@ mod tests {
             node,
             pool_cursor: 1,
             parent_worker: Some(p(0)),
-            child_workers: vec![p(0), p(2)],
-            object: None,
-            reply_cache: VecDeque::new(),
+            child_workers: Box::new([p(0), p(2)]),
+            root: None,
         };
         let fx = step(
             &mut engines[successor.index()],
@@ -1430,9 +1554,8 @@ mod tests {
             node,
             pool_cursor: 1,
             parent_worker: Some(p(0)),
-            child_workers: vec![p(0), p(2)],
-            object: None,
-            reply_cache: VecDeque::new(),
+            child_workers: Box::new([p(0), p(2)]),
+            root: None,
         };
         let fx = step(
             &mut engines[successor.index()],
@@ -1600,9 +1723,10 @@ mod tests {
 
     #[test]
     fn an_engine_without_transit_state_fits_in_112_bytes() {
-        // Four words of identity and configuration, two slot runs and the
-        // transit box: the size of every idle processor of a simulated
-        // fleet.
+        // The processor id with the packed configuration's flags, the
+        // topology pointer, the threshold, two boxed-slice runs and the
+        // transit box: 64 bytes, the size of every idle processor of a
+        // simulated fleet.
         assert!(std::mem::size_of::<NodeEngine<CounterObject>>() <= 112);
         let (_, engines) = fleet(2, EngineConfig::paper(2));
         assert!(engines.iter().all(|e| e.transit.is_none()), "seeding buffers nothing");
@@ -1620,9 +1744,8 @@ mod tests {
             node,
             pool_cursor: 1,
             parent_worker: Some(p(0)),
-            child_workers: vec![p(0), p(2)],
-            object: None,
-            reply_cache: VecDeque::new(),
+            child_workers: Box::new([p(0), p(2)]),
+            root: None,
         };
         let handoff = Msg::HandoffFinal { transfer: Box::new(transfer) };
         step(&mut engines[successor], Event::Deliver { msg: handoff });
@@ -1631,23 +1754,50 @@ mod tests {
 
     #[test]
     fn a_run_frees_its_buffer_with_its_last_entry_and_regrows_by_one() {
+        // A boxed slice's length is its capacity: every insert and remove
+        // leaves the run without a spare slot, and the empty run's
+        // zero-sized slice is no heap block.
         let mut slots = NodeSlots::new();
+        assert_eq!(std::mem::size_of_val(&*slots.entries), 0, "a new run holds no buffer");
         for key in [7, 3, 5] {
             slots.insert(key, u64::from(key));
         }
         assert_eq!(slots.iter().map(|(k, _)| k).collect::<Vec<_>>(), [3, 5, 7]);
-        assert_eq!(slots.remove(5), Some(5));
+        assert_eq!(slots.entries.len(), 3, "three entries in three slots");
+        slots.insert(5, 50);
+        assert_eq!((slots.entries.len(), slots.get(5)), (3, Some(&50)), "replaced in place");
+        assert_eq!(slots.remove(5), Some(50));
         assert_eq!(slots.remove(5), None, "already gone");
         assert_eq!(slots.remove(3), Some(3));
-        assert!(slots.entries.capacity() > 0, "one entry left");
+        assert_eq!(slots.entries.len(), 1, "one entry left in one slot");
         assert_eq!(slots.remove(7), Some(7));
-        assert_eq!(slots.entries.capacity(), 0, "the empty run holds no buffer");
+        assert_eq!(std::mem::size_of_val(&*slots.entries), 0, "the empty run holds no buffer");
         *slots.get_or_default(4) += 1;
-        assert_eq!(slots.entries.capacity(), 1, "a first insert reserves one slot");
+        assert_eq!(slots.entries.len(), 1, "a first insert takes one slot");
         slots.insert(2, 9);
         slots.insert(6, 8);
         assert_eq!(slots.iter().collect::<Vec<_>>(), [(2, &9), (4, &1), (6, &8)]);
         slots.audit();
+    }
+
+    #[test]
+    fn a_lone_shim_entry_lives_inline_and_a_second_moves_both_to_a_run() {
+        let mut shims = Shims::Run(NodeSlots::new());
+        shims.insert(7, p(1));
+        assert!(matches!(shims, Shims::One(7, _)), "the first entry is inline");
+        shims.insert(7, p(2));
+        assert_eq!(shims.get(7), Some(p(2)), "replaced in place");
+        shims.insert(3, p(4));
+        assert!(matches!(&shims, Shims::Run(run) if run.len() == 2));
+        assert_eq!(shims.iter().collect::<Vec<_>>(), [(3, &p(4)), (7, &p(2))], "in key order");
+        shims.remove(7);
+        assert_eq!((shims.get(7), shims.get(3)), (None, Some(p(4))));
+        shims.remove(3);
+        shims.insert(5, p(6));
+        assert!(matches!(shims, Shims::One(5, _)), "an emptied run goes inline again");
+        shims.remove(5);
+        assert_eq!(shims.iter().count(), 0);
+        assert_eq!(std::mem::size_of::<Shims>(), 16, "the size of a run");
     }
 
     #[test]

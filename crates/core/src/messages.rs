@@ -17,17 +17,18 @@
 //! parts). [`Msg::wire_size_bits`] estimates each message's encoded size
 //! so tests can assert the O(log n) claim for small-state objects.
 
-use std::collections::VecDeque;
+use std::fmt;
 
 use distctr_sim::ProcessorId;
 
+use crate::engine::{debug_root_fields, RootState};
 use crate::object::{CounterObject, RootObject};
 use crate::topology::NodeRef;
 
 /// The k+2 values that migrate with a retiring (or rebuilt) node's job:
 /// its place in the replacement pool, the workers of its parent and
 /// children, and — at the root — the hosted object with its reply cache.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct NodeTransfer<O: RootObject> {
     /// The node changing hands.
     pub node: NodeRef,
@@ -36,13 +37,23 @@ pub struct NodeTransfer<O: RootObject> {
     /// Current worker of the parent node (None at the root).
     pub parent_worker: Option<ProcessorId>,
     /// Current workers of the inner-node children (empty on level k).
-    pub child_workers: Vec<ProcessorId>,
-    /// The hosted object state (Some at the root only).
-    pub object: Option<O>,
-    /// Recent `(op_seq, response)` pairs already answered by the root,
-    /// migrating with the object so retries stay exactly-once across
-    /// retirements (root only; empty elsewhere).
-    pub reply_cache: VecDeque<(u64, O::Response)>,
+    pub child_workers: Box<[ProcessorId]>,
+    /// The hosted object with the `(op_seq, response)` pairs the root
+    /// already answered, migrating together so retries stay exactly-once
+    /// across retirements (root only; `None` elsewhere).
+    pub root: Option<Box<RootState<O>>>,
+}
+
+impl<O: RootObject> fmt::Debug for NodeTransfer<O> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = f.debug_struct("NodeTransfer");
+        s.field("node", &self.node)
+            .field("pool_cursor", &self.pool_cursor)
+            .field("parent_worker", &self.parent_worker)
+            .field("child_workers", &self.child_workers);
+        debug_root_fields(&mut s, self.root.as_deref());
+        s.finish()
+    }
 }
 
 /// A message of the tree protocol, generic over the hosted
@@ -229,9 +240,8 @@ mod tests {
             node: node(1, 0),
             pool_cursor: 1,
             parent_worker: Some(ProcessorId::new(0)),
-            child_workers: vec![ProcessorId::new(2), ProcessorId::new(4)],
-            object: None,
-            reply_cache: VecDeque::new(),
+            child_workers: Box::new([ProcessorId::new(2), ProcessorId::new(4)]),
+            root: None,
         })
     }
 

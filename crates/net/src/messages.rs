@@ -93,9 +93,8 @@ mod tests {
             node: NodeRef { level: 1, index: 2 },
             pool_cursor: 3,
             parent_worker: Some(ProcessorId::new(0)),
-            child_workers: vec![ProcessorId::new(4), ProcessorId::new(5)],
-            object: None,
-            reply_cache: std::collections::VecDeque::new(),
+            child_workers: Box::new([ProcessorId::new(4), ProcessorId::new(5)]),
+            root: None,
         };
         let c = t.clone();
         assert_eq!(c.pool_cursor, 3);

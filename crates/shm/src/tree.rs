@@ -545,9 +545,10 @@ mod tests {
                 .iter()
                 .find_map(|s| {
                     let processor = s.processor.lock().unwrap_or_else(PoisonError::into_inner);
-                    processor.engine.hosted(NodeRef::ROOT).map(|h| h.reply_cache.len())
+                    let root = processor.engine.hosted(NodeRef::ROOT)?.root.as_deref()?;
+                    Some(root.reply_cache.len())
                 })
-                .expect("quiescent: some processor works for the root")
+                .expect("quiescent: the root's worker holds the root state")
         };
         let mut fullest = 0;
         for i in 0..10_000u64 {

@@ -9,10 +9,12 @@
 //! With the queue's FIFO run, contact sets built once per op and child
 //! walks that do not allocate it made 3,413 (0.28), with sends
 //! scheduled straight from the outbox 3,409 (0.28), and with emptied
-//! tables freeing their buffers it makes 3,487 (0.29): a processor that
-//! buffers traffic or serves a node again after its tables drained
-//! allocates them anew. The budget is 0.35
-//! per message, about a fifth above that count. The count depends on
+//! tables freeing their buffers 3,487 (0.29): a processor that buffers
+//! traffic or serves a node again after its tables drained allocates
+//! them anew. Runs that hold exactly their entries took it to 3,498,
+//! one reallocation per insert into a non-empty run; with a processor's
+//! only shim entry inline it makes 3,070 (0.25). The budget is
+//! 0.35 per message, set about a fifth above 3,487. The count depends on
 //! nothing but the code, so a regression shows here exactly, not as a
 //! timing.
 //!

@@ -3,13 +3,16 @@
 //! In the paper a processor holds the k+2 values of the nodes it works
 //! for and little else. One k = 4 canonical pass (n = 1024, each
 //! processor incs once) under `TraceMode::Contacts` leaves the tree with
-//! 193 live heap bytes per processor: engines sized without their
-//! transit tables, runs freed when a processor retires from its only
-//! node, and a root reply cache capped at `REPLY_CACHE_CAP` entries.
-//! Before those three it held 312. The budget is 240, about a fifth above
-//! the count. The count depends on nothing but the code, so a table that
-//! grows with the op count, or a buffer kept after its last entry, shows
-//! here exactly.
+//! 140 live heap bytes per processor: 64-byte engines with a packed
+//! configuration and no transit tables, runs that hold exactly their
+//! entries and a processor's only shim entry inline, the object and
+//! reply cache at the root's worker only, and that cache capped at
+//! `REPLY_CACHE_CAP` entries. With 96-byte engines, `Vec` runs and the
+//! root's fields in every hosted slot it held 193; before the transit
+//! box, freed runs and the cap it held 312. The budget is 240, set a
+//! fifth above 193. The count depends on nothing but the code, so a
+//! table that grows with the op count, or a buffer kept after its last
+//! entry, shows here exactly.
 //!
 //! This file holds one test on purpose: the counter is process-wide, and
 //! a second test running beside it would be counted too.
