@@ -16,7 +16,13 @@
 //! `retry_after_ms` hint (plus jitter) before retrying. The manual
 //! hooks ([`RemoteCounter::resume`], [`RemoteCounter::inc_with_id`])
 //! remain for callers orchestrating their own recovery.
+//!
+//! Replies are read into a buffer the client keeps and decoded with
+//! [`crate::wire::try_decode_frame`], so a reply costs one `read` and no
+//! allocation; a reconnect forgets whatever the old stream left there.
 
+use std::cell::RefCell;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -24,7 +30,10 @@ use distctr_core::{CounterBackend, DEFAULT_KEY};
 use distctr_sim::ProcessorId;
 
 use crate::error::{ErrCode, ServerError};
-use crate::wire::{read_frame, write_frame, write_frame_buf, StatsSnapshot, WireMsg};
+use crate::wire::{
+    read_frame, try_decode_frame, write_frame, write_frame_buf, StatsSnapshot, WireError, WireMsg,
+    MAX_FRAME,
+};
 
 /// Jittered-exponential-backoff retry budget: how a [`RemoteCounter`]
 /// turns transient failures (dead connections, corrupted frames,
@@ -209,6 +218,9 @@ pub struct RemoteCounter {
     /// Reused frame-encoding buffer: a long-lived client sends every
     /// request without a per-message allocation.
     scratch: Vec<u8>,
+    /// Reply bytes read but not yet decoded. A cell, so the `&self`
+    /// accessors of [`CounterBackend`] read through it too.
+    replies: RefCell<ReplyBuf>,
 }
 
 impl RemoteCounter {
@@ -331,6 +343,7 @@ impl RemoteCounter {
             rng: config.retry.seed,
             config: config.clone(),
             scratch: Vec::with_capacity(64),
+            replies: RefCell::new(ReplyBuf::new()),
         };
         counter.processors = counter.stats()?.processors;
         Ok(counter)
@@ -363,6 +376,7 @@ impl RemoteCounter {
     fn reconnect(&mut self) -> Result<(), ServerError> {
         let (stream, session, processor) = Self::dial(self.addr, Some(self.session), &self.config)?;
         self.stream = stream;
+        self.replies.get_mut().clear();
         self.session = session;
         self.processor = processor;
         Ok(())
@@ -643,7 +657,8 @@ impl RemoteCounter {
     fn stats_shared(&self) -> Result<StatsSnapshot, ServerError> {
         let mut half = &self.stream;
         write_frame(&mut half, &WireMsg::Stats)?;
-        match read_frame(&mut half)? {
+        let reply = self.replies.borrow_mut().next_frame(&mut half)?;
+        match reply {
             WireMsg::StatsOk(s) => Ok(s),
             other => Err(unexpected(&other)),
         }
@@ -654,11 +669,89 @@ impl RemoteCounter {
     }
 
     fn receive(&mut self) -> Result<WireMsg, ServerError> {
-        match read_frame(&mut self.stream)? {
+        match self.replies.get_mut().next_frame(&mut self.stream)? {
             WireMsg::Err { code } => Err(ServerError::Remote(code)),
             WireMsg::Busy { retry_after_ms } => Err(ServerError::Busy { retry_after_ms }),
             msg => Ok(msg),
         }
+    }
+}
+
+/// Room for two largest frames, so a frame that starts anywhere in the
+/// buffer fits once the bytes before it are dropped.
+const REPLY_BUF: usize = 2 * (8 + MAX_FRAME as usize);
+
+/// Reply bytes read from the stream but not yet decoded, at
+/// `bytes[start..end]`. A reply decodes from what one `read` returned
+/// where [`read_frame`] takes three, and without allocating.
+struct ReplyBuf {
+    bytes: Box<[u8]>,
+    start: usize,
+    end: usize,
+}
+
+impl ReplyBuf {
+    fn new() -> Self {
+        ReplyBuf { bytes: vec![0; REPLY_BUF].into_boxed_slice(), start: 0, end: 0 }
+    }
+
+    /// Forgets what is buffered: the bytes of a stream that is gone.
+    fn clear(&mut self) {
+        self.start = 0;
+        self.end = 0;
+    }
+
+    /// Decodes the next frame, reading from `r` until one is whole.
+    /// Fails as [`read_frame`] does, with [`WireError::Closed`] only
+    /// when the stream ends at a frame boundary; after any failure the
+    /// buffer is empty.
+    fn next_frame(&mut self, r: &mut impl Read) -> Result<WireMsg, WireError> {
+        let frame = self.fill_frame(r);
+        if frame.is_err() {
+            self.clear();
+        }
+        frame
+    }
+
+    fn fill_frame(&mut self, r: &mut impl Read) -> Result<WireMsg, WireError> {
+        loop {
+            if let Some((msg, used)) = try_decode_frame(&self.bytes[self.start..self.end])? {
+                self.start += used;
+                if self.start == self.end {
+                    self.clear();
+                }
+                return Ok(msg);
+            }
+            if self.end == self.bytes.len() {
+                self.bytes.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            }
+            match r.read(&mut self.bytes[self.end..]) {
+                Ok(0) => return Err(self.ended()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Err(self.ended()),
+                Err(e) => return Err(WireError::Io(e.to_string())),
+            }
+        }
+    }
+
+    /// The error for a stream that ended with the buffered bytes.
+    fn ended(&self) -> WireError {
+        let context = match self.end - self.start {
+            0 => return WireError::Closed,
+            1..4 => "the length prefix",
+            4..8 => "the checksum",
+            _ => "the payload",
+        };
+        WireError::Truncated { context }
+    }
+}
+
+impl std::fmt::Debug for ReplyBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReplyBuf").field("buffered", &(self.end - self.start)).finish()
     }
 }
 

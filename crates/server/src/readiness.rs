@@ -15,6 +15,12 @@
 //! over a channel back to the reactor, which queues them behind the
 //! connection's write buffer and flushes on writability.
 //!
+//! Every syscall on the path does work: a readable event costs one
+//! `read` of up to `READ_BURST` bytes (both poller backends are
+//! level-triggered, so bytes that arrive later are reported again),
+//! the wakeup pipe is drained only when the poller reports it, and a
+//! reply pass flushes each connection it wrote to once.
+//!
 //! Backpressure is interest, not blocking: a reply that does not fit
 //! the socket buffer parks in the connection's
 //! [`crate::wire::WriteBuffer`] and arms write interest; a connection
@@ -24,7 +30,6 @@
 //! answered `Busy` through the reserve descriptor, and the listener is
 //! parked for a backoff instead of hot-looping on `EMFILE`.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -137,6 +142,7 @@ impl<B: CounterBackend + Send + 'static> CounterServer<B> {
                 conns: Vec::new(),
                 free: Vec::new(),
                 reply_rx,
+                touched: Vec::new(),
                 reserve: FdReserve::new(),
                 paused_until: None,
                 scratch: vec![0u8; READ_BURST],
@@ -180,6 +186,8 @@ struct Conn {
     /// Protocol decision to close: serve nothing further, flush what
     /// is queued, then drop.
     closing: bool,
+    /// Listed in the reactor's `touched` by the current reply pass.
+    routed: bool,
     /// Decrements the server's active-connection count on drop.
     _guard: ActiveGuard,
 }
@@ -220,6 +228,9 @@ struct Reactor<B: CounterBackend + Send + 'static> {
     free: Vec<usize>,
     /// Combiner replies routed back to their connections' buffers.
     reply_rx: mpsc::Receiver<(usize, WireMsg)>,
+    /// Connections a reply pass wrote to, each once; empty between
+    /// passes and kept for its capacity.
+    touched: Vec<usize>,
     /// Answers `EMFILE` with `Busy` instead of a hung client.
     reserve: FdReserve,
     /// While set, the listener's interest is parked (fd exhaustion
@@ -252,14 +263,16 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
-            self.waker.drain();
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
             for ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_burst(),
-                    TOKEN_WAKER => {}
+                    // Drained before this pass routes replies, so a wake
+                    // that lands after the drain finds its reply routed
+                    // here or reports the pipe again.
+                    TOKEN_WAKER => self.waker.drain(),
                     token => self.conn_event(token - TOKEN_BASE, ev.readable, ev.writable),
                 }
             }
@@ -347,6 +360,7 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
             interest: Interest::READ,
             peer_closed: false,
             closing: false,
+            routed: false,
             _guard: ActiveGuard(Arc::clone(&self.shared.active_conns)),
         });
     }
@@ -367,29 +381,27 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
         self.park(slot, conn);
     }
 
-    /// Reads up to the burst budget into the connection's buffer.
+    /// One `read` of up to the burst budget into the connection's
+    /// buffer. A second read could only return `EAGAIN` or bytes that
+    /// arrived since, which level triggering reports again.
     fn fill_read_buf(&mut self, conn: &mut Conn) {
-        let mut taken = 0usize;
-        while taken < READ_BURST && conn.read_buf.len() < READ_HIGH_WATER {
+        if conn.read_buf.len() >= READ_HIGH_WATER {
+            return;
+        }
+        loop {
             match conn.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&self.scratch[..n]);
-                    taken += n;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Ok(0) => conn.peer_closed = true,
+                Ok(n) => conn.read_buf.extend_from_slice(&self.scratch[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(_) => {
                     // Transport failure: nothing further to serve and
                     // nothing worth flushing into a broken socket.
                     conn.peer_closed = true;
                     conn.closing = true;
-                    break;
                 }
             }
+            return;
         }
     }
 
@@ -554,26 +566,29 @@ impl<B: CounterBackend + Send + 'static> Reactor<B> {
     }
 
     /// Moves combiner replies from the channel into their connections'
-    /// write buffers and flushes them opportunistically.
+    /// write buffers and flushes each touched connection once.
     fn route_replies(&mut self) {
-        let mut touched: VecDeque<usize> = VecDeque::new();
         while let Ok((slot, msg)) = self.reply_rx.try_recv() {
             if let Some(Some(conn)) = self.conns.get_mut(slot) {
                 conn.write.push(&msg);
-                if !touched.contains(&slot) {
-                    touched.push_back(slot);
+                if !conn.routed {
+                    conn.routed = true;
+                    self.touched.push(slot);
                 }
             }
             // A reply for a vanished connection is dropped; the value
             // is recorded in the session's answer table, so the
             // client's reconnect-resume-retry is answered exactly-once.
         }
-        for slot in touched {
+        for i in 0..self.touched.len() {
+            let slot = self.touched[i];
             if let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) {
+                conn.routed = false;
                 self.flush(&mut conn);
                 self.park(slot, conn);
             }
         }
+        self.touched.clear();
     }
 
     /// Closes every connection with nothing left to do. Two-phase: the

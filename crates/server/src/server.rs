@@ -59,7 +59,7 @@
 //!   `Err { Backend }` replies that make the clients retry; the mutex
 //!   poisoning that used to kill every later request is recovered.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -186,6 +186,19 @@ impl CombineState {
             self.waker.wake();
         }
         p.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Delivers `reply` to a waiter and to the round's duplicates of its
+    /// request, taking them out of `dups`.
+    fn answer(&self, dups: &mut Vec<PendingInc>, p: &PendingInc, reply: WireMsg) {
+        if !dups.is_empty() {
+            let same =
+                |d: &mut PendingInc| (d.session_id, d.request_id) == (p.session_id, p.request_id);
+            for d in dups.extract_if(.., same) {
+                self.deliver(&d, &reply);
+            }
+        }
+        self.deliver(p, &reply);
     }
 }
 
@@ -555,14 +568,20 @@ pub(crate) fn combiner_loop<B: CounterBackend + Send + 'static>(
     stop: &Arc<AtomicBool>,
 ) {
     let Some(combine) = &shared.combine else { return };
+    // The drained queue buffer and the round's scratch live as long as
+    // the combiner, so a round allocates nothing once they have grown.
+    let mut drained = Vec::new();
+    let mut round = Round::default();
     loop {
-        let drained = {
+        {
             let Ok(mut q) = combine.queue.lock() else { return };
             loop {
                 if !q.is_empty() {
                     // Serve what's queued even mid-shutdown; the final
-                    // empty drain observes `stop` and exits.
-                    break std::mem::take(&mut *q);
+                    // empty drain observes `stop` and exits. The swap
+                    // hands the queue last round's emptied buffer.
+                    std::mem::swap(&mut *q, &mut drained);
+                    break;
                 }
                 if stop.load(Ordering::SeqCst) {
                     return;
@@ -577,76 +596,88 @@ pub(crate) fn combiner_loop<B: CounterBackend + Send + 'static>(
                 };
                 q = guard;
             }
-        };
+        }
         let mut inner = shared.lock_inner();
-        combine_round(shared, combine, &mut inner, drained);
+        combine_round(shared, combine, &mut inner, &mut drained, &mut round);
     }
 }
 
-/// One combining round: answer retries from the session tables, then
-/// drive **one** batched traversal per initiating processor, slicing
-/// each granted range `[first, first + m)` over its waiters in queue
-/// order. Each slice is recorded in its session's answer table before
-/// the reply is sent, so a reconnect-and-retry of any combined request
-/// is answered exactly-once without a traversal.
+/// A combining round's scratch, empty between rounds and kept for its
+/// capacity.
+#[derive(Default)]
+struct Round {
+    /// `(session, request id)` of the round's waiters, filled only when
+    /// the round has more than one.
+    seen: HashSet<(u64, u64)>,
+    /// Waiters repeating a request already in the round, in queue order.
+    dups: Vec<PendingInc>,
+    /// Validated waiters with no recorded answer, grouped by `(key,
+    /// initiator)`.
+    fresh: Vec<PendingInc>,
+}
+
+/// One combining round over `drained` (emptied on return): answer
+/// retries from the session tables, then drive **one** batched traversal
+/// per `(key, initiator)`, slicing each granted range `[first, first +
+/// m)` over its waiters in queue order. Each slice is recorded in its
+/// session's answer table before the reply is sent, so a
+/// reconnect-and-retry of any combined request is answered exactly-once
+/// without a traversal.
 fn combine_round<B: CounterBackend + Send + 'static>(
     shared: &Arc<Shared<B>>,
     combine: &CombineState,
     inner: &mut Inner<B>,
-    drained: Vec<PendingInc>,
+    drained: &mut Vec<PendingInc>,
+    round: &mut Round,
 ) {
+    let Round { seen, dups, fresh } = round;
     // A retry racing its original into the same round must share one
     // slice, not claim two: dedupe by (session, request id) and park
-    // the duplicates' connections until the key is answered.
-    let mut seen: HashSet<(u64, u64)> = HashSet::new();
-    let mut dup: HashMap<(u64, u64), Vec<PendingInc>> = HashMap::new();
-    let mut unique: Vec<PendingInc> = Vec::new();
-    for p in drained {
-        if seen.insert((p.session_id, p.request_id)) {
-            unique.push(p);
-        } else {
+    // the duplicates' connections until the key is answered. A round of
+    // one waiter has nothing to dedupe.
+    if drained.len() > 1 {
+        let repeat = |p: &mut PendingInc| !seen.insert((p.session_id, p.request_id));
+        for p in drained.extract_if(.., repeat) {
             shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
-            dup.entry((p.session_id, p.request_id)).or_default().push(p);
+            dups.push(p);
         }
+        seen.clear();
     }
-    // Sends `reply` to a waiter (and any same-key duplicates), then
-    // releases the waiters' in-flight slots.
-    let deliver =
-        |dup: &mut HashMap<(u64, u64), Vec<PendingInc>>, p: &PendingInc, reply: WireMsg| {
-            for d in dup.remove(&(p.session_id, p.request_id)).unwrap_or_default() {
-                combine.deliver(&d, &reply);
-            }
-            combine.deliver(p, &reply);
-        };
     // Validate each waiter and split answered retries from fresh work.
-    // A batch traversal targets exactly one counter and has exactly one
-    // origin, so waiters group by **(key, initiator)**: per key,
-    // requests with an explicit initiator group by it and everything
-    // else — the common "don't care" traffic — coalesces into ONE batch
-    // per round (the `None` bucket), charged to a round-robin rotating
-    // processor so no single initiator becomes an artificial hot spot.
-    let mut fresh: BTreeMap<(u64, Option<u64>), Vec<PendingInc>> = BTreeMap::new();
-    for p in unique {
+    for p in drained.drain(..) {
         let Some(session) = inner.sessions.get(&p.session_id) else {
-            deliver(&mut dup, &p, WireMsg::Err { code: ErrCode::UnknownSession });
+            combine.answer(dups, &p, WireMsg::Err { code: ErrCode::UnknownSession });
             continue;
         };
         match p.initiator {
             Some(i) if i < inner.backend.processors() as u64 => {}
             Some(_) => {
-                deliver(&mut dup, &p, WireMsg::Err { code: ErrCode::BadInitiator });
+                combine.answer(dups, &p, WireMsg::Err { code: ErrCode::BadInitiator });
                 continue;
             }
             None => {}
         }
         if let Some(value) = session.answered.get(&p.request_id) {
             shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
-            deliver(&mut dup, &p, WireMsg::IncOk { request_id: p.request_id, value });
+            combine.answer(dups, &p, WireMsg::IncOk { request_id: p.request_id, value });
             continue;
         }
-        fresh.entry((p.key, p.initiator)).or_default().push(p);
+        fresh.push(p);
     }
-    for ((key, explicit), waiters) in fresh {
+    // A batch traversal targets exactly one counter and has exactly one
+    // origin, so waiters group by **(key, initiator)**: per key,
+    // requests with an explicit initiator group by it and everything
+    // else — the common "don't care" traffic — coalesces into ONE batch
+    // per round (the `None` group, first in each key), charged to a
+    // round-robin rotating processor so no single initiator becomes an
+    // artificial hot spot. The sort is stable, so each group keeps queue
+    // order.
+    let group = |p: &PendingInc| (p.key, p.initiator);
+    if !fresh.is_sorted_by_key(group) {
+        fresh.sort_by_key(group);
+    }
+    for waiters in fresh.chunk_by(|a, b| group(a) == group(b)) {
+        let (key, explicit) = group(&waiters[0]);
         let m = waiters.len() as u64;
         let charged = explicit.unwrap_or_else(|| {
             let p = inner.combine_origin;
@@ -668,30 +699,32 @@ fn combine_round<B: CounterBackend + Send + 'static>(
         });
         match result {
             Ok(KeyedReply::Fresh(first) | KeyedReply::Replay(first)) => {
-                for (i, p) in waiters.into_iter().enumerate() {
+                for (i, p) in waiters.iter().enumerate() {
                     let value = first + i as u64;
                     if let Some(session) = inner.sessions.get_mut(&p.session_id) {
                         session.answered.insert(p.request_id, value);
                         session.ops += 1;
                     }
                     shared.stats.ops.fetch_add(1, Ordering::Relaxed);
-                    deliver(&mut dup, &p, WireMsg::IncOk { request_id: p.request_id, value });
+                    combine.answer(dups, p, WireMsg::IncOk { request_id: p.request_id, value });
                 }
             }
             Ok(KeyedReply::Unrouted) => {
                 for p in waiters {
-                    deliver(&mut dup, &p, WireMsg::Err { code: ErrCode::NoSuchKey });
+                    combine.answer(dups, p, WireMsg::Err { code: ErrCode::NoSuchKey });
                 }
             }
             // The batch's composition is not reproducible, so nothing
             // is pinned: the clients' retries re-enter a later round.
             Err(code) => {
                 for p in waiters {
-                    deliver(&mut dup, &p, WireMsg::Err { code });
+                    combine.answer(dups, p, WireMsg::Err { code });
                 }
             }
         }
     }
+    fresh.clear();
+    debug_assert!(dups.is_empty(), "every duplicate shares its original's reply");
 }
 
 pub(crate) fn snapshot<B: CounterBackend + Send + 'static>(
@@ -724,5 +757,72 @@ pub(crate) fn snapshot<B: CounterBackend + Send + 'static>(
         demotions: keyspace.demotions,
         migrations_inflight: keyspace.migrations_inflight,
         accept_errors: shared.stats.accept_errors.load(Ordering::Relaxed),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use distctr_core::TreeCounter;
+
+    fn pending(
+        session_id: u64,
+        request_id: u64,
+        initiator: Option<u64>,
+        token: usize,
+    ) -> PendingInc {
+        PendingInc {
+            session_id,
+            key: distctr_core::DEFAULT_KEY,
+            request_id,
+            initiator,
+            token,
+            inflight: Arc::new(AtomicUsize::new(1)),
+        }
+    }
+
+    #[test]
+    fn a_round_groups_by_initiator_in_queue_order_and_shares_a_repeated_request() {
+        let (tx, rx) = mpsc::channel();
+        let waker = Arc::new(Waker::new().expect("waker"));
+        let combine = CombineState::new(tx, waker);
+        let shared = Arc::new(Shared::new(
+            TreeCounter::new(8).expect("tree"),
+            ServerConfig::default(),
+            None,
+        ));
+        let (a, _) = establish(&shared, None).expect("session a");
+        let (b, _) = establish(&shared, None).expect("session b");
+        // Queue order: an explicit initiator first, then two "don't care"
+        // incs with a retry of the first of them between, then a request
+        // from a session the server does not know.
+        let mut drained = vec![
+            pending(b, 0, Some(3), 10),
+            pending(a, 0, None, 11),
+            pending(a, 0, None, 12),
+            pending(a, 1, None, 13),
+            pending(99, 0, None, 14),
+        ];
+        let inflight: Vec<_> = drained.iter().map(|p| Arc::clone(&p.inflight)).collect();
+        let mut round = Round::default();
+        combine_round(&shared, &combine, &mut shared.lock_inner(), &mut drained, &mut round);
+        let mut replies: Vec<(usize, WireMsg)> = rx.try_iter().collect();
+        replies.sort_by_key(|&(token, _)| token);
+        let ok = |request_id, value| WireMsg::IncOk { request_id, value };
+        assert_eq!(
+            replies,
+            vec![
+                (10, ok(0, 2)),
+                (11, ok(0, 0)),
+                (12, ok(0, 0)),
+                (13, ok(1, 1)),
+                (14, WireMsg::Err { code: ErrCode::UnknownSession }),
+            ],
+            "the None group climbs first, in queue order; the retry shares its original's value"
+        );
+        assert!(inflight.iter().all(|n| n.load(Ordering::SeqCst) == 0), "every waiter released");
+        assert_eq!(shared.stats.deduped.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.stats.combined_traversals.load(Ordering::Relaxed), 2);
+        assert!(drained.is_empty() && round.dups.is_empty() && round.fresh.is_empty());
     }
 }

@@ -306,7 +306,10 @@ fn fill(
     Ok(())
 }
 
-/// Reads one frame. See [`WireError`] for the failure taxonomy; in
+/// Reads one frame in three reads (prefix, checksum, payload) into a
+/// fresh payload buffer: fine once per connection, as the client's
+/// handshake uses it; hot paths decode with [`try_decode_frame`] from a
+/// buffer they keep. See [`WireError`] for the failure taxonomy; in
 /// particular a peer that closed between frames yields
 /// [`WireError::Closed`], not a truncation.
 ///
@@ -492,7 +495,7 @@ fn push_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
 }
 
 /// Decodes a payload (tag + fields). Exposed for tests; transport code
-/// uses [`read_frame`].
+/// uses [`read_frame`] or [`try_decode_frame`].
 ///
 /// # Errors
 ///

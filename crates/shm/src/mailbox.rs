@@ -49,11 +49,8 @@ impl<T> Mailbox<T> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner).push_back(item);
     }
 
-    /// Pops one item without claiming the drain right. Only sound when
-    /// the caller otherwise guarantees a single consumer (the
-    /// deterministic sequential pump, which runs under `&mut` on the
-    /// whole arena).
-    pub(crate) fn pop(&self) -> Option<T> {
+    /// Pops one item; only the holder of the drain right calls it.
+    fn pop(&self) -> Option<T> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner).pop_front()
     }
 

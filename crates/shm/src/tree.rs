@@ -5,26 +5,29 @@
 //! queue; `distctr-net` gives every processor an OS thread and a
 //! channel. This driver keeps the sans-io protocol byte-for-byte — the
 //! same [`NodeEngine`], the same [`Msg`] enum, the same effects — but
-//! realizes delivery as **mailbox pushes on a shared arena**: every
-//! processor slot is an engine behind a mutex plus a [`Mailbox`] of
-//! envelopes, and whichever caller thread notices queued work CAS-claims
-//! the mailbox and feeds the engine. There are no dedicated worker
+//! realizes delivery on a **shared arena**: every processor slot is an
+//! engine behind a mutex plus a [`Mailbox`] of envelopes, and the
+//! calling threads feed the engines. There are no dedicated worker
 //! threads at all; the calling threads *are* the processors, which is
 //! the shared-memory reading of the paper's model (a processor computes
 //! only when it has something to compute).
 //!
-//! Two drive modes share one delivery path:
+//! Two drive modes share the engines, their locks and their loads, and
+//! differ in who schedules delivery:
 //!
-//! * **Sequential** (`&mut self`, the [`CounterBackend`] surface): one
-//!   global FIFO work-list drains the cascade to quiescence after every
-//!   operation — the same "enough time elapses between increments"
-//!   regime as the sim, and deterministic, which is what lets the
-//!   conformance suite pin this driver's final engine fingerprints to
-//!   the sim's golden values.
+//! * **Sequential** (`&mut self`, the [`CounterBackend`] surface): the
+//!   caller is the arena's only driver, so it needs no mailbox handoff
+//!   and no op cell. It keeps one FIFO work-list of `(slot, message)`
+//!   and drains the cascade to quiescence after every operation, taking
+//!   the reply straight from the initiator's `complete` — the same
+//!   "enough time elapses between increments" regime as the sim, and
+//!   deterministic, which is what lets the conformance suite pin this
+//!   driver's final engine fingerprints to the sim's golden values.
 //! * **Concurrent** ([`ShmTreeCounter::inc_shared`], the E26 bake-off
-//!   surface): free-running threads push invokes and cooperatively pump
-//!   every mailbox until their own reply lands. Exactness under this
-//!   regime is exactly what the history checker asserts.
+//!   surface): free-running threads push invokes into the mailboxes and
+//!   cooperatively pump every mailbox until their own reply lands in its
+//!   op cell. Exactness under this regime is exactly what the history
+//!   checker asserts.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -55,9 +58,8 @@ enum Envelope {
     /// A protocol message (counts toward the paper's per-processor
     /// message load).
     Protocol(Msg<CounterObject>),
-    /// The slot's processor initiates `count` incs sharing one
-    /// traversal (not load).
-    Invoke { op_seq: u64, count: u64 },
+    /// The slot's processor initiates one inc (not load).
+    Invoke { op_seq: u64 },
 }
 
 /// Where a caller waits for its reply: written once by whichever thread
@@ -108,24 +110,20 @@ struct Arena {
     pending: Mutex<HashMap<u64, Arc<OpCell>>>,
 }
 
-/// The arena's transport: mailbox pushes charged to the delivering
-/// slot, and op cells for completed operations. `on_send` observes every
-/// destination pushed to, so the sequential pump can keep its FIFO
-/// work-list exact; the concurrent pump passes a no-op and discovers
-/// work by scanning.
-struct Mailboxes<'a, F> {
+/// The concurrent drive's transport: mailbox pushes charged to the
+/// delivering slot, and op cells for completed operations. Pumps
+/// discover the pushed work by scanning.
+struct Mailboxes<'a> {
     arena: &'a Arena,
     sent: &'a mut u64,
     unclaimed: &'a mut u64,
-    on_send: F,
 }
 
-impl<F: FnMut(usize)> Transport<CounterObject> for Mailboxes<'_, F> {
+impl Transport<CounterObject> for Mailboxes<'_> {
     fn send(&mut self, _from: ProcessorId, to: ProcessorId, msg: Msg<CounterObject>) {
         *self.sent += 1;
         self.arena.in_flight.fetch_add(1, Ordering::SeqCst);
         self.arena.slots[to.index()].mailbox.push(Envelope::Protocol(msg));
-        (self.on_send)(to.index());
     }
 
     fn complete(&mut self, op_seq: u64, resp: u64) {
@@ -141,6 +139,31 @@ impl<F: FnMut(usize)> Transport<CounterObject> for Mailboxes<'_, F> {
             // A reply nobody is waiting for (an abandoned stalled op):
             // account it rather than lose it silently.
             None => *self.unclaimed += 1,
+        }
+    }
+}
+
+/// The sequential drive's transport: sends append to the driver's FIFO
+/// work-list, and the one operation in flight takes its reply here.
+struct WorkList<'a> {
+    work: &'a mut VecDeque<(usize, Msg<CounterObject>)>,
+    sent: &'a mut u64,
+    unclaimed: &'a mut u64,
+    op_seq: u64,
+    reply: &'a mut Option<u64>,
+}
+
+impl Transport<CounterObject> for WorkList<'_> {
+    fn send(&mut self, _from: ProcessorId, to: ProcessorId, msg: Msg<CounterObject>) {
+        *self.sent += 1;
+        self.work.push_back((to.index(), msg));
+    }
+
+    fn complete(&mut self, op_seq: u64, resp: u64) {
+        if op_seq == self.op_seq {
+            *self.reply = Some(resp);
+        } else {
+            *self.unclaimed += 1;
         }
     }
 }
@@ -163,6 +186,11 @@ impl<F: FnMut(usize)> Transport<CounterObject> for Mailboxes<'_, F> {
 #[derive(Debug)]
 pub struct ShmTreeCounter {
     arena: Arc<Arena>,
+    /// The sequential drive's FIFO of `(slot, message)` deliveries,
+    /// empty between operations and kept for its capacity.
+    work: VecDeque<(usize, Msg<CounterObject>)>,
+    /// The sequential drive's effect buffer, empty between deliveries.
+    fx: Effects<CounterObject>,
 }
 
 impl ShmTreeCounter {
@@ -199,15 +227,17 @@ impl ShmTreeCounter {
                 mailbox: Mailbox::new(),
             })
             .collect();
-        Ok(ShmTreeCounter {
-            arena: Arc::new(Arena {
-                topo,
-                slots,
-                in_flight: AtomicI64::new(0),
-                next_op: AtomicU64::new(0),
-                pending: Mutex::new(HashMap::new()),
-            }),
-        })
+        Ok(ShmTreeCounter::over(Arc::new(Arena {
+            topo,
+            slots,
+            in_flight: AtomicI64::new(0),
+            next_op: AtomicU64::new(0),
+            pending: Mutex::new(HashMap::new()),
+        })))
+    }
+
+    fn over(arena: Arc<Arena>) -> Self {
+        ShmTreeCounter { arena, work: VecDeque::new(), fx: Vec::new() }
     }
 
     /// Number of processor slots.
@@ -227,7 +257,7 @@ impl ShmTreeCounter {
     /// must not run while clones are actively driving.
     #[must_use]
     pub fn share(&self) -> ShmTreeCounter {
-        ShmTreeCounter { arena: Arc::clone(&self.arena) }
+        ShmTreeCounter::over(Arc::clone(&self.arena))
     }
 
     fn check_initiator(&self, p: ProcessorId) -> Result<(), ShmError> {
@@ -240,8 +270,9 @@ impl ShmTreeCounter {
         Ok(())
     }
 
-    /// Registers an op cell, posts the envelope, and returns the cell.
-    fn post(arena: &Arena, dest: usize, env: Envelope, op_seq: u64) -> Arc<OpCell> {
+    /// Registers an op cell, posts a unit invoke to `dest`, and returns
+    /// the cell.
+    fn post(arena: &Arena, dest: usize, op_seq: u64) -> Arc<OpCell> {
         let cell = Arc::new(OpCell::new());
         arena
             .pending
@@ -249,22 +280,16 @@ impl ShmTreeCounter {
             .unwrap_or_else(PoisonError::into_inner)
             .insert(op_seq, Arc::clone(&cell));
         arena.in_flight.fetch_add(1, Ordering::SeqCst);
-        arena.slots[dest].mailbox.push(env);
+        arena.slots[dest].mailbox.push(Envelope::Invoke { op_seq });
         cell
     }
 
     /// Delivers one envelope to slot `dest`: feeds the engine and
-    /// realizes the effects through the one effect loop, all under the
-    /// slot's lock. `fx` is the caller's effect buffer, empty on entry
-    /// and on return, so a pump allocates one per call rather than one
-    /// per envelope.
-    fn deliver(
-        arena: &Arena,
-        dest: usize,
-        env: Envelope,
-        fx: &mut Effects<CounterObject>,
-        on_send: impl FnMut(usize),
-    ) {
+    /// realizes the effects into the mailboxes, all under the slot's
+    /// lock. `fx` is the caller's effect buffer, empty on entry and on
+    /// return, so a pump allocates one per call rather than one per
+    /// envelope.
+    fn deliver(arena: &Arena, dest: usize, env: Envelope, fx: &mut Effects<CounterObject>) {
         let mut processor =
             arena.slots[dest].processor.lock().unwrap_or_else(PoisonError::into_inner);
         let Processor { engine, sent, received, unclaimed, tally } = &mut *processor;
@@ -273,40 +298,41 @@ impl ShmTreeCounter {
                 *received += 1;
                 Event::Deliver { msg }
             }
-            Envelope::Invoke { op_seq, count } => Event::InvokeBatch { op_seq, count, req: () },
+            Envelope::Invoke { op_seq } => Event::InvokeBatch { op_seq, count: 1, req: () },
         };
         engine.on_event_into(event, fx);
-        let mut net = Mailboxes { arena, sent, unclaimed, on_send };
-        realize(ProcessorId::new(dest), fx, &mut net, tally);
+        realize(ProcessorId::new(dest), fx, &mut Mailboxes { arena, sent, unclaimed }, tally);
         drop(processor);
         arena.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// The deterministic drive: post the envelope, then pump a global
-    /// FIFO of (slot, envelope) work until the whole cascade has
-    /// quiesced. FIFO order over a unit-delay mesh is exactly the sim's
-    /// delivery order, which is what makes the final engine states —
-    /// and hence the conformance fingerprints — line up.
-    fn drive_sequential(
-        &mut self,
-        dest: usize,
-        env: Envelope,
-        op_seq: u64,
-    ) -> Result<u64, ShmError> {
-        let arena = &self.arena;
-        let cell = Self::post(arena, dest, env, op_seq);
-        let mut fifo = VecDeque::from([dest]);
-        let mut fx = Vec::new();
-        while let Some(d) = fifo.pop_front() {
-            let Some(item) = arena.slots[d].mailbox.pop() else { continue };
-            Self::deliver(arena, d, item, &mut fx, |to| fifo.push_back(to));
+    /// The deterministic drive: invoke at `dest`, then deliver the FIFO
+    /// work-list of `(slot, message)` until the whole cascade has
+    /// quiesced, each delivery under its slot's lock. FIFO order over a
+    /// unit-delay mesh is exactly the sim's delivery order, which is
+    /// what makes the final engine states — and hence the conformance
+    /// fingerprints — line up.
+    fn drive_sequential(&mut self, dest: usize, op_seq: u64, count: u64) -> Result<u64, ShmError> {
+        let ShmTreeCounter { arena, work, fx } = self;
+        let mut reply = None;
+        let mut at = dest;
+        let mut event = Event::InvokeBatch { op_seq, count, req: () };
+        loop {
+            let mut processor =
+                arena.slots[at].processor.lock().unwrap_or_else(PoisonError::into_inner);
+            let Processor { engine, sent, received, unclaimed, tally } = &mut *processor;
+            if matches!(event, Event::Deliver { .. }) {
+                *received += 1;
+            }
+            engine.on_event_into(event, fx);
+            let mut net = WorkList { work, sent, unclaimed, op_seq, reply: &mut reply };
+            realize(ProcessorId::new(at), fx, &mut net, tally);
+            drop(processor);
+            let Some((to, msg)) = work.pop_front() else { break };
+            at = to;
+            event = Event::Deliver { msg };
         }
-        if cell.done.load(Ordering::SeqCst) {
-            Ok(cell.value.load(Ordering::SeqCst))
-        } else {
-            arena.pending.lock().unwrap_or_else(PoisonError::into_inner).remove(&op_seq);
-            Err(ShmError::Stalled { op_seq })
-        }
+        reply.ok_or(ShmError::Stalled { op_seq })
     }
 
     /// Executes one `inc` charged to `initiator`, deterministically,
@@ -331,14 +357,14 @@ impl ShmTreeCounter {
     pub fn inc_batch(&mut self, initiator: ProcessorId, count: u64) -> Result<u64, ShmError> {
         self.check_initiator(initiator)?;
         let op_seq = self.arena.next_op.fetch_add(1, Ordering::SeqCst);
-        self.drive_sequential(initiator.index(), Envelope::Invoke { op_seq, count }, op_seq)
+        self.drive_sequential(initiator.index(), op_seq, count)
     }
 
     /// Drains whatever work slot `i` has queued; returns envelopes
     /// processed (0 if another thread holds the slot's drain right).
     fn drain_slot(arena: &Arena, i: usize) -> usize {
         let mut fx = Vec::new();
-        arena.slots[i].mailbox.drain(|env| Self::deliver(arena, i, env, &mut fx, |_| {}))
+        arena.slots[i].mailbox.drain(|env| Self::deliver(arena, i, env, &mut fx))
     }
 
     /// One cooperative pump pass over every slot; returns envelopes
@@ -367,8 +393,7 @@ impl ShmTreeCounter {
         self.check_initiator(initiator)?;
         let arena = &self.arena;
         let op_seq = arena.next_op.fetch_add(1, Ordering::SeqCst);
-        let env = Envelope::Invoke { op_seq, count: 1 };
-        let cell = Self::post(arena, initiator.index(), env, op_seq);
+        let cell = Self::post(arena, initiator.index(), op_seq);
         let mut idle_spins = 0u32;
         let mut idle_since: Option<Instant> = None;
         while !cell.done.load(Ordering::SeqCst) {
@@ -582,6 +607,20 @@ mod tests {
         assert_eq!(all, (0..n).collect::<Vec<_>>(), "gap-free under free-running threads");
         root.quiesce();
         assert_eq!(root.dead_letters(), 0);
+    }
+
+    #[test]
+    fn sequential_incs_leave_no_mailbox_cell_or_gauge_behind() {
+        let mut c = ShmTreeCounter::new(81).expect("arena");
+        for i in 0..200u64 {
+            assert_eq!(c.inc(ProcessorId::new(i as usize % 81)).expect("inc"), i);
+        }
+        assert_eq!(c.inc_batch(ProcessorId::new(7), 5).expect("batch"), 200);
+        assert!(c.arena.slots.iter().all(|s| s.mailbox.is_empty()), "no mailbox was used");
+        assert_eq!(c.arena.in_flight.load(Ordering::SeqCst), 0);
+        assert!(c.arena.pending.lock().expect("pending").is_empty(), "no op cell was posted");
+        assert!(c.work.is_empty() && c.fx.is_empty(), "the work-list drained");
+        assert_eq!(c.dead_letters(), 0);
     }
 
     #[test]
