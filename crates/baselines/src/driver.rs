@@ -14,16 +14,13 @@
 //! [`ConcurrentProtocol`] and [`OverlappedProtocol`].
 
 use distctr_sim::{
-    CompletedOp, ConcurrentCounter, Counter, IncResult, LoadTracker, Network, OpId, OpTrace,
-    OverlappedCounter, ProcessorId, Protocol, RunStats, SimError, SimTime,
+    CompletedOp, ConcurrentCounter, Counter, IncResult, LoadTracker, Network, OpId,
+    OverlappedCounter, ProcessorId, Protocol, SimError, SimTime,
 };
 
 /// A value delivered to an initiator: the op it answers, when the protocol
 /// knows it, the receiving processor, and the value.
 pub type Delivered = (Option<OpId>, ProcessorId, u64);
-
-/// A finished op's trace and value.
-type Done = (Option<OpTrace>, u64);
 
 /// How an `inc` enters a protocol at its initiator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,24 +85,6 @@ impl<P: CounterProtocol> SimCounter<P> {
         }
         op
     }
-
-    /// Runs one `inc` per initiator at once to quiescence: the run's
-    /// stats and, in input order, each op's trace and value.
-    fn run_batch(&mut self, initiators: &[ProcessorId]) -> Result<(RunStats, Vec<Done>), SimError> {
-        for &p in initiators {
-            self.check(p)?;
-        }
-        self.state.delivered().clear();
-        let ops: Vec<OpId> = initiators.iter().map(|&p| self.start(p)).collect();
-        let stats = self.net.run_to_quiescence(&mut self.state)?;
-        let mut replies = std::mem::take(self.state.delivered());
-        let done = ops
-            .into_iter()
-            .zip(initiators)
-            .map(|(op, &p)| (self.net.finish_op(op), claim(&mut replies, op, p)))
-            .collect();
-        Ok((stats, done))
-    }
 }
 
 /// Takes the reply to `op` at `initiator`: the one marked with `op`, else
@@ -130,8 +109,14 @@ impl<P: CounterProtocol> Counter for SimCounter<P> {
     }
 
     fn inc(&mut self, initiator: ProcessorId) -> Result<IncResult, SimError> {
-        let (stats, mut done) = self.run_batch(&[initiator])?;
-        let (trace, value) = done.pop().expect("one op ran");
+        self.check(initiator)?;
+        // The reply buffer is emptied, not taken: its allocation serves
+        // the next `inc` too.
+        self.state.delivered().clear();
+        let op = self.start(initiator);
+        let stats = self.net.run_to_quiescence(&mut self.state)?;
+        let trace = self.net.finish_op(op);
+        let value = claim(self.state.delivered(), op, initiator);
         Ok(IncResult { value, messages: stats.delivered, completed_at: stats.end_time, trace })
     }
 
@@ -142,8 +127,17 @@ impl<P: CounterProtocol> Counter for SimCounter<P> {
 
 impl<P: ConcurrentProtocol> ConcurrentCounter for SimCounter<P> {
     fn inc_batch(&mut self, initiators: &[ProcessorId]) -> Result<Vec<u64>, SimError> {
-        let (_, done) = self.run_batch(initiators)?;
-        Ok(done.into_iter().map(|(_, value)| value).collect())
+        for &p in initiators {
+            self.check(p)?;
+        }
+        self.state.delivered().clear();
+        let ops: Vec<OpId> = initiators.iter().map(|&p| self.start(p)).collect();
+        self.net.run_to_quiescence(&mut self.state)?;
+        let values = ops.into_iter().zip(initiators).map(|(op, &p)| {
+            self.net.finish_op(op);
+            claim(self.state.delivered(), op, p)
+        });
+        Ok(values.collect())
     }
 }
 

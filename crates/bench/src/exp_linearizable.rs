@@ -5,23 +5,23 @@
 //! plain counting networks are **not** linearizable once operations
 //! overlap. This experiment reproduces the classic stalled-token
 //! execution with targeted (scripted) message delays and checks every
-//! implementation's history with the counter-specialized Wing-Gong test.
+//! implementation's history with the fetch&increment history checker.
 
 use distctr_analysis::Table;
 use distctr_baselines::{CentralCounter, CountingNetworkCounter};
 use distctr_sim::{
-    counter_history_linearizable, DeliveryPolicy, LinearizabilityVerdict, OpRecord,
-    OverlappedCounter, ProcessorId, SimTime, TraceMode,
+    check_fetch_inc_history, CompletedOp, DeliveryPolicy, OverlappedCounter, ProcessorId, SimTime,
+    TraceMode,
 };
 
-fn stalled_schedule<C: OverlappedCounter>(counter: &mut C) -> Vec<OpRecord> {
+fn stalled_schedule<C: OverlappedCounter>(counter: &mut C) -> Vec<CompletedOp> {
     let t = SimTime::from_ticks;
     counter.start_inc(ProcessorId::new(0)).expect("T1");
     counter.advance_until(t(50)).expect("advance");
     counter.start_inc(ProcessorId::new(1)).expect("T2");
     counter.advance_until(t(70)).expect("advance");
     counter.start_inc(ProcessorId::new(2)).expect("T3");
-    counter.finish_all().expect("drain").into_iter().map(|c| c.to_record()).collect()
+    counter.finish_all().expect("drain")
 }
 
 /// E14 — the stalled-token schedule against the overlappable counters.
@@ -38,26 +38,28 @@ pub fn e14_linearizability() -> String {
         "linearizable",
     ]);
 
-    let mut render = |name: &str, records: Vec<OpRecord>| {
-        let mut values: Vec<u64> = records.iter().map(|r| r.value).collect();
-        values.sort_unstable();
-        let gap_free = values.iter().enumerate().all(|(i, &v)| v == i as u64);
-        let history = records
+    let mut render = |name: &str, completed: Vec<CompletedOp>| {
+        let history = completed
             .iter()
-            .map(|r| format!("{}..{}={}", r.started_at.ticks(), r.completed_at.ticks(), r.value))
+            .map(|c| format!("{}..{}={}", c.started_at.ticks(), c.completed_at.ticks(), c.value))
             .collect::<Vec<_>>()
             .join("  ");
-        let verdict = match counter_history_linearizable(&records) {
-            LinearizabilityVerdict::Linearizable => "yes".to_string(),
-            LinearizabilityVerdict::Violation { earlier, later } => {
-                format!("NO ({} before {} yet larger value)", earlier.op, later.op)
+        let records: Vec<_> = completed.iter().map(|c| c.to_record()).collect();
+        let verdict = check_fetch_inc_history(&records);
+        let linearizable = match verdict.violations.first() {
+            None => "yes".to_string(),
+            Some(v) => {
+                format!(
+                    "NO ({} before {} yet larger value)",
+                    completed[v.floor].op, completed[v.op].op
+                )
             }
         };
         table.row(vec![
             name.to_string(),
             history,
-            if gap_free { "yes".into() } else { "NO".to_string() },
-            verdict,
+            if verdict.gap_free() { "yes".into() } else { "NO".to_string() },
+            linearizable,
         ]);
     };
 

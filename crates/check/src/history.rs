@@ -1,5 +1,5 @@
-//! A concurrent-history recorder and checker for fetch&increment
-//! objects.
+//! A concurrent-history recorder for fetch&increment objects, feeding
+//! the simulator's history checker ([`check_fetch_inc_history`]).
 //!
 //! The shared-memory bake-off (`crates/shm`, experiment E26) runs
 //! free-running OS threads against a counter backend and needs a
@@ -11,42 +11,21 @@
 //!
 //! The recorder is deliberately cheap and contention-free: each thread
 //! records into its own [`ThreadHistory`] (a plain `Vec` it owns), with
-//! timestamps taken from one shared monotonic epoch so cross-thread
-//! comparison is meaningful. Threads never synchronize through the
-//! recorder, so the recorder cannot mask races in the object under
-//! test.
-//!
-//! The check itself is the classical one for fetch&increment histories
-//! (a special case of linearizability checking that is linear-time
-//! rather than NP-hard): sort completed operations by invocation time;
-//! operation `B` is a real-time violation iff
-//! `value(B) < max { value(A) : return(A) < invoke(B) }`.
-//! Counting networks are only *quiescently consistent*, so the verdict
-//! separates the gap-free multiset property (required of every backend)
-//! from the real-time property (required of linearizable ones).
+//! timestamps in nanoseconds since one shared monotonic epoch so
+//! cross-thread comparison is meaningful. Threads never synchronize
+//! through the recorder, so the recorder cannot mask races in the
+//! object under test.
 
 use std::time::Instant;
 
-/// One completed fetch&increment operation, as observed by its caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistoryEvent {
-    /// Recorder-assigned thread index.
-    pub thread: usize,
-    /// Invocation time in nanoseconds since the recorder's epoch.
-    pub invoke_ns: u64,
-    /// Return time in nanoseconds since the recorder's epoch.
-    pub return_ns: u64,
-    /// The value the operation returned.
-    pub value: u64,
-}
+use distctr_sim::{check_fetch_inc_history, FetchIncRecord, HistoryVerdict};
 
 /// Per-thread event log. Owned by exactly one thread while recording;
 /// hand it back to [`HistoryRecorder::check`] when the thread is done.
 #[derive(Debug)]
 pub struct ThreadHistory {
-    thread: usize,
     epoch: Instant,
-    events: Vec<HistoryEvent>,
+    records: Vec<FetchIncRecord<u64>>,
 }
 
 impl ThreadHistory {
@@ -59,10 +38,9 @@ impl ThreadHistory {
     /// Records a completed operation that returned `value`.
     pub fn ret(&mut self, invoked_at: Instant, value: u64) {
         let now = Instant::now();
-        self.events.push(HistoryEvent {
-            thread: self.thread,
-            invoke_ns: saturating_ns(self.epoch, invoked_at),
-            return_ns: saturating_ns(self.epoch, now),
+        self.records.push(FetchIncRecord {
+            started_at: saturating_ns(self.epoch, invoked_at),
+            completed_at: saturating_ns(self.epoch, now),
             value,
         });
     }
@@ -70,13 +48,13 @@ impl ThreadHistory {
     /// Number of operations recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.records.len()
     }
 
     /// True when no operations have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.records.is_empty()
     }
 }
 
@@ -101,16 +79,16 @@ impl HistoryRecorder {
     /// A private log for one thread. Move it into the thread; collect
     /// it back (e.g. through the join handle) for [`Self::check`].
     #[must_use]
-    pub fn thread(&self, thread: usize) -> ThreadHistory {
-        ThreadHistory { thread, epoch: self.epoch, events: Vec::new() }
+    pub fn thread(&self) -> ThreadHistory {
+        ThreadHistory { epoch: self.epoch, records: Vec::new() }
     }
 
     /// Merges per-thread logs and renders the verdict.
     #[must_use]
     pub fn check(&self, histories: &[ThreadHistory]) -> HistoryVerdict {
-        let mut events: Vec<HistoryEvent> =
-            histories.iter().flat_map(|h| h.events.iter().copied()).collect();
-        check_fetch_inc_history(&mut events)
+        let records: Vec<FetchIncRecord<u64>> =
+            histories.iter().flat_map(|h| h.records.iter().copied()).collect();
+        check_fetch_inc_history(&records)
     }
 }
 
@@ -120,103 +98,18 @@ impl Default for HistoryRecorder {
     }
 }
 
-/// The outcome of checking a merged fetch&increment history.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoryVerdict {
-    /// Total completed operations in the history.
-    pub ops: usize,
-    /// Values in `0..ops` that no operation returned.
-    pub missing: Vec<u64>,
-    /// Values returned by more than one operation (or `>= ops`).
-    pub duplicates: Vec<u64>,
-    /// Real-time order violations: `(value_returned, floor_violated)`
-    /// pairs where the operation returned `value_returned` although an
-    /// operation returning `floor_violated` had already completed
-    /// before it was invoked.
-    pub lin_violations: Vec<(u64, u64)>,
-}
-
-impl HistoryVerdict {
-    /// Every value in `0..ops` returned exactly once.
-    #[must_use]
-    pub fn gap_free(&self) -> bool {
-        self.missing.is_empty() && self.duplicates.is_empty()
-    }
-
-    /// Gap-free **and** no real-time order violations.
-    #[must_use]
-    pub fn linearizable(&self) -> bool {
-        self.gap_free() && self.lin_violations.is_empty()
-    }
-}
-
-/// Checks a merged history of completed fetch&increment operations.
-///
-/// Reorders `events` by invocation time as a side effect. Gap-freedom
-/// is the multiset condition `values == 0..len`; the real-time
-/// condition is checked with a sweep over invocation order maintaining
-/// the max value among operations already returned ("the floor"):
-/// a fetch&increment history is linearizable iff no operation returns
-/// a value below the floor at its invocation.
-#[must_use]
-pub fn check_fetch_inc_history(events: &mut [HistoryEvent]) -> HistoryVerdict {
-    let ops = events.len();
-
-    let mut seen = vec![0u32; ops];
-    let mut duplicates = Vec::new();
-    for e in events.iter() {
-        match usize::try_from(e.value).ok().filter(|&v| v < ops) {
-            Some(v) => {
-                seen[v] += 1;
-                if seen[v] == 2 {
-                    duplicates.push(e.value);
-                }
-            }
-            None => duplicates.push(e.value),
-        }
-    }
-    let missing: Vec<u64> = (0..ops).filter(|&v| seen[v] == 0).map(|v| v as u64).collect();
-    duplicates.sort_unstable();
-    duplicates.dedup();
-
-    // Real-time sweep. Sort by invocation; walk a second cursor over
-    // the same events sorted by return time, folding returned values
-    // into the floor before each invocation.
-    events.sort_unstable_by_key(|e| (e.invoke_ns, e.return_ns));
-    let mut by_return: Vec<(u64, u64)> = events.iter().map(|e| (e.return_ns, e.value)).collect();
-    by_return.sort_unstable();
-
-    let mut lin_violations = Vec::new();
-    let mut floor: Option<u64> = None;
-    let mut ret_cursor = 0;
-    for e in events.iter() {
-        while ret_cursor < by_return.len() && by_return[ret_cursor].0 < e.invoke_ns {
-            let v = by_return[ret_cursor].1;
-            floor = Some(floor.map_or(v, |f| f.max(v)));
-            ret_cursor += 1;
-        }
-        if let Some(f) = floor {
-            if e.value < f {
-                lin_violations.push((e.value, f));
-            }
-        }
-    }
-
-    HistoryVerdict { ops, missing, duplicates, lin_violations }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distctr_sim::RealTimeViolation;
 
-    fn ev(thread: usize, invoke_ns: u64, return_ns: u64, value: u64) -> HistoryEvent {
-        HistoryEvent { thread, invoke_ns, return_ns, value }
+    fn ev(invoke_ns: u64, return_ns: u64, value: u64) -> FetchIncRecord<u64> {
+        FetchIncRecord { started_at: invoke_ns, completed_at: return_ns, value }
     }
 
     #[test]
     fn a_sequential_history_is_linearizable_and_gap_free() {
-        let mut h = vec![ev(0, 0, 10, 0), ev(0, 20, 30, 1), ev(1, 40, 50, 2)];
-        let v = check_fetch_inc_history(&mut h);
+        let v = check_fetch_inc_history(&[ev(0, 10, 0), ev(20, 30, 1), ev(40, 50, 2)]);
         assert_eq!(v.ops, 3);
         assert!(v.gap_free(), "{v:?}");
         assert!(v.linearizable(), "{v:?}");
@@ -227,8 +120,7 @@ mod tests {
         // Two overlapping ops: the later invocation returning the
         // smaller value is fine because neither happened-before the
         // other.
-        let mut h = vec![ev(0, 0, 100, 1), ev(1, 10, 90, 0)];
-        let v = check_fetch_inc_history(&mut h);
+        let v = check_fetch_inc_history(&[ev(0, 100, 1), ev(10, 90, 0)]);
         assert!(v.linearizable(), "{v:?}");
     }
 
@@ -236,34 +128,36 @@ mod tests {
     fn a_real_time_violation_is_reported_with_its_floor() {
         // Op returning 5 completed at t=10; an op invoked at t=20 then
         // returned 3 < 5: quiescently consistent, not linearizable.
-        let mut h = vec![
-            ev(0, 0, 10, 5),
-            ev(1, 20, 30, 3),
-            ev(0, 40, 50, 0),
-            ev(1, 60, 70, 1),
-            ev(0, 80, 90, 2),
-            ev(1, 100, 110, 4),
+        // Every later op is below that floor too.
+        let h = [
+            ev(0, 10, 5),
+            ev(20, 30, 3),
+            ev(40, 50, 0),
+            ev(60, 70, 1),
+            ev(80, 90, 2),
+            ev(100, 110, 4),
         ];
-        let v = check_fetch_inc_history(&mut h);
+        let v = check_fetch_inc_history(&h);
         assert!(v.gap_free(), "{v:?}");
         assert!(!v.linearizable());
-        assert!(v.lin_violations.contains(&(3, 5)), "{:?}", v.lin_violations);
+        let below: Vec<RealTimeViolation> =
+            (1..6).map(|op| RealTimeViolation { op, floor: 0 }).collect();
+        assert_eq!(v.violations, below);
     }
 
     #[test]
     fn gaps_and_duplicates_are_both_reported() {
-        let mut h = vec![ev(0, 0, 10, 0), ev(0, 20, 30, 0), ev(0, 40, 50, 7)];
-        let v = check_fetch_inc_history(&mut h);
+        let v = check_fetch_inc_history(&[ev(0, 10, 0), ev(20, 30, 0), ev(40, 50, 7)]);
         assert!(!v.gap_free());
-        assert_eq!(v.duplicates, vec![0, 7], "0 twice, 7 out of range");
+        assert_eq!(v.duplicates, vec![0], "0 twice");
         assert_eq!(v.missing, vec![1, 2], "values 1 and 2 never returned");
     }
 
     #[test]
     fn the_recorder_merges_per_thread_logs_against_one_epoch() {
         let rec = HistoryRecorder::new();
-        let mut a = rec.thread(0);
-        let mut b = rec.thread(1);
+        let mut a = rec.thread();
+        let mut b = rec.thread();
         let t = a.invoke();
         a.ret(t, 0);
         let t = b.invoke();
@@ -279,7 +173,7 @@ mod tests {
 
     #[test]
     fn the_empty_history_is_trivially_linearizable() {
-        let v = check_fetch_inc_history(&mut []);
+        let v = check_fetch_inc_history::<u64>(&[]);
         assert_eq!(v.ops, 0);
         assert!(v.linearizable());
     }

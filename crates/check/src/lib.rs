@@ -41,9 +41,7 @@ pub mod world;
 
 pub use checker::{Budget, CheckOutcome, CheckStats, Checker, Violation};
 pub use config::{sweep_cells, CheckConfig, Mutation, Workload};
-pub use history::{
-    check_fetch_inc_history, HistoryEvent, HistoryRecorder, HistoryVerdict, ThreadHistory,
-};
+pub use history::{HistoryRecorder, ThreadHistory};
 pub use invariants::{
     default_invariants, HotSpotIntersection, Invariant, LoadBound, NoDoubleRetirement,
     PairwiseLinearizable, RangePartition, SequentialValues, UniqueHosting,

@@ -644,6 +644,14 @@ pub fn combined_fingerprint(engine_fps: &[u64], crashed: &[bool]) -> u64 {
 }
 
 #[cfg(test)]
+impl World {
+    /// Per-op states, writable: lets a test pose a history directly.
+    pub(crate) fn ops_mut(&mut self) -> &mut [OpState] {
+        &mut self.wire.ops
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::sweep_cells;

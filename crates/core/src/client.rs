@@ -434,17 +434,13 @@ impl<O: RootObject> TreeClient<O> {
         let leaf_parent = path[0];
         let mut messages = 0u64;
         let mut attempts = 0u32;
-        let (response, completed_at) = loop {
+        let outcome = 'watchdog: loop {
             if attempts >= Self::MAX_RECOVERY_ATTEMPTS {
-                self.proto.audit_mut().end_op();
-                self.net.finish_op(op);
-                return Err(CoreError::RecoveryFailed { attempts });
+                break Err(CoreError::RecoveryFailed { attempts });
             }
             attempts += 1;
             if self.net.is_crashed(initiator) {
-                self.proto.audit_mut().end_op();
-                self.net.finish_op(op);
-                return Err(CoreError::Unrecoverable(format!(
+                break Err(CoreError::Unrecoverable(format!(
                     "initiator {initiator} has crashed and cannot receive a response"
                 )));
             }
@@ -459,9 +455,7 @@ impl<O: RootObject> TreeClient<O> {
                         self.net.inject(op, at, at, promote);
                     }
                     Repair::Stranded { node, worker } if path.contains(&node) => {
-                        self.proto.audit_mut().end_op();
-                        self.net.finish_op(op);
-                        return Err(CoreError::Unrecoverable(format!(
+                        break 'watchdog Err(CoreError::Unrecoverable(format!(
                             "node ({}, {}) lost worker {worker} and its pool has no live successor",
                             node.level, node.index
                         )));
@@ -476,10 +470,13 @@ impl<O: RootObject> TreeClient<O> {
                 let entry = Msg::Apply { node: leaf_parent, origin: initiator, op_seq, count, req };
                 self.net.inject(op, initiator, entry_worker, entry);
             }
-            let stats = self.net.run_to_quiescence(&mut self.proto)?;
+            let stats = match self.net.run_to_quiescence(&mut self.proto) {
+                Ok(stats) => stats,
+                Err(e) => break Err(e.into()),
+            };
             messages += stats.delivered;
             if let Some(resp) = self.proto.take_pending_response() {
-                break (resp, stats.end_time);
+                break Ok((resp, stats.end_time));
             }
             // Quiescent with no response: the op (or its reply) was lost
             // to a drop or a crash. Repair and retry.
@@ -499,6 +496,7 @@ impl<O: RootObject> TreeClient<O> {
         };
         self.proto.audit_mut().end_op();
         let trace = self.net.finish_op(op);
+        let (response, completed_at) = outcome?;
         Ok(InvokeResult { response, messages, completed_at, trace })
     }
 }

@@ -17,12 +17,12 @@
 //! hooks ([`RemoteCounter::resume`], [`RemoteCounter::inc_with_id`])
 //! remain for callers orchestrating their own recovery.
 //!
-//! Replies are read into a buffer the client keeps and decoded with
-//! [`crate::wire::try_decode_frame`], so a reply costs one `read` and no
-//! allocation; a reconnect forgets whatever the old stream left there.
+//! Replies, the handshake's included, are read into a
+//! [`crate::wire::FrameReader`] the client keeps, so a reply costs one
+//! `read` and no allocation; a reconnect forgets whatever the old stream
+//! left there.
 
 use std::cell::RefCell;
-use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -30,10 +30,7 @@ use distctr_core::{CounterBackend, DEFAULT_KEY};
 use distctr_sim::ProcessorId;
 
 use crate::error::{ErrCode, ServerError};
-use crate::wire::{
-    read_frame, try_decode_frame, write_frame, write_frame_buf, StatsSnapshot, WireError, WireMsg,
-    MAX_FRAME,
-};
+use crate::wire::{write_frame, write_frame_buf, FrameReader, StatsSnapshot, WireMsg};
 
 /// Jittered-exponential-backoff retry budget: how a [`RemoteCounter`]
 /// turns transient failures (dead connections, corrupted frames,
@@ -220,7 +217,7 @@ pub struct RemoteCounter {
     scratch: Vec<u8>,
     /// Reply bytes read but not yet decoded. A cell, so the `&self`
     /// accessors of [`CounterBackend`] read through it too.
-    replies: RefCell<ReplyBuf>,
+    replies: RefCell<FrameReader>,
 }
 
 impl RemoteCounter {
@@ -330,7 +327,8 @@ impl RemoteCounter {
         resume: Option<u64>,
         config: &ClientConfig,
     ) -> Result<Self, ServerError> {
-        let (stream, session, processor) = Self::dial(&addr, resume, config)?;
+        let mut replies = FrameReader::new();
+        let (stream, session, processor) = Self::dial(&addr, resume, config, &mut replies)?;
         let addr = stream.peer_addr().map_err(|e| ServerError::Io(e.to_string()))?;
         let mut counter = RemoteCounter {
             stream,
@@ -343,19 +341,20 @@ impl RemoteCounter {
             rng: config.retry.seed,
             config: config.clone(),
             scratch: Vec::with_capacity(64),
-            replies: RefCell::new(ReplyBuf::new()),
+            replies: RefCell::new(replies),
         };
         counter.processors = counter.stats()?.processors;
         Ok(counter)
     }
 
-    /// Dials the server and completes the Hello exchange, returning the
-    /// raw pieces — shared by first connects and mid-operation
-    /// reconnects.
+    /// Dials the server and completes the Hello exchange, reading the
+    /// reply through `replies` (empty), and returns the raw pieces —
+    /// shared by first connects and mid-operation reconnects.
     fn dial(
         addr: impl ToSocketAddrs,
         resume: Option<u64>,
         config: &ClientConfig,
+        replies: &mut FrameReader,
     ) -> Result<(TcpStream, u64, u64), ServerError> {
         let mut stream = TcpStream::connect(addr).map_err(|e| ServerError::Io(e.to_string()))?;
         stream.set_nodelay(true).map_err(|e| ServerError::Io(e.to_string()))?;
@@ -363,7 +362,7 @@ impl RemoteCounter {
             .set_read_timeout(Some(config.reply_timeout))
             .map_err(|e| ServerError::Io(e.to_string()))?;
         write_frame(&mut stream, &WireMsg::Hello { resume })?;
-        match read_frame(&mut stream)? {
+        match replies.next_frame(&mut stream)? {
             WireMsg::HelloOk { session, processor } => Ok((stream, session, processor)),
             WireMsg::Busy { retry_after_ms } => Err(ServerError::Busy { retry_after_ms }),
             WireMsg::Err { code } => Err(ServerError::Remote(code)),
@@ -374,9 +373,11 @@ impl RemoteCounter {
     /// Re-establishes the connection and resumes this session, keeping
     /// the server-side dedup state the retry loop replays into.
     fn reconnect(&mut self) -> Result<(), ServerError> {
-        let (stream, session, processor) = Self::dial(self.addr, Some(self.session), &self.config)?;
+        let replies = self.replies.get_mut();
+        replies.clear();
+        let (stream, session, processor) =
+            Self::dial(self.addr, Some(self.session), &self.config, replies)?;
         self.stream = stream;
-        self.replies.get_mut().clear();
         self.session = session;
         self.processor = processor;
         Ok(())
@@ -674,84 +675,6 @@ impl RemoteCounter {
             WireMsg::Busy { retry_after_ms } => Err(ServerError::Busy { retry_after_ms }),
             msg => Ok(msg),
         }
-    }
-}
-
-/// Room for two largest frames, so a frame that starts anywhere in the
-/// buffer fits once the bytes before it are dropped.
-const REPLY_BUF: usize = 2 * (8 + MAX_FRAME as usize);
-
-/// Reply bytes read from the stream but not yet decoded, at
-/// `bytes[start..end]`. A reply decodes from what one `read` returned
-/// where [`read_frame`] takes three, and without allocating.
-struct ReplyBuf {
-    bytes: Box<[u8]>,
-    start: usize,
-    end: usize,
-}
-
-impl ReplyBuf {
-    fn new() -> Self {
-        ReplyBuf { bytes: vec![0; REPLY_BUF].into_boxed_slice(), start: 0, end: 0 }
-    }
-
-    /// Forgets what is buffered: the bytes of a stream that is gone.
-    fn clear(&mut self) {
-        self.start = 0;
-        self.end = 0;
-    }
-
-    /// Decodes the next frame, reading from `r` until one is whole.
-    /// Fails as [`read_frame`] does, with [`WireError::Closed`] only
-    /// when the stream ends at a frame boundary; after any failure the
-    /// buffer is empty.
-    fn next_frame(&mut self, r: &mut impl Read) -> Result<WireMsg, WireError> {
-        let frame = self.fill_frame(r);
-        if frame.is_err() {
-            self.clear();
-        }
-        frame
-    }
-
-    fn fill_frame(&mut self, r: &mut impl Read) -> Result<WireMsg, WireError> {
-        loop {
-            if let Some((msg, used)) = try_decode_frame(&self.bytes[self.start..self.end])? {
-                self.start += used;
-                if self.start == self.end {
-                    self.clear();
-                }
-                return Ok(msg);
-            }
-            if self.end == self.bytes.len() {
-                self.bytes.copy_within(self.start..self.end, 0);
-                self.end -= self.start;
-                self.start = 0;
-            }
-            match r.read(&mut self.bytes[self.end..]) {
-                Ok(0) => return Err(self.ended()),
-                Ok(n) => self.end += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Err(self.ended()),
-                Err(e) => return Err(WireError::Io(e.to_string())),
-            }
-        }
-    }
-
-    /// The error for a stream that ended with the buffered bytes.
-    fn ended(&self) -> WireError {
-        let context = match self.end - self.start {
-            0 => return WireError::Closed,
-            1..4 => "the length prefix",
-            4..8 => "the checksum",
-            _ => "the payload",
-        };
-        WireError::Truncated { context }
-    }
-}
-
-impl std::fmt::Debug for ReplyBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplyBuf").field("buffered", &(self.end - self.start)).finish()
     }
 }
 

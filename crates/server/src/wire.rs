@@ -272,71 +272,96 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// `read_exact` that distinguishes EOF from transport errors. `at_start`
-/// selects between [`WireError::Closed`] (EOF before any byte of the
-/// frame) and [`WireError::Truncated`].
-fn fill(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    at_start: bool,
-    context: &'static str,
-) -> Result<(), WireError> {
-    let mut read = 0usize;
-    while read < buf.len() {
-        match r.read(&mut buf[read..]) {
-            Ok(0) => {
-                return Err(if at_start && read == 0 {
-                    WireError::Closed
-                } else {
-                    WireError::Truncated { context }
-                });
-            }
-            Ok(n) => read += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
-                return Err(if at_start && read == 0 {
-                    WireError::Closed
-                } else {
-                    WireError::Truncated { context }
-                });
-            }
-            Err(e) => return Err(WireError::Io(e.to_string())),
-        }
-    }
-    Ok(())
+/// Room for two largest frames, so a frame that starts anywhere in the
+/// buffer fits once the bytes before it are dropped.
+const READ_BUF: usize = 2 * (8 + MAX_FRAME as usize);
+
+/// The blocking-stream decoder: frames read from a stream but not yet
+/// decoded, at `bytes[start..end]`. A frame decodes from what one `read`
+/// returned, without allocating, and bytes read past it wait for the
+/// next call — so keep one reader per stream, and [`FrameReader::clear`]
+/// it when the stream is replaced.
+pub struct FrameReader {
+    bytes: Box<[u8]>,
+    start: usize,
+    end: usize,
 }
 
-/// Reads one frame in three reads (prefix, checksum, payload) into a
-/// fresh payload buffer: fine once per connection, as the client's
-/// handshake uses it; hot paths decode with [`try_decode_frame`] from a
-/// buffer they keep. See [`WireError`] for the failure taxonomy; in
-/// particular a peer that closed between frames yields
-/// [`WireError::Closed`], not a truncation.
-///
-/// # Errors
-///
-/// Any [`WireError`]; the reader is left mid-stream on error and should
-/// be discarded except after [`WireError::Closed`].
-pub fn read_frame(r: &mut impl Read) -> Result<WireMsg, WireError> {
-    let mut len_buf = [0u8; 4];
-    fill(r, &mut len_buf, true, "the length prefix")?;
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized { len, max: MAX_FRAME });
+impl FrameReader {
+    /// An empty reader.
+    #[must_use]
+    pub fn new() -> Self {
+        FrameReader { bytes: vec![0; READ_BUF].into_boxed_slice(), start: 0, end: 0 }
     }
-    if len == 0 {
-        return Err(WireError::Malformed("zero-length payload"));
+
+    /// Forgets what is buffered: the bytes of a stream that is gone.
+    pub fn clear(&mut self) {
+        self.start = 0;
+        self.end = 0;
     }
-    let mut crc_buf = [0u8; 4];
-    fill(r, &mut crc_buf, false, "the checksum")?;
-    let expected = u32::from_le_bytes(crc_buf);
-    let mut payload = vec![0u8; len as usize];
-    fill(r, &mut payload, false, "the payload")?;
-    let found = crc32(&payload);
-    if found != expected {
-        return Err(WireError::Checksum { expected, found });
+
+    /// Decodes the next frame, reading from `r` until one is whole.
+    ///
+    /// # Errors
+    ///
+    /// Any [`WireError`]: [`WireError::Closed`] only when the stream ends
+    /// at a frame boundary, [`WireError::Truncated`] when it ends inside
+    /// one, and otherwise the taxonomy of [`try_decode_frame`]. After
+    /// any failure the reader is empty.
+    pub fn next_frame(&mut self, r: &mut impl Read) -> Result<WireMsg, WireError> {
+        let frame = self.fill_frame(r);
+        if frame.is_err() {
+            self.clear();
+        }
+        frame
     }
-    decode(&payload)
+
+    fn fill_frame(&mut self, r: &mut impl Read) -> Result<WireMsg, WireError> {
+        loop {
+            if let Some((msg, used)) = try_decode_frame(&self.bytes[self.start..self.end])? {
+                self.start += used;
+                if self.start == self.end {
+                    self.clear();
+                }
+                return Ok(msg);
+            }
+            if self.end == self.bytes.len() {
+                self.bytes.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            }
+            match r.read(&mut self.bytes[self.end..]) {
+                Ok(0) => return Err(self.ended()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Err(self.ended()),
+                Err(e) => return Err(WireError::Io(e.to_string())),
+            }
+        }
+    }
+
+    /// The error for a stream that ended with the buffered bytes.
+    fn ended(&self) -> WireError {
+        let context = match self.end - self.start {
+            0 => return WireError::Closed,
+            1..4 => "the length prefix",
+            4..8 => "the checksum",
+            _ => "the payload",
+        };
+        WireError::Truncated { context }
+    }
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for FrameReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameReader").field("buffered", &(self.end - self.start)).finish()
+    }
 }
 
 /// Writes one frame, allocating a scratch buffer per call. Hot paths
@@ -495,7 +520,7 @@ fn push_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
 }
 
 /// Decodes a payload (tag + fields). Exposed for tests; transport code
-/// uses [`read_frame`] or [`try_decode_frame`].
+/// uses [`FrameReader`] or [`try_decode_frame`].
 ///
 /// # Errors
 ///
@@ -593,7 +618,7 @@ impl Cursor<'_> {
 
 // --- sans-io framing for nonblocking transports -----------------------
 //
-// `read_frame`/`write_frame_buf` above assume a blocking stream: they
+// `FrameReader`/`write_frame_buf` above assume a blocking stream: they
 // loop until the frame is complete. A readiness loop cannot — a frame
 // routinely arrives torn across several readable events, and a write
 // routinely lands short when the peer's receive window is full. The
@@ -629,8 +654,8 @@ pub fn encode_frame_into(msg: &WireMsg, out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// The same taxonomy as [`read_frame`] for bytes that can never become
-/// a legal frame: [`WireError::Oversized`] and zero-length are rejected
+/// The taxonomy of [`WireError`] for bytes that can never become a
+/// legal frame: [`WireError::Oversized`] and zero-length are rejected
 /// from the 4-byte prefix alone (no need to wait for a payload that
 /// should not exist), [`WireError::Checksum`], [`WireError::UnknownTag`]
 /// and [`WireError::Malformed`] once the payload is complete. Errors
@@ -748,8 +773,12 @@ mod tests {
     fn round_trip(msg: WireMsg) {
         let mut buf = Vec::new();
         write_frame(&mut buf, &msg).expect("write");
-        let mut r = IoCursor::new(buf);
-        assert_eq!(read_frame(&mut r).expect("read"), msg);
+        assert_eq!(read_one(buf).expect("read"), msg);
+    }
+
+    /// The first frame a fresh [`FrameReader`] reads from `bytes`.
+    fn read_one(bytes: Vec<u8>) -> Result<WireMsg, WireError> {
+        FrameReader::new().next_frame(&mut IoCursor::new(bytes))
     }
 
     #[test]
@@ -806,30 +835,33 @@ mod tests {
             let mut via_alloc = Vec::new();
             write_frame(&mut via_alloc, msg).expect("write");
             assert_eq!(via_buf, via_alloc, "scratch path must match the allocating path");
-            let mut r = IoCursor::new(via_buf);
-            assert_eq!(&read_frame(&mut r).expect("read"), msg);
+            assert_eq!(&read_one(via_buf).expect("read"), msg);
         }
     }
 
     #[test]
     fn clean_eof_is_closed_not_truncated() {
-        let mut r = IoCursor::new(Vec::<u8>::new());
-        assert_eq!(read_frame(&mut r), Err(WireError::Closed));
+        assert_eq!(read_one(Vec::new()), Err(WireError::Closed));
     }
 
     #[test]
     fn partial_length_prefix_is_truncated() {
-        let mut r = IoCursor::new(vec![5u8, 0]);
-        assert_eq!(read_frame(&mut r), Err(WireError::Truncated { context: "the length prefix" }));
+        assert_eq!(
+            read_one(vec![5, 0]),
+            Err(WireError::Truncated { context: "the length prefix" })
+        );
     }
 
     #[test]
     fn partial_payload_is_truncated() {
         let mut buf = Vec::new();
         write_frame(&mut buf, &WireMsg::Inc { request_id: 1, initiator: None }).expect("write");
+        assert_eq!(
+            read_one(buf[..6].to_vec()),
+            Err(WireError::Truncated { context: "the checksum" })
+        );
         buf.truncate(buf.len() - 3);
-        let mut r = IoCursor::new(buf);
-        assert_eq!(read_frame(&mut r), Err(WireError::Truncated { context: "the payload" }));
+        assert_eq!(read_one(buf), Err(WireError::Truncated { context: "the payload" }));
     }
 
     #[test]
@@ -837,14 +869,15 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&[0u8; 16]);
-        let mut r = IoCursor::new(buf);
-        assert_eq!(read_frame(&mut r), Err(WireError::Oversized { len: u32::MAX, max: MAX_FRAME }));
+        assert_eq!(
+            try_decode_frame(&buf),
+            Err(WireError::Oversized { len: u32::MAX, max: MAX_FRAME })
+        );
     }
 
     #[test]
     fn garbage_tag_rejected() {
-        let mut r = IoCursor::new(frame_raw(&[0x7F]));
-        assert_eq!(read_frame(&mut r), Err(WireError::UnknownTag(0x7F)));
+        assert_eq!(try_decode_frame(&frame_raw(&[0x7F])), Err(WireError::UnknownTag(0x7F)));
     }
 
     #[test]
@@ -856,8 +889,7 @@ mod tests {
         // mode that breaks exactly-once under corruption.
         let last = buf.len() - 1;
         buf[last] ^= 0x10;
-        let mut r = IoCursor::new(buf);
-        assert!(matches!(read_frame(&mut r), Err(WireError::Checksum { .. })));
+        assert!(matches!(try_decode_frame(&buf), Err(WireError::Checksum { .. })));
     }
 
     #[test]
@@ -869,8 +901,11 @@ mod tests {
 
     #[test]
     fn zero_length_frame_rejected() {
-        let mut r = IoCursor::new(0u32.to_le_bytes().to_vec());
-        assert_eq!(read_frame(&mut r), Err(WireError::Malformed("zero-length payload")));
+        // Decided from the prefix alone: no payload is awaited.
+        assert_eq!(
+            try_decode_frame(&0u32.to_le_bytes()),
+            Err(WireError::Malformed("zero-length payload"))
+        );
     }
 
     #[test]
@@ -878,12 +913,10 @@ mod tests {
         // Inc with a missing initiator flag byte.
         let mut payload = vec![0x02u8];
         payload.extend_from_slice(&[0u8; 8]);
-        let mut r = IoCursor::new(frame_raw(&payload));
-        assert!(matches!(read_frame(&mut r), Err(WireError::Malformed(_))));
+        assert!(matches!(try_decode_frame(&frame_raw(&payload)), Err(WireError::Malformed(_))));
         // Stats with trailing garbage.
-        let mut r = IoCursor::new(frame_raw(&[0x03, 0, 0]));
         assert_eq!(
-            read_frame(&mut r),
+            try_decode_frame(&frame_raw(&[0x03, 0, 0])),
             Err(WireError::Malformed("trailing bytes after the message"))
         );
     }
@@ -893,18 +926,15 @@ mod tests {
         // KeyInc with only half of its key field.
         let mut payload = vec![0x06u8];
         payload.extend_from_slice(&[0u8; 4]);
-        let mut r = IoCursor::new(frame_raw(&payload));
-        assert!(matches!(read_frame(&mut r), Err(WireError::Malformed(_))));
+        assert!(matches!(try_decode_frame(&frame_raw(&payload)), Err(WireError::Malformed(_))));
         // Read with a truncated key.
         let mut payload = vec![0x08u8];
         payload.extend_from_slice(&[0u8; 7]);
-        let mut r = IoCursor::new(frame_raw(&payload));
-        assert!(matches!(read_frame(&mut r), Err(WireError::Malformed(_))));
+        assert!(matches!(try_decode_frame(&frame_raw(&payload)), Err(WireError::Malformed(_))));
         // KeyBatchInc cut off inside its count field.
         let mut payload = vec![0x07u8];
         payload.extend_from_slice(&[0u8; 18]);
-        let mut r = IoCursor::new(frame_raw(&payload));
-        assert!(matches!(read_frame(&mut r), Err(WireError::Malformed(_))));
+        assert!(matches!(try_decode_frame(&frame_raw(&payload)), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -917,14 +947,15 @@ mod tests {
         assert_eq!(decode(&batch), Err(WireError::UnknownTag(0x04)));
         let mut hello = vec![0x05u8, 0];
         hello.extend_from_slice(&[0u8; 8]);
-        let mut r = IoCursor::new(frame_raw(&hello));
-        assert_eq!(read_frame(&mut r), Err(WireError::UnknownTag(0x05)));
+        assert_eq!(try_decode_frame(&frame_raw(&hello)), Err(WireError::UnknownTag(0x05)));
     }
 
     #[test]
     fn bad_option_flag_rejected() {
-        let mut r = IoCursor::new(frame_raw(&[0x01, 7]));
-        assert_eq!(read_frame(&mut r), Err(WireError::Malformed("option flag must be 0 or 1")));
+        assert_eq!(
+            try_decode_frame(&frame_raw(&[0x01, 7])),
+            Err(WireError::Malformed("option flag must be 0 or 1"))
+        );
     }
 
     #[test]
@@ -972,29 +1003,6 @@ mod tests {
             at += consumed;
         }
         assert_eq!(try_decode_frame(&buf[at..]).expect("torn tail"), None);
-    }
-
-    #[test]
-    fn try_decode_rejects_what_read_frame_rejects() {
-        // Oversized and zero-length are decided from the prefix alone.
-        let mut oversized = u32::MAX.to_le_bytes().to_vec();
-        oversized.extend_from_slice(&[0u8; 12]);
-        assert_eq!(
-            try_decode_frame(&oversized),
-            Err(WireError::Oversized { len: u32::MAX, max: MAX_FRAME })
-        );
-        assert_eq!(
-            try_decode_frame(&0u32.to_le_bytes()),
-            Err(WireError::Malformed("zero-length payload"))
-        );
-        // Corruption fails the checksum once the payload is complete.
-        let mut frame = Vec::new();
-        encode_frame_into(&WireMsg::IncOk { request_id: 7, value: 1234 }, &mut frame);
-        let last = frame.len() - 1;
-        frame[last] ^= 0x10;
-        assert!(matches!(try_decode_frame(&frame), Err(WireError::Checksum { .. })));
-        // Unknown tags survive the checksum and fail decode.
-        assert_eq!(try_decode_frame(&frame_raw(&[0x7F])), Err(WireError::UnknownTag(0x7F)));
     }
 
     #[test]

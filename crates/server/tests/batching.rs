@@ -15,7 +15,7 @@ use std::collections::HashSet;
 
 use distctr_core::CounterBackend;
 use distctr_net::ThreadedTreeCounter;
-use distctr_server::wire::{read_frame, write_frame};
+use distctr_server::wire::{write_frame, FrameReader};
 use distctr_server::{CounterServer, ErrCode, RemoteCounter, WireMsg};
 use distctr_sim::ProcessorId;
 
@@ -59,10 +59,11 @@ fn a_zero_count_batch_grants_one_value_on_one_connection() {
     // The wire itself still refuses a batch of 0.
     let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
     write_frame(&mut stream, &WireMsg::Hello { resume: None }).expect("hello");
-    assert!(matches!(read_frame(&mut stream), Ok(WireMsg::HelloOk { .. })));
+    let mut frames = FrameReader::new();
+    assert!(matches!(frames.next_frame(&mut stream), Ok(WireMsg::HelloOk { .. })));
     let zero = WireMsg::KeyBatchInc { key: 0, request_id: 0, count: 0, initiator: None };
     write_frame(&mut stream, &zero).expect("batch of 0");
-    assert_eq!(read_frame(&mut stream), Ok(WireMsg::Err { code: ErrCode::Malformed }));
+    assert_eq!(frames.next_frame(&mut stream), Ok(WireMsg::Err { code: ErrCode::Malformed }));
 }
 
 #[test]

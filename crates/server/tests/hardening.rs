@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use distctr_core::{CoreError, CounterBackend, KeyedReply, TreeCounter};
-use distctr_server::wire::{read_frame, write_frame};
+use distctr_server::wire::{write_frame, FrameReader};
 use distctr_server::{
     ClientConfig, CounterServer, RemoteCounter, RetryPolicy, ServerConfig, ServerError, WireMsg,
 };
@@ -293,7 +293,8 @@ fn per_connection_inflight_cap_sheds_with_busy_and_replays_stay_exactly_once() {
     let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
     write_frame(&mut stream, &WireMsg::Hello { resume: None }).expect("hello");
-    match read_frame(&mut stream).expect("hello reply") {
+    let mut frames = FrameReader::new();
+    match frames.next_frame(&mut stream).expect("hello reply") {
         WireMsg::HelloOk { .. } => {}
         other => panic!("expected HelloOk, got {other:?}"),
     }
@@ -304,7 +305,7 @@ fn per_connection_inflight_cap_sheds_with_busy_and_replays_stay_exactly_once() {
     let mut acked: Vec<(u64, u64)> = Vec::new();
     let mut shed = 0u64;
     for _ in 0..total {
-        match read_frame(&mut stream).expect("reply") {
+        match frames.next_frame(&mut stream).expect("reply") {
             WireMsg::IncOk { request_id, value } => acked.push((request_id, value)),
             WireMsg::Busy { .. } => shed += 1,
             other => panic!("expected IncOk or Busy, got {other:?}"),
@@ -321,7 +322,7 @@ fn per_connection_inflight_cap_sheds_with_busy_and_replays_stay_exactly_once() {
     for request_id in (0..total).filter(|id| !acked_ids.contains(id)) {
         write_frame(&mut stream, &WireMsg::Inc { request_id, initiator: None }).expect("replay");
         loop {
-            match read_frame(&mut stream).expect("replay reply") {
+            match frames.next_frame(&mut stream).expect("replay reply") {
                 WireMsg::IncOk { request_id: rid, value } => {
                     assert_eq!(rid, request_id);
                     acked.push((rid, value));

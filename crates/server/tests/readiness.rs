@@ -11,7 +11,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use distctr_core::TreeCounter;
-use distctr_server::wire::{encode_frame_into, read_frame, write_frame};
+use distctr_server::wire::{encode_frame_into, write_frame, FrameReader};
 use distctr_server::{run_load, CounterServer, LoadConfig, RemoteCounter, ServerConfig, WireMsg};
 
 fn tree(n: usize) -> TreeCounter {
@@ -23,7 +23,7 @@ fn raw_hello(addr: SocketAddr) -> (TcpStream, u64) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
     write_frame(&mut stream, &WireMsg::Hello { resume: None }).expect("hello");
-    match read_frame(&mut stream).expect("hello reply") {
+    match FrameReader::new().next_frame(&mut stream).expect("hello reply") {
         WireMsg::HelloOk { session, .. } => (stream, session),
         other => panic!("expected HelloOk, got {other:?}"),
     }
@@ -71,7 +71,7 @@ fn a_frame_trickled_one_byte_at_a_time_is_reassembled() {
         stream.flush().expect("flush");
         std::thread::sleep(Duration::from_micros(300));
     }
-    match read_frame(&mut stream).expect("reply") {
+    match FrameReader::new().next_frame(&mut stream).expect("reply") {
         WireMsg::IncOk { request_id: 0, value: 0 } => {}
         other => panic!("expected IncOk(0, 0), got {other:?}"),
     }
@@ -89,8 +89,9 @@ fn pipelined_requests_in_one_write_all_get_answers() {
         encode_frame_into(&WireMsg::Inc { request_id, initiator: None }, &mut burst);
     }
     stream.write_all(&burst).expect("burst");
+    let mut frames = FrameReader::new();
     let mut values: Vec<u64> = (0..50)
-        .map(|_| match read_frame(&mut stream).expect("reply") {
+        .map(|_| match frames.next_frame(&mut stream).expect("reply") {
             WireMsg::IncOk { value, .. } => value,
             other => panic!("expected IncOk, got {other:?}"),
         })
@@ -111,8 +112,9 @@ fn drain_completes_buffered_work_then_refuses_new_connections() {
         encode_frame_into(&WireMsg::Inc { request_id, initiator: None }, &mut burst);
     }
     stream.write_all(&burst).expect("burst");
+    let mut frames = FrameReader::new();
     let mut values: Vec<u64> = (0..20)
-        .map(|_| match read_frame(&mut stream).expect("reply") {
+        .map(|_| match frames.next_frame(&mut stream).expect("reply") {
             WireMsg::IncOk { value, .. } => value,
             other => panic!("expected IncOk, got {other:?}"),
         })

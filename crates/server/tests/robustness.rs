@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use distctr_core::TreeCounter;
 use distctr_net::ThreadedTreeCounter;
-use distctr_server::wire::{frame_raw, read_frame, write_frame};
+use distctr_server::wire::{frame_raw, write_frame, FrameReader};
 use distctr_server::{CounterServer, ErrCode, RemoteCounter, WireMsg, MAX_FRAME};
 
 /// Opens a raw socket and completes the Hello handshake, returning the
@@ -18,7 +18,7 @@ fn raw_hello(addr: SocketAddr) -> (TcpStream, u64) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
     write_frame(&mut stream, &WireMsg::Hello { resume: None }).expect("hello");
-    match read_frame(&mut stream).expect("hello reply") {
+    match FrameReader::new().next_frame(&mut stream).expect("hello reply") {
         WireMsg::HelloOk { session, .. } => (stream, session),
         other => panic!("expected HelloOk, got {other:?}"),
     }
@@ -80,7 +80,7 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
     let huge = (MAX_FRAME + 1) * 1000;
     stream.write_all(&huge.to_le_bytes()).expect("oversized prefix");
     stream.flush().expect("flush");
-    match read_frame(&mut stream).expect("error reply") {
+    match FrameReader::new().next_frame(&mut stream).expect("error reply") {
         WireMsg::Err { code } => assert_eq!(code, ErrCode::Oversized),
         other => panic!("expected Err {{ Oversized }}, got {other:?}"),
     }
@@ -97,7 +97,7 @@ fn garbage_tag_and_malformed_payload_get_typed_errors() {
     // length prefix and checksum, so the tag is what gets flagged).
     let (mut stream, _) = raw_hello(server.local_addr());
     stream.write_all(&frame_raw(&[0x7f])).expect("tag");
-    match read_frame(&mut stream).expect("error reply") {
+    match FrameReader::new().next_frame(&mut stream).expect("error reply") {
         WireMsg::Err { code } => assert_eq!(code, ErrCode::UnknownTag),
         other => panic!("expected Err {{ UnknownTag }}, got {other:?}"),
     }
@@ -111,7 +111,7 @@ fn garbage_tag_and_malformed_payload_get_typed_errors() {
     // layout mismatch is what gets flagged).
     let (mut stream, _) = raw_hello(server.local_addr());
     stream.write_all(&frame_raw(&[0x02, 0x01, 0x02])).expect("short inc");
-    match read_frame(&mut stream).expect("error reply") {
+    match FrameReader::new().next_frame(&mut stream).expect("error reply") {
         WireMsg::Err { code } => assert_eq!(code, ErrCode::Malformed),
         other => panic!("expected Err {{ Malformed }}, got {other:?}"),
     }
@@ -121,7 +121,7 @@ fn garbage_tag_and_malformed_payload_get_typed_errors() {
     // crash.
     let (mut stream, _) = raw_hello(server.local_addr());
     write_frame(&mut stream, &WireMsg::IncOk { request_id: 0, value: 99 }).expect("wrong frame");
-    match read_frame(&mut stream).expect("error reply") {
+    match FrameReader::new().next_frame(&mut stream).expect("error reply") {
         WireMsg::Err { code } => assert_eq!(code, ErrCode::Malformed),
         other => panic!("expected Err {{ Malformed }}, got {other:?}"),
     }
@@ -138,7 +138,7 @@ fn hello_must_come_first() {
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
     write_frame(&mut stream, &WireMsg::Inc { request_id: 0, initiator: None }).expect("inc");
-    match read_frame(&mut stream).expect("error reply") {
+    match FrameReader::new().next_frame(&mut stream).expect("error reply") {
         WireMsg::Err { code } => assert_eq!(code, ErrCode::BadHandshake),
         other => panic!("expected Err {{ BadHandshake }}, got {other:?}"),
     }
@@ -152,7 +152,7 @@ fn resuming_an_unknown_session_is_refused() {
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
     write_frame(&mut stream, &WireMsg::Hello { resume: Some(0xdead_beef) }).expect("hello");
-    match read_frame(&mut stream).expect("error reply") {
+    match FrameReader::new().next_frame(&mut stream).expect("error reply") {
         WireMsg::Err { code } => assert_eq!(code, ErrCode::UnknownSession),
         other => panic!("expected Err {{ UnknownSession }}, got {other:?}"),
     }
@@ -206,7 +206,7 @@ fn exercise_replay<B: distctr_core::CounterBackend + Send + 'static>(server: &Co
     let (mut stream, session) = raw_hello(addr);
     // Request 0 completes normally.
     write_frame(&mut stream, &WireMsg::Inc { request_id: 0, initiator: None }).expect("inc 0");
-    let v0 = match read_frame(&mut stream).expect("inc 0 reply") {
+    let v0 = match FrameReader::new().next_frame(&mut stream).expect("inc 0 reply") {
         WireMsg::IncOk { request_id: 0, value } => value,
         other => panic!("expected IncOk, got {other:?}"),
     };

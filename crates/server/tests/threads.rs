@@ -8,7 +8,7 @@
 use std::net::TcpStream;
 
 use distctr_core::TreeCounter;
-use distctr_server::wire::{read_frame, write_frame};
+use distctr_server::wire::{write_frame, FrameReader};
 use distctr_server::{CounterServer, WireMsg};
 
 /// The `distctr-*` threads of this process, by the name the kernel
@@ -33,7 +33,8 @@ fn a_combining_server_runs_one_reactor_and_one_combiner_thread() {
         .map(|_| {
             let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
             write_frame(&mut stream, &WireMsg::Hello { resume: None }).expect("hello");
-            assert!(matches!(read_frame(&mut stream), Ok(WireMsg::HelloOk { .. })));
+            let hello = FrameReader::new().next_frame(&mut stream);
+            assert!(matches!(hello, Ok(WireMsg::HelloOk { .. })));
             stream
         })
         .collect();
@@ -41,7 +42,7 @@ fn a_combining_server_runs_one_reactor_and_one_combiner_thread() {
         write_frame(stream, &WireMsg::Inc { request_id: 0, initiator: None }).expect("inc");
     }
     for stream in &mut conns {
-        assert!(matches!(read_frame(stream), Ok(WireMsg::IncOk { .. })));
+        assert!(matches!(FrameReader::new().next_frame(stream), Ok(WireMsg::IncOk { .. })));
     }
     assert_eq!(server.stats().ops, 64);
     // All 64 connections are still open and served.

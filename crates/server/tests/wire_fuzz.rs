@@ -9,7 +9,7 @@ use std::io::{Cursor, Read};
 
 use distctr_server::error::ErrCode;
 use distctr_server::wire::{
-    decode, encode, read_frame, write_frame, StatsSnapshot, WireError, WireMsg, MAX_FRAME,
+    decode, encode, write_frame, FrameReader, StatsSnapshot, WireError, WireMsg, MAX_FRAME,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,7 +77,7 @@ fn random_valid_frames_round_trip_byte_exact() {
         let mut framed = Vec::new();
         write_frame(&mut framed, &msg).expect("in-memory write");
         let mut r = Cursor::new(&framed);
-        assert_eq!(read_frame(&mut r).expect("framed read"), msg);
+        assert_eq!(FrameReader::new().next_frame(&mut r).expect("framed read"), msg);
         assert_eq!(r.position() as usize, framed.len(), "reader consumes the whole frame");
     }
 }
@@ -101,7 +101,7 @@ fn every_truncation_of_a_valid_frame_is_a_typed_error() {
         write_frame(&mut framed, &msg).expect("in-memory write");
         for cut in 0..framed.len() {
             let mut r = Cursor::new(&framed[..cut]);
-            match read_frame(&mut r) {
+            match FrameReader::new().next_frame(&mut r) {
                 Err(WireError::Closed) => assert_eq!(cut, 0, "Closed only before any byte"),
                 Err(WireError::Truncated { .. }) => assert!(cut > 0),
                 other => {
@@ -126,7 +126,7 @@ fn single_byte_mutations_never_panic_and_errors_are_typed() {
         // A mutated frame either still decodes (the flip landed in a
         // don't-care numeric field) or fails with a *typed* error;
         // the read itself must never panic or loop.
-        match read_frame(&mut r) {
+        match FrameReader::new().next_frame(&mut r) {
             Ok(_)
             | Err(
                 WireError::Truncated { .. }
@@ -147,10 +147,11 @@ fn random_garbage_streams_never_panic() {
         let len = rng.gen_range(0usize..64);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..=255) as u8).collect();
         let mut r = Cursor::new(&bytes[..]);
+        let mut frames = FrameReader::new();
         // Drain the stream: every iteration either yields a (miraculous)
         // valid frame or a typed error; `Closed`/errors end the loop.
         loop {
-            match read_frame(&mut r) {
+            match frames.next_frame(&mut r) {
                 Ok(_) => continue,
                 Err(WireError::Io(e)) => panic!("in-memory reads cannot fail with i/o: {e}"),
                 Err(_) => break,
@@ -167,7 +168,10 @@ fn oversized_prefixes_are_rejected_for_every_length_beyond_the_cap() {
         let mut framed = len.to_le_bytes().to_vec();
         framed.extend_from_slice(&[0u8; 8]);
         let mut r = Cursor::new(&framed[..]);
-        assert_eq!(read_frame(&mut r), Err(WireError::Oversized { len, max: MAX_FRAME }));
+        assert_eq!(
+            FrameReader::new().next_frame(&mut r),
+            Err(WireError::Oversized { len, max: MAX_FRAME })
+        );
     }
 }
 
@@ -269,11 +273,12 @@ fn sliced_delivery_reassembles_every_frame() {
             rng: StdRng::seed_from_u64(0xF00D + round),
             max_chunk: 3,
         };
+        let mut frames = FrameReader::new();
         for m in &msgs {
-            assert_eq!(&read_frame(&mut r).expect("reassembled frame"), m);
+            assert_eq!(&frames.next_frame(&mut r).expect("reassembled frame"), m);
         }
         assert!(
-            matches!(read_frame(&mut r), Err(WireError::Closed)),
+            matches!(frames.next_frame(&mut r), Err(WireError::Closed)),
             "clean EOF at the stream's end"
         );
     }
@@ -295,7 +300,7 @@ fn a_torn_frame_spliced_into_a_fresh_one_is_rejected_not_misparsed() {
         bytes.truncate(cut);
         write_frame(&mut bytes, &arbitrary_msg(&mut rng)).expect("in-memory write");
         let mut r = Cursor::new(&bytes[..]);
-        match read_frame(&mut r) {
+        match FrameReader::new().next_frame(&mut r) {
             Err(WireError::Io(e)) => panic!("in-memory reads cannot fail with i/o: {e}"),
             Err(_) => {}
             // A splice can only decode when the borrowed bytes re-spell
@@ -326,8 +331,9 @@ fn interleaved_partial_frames_from_two_writers_stay_framed() {
         expect.push(y.clone());
     }
     let mut r = Chunked { data: &bytes, pos: 0, rng: StdRng::seed_from_u64(0xBEEF), max_chunk: 5 };
+    let mut frames = FrameReader::new();
     for m in &expect {
-        assert_eq!(&read_frame(&mut r).expect("interleaved frame"), m);
+        assert_eq!(&frames.next_frame(&mut r).expect("interleaved frame"), m);
     }
 }
 
@@ -350,7 +356,7 @@ fn corrupted_frames_are_flagged_with_the_offending_checksum() {
         let idx = rng.gen_range(8..framed.len());
         framed[idx] ^= rng.gen_range(1u32..=255) as u8;
         let mut r = Cursor::new(&framed[..]);
-        match read_frame(&mut r) {
+        match FrameReader::new().next_frame(&mut r) {
             Err(WireError::Checksum { expected, found }) => {
                 assert_ne!(expected, found);
                 flagged += 1;

@@ -169,7 +169,7 @@ pub fn run_cell(kind: BackendKind, threads: usize, ops_per_thread: u64) -> Bakeo
         .map(|t| {
             let op = Arc::clone(&op);
             let barrier = Arc::clone(&barrier);
-            let mut history = recorder.thread(t);
+            let mut history = recorder.thread();
             thread::spawn(move || {
                 let mut latencies = Histogram::with_layout(LAT_LO_NS, LAT_HI_NS, LAT_BINS);
                 barrier.wait();
@@ -214,7 +214,7 @@ pub fn run_cell(kind: BackendKind, threads: usize, ops_per_thread: u64) -> Bakeo
         fairness: fastest as f64 / slowest as f64,
         gap_free: verdict.gap_free(),
         linearizable: verdict.linearizable(),
-        lin_violations: verdict.lin_violations.len(),
+        lin_violations: verdict.violations.len(),
         bottleneck: bottleneck(),
     }
 }

@@ -87,11 +87,10 @@ pub struct CompletedOp {
 }
 
 impl CompletedOp {
-    /// Converts to a record for the linearizability checker.
+    /// Converts to a record for the history checker.
     #[must_use]
-    pub fn to_record(self) -> crate::linearize::OpRecord {
-        crate::linearize::OpRecord {
-            op: self.op,
+    pub fn to_record(self) -> crate::linearize::FetchIncRecord {
+        crate::linearize::FetchIncRecord {
             started_at: self.started_at,
             completed_at: self.completed_at,
             value: self.value,

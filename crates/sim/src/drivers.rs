@@ -187,9 +187,8 @@ impl ConcurrentDriver {
     /// order). This is the guarantee counting networks provide.
     #[must_use]
     pub fn values_are_gap_free(values: &[u64]) -> bool {
-        let mut sorted: Vec<u64> = values.to_vec();
-        sorted.sort_unstable();
-        sorted.iter().enumerate().all(|(i, &v)| v == i as u64)
+        let (missing, duplicates) = crate::linearize::value_multiset(values.to_vec());
+        missing.is_empty() && duplicates.is_empty()
     }
 }
 

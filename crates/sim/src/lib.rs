@@ -78,7 +78,7 @@ pub use drivers::{ConcurrentDriver, SequenceOutcome, SequentialDriver};
 pub use error::SimError;
 pub use fault::{CrashPoint, FaultEvent, FaultPlan, FaultStats};
 pub use id::{OpId, ProcessorId};
-pub use linearize::{counter_history_linearizable, LinearizabilityVerdict, OpRecord};
+pub use linearize::{check_fetch_inc_history, FetchIncRecord, HistoryVerdict, RealTimeViolation};
 pub use list::CommList;
 pub use load::{LoadSummary, LoadTracker};
 pub use network::{Network, Outbox, Protocol, RunStats, DEFAULT_MESSAGE_CAP};

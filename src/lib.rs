@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`sim`] | `distctr-sim` | asynchronous message-passing network simulator, load accounting, traces |
 //! | [`core`] | `distctr-core` | the paper's retirement-tree counter and lemma audits |
-//! | [`baselines`] | `distctr-baselines` | central, static-tree, combining-tree, counting-network, diffracting-tree counters |
+//! | [`baselines`] | `distctr-baselines` | central, combining-tree, counting-network, diffracting-tree, Arrow counters (the static tree is `TreeCounter` with `RetirementPolicy::Never`) |
 //! | [`quorum`] | `distctr-quorum` | quorum systems and the Hot Spot Lemma checker |
 //! | [`bound`] | `distctr-bound` | the executable lower bound: adversary + weight audit |
 //! | [`net`] | `distctr-net` | real-threads backend: the tree counter over OS threads + channels |

@@ -4,16 +4,14 @@
 //! the paper — formalizes exactly this distinction.)
 
 use distctr::prelude::*;
-use distctr::sim::{
-    counter_history_linearizable, LinearizabilityVerdict, OverlappedCounter, SimTime,
-};
+use distctr::sim::{check_fetch_inc_history, FetchIncRecord, OverlappedCounter, SimTime};
 
 /// The classic non-linearizable execution on a width-2 counting network:
 /// a token stalls between the balancer and its exit counter; a later
 /// token completes with a larger value; a third token, started after the
 /// second finished, slips into the stalled token's exit slot and returns
 /// the *smaller* value 0.
-fn stalled_token_schedule<C: OverlappedCounter>(counter: &mut C) -> Vec<distctr::sim::OpRecord> {
+fn stalled_token_schedule<C: OverlappedCounter>(counter: &mut C) -> Vec<FetchIncRecord> {
     let t = SimTime::from_ticks;
     counter.start_inc(ProcessorId::new(0)).expect("T1 starts");
     counter.advance_until(t(50)).expect("T1 stalls in the network");
@@ -39,21 +37,17 @@ fn counting_network_violates_linearizability_under_a_stall() {
     assert_eq!(records.len(), 3);
 
     // Quiescent consistency still holds: the values are exactly {0,1,2}.
-    let mut values: Vec<u64> = records.iter().map(|r| r.value).collect();
-    values.sort_unstable();
-    assert_eq!(values, vec![0, 1, 2], "gap-free after quiescence");
+    let verdict = check_fetch_inc_history(&records);
+    assert!(verdict.gap_free(), "gap-free after quiescence: {verdict:?}");
 
     // But the history is not linearizable: T2 (value 1) completed before
     // T3 (value 0) started.
-    match counter_history_linearizable(&records) {
-        LinearizabilityVerdict::Violation { earlier, later } => {
-            assert!(earlier.value > later.value);
-            assert!(earlier.completed_at < later.started_at);
-        }
-        LinearizabilityVerdict::Linearizable => {
-            panic!("the stalled-token schedule must violate linearizability: {records:?}")
-        }
-    }
+    let v = verdict.violations.first().unwrap_or_else(|| {
+        panic!("the stalled-token schedule must violate linearizability: {records:?}")
+    });
+    let (earlier, later) = (records[v.floor], records[v.op]);
+    assert!(earlier.value > later.value);
+    assert!(earlier.completed_at < later.started_at);
 }
 
 #[test]
@@ -66,7 +60,7 @@ fn central_counter_is_linearizable_under_the_same_stall() {
             .expect("central");
     let records = stalled_token_schedule(&mut counter);
     assert!(
-        counter_history_linearizable(&records).is_linearizable(),
+        check_fetch_inc_history(&records).linearizable(),
         "central counter must stay linearizable: {records:?}"
     );
 }
@@ -89,10 +83,7 @@ fn central_counter_linearizable_under_random_staggered_schedules() {
         }
         let records: Vec<_> =
             counter.finish_all().expect("drain").into_iter().map(|c| c.to_record()).collect();
-        assert!(
-            counter_history_linearizable(&records).is_linearizable(),
-            "seed {seed}: {records:?}"
-        );
+        assert!(check_fetch_inc_history(&records).linearizable(), "seed {seed}: {records:?}");
     }
 }
 

@@ -12,7 +12,7 @@
 use std::io::Write as _;
 use std::net::TcpStream;
 
-use distctr::server::wire::{encode_frame_into, read_frame, write_frame};
+use distctr::server::wire::{encode_frame_into, write_frame, FrameReader};
 use distctr::server::{run_load, CounterServer, LoadConfig, WireMsg};
 use distctr::shm::{AtomicBitonicCounter, CentralCounter, ShmTreeCounter};
 
@@ -33,7 +33,8 @@ fn shm_tree_serves_sequential_values_over_tcp() {
         .map(|_| {
             let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
             write_frame(&mut stream, &WireMsg::Hello { resume: None }).expect("hello");
-            assert!(matches!(read_frame(&mut stream), Ok(WireMsg::HelloOk { .. })));
+            let hello = FrameReader::new().next_frame(&mut stream);
+            assert!(matches!(hello, Ok(WireMsg::HelloOk { .. })));
             stream
         })
         .collect();
@@ -49,8 +50,9 @@ fn shm_tree_serves_sequential_values_over_tcp() {
     }
     let mut values = Vec::with_capacity(OPS);
     for stream in &mut conns {
+        let mut frames = FrameReader::new();
         for _ in 0..per_conn {
-            match read_frame(stream).expect("reply") {
+            match frames.next_frame(stream).expect("reply") {
                 WireMsg::IncOk { value, .. } => values.push(value),
                 other => panic!("expected IncOk, got {other:?}"),
             }
