@@ -22,7 +22,7 @@ use rand::SeedableRng;
 
 use distctr_sim::{DeliveryPolicy, Network, Outbox, ProcessorId, Protocol, SimError, TraceMode};
 
-use crate::driver::{CounterProtocol, Delivered, Entry, SimCounter};
+use crate::driver::{CounterProtocol, Delivered, Entry, OpProtocol, SimCounter};
 
 /// The fixed spanning tree the arrows live on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,7 +96,7 @@ pub struct ArrowState {
     /// The token: its holder's pending value (exactly one `Some` at
     /// quiescence).
     token: Vec<Option<u64>>,
-    delivered: Vec<Delivered>,
+    delivered: Vec<Delivered<u64>>,
     /// Longest find path seen (diagnostics).
     longest_path: u64,
     current_path: u64,
@@ -136,10 +136,18 @@ impl Protocol for ArrowState {
     }
 }
 
+impl OpProtocol for ArrowState {
+    type Value = u64;
+
+    fn delivered(&mut self) -> &mut Vec<Delivered<u64>> {
+        &mut self.delivered
+    }
+}
+
 impl CounterProtocol for ArrowState {
     const NAME: &'static str = "arrow-token";
 
-    fn enter(&mut self, initiator: ProcessorId) -> Entry<ArrowMsg> {
+    fn enter(&mut self, initiator: ProcessorId) -> Entry<ArrowMsg, u64> {
         let me = initiator.index();
         match self.arrows[me] {
             Arrow::Holder => {
@@ -154,10 +162,6 @@ impl CounterProtocol for ArrowState {
                 Entry::Send(next, ArrowMsg::Find { origin: initiator })
             }
         }
-    }
-
-    fn delivered(&mut self) -> &mut Vec<Delivered> {
-        &mut self.delivered
     }
 }
 
@@ -242,7 +246,8 @@ impl ArrowCounter {
     #[must_use]
     pub fn holder(&self) -> ProcessorId {
         let idx = self
-            .state
+            .sim
+            .proto
             .token
             .iter()
             .position(Option::is_some)
@@ -253,7 +258,7 @@ impl ArrowCounter {
     /// Longest find path (in tree hops) observed so far.
     #[must_use]
     pub fn longest_find_path(&self) -> u64 {
-        self.state.longest_path
+        self.sim.proto.longest_path
     }
 }
 
@@ -268,7 +273,7 @@ fn arrows_converge(counter: &ArrowCounter) -> bool {
         let mut at = start;
         let mut hops = 0usize;
         loop {
-            match counter.state.arrows[at] {
+            match counter.sim.proto.arrows[at] {
                 Arrow::Holder => break,
                 Arrow::Toward(next) => {
                     at = next.index();

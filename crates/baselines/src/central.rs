@@ -13,7 +13,8 @@
 use distctr_sim::{DeliveryPolicy, Network, Outbox, ProcessorId, Protocol, SimError, TraceMode};
 
 use crate::driver::{
-    ConcurrentProtocol, CounterProtocol, Delivered, Entry, OverlappedProtocol, SimCounter,
+    ConcurrentProtocol, CounterProtocol, Delivered, Entry, OpProtocol, OverlappedProtocol,
+    SimCounter,
 };
 
 /// Protocol messages of the centralized counter.
@@ -36,7 +37,7 @@ pub enum CentralMsg {
 pub struct CentralState {
     coordinator: ProcessorId,
     value: u64,
-    delivered: Vec<Delivered>,
+    delivered: Vec<Delivered<u64>>,
 }
 
 impl Protocol for CentralState {
@@ -62,15 +63,19 @@ impl Protocol for CentralState {
     }
 }
 
+impl OpProtocol for CentralState {
+    type Value = u64;
+
+    fn delivered(&mut self) -> &mut Vec<Delivered<u64>> {
+        &mut self.delivered
+    }
+}
+
 impl CounterProtocol for CentralState {
     const NAME: &'static str = "central";
 
-    fn enter(&mut self, initiator: ProcessorId) -> Entry<CentralMsg> {
+    fn enter(&mut self, initiator: ProcessorId) -> Entry<CentralMsg, u64> {
         Entry::Send(self.coordinator, CentralMsg::Request { origin: initiator })
-    }
-
-    fn delivered(&mut self) -> &mut Vec<Delivered> {
-        &mut self.delivered
     }
 }
 
@@ -128,13 +133,13 @@ impl CentralCounter {
     /// The coordinator processor.
     #[must_use]
     pub fn coordinator(&self) -> ProcessorId {
-        self.state.coordinator
+        self.sim.proto.coordinator
     }
 
     /// The counter's current value.
     #[must_use]
     pub fn value(&self) -> u64 {
-        self.state.value
+        self.sim.proto.value
     }
 }
 

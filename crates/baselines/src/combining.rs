@@ -21,7 +21,9 @@ use std::collections::HashMap;
 
 use distctr_sim::{DeliveryPolicy, Network, Outbox, ProcessorId, Protocol, SimError, TraceMode};
 
-use crate::driver::{ConcurrentProtocol, CounterProtocol, Delivered, Entry, SimCounter};
+use crate::driver::{
+    ConcurrentProtocol, CounterProtocol, Delivered, Entry, OpProtocol, SimCounter,
+};
 use crate::hosting::Hosting;
 
 /// Where a granted value range must be delivered.
@@ -91,7 +93,7 @@ pub struct CombiningState {
     pending: HashMap<u64, Vec<(Reply, u32)>>,
     next_token: u64,
     value: u64,
-    delivered: Vec<Delivered>,
+    delivered: Vec<Delivered<u64>>,
     /// Statistics: how many upward requests carried count > 1.
     combined_sends: u64,
     upward_sends: u64,
@@ -196,19 +198,23 @@ impl Protocol for CombiningState {
     }
 }
 
+impl OpProtocol for CombiningState {
+    type Value = u64;
+
+    fn delivered(&mut self) -> &mut Vec<Delivered<u64>> {
+        &mut self.delivered
+    }
+}
+
 impl CounterProtocol for CombiningState {
     const NAME: &'static str = "combining-tree";
 
-    fn enter(&mut self, initiator: ProcessorId) -> Entry<CombiningMsg> {
+    fn enter(&mut self, initiator: ProcessorId) -> Entry<CombiningMsg, u64> {
         let parent = (self.m as u32 + initiator.index() as u32) / 2;
         Entry::Send(
             self.host(parent),
             CombiningMsg::Join { node: parent, reply: Reply::Leaf(initiator), count: 1 },
         )
-    }
-
-    fn delivered(&mut self) -> &mut Vec<Delivered> {
-        &mut self.delivered
     }
 }
 
@@ -276,17 +282,17 @@ impl CombiningTreeCounter {
     /// The counter's current value.
     #[must_use]
     pub fn value(&self) -> u64 {
-        self.state.value
+        self.sim.proto.value
     }
 
     /// Fraction of upward requests that carried more than one operation —
     /// the combining rate (0.0 under sequential workloads).
     #[must_use]
     pub fn combining_rate(&self) -> f64 {
-        if self.state.upward_sends == 0 {
+        if self.sim.proto.upward_sends == 0 {
             0.0
         } else {
-            self.state.combined_sends as f64 / self.state.upward_sends as f64
+            self.sim.proto.combined_sends as f64 / self.sim.proto.upward_sends as f64
         }
     }
 }
@@ -323,7 +329,7 @@ mod tests {
         // in one concurrent batch it sees O(1).
         let root_host_load = |mut c: CombiningTreeCounter, batch: usize| {
             ConcurrentDriver::run_batches(&mut c, batch, 5).expect("run");
-            let root_host = c.state.host(1);
+            let root_host = c.sim.proto.host(1);
             c.loads().load_of(root_host)
         };
         let seq = root_host_load(CombiningTreeCounter::new(32).expect("c"), 1);

@@ -15,7 +15,8 @@ use distctr_sim::{DeliveryPolicy, Network, Outbox, ProcessorId, Protocol, SimErr
 
 use crate::bitonic::BitonicNetwork;
 use crate::driver::{
-    ConcurrentProtocol, CounterProtocol, Delivered, Entry, OverlappedProtocol, SimCounter,
+    ConcurrentProtocol, CounterProtocol, Delivered, Entry, OpProtocol, OverlappedProtocol,
+    SimCounter,
 };
 use crate::hosting::Hosting;
 
@@ -52,7 +53,7 @@ pub struct CountingState {
     toggles: Vec<bool>,
     /// Tokens seen per exit wire (indexed by wire).
     visits: Vec<u64>,
-    delivered: Vec<Delivered>,
+    delivered: Vec<Delivered<u64>>,
 }
 
 impl CountingState {
@@ -114,10 +115,18 @@ impl Protocol for CountingState {
     }
 }
 
+impl OpProtocol for CountingState {
+    type Value = u64;
+
+    fn delivered(&mut self) -> &mut Vec<Delivered<u64>> {
+        &mut self.delivered
+    }
+}
+
 impl CounterProtocol for CountingState {
     const NAME: &'static str = "counting-network";
 
-    fn enter(&mut self, initiator: ProcessorId) -> Entry<CountingMsg> {
+    fn enter(&mut self, initiator: ProcessorId) -> Entry<CountingMsg, u64> {
         let wire = initiator.index() % self.network.width();
         match self.network.entry(wire) {
             Some(b) => Entry::Send(
@@ -129,10 +138,6 @@ impl CounterProtocol for CountingState {
                 CountingMsg::ExitToken { wire: wire as u32, origin: initiator },
             ),
         }
-    }
-
-    fn delivered(&mut self) -> &mut Vec<Delivered> {
-        &mut self.delivered
     }
 }
 
@@ -200,7 +205,7 @@ impl CountingNetworkCounter {
     /// The network width `w`.
     #[must_use]
     pub fn width(&self) -> usize {
-        self.state.network.width()
+        self.sim.proto.network.width()
     }
 
     /// Exit counts by rank (for step-property checks).
@@ -209,7 +214,7 @@ impl CountingNetworkCounter {
         let w = self.width();
         let mut by_rank = vec![0u64; w];
         for wire in 0..w {
-            by_rank[self.state.network.exit_rank(wire)] = self.state.visits[wire];
+            by_rank[self.sim.proto.network.exit_rank(wire)] = self.sim.proto.visits[wire];
         }
         by_rank
     }

@@ -16,7 +16,9 @@ use std::collections::HashMap;
 
 use distctr_sim::{DeliveryPolicy, Network, Outbox, ProcessorId, Protocol, SimError, TraceMode};
 
-use crate::driver::{ConcurrentProtocol, CounterProtocol, Delivered, Entry, SimCounter};
+use crate::driver::{
+    ConcurrentProtocol, CounterProtocol, Delivered, Entry, OpProtocol, SimCounter,
+};
 use crate::hosting::Hosting;
 
 /// Messages of the diffracting-tree protocol.
@@ -65,7 +67,7 @@ pub struct DiffractingState {
     prisms: HashMap<u32, Parked>,
     visits: Vec<u64>,
     next_marker: u64,
-    delivered: Vec<Delivered>,
+    delivered: Vec<Delivered<u64>>,
     diffractions: u64,
     toggle_passes: u64,
 }
@@ -161,10 +163,18 @@ impl Protocol for DiffractingState {
     }
 }
 
+impl OpProtocol for DiffractingState {
+    type Value = u64;
+
+    fn delivered(&mut self) -> &mut Vec<Delivered<u64>> {
+        &mut self.delivered
+    }
+}
+
 impl CounterProtocol for DiffractingState {
     const NAME: &'static str = "diffracting-tree";
 
-    fn enter(&mut self, initiator: ProcessorId) -> Entry<DiffractingMsg> {
+    fn enter(&mut self, initiator: ProcessorId) -> Entry<DiffractingMsg, u64> {
         if self.depth == 0 {
             Entry::Send(
                 self.host_of_exit(0),
@@ -173,10 +183,6 @@ impl CounterProtocol for DiffractingState {
         } else {
             Entry::Send(self.host_of_node(1), DiffractingMsg::Token { node: 1, origin: initiator })
         }
-    }
-
-    fn delivered(&mut self) -> &mut Vec<Delivered> {
-        &mut self.delivered
     }
 }
 
@@ -243,25 +249,25 @@ impl DiffractingTreeCounter {
     /// Number of exit counters (2^depth).
     #[must_use]
     pub fn width(&self) -> usize {
-        self.state.width()
+        self.sim.proto.width()
     }
 
     /// Fraction of node passages resolved by diffraction rather than the
     /// toggle (0.0 under sequential workloads).
     #[must_use]
     pub fn diffraction_rate(&self) -> f64 {
-        let total = self.state.diffractions * 2 + self.state.toggle_passes;
+        let total = self.sim.proto.diffractions * 2 + self.sim.proto.toggle_passes;
         if total == 0 {
             0.0
         } else {
-            (self.state.diffractions * 2) as f64 / total as f64
+            (self.sim.proto.diffractions * 2) as f64 / total as f64
         }
     }
 
     /// Exit counts (indexed by exit order) for balance checks.
     #[must_use]
     pub fn exit_counts(&self) -> &[u64] {
-        &self.state.visits
+        &self.sim.proto.visits
     }
 }
 

@@ -12,8 +12,9 @@
 //! ```
 //!
 //! The gated experiments (`e22`–`e27`) rewrite their `BENCH_*.json` in
-//! the working directory; what each gate holds is documented on its
-//! `eNN_gate` in the library. Exit status: 0 when every selected row
+//! the working directory at full size only (`--smoke` and `--quick`
+//! print and gate without touching the checked-in record); what each
+//! gate holds is documented on its `eNN_gate` in the library. Exit status: 0 when every selected row
 //! ran and held its gate, 1 after listing every failed gate, 2 on a
 //! usage error — an id no row answers to, an unknown flag, or a size a
 //! selected row does not have (only gated rows have `--smoke`) — after
@@ -102,7 +103,9 @@ fn main() -> ExitCode {
     for row in &plan.rows {
         let outcome = (row.run)(plan.size);
         println!("{}", outcome.text);
-        if let Some((name, json)) = outcome.bench_file {
+        // A checked-in `BENCH_*.json` records a full-size run; a smaller
+        // run prints and gates but leaves the file as it is.
+        if let Some((name, json)) = outcome.bench_file.filter(|_| plan.size == Size::Full) {
             std::fs::write(name, json).unwrap_or_else(|e| panic!("write {name}: {e}"));
             eprintln!("wrote {name}");
         }

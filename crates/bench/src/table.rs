@@ -56,7 +56,8 @@ pub struct Outcome {
     /// The rendered report section.
     pub text: String,
     /// The `BENCH_*.json` artifact this run regenerates, `(file name,
-    /// contents)`, written to the working directory.
+    /// contents)`; `report` writes it to the working directory after a
+    /// full-size run only.
     pub bench_file: Option<(&'static str, String)>,
     /// The regression verdict; `Err` carries what failed.
     pub gate: Result<(), String>,

@@ -1,7 +1,8 @@
-//! The `report` binary's usage errors: a selection that cannot run is
+//! The `report` binary's command line: a selection that cannot run is
 //! refused with exit status 2 and the known ids, before the header —
 //! not answered with an empty report and exit status 0, which is how a
-//! typo in a CI step used to pass.
+//! typo in a CI step used to pass — and a run below full size leaves the
+//! checked-in `BENCH_*.json` files alone.
 
 use std::process::{Command, Output};
 
@@ -40,4 +41,20 @@ fn selection_is_by_id_or_alias_in_report_order() {
     assert!(at("mode: quick") < at("Figure 1") && at("Figure 1") < at("Figure 4"));
     assert!(at("Figure 4") < at("E3."));
     assert_eq!(text.matches("E3.").count(), 1, "a row runs once");
+}
+
+#[test]
+fn a_smoke_run_writes_no_bench_file() {
+    let dir = std::env::temp_dir().join(format!("report-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["e25", "--smoke"])
+        .current_dir(&dir)
+        .output()
+        .expect("run report");
+    let wrote = dir.join("BENCH_scale.json").exists();
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("mode: smoke"));
+    assert!(!wrote, "a smoke run overwrote BENCH_scale.json");
 }

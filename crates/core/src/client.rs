@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use distctr_sim::{
-    DeliveryPolicy, FaultEvent, FaultPlan, FaultStats, LoadTracker, Network, OpId, ProcessorId,
-    SimError, SimTime, TraceMode,
+    claim, DeliveryPolicy, Entry, FaultEvent, FaultPlan, FaultStats, LoadTracker, Network, OpLoop,
+    OpProtocol, OpResult, ProcessorId, SimError, TraceMode,
 };
 
 use crate::audit::CounterAudit;
@@ -17,20 +17,6 @@ use crate::node::Repair;
 use crate::object::RootObject;
 use crate::protocol::{PoolPolicy, RetirementPolicy, TreeProtocol};
 use crate::topology::{NodeRef, Topology};
-
-/// Result of one operation against a tree-hosted object.
-#[derive(Debug, Clone)]
-pub struct InvokeResult<S> {
-    /// The object's response, delivered to the initiator.
-    pub response: S,
-    /// Messages exchanged during the operation (including retirement
-    /// traffic it triggered).
-    pub messages: u64,
-    /// Simulated completion time.
-    pub completed_at: SimTime,
-    /// Per-operation trace, when recorded.
-    pub trace: Option<distctr_sim::OpTrace>,
-}
 
 /// Builder for a [`TreeClient`].
 #[derive(Debug, Clone)]
@@ -113,7 +99,7 @@ impl<O: RootObject> TreeClientBuilder<O> {
             None => Network::with_policy(n, self.trace, self.policy)?,
         };
         let proto = TreeProtocol::new(Arc::new(topo), config, self.object);
-        Ok(TreeClient { net, proto, next_op: 0, watchdog_retries: 0 })
+        Ok(TreeClient { sim: OpLoop::new(net, proto), watchdog_retries: 0 })
     }
 }
 
@@ -135,16 +121,14 @@ impl<O: RootObject> TreeClientBuilder<O> {
 ///
 /// # fn main() -> Result<(), distctr_core::CoreError> {
 /// let mut bit = TreeClient::<FlipBitObject>::new(8)?;
-/// assert!(!bit.invoke(ProcessorId::new(3), ())?.response);
-/// assert!(bit.invoke(ProcessorId::new(5), ())?.response);
+/// assert!(!bit.invoke(ProcessorId::new(3), ())?.value);
+/// assert!(bit.invoke(ProcessorId::new(5), ())?.value);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct TreeClient<O: RootObject> {
-    net: Network<Msg<O>>,
-    proto: TreeProtocol<O>,
-    next_op: usize,
+    sim: OpLoop<TreeProtocol<O>>,
     watchdog_retries: u64,
 }
 
@@ -204,60 +188,62 @@ impl<O: RootObject> TreeClient<O> {
     /// The tree order `k`.
     #[must_use]
     pub fn order(&self) -> u32 {
-        self.proto.topology().order()
+        self.sim.proto.topology().order()
     }
 
     /// Number of processors (rounded up to `k^(k+1)`).
     #[must_use]
     pub fn processors(&self) -> usize {
-        self.net.processors()
+        self.sim.net.processors()
     }
 
     /// The tree topology.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        self.proto.topology()
+        self.sim.proto.topology()
     }
 
     /// The lemma auditor's view of the run so far.
     #[must_use]
     pub fn audit(&self) -> &CounterAudit {
-        self.proto.audit()
+        self.sim.proto.audit()
     }
 
     /// The hosted object's current state.
     #[must_use]
     pub fn object(&self) -> &O {
-        self.proto.object()
+        self.sim.proto.object()
     }
 
     /// The processor currently working for `node`.
     #[must_use]
     pub fn worker_of(&self, node: NodeRef) -> ProcessorId {
-        self.proto.worker_of(node)
+        self.sim.proto.worker_of(node)
     }
 
     /// Per-processor message loads since construction.
     #[must_use]
     pub fn loads(&self) -> &LoadTracker {
-        self.net.loads()
+        self.sim.net.loads()
     }
 
     /// Number of operations executed.
     #[must_use]
     pub fn ops_executed(&self) -> usize {
-        self.next_op
+        self.sim.opened()
     }
 
     /// Per-processor engine fingerprints, in processor order (see
     /// [`crate::protocol::TreeProtocol::engine_fingerprints`]).
     #[must_use]
     pub fn engine_fingerprints(&self) -> Vec<u64> {
-        self.proto.engine_fingerprints()
+        self.sim.proto.engine_fingerprints()
     }
 
     /// Executes one operation initiated by `initiator`, running the whole
-    /// process (including retirement cascades) to quiescence.
+    /// process (including retirement cascades) to quiescence through the
+    /// simulator's op loop ([`OpLoop::run`]); the result's `value` is
+    /// the object's response.
     ///
     /// # Errors
     ///
@@ -273,7 +259,7 @@ impl<O: RootObject> TreeClient<O> {
         &mut self,
         initiator: ProcessorId,
         req: O::Request,
-    ) -> Result<InvokeResult<O::Response>, SimError> {
+    ) -> Result<OpResult<O::Response>, SimError> {
         self.invoke_batch(initiator, 1, req)
     }
 
@@ -292,34 +278,15 @@ impl<O: RootObject> TreeClient<O> {
         initiator: ProcessorId,
         count: u64,
         req: O::Request,
-    ) -> Result<InvokeResult<O::Response>, SimError> {
+    ) -> Result<OpResult<O::Response>, SimError> {
         let count = count.max(1);
-        if initiator.index() >= self.net.processors() {
-            return Err(SimError::UnknownProcessor {
-                index: initiator.index(),
-                processors: self.net.processors(),
-            });
-        }
-        let op = OpId::new(self.next_op);
-        self.next_op += 1;
-        self.proto.audit_mut().begin_op();
-        let leaf_parent = self.proto.topology().leaf_parent(initiator.index() as u64);
-        let worker = self.proto.worker_of(leaf_parent);
-        let op_seq = op.index() as u64;
-        let entry = Msg::Apply { node: leaf_parent, origin: initiator, op_seq, count, req };
-        self.net.inject(op, initiator, worker, entry);
-        let stats = self.net.run_to_quiescence(&mut self.proto)?;
-        self.proto.audit_mut().end_op();
-        let trace = self.net.finish_op(op);
-        let response = self
-            .proto
-            .take_pending_response()
-            .expect("operation must deliver a response to the initiator before quiescence");
-        Ok(InvokeResult {
-            response,
-            messages: stats.delivered,
-            completed_at: stats.end_time,
-            trace,
+        self.sim.run(initiator, |proto, op| {
+            let node = proto.topology().leaf_parent(initiator.index() as u64);
+            let op_seq = op.index() as u64;
+            Entry::Send(
+                proto.worker_of(node),
+                Msg::Apply { node, origin: initiator, op_seq, count, req },
+            )
         })
     }
 
@@ -327,7 +294,7 @@ impl<O: RootObject> TreeClient<O> {
     /// ablation).
     #[must_use]
     pub fn retirement_enabled(&self) -> bool {
-        self.proto.config().threshold.is_some()
+        self.sim.proto.config().threshold.is_some()
     }
 
     // --- fault tolerance -------------------------------------------------
@@ -335,31 +302,31 @@ impl<O: RootObject> TreeClient<O> {
     /// The fault plan driving the network, if any.
     #[must_use]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.net.fault_plan()
+        self.sim.net.fault_plan()
     }
 
     /// Every fault the network injected so far, in order.
     #[must_use]
     pub fn fault_log(&self) -> &[FaultEvent] {
-        self.net.fault_log()
+        self.sim.net.fault_log()
     }
 
     /// Summary counts of injected faults.
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {
-        self.net.fault_stats()
+        self.sim.net.fault_stats()
     }
 
     /// Processors currently down.
     #[must_use]
     pub fn crashed_processors(&self) -> Vec<ProcessorId> {
-        self.net.crashed_processors()
+        self.sim.net.crashed_processors()
     }
 
     /// Whether `p` is down.
     #[must_use]
     pub fn is_crashed(&self, p: ProcessorId) -> bool {
-        self.net.is_crashed(p)
+        self.sim.net.is_crashed(p)
     }
 
     /// Times the watchdog re-ran an operation because a round quiesced
@@ -373,8 +340,8 @@ impl<O: RootObject> TreeClient<O> {
     /// normally come from the [`FaultPlan`]) and arms the recovery
     /// machinery.
     pub fn crash(&mut self, p: ProcessorId) {
-        self.net.crash(p);
-        self.proto.set_fault_tolerant(true);
+        self.sim.net.crash(p);
+        self.sim.proto.set_fault_tolerant(true);
     }
 
     /// Executes one operation on a faulty network: like
@@ -399,7 +366,7 @@ impl<O: RootObject> TreeClient<O> {
         &mut self,
         initiator: ProcessorId,
         req: O::Request,
-    ) -> Result<InvokeResult<O::Response>, CoreError> {
+    ) -> Result<OpResult<O::Response>, CoreError> {
         self.invoke_batch_fault_tolerant(initiator, 1, req)
     }
 
@@ -417,20 +384,14 @@ impl<O: RootObject> TreeClient<O> {
         initiator: ProcessorId,
         count: u64,
         req: O::Request,
-    ) -> Result<InvokeResult<O::Response>, CoreError> {
+    ) -> Result<OpResult<O::Response>, CoreError> {
         let count = count.max(1);
-        if initiator.index() >= self.net.processors() {
-            return Err(SimError::UnknownProcessor {
-                index: initiator.index(),
-                processors: self.net.processors(),
-            }
-            .into());
-        }
-        self.proto.set_fault_tolerant(true);
-        let op = OpId::new(self.next_op);
-        self.next_op += 1;
-        self.proto.audit_mut().begin_op();
-        let path = self.proto.directory().op_path(initiator);
+        // The op opens and closes through the op loop; between, the
+        // watchdog runs its own repair rounds.
+        let op = self.sim.open(initiator)?;
+        self.sim.proto.set_fault_tolerant(true);
+        self.sim.proto.delivered().clear();
+        let path = self.sim.proto.directory().op_path(initiator);
         let leaf_parent = path[0];
         let mut messages = 0u64;
         let mut attempts = 0u32;
@@ -439,7 +400,7 @@ impl<O: RootObject> TreeClient<O> {
                 break Err(CoreError::RecoveryFailed { attempts });
             }
             attempts += 1;
-            if self.net.is_crashed(initiator) {
+            if self.sim.net.is_crashed(initiator) {
                 break Err(CoreError::Unrecoverable(format!(
                     "initiator {initiator} has crashed and cannot receive a response"
                 )));
@@ -449,10 +410,10 @@ impl<O: RootObject> TreeClient<O> {
             // stranded node is fatal only on the operation's path, after
             // the promotes planned before it went out; off-path ones are
             // left to their own operations to report.
-            for repair in self.proto.directory().repair_plan(|p| self.net.is_crashed(p)) {
+            for repair in self.sim.proto.directory().repair_plan(|p| self.sim.net.is_crashed(p)) {
                 match repair {
                     Repair::Promote { at, promote } | Repair::Rescue { at, promote } => {
-                        self.net.inject(op, at, at, promote);
+                        self.sim.net.inject(op, at, at, promote);
                     }
                     Repair::Stranded { node, worker } if path.contains(&node) => {
                         break 'watchdog Err(CoreError::Unrecoverable(format!(
@@ -463,20 +424,20 @@ impl<O: RootObject> TreeClient<O> {
                     Repair::Stranded { .. } => {}
                 }
             }
-            let entry_worker = self.proto.worker_of(leaf_parent);
-            if !self.net.is_crashed(entry_worker) {
+            let entry_worker = self.sim.proto.worker_of(leaf_parent);
+            if !self.sim.net.is_crashed(entry_worker) {
                 let op_seq = op.index() as u64;
                 let req = req.clone();
                 let entry = Msg::Apply { node: leaf_parent, origin: initiator, op_seq, count, req };
-                self.net.inject(op, initiator, entry_worker, entry);
+                self.sim.net.inject(op, initiator, entry_worker, entry);
             }
-            let stats = match self.net.run_to_quiescence(&mut self.proto) {
+            let stats = match self.sim.net.run_to_quiescence(&mut self.sim.proto) {
                 Ok(stats) => stats,
                 Err(e) => break Err(e.into()),
             };
             messages += stats.delivered;
-            if let Some(resp) = self.proto.take_pending_response() {
-                break Ok((resp, stats.end_time));
+            if let Some(value) = claim(self.sim.proto.delivered(), op, initiator) {
+                break Ok((value, stats.end_time));
             }
             // Quiescent with no response: the op (or its reply) was lost
             // to a drop or a crash. Repair and retry.
@@ -488,16 +449,15 @@ impl<O: RootObject> TreeClient<O> {
             // worker of every path node to the engine below it.
             if attempts >= 2 {
                 let refresh =
-                    self.proto.directory().path_refresh(&path, |p| self.net.is_crashed(p));
+                    self.sim.proto.directory().path_refresh(&path, |p| self.sim.net.is_crashed(p));
                 for (at, msg) in refresh {
-                    self.net.inject(op, at, at, msg);
+                    self.sim.net.inject(op, at, at, msg);
                 }
             }
         };
-        self.proto.audit_mut().end_op();
-        let trace = self.net.finish_op(op);
-        let (response, completed_at) = outcome?;
-        Ok(InvokeResult { response, messages, completed_at, trace })
+        let trace = self.sim.close(op);
+        let (value, completed_at) = outcome?;
+        Ok(OpResult { value, messages, completed_at, trace })
     }
 }
 
@@ -538,11 +498,12 @@ mod tests {
             // the restore carried, plus the op that ran on it.
             let newest: Vec<(u64, u64)> =
                 ((i + 1).saturating_sub(REPLY_CACHE_CAP as u64)..=i).map(|s| (s, s)).collect();
-            let stable: Vec<(u64, u64)> = c.proto.directory().stable_replies().copied().collect();
+            let stable: Vec<(u64, u64)> =
+                c.sim.proto.directory().stable_replies().copied().collect();
             assert_eq!(stable, newest, "op {i}: stable storage");
             // Between a dropped handoff and the watchdog's repair nobody
             // hosts the root; the registry names the worker it last saw.
-            let root = c.proto.engine_of(c.worker_of(NodeRef::ROOT)).hosted(NodeRef::ROOT);
+            let root = c.sim.proto.engine_of(c.worker_of(NodeRef::ROOT)).hosted(NodeRef::ROOT);
             if let Some(root) = root.filter(|_| !c.is_crashed(c.worker_of(NodeRef::ROOT))) {
                 let state = root.root.as_deref().expect("a hosted root holds the root state");
                 let cache: Vec<(u64, u64)> = state.reply_cache.iter().copied().collect();
@@ -566,7 +527,7 @@ mod tests {
             .map(ProcessorId::new)
             .filter(|&p| !c.is_crashed(p))
             .flat_map(|p| {
-                let engine = c.proto.engine_of(p);
+                let engine = c.sim.proto.engine_of(p);
                 topo.nodes().filter_map(move |node| {
                     let root = engine.hosted(node)?.root.as_deref()?;
                     Some((p, node, root.reply_cache.len()))
@@ -612,7 +573,7 @@ mod tests {
         let mut bit = TreeClient::<FlipBitObject>::new(8).expect("client");
         for i in 0..8usize {
             let r = bit.invoke(ProcessorId::new(i), ()).expect("invoke");
-            assert_eq!(r.response, i % 2 == 1, "flips alternate");
+            assert_eq!(r.value, i % 2 == 1, "flips alternate");
         }
         assert!(!bit.object().bit(), "8 flips return to false");
         assert!(bit.audit().retirement_lemma_holds());
@@ -623,10 +584,10 @@ mod tests {
         let mut pq = TreeClient::<PriorityQueueObject>::new(8).expect("client");
         for (i, key) in [42u64, 7, 19].iter().enumerate() {
             let r = pq.invoke(ProcessorId::new(i), PqRequest::Insert(*key)).expect("insert");
-            assert_eq!(r.response, PqResponse::Inserted { len: i as u64 + 1 });
+            assert_eq!(r.value, PqResponse::Inserted { len: i as u64 + 1 });
         }
         let r = pq.invoke(ProcessorId::new(5), PqRequest::ExtractMin).expect("extract");
-        assert_eq!(r.response, PqResponse::Min(Some(7)));
+        assert_eq!(r.value, PqResponse::Min(Some(7)));
         assert_eq!(pq.object().len(), 2);
     }
 
@@ -657,5 +618,16 @@ mod tests {
         let mut bit = TreeClient::<FlipBitObject>::new(8).expect("client");
         let err = bit.invoke(ProcessorId::new(99), ()).unwrap_err();
         assert_eq!(err, SimError::UnknownProcessor { index: 99, processors: 8 });
+    }
+
+    #[test]
+    fn an_op_that_livelocks_closes_its_trace_and_its_audit_entry() {
+        let mut c = TreeCounter::with_order(2).expect("k = 2");
+        c.inc(ProcessorId::new(0)).expect("inc");
+        c.sim.net.set_message_cap(2);
+        let err = c.inc(ProcessorId::new(5)).unwrap_err();
+        assert!(matches!(err, SimError::Livelock { cap: 2, .. }), "{err:?}");
+        assert!(c.sim.net.finish_op(distctr_sim::OpId::new(1)).is_none(), "the trace is closed");
+        assert_eq!(c.audit().ops_seen(), 2, "and so is the audit's entry");
     }
 }

@@ -4,14 +4,17 @@
 //! [`TreeClient`] hosting a [`CounterObject`], and this module adds only
 //! what is particular to the counter — the paper's `inc` (through the
 //! simulator's [`Counter`] trait), batched and fault-tolerant `inc`s, and
-//! the value. Every processor's total message load over the canonical
+//! the value. Each `inc` is one of the client's invocations with the unit
+//! request, returned as is: the client's result type is the simulator's
+//! [`OpResult`](distctr_sim::OpResult), and [`IncResult`] is its `u64`
+//! instance. Every processor's total message load over the canonical
 //! workload (each processor increments exactly once) is O(k), where
 //! `n = k^(k+1)` — the Bottleneck Theorem, which the audits and
 //! experiments verify on real runs.
 
 use distctr_sim::{Counter, IncResult, LoadTracker, ProcessorId, SimError};
 
-use crate::client::{InvokeResult, TreeClient, TreeClientBuilder};
+use crate::client::{TreeClient, TreeClientBuilder};
 use crate::error::CoreError;
 use crate::object::CounterObject;
 
@@ -56,16 +59,6 @@ pub type TreeCounterBuilder = TreeClientBuilder<CounterObject>;
 /// ```
 pub type TreeCounter = TreeClient<CounterObject>;
 
-/// An `inc`'s view of one tree operation: the response is the value.
-fn inc_result(result: InvokeResult<u64>) -> IncResult {
-    IncResult {
-        value: result.response,
-        messages: result.messages,
-        completed_at: result.completed_at,
-        trace: result.trace,
-    }
-}
-
 impl TreeClient<CounterObject> {
     /// The counter's current value (stored at the root).
     #[must_use]
@@ -82,7 +75,7 @@ impl TreeClient<CounterObject> {
     ///
     /// See [`TreeClient::invoke_fault_tolerant`].
     pub fn inc_fault_tolerant(&mut self, initiator: ProcessorId) -> Result<IncResult, CoreError> {
-        self.invoke_fault_tolerant(initiator, ()).map(inc_result)
+        self.invoke_fault_tolerant(initiator, ())
     }
 
     /// A batch of `count` incs sharing one tree traversal
@@ -95,7 +88,7 @@ impl TreeClient<CounterObject> {
     ///
     /// See [`TreeClient::invoke`].
     pub fn inc_batch(&mut self, initiator: ProcessorId, count: u64) -> Result<IncResult, SimError> {
-        self.invoke_batch(initiator, count, ()).map(inc_result)
+        self.invoke_batch(initiator, count, ())
     }
 
     /// [`TreeCounter::inc_batch`] with the recovery watchdog of
@@ -110,7 +103,7 @@ impl TreeClient<CounterObject> {
         initiator: ProcessorId,
         count: u64,
     ) -> Result<IncResult, CoreError> {
-        self.invoke_batch_fault_tolerant(initiator, count, ()).map(inc_result)
+        self.invoke_batch_fault_tolerant(initiator, count, ())
     }
 }
 
@@ -128,7 +121,7 @@ impl Counter for TreeClient<CounterObject> {
     }
 
     fn inc(&mut self, initiator: ProcessorId) -> Result<IncResult, SimError> {
-        self.invoke(initiator, ()).map(inc_result)
+        self.invoke(initiator, ())
     }
 
     fn loads(&self) -> &LoadTracker {

@@ -14,7 +14,7 @@
 //!
 //! | driver | transport | ledger |
 //! |---|---|---|
-//! | simulator | sim network; pending response | [`TreeProtocol`](crate::protocol::TreeProtocol) |
+//! | simulator | sim network; reply buffer | [`TreeProtocol`](crate::protocol::TreeProtocol) |
 //! | model checker (`distctr-check`) | in-flight multiset; op state | [`TreeProtocol`](crate::protocol::TreeProtocol) |
 //! | shared memory (`distctr-shm`) | arena mailbox; op cell | per-slot [`Tally`](crate::audit::Tally) |
 //! | threads (`distctr-net`) | crossbeam channel; results channel | per-worker [`Tally`](crate::audit::Tally) |

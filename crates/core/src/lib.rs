@@ -53,7 +53,7 @@ pub mod structures;
 pub mod topology;
 
 pub use audit::CounterAudit;
-pub use client::{InvokeResult, TreeClient, TreeClientBuilder};
+pub use client::{TreeClient, TreeClientBuilder};
 pub use counter::{TreeCounter, TreeCounterBuilder};
 pub use engine::{AuditEvent, Effect, Effects, EngineConfig, Event, NodeEngine, VirtualTime};
 pub use error::CoreError;

@@ -8,7 +8,7 @@
 //!
 //! | driver | transport | ledger |
 //! |---|---|---|
-//! | simulator | the network's `Outbox`; the response parked for the client | [`TreeProtocol`] |
+//! | simulator | the network's `Outbox`; the fleet's reply buffer, read by the op loop | [`TreeProtocol`] |
 //! | model checker (`distctr-check`) | the in-flight multiset; the op's state | [`TreeProtocol`] |
 //! | shared memory (`distctr-shm`) | arena mailboxes; op cells | the slot's [`Tally`] |
 //! | threads (`distctr-net`) | channels; the results channel | the worker's [`Tally`] |
@@ -36,7 +36,7 @@
 
 use std::sync::Arc;
 
-use distctr_sim::{Outbox, ProcessorId, Protocol};
+use distctr_sim::{Delivered, OpId, OpProtocol, Outbox, ProcessorId, Protocol};
 
 use crate::audit::{CounterAudit, Tally};
 use crate::engine::{
@@ -106,8 +106,8 @@ pub fn seeded_engines<O: RootObject>(
 }
 
 /// The fleet driver: one engine per processor, the recovery directory
-/// and the audit ledger, plus the response the simulator parks for its
-/// client.
+/// and the audit ledger, plus the buffer the simulator's replies land in
+/// for its op loop ([`OpProtocol`]).
 #[derive(Debug, Clone)]
 pub struct TreeProtocol<O: RootObject = CounterObject> {
     topo: Arc<Topology>,
@@ -116,7 +116,9 @@ pub struct TreeProtocol<O: RootObject = CounterObject> {
     /// engines never read it).
     directory: Directory<O>,
     audit: CounterAudit,
-    pending_response: Option<O::Response>,
+    /// Replies delivered to initiators, each marked with its op; the
+    /// simulator's op loop claims them.
+    replies: Vec<Delivered<O::Response>>,
     /// The effects of the delivery being handled: filled by
     /// [`NodeEngine::on_event_into`], drained by [`realize`], and kept
     /// between deliveries so a delivery allocates no buffer.
@@ -132,7 +134,9 @@ impl<O: RootObject> TreeProtocol<O> {
             directory: Directory::new(Arc::clone(&topo), &config, object),
             audit: CounterAudit::new(&topo),
             topo,
-            pending_response: None,
+            // One reply per op: reserved now, the buffer never grows on
+            // a fault-free run.
+            replies: Vec::with_capacity(1),
             scratch: Vec::new(),
         }
     }
@@ -147,11 +151,6 @@ impl<O: RootObject> TreeProtocol<O> {
     #[must_use]
     pub fn audit(&self) -> &CounterAudit {
         &self.audit
-    }
-
-    /// Mutable access for op bracketing by the client.
-    pub(crate) fn audit_mut(&mut self) -> &mut CounterAudit {
-        &mut self.audit
     }
 
     /// The hosted object's current state (the stable-storage shadow,
@@ -178,11 +177,6 @@ impl<O: RootObject> TreeProtocol<O> {
     #[must_use]
     pub fn config(&self) -> EngineConfig {
         self.engines[0].config()
-    }
-
-    /// Takes the response delivered to the current operation's initiator.
-    pub(crate) fn take_pending_response(&mut self) -> Option<O::Response> {
-        self.pending_response.take()
     }
 
     /// Arms the crash-recovery machinery: the root caches one response
@@ -240,11 +234,11 @@ impl<O: RootObject> Ledger<O> for TreeProtocol<O> {
 }
 
 /// The simulator's transport: the network's outbox, which charges each
-/// send to the delivering processor, and the response it parks for the
-/// client.
+/// send to the delivering processor, and the reply the delivery
+/// completed, if any, with its op's sequence number.
 struct Sim<'a, 'n, O: RootObject> {
     out: &'a mut Outbox<'n, Msg<O>>,
-    response: Option<O::Response>,
+    reply: Option<(u64, O::Response)>,
 }
 
 impl<O: RootObject> Transport<O> for Sim<'_, '_, O> {
@@ -252,8 +246,8 @@ impl<O: RootObject> Transport<O> for Sim<'_, '_, O> {
         self.out.send(to, msg);
     }
 
-    fn complete(&mut self, _op_seq: u64, resp: O::Response) {
-        self.response = Some(resp);
+    fn complete(&mut self, op_seq: u64, resp: O::Response) {
+        self.reply = Some((op_seq, resp));
     }
 }
 
@@ -262,11 +256,28 @@ impl<O: RootObject> Protocol for TreeProtocol<O> {
 
     fn on_deliver(&mut self, out: &mut Outbox<'_, Self::Msg>, _from: ProcessorId, msg: Self::Msg) {
         let at = out.me();
-        let mut sim = Sim { out, response: None };
+        let mut sim = Sim { out, reply: None };
         self.deliver(at, Event::Deliver { msg }, &mut sim);
-        if let Some(resp) = sim.response {
-            self.pending_response = Some(resp);
+        if let Some((op_seq, resp)) = sim.reply {
+            let op = usize::try_from(op_seq).expect("an op's sequence number is its OpId");
+            self.replies.push((Some(OpId::new(op)), at, resp));
         }
+    }
+}
+
+impl<O: RootObject> OpProtocol for TreeProtocol<O> {
+    type Value = O::Response;
+
+    fn delivered(&mut self) -> &mut Vec<Delivered<O::Response>> {
+        &mut self.replies
+    }
+
+    fn op_opened(&mut self) {
+        self.audit.begin_op();
+    }
+
+    fn op_closed(&mut self) {
+        self.audit.end_op();
     }
 }
 

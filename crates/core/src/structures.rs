@@ -42,7 +42,7 @@ impl TreeClient<FlipBitObject> {
     ///
     /// Same conditions as [`TreeClient::invoke`].
     pub fn test_and_flip(&mut self, initiator: ProcessorId) -> Result<bool, SimError> {
-        Ok(self.invoke(initiator, ())?.response)
+        Ok(self.invoke(initiator, ())?.value)
     }
 
     /// The current bit.
@@ -79,7 +79,7 @@ impl TreeClient<PriorityQueueObject> {
     ///
     /// Same conditions as [`TreeClient::invoke`].
     pub fn insert(&mut self, initiator: ProcessorId, key: u64) -> Result<u64, SimError> {
-        match self.invoke(initiator, PqRequest::Insert(key))?.response {
+        match self.invoke(initiator, PqRequest::Insert(key))?.value {
             PqResponse::Inserted { len } => Ok(len),
             PqResponse::Min(_) => unreachable!("insert answers with Inserted"),
         }
@@ -91,7 +91,7 @@ impl TreeClient<PriorityQueueObject> {
     ///
     /// Same conditions as [`TreeClient::invoke`].
     pub fn extract_min(&mut self, initiator: ProcessorId) -> Result<Option<u64>, SimError> {
-        match self.invoke(initiator, PqRequest::ExtractMin)?.response {
+        match self.invoke(initiator, PqRequest::ExtractMin)?.value {
             PqResponse::Min(min) => Ok(min),
             PqResponse::Inserted { .. } => unreachable!("extract answers with Min"),
         }

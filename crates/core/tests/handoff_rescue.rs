@@ -79,7 +79,7 @@ fn crash_at_every_delivery_tick_keeps_values_sequential() {
             let v = client
                 .invoke_fault_tolerant(ProcessorId::new(p), ())
                 .unwrap_or_else(|e| panic!("tick {tick}, initiator P{p}: {e}"))
-                .response;
+                .value;
             assert_eq!(v, expected as u64, "crash of P{VICTIM} at delivery tick {tick}");
         }
         // One more op: if the crash landed in the last cascade's tail
@@ -88,7 +88,7 @@ fn crash_at_every_delivery_tick_keeps_values_sequential() {
         let extra = client
             .invoke_fault_tolerant(ProcessorId::new(0), ())
             .unwrap_or_else(|e| panic!("tick {tick}, post-crash op: {e}"))
-            .response;
+            .value;
         assert_eq!(extra, INITIATORS.len() as u64, "tick {tick}: post-crash op value");
         let root_worker = client.worker_of(NodeRef::ROOT);
         assert!(
@@ -130,7 +130,7 @@ fn crash_inside_the_retirement_cascade_window_is_rescued() {
             let v = client
                 .invoke_fault_tolerant(ProcessorId::new(p), ())
                 .unwrap_or_else(|e| panic!("tick {tick}, initiator P{p}: {e}"))
-                .response;
+                .value;
             assert_eq!(v, expected as u64, "tick {tick}");
         }
         // The next op walks into whatever the crash left behind — a
@@ -139,7 +139,7 @@ fn crash_inside_the_retirement_cascade_window_is_rescued() {
         let next = client
             .invoke_fault_tolerant(ProcessorId::new(INITIATORS[cascade_op + 1]), ())
             .unwrap_or_else(|e| panic!("tick {tick}, rescue op: {e}"))
-            .response;
+            .value;
         assert_eq!(next, cascade_op as u64 + 1, "tick {tick}: rescue op value");
         let root_worker = client.worker_of(NodeRef::ROOT);
         assert!(

@@ -86,7 +86,7 @@ proptest! {
             match client
                 .invoke(ProcessorId::new(drained.len() % 8), PqRequest::ExtractMin)
                 .expect("extract")
-                .response
+                .value
             {
                 PqResponse::Min(Some(v)) => drained.push(v),
                 PqResponse::Min(None) => break,

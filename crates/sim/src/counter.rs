@@ -16,12 +16,13 @@ use crate::load::LoadTracker;
 use crate::time::SimTime;
 use crate::trace::OpTrace;
 
-/// Result of one `inc` operation.
+/// Result of one simulated operation: the value its initiator received
+/// and what the operation cost.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IncResult {
-    /// The counter value returned to the initiator (the value *before*
-    /// the increment, as in the paper).
-    pub value: u64,
+pub struct OpResult<V> {
+    /// The value returned to the initiator; for `inc`, the counter value
+    /// *before* the increment, as in the paper.
+    pub value: V,
     /// Messages exchanged during the operation (including any
     /// retirement/maintenance traffic it triggered).
     pub messages: u64,
@@ -31,7 +32,10 @@ pub struct IncResult {
     pub trace: Option<OpTrace>,
 }
 
-impl IncResult {
+/// Result of one `inc` operation.
+pub type IncResult = OpResult<u64>;
+
+impl<V> OpResult<V> {
     /// Length of the operation's communication list (= message count).
     #[must_use]
     pub fn list_len(&self) -> u64 {

@@ -25,6 +25,9 @@
 //! * [`Counter`] — the abstract distributed-counter interface every
 //!   implementation in this workspace provides, plus sequential and
 //!   concurrent drivers.
+//! * [`OpLoop`] — the one loop that schedules a simulated counter's ops
+//!   on a network: open, enter, run, close, claim. The retirement tree
+//!   and every baseline run their ops through it.
 //!
 //! ## Example
 //!
@@ -66,13 +69,16 @@ pub mod linearize;
 pub mod list;
 pub mod load;
 pub mod network;
+pub mod op_loop;
 pub mod policy;
 pub mod queue;
 pub mod time;
 pub mod trace;
 pub mod workloads;
 
-pub use counter::{CompletedOp, ConcurrentCounter, Counter, IncResult, OverlappedCounter};
+pub use counter::{
+    CompletedOp, ConcurrentCounter, Counter, IncResult, OpResult, OverlappedCounter,
+};
 pub use dag::{ArcId, CommDag, DagNodeId};
 pub use drivers::{ConcurrentDriver, SequenceOutcome, SequentialDriver};
 pub use error::SimError;
@@ -82,6 +88,7 @@ pub use linearize::{check_fetch_inc_history, FetchIncRecord, HistoryVerdict, Rea
 pub use list::CommList;
 pub use load::{LoadSummary, LoadTracker};
 pub use network::{Network, Outbox, Protocol, RunStats, DEFAULT_MESSAGE_CAP};
+pub use op_loop::{claim, Delivered, Entry, OpLoop, OpProtocol};
 pub use policy::DeliveryPolicy;
 pub use queue::{Envelope, EventQueue};
 pub use time::SimTime;
