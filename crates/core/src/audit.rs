@@ -80,13 +80,14 @@ pub struct CounterAudit {
 }
 
 impl CounterAudit {
-    /// Creates an auditor for a tree with the given topology.
+    /// Creates an auditor for a tree with the given topology, sharing the
+    /// fleet's copy of it.
     #[must_use]
-    pub fn new(topo: &Topology) -> Self {
+    pub fn new(topo: Arc<Topology>) -> Self {
         let nodes = usize::try_from(topo.inner_node_count()).expect("node count fits usize");
         let levels = topo.order() as usize + 1;
         CounterAudit {
-            topo: Arc::new(topo.clone()),
+            topo,
             tally: Tally::default(),
             retirements_by_node: vec![0; nodes],
             retirements_by_level: vec![0; levels],
@@ -346,8 +347,8 @@ impl CounterAudit {
 mod tests {
     use super::*;
 
-    fn topo() -> Topology {
-        Topology::new(2).expect("k=2")
+    fn topo() -> Arc<Topology> {
+        Arc::new(Topology::new(2).expect("k=2"))
     }
 
     /// `msgs` aging messages charged to the node with flat index `flat`.
@@ -362,7 +363,7 @@ mod tests {
     #[test]
     fn fresh_audit_passes_all_lemmas() {
         let t = topo();
-        let a = CounterAudit::new(&t);
+        let a = CounterAudit::new(Arc::clone(&t));
         assert!(a.grow_old_lemma_holds());
         assert!(a.retirement_lemma_holds());
         assert!(a.retirement_counts_within_pools(&t));
@@ -374,7 +375,7 @@ mod tests {
     #[test]
     fn nonretiring_message_extremum() {
         let t = topo();
-        let mut a = CounterAudit::new(&t);
+        let mut a = CounterAudit::new(Arc::clone(&t));
         a.begin_op();
         a.record(traffic(&t, 0, 3));
         a.record(traffic(&t, 1, 5)); // node 1 retires, so excluded
@@ -392,7 +393,7 @@ mod tests {
     #[test]
     fn double_retirement_detected() {
         let t = topo();
-        let mut a = CounterAudit::new(&t);
+        let mut a = CounterAudit::new(Arc::clone(&t));
         a.begin_op();
         a.record(retirement(t.node_at(0)));
         a.end_op();
@@ -409,7 +410,7 @@ mod tests {
     #[test]
     fn stint_accounting_folds_on_completion() {
         let t = topo();
-        let mut a = CounterAudit::new(&t);
+        let mut a = CounterAudit::new(Arc::clone(&t));
         a.begin_op();
         a.record(traffic(&t, 0, 9));
         a.record(AuditEvent::StintComplete { node: t.node_at(0), setup_msgs: 3 });
@@ -429,7 +430,7 @@ mod tests {
     #[test]
     fn pool_exhaustion_fails_retirement_count_check() {
         let t = topo();
-        let mut a = CounterAudit::new(&t);
+        let mut a = CounterAudit::new(Arc::clone(&t));
         assert!(a.retirement_counts_within_pools(&t));
         a.record(AuditEvent::PoolExhausted { node: NodeRef { level: 2, index: 0 } });
         assert!(!a.retirement_counts_within_pools(&t));
@@ -439,7 +440,7 @@ mod tests {
     #[test]
     fn retirement_level_maxima() {
         let t = topo();
-        let mut a = CounterAudit::new(&t);
+        let mut a = CounterAudit::new(Arc::clone(&t));
         let level1 = NodeRef { level: 1, index: 1 };
         a.begin_op();
         a.record(retirement(level1));
@@ -453,7 +454,7 @@ mod tests {
     #[test]
     fn recovery_counters_feed_the_fault_slack() {
         let t = topo();
-        let mut a = CounterAudit::new(&t);
+        let mut a = CounterAudit::new(Arc::clone(&t));
         assert_eq!(a.recoveries(), 0);
         assert_eq!(a.fault_slack(), 0);
         a.record(AuditEvent::RecoveryMsgs { count: 4 }); // promote + query + 2 shares
@@ -471,7 +472,7 @@ mod tests {
     #[test]
     fn kind_and_shim_counters() {
         let t = topo();
-        let mut a = CounterAudit::new(&t);
+        let mut a = CounterAudit::new(Arc::clone(&t));
         a.record(AuditEvent::Kind("inc"));
         a.record(AuditEvent::Kind("inc"));
         a.record(AuditEvent::Kind("value"));

@@ -4,7 +4,7 @@
 //! transition function; schedulers, clocks and wires live outside it),
 //! every protocol decision of the retirement tree — `Apply` forwarding,
 //! value return, retirement handoff, pool-successor promotion, and crash
-//! recovery — is made in exactly one place: [`NodeEngine::on_event`].
+//! recovery — is made in exactly one place: [`EngineState::on_event_into`].
 //! The engine never touches a channel, a clock or a counter directly;
 //! it consumes [`Event`]s and returns pure [`Effect`]s. Every driver
 //! realizes them through one loop,
@@ -19,10 +19,15 @@
 //! | shared memory (`distctr-shm`) | arena mailbox; op cell | per-slot [`Tally`](crate::audit::Tally) |
 //! | threads (`distctr-net`) | crossbeam channel; results channel | per-worker [`Tally`](crate::audit::Tally) |
 //!
-//! One engine instance models one *processor* (mirroring the threaded
+//! One [`EngineState`] models one *processor* (mirroring the threaded
 //! backend, where all knowledge is local and node state genuinely
-//! migrates inside [`Msg::HandoffFinal`]); the single-threaded simulator
-//! simply owns a vector of engines, one per processor.
+//! migrates inside [`Msg::HandoffFinal`]). What every processor of a
+//! fleet shares — the topology and the [`EngineConfig`] — is one
+//! [`EngineContext`], which each transition takes as an argument with
+//! the processor's id. A fleet held in one place (the simulator, the
+//! model checker) keeps one context and a vector of states; a driver
+//! that holds engines one at a time (shm slots, net workers) keeps a
+//! [`NodeEngine`], the triple of context, id and state.
 //!
 //! ## State model
 //!
@@ -108,8 +113,9 @@ pub enum PoolPolicy {
     Recycling,
 }
 
-/// Static per-run parameters of a [`NodeEngine`]. The two drivers differ
-/// only here — protocol transitions are identical.
+/// Static per-run parameters of a fleet's engines, held in its
+/// [`EngineContext`]. The drivers differ only here — protocol
+/// transitions are identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Retirement age threshold; `None` disables retirement (the
@@ -388,7 +394,7 @@ pub enum Effect<O: RootObject> {
     Audit(AuditEvent),
 }
 
-/// The effects of one [`NodeEngine::on_event`] call, in emission order
+/// The effects of one [`EngineState::on_event_into`] call, in emission order
 /// (audit entries are ordered consistently with the simulator's
 /// pre-refactor ledger).
 pub type Effects<O> = Vec<Effect<O>>;
@@ -597,8 +603,19 @@ pub fn seed_initial_hosting<O: RootObject>(
     object: &O,
 ) {
     assert_eq!(engines.len() as u64, topo.processors(), "one engine per processor");
+    seed_hosting(topo, object, |worker, node, hosted| {
+        engines[worker.index()].install(node, hosted);
+    });
+}
+
+/// The initial hosting of `topo`, one node at a time: `install(worker,
+/// node, hosted)` for every node, with `object` at the root.
+pub(crate) fn seed_hosting<O: RootObject>(
+    topo: &Topology,
+    object: &O,
+    mut install: impl FnMut(ProcessorId, NodeRef, Hosted<O>),
+) {
     for node in topo.nodes() {
-        let worker = topo.initial_worker(node);
         let parent_worker = topo.parent(node).map(|p| topo.initial_worker(p));
         let child_workers = topo
             .inner_children(node)
@@ -606,8 +623,11 @@ pub fn seed_initial_hosting<O: RootObject>(
             .unwrap_or_default();
         let root = (node == NodeRef::ROOT)
             .then(|| Box::new(RootState { object: object.clone(), reply_cache: VecDeque::new() }));
-        engines[worker.index()]
-            .install(node, Hosted { age: 0, pool_cursor: 0, parent_worker, child_workers, root });
+        install(
+            topo.initial_worker(node),
+            node,
+            Hosted { age: 0, pool_cursor: 0, parent_worker, child_workers, root },
+        );
     }
 }
 
@@ -623,67 +643,37 @@ struct Transit<O: RootObject> {
     rebuilding: NodeSlots<NodeSlots<ProcessorId>>,
 }
 
-/// [`EngineConfig`]'s flags as bits of [`NodeEngine`]'s `flags` byte.
-const HAS_THRESHOLD: u8 = 1;
-const RECYCLING: u8 = 1 << 1;
-const DEDUPE: u8 = 1 << 2;
-const PERSIST: u8 = 1 << 3;
-
-/// The per-processor protocol state machine. See the module docs.
+/// What every engine of a fleet shares: the topology and the static
+/// configuration. A fleet holds one; a [`NodeEngine`] carries its own.
 #[derive(Debug, Clone)]
-pub struct NodeEngine<O: RootObject> {
-    me: ProcessorId,
-    /// The packed [`EngineConfig`]: its four flags (the threshold's
-    /// presence among them) in the padding beside `me`, and the threshold
-    /// itself below. Every engine of a fleet holds the same copy, so it
-    /// is kept at 9 bytes rather than the public struct's 24.
-    flags: u8,
+pub struct EngineContext {
     topo: Arc<Topology>,
-    /// The retirement threshold; meaningless without `HAS_THRESHOLD`.
-    threshold: u64,
-    /// Nodes this processor currently works for.
-    hosted: NodeSlots<Hosted<O>>,
-    /// Nodes this processor retired from, with the successor to forward
-    /// to (the shim).
-    forwarding: Shims,
-    /// Buffered messages and in-flight rebuilds; `None` while both are
-    /// empty.
-    transit: Option<Box<Transit<O>>>,
+    config: EngineConfig,
 }
 
-impl<O: RootObject> NodeEngine<O> {
-    /// An engine for processor `me`, hosting nothing yet (see
-    /// [`seed_initial_hosting`]).
+impl EngineContext {
+    /// The context of a fleet on `topo` under `config`.
     #[must_use]
-    pub fn new(me: ProcessorId, topo: Arc<Topology>, config: EngineConfig) -> Self {
-        let EngineConfig { threshold, pool_policy, dedupe, persist } = config;
-        let flags = (u8::from(threshold.is_some()) * HAS_THRESHOLD)
-            | (u8::from(pool_policy == PoolPolicy::Recycling) * RECYCLING)
-            | (u8::from(dedupe) * DEDUPE)
-            | (u8::from(persist) * PERSIST);
-        NodeEngine {
-            me,
-            flags,
-            topo,
-            threshold: threshold.unwrap_or(0),
-            hosted: NodeSlots::new(),
-            forwarding: Shims::Run(NodeSlots::new()),
-            transit: None,
-        }
+    pub fn new(topo: Arc<Topology>, config: EngineConfig) -> Self {
+        EngineContext { topo, config }
     }
 
-    /// The transit tables, allocated on first use.
-    fn transit_mut(&mut self) -> &mut Transit<O> {
-        self.transit.get_or_insert_with(|| {
-            Box::new(Transit { pending: NodeSlots::new(), rebuilding: NodeSlots::new() })
-        })
+    /// The tree topology.
+    #[must_use]
+    pub fn topology(&self) -> &Arc<Topology> {
+        &self.topo
     }
 
-    /// Frees the transit tables once both are empty again.
-    fn settle_transit(&mut self) {
-        if self.transit.as_ref().is_some_and(|t| t.pending.is_empty() && t.rebuilding.is_empty()) {
-            self.transit = None;
-        }
+    /// The static configuration.
+    #[must_use]
+    pub fn config(&self) -> EngineConfig {
+        self.config
+    }
+
+    /// Arms or disarms reply-cache deduplication at runtime (the
+    /// simulator toggles it with its fault-tolerant mode).
+    pub fn set_dedupe(&mut self, enabled: bool) {
+        self.config.dedupe = enabled;
     }
 
     /// Interns `node` to its arena key: the topology's flat index, which
@@ -704,70 +694,83 @@ impl<O: RootObject> NodeEngine<O> {
     fn node_of(&self, slot: u32) -> NodeRef {
         self.topo.node_at(slot as usize)
     }
+}
 
-    /// The processor this engine models.
-    #[must_use]
-    pub fn me(&self) -> ProcessorId {
-        self.me
+/// One processor's protocol state: the nodes it works for, its shims and
+/// its transit tables, and nothing its fleet shares. Every transition is
+/// a method of the state that takes the fleet's [`EngineContext`] and the
+/// processor's id `me`. See the module docs.
+#[derive(Debug, Clone)]
+pub struct EngineState<O: RootObject> {
+    /// Nodes this processor currently works for.
+    hosted: NodeSlots<Hosted<O>>,
+    /// Nodes this processor retired from, with the successor to forward
+    /// to (the shim).
+    forwarding: Shims,
+    /// Buffered messages and in-flight rebuilds; `None` while both are
+    /// empty.
+    transit: Option<Box<Transit<O>>>,
+}
+
+impl<O: RootObject> Default for EngineState<O> {
+    fn default() -> Self {
+        EngineState::new()
     }
+}
 
-    /// Whether `bit` of the packed configuration is set.
-    fn flag(&self, bit: u8) -> bool {
-        self.flags & bit != 0
-    }
-
-    /// The engine's static configuration.
+impl<O: RootObject> EngineState<O> {
+    /// A processor hosting nothing yet (see [`seed_initial_hosting`]).
+    /// It owns no heap block.
     #[must_use]
-    pub fn config(&self) -> EngineConfig {
-        EngineConfig {
-            threshold: self.flag(HAS_THRESHOLD).then_some(self.threshold),
-            pool_policy: if self.flag(RECYCLING) {
-                PoolPolicy::Recycling
-            } else {
-                PoolPolicy::OneShot
-            },
-            dedupe: self.flag(DEDUPE),
-            persist: self.flag(PERSIST),
+    pub fn new() -> Self {
+        EngineState {
+            hosted: NodeSlots::new(),
+            forwarding: Shims::Run(NodeSlots::new()),
+            transit: None,
         }
     }
 
-    /// Arms or disarms reply-cache deduplication at runtime (the
-    /// simulator toggles it with its fault-tolerant mode).
-    pub fn set_dedupe(&mut self, enabled: bool) {
-        if enabled {
-            self.flags |= DEDUPE;
-        } else {
-            self.flags &= !DEDUPE;
+    /// The transit tables, allocated on first use.
+    fn transit_mut(&mut self) -> &mut Transit<O> {
+        self.transit.get_or_insert_with(|| {
+            Box::new(Transit { pending: NodeSlots::new(), rebuilding: NodeSlots::new() })
+        })
+    }
+
+    /// Frees the transit tables once both are empty again.
+    fn settle_transit(&mut self) {
+        if self.transit.as_ref().is_some_and(|t| t.pending.is_empty() && t.rebuilding.is_empty()) {
+            self.transit = None;
         }
     }
 
     /// Whether this processor currently works for `node`.
     #[must_use]
-    pub fn hosts(&self, node: NodeRef) -> bool {
-        self.hosted.contains(self.slot(node))
+    pub fn hosts(&self, ctx: &EngineContext, node: NodeRef) -> bool {
+        self.hosted.contains(ctx.slot(node))
     }
 
     /// The hosted state of `node`, if this processor works for it.
     #[must_use]
-    pub fn hosted(&self, node: NodeRef) -> Option<&Hosted<O>> {
-        self.hosted.get(self.slot(node))
+    pub fn hosted(&self, ctx: &EngineContext, node: NodeRef) -> Option<&Hosted<O>> {
+        self.hosted.get(ctx.slot(node))
     }
 
     /// Installs `node` here directly (initial seeding; protocol-driven
     /// installs go through [`Msg::HandoffFinal`]).
-    pub fn install(&mut self, node: NodeRef, hosted: Hosted<O>) {
-        self.hosted.insert(self.slot(node), hosted);
+    pub fn install(&mut self, ctx: &EngineContext, node: NodeRef, hosted: Hosted<O>) {
+        self.hosted.insert(ctx.slot(node), hosted);
     }
 
     /// Forgets all hosted, forwarding, buffered and rebuild state, as a
     /// fail-silent crash with no stable storage does.
     pub fn reset(&mut self) {
-        *self = NodeEngine::new(self.me, Arc::clone(&self.topo), self.config());
+        *self = EngineState::new();
     }
 
-    /// A deterministic structural fingerprint of this engine's protocol
-    /// state: hosting table, shim forwarding, buffered messages and
-    /// in-flight rebuilds. Two engines with identical protocol state
+    /// A deterministic structural fingerprint of processor `me`'s
+    /// protocol state: hosting table, shim forwarding, buffered messages
+    /// and in-flight rebuilds. Two engines with identical protocol state
     /// produce identical fingerprints regardless of storage backend,
     /// process, or platform (the hash is FNV-1a over a canonical sorted
     /// rendering, not `DefaultHasher`), so drivers as different as the
@@ -779,83 +782,61 @@ impl<O: RootObject> NodeEngine<O> {
     /// is excluded: fingerprints only make sense between engines driven
     /// under the same `EngineConfig`.
     #[must_use]
-    pub fn fingerprint(&self) -> u64 {
+    pub fn fingerprint(&self, ctx: &EngineContext, me: ProcessorId) -> u64 {
         use std::collections::BTreeMap;
         let hosted: BTreeMap<NodeRef, &Hosted<O>> =
-            self.hosted.iter().map(|(s, h)| (self.node_of(s), h)).collect();
+            self.hosted.iter().map(|(s, h)| (ctx.node_of(s), h)).collect();
         let forwarding: BTreeMap<NodeRef, &ProcessorId> =
-            self.forwarding.iter().map(|(s, w)| (self.node_of(s), w)).collect();
+            self.forwarding.iter().map(|(s, w)| (ctx.node_of(s), w)).collect();
         let transit = self.transit.as_deref();
         let pending: BTreeMap<NodeRef, &Vec<Msg<O>>> = transit
             .iter()
             .flat_map(|t| t.pending.iter())
-            .map(|(s, msgs)| (self.node_of(s), msgs))
+            .map(|(s, msgs)| (ctx.node_of(s), msgs))
             .collect();
         let rebuilding: BTreeMap<NodeRef, BTreeMap<NodeRef, &ProcessorId>> = transit
             .iter()
             .flat_map(|t| t.rebuilding.iter())
             .map(|(s, shares)| {
-                (self.node_of(s), shares.iter().map(|(s2, w)| (self.node_of(s2), w)).collect())
+                (ctx.node_of(s), shares.iter().map(|(s2, w)| (ctx.node_of(s2), w)).collect())
             })
             .collect();
         let canon = format!(
             "p{} hosted={hosted:?} fwd={forwarding:?} pending={pending:?} rebuild={rebuilding:?}",
-            self.me.index()
+            me.index()
         );
         fnv1a(canon.as_bytes())
     }
 
-    /// The single entry point: consumes one event, returns the effects.
-    /// The engine keeps no clock, so `_now` is ignored; it stays only
-    /// because the benchmark harness still passes it.
-    pub fn on_event(&mut self, event: Event<O>, _now: VirtualTime) -> Effects<O> {
-        let mut fx = Vec::new();
-        self.on_event_into(event, &mut fx);
-        fx
-    }
-
-    /// [`NodeEngine::on_event`] into a caller-owned buffer: the effects
-    /// are appended to `fx`, so a driver that drains one buffer per
-    /// delivery allocates nothing per event.
-    pub fn on_event_into(&mut self, event: Event<O>, fx: &mut Effects<O>) {
+    /// The single entry point: processor `me` consumes one event and
+    /// appends the effects to `fx`, so a driver that drains one buffer
+    /// per delivery allocates nothing per event.
+    pub fn on_event_into(
+        &mut self,
+        ctx: &EngineContext,
+        me: ProcessorId,
+        event: Event<O>,
+        fx: &mut Effects<O>,
+    ) {
         match event {
-            Event::Deliver { msg } => self.on_msg(msg, fx),
-            Event::Invoke { op_seq, req } => self.invoke(op_seq, 1, req, fx),
-            Event::InvokeBatch { op_seq, count, req } => self.invoke(op_seq, count, req, fx),
+            Event::Deliver { msg } => self.on_msg(ctx, me, msg, fx),
+            Event::Invoke { op_seq, req } => invoke(ctx, me, op_seq, 1, req, fx),
+            Event::InvokeBatch { op_seq, count, req } => invoke(ctx, me, op_seq, count, req, fx),
             Event::Restore { node, object, reply_cache } => {
-                if let Some(h) = self.hosted.get_mut(self.slot(node)) {
+                if let Some(h) = self.hosted.get_mut(ctx.slot(node)) {
                     h.root = Some(Box::new(RootState { object, reply_cache: reply_cache.into() }));
                     // The object is back; traffic buffered during the
                     // rebuild can flow now.
-                    self.replay_pending(node, fx);
+                    self.replay_pending(ctx, me, node, fx);
                 }
             }
         }
     }
 
-    /// Enters `count` operations (at least one) into the tree as one
-    /// traversal.
-    fn invoke(&self, op_seq: u64, count: u64, req: O::Request, fx: &mut Effects<O>) {
-        // Level-k nodes have singleton pools and never move, so the
-        // leaf's entry point into the tree is static.
-        let leaf_parent = self.topo.leaf_parent(self.me.index() as u64);
-        let worker = self.topo.initial_worker(leaf_parent);
-        fx.push(Effect::Send {
-            to: worker,
-            msg: Msg::Apply {
-                node: leaf_parent,
-                origin: self.me,
-                op_seq,
-                count: count.max(1),
-                req,
-            },
-        });
-    }
-
-    fn on_msg(&mut self, msg: Msg<O>, fx: &mut Effects<O>) {
+    fn on_msg(&mut self, ctx: &EngineContext, me: ProcessorId, msg: Msg<O>, fx: &mut Effects<O>) {
         match msg {
             Msg::Apply { node, origin, op_seq, count, req } => {
-                self.on_apply(node, origin, op_seq, count, req, fx);
+                self.on_apply(ctx, node, origin, op_seq, count, req, fx);
             }
             Msg::Reply { op_seq, resp } => {
                 fx.push(Effect::Audit(AuditEvent::Kind("reply")));
@@ -869,18 +850,18 @@ impl<O: RootObject> NodeEngine<O> {
                 // the final lost in transit the node's traffic would
                 // circle between the two forever. From here on that
                 // traffic waits in the pending buffer.
-                self.forwarding.remove(self.slot(node));
+                self.forwarding.remove(ctx.slot(node));
                 fx.push(Effect::Audit(AuditEvent::Kind("handoff")));
             }
-            Msg::HandoffFinal { transfer } => self.on_handoff_final(*transfer, fx),
+            Msg::HandoffFinal { transfer } => self.on_handoff_final(ctx, me, *transfer, fx),
             Msg::NewWorker { node, retired, new_worker } => {
-                self.on_new_worker(node, retired, new_worker, fx);
+                self.on_new_worker(ctx, node, retired, new_worker, fx);
             }
             Msg::NewWorkerLeaf { .. } => {
                 fx.push(Effect::Audit(AuditEvent::Kind("new-worker-leaf")));
             }
             Msg::RecoverPromote { node, neighbours } => {
-                self.on_recover_promote(node, neighbours, fx);
+                self.on_recover_promote(ctx, me, node, neighbours, fx);
             }
             Msg::RebuildQuery { node, neighbour, successor } => {
                 fx.push(Effect::Audit(AuditEvent::Kind("rebuild-query")));
@@ -891,11 +872,11 @@ impl<O: RootObject> NodeEngine<O> {
                 fx.push(Effect::Audit(AuditEvent::RecoveryMsgs { count: 2 }));
                 fx.push(Effect::Send {
                     to: successor,
-                    msg: Msg::RebuildShare { node, neighbour, worker: self.me },
+                    msg: Msg::RebuildShare { node, neighbour, worker: me },
                 });
             }
             Msg::RebuildShare { node, neighbour, worker } => {
-                self.on_rebuild_share(node, neighbour, worker, fx);
+                self.on_rebuild_share(ctx, me, node, neighbour, worker, fx);
             }
         }
     }
@@ -921,8 +902,10 @@ impl<O: RootObject> NodeEngine<O> {
     /// O(k / count) per-inc load comes from — and why the Hot Spot
     /// Lemma's accounting, which counts messages, is preserved per
     /// *traversal*.
+    #[allow(clippy::too_many_arguments)] // the fleet's context plus the message's five fields
     fn on_apply(
         &mut self,
+        ctx: &EngineContext,
         node: NodeRef,
         origin: ProcessorId,
         op_seq: u64,
@@ -930,7 +913,7 @@ impl<O: RootObject> NodeEngine<O> {
         req: O::Request,
         fx: &mut Effects<O>,
     ) {
-        let slot = self.slot(node);
+        let slot = ctx.slot(node);
         let Some(h) = self.hosted.get_mut(slot) else {
             self.shim_or_buffer(slot, Msg::Apply { node, origin, op_seq, count, req }, fx);
             return;
@@ -950,7 +933,9 @@ impl<O: RootObject> NodeEngine<O> {
                 fx.push(Effect::Audit(AuditEvent::Lost));
                 return;
             };
-            let cached = (self.flags & DEDUPE != 0)
+            let cached = ctx
+                .config
+                .dedupe
                 .then(|| root.reply_cache.iter().find(|(seq, _)| *seq == op_seq))
                 .flatten()
                 .map(|(_, resp)| resp.clone());
@@ -959,7 +944,7 @@ impl<O: RootObject> NodeEngine<O> {
             } else {
                 let resp = root.object.apply_batch(req, count);
                 push_capped(&mut root.reply_cache, (op_seq, resp.clone()));
-                if self.flags & PERSIST != 0 {
+                if ctx.config.persist {
                     fx.push(Effect::Persist {
                         node,
                         object: root.object.clone(),
@@ -971,7 +956,7 @@ impl<O: RootObject> NodeEngine<O> {
             };
             fx.push(Effect::Send { to: origin, msg: Msg::Reply { op_seq, resp } });
         } else {
-            let parent = self.topo.parent(node).expect("non-root has a parent");
+            let parent = ctx.topo.parent(node).expect("non-root has a parent");
             let Some(parent_worker) = h.parent_worker else {
                 // An inner node that has lost its routing view drops the
                 // request rather than aborting.
@@ -983,37 +968,44 @@ impl<O: RootObject> NodeEngine<O> {
                 msg: Msg::Apply { node: parent, origin, op_seq, count, req },
             });
         }
-        self.maybe_retire(node, slot, fx);
+        self.maybe_retire(ctx, node, slot, fx);
     }
 
     fn on_new_worker(
         &mut self,
+        ctx: &EngineContext,
         node: NodeRef,
         retired: NodeRef,
         new_worker: ProcessorId,
         fx: &mut Effects<O>,
     ) {
-        let slot = self.slot(node);
+        let slot = ctx.slot(node);
         let Some(h) = self.hosted.get_mut(slot) else {
             self.shim_or_buffer(slot, Msg::NewWorker { node, retired, new_worker }, fx);
             return;
         };
         fx.push(Effect::Audit(AuditEvent::Handled { node, kind: "new-worker", aged: 1 }));
         h.age += 1;
-        if self.topo.parent(node) == Some(retired) {
+        if ctx.topo.parent(node) == Some(retired) {
             h.parent_worker = Some(new_worker);
-        } else if let Some(mut children) = self.topo.inner_children(node) {
+        } else if let Some(mut children) = ctx.topo.inner_children(node) {
             if let Some(idx) = children.position(|c| c == retired) {
                 h.child_workers[idx] = new_worker;
             }
         }
-        self.maybe_retire(node, slot, fx);
+        self.maybe_retire(ctx, node, slot, fx);
     }
 
-    fn on_handoff_final(&mut self, transfer: NodeTransfer<O>, fx: &mut Effects<O>) {
+    fn on_handoff_final(
+        &mut self,
+        ctx: &EngineContext,
+        me: ProcessorId,
+        transfer: NodeTransfer<O>,
+        fx: &mut Effects<O>,
+    ) {
         fx.push(Effect::Audit(AuditEvent::Kind("handoff-final")));
         let node = transfer.node;
-        let slot = self.slot(node);
+        let slot = ctx.slot(node);
         self.hosted.insert(
             slot,
             Hosted {
@@ -1028,22 +1020,24 @@ impl<O: RootObject> NodeEngine<O> {
         // (possible if this processor served the node in a previous
         // recycling epoch).
         self.forwarding.remove(slot);
-        fx.push(Effect::Installed { node, worker: self.me, pool_cursor: transfer.pool_cursor });
+        fx.push(Effect::Installed { node, worker: me, pool_cursor: transfer.pool_cursor });
         // The stint that just ended absorbed the k+1 handoff messages;
         // they seed the new stint's count.
-        let setup = u64::from(self.topo.order()) + 1;
+        let setup = u64::from(ctx.topo.order()) + 1;
         fx.push(Effect::Audit(AuditEvent::StintComplete { node, setup_msgs: setup }));
-        self.replay_pending(node, fx);
+        self.replay_pending(ctx, me, node, fx);
     }
 
     fn on_recover_promote(
         &mut self,
+        ctx: &EngineContext,
+        me: ProcessorId,
         node: NodeRef,
         neighbours: Vec<(NodeRef, ProcessorId)>,
         fx: &mut Effects<O>,
     ) {
         fx.push(Effect::Audit(AuditEvent::Kind("recover-promote")));
-        let slot = self.slot(node);
+        let slot = ctx.slot(node);
         if self.hosted.contains(slot) {
             // Stale promotion: this processor already took over.
             return;
@@ -1051,12 +1045,12 @@ impl<O: RootObject> NodeEngine<O> {
         // (Re-)start the collection: a repeated promotion is the retry
         // path when rebuild traffic is itself lost.
         self.transit_mut().rebuilding.insert(slot, NodeSlots::new());
-        fx.push(Effect::RecoveryStarted { node, successor: self.me });
+        fx.push(Effect::RecoveryStarted { node, successor: me });
         let queries = neighbours.len() as u64;
         for (neighbour, worker) in neighbours {
             fx.push(Effect::Send {
                 to: worker,
-                msg: Msg::RebuildQuery { node, neighbour, successor: self.me },
+                msg: Msg::RebuildQuery { node, neighbour, successor: me },
             });
         }
         // The promote delivery plus the queries it sent.
@@ -1065,6 +1059,8 @@ impl<O: RootObject> NodeEngine<O> {
 
     fn on_rebuild_share(
         &mut self,
+        ctx: &EngineContext,
+        me: ProcessorId,
         node: NodeRef,
         neighbour: NodeRef,
         worker: ProcessorId,
@@ -1072,11 +1068,12 @@ impl<O: RootObject> NodeEngine<O> {
     ) {
         fx.push(Effect::Audit(AuditEvent::Kind("rebuild-share")));
         fx.push(Effect::Audit(AuditEvent::RecoveryMsgs { count: 1 }));
-        let slot = self.slot(node);
-        let neighbour_slot = self.slot(neighbour);
+        let topo = &*ctx.topo;
+        let slot = ctx.slot(node);
+        let neighbour_slot = ctx.slot(neighbour);
         // Every *distinct* neighbour must answer (a duplicated share
         // must not complete the rebuild with a neighbour missing).
-        let needed = expected_shares(&self.topo, node);
+        let needed = expected_shares(topo, node);
         let Some(transit) = self.transit.as_deref_mut() else { return };
         let Some(collected) = transit.rebuilding.get_mut(slot) else {
             // Late or duplicated share, no rebuild in flight: ignore.
@@ -1090,19 +1087,18 @@ impl<O: RootObject> NodeEngine<O> {
         self.settle_transit();
         // Align the pool cursor with the promoted worker so a later
         // ordinary retirement continues from the right place.
-        let pool = self.topo.pool(node);
-        let me = self.me.index() as u64;
-        debug_assert!(pool.contains(&me), "successor must come from the node's pool");
-        let pool_cursor = me - pool.start;
-        let parent = self.topo.parent(node);
+        let pool = topo.pool(node);
+        let me_index = me.index() as u64;
+        debug_assert!(pool.contains(&me_index), "successor must come from the node's pool");
+        let pool_cursor = me_index - pool.start;
+        let parent = topo.parent(node);
         let parent_worker =
-            parent.map(|p| *collected.get(self.slot(p)).expect("parent share collected"));
-        let child_workers: Box<[ProcessorId]> = self
-            .topo
+            parent.map(|p| *collected.get(ctx.slot(p)).expect("parent share collected"));
+        let child_workers: Box<[ProcessorId]> = topo
             .inner_children(node)
             .map(|children| {
                 children
-                    .map(|c| *collected.get(self.slot(c)).expect("child share collected"))
+                    .map(|c| *collected.get(ctx.slot(c)).expect("child share collected"))
                     .collect()
             })
             .unwrap_or_default();
@@ -1119,7 +1115,7 @@ impl<O: RootObject> NodeEngine<O> {
             },
         );
         self.forwarding.remove(slot);
-        fx.push(Effect::Recovered { node, worker: self.me, pool_cursor });
+        fx.push(Effect::Recovered { node, worker: me, pool_cursor });
         fx.push(Effect::Audit(AuditEvent::Recovery { node }));
         fx.push(Effect::Audit(AuditEvent::StintComplete { node, setup_msgs: u64::from(needed) }));
         // Parent and children learn the new worker id through the normal
@@ -1128,25 +1124,25 @@ impl<O: RootObject> NodeEngine<O> {
         if let (Some(parent), Some(w)) = (parent, parent_worker) {
             fx.push(Effect::Send {
                 to: w,
-                msg: Msg::NewWorker { node: parent, retired: node, new_worker: self.me },
+                msg: Msg::NewWorker { node: parent, retired: node, new_worker: me },
             });
             notifications += 1;
         }
-        match self.topo.inner_children(node) {
+        match topo.inner_children(node) {
             Some(children) => {
                 for (idx, child) in children.enumerate() {
                     fx.push(Effect::Send {
                         to: child_workers[idx],
-                        msg: Msg::NewWorker { node: child, retired: node, new_worker: self.me },
+                        msg: Msg::NewWorker { node: child, retired: node, new_worker: me },
                     });
                     notifications += 1;
                 }
             }
             None => {
-                for leaf in self.topo.leaf_children(node) {
+                for leaf in topo.leaf_children(node) {
                     fx.push(Effect::Send {
                         to: leaf,
-                        msg: Msg::NewWorkerLeaf { retired: node, new_worker: self.me },
+                        msg: Msg::NewWorkerLeaf { retired: node, new_worker: me },
                     });
                     notifications += 1;
                 }
@@ -1157,23 +1153,24 @@ impl<O: RootObject> NodeEngine<O> {
         // applies before that would lose them, so its pending buffer
         // waits for the restore.
         if node != NodeRef::ROOT {
-            self.replay_pending(node, fx);
+            self.replay_pending(ctx, me, node, fx);
         }
     }
 
     /// Retires this processor from `node` (whose arena key is `slot`) if
     /// its age reached the threshold.
-    fn maybe_retire(&mut self, node: NodeRef, slot: u32, fx: &mut Effects<O>) {
-        if !self.flag(HAS_THRESHOLD) {
+    fn maybe_retire(&mut self, ctx: &EngineContext, node: NodeRef, slot: u32, fx: &mut Effects<O>) {
+        let EngineConfig { threshold: Some(threshold), pool_policy, .. } = ctx.config else {
             return;
-        }
+        };
         let Some(h) = self.hosted.get(slot) else { return };
-        if h.age < self.threshold {
+        if h.age < threshold {
             return;
         }
-        let pool = self.topo.pool(node);
+        let topo = &*ctx.topo;
+        let pool = topo.pool(node);
         let size = pool.end - pool.start;
-        let recycle = self.flag(RECYCLING);
+        let recycle = pool_policy == PoolPolicy::Recycling;
         let Some(next_index) = kmath::next_pool_index(h.pool_cursor, size, recycle) else {
             // No successor available (a drained one-shot pool, or a
             // singleton): the node soldiers on with a reset age. Under
@@ -1192,7 +1189,7 @@ impl<O: RootObject> NodeEngine<O> {
         // k+1 handoff messages: k unit parts plus the state-bearing
         // final (the paper's "k+3 messages" per retirement are these
         // plus the notifications below).
-        let total = self.topo.order() + 1;
+        let total = topo.order() + 1;
         for part in 0..total - 1 {
             fx.push(Effect::Send { to: successor, msg: Msg::HandoffPart { node, part, total } });
         }
@@ -1211,14 +1208,14 @@ impl<O: RootObject> NodeEngine<O> {
         // Notify the parent and every child of the new worker. The root
         // "saves the message that would inform the parent".
         let mut notifications = 0u64;
-        if let (Some(parent), Some(w)) = (self.topo.parent(node), h.parent_worker) {
+        if let (Some(parent), Some(w)) = (topo.parent(node), h.parent_worker) {
             fx.push(Effect::Send {
                 to: w,
                 msg: Msg::NewWorker { node: parent, retired: node, new_worker: successor },
             });
             notifications += 1;
         }
-        match self.topo.inner_children(node) {
+        match topo.inner_children(node) {
             Some(children) => {
                 for (idx, child) in children.enumerate() {
                     fx.push(Effect::Send {
@@ -1232,7 +1229,7 @@ impl<O: RootObject> NodeEngine<O> {
                 // Only reachable in ablation configurations: level-k
                 // pools are singletons under the paper's scheme, so
                 // level-k nodes never retire.
-                for leaf in self.topo.leaf_children(node) {
+                for leaf in topo.leaf_children(node) {
                     fx.push(Effect::Send {
                         to: leaf,
                         msg: Msg::NewWorkerLeaf { retired: node, new_worker: successor },
@@ -1247,16 +1244,200 @@ impl<O: RootObject> NodeEngine<O> {
         }));
     }
 
-    fn replay_pending(&mut self, node: NodeRef, fx: &mut Effects<O>) {
-        let slot = self.slot(node);
+    fn replay_pending(
+        &mut self,
+        ctx: &EngineContext,
+        me: ProcessorId,
+        node: NodeRef,
+        fx: &mut Effects<O>,
+    ) {
+        let slot = ctx.slot(node);
         let Some(buffered) = self.transit.as_deref_mut().and_then(|t| t.pending.remove(slot))
         else {
             return;
         };
         self.settle_transit();
         for msg in buffered {
-            self.on_msg(msg, fx);
+            self.on_msg(ctx, me, msg, fx);
         }
+    }
+}
+
+/// Enters `count` operations (at least one) from processor `me` into the
+/// tree as one traversal. It reads no state: level-k nodes have
+/// singleton pools and never move, so the leaf's entry point into the
+/// tree is static.
+fn invoke<O: RootObject>(
+    ctx: &EngineContext,
+    me: ProcessorId,
+    op_seq: u64,
+    count: u64,
+    req: O::Request,
+    fx: &mut Effects<O>,
+) {
+    let leaf_parent = ctx.topo.leaf_parent(me.index() as u64);
+    let worker = ctx.topo.initial_worker(leaf_parent);
+    fx.push(Effect::Send {
+        to: worker,
+        msg: Msg::Apply { node: leaf_parent, origin: me, op_seq, count: count.max(1), req },
+    });
+}
+
+/// One processor's engine as its fleet holds it: the fleet's context,
+/// the processor's id and its state, read-only.
+pub struct EngineView<'a, O: RootObject> {
+    ctx: &'a EngineContext,
+    me: ProcessorId,
+    state: &'a EngineState<O>,
+}
+
+impl<O: RootObject> Clone for EngineView<'_, O> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<O: RootObject> Copy for EngineView<'_, O> {}
+
+impl<'a, O: RootObject> EngineView<'a, O> {
+    /// The view of processor `me`'s `state` in the fleet of `ctx`.
+    #[must_use]
+    pub(crate) fn new(ctx: &'a EngineContext, me: ProcessorId, state: &'a EngineState<O>) -> Self {
+        EngineView { ctx, me, state }
+    }
+
+    /// The fleet's static configuration.
+    #[must_use]
+    pub fn config(self) -> EngineConfig {
+        self.ctx.config
+    }
+
+    /// Whether this processor currently works for `node`.
+    #[must_use]
+    pub fn hosts(self, node: NodeRef) -> bool {
+        self.state.hosts(self.ctx, node)
+    }
+
+    /// The hosted state of `node`, if this processor works for it.
+    #[must_use]
+    pub fn hosted(self, node: NodeRef) -> Option<&'a Hosted<O>> {
+        self.state.hosted(self.ctx, node)
+    }
+
+    /// See [`EngineState::fingerprint`].
+    #[must_use]
+    pub fn fingerprint(self) -> u64 {
+        self.state.fingerprint(self.ctx, self.me)
+    }
+}
+
+/// [`EngineView`] with the state writable, for a driver that crashes a
+/// processor or seeds a bug into it.
+pub struct EngineViewMut<'a, O: RootObject> {
+    ctx: &'a EngineContext,
+    state: &'a mut EngineState<O>,
+}
+
+impl<'a, O: RootObject> EngineViewMut<'a, O> {
+    /// The writable view of `state` in the fleet of `ctx`.
+    #[must_use]
+    pub(crate) fn new(ctx: &'a EngineContext, state: &'a mut EngineState<O>) -> Self {
+        EngineViewMut { ctx, state }
+    }
+
+    /// See [`EngineState::install`].
+    pub fn install(&mut self, node: NodeRef, hosted: Hosted<O>) {
+        self.state.install(self.ctx, node, hosted);
+    }
+
+    /// See [`EngineState::reset`].
+    pub fn reset(&mut self) {
+        self.state.reset();
+    }
+}
+
+/// One processor's engine on its own: its own copy of the context, its
+/// id and its state. For drivers that hold one engine per slot or
+/// thread; a fleet in one place holds one [`EngineContext`] and an
+/// [`EngineState`] per processor instead (see
+/// [`TreeProtocol`](crate::protocol::TreeProtocol)).
+#[derive(Debug, Clone)]
+pub struct NodeEngine<O: RootObject> {
+    ctx: EngineContext,
+    me: ProcessorId,
+    state: EngineState<O>,
+}
+
+impl<O: RootObject> NodeEngine<O> {
+    /// An engine for processor `me`, hosting nothing yet (see
+    /// [`seed_initial_hosting`]).
+    #[must_use]
+    pub fn new(me: ProcessorId, topo: Arc<Topology>, config: EngineConfig) -> Self {
+        NodeEngine { ctx: EngineContext::new(topo, config), me, state: EngineState::new() }
+    }
+
+    /// This engine read through the fleet-view API.
+    fn view(&self) -> EngineView<'_, O> {
+        EngineView::new(&self.ctx, self.me, &self.state)
+    }
+
+    /// The processor this engine models.
+    #[must_use]
+    pub fn me(&self) -> ProcessorId {
+        self.me
+    }
+
+    /// The engine's static configuration.
+    #[must_use]
+    pub fn config(&self) -> EngineConfig {
+        self.ctx.config
+    }
+
+    /// See [`EngineContext::set_dedupe`].
+    pub fn set_dedupe(&mut self, enabled: bool) {
+        self.ctx.set_dedupe(enabled);
+    }
+
+    /// See [`EngineState::hosts`].
+    #[must_use]
+    pub fn hosts(&self, node: NodeRef) -> bool {
+        self.view().hosts(node)
+    }
+
+    /// See [`EngineState::hosted`].
+    #[must_use]
+    pub fn hosted(&self, node: NodeRef) -> Option<&Hosted<O>> {
+        self.view().hosted(node)
+    }
+
+    /// See [`EngineState::install`].
+    pub fn install(&mut self, node: NodeRef, hosted: Hosted<O>) {
+        self.state.install(&self.ctx, node, hosted);
+    }
+
+    /// See [`EngineState::reset`].
+    pub fn reset(&mut self) {
+        self.state.reset();
+    }
+
+    /// See [`EngineState::fingerprint`].
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.view().fingerprint()
+    }
+
+    /// [`NodeEngine::on_event_into`] into a fresh buffer. The engine
+    /// keeps no clock, so `_now` is ignored; it stays only because the
+    /// benchmark harness still passes it.
+    pub fn on_event(&mut self, event: Event<O>, _now: VirtualTime) -> Effects<O> {
+        let mut fx = Vec::new();
+        self.on_event_into(event, &mut fx);
+        fx
+    }
+
+    /// See [`EngineState::on_event_into`].
+    pub fn on_event_into(&mut self, event: Event<O>, fx: &mut Effects<O>) {
+        self.state.on_event_into(&self.ctx, self.me, event, fx);
     }
 }
 
@@ -1723,13 +1904,20 @@ mod tests {
 
     #[test]
     fn an_engine_without_transit_state_fits_in_112_bytes() {
-        // The processor id with the packed configuration's flags, the
-        // topology pointer, the threshold, two boxed-slice runs and the
-        // transit box: 64 bytes, the size of every idle processor of a
-        // simulated fleet.
+        // Its own context (the topology pointer and the configuration),
+        // the processor id and the state: 80 bytes, the size of every
+        // engine a shm slot or a net worker holds.
         assert!(std::mem::size_of::<NodeEngine<CounterObject>>() <= 112);
         let (_, engines) = fleet(2, EngineConfig::paper(2));
-        assert!(engines.iter().all(|e| e.transit.is_none()), "seeding buffers nothing");
+        assert!(engines.iter().all(|e| e.state.transit.is_none()), "seeding buffers nothing");
+    }
+
+    #[test]
+    fn a_processors_state_fits_in_40_bytes() {
+        // Two boxed-slice runs and the transit box, and nothing the
+        // fleet shares: the size of every idle processor of a simulated
+        // fleet.
+        assert!(std::mem::size_of::<EngineState<CounterObject>>() <= 40);
     }
 
     #[test]
@@ -1739,7 +1927,7 @@ mod tests {
         let successor = topo.pool(node).start as usize + 1;
         let early = Msg::Apply { node, origin: p(0), op_seq: 0, count: 1, req: () };
         step(&mut engines[successor], Event::Deliver { msg: early });
-        assert!(engines[successor].transit.is_some(), "the early apply is buffered");
+        assert!(engines[successor].state.transit.is_some(), "the early apply is buffered");
         let transfer = NodeTransfer {
             node,
             pool_cursor: 1,
@@ -1749,7 +1937,7 @@ mod tests {
         };
         let handoff = Msg::HandoffFinal { transfer: Box::new(transfer) };
         step(&mut engines[successor], Event::Deliver { msg: handoff });
-        assert!(engines[successor].transit.is_none(), "the replay emptied the buffer");
+        assert!(engines[successor].state.transit.is_none(), "the replay emptied the buffer");
     }
 
     #[test]

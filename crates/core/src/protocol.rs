@@ -1,6 +1,6 @@
 //! The fleet driver and the one effect loop.
 //!
-//! All protocol decisions live in [`NodeEngine`]; a driver feeds its
+//! All protocol decisions live in [`EngineState`]; a driver feeds its
 //! engines events and realizes the [`Effect`]s they return. [`realize`]
 //! is that realization, written once for every driver. Sends and
 //! completed operations leave through the driver's [`Transport`]; audit
@@ -13,11 +13,12 @@
 //! | shared memory (`distctr-shm`) | arena mailboxes; op cells | the slot's [`Tally`] |
 //! | threads (`distctr-net`) | channels; the results channel | the worker's [`Tally`] |
 //!
-//! [`TreeProtocol`] is the fleet: one engine per processor, the recovery
-//! [`Directory`] — the registry of every node's current worker and the
-//! stable-storage shadow of the root's object and reply cache — and the
-//! [`CounterAudit`] lemma ledger. A driver with one processor at a time
-//! keeps only a [`Tally`] and ignores the recovery effects.
+//! [`TreeProtocol`] is the fleet: one shared [`EngineContext`] and one
+//! [`EngineState`] per processor, the recovery [`Directory`] — the
+//! registry of every node's current worker and the stable-storage shadow
+//! of the root's object and reply cache — and the [`CounterAudit`] lemma
+//! ledger. A driver with one processor at a time keeps a [`NodeEngine`]
+//! and a [`Tally`], and ignores the recovery effects.
 //!
 //! The simulator has no timer wheel: watchdog timeouts are realized at
 //! quiescence, where the client injects the directory's repair plan
@@ -40,7 +41,8 @@ use distctr_sim::{Delivered, OpId, OpProtocol, Outbox, ProcessorId, Protocol};
 
 use crate::audit::{CounterAudit, Tally};
 use crate::engine::{
-    seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, Event, NodeEngine,
+    seed_hosting, seed_initial_hosting, AuditEvent, Effect, Effects, EngineConfig, EngineContext,
+    EngineState, EngineView, EngineViewMut, Event, NodeEngine,
 };
 pub use crate::engine::{PoolPolicy, RetirementPolicy};
 use crate::messages::Msg;
@@ -91,7 +93,8 @@ pub fn realize<O: RootObject, T: Transport<O>, L: Ledger<O>>(
 }
 
 /// One engine per processor of `topo`, in processor order, seeded with
-/// the initial hosting and `object` at the root.
+/// the initial hosting and `object` at the root: for drivers that hold
+/// each processor's engine apart (shm slots, net workers).
 #[must_use]
 pub fn seeded_engines<O: RootObject>(
     topo: &Arc<Topology>,
@@ -105,13 +108,16 @@ pub fn seeded_engines<O: RootObject>(
     engines
 }
 
-/// The fleet driver: one engine per processor, the recovery directory
-/// and the audit ledger, plus the buffer the simulator's replies land in
-/// for its op loop ([`OpProtocol`]).
+/// The fleet driver: the engines' one shared context and one state per
+/// processor, the recovery directory and the audit ledger, plus the
+/// buffer the simulator's replies land in for its op loop
+/// ([`OpProtocol`]).
 #[derive(Debug, Clone)]
 pub struct TreeProtocol<O: RootObject = CounterObject> {
-    topo: Arc<Topology>,
-    engines: Vec<NodeEngine<O>>,
+    /// The topology and configuration, held once for the fleet.
+    ctx: EngineContext,
+    /// Processor `p`'s engine state at index `p`.
+    states: Vec<EngineState<O>>,
     /// Registry and stable storage (observer state for the watchdog;
     /// engines never read it).
     directory: Directory<O>,
@@ -120,7 +126,7 @@ pub struct TreeProtocol<O: RootObject = CounterObject> {
     /// simulator's op loop claims them.
     replies: Vec<Delivered<O::Response>>,
     /// The effects of the delivery being handled: filled by
-    /// [`NodeEngine::on_event_into`], drained by [`realize`], and kept
+    /// [`EngineState::on_event_into`], drained by [`realize`], and kept
     /// between deliveries so a delivery allocates no buffer.
     scratch: Effects<O>,
 }
@@ -129,11 +135,18 @@ impl<O: RootObject> TreeProtocol<O> {
     /// The fleet of `topo` under `config`, hosting `object` at the root.
     #[must_use]
     pub fn new(topo: Arc<Topology>, config: EngineConfig, object: O) -> Self {
+        let audit = CounterAudit::new(Arc::clone(&topo));
+        let ctx = EngineContext::new(topo, config);
+        let mut states: Vec<EngineState<O>> =
+            (0..ctx.topology().processors()).map(|_| EngineState::new()).collect();
+        seed_hosting(ctx.topology(), &object, |worker, node, hosted| {
+            states[worker.index()].install(&ctx, node, hosted);
+        });
         TreeProtocol {
-            engines: seeded_engines(&topo, config, &object),
-            directory: Directory::new(Arc::clone(&topo), &config, object),
-            audit: CounterAudit::new(&topo),
-            topo,
+            directory: Directory::new(Arc::clone(ctx.topology()), &config, object),
+            ctx,
+            states,
+            audit,
             // One reply per op: reserved now, the buffer never grows on
             // a fault-free run.
             replies: Vec::with_capacity(1),
@@ -144,7 +157,7 @@ impl<O: RootObject> TreeProtocol<O> {
     /// The tree topology.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        self.ctx.topology()
     }
 
     /// The lemma auditor.
@@ -163,7 +176,7 @@ impl<O: RootObject> TreeProtocol<O> {
     /// Current worker of `node`.
     #[must_use]
     pub fn worker_of(&self, node: NodeRef) -> ProcessorId {
-        self.directory.node(self.topo.flat_index(node)).worker
+        self.directory.node(self.topology().flat_index(node)).worker
     }
 
     /// The fleet's recovery directory (registry, stable storage and the
@@ -176,27 +189,25 @@ impl<O: RootObject> TreeProtocol<O> {
     /// The engines' configuration (every engine shares it).
     #[must_use]
     pub fn config(&self) -> EngineConfig {
-        self.engines[0].config()
+        self.ctx.config()
     }
 
     /// Arms the crash-recovery machinery: the root caches one response
     /// per operation so watchdog retries are exactly-once.
     pub fn set_fault_tolerant(&mut self, enabled: bool) {
-        for engine in &mut self.engines {
-            engine.set_dedupe(enabled);
-        }
+        self.ctx.set_dedupe(enabled);
     }
 
     /// The engine of processor `p` (read-only; tests and invariants).
     #[must_use]
-    pub fn engine_of(&self, p: ProcessorId) -> &NodeEngine<O> {
-        &self.engines[p.index()]
+    pub fn engine_of(&self, p: ProcessorId) -> EngineView<'_, O> {
+        EngineView::new(&self.ctx, p, &self.states[p.index()])
     }
 
     /// The engine of processor `p`, for a driver that crashes it or
     /// seeds a bug into it.
-    pub fn engine_mut(&mut self, p: ProcessorId) -> &mut NodeEngine<O> {
-        &mut self.engines[p.index()]
+    pub fn engine_mut(&mut self, p: ProcessorId) -> EngineViewMut<'_, O> {
+        EngineViewMut::new(&self.ctx, &mut self.states[p.index()])
     }
 
     /// Per-processor engine fingerprints, in processor order — the same
@@ -206,14 +217,14 @@ impl<O: RootObject> TreeProtocol<O> {
     /// internal storage.
     #[must_use]
     pub fn engine_fingerprints(&self) -> Vec<u64> {
-        self.engines.iter().map(NodeEngine::fingerprint).collect()
+        (0..self.states.len()).map(|p| self.engine_of(ProcessorId::new(p)).fingerprint()).collect()
     }
 
     /// Feeds `event` to processor `at`'s engine and realizes the effects
     /// through `net`.
     pub fn deliver<T: Transport<O>>(&mut self, at: ProcessorId, event: Event<O>, net: &mut T) {
         let mut fx = std::mem::take(&mut self.scratch);
-        self.engines[at.index()].on_event_into(event, &mut fx);
+        self.states[at.index()].on_event_into(&self.ctx, at, event, &mut fx);
         realize(at, &mut fx, net, self);
         self.scratch = fx;
     }

@@ -38,11 +38,11 @@ impl std::fmt::Display for LoadSummary {
     }
 }
 
-/// Running sent/received counters for every processor in a network.
+/// Running message loads for every processor in a network.
 ///
-/// A processor's two counters sit side by side, so the receive charged at
-/// a delivery and the sends charged while handling it touch one cache
-/// line.
+/// A processor's load is one counter, `m_p`, which its sends and its
+/// receives both advance; only the network-wide send count is kept apart,
+/// for [`LoadTracker::total_messages`].
 ///
 /// # Examples
 ///
@@ -57,24 +57,23 @@ impl std::fmt::Display for LoadSummary {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadTracker {
-    /// `[sent, received]` per processor.
-    counts: Vec<[u64; 2]>,
+    /// `m_p`, messages sent plus received, per processor.
+    loads: Vec<u64>,
+    /// Messages sent by all processors.
+    sent: u64,
 }
-
-const SENT: usize = 0;
-const RECEIVED: usize = 1;
 
 impl LoadTracker {
     /// Creates a tracker for `processors` processors, all loads zero.
     #[must_use]
     pub fn new(processors: usize) -> Self {
-        LoadTracker { counts: vec![[0; 2]; processors] }
+        LoadTracker { loads: vec![0; processors], sent: 0 }
     }
 
     /// Number of processors tracked.
     #[must_use]
     pub fn processors(&self) -> usize {
-        self.counts.len()
+        self.loads.len()
     }
 
     /// Records one message sent by `p`.
@@ -83,7 +82,8 @@ impl LoadTracker {
     ///
     /// Panics if `p` is out of range.
     pub fn record_send(&mut self, p: ProcessorId) {
-        self.counts[p.index()][SENT] += 1;
+        self.loads[p.index()] += 1;
+        self.sent += 1;
     }
 
     /// Records one message received by `p`.
@@ -92,39 +92,28 @@ impl LoadTracker {
     ///
     /// Panics if `p` is out of range.
     pub fn record_receive(&mut self, p: ProcessorId) {
-        self.counts[p.index()][RECEIVED] += 1;
-    }
-
-    /// Messages sent by `p` so far.
-    #[must_use]
-    pub fn sent_by(&self, p: ProcessorId) -> u64 {
-        self.counts[p.index()][SENT]
-    }
-
-    /// Messages received by `p` so far.
-    #[must_use]
-    pub fn received_by(&self, p: ProcessorId) -> u64 {
-        self.counts[p.index()][RECEIVED]
+        self.loads[p.index()] += 1;
     }
 
     /// The paper's message load `m_p = sent + received`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
     #[must_use]
     pub fn load_of(&self, p: ProcessorId) -> u64 {
-        self.sent_by(p) + self.received_by(p)
+        self.loads[p.index()]
     }
 
     /// Iterator over `(processor, load)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessorId, u64)> + '_ {
-        (0..self.processors()).map(|i| {
-            let p = ProcessorId::new(i);
-            (p, self.load_of(p))
-        })
+        self.loads.iter().enumerate().map(|(i, &load)| (ProcessorId::new(i), load))
     }
 
     /// Load vector indexed by processor.
     #[must_use]
     pub fn to_vec(&self) -> Vec<u64> {
-        (0..self.processors()).map(|i| self.load_of(ProcessorId::new(i))).collect()
+        self.loads.clone()
     }
 
     /// The bottleneck load `m_b = max_p m_p` (0 for an empty tracker).
@@ -144,7 +133,7 @@ impl LoadTracker {
     /// (sends are counted; each send is eventually received).
     #[must_use]
     pub fn total_messages(&self) -> u64 {
-        self.counts.iter().map(|c| c[SENT]).sum()
+        self.sent
     }
 
     /// Average load `2 * total / n`: each message contributes to two
@@ -154,7 +143,7 @@ impl LoadTracker {
         if self.processors() == 0 {
             return 0.0;
         }
-        let total: u64 = self.iter().map(|(_, l)| l).sum();
+        let total: u64 = self.loads.iter().sum();
         total as f64 / self.processors() as f64
     }
 
@@ -216,7 +205,8 @@ impl LoadTracker {
 
     /// Resets every counter to zero, keeping the processor count.
     pub fn reset(&mut self) {
-        self.counts.fill([0; 2]);
+        self.loads.fill(0);
+        self.sent = 0;
     }
 
     /// Element-wise difference `self - earlier`, used to isolate the load
@@ -235,12 +225,8 @@ impl LoadTracker {
         );
         let diff = |x: u64, y: u64| x.checked_sub(y).expect("snapshot is not earlier");
         LoadTracker {
-            counts: self
-                .counts
-                .iter()
-                .zip(&earlier.counts)
-                .map(|(&[s, r], &[s0, r0])| [diff(s, s0), diff(r, r0)])
-                .collect(),
+            loads: self.loads.iter().zip(&earlier.loads).map(|(&l, &l0)| diff(l, l0)).collect(),
+            sent: diff(self.sent, earlier.sent),
         }
     }
 }
@@ -267,16 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn counts_send_and_receive_separately() {
-        let mut t = LoadTracker::new(2);
+    fn sends_and_receives_both_load_a_processor_and_only_sends_count_as_messages() {
+        let mut t = LoadTracker::new(3);
         t.record_send(p(0));
         t.record_send(p(0));
         t.record_receive(p(1));
-        assert_eq!(t.sent_by(p(0)), 2);
-        assert_eq!(t.received_by(p(0)), 0);
-        assert_eq!(t.received_by(p(1)), 1);
-        assert_eq!(t.load_of(p(0)), 2);
-        assert_eq!(t.load_of(p(1)), 1);
+        t.record_receive(p(0));
+        assert_eq!((t.load_of(p(0)), t.load_of(p(1)), t.load_of(p(2))), (3, 1, 0));
+        assert_eq!(t.total_messages(), 2, "a receive is the other end of a counted send");
+        assert_eq!(t.to_vec(), [3, 1, 0]);
     }
 
     #[test]
@@ -313,6 +298,7 @@ mod tests {
         let d = t.delta_since(&snap);
         assert_eq!(d.load_of(p(0)), 1);
         assert_eq!(d.load_of(p(1)), 1);
+        assert_eq!(d.total_messages(), 1, "the span's one send");
     }
 
     #[test]

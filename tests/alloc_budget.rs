@@ -13,7 +13,9 @@
 //! traffic or serves a node again after its tables drained allocates
 //! them anew. Runs that hold exactly their entries took it to 3,498,
 //! one reallocation per insert into a non-empty run; with a processor's
-//! only shim entry inline it makes 3,070 (0.25), every run the same.
+//! only shim entry inline it makes 3,070 (0.25), every run the same,
+//! and the same again once the fleet's engines share one topology and
+//! configuration: the pass allocates per message, not per processor.
 //! The budget is 0.35 per message, set about a fifth above 3,487. The
 //! count depends on nothing but the code, so a regression shows here
 //! exactly, not as a timing.

@@ -3,16 +3,18 @@
 //! In the paper a processor holds the k+2 values of the nodes it works
 //! for and little else. One k = 4 canonical pass (n = 1024, each
 //! processor incs once) under `TraceMode::Contacts` leaves the tree with
-//! 140 live heap bytes per processor: 64-byte engines with a packed
-//! configuration and no transit tables, runs that hold exactly their
-//! entries and a processor's only shim entry inline, the object and
-//! reply cache at the root's worker only, and that cache capped at
-//! `REPLY_CACHE_CAP` entries. With 96-byte engines, `Vec` runs and the
-//! root's fields in every hosted slot it held 193; before the transit
-//! box, freed runs and the cap it held 312. The budget is 240, set a
-//! fifth above 193. The count depends on nothing but the code, so a
-//! table that grows with the op count, or a buffer kept after its last
-//! entry, shows here exactly.
+//! 108 live heap bytes per processor: a 40-byte engine state beside the
+//! one topology and configuration the fleet shares, one 8-byte load
+//! counter, no transit tables, runs that hold exactly their entries and
+//! a processor's only shim entry inline, the object and reply cache at
+//! the root's worker only, and that cache capped at `REPLY_CACHE_CAP`
+//! entries. With 64-byte engines that each carried the topology pointer
+//! and the packed configuration, and a sent/received pair per load, it
+//! held 140; with 96-byte engines, `Vec` runs and the root's fields in
+//! every hosted slot 193; before the transit box, freed runs and the
+//! cap 312. The budget is 240, set a fifth above 193. The count depends
+//! on nothing but the code, so a table that grows with the op count, or
+//! a buffer kept after its last entry, shows here exactly.
 //!
 //! This file holds one test on purpose: the counter is process-wide, and
 //! a second test running beside it would be counted too.
