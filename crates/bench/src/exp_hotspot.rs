@@ -1,9 +1,10 @@
-//! Experiments E6 (Hot Spot Lemma on traces) and E10 (quorum-system
-//! substrate and the dynamic-quorum view).
+//! Experiments E6 (Hot Spot Lemma on traces) and E10 (the paper's
+//! "Dynamic Quorum System" against the Naor–Wool load bound).
 
 use distctr_analysis::{fmt_f64, Table};
-use distctr_quorum::{dynamic_view, Fpp, Grid, Majority, QuorumSystem, TreeQuorum, Wall};
-use distctr_sim::{ContactSet, DeliveryPolicy, TraceMode};
+use distctr_sim::{
+    hot_spot_violations, ContactSet, DeliveryPolicy, ProcessorId, SequenceOutcome, TraceMode,
+};
 
 use crate::algos::{run_shuffled_dyn, Algo, REPORT_SEED};
 
@@ -22,14 +23,8 @@ pub fn e6_hot_spot(n: usize) -> String {
                 let mut counter = algo.build(n, TraceMode::Contacts, policy)?;
                 let outcome =
                     run_shuffled_dyn(counter.as_mut(), REPORT_SEED).map_err(|e| e.to_string())?;
-                let contacts: Vec<&ContactSet> = outcome
-                    .results
-                    .iter()
-                    .map(|r| &r.trace.as_ref().expect("contacts recorded").contacts)
-                    .collect();
-                let pairs = contacts.len().saturating_sub(1);
-                let violations =
-                    contacts.windows(2).filter(|pair| !pair[0].intersects(pair[1])).count();
+                let pairs = outcome.results.len().saturating_sub(1);
+                let violations = hot_spot_violations(contacts_of(&outcome)).len();
                 Ok((pairs, violations))
             })();
             match row {
@@ -59,64 +54,120 @@ pub fn e6_hot_spot(n: usize) -> String {
     out
 }
 
-/// E10 — the quorum substrate: static constructions side by side, and
-/// the execution of the retirement tree read as a *dynamic quorum
-/// system* (the paper's own framing).
-#[must_use]
-pub fn e10_quorums() -> String {
-    let mut out = String::new();
-    out.push_str("E10. Quorum systems (static constructions)\n\n");
-    let mut table =
-        Table::new(vec!["system", "universe", "quorums", "min size", "uniform load", "intersects"]);
-    let systems: Vec<Box<dyn QuorumSystem>> = vec![
-        Box::new(Majority::new(16).expect("majority")),
-        Box::new(Grid::new(4).expect("grid")),
-        Box::new(Fpp::new(3).expect("projective plane")),
-        Box::new(TreeQuorum::new(3).expect("tree quorum")),
-        Box::new(Wall::triangular(5).expect("wall")),
-    ];
-    for s in &systems {
-        table.row(vec![
-            s.name().to_string(),
-            s.universe().to_string(),
-            s.quorum_count().to_string(),
-            s.min_quorum_size(usize::MAX).to_string(),
-            fmt_f64(s.uniform_load()),
-            if s.verify_intersection(2000) { "yes".into() } else { "NO".to_string() },
-        ]);
-    }
-    out.push_str(&table.render());
-    out.push('\n');
+/// The operations' contact sets, in execution order.
+fn contacts_of(outcome: &SequenceOutcome) -> impl Iterator<Item = &ContactSet> {
+    outcome.results.iter().map(|r| &r.trace.as_ref().expect("contacts recorded").contacts)
+}
 
-    out.push_str("Dynamic-quorum view of counter executions (n = 81):\n\n");
-    let mut dyn_table = Table::new(vec![
+/// An execution's contact-set family read as a quorum system — the
+/// paper's "Dynamic Quorum System".
+#[derive(Debug)]
+struct DynamicQuorumView {
+    /// Number of operations (quorums).
+    operations: usize,
+    /// Smallest contact-set size.
+    min_size: usize,
+    /// Largest contact-set size.
+    max_size: usize,
+    /// Mean contact-set size.
+    mean_size: f64,
+    /// The processor in the most contact sets, with its count.
+    busiest: Option<(ProcessorId, usize)>,
+    /// Fraction of operations touching the busiest processor: the load
+    /// of the family under the strategy that picks each op's set once.
+    load: f64,
+    /// Pairs of operations, consecutive or not, whose contact sets are
+    /// disjoint. Zero for a quorum system.
+    disjoint_pairs: usize,
+    /// Consecutive pairs that break the Hot Spot Lemma.
+    hot_spot_violations: usize,
+}
+
+/// Builds the dynamic-quorum view of an execution from its per-op
+/// contact sets, over a network of `processors` processors.
+fn dynamic_view(contacts: &[&ContactSet], processors: usize) -> DynamicQuorumView {
+    let operations = contacts.len();
+    let sizes = contacts.iter().map(|c| c.len());
+    let mean_size =
+        if operations == 0 { 0.0 } else { sizes.clone().sum::<usize>() as f64 / operations as f64 };
+    let mut counts = vec![0usize; processors];
+    for p in contacts.iter().flat_map(|c| c.iter()) {
+        counts[p.index()] += 1;
+    }
+    let busiest = counts
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+        .filter(|&(_, &c)| c > 0)
+        .map(|(i, &c)| (ProcessorId::new(i), c));
+    let disjoint_pairs = contacts
+        .iter()
+        .enumerate()
+        .map(|(i, a)| contacts[i + 1..].iter().filter(|b| !a.intersects(b)).count())
+        .sum();
+    DynamicQuorumView {
+        operations,
+        min_size: sizes.clone().min().unwrap_or(0),
+        max_size: sizes.max().unwrap_or(0),
+        mean_size,
+        busiest,
+        load: busiest.map_or(0.0, |(_, c)| c as f64 / operations as f64),
+        disjoint_pairs,
+        hot_spot_violations: hot_spot_violations(contacts.iter().copied()).len(),
+    }
+}
+
+/// E10 — each execution's contact sets read as the paper's "Dynamic
+/// Quorum System", at every size in `sizes`. The busiest processor's
+/// share of the operations stands against `1/√n`, the least load any
+/// pairwise-intersecting family over `n` processors can have (Naor and
+/// Wool, "The load, capacity and availability of quorum systems", SIAM
+/// J. Comput. 1998). The count of all disjoint pairs says whether that
+/// bound binds the family at all.
+#[must_use]
+pub fn e10_dynamic_quorums(sizes: &[usize]) -> String {
+    let mut out = String::new();
+    out.push_str(
+        "E10. The dynamic quorum system: busiest share vs the Naor-Wool load 1/sqrt(n)\n\n",
+    );
+    let mut table = Table::new(vec![
         "algorithm",
+        "n",
         "ops",
         "contact size (min/mean/max)",
         "busiest",
-        "dyn load",
+        "busiest share",
+        "1/sqrt(n)",
+        "disjoint pairs",
         "hot spot",
     ]);
-    for algo in [Algo::Central, Algo::RetirementTree] {
-        let mut counter =
-            algo.build(81, TraceMode::Contacts, DeliveryPolicy::Fifo).expect("builds");
-        let outcome = run_shuffled_dyn(counter.as_mut(), REPORT_SEED).expect("runs");
-        let contacts: Vec<&ContactSet> = outcome
-            .results
-            .iter()
-            .map(|r| &r.trace.as_ref().expect("contacts recorded").contacts)
-            .collect();
-        let view = dynamic_view(&contacts, counter.processors());
-        dyn_table.row(vec![
-            algo.name(),
-            view.operations.to_string(),
-            format!("{}/{}/{}", view.min_size, fmt_f64(view.mean_size), view.max_size),
-            view.busiest.map_or("-".into(), |(p, c)| format!("{p} ({c} ops)")),
-            fmt_f64(view.load),
-            if view.verdict.holds() { "holds".into() } else { "VIOLATED".to_string() },
-        ]);
+    for &n in sizes {
+        for algo in [Algo::Central, Algo::RetirementTree] {
+            let mut counter =
+                algo.build(n, TraceMode::Contacts, DeliveryPolicy::Fifo).expect("builds");
+            let outcome = run_shuffled_dyn(counter.as_mut(), REPORT_SEED).expect("runs");
+            let contacts: Vec<&ContactSet> = contacts_of(&outcome).collect();
+            let processors = counter.processors();
+            let view = dynamic_view(&contacts, processors);
+            let pairs = view.operations * view.operations.saturating_sub(1) / 2;
+            table.row(vec![
+                algo.name(),
+                processors.to_string(),
+                view.operations.to_string(),
+                format!("{}/{}/{}", view.min_size, fmt_f64(view.mean_size), view.max_size),
+                view.busiest.map_or("-".into(), |(p, c)| format!("{p} ({c} ops)")),
+                fmt_f64(view.load),
+                fmt_f64(1.0 / (processors as f64).sqrt()),
+                format!("{} of {pairs}", view.disjoint_pairs),
+                if view.hot_spot_violations == 0 { "holds".into() } else { "VIOLATED".into() },
+            ]);
+        }
     }
-    out.push_str(&dyn_table.render());
+    out.push_str(&table.render());
+    out.push_str(
+        "(1/sqrt(n) bounds only families whose sets pairwise intersect; the tree's sets\n \
+         intersect only in succession, so its busiest share may fall below it)\n",
+    );
     out.push('\n');
     out
 }
@@ -124,6 +175,10 @@ pub fn e10_quorums() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn set(ids: &[usize]) -> ContactSet {
+        ids.iter().map(|&i| ProcessorId::new(i)).collect()
+    }
 
     #[test]
     fn e6_no_violations_at_n8() {
@@ -135,14 +190,40 @@ mod tests {
 
     #[test]
     fn e10_quorum_tables_render() {
-        let report = e10_quorums();
-        for name in ["majority", "grid", "fpp", "tree", "wall"] {
-            assert!(report.contains(name), "{name} in report");
-        }
-        assert!(!report.contains("NO"));
-        assert!(!report.contains("VIOLATED"));
-        // The centralized counter's dynamic load is 1.0 (coordinator in
-        // every contact set).
-        assert!(report.contains("1.00") || report.contains("1.0"));
+        let report = e10_dynamic_quorums(&[81]);
+        assert!(!report.contains("VIOLATED"), "{report}");
+        let row = |algo: &str| -> String {
+            let line = report.lines().find(|l| l.starts_with(algo)).expect("row");
+            line.split_whitespace().collect::<Vec<_>>().join(" ")
+        };
+        // The coordinator is in every contact set, so no two are disjoint.
+        assert!(row("central").ends_with("P0 (81 ops) 1.00 0.1111 0 of 3240 holds"), "{report}");
+        assert!(!row("retirement-tree").contains(" 0.1111 0 of "), "{report}");
+    }
+
+    #[test]
+    fn dynamic_view_statistics() {
+        let (a, b, c, d) = (set(&[0, 1, 2]), set(&[2, 3]), set(&[2]), set(&[4]));
+        let v = dynamic_view(&[&a, &b, &c], 8);
+        assert_eq!(v.operations, 3);
+        assert_eq!(v.min_size, 1);
+        assert_eq!(v.max_size, 3);
+        assert!((v.mean_size - 2.0).abs() < 1e-12);
+        assert_eq!(v.busiest, Some((ProcessorId::new(2), 3)));
+        assert!((v.load - 1.0).abs() < 1e-12, "P2 is in every contact set");
+        assert_eq!((v.disjoint_pairs, v.hot_spot_violations), (0, 0));
+        // P4's set meets none of the three, but follows only the last.
+        let v = dynamic_view(&[&a, &b, &c, &d], 8);
+        assert_eq!((v.disjoint_pairs, v.hot_spot_violations), (3, 1));
+        assert!((v.load - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dynamic_view_empty_execution() {
+        let v = dynamic_view(&[], 4);
+        assert_eq!(v.operations, 0);
+        assert_eq!(v.busiest, None);
+        assert_eq!(v.load, 0.0);
+        assert_eq!((v.disjoint_pairs, v.hot_spot_violations), (0, 0));
     }
 }

@@ -164,7 +164,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         let n = s.of(32, 64);
         Outcome::text(exp_concurrent::e9_concurrency(n, &[1, 8, n]))
     }),
-    paper("e10", |_| Outcome::text(exp_hotspot::e10_quorums())),
+    paper("e10", |s| Outcome::text(exp_hotspot::e10_dynamic_quorums(s.of(&[81][..], &[81, 1024])))),
     paper("e11", |s| Outcome::text(exp_ablation::e11_threshold_ablation(s.of(3, 4)))),
     paper("e12", |s| Outcome::text(exp_ablation::e12_skewed_workloads(s.of(3, 4)))),
     paper("e13", |s| Outcome::text(exp_ablation::e13_generalized_structures(s.of(3, 4)))),

@@ -221,6 +221,13 @@ impl Invariant for UniqueHosting {
 /// operation touching the chain at all. An operation that completes
 /// without ever contacting a root holder has dodged the bottleneck the
 /// lemma says is unavoidable.
+///
+/// This is stronger than the lemma as
+/// [`distctr_sim::hot_spot_violations`] checks it on any counter's
+/// trace (consecutive contact sets intersect), and it holds for the
+/// retirement tree only, because every one of its operations passes
+/// through the root-holder chain. It also applies to operations that
+/// overlap, where "consecutive" has no meaning.
 pub struct HotSpotIntersection;
 
 impl Invariant for HotSpotIntersection {

@@ -3,7 +3,9 @@
 //! policies.
 
 use distctr_core::{RetirementPolicy, TreeCounter};
-use distctr_sim::{Counter, DeliveryPolicy, ProcessorId, SequentialDriver, TraceMode};
+use distctr_sim::{
+    hot_spot_violations, Counter, DeliveryPolicy, ProcessorId, SequentialDriver, TraceMode,
+};
 
 fn canonical_run(k: u32, policy: DeliveryPolicy, seed: u64) -> TreeCounter {
     let n = distctr_core::kmath::leaves_of_order(k) as usize;
@@ -129,16 +131,13 @@ fn hot_spot_lemma_on_tree_traces() {
     // Consecutive operations' contact sets intersect.
     let mut c = TreeCounter::with_order(3).expect("k=3");
     let out = SequentialDriver::run_shuffled(&mut c, 5).expect("sequence");
-    let traces: Vec<_> =
-        out.results.iter().map(|r| r.trace.as_ref().expect("contacts traced")).collect();
-    for pair in traces.windows(2) {
-        assert!(
-            pair[0].contacts.intersects(&pair[1].contacts),
-            "Hot Spot Lemma violated between {} and {}",
-            pair[0].op,
-            pair[1].op
-        );
-    }
+    let violations = hot_spot_violations(
+        out.results.iter().map(|r| &r.trace.as_ref().expect("contacts traced").contacts),
+    );
+    assert!(
+        violations.is_empty(),
+        "Hot Spot Lemma violated between ops i and i + 1 for i in {violations:?}"
+    );
 }
 
 #[test]

@@ -21,7 +21,8 @@
 //!   *bottleneck processor* (`argmax` of load).
 //! * [`trace`] — per-operation communication DAGs (paper Figure 1), their
 //!   topologically sorted communication lists (Figure 2) and contact sets
-//!   `I_p` used by the Hot Spot Lemma.
+//!   `I_p` used by the Hot Spot Lemma, which [`hot_spot_violations`]
+//!   checks over an execution.
 //! * [`Counter`] — the abstract distributed-counter interface every
 //!   implementation in this workspace provides, plus sequential and
 //!   concurrent drivers.
@@ -92,5 +93,5 @@ pub use op_loop::{claim, Delivered, Entry, OpLoop, OpProtocol};
 pub use policy::DeliveryPolicy;
 pub use queue::{Envelope, EventQueue};
 pub use time::SimTime;
-pub use trace::{ContactSet, OpTrace, TraceMode, TraceRecorder};
+pub use trace::{hot_spot_violations, ContactSet, OpTrace, TraceMode, TraceRecorder};
 pub use workloads::{Workload, ZipfSampler};

@@ -112,6 +112,37 @@ impl Extend<ProcessorId> for ContactSet {
     }
 }
 
+/// The Hot Spot Lemma checked over an execution: "let p and q be two
+/// processors that increment the counter in direct succession. Then
+/// `I_p ∩ I_q ≠ ∅` must hold." Given the operations' contact sets in
+/// execution order, returns the index `i` of **every** consecutive pair
+/// `(i, i + 1)` that shares no processor; empty when the lemma holds.
+///
+/// # Examples
+///
+/// ```
+/// use distctr_sim::{hot_spot_violations, ContactSet, ProcessorId};
+/// let set = |ids: &[usize]| ids.iter().map(|&i| ProcessorId::new(i)).collect::<ContactSet>();
+/// let (a, b, c) = (set(&[0, 1]), set(&[1, 2]), set(&[5]));
+/// assert!(hot_spot_violations([&a, &b]).is_empty());
+/// assert_eq!(hot_spot_violations([&a, &b, &c]), vec![1], "ops 1 and 2 are disjoint");
+/// ```
+#[must_use]
+pub fn hot_spot_violations<'a>(contacts: impl IntoIterator<Item = &'a ContactSet>) -> Vec<usize> {
+    let mut contacts = contacts.into_iter();
+    let mut violations = Vec::new();
+    let Some(mut prev) = contacts.next() else {
+        return violations;
+    };
+    for (i, next) in contacts.enumerate() {
+        if !prev.intersects(next) {
+            violations.push(i);
+        }
+        prev = next;
+    }
+    violations
+}
+
 /// Everything recorded about one operation's process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpTrace {
@@ -338,6 +369,43 @@ mod tests {
         assert!(!a.intersects(&c));
         assert_eq!(a.intersection(&b), vec![p(5)]);
         assert!(a.intersection(&c).is_empty());
+    }
+
+    fn set(ids: &[usize]) -> ContactSet {
+        ids.iter().map(|&i| p(i)).collect()
+    }
+
+    #[test]
+    fn chain_holds_for_overlapping_sequence() {
+        let (a, b, c) = (set(&[0, 1]), set(&[1, 2]), set(&[2, 3]));
+        assert!(hot_spot_violations([&a, &b, &c]).is_empty());
+    }
+
+    #[test]
+    fn chain_violation_is_located() {
+        let (a, b, c) = (set(&[0, 1]), set(&[1, 2]), set(&[5, 6]));
+        assert_eq!(hot_spot_violations([&a, &b, &c]), vec![1]);
+    }
+
+    #[test]
+    fn chain_trivially_holds_for_short_sequences() {
+        assert!(hot_spot_violations([]).is_empty());
+        assert!(hot_spot_violations([&set(&[0])]).is_empty());
+    }
+
+    #[test]
+    fn nonadjacent_sets_may_be_disjoint() {
+        // The lemma only constrains *consecutive* operations.
+        let (a, b, c) = (set(&[0, 1]), set(&[1, 5]), set(&[5, 9]));
+        assert!(hot_spot_violations([&a, &b, &c]).is_empty());
+        assert!(!a.intersects(&c));
+    }
+
+    #[test]
+    fn every_violating_pair_is_reported() {
+        // Two disjoint pairs, (0, 1) and (2, 3), around an intersecting one.
+        let (a, b, c, d) = (set(&[0]), set(&[1, 2]), set(&[2]), set(&[3]));
+        assert_eq!(hot_spot_violations([&a, &b, &c, &d]), vec![0, 2]);
     }
 
     #[test]

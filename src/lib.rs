@@ -10,10 +10,9 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sim`] | `distctr-sim` | asynchronous message-passing network simulator, load accounting, traces |
+//! | [`sim`] | `distctr-sim` | asynchronous message-passing network simulator, load accounting, traces and the Hot Spot Lemma checker |
 //! | [`core`] | `distctr-core` | the paper's retirement-tree counter and lemma audits |
 //! | [`baselines`] | `distctr-baselines` | central, combining-tree, counting-network, diffracting-tree, Arrow counters (the static tree is `TreeCounter` with `RetirementPolicy::Never`) |
-//! | [`quorum`] | `distctr-quorum` | quorum systems and the Hot Spot Lemma checker |
 //! | [`bound`] | `distctr-bound` | the executable lower bound: adversary + weight audit |
 //! | [`net`] | `distctr-net` | real-threads backend: the tree counter over OS threads + channels |
 //! | [`server`] | `distctr-server` | TCP service layer: wire codec, counter server, remote client, load generator |
@@ -54,7 +53,6 @@ pub use distctr_check as check;
 pub use distctr_core as core;
 pub use distctr_keyspace as keyspace;
 pub use distctr_net as net;
-pub use distctr_quorum as quorum;
 pub use distctr_server as server;
 pub use distctr_shm as shm;
 pub use distctr_sim as sim;
@@ -74,7 +72,6 @@ pub mod prelude {
     };
     pub use distctr_keyspace::{Keyspace, KeyspaceConfig, PromotionPolicy};
     pub use distctr_net::ThreadedTreeCounter;
-    pub use distctr_quorum::QuorumSystem;
     pub use distctr_server::{
         run_load, ClientConfig, CounterServer, LoadConfig, RemoteCounter, RetryPolicy, ServerConfig,
     };

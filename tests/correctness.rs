@@ -3,7 +3,7 @@
 //! traces.
 
 use distctr::prelude::*;
-use distctr::sim::ContactSet;
+use distctr::sim::hot_spot_violations;
 
 fn all_counters(n: usize, trace: TraceMode, policy: DeliveryPolicy) -> Vec<Box<dyn Counter>> {
     let width = ((n as f64).sqrt() as usize).next_power_of_two().max(2);
@@ -61,20 +61,18 @@ fn hot_spot_lemma_on_every_implementation_and_policy() {
         for mut counter in all_counters(16, TraceMode::Contacts, policy.clone()) {
             let outcome =
                 SequentialDriver::run_shuffled(counter.as_mut(), 7).expect("sequence runs");
-            let contacts: Vec<&ContactSet> = outcome
-                .results
-                .iter()
-                .map(|r| &r.trace.as_ref().expect("contacts recorded").contacts)
-                .collect();
-            for (i, pair) in contacts.windows(2).enumerate() {
-                assert!(
-                    pair[0].intersects(pair[1]),
-                    "Hot Spot Lemma violated by {} under {} between ops {i} and {}",
-                    counter.name(),
-                    policy.name(),
-                    i + 1
-                );
-            }
+            let violations = hot_spot_violations(
+                outcome
+                    .results
+                    .iter()
+                    .map(|r| &r.trace.as_ref().expect("contacts recorded").contacts),
+            );
+            assert!(
+                violations.is_empty(),
+                "Hot Spot Lemma violated by {} under {} between ops i and i + 1 for i in {violations:?}",
+                counter.name(),
+                policy.name()
+            );
         }
     }
 }

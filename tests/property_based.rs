@@ -4,7 +4,7 @@
 
 use distctr::bound::theory;
 use distctr::prelude::*;
-use distctr::sim::{CommList, ContactSet};
+use distctr::sim::{hot_spot_violations, CommList};
 use proptest::prelude::*;
 
 fn arbitrary_permutation(n: usize) -> impl Strategy<Value = Vec<ProcessorId>> {
@@ -56,13 +56,9 @@ proptest! {
     fn hot_spot_chain_for_random_workloads(seed in any::<u64>()) {
         let mut counter = TreeCounter::new(27).expect("tree");
         let out = SequentialDriver::run_shuffled(&mut counter, seed).expect("runs");
-        let contacts: Vec<&ContactSet> = out
-            .results
-            .iter()
-            .map(|r| &r.trace.as_ref().expect("contacts").contacts)
-            .collect();
-        let verdict = distctr::quorum::check_chain(&contacts);
-        prop_assert!(verdict.holds(), "verdict: {verdict:?}");
+        let violations =
+            hot_spot_violations(out.results.iter().map(|r| &r.trace.as_ref().expect("contacts").contacts));
+        prop_assert!(violations.is_empty(), "Hot Spot Lemma violated between ops i and i + 1 for i in {violations:?}");
     }
 
     #[test]
